@@ -109,9 +109,7 @@ def _run_mixture(sc: Scenario, args) -> int:
         weights=[float(w) for w in p["weights"]],
         process_specs=[generator_spec_from_json(g) for g in p["generators"]],
     )
-    traj = evolve_convex_mixture(
-        matrix_from_json(p["rho0"]), mix, _payload_cfg(p, args), jobs=args.jobs
-    )
+    traj = evolve_convex_mixture(matrix_from_json(p["rho0"]), mix, _payload_cfg(p, args))
     trajectory_to_csv(traj, sc.output_path or "trajectory.csv", dump_states=args.dump_states)
     return EXIT_OK
 
@@ -214,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--strict", action="store_true", help="exit 3 on criterion failure")
-        sp.add_argument("--jobs", type=int, default=None, metavar="N")
         sp.add_argument("--dump-states", action="store_true")
         sp.add_argument("--dt", type=float, default=None, help="override integrator dt")
         sp.add_argument("--seed", type=int, default=None, help="override scenario seed")

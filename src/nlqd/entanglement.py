@@ -21,6 +21,7 @@ from .generators import GeneratorSpec, eval_Gamma, generator_matrix, random_dens
 from .linalg import (
     DensityMatrix,
     dagger,
+    hermitian_eigvals,
     max_abs,
     mutual_information,
     partial_trace,
@@ -218,7 +219,7 @@ def verify_cp_extension(
         traj = evolve_bipartite(sample, dyn, cfg)
         local = evolve(sample.marginal_H(), dyn.spec_H, cfg)
         final = traj.final_state()
-        min_eig = float(np.min(np.linalg.eigvalsh((final + dagger(final)) / 2)))
+        min_eig = float(np.min(hermitian_eigvals(final)))
         loc_res = max(
             max_abs(partial_trace(s, sample.dims, "K") - l)
             for s, l in zip(traj.states, local.states)

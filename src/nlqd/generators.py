@@ -23,10 +23,9 @@ from .errors import DegenerateConstraintError, ValidationError
 from .linalg import (
     HERM_TOL,
     SUPPORT_REL_TOL,
+    ClippedEig,
     dagger,
-    herm_eig,
     is_hermitian,
-    matrix_power,
     max_abs,
     sqrt_factor,
     support_projector,
@@ -110,39 +109,7 @@ class GeneratorValue:
     Gamma: np.ndarray
 
 
-class _Decomposed:
-    """One clipped eigendecomposition of rho, shared by T and Gamma.
-
-    The RK4 stages evaluate several fractional powers of the same state;
-    decomposing once per evaluation roughly halves the integration cost.
-    """
-
-    def __init__(self, rho: np.ndarray):
-        from .linalg import EIG_NEG_TOL
-
-        self.rho = np.asarray(rho, dtype=complex)
-        # eigh reads the lower triangle only; rho is Hermitian by construction
-        # on the integration path, and the public wrappers validate separately.
-        w, v = np.linalg.eigh(self.rho)
-        if w[0] < -EIG_NEG_TOL:
-            raise ValidationError(f"matrix has eigenvalue {w[0]} < -1e-10")
-        self.eigenvalues = np.maximum(w, 0.0)
-        self.eigenvectors = v
-
-    def power(self, s: float) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues**s) @ v.conj().T
-
-    def support(self, rel_tol: float = SUPPORT_REL_TOL) -> np.ndarray:
-        w = self.eigenvalues
-        lmax = float(np.max(w))
-        if lmax <= 0.0:
-            raise ValidationError("support projector of a (numerically) zero matrix")
-        v = self.eigenvectors[:, w > rel_tol * lmax]
-        return v @ v.conj().T
-
-
-def _eval_T(spec: GeneratorSpec, dec: _Decomposed) -> np.ndarray:
+def _eval_T(spec: GeneratorSpec, dec: ClippedEig) -> np.ndarray:
     if spec.t_family.family == "vonNeumann":
         return spec.H.copy()
     rq = dec.power(spec.t_family.q)
@@ -150,7 +117,7 @@ def _eval_T(spec: GeneratorSpec, dec: _Decomposed) -> np.ndarray:
 
 
 def eval_T(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
-    return _eval_T(spec, _Decomposed(rho))
+    return _eval_T(spec, ClippedEig(rho))
 
 
 def solve_lagrange_parameters(
@@ -167,10 +134,10 @@ def solve_lagrange_parameters(
     """
     H = np.asarray(H, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
-    return _solve_lagrange(H, r, _Decomposed(rho))
+    return _solve_lagrange(H, r, ClippedEig(rho))
 
 
-def _solve_lagrange(H: np.ndarray, r: float, dec: _Decomposed) -> tuple[float, float]:
+def _solve_lagrange(H: np.ndarray, r: float, dec: ClippedEig) -> tuple[float, float]:
     rho = dec.rho
     rp = dec.power(r + 1.0)
     tr_rho = np.trace(rho).real
@@ -189,7 +156,7 @@ def _solve_lagrange(H: np.ndarray, r: float, dec: _Decomposed) -> tuple[float, f
     return float(zeta), float(xi)
 
 
-def _eval_Gamma(spec: GeneratorSpec, dec: _Decomposed) -> np.ndarray:
+def _eval_Gamma(spec: GeneratorSpec, dec: ClippedEig) -> np.ndarray:
     fam = spec.gamma_family
     rho = dec.rho
     d = rho.shape[0]
@@ -211,17 +178,17 @@ def _eval_Gamma(spec: GeneratorSpec, dec: _Decomposed) -> np.ndarray:
 
 
 def eval_Gamma(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
-    return _eval_Gamma(spec, _Decomposed(rho))
+    return _eval_Gamma(spec, ClippedEig(rho))
 
 
 def eval_generator(spec: GeneratorSpec, rho: np.ndarray) -> GeneratorValue:
-    dec = _Decomposed(rho)
+    dec = ClippedEig(rho)
     return GeneratorValue(T=_eval_T(spec, dec), Gamma=_eval_Gamma(spec, dec))
 
 
 def generator_matrix(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
     """G = T + i Gamma at the given state."""
-    dec = _Decomposed(rho)
+    dec = ClippedEig(rho)
     return _eval_T(spec, dec) + 1j * _eval_Gamma(spec, dec)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .generators import GammaFamily, GeneratorSpec, TFamily
+from .linalg import state_violation
 from .propagation import IntegratorConfig, Trajectory
 
 SCHEMA_ID = "nlqd/1"
@@ -199,12 +200,9 @@ def verify_csv(path: str, trace_tol: float = 1e-9, eig_tol: float = 1e-10) -> di
                     for i in range(d)
                 ]
             )
-            if np.max(np.abs(m - m.conj().T)) > 1e-9:
-                problems.append(f"t={t}: state not Hermitian")
-            if abs(np.trace(m).real - 1.0) > trace_tol:
-                problems.append(f"t={t}: state trace off")
-            if float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2))) < -eig_tol:
-                problems.append(f"t={t}: state has negative eigenvalue")
+            problem = state_violation(m, 1e-9, trace_tol, eig_tol)
+            if problem:
+                problems.append(f"t={t}: state {problem}")
     return {"rows": len(rows), "ok": not problems, "problems": problems}
 
 
@@ -223,7 +221,7 @@ def schema_document() -> dict:
     }
     integ = {
         "dt": "real > 0",
-        "t_final": "real >= dt",
+        "t_final": "real, a whole number of dt steps",
         "renormalize_each_step": "bool (default true)",
         "monitor_stride": "int >= 1 (default 1)",
         "max_step_drift": "real (default 1e-6)",

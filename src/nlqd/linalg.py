@@ -10,7 +10,7 @@ construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +50,23 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
+def hermitian_eigvals(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part (a + a^dag) / 2."""
+    return np.linalg.eigvalsh((a + dagger(a)) / 2)
+
+
+def state_violation(m: np.ndarray, herm_tol: float, trace_tol: float, eig_tol: float):
+    """The first density-matrix invariant m breaks, as a phrase, or None."""
+    if max_abs(m - dagger(m)) > herm_tol:
+        return f"is not Hermitian to {herm_tol:g}"
+    if abs(np.trace(m) - 1.0) > trace_tol:
+        return f"has trace {np.trace(m)} != 1 to {trace_tol:g}"
+    lo = float(np.min(hermitian_eigvals(m)))
+    if lo < -eig_tol:
+        return f"has eigenvalue {lo} < -{eig_tol:g}"
+    return None
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace state."""
@@ -59,13 +76,9 @@ class DensityMatrix:
     def __post_init__(self):
         m = _require_square(_as_complex(self.matrix))
         object.__setattr__(self, "matrix", m)
-        if not is_hermitian(m, HERM_TOL):
-            raise ValidationError("density matrix is not Hermitian to 1e-12")
-        if abs(np.trace(m) - 1.0) > TRACE_TOL:
-            raise ValidationError(f"density matrix trace {np.trace(m)} != 1")
-        lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
-        if lo < -EIG_NEG_TOL:
-            raise ValidationError(f"density matrix has eigenvalue {lo} < -1e-10")
+        problem = state_violation(m, HERM_TOL, TRACE_TOL, EIG_NEG_TOL)
+        if problem:
+            raise ValidationError(f"density matrix {problem}")
 
     @property
     def dim(self) -> int:
@@ -103,36 +116,67 @@ class SpectralDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def herm_eig(a, tol: float = 1e-10) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix, eigenvalues ascending."""
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The package's one Hermitian eigensolver call.  eigh reads the lower
+    # triangle only: rho is Hermitian by construction on the integration
+    # path, and the public entry points check their input first.
+    return np.linalg.eigh(a)
+
+
+def _hermitian(a, tol: float = 1e-10) -> np.ndarray:
     a = _require_square(_as_complex(a))
     if not is_hermitian(a, tol):
-        raise ValidationError("herm_eig: input is not Hermitian to tolerance")
-    w, v = np.linalg.eigh(a)
+        raise ValidationError(f"matrix is not Hermitian to {tol:g}")
+    return a
+
+
+def herm_eig(a, tol: float = 1e-10) -> SpectralDecomposition:
+    """Spectral decomposition of a Hermitian matrix, eigenvalues ascending."""
+    w, v = _eigh(_hermitian(a, tol))
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def _clipped_eigs(rho: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition with small negative eigenvalues clipped to zero.
+class ClippedEig:
+    """One eigendecomposition of rho with small negative eigenvalues clipped.
 
     Eigenvalues in [-1e-10, 0) come from integration roundoff and are
-    treated as 0; anything more negative is a hard error.
+    treated as 0; anything more negative is a hard error.  The generator
+    families evaluate several fractional powers of the same state; one
+    decomposition per evaluation roughly halves the integration cost.
     """
-    dec = herm_eig(rho)
-    w = dec.eigenvalues.copy()
-    if np.min(w) < -EIG_NEG_TOL:
-        raise ValidationError(f"matrix has eigenvalue {np.min(w)} < -1e-10")
-    w[w < 0.0] = 0.0
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=dec.eigenvectors)
+
+    def __init__(self, rho: np.ndarray):
+        self.rho = np.asarray(rho, dtype=complex)
+        w, v = _eigh(self.rho)
+        if w[0] < -EIG_NEG_TOL:
+            raise ValidationError(f"matrix has eigenvalue {w[0]} < -1e-10")
+        self.eigenvalues = np.maximum(w, 0.0)
+        self.eigenvectors = v
+
+    def power(self, s: float) -> np.ndarray:
+        v = self.eigenvectors
+        return (v * self.eigenvalues**s) @ v.conj().T
+
+    def support(self, rel_tol: float = SUPPORT_REL_TOL) -> np.ndarray:
+        """Projector onto the eigenvectors above rel_tol times the largest eigenvalue."""
+        w = self.eigenvalues
+        lmax = float(np.max(w))
+        if lmax <= 0.0:
+            raise ValidationError("support projector of a (numerically) zero matrix")
+        v = self.eigenvectors[:, w > rel_tol * lmax]
+        return v @ v.conj().T
+
+
+def _checked_eig(rho) -> ClippedEig:
+    """ClippedEig behind the shape and Hermiticity checks of a public entry point."""
+    return ClippedEig(_hermitian(rho.matrix if isinstance(rho, DensityMatrix) else rho))
 
 
 def matrix_power(rho, s: float) -> np.ndarray:
     """Hermitian PSD power rho^s via the spectral decomposition, s > 0."""
     if s <= 0:
         raise ValidationError(f"matrix_power exponent must be > 0, got {s}")
-    dec = _clipped_eigs(_as_complex(rho))
-    v = dec.eigenvectors
-    return (v * dec.eigenvalues**s) @ v.conj().T
+    return _checked_eig(rho).power(s)
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -163,13 +207,7 @@ def support_projector(rho, rel_tol: float = SUPPORT_REL_TOL) -> np.ndarray:
     above rel_tol times the largest eigenvalue."""
     if not (0.0 < rel_tol < 1.0):
         raise ValidationError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    dec = _clipped_eigs(_as_complex(rho))
-    lmax = float(np.max(dec.eigenvalues))
-    if lmax <= 0.0:
-        raise ValidationError("support_projector: matrix is (numerically) zero")
-    keep = dec.eigenvalues > rel_tol * lmax
-    v = dec.eigenvectors[:, keep]
-    return v @ v.conj().T
+    return _checked_eig(rho).support(rel_tol)
 
 
 def sqrt_factor(rho: DensityMatrix | np.ndarray) -> StateOperator:
@@ -177,11 +215,7 @@ def sqrt_factor(rho: DensityMatrix | np.ndarray) -> StateOperator:
 
     Any other factor differs by a right unitary gauge gamma' = gamma U.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else _as_complex(rho)
-    dec = _clipped_eigs(m)
-    v = dec.eigenvectors
-    g = (v * np.sqrt(dec.eigenvalues)) @ v.conj().T
-    return StateOperator(matrix=g)
+    return StateOperator(matrix=_checked_eig(rho).power(0.5))
 
 
 def purity(rho) -> float:
@@ -189,12 +223,15 @@ def purity(rho) -> float:
     return float(np.trace(m @ m).real)
 
 
-def von_neumann_entropy(rho) -> float:
-    """-sum lambda_i ln lambda_i over strictly positive eigenvalues."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else _as_complex(rho)
-    w = _clipped_eigs(m).eigenvalues
+def entropy_of_spectrum(w: np.ndarray) -> float:
+    """-sum lambda_i ln lambda_i over the strictly positive eigenvalues in w."""
     w = w[w > 0.0]
     return float(-np.sum(w * np.log(w)))
+
+
+def von_neumann_entropy(rho) -> float:
+    """Entropy of rho's clipped spectrum."""
+    return entropy_of_spectrum(_checked_eig(rho).eigenvalues)
 
 
 def mutual_information(rho_hk, dims: tuple[int, int]) -> float:

@@ -12,22 +12,22 @@ routes agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .entanglement import BipartiteDynamics, BipartiteState, polchinski_generator
 from .errors import SubspaceInvarianceError, ValidationError
 from .generators import GeneratorSpec, eval_T, generator_matrix
-from .linalg import (
-    DensityMatrix,
-    dagger,
-    max_abs,
-    partial_trace,
-    sqrt_factor,
-    tensor_product,
+from .linalg import DensityMatrix, dagger, max_abs, partial_trace, tensor_product
+from .propagation import (
+    IntegratorConfig,
+    Trajectory,
+    _no_monitor,
+    _rk4,
+    evolve,
+    integrate_generator,
 )
-from .propagation import IntegratorConfig, Trajectory, evolve, integrate_generator
 
 PROJECTOR_TOL = 1e-10
 INVARIANCE_TOL = 1e-10
@@ -98,42 +98,15 @@ def evolve_block_diagonal(
     if max_abs(m.P @ mat @ m.Q) > 1e-10:
         raise ValidationError("state is not block diagonal for the given projector")
     full = evolve(mat, spec, cfg)
-
-    blocks = _block_project_state(mat, m)
-    projs = [m.P, m.Q]
-    weights = [float(np.trace(b).real) for b in blocks]
-    gammas = []
-    for b, w in zip(blocks, weights):
-        gammas.append(sqrt_factor(b / w).matrix * np.sqrt(w) if w > 1e-12 else np.zeros_like(b))
-
-    def block_rhs(gamma, proj):
-        rho = gamma @ dagger(gamma)
-        g = proj @ generator_matrix(spec, rho) @ proj
-        return -1j * (g @ gamma)
-
-    n = cfg.n_steps
-    residual = 0.0
-    rec_idx = 1
-    for step in range(1, n + 1):
-        new = []
-        for gamma, proj, w in zip(gammas, projs, weights):
-            if w <= 1e-12:
-                new.append(gamma)
-                continue
-            k1 = block_rhs(gamma, proj)
-            k2 = block_rhs(gamma + 0.5 * cfg.dt * k1, proj)
-            k3 = block_rhs(gamma + 0.5 * cfg.dt * k2, proj)
-            k4 = block_rhs(gamma + cfg.dt * k3, proj)
-            gamma = gamma + (cfg.dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            nrm = np.trace(dagger(gamma) @ gamma).real
-            if cfg.renormalize_each_step:
-                gamma = gamma * np.sqrt(w / nrm)
-            new.append(gamma)
-        gammas = new
-        if step % cfg.monitor_stride == 0 or step == n:
-            rho_sum = sum(g @ dagger(g) for g in gammas)
-            residual = max(residual, max_abs(rho_sum - full.states[rec_idx]))
-            rec_idx += 1
+    parts = []
+    for block, proj in zip(_block_project_state(mat, m), (m.P, m.Q)):
+        w = float(np.trace(block).real)
+        if w > 1e-12:
+            # The block's factor runs at unit norm; its generator sees the
+            # unnormalized block w rho and is projected back into the block.
+            g_of_rho = lambda rho, proj=proj, w=w: proj @ generator_matrix(spec, w * rho) @ proj
+            parts.append(w * np.array(integrate_generator(block / w, g_of_rho, cfg, _no_monitor).states))
+    residual = max_abs(sum(parts)[1:] - np.array(full.states[1:]))
     return full, residual
 
 
@@ -164,15 +137,9 @@ class CorrelationScenario:
 
 
 def _phase_cfg(cfg: IntegratorConfig, duration: float) -> IntegratorConfig:
-    # rescale dt so the steps tile the phase duration exactly
+    """cfg for one phase, dt rescaled so whole steps tile the duration exactly."""
     n = max(1, int(round(duration / cfg.dt)))
-    return IntegratorConfig(
-        dt=duration / n,
-        t_final=duration,
-        renormalize_each_step=cfg.renormalize_each_step,
-        monitor_stride=n,
-        max_step_drift=cfg.max_step_drift,
-    )
+    return replace(cfg, dt=duration / n, t_final=duration, monitor_stride=n)
 
 
 def _evolve_joint(sc: CorrelationScenario, rho: np.ndarray, duration: float, k_only: bool) -> np.ndarray:
@@ -191,11 +158,7 @@ def _evolve_joint(sc: CorrelationScenario, rho: np.ndarray, duration: float, k_o
             )
         return polchinski_generator(sc.dyn, r, dims)
 
-    from .propagation import default_monitor
-
-    traj = integrate_generator(
-        rho, g_of_rho, _phase_cfg(sc.cfg, duration), default_monitor(np.eye(rho.shape[0]))
-    )
+    traj = integrate_generator(rho, g_of_rho, _phase_cfg(sc.cfg, duration), _no_monitor)
     return traj.final_state()
 
 
@@ -206,17 +169,13 @@ def _require_invariance(sc: CorrelationScenario) -> None:
         )
 
 
-def correlation_full_route(sc: CorrelationScenario) -> float:
-    """Joint probability of (positive P_H at t1, positive P_K at t2) from the
-    explicit block-resolved post-measurement evolution.
+def _first_phase(sc: CorrelationScenario) -> np.ndarray:
+    """The unmeasured joint state at t1."""
+    return _evolve_joint(sc, sc.rho0.matrix, sc.t1 - sc.t0, k_only=False)
 
-    The measured factor evolves per block with projected propagators; the
-    remote factor keeps a single propagator driven by its own (continuous)
-    marginal.
-    """
-    _require_invariance(sc)
+
+def _full_route(sc: CorrelationScenario, rho1: np.ndarray) -> float:
     d_h, d_k = sc.rho0.dims
-    rho1 = _evolve_joint(sc, sc.rho0.matrix, sc.t1 - sc.t0, k_only=False)
     p_h_full = tensor_product(sc.P_H.P, np.eye(d_k))
     q_h_full = tensor_product(sc.P_H.Q, np.eye(d_k))
     rho_p = p_h_full @ rho1 @ p_h_full
@@ -228,7 +187,8 @@ def correlation_full_route(sc: CorrelationScenario) -> float:
     n_k = partial_trace(rho_p + rho_q, (d_h, d_k), "H")
     spec_h, spec_k = sc.dyn.spec_H, sc.dyn.spec_K
 
-    def rhs(s_p, s_q, s_k):
+    def rhs(xs):
+        s_p, s_q, s_k = xs
         t_p = sc.P_H.P @ eval_T(spec_h, s_p @ m_p @ dagger(s_p)) @ sc.P_H.P
         t_q = sc.P_H.Q @ eval_T(spec_h, s_q @ m_q @ dagger(s_q)) @ sc.P_H.Q
         ds_k = np.zeros_like(s_k)
@@ -236,24 +196,33 @@ def correlation_full_route(sc: CorrelationScenario) -> float:
             ds_k = -1j * (eval_T(spec_k, s_k @ n_k @ dagger(s_k)) @ s_k)
         return -1j * (t_p @ s_p), -1j * (t_q @ s_q), ds_k
 
-    s_p, s_q = sc.P_H.P.copy(), sc.P_H.Q.copy()
-    s_k = np.eye(d_k, dtype=complex)
-    duration = sc.t2 - sc.t1
-    n_steps = max(1, int(round(duration / sc.cfg.dt)))
-    dt = duration / n_steps
-    for _ in range(n_steps):
-        k1 = rhs(s_p, s_q, s_k)
-        k2 = rhs(*(x + 0.5 * dt * k for x, k in zip((s_p, s_q, s_k), k1)))
-        k3 = rhs(*(x + 0.5 * dt * k for x, k in zip((s_p, s_q, s_k), k2)))
-        k4 = rhs(*(x + dt * k for x, k in zip((s_p, s_q, s_k), k3)))
-        s_p, s_q, s_k = (
-            x + (dt / 6.0) * (a + 2 * b + 2 * c + d)
-            for x, a, b, c, d in zip((s_p, s_q, s_k), k1, k2, k3, k4)
-        )
+    xs = (sc.P_H.P.copy(), sc.P_H.Q.copy(), np.eye(d_k, dtype=complex))
+    phase = _phase_cfg(sc.cfg, sc.t2 - sc.t1)
+    for _ in range(phase.n_steps):
+        xs = _rk4(xs, rhs, phase.dt)
+    s_p, _, s_k = xs
     prop = tensor_product(s_p, s_k)
     rho_p_t2 = prop @ rho_p @ dagger(prop)
     p_k_full = tensor_product(np.eye(d_h), sc.P_K.P)
     return float(np.trace(p_k_full @ rho_p_t2 @ p_k_full).real)
+
+
+def _switch_off_route(sc: CorrelationScenario, rho1: np.ndarray) -> float:
+    rho = _evolve_joint(sc, rho1, sc.t2 - sc.t1, k_only=True)
+    joint_proj = tensor_product(sc.P_H.P, sc.P_K.P)
+    return float(np.trace(joint_proj @ rho @ joint_proj).real)
+
+
+def correlation_full_route(sc: CorrelationScenario) -> float:
+    """Joint probability of (positive P_H at t1, positive P_K at t2) from the
+    explicit block-resolved post-measurement evolution.
+
+    The measured factor evolves per block with projected propagators; the
+    remote factor keeps a single propagator driven by its own (continuous)
+    marginal.
+    """
+    _require_invariance(sc)
+    return _full_route(sc, _first_phase(sc))
 
 
 def correlation_switch_off_route(sc: CorrelationScenario) -> float:
@@ -261,10 +230,7 @@ def correlation_switch_off_route(sc: CorrelationScenario) -> float:
     piecewise generator: the H part runs only up to t1, the K part up to t2;
     the probability is the trace against P_H (x) P_K."""
     _require_invariance(sc)
-    rho = _evolve_joint(sc, sc.rho0.matrix, sc.t1 - sc.t0, k_only=False)
-    rho = _evolve_joint(sc, rho, sc.t2 - sc.t1, k_only=True)
-    joint_proj = tensor_product(sc.P_H.P, sc.P_K.P)
-    return float(np.trace(joint_proj @ rho @ joint_proj).real)
+    return _switch_off_route(sc, _first_phase(sc))
 
 
 def check_remote_generator_unaffected(sc: CorrelationScenario) -> float:
@@ -275,7 +241,7 @@ def check_remote_generator_unaffected(sc: CorrelationScenario) -> float:
     if sc.dyn.spec_K is None:
         return 0.0
     d_h, d_k = sc.rho0.dims
-    rho1 = _evolve_joint(sc, sc.rho0.matrix, sc.t1 - sc.t0, k_only=False)
+    rho1 = _first_phase(sc)
     p_h_full = tensor_product(sc.P_H.P, np.eye(d_k))
     q_h_full = tensor_product(sc.P_H.Q, np.eye(d_k))
     measured = p_h_full @ rho1 @ p_h_full + q_h_full @ rho1 @ q_h_full
@@ -285,12 +251,13 @@ def check_remote_generator_unaffected(sc: CorrelationScenario) -> float:
 
 
 def correlation_report(sc: CorrelationScenario) -> dict:
-    """All correlation outputs in one record."""
-    rho1 = _evolve_joint(sc, sc.rho0.matrix, sc.t1 - sc.t0, k_only=False)
+    """All correlation outputs in one record; the t0 -> t1 phase runs once."""
+    _require_invariance(sc)
+    rho1 = _first_phase(sc)
     p_h_full = tensor_product(sc.P_H.P, np.eye(sc.rho0.d_K))
     p_first = float(np.trace(p_h_full @ rho1 @ p_h_full).real)
-    p_full = correlation_full_route(sc)
-    p_switch = correlation_switch_off_route(sc)
+    p_full = _full_route(sc, rho1)
+    p_switch = _switch_off_route(sc, rho1)
     return {
         "p_joint_full": p_full,
         "p_joint_switch": p_switch,

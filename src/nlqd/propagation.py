@@ -6,14 +6,15 @@ stage; rho = gamma gamma^dag is then positive by construction.  The direct
 rho-route integrator is kept only as a cross-validation oracle.  The
 rho-dependent propagator S (i S_dot = G(rho(t)) S) can be accumulated
 alongside gamma with the same stages, and convex mixtures of processes run
-one autonomous branch per component.
+one autonomous branch per component.  Every integrator here and in
+``measurement`` steps with the one RK4 tableau in ``_rk4``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,13 +22,17 @@ from .errors import StepSizeError, ValidationError
 from .generators import GeneratorSpec, generator_matrix
 from .linalg import (
     DensityMatrix,
+    StateOperator,
     dagger,
-    herm_eig,
+    entropy_of_spectrum,
+    hermitian_eigvals,
     max_abs,
     purity,
     sqrt_factor,
-    von_neumann_entropy,
+    state_violation,
 )
+
+GRID_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -43,12 +48,16 @@ class IntegratorConfig:
             raise ValidationError("dt and t_final must be positive")
         if self.dt > self.t_final:
             raise ValidationError("dt must not exceed t_final")
+        if abs(self.n_steps * self.dt - self.t_final) > GRID_REL_TOL * self.t_final:
+            raise ValidationError(
+                f"t_final {self.t_final} is not a whole number of dt = {self.dt} steps"
+            )
         if self.monitor_stride < 1:
             raise ValidationError("monitor_stride must be >= 1")
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_final / self.dt)))
+        return int(round(self.t_final / self.dt))
 
 
 @dataclass
@@ -64,80 +73,97 @@ class Trajectory:
     def validate(self, trace_tol: float = 1e-9, eig_tol: float = 1e-10) -> None:
         """Check the physical-state invariants on every recorded snapshot."""
         for t, s in zip(self.times, self.states):
-            if max_abs(s - dagger(s)) > 1e-9:
-                raise ValidationError(f"state at t={t} not Hermitian")
-            if abs(np.trace(s).real - 1.0) > trace_tol:
-                raise ValidationError(f"state at t={t} trace off by > {trace_tol}")
-            if float(np.min(np.linalg.eigvalsh((s + dagger(s)) / 2))) < -eig_tol:
-                raise ValidationError(f"state at t={t} has eigenvalue < -{eig_tol}")
+            problem = state_violation(s, 1e-9, trace_tol, eig_tol)
+            if problem:
+                raise ValidationError(f"state at t={t} {problem}")
 
 
 GeneratorFn = Callable[[np.ndarray], np.ndarray]
 MonitorFn = Callable[[np.ndarray], dict]
 
 
-def _gamma_rhs(gamma: np.ndarray, g_of_rho: GeneratorFn) -> np.ndarray:
-    return -1j * (g_of_rho(gamma @ dagger(gamma)) @ gamma)
-
-
-def _rk4_gamma(gamma: np.ndarray, g_of_rho: GeneratorFn, dt: float) -> np.ndarray:
-    k1 = _gamma_rhs(gamma, g_of_rho)
-    k2 = _gamma_rhs(gamma + 0.5 * dt * k1, g_of_rho)
-    k3 = _gamma_rhs(gamma + 0.5 * dt * k2, g_of_rho)
-    k4 = _gamma_rhs(gamma + dt * k3, g_of_rho)
-    return gamma + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _rk4_gamma_with_propagator(gamma, s, g_of_rho, dt):
-    """RK4 on the pair (gamma, S); both see the same stage generators."""
-
-    def rhs(g, m):
-        gen = g_of_rho(g @ dagger(g))
-        return -1j * (gen @ g), -1j * (gen @ m)
-
-    k1g, k1s = rhs(gamma, s)
-    k2g, k2s = rhs(gamma + 0.5 * dt * k1g, s + 0.5 * dt * k1s)
-    k3g, k3s = rhs(gamma + 0.5 * dt * k2g, s + 0.5 * dt * k2s)
-    k4g, k4s = rhs(gamma + dt * k3g, s + dt * k3s)
-    return (
-        gamma + (dt / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g),
-        s + (dt / 6.0) * (k1s + 2 * k2s + 2 * k3s + k4s),
+def _rk4(xs, rhs, dt: float) -> tuple:
+    """One classical RK4 step of x_dot = rhs(x) for a tuple x of arrays."""
+    k1 = rhs(xs)
+    k2 = rhs(tuple([x + 0.5 * dt * k for x, k in zip(xs, k1)]))
+    k3 = rhs(tuple([x + 0.5 * dt * k for x, k in zip(xs, k2)]))
+    k4 = rhs(tuple([x + dt * k for x, k in zip(xs, k3)]))
+    return tuple(
+        [x + (dt / 6.0) * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(xs, k1, k2, k3, k4)]
     )
 
 
-def _renormalize(gamma: np.ndarray, target: float, max_drift: float) -> tuple[np.ndarray, float]:
-    """Project gamma back onto HS norm sqrt(target); returns (gamma, drift)."""
-    nrm = np.trace(dagger(gamma) @ gamma).real
-    drift = abs(nrm - target)
+def _factor_rhs(g_of_rho: GeneratorFn):
+    """i x_dot = G(gamma gamma^dag) x for (gamma, *carried), G taken at gamma."""
+
+    def rhs(xs):
+        gen = g_of_rho(xs[0] @ dagger(xs[0]))
+        return [-1j * (gen @ x) for x in xs]
+
+    return rhs
+
+
+def _renormalize(gamma: np.ndarray, max_drift: float):
+    """gamma projected back onto unit HS norm, and the drift its norm^2 had."""
+    nrm = np.vdot(gamma, gamma).real
+    drift = abs(nrm - 1.0)
     if drift > max_drift:
-        raise StepSizeError(
-            f"norm drift {drift:.3e} exceeds {max_drift:.1e} in a single step; reduce dt"
-        )
-    return gamma * np.sqrt(target / nrm), drift
+        raise StepSizeError(f"norm drift {drift:.3e} exceeds {max_drift:.1e}; reduce dt")
+    return gamma / np.sqrt(nrm), drift
 
 
 def step_state_operator(gamma, spec: GeneratorSpec, dt: float, max_step_drift: float = 1e-6):
     """One RK4 step of the square-root factor under the given generator spec."""
     g = gamma.matrix if hasattr(gamma, "matrix") else np.asarray(gamma, dtype=complex)
-    g = _rk4_gamma(g, lambda rho: generator_matrix(spec, rho), dt)
-    g, _ = _renormalize(g, 1.0, max_step_drift)
-    from .linalg import StateOperator
-
-    return StateOperator(matrix=g)
+    (g,) = _rk4((g,), _factor_rhs(partial(generator_matrix, spec)), dt)
+    return StateOperator(matrix=_renormalize(g, max_step_drift)[0])
 
 
 def default_monitor(H: np.ndarray) -> MonitorFn:
     def monitor(rho: np.ndarray) -> dict:
-        eigs = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
+        eigs = hermitian_eigvals(rho)
         return {
             "trace": np.trace(rho).real,
             "energy": np.trace(H @ rho).real,
             "purity": purity(rho),
-            "entropy": von_neumann_entropy(rho),
+            "entropy": entropy_of_spectrum(eigs),
             "eigenvalues": eigs,
         }
 
     return monitor
+
+
+def _no_monitor(rho: np.ndarray) -> dict:
+    return {}
+
+
+def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, monitor: MonitorFn, carried=()):
+    """The step loop: factorize, step, check the drift, renormalize, record.
+
+    Each carried matrix x steps with gamma under i x_dot = G(rho) x; returns
+    the final (gamma, *carried) and the recorded trajectory.
+    """
+    xs = (sqrt_factor(np.asarray(rho0, dtype=complex)).matrix, *carried)
+    rhs = _factor_rhs(g_of_rho)
+    rho = xs[0] @ dagger(xs[0])
+    times, states, drifts, records = [0.0], [rho], [0.0], [monitor(rho)]
+    n = cfg.n_steps
+    for step in range(1, n + 1):
+        xs = _rk4(xs, rhs, cfg.dt)
+        gamma, drift = _renormalize(xs[0], cfg.max_step_drift)
+        if cfg.renormalize_each_step:
+            xs = (gamma, *xs[1:])
+        if step % cfg.monitor_stride == 0 or step == n:
+            rho = xs[0] @ dagger(xs[0])
+            times.append(step * cfg.dt)
+            states.append(rho)
+            drifts.append(drift)
+            records.append(monitor(rho))
+    monitors = {key: np.array([rec[key] for rec in records]) for key in records[0]}
+    traj = Trajectory(
+        times=np.array(times), states=states, monitors=monitors, norm_drift=np.array(drifts)
+    )
+    return xs, traj
 
 
 def integrate_generator(
@@ -147,45 +173,21 @@ def integrate_generator(
     monitor: MonitorFn,
 ) -> Trajectory:
     """Shared gamma-route engine: factorize, step, renormalize, record."""
-    gamma = sqrt_factor(np.asarray(rho0, dtype=complex)).matrix
-    times, states, drifts = [0.0], [gamma @ dagger(gamma)], [0.0]
-    records = [monitor(states[0])]
-    n = cfg.n_steps
-    for step in range(1, n + 1):
-        gamma = _rk4_gamma(gamma, g_of_rho, cfg.dt)
-        nrm = np.vdot(gamma, gamma).real
-        drift = abs(nrm - 1.0)
-        if drift > cfg.max_step_drift:
-            raise StepSizeError(
-                f"norm drift {drift:.3e} exceeds {cfg.max_step_drift:.1e}; reduce dt"
-            )
-        if cfg.renormalize_each_step:
-            gamma = gamma / np.sqrt(nrm)
-        if step % cfg.monitor_stride == 0 or step == n:
-            rho = gamma @ dagger(gamma)
-            times.append(step * cfg.dt)
-            states.append(rho)
-            drifts.append(drift)
-            records.append(monitor(rho))
-    monitors = {
-        key: np.array([rec[key] for rec in records]) for key in records[0]
-    }
-    return Trajectory(
-        times=np.array(times),
-        states=states,
-        monitors=monitors,
-        norm_drift=np.array(drifts),
-    )
+    return _integrate(rho0, g_of_rho, cfg, monitor)[1]
+
+
+def _density(rho0) -> np.ndarray:
+    """The validated matrix of a public entry point's initial state."""
+    m = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
+    DensityMatrix(matrix=m)
+    return m
 
 
 def evolve(rho0, spec: GeneratorSpec, cfg: IntegratorConfig) -> Trajectory:
     """Propagate a density matrix under one generator spec via the gamma route."""
-    m = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
-    DensityMatrix(matrix=m)  # validate input invariants
-    traj = integrate_generator(
-        m, lambda rho: generator_matrix(spec, rho), cfg, default_monitor(spec.H)
+    return integrate_generator(
+        _density(rho0), partial(generator_matrix, spec), cfg, default_monitor(spec.H)
     )
-    return traj
 
 
 def consistency_check_rho_route(rho0, spec: GeneratorSpec, cfg: IntegratorConfig) -> float:
@@ -193,24 +195,18 @@ def consistency_check_rho_route(rho0, spec: GeneratorSpec, cfg: IntegratorConfig
     and report the max entrywise deviation from the gamma route over the grid.
     """
     m = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
-    gamma = sqrt_factor(m).matrix
+    g_of_rho = partial(generator_matrix, spec)
+    gamma_route = integrate_generator(m, g_of_rho, replace(cfg, monitor_stride=1), _no_monitor)
 
-    def rho_rhs(rho):
-        g = generator_matrix(spec, rho)
-        return -1j * (g @ rho - rho @ dagger(g))
+    def rho_rhs(xs):
+        g = g_of_rho(xs[0])
+        return [-1j * (g @ xs[0] - xs[0] @ dagger(g))]
 
     rho_direct = m.copy()
     dev = 0.0
-    for _ in range(cfg.n_steps):
-        gamma = _rk4_gamma(gamma, lambda rho: generator_matrix(spec, rho), cfg.dt)
-        if cfg.renormalize_each_step:
-            gamma, _ = _renormalize(gamma, 1.0, cfg.max_step_drift)
-        k1 = rho_rhs(rho_direct)
-        k2 = rho_rhs(rho_direct + 0.5 * cfg.dt * k1)
-        k3 = rho_rhs(rho_direct + 0.5 * cfg.dt * k2)
-        k4 = rho_rhs(rho_direct + cfg.dt * k3)
-        rho_direct = rho_direct + (cfg.dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        dev = max(dev, max_abs(gamma @ dagger(gamma) - rho_direct))
+    for rho in gamma_route.states[1:]:
+        (rho_direct,) = _rk4((rho_direct,), rho_rhs, cfg.dt)
+        dev = max(dev, max_abs(rho - rho_direct))
     return dev
 
 
@@ -223,35 +219,9 @@ def accumulate_propagator(
     state reconstructs as S rho(0) S^dag.  When the dissipative part never
     touches the support of rho, S comes out unitary.
     """
-    m = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
-    DensityMatrix(matrix=m)
-    g_of_rho = lambda rho: generator_matrix(spec, rho)
-    monitor = default_monitor(spec.H)
-    gamma = sqrt_factor(m).matrix
-    s = np.eye(m.shape[0], dtype=complex)
-    times, states, drifts = [0.0], [m.copy()], [0.0]
-    records = [monitor(m)]
-    n = cfg.n_steps
-    for step in range(1, n + 1):
-        gamma, s = _rk4_gamma_with_propagator(gamma, s, g_of_rho, cfg.dt)
-        nrm = np.vdot(gamma, gamma).real
-        drift = abs(nrm - 1.0)
-        if drift > cfg.max_step_drift:
-            raise StepSizeError(
-                f"norm drift {drift:.3e} exceeds {cfg.max_step_drift:.1e}; reduce dt"
-            )
-        if cfg.renormalize_each_step:
-            gamma = gamma / np.sqrt(nrm)
-        if step % cfg.monitor_stride == 0 or step == n:
-            rho = gamma @ dagger(gamma)
-            times.append(step * cfg.dt)
-            states.append(rho)
-            drifts.append(drift)
-            records.append(monitor(rho))
-    monitors = {key: np.array([rec[key] for rec in records]) for key in records[0]}
-    traj = Trajectory(
-        times=np.array(times), states=states, monitors=monitors, norm_drift=np.array(drifts)
-    )
+    m = _density(rho0)
+    s0 = np.eye(m.shape[0], dtype=complex)
+    (_, s), traj = _integrate(m, partial(generator_matrix, spec), cfg, default_monitor(spec.H), (s0,))
     return s, traj
 
 
@@ -273,18 +243,14 @@ class MixtureSpec:
         object.__setattr__(self, "weights", w)
 
 
-def evolve_convex_mixture(
-    rho0, mix: MixtureSpec, cfg: IntegratorConfig, jobs: Optional[int] = None
-) -> Trajectory:
+def evolve_convex_mixture(rho0, mix: MixtureSpec, cfg: IntegratorConfig) -> Trajectory:
     """Each process propagates rho(0) autonomously under its own nonlinear
     law; the output state is the weight-averaged sum of the branches."""
-    m = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
-    DensityMatrix(matrix=m)
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            branches = list(pool.map(lambda s: evolve(m, s, cfg), mix.process_specs))
-    else:
-        branches = [evolve(m, spec, cfg) for spec in mix.process_specs]
+    m = _density(rho0)
+    branches = [
+        integrate_generator(m, partial(generator_matrix, spec), cfg, _no_monitor)
+        for spec in mix.process_specs
+    ]
     h_bar = sum(w * s.H for w, s in zip(mix.weights, mix.process_specs))
     monitor = default_monitor(h_bar)
     times = branches[0].times

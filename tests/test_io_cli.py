@@ -179,6 +179,17 @@ class TestCliEndToEnd:
         rows = out.read_text().splitlines()
         assert len(rows) == 1 + 21  # header + 20 steps + initial point
 
+    def test_dt_off_grid_exit_one(self, tmp_path, rng):
+        out = tmp_path / "traj.csv"
+        p = write_scenario(
+            tmp_path / "s.json",
+            "evolve",
+            evolve_payload(random_density_matrix(2, rng), GeneratorSpec(H=SZ), t_final=0.1),
+            output_path=out,
+        )
+        assert main(["run", p, "--dt", "0.03"]) == 1
+        assert not out.exists()
+
     def test_validation_exit_one(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -253,7 +264,7 @@ class TestCliEndToEnd:
             outs.append(json.loads((tmp_path / name).read_text()))
         assert outs[0] == outs[1]
 
-    def test_mixture_with_jobs(self, tmp_path, rng):
+    def test_mixture_run(self, tmp_path, rng):
         rho0 = random_density_matrix(2, rng)
         out = tmp_path / "m.csv"
         p = write_scenario(
@@ -270,7 +281,7 @@ class TestCliEndToEnd:
             },
             output_path=out,
         )
-        assert main(["run", p, "--jobs", "2"]) == 0
+        assert main(["run", p]) == 0
         assert verify_csv(str(out))["ok"]
 
     def test_bipartite_run(self, tmp_path):

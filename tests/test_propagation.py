@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import SX, SY, SZ, random_hermitian, random_pure
 from nlqd.errors import StepSizeError, ValidationError
 from nlqd.generators import GammaFamily, GeneratorSpec, TFamily, random_density_matrix
-from nlqd.linalg import dagger, max_abs, purity
+from nlqd.linalg import dagger, max_abs, purity, sqrt_factor
 from nlqd.propagation import (
     IntegratorConfig,
     MixtureSpec,
@@ -29,9 +31,16 @@ class TestConfig:
         with pytest.raises(ValidationError):
             IntegratorConfig(dt=2.0, t_final=1.0)
 
-    def test_n_steps_rounding(self):
+    def test_n_steps_whole_grid(self):
         assert IntegratorConfig(dt=1e-3, t_final=1.0).n_steps == 1000
-        assert IntegratorConfig(dt=0.3, t_final=1.0).n_steps == 3
+        assert IntegratorConfig(dt=np.pi / 2 / 2000, t_final=np.pi / 2).n_steps == 2000
+
+    def test_rejects_partial_last_step(self):
+        # 1.0 / 0.3 steps would stop at t = 0.9 if rounded
+        with pytest.raises(ValidationError):
+            IntegratorConfig(dt=0.3, t_final=1.0)
+        with pytest.raises(ValidationError):
+            IntegratorConfig(dt=1e-3, t_final=1.0 + 1e-6)
 
 
 class TestLinearLimit:
@@ -133,9 +142,23 @@ class TestNonlinearRoutes:
         with pytest.raises(StepSizeError):
             evolve(np.diag([0.9, 0.1]), spec, IntegratorConfig(dt=0.5, t_final=5.0))
 
-    def test_step_state_operator_single_step(self, rng):
-        from nlqd.linalg import sqrt_factor
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10**6), dim=st.integers(2, 4))
+    def test_step_state_operator_gauge_invariant(self, seed, dim):
+        # gamma and gamma U factor the same rho, so one step must give the same rho
+        rng = np.random.default_rng(seed)
+        spec = GeneratorSpec(
+            H=random_hermitian(dim, rng),
+            t_family=TFamily("powerLaw", q=1.4),
+            gamma_family=GammaFamily("zeroMean", sigma=0.7, r=2.0),
+        )
+        g = sqrt_factor(random_density_matrix(dim, rng)).matrix
+        u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        a = step_state_operator(g, spec, 1e-2).density()
+        b = step_state_operator(g @ u, spec, 1e-2).density()
+        assert max_abs(a - b) <= 1e-12
 
+    def test_step_state_operator_single_step(self, rng):
         rho0 = random_density_matrix(2, rng)
         g0 = sqrt_factor(rho0)
         g1 = step_state_operator(g0, GeneratorSpec(H=SZ), 1e-3)
@@ -159,6 +182,21 @@ class TestPropagator:
         rho0 = random_pure(2, rng)
         s, traj = accumulate_propagator(rho0, spec, IntegratorConfig(dt=1e-3, t_final=1.0))
         assert max_abs(s @ rho0 @ dagger(s) - traj.final_state()) < 1e-8
+
+    def test_states_match_evolve_bitwise(self, rng):
+        # accumulate_propagator carries S through the same step loop as evolve
+        spec = GeneratorSpec(
+            H=random_hermitian(3, rng),
+            t_family=TFamily("powerLaw", q=1.3),
+            gamma_family=GammaFamily("energyConserving", sigma=0.5, r=2.0),
+        )
+        rho0 = random_density_matrix(3, rng)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.1, monitor_stride=7)
+        _, traj = accumulate_propagator(rho0, spec, cfg)
+        ref = evolve(rho0, spec, cfg)
+        assert np.array_equal(traj.times, ref.times)
+        assert len(traj.states) == len(ref.states)
+        assert all(np.array_equal(a, b) for a, b in zip(traj.states, ref.states))
 
     def test_unitary_when_gamma_off_support(self, rng):
         spec = GeneratorSpec(H=SZ, t_family=TFamily("powerLaw", q=1.0))
@@ -198,7 +236,7 @@ class TestMixture:
         pop0 = 0.5 * (np.cos(t) ** 2 + 1.0)
         assert abs(traj.final_state()[0, 0].real - pop0) < 1e-9
 
-    def test_trace_preserved_and_parallel_agrees(self, rng):
+    def test_trace_preserved(self, rng):
         rho0 = random_density_matrix(2, rng)
         mix = MixtureSpec(
             weights=[0.3, 0.7],
@@ -207,8 +245,6 @@ class TestMixture:
                 GeneratorSpec(H=SZ, t_family=TFamily("powerLaw", q=1.0)),
             ],
         )
-        cfg = IntegratorConfig(dt=1e-3, t_final=0.5)
-        serial = evolve_convex_mixture(rho0, mix, cfg)
-        parallel = evolve_convex_mixture(rho0, mix, cfg, jobs=2)
-        assert max_abs(serial.final_state() - parallel.final_state()) == 0.0
-        serial.validate()
+        traj = evolve_convex_mixture(rho0, mix, IntegratorConfig(dt=1e-3, t_final=0.5))
+        traj.validate()
+        assert np.all(np.abs(traj.monitors["trace"] - 1.0) < 1e-10)
