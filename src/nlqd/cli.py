@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .entanglement import (
     BipartiteDynamics,
     BipartiteState,
+    evolve_bipartite,
     random_entangled_state,
     verify_cp_extension,
 )
@@ -57,15 +59,7 @@ def _emit_error(exc: Exception) -> None:
 
 def _payload_cfg(payload: dict, args) -> IntegratorConfig:
     cfg = integrator_from_json(payload["integrator"])
-    if args.dt is not None:
-        cfg = IntegratorConfig(
-            dt=args.dt,
-            t_final=cfg.t_final,
-            renormalize_each_step=cfg.renormalize_each_step,
-            monitor_stride=cfg.monitor_stride,
-            max_step_drift=cfg.max_step_drift,
-        )
-    return cfg
+    return cfg if args.dt is None else replace(cfg, dt=args.dt)
 
 
 def _bipartite_state(payload: dict) -> BipartiteState:
@@ -95,8 +89,6 @@ def _run_evolve(sc: Scenario, args) -> int:
 
 
 def _run_bipartite(sc: Scenario, args) -> int:
-    from .entanglement import evolve_bipartite
-
     p = sc.payload
     traj = evolve_bipartite(_bipartite_state(p), _bipartite_dynamics(p), _payload_cfg(p, args))
     trajectory_to_csv(traj, sc.output_path or "trajectory.csv", dump_states=args.dump_states)

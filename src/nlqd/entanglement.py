@@ -102,13 +102,11 @@ def bipartite_monitor(dims: tuple[int, int], H_joint: np.ndarray):
     """Joint monitor adding local entropies and mutual information."""
     base = default_monitor(H_joint)
 
-    def monitor(rho: np.ndarray) -> dict:
-        rec = base(rho)
-        s_h = von_neumann_entropy(partial_trace(rho, dims, "K"))
-        s_k = von_neumann_entropy(partial_trace(rho, dims, "H"))
-        rec["entropy_H"] = s_h
-        rec["entropy_K"] = s_k
-        rec["mutual_info"] = s_h + s_k - rec["entropy"]
+    def monitor(states: np.ndarray) -> dict:
+        rec = base(states)
+        rec["entropy_H"] = von_neumann_entropy(partial_trace(states, dims, "K"))
+        rec["entropy_K"] = von_neumann_entropy(partial_trace(states, dims, "H"))
+        rec["mutual_info"] = rec["entropy_H"] + rec["entropy_K"] - rec["entropy"]
         return rec
 
     return monitor

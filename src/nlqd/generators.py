@@ -24,11 +24,11 @@ from .linalg import (
     HERM_TOL,
     SUPPORT_REL_TOL,
     ClippedEig,
+    _checked_eig,
     dagger,
     is_hermitian,
     max_abs,
     sqrt_factor,
-    support_projector,
 )
 
 ZERO_MEAN_TOL = 1e-9
@@ -55,7 +55,7 @@ class GammaFamily:
 
     family: "none" | "zeroMean" | "energyConserving" | "nonEssential".
     sigma and r apply to the first two; nonEssential needs a Hermitian
-    coupling matrix A and r > 1.
+    coupling matrix A and r > 1, and takes no sigma.
     """
 
     family: str
@@ -77,6 +77,8 @@ class GammaFamily:
             object.__setattr__(self, "A", a)
             if self.r <= 1:
                 raise ValidationError(f"nonEssential requires r > 1, got {self.r}")
+            if self.sigma != 0.0:
+                raise ValidationError(f"nonEssential takes no sigma, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -251,9 +253,9 @@ def check_polchinski_condition(
     product-propagator extension to entangled systems to stay completely
     positive.
     """
-    m = rho.matrix if hasattr(rho, "matrix") else np.asarray(rho, dtype=complex)
-    p = support_projector(m, rel_tol)
-    residual = max_abs(p @ eval_Gamma(spec, m) @ p)
+    dec = _checked_eig(rho.matrix if hasattr(rho, "matrix") else rho)
+    p = dec.support(rel_tol)
+    residual = max_abs(p @ _eval_Gamma(spec, dec) @ p)
     return SupportBlockResult(passed=residual <= SUPPORT_BLOCK_TOL, residual=residual)
 
 

@@ -22,6 +22,9 @@ from .propagation import IntegratorConfig, Trajectory
 
 SCHEMA_ID = "nlqd/1"
 FLOAT_FMT = "%.17g"
+INTEGRATOR_KEYS = ("dt", "t_final", "monitor_stride", "max_step_drift")
+# The CSV names a vector channel's columns <prefix>_1..<prefix>_d.
+COLUMN_PREFIX = {"eigenvalues": "eig"}
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -54,7 +57,6 @@ def generator_spec_to_json(spec: GeneratorSpec) -> dict:
         g["sigma"] = spec.gamma_family.sigma
         g["r"] = spec.gamma_family.r
     elif spec.gamma_family.family == "nonEssential":
-        g["sigma"] = spec.gamma_family.sigma
         g["r"] = spec.gamma_family.r
         g["A"] = matrix_to_json(spec.gamma_family.A)
     return {"H": matrix_to_json(spec.H), "t": t, "gamma": g}
@@ -80,10 +82,12 @@ def generator_spec_from_json(obj: dict) -> GeneratorSpec:
 
 def integrator_from_json(obj: dict) -> IntegratorConfig:
     try:
+        unknown = sorted(set(obj) - set(INTEGRATOR_KEYS))
+        if unknown:
+            raise ValidationError(f"unknown integrator keys {unknown}; expected {INTEGRATOR_KEYS}")
         return IntegratorConfig(
             dt=float(obj["dt"]),
             t_final=float(obj["t_final"]),
-            renormalize_each_step=bool(obj.get("renormalize_each_step", True)),
             monitor_stride=int(obj.get("monitor_stride", 1)),
             max_step_drift=float(obj.get("max_step_drift", 1e-6)),
         )
@@ -129,47 +133,31 @@ def _fmt(x: float) -> str:
 
 
 def trajectory_to_csv(traj: Trajectory, path: str, dump_states: bool = False) -> None:
-    """Columns: t, trace, energy, purity, entropy, eig_1..eig_d, then any
-    bipartite extras, then optionally the flattened state (re/im interleaved).
+    """Columns: t, then every monitor channel in the monitor's order, then
+    optionally the flattened state as re_i_j, im_i_j pairs in row-major order.
+
+    A vector channel expands in place to one column per entry, named
+    <prefix>_1..<prefix>_d with the prefix from COLUMN_PREFIX.
     """
-    d = traj.states[0].shape[0]
-    header = ["t", "trace", "energy", "purity", "entropy"]
-    header += [f"eig_{i + 1}" for i in range(d)]
-    bipartite = "entropy_H" in traj.monitors
-    if bipartite:
-        header += ["entropy_H", "entropy_K", "entropy_total", "mutual_info"]
-        header += [f"global_eig_{i + 1}" for i in range(d)]
+    n = len(traj.times)
+    header, columns = ["t"], [np.reshape(traj.times, (n, 1))]
+    for name, values in traj.monitors.items():
+        values = np.asarray(values)
+        if values.ndim == 1:
+            header.append(name)
+        else:
+            header += [f"{COLUMN_PREFIX.get(name, name)}_{i + 1}" for i in range(values.shape[1])]
+        columns.append(values.reshape(n, -1))
     if dump_states:
-        for i in range(d):
-            for j in range(d):
-                header += [f"re_{i}_{j}", f"im_{i}_{j}"]
+        s = np.array(traj.states)
+        d = s.shape[1]
+        header += [f"{part}_{i}_{j}" for i in range(d) for j in range(d) for part in ("re", "im")]
+        columns.append(np.stack([s.real, s.imag], axis=-1).reshape(n, -1))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for idx, t in enumerate(traj.times):
-            eigs = traj.monitors["eigenvalues"][idx]
-            row = [
-                _fmt(t),
-                _fmt(traj.monitors["trace"][idx]),
-                _fmt(traj.monitors["energy"][idx]),
-                _fmt(traj.monitors["purity"][idx]),
-                _fmt(traj.monitors["entropy"][idx]),
-            ]
-            row += [_fmt(x) for x in eigs]
-            if bipartite:
-                row += [
-                    _fmt(traj.monitors["entropy_H"][idx]),
-                    _fmt(traj.monitors["entropy_K"][idx]),
-                    _fmt(traj.monitors["entropy"][idx]),
-                    _fmt(traj.monitors["mutual_info"][idx]),
-                ]
-                row += [_fmt(x) for x in eigs]
-            if dump_states:
-                s = traj.states[idx]
-                for i in range(d):
-                    for j in range(d):
-                        row += [_fmt(s[i, j].real), _fmt(s[i, j].imag)]
-            writer.writerow(row)
+        for row in np.hstack(columns):
+            writer.writerow([_fmt(x) for x in row])
 
 
 def verify_csv(path: str, trace_tol: float = 1e-9, eig_tol: float = 1e-10) -> dict:
@@ -214,7 +202,7 @@ def schema_document() -> dict:
         "t": {"family": "vonNeumann | powerLaw", "q": "real > 0 (powerLaw)"},
         "gamma": {
             "family": "none | zeroMean | energyConserving | nonEssential",
-            "sigma": "real",
+            "sigma": "real (zeroMean, energyConserving only)",
             "r": "real > 0 (> 1 for nonEssential)",
             "A": "matrix (nonEssential only)",
         },
@@ -222,15 +210,19 @@ def schema_document() -> dict:
     integ = {
         "dt": "real > 0",
         "t_final": "real, a whole number of dt steps",
-        "renormalize_each_step": "bool (default true)",
         "monitor_stride": "int >= 1 (default 1)",
         "max_step_drift": "real (default 1e-6)",
+        "(other keys)": "rejected",
     }
     return {
         "schema": SCHEMA_ID,
         "kind": " | ".join(KINDS),
         "seed": "uint (randomized sampling only)",
-        "output_path": "string (CSV for trajectories, JSON for reports)",
+        "output_path": (
+            "string (JSON for reports; CSV for trajectories with columns t, the monitor "
+            "channels in order with eigenvalues expanded to eig_1..eig_d, then "
+            "re_i_j, im_i_j with --dump-states)"
+        ),
         "payload": {
             "evolve": {"rho0": mat, "generator": gen, "integrator": integ},
             "evolve_bipartite": {

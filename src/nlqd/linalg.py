@@ -5,7 +5,9 @@ partial traces, support projectors, square-root factorization and the
 scalar diagnostics (purity, entropy, mutual information) everything else
 is built on.  All functions are pure and operate on plain ndarrays;
 the thin dataclass wrappers validate the physical invariants once at
-construction time.
+construction time.  ``dagger``, ``partial_trace``, the clipped spectrum and
+the entropies also take a stack of matrices with a leading batch axis, so a
+monitor reads a whole trajectory in one call.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ EIG_NEG_TOL = 1e-10
 TRACE_TOL = 1e-12
 HS_NORM_TOL = 1e-10
 SUPPORT_REL_TOL = 1e-10
+# Eigenvalues below d * SPECTRUM_EPS * lambda_max are eigensolver roundoff;
+# the entropies skip them, since -w ln w turns 1e-16 into 4e-15.
+SPECTRUM_EPS = float(np.finfo(float).eps)
 
 
 def _as_complex(a) -> np.ndarray:
@@ -32,7 +37,8 @@ def _as_complex(a) -> np.ndarray:
 
 
 def _require_square(a: np.ndarray) -> np.ndarray:
-    if a.shape[0] != a.shape[1]:
+    """a itself if it is a square matrix or a stack of them, shape (..., d, d)."""
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     return a
 
@@ -43,11 +49,12 @@ def max_abs(a) -> float:
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return max_abs(a - a.conj().T) <= tol
+    return max_abs(a - dagger(a)) <= tol
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of the last two axes."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def hermitian_eigvals(a: np.ndarray) -> np.ndarray:
@@ -113,7 +120,7 @@ class SpectralDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ dagger(v)
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +131,7 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _hermitian(a, tol: float = 1e-10) -> np.ndarray:
-    a = _require_square(_as_complex(a))
+    a = _require_square(np.asarray(a, dtype=complex))
     if not is_hermitian(a, tol):
         raise ValidationError(f"matrix is not Hermitian to {tol:g}")
     return a
@@ -143,23 +150,29 @@ class ClippedEig:
     treated as 0; anything more negative is a hard error.  The generator
     families evaluate several fractional powers of the same state; one
     decomposition per evaluation roughly halves the integration cost.
+    rho may be a stack (..., d, d); ``support`` needs a single matrix.
     """
 
     def __init__(self, rho: np.ndarray):
         self.rho = np.asarray(rho, dtype=complex)
         w, v = _eigh(self.rho)
-        if w[0] < -EIG_NEG_TOL:
-            raise ValidationError(f"matrix has eigenvalue {w[0]} < -1e-10")
+        lo = min(w[..., 0].flat)  # the lowest eigenvalue over a stack
+        if lo < -EIG_NEG_TOL:
+            raise ValidationError(f"matrix has eigenvalue {lo} < -1e-10")
         self.eigenvalues = np.maximum(w, 0.0)
         self.eigenvectors = v
 
     def power(self, s: float) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues**s) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :] ** s) @ dagger(v)
 
     def support(self, rel_tol: float = SUPPORT_REL_TOL) -> np.ndarray:
         """Projector onto the eigenvectors above rel_tol times the largest eigenvalue."""
+        if not (0.0 < rel_tol < 1.0):
+            raise ValidationError(f"rel_tol must lie in (0, 1), got {rel_tol}")
         w = self.eigenvalues
+        if w.ndim != 1:
+            raise ValidationError("support projector of a stack of matrices")
         lmax = float(np.max(w))
         if lmax <= 0.0:
             raise ValidationError("support projector of a (numerically) zero matrix")
@@ -188,25 +201,23 @@ def partial_trace(w, dims: tuple[int, int], over: str) -> np.ndarray:
     """Partial trace of a matrix on H (x) K over the named factor.
 
     ``dims`` is (d_H, d_K); ``over`` is "H" or "K".  H is the major index
-    in the flattened product basis.
+    in the flattened product basis.  A leading batch axis is kept.
     """
     d_h, d_k = dims
-    w = _require_square(_as_complex(w))
-    if w.shape[0] != d_h * d_k:
+    w = _require_square(np.asarray(w, dtype=complex))
+    if w.shape[-1] != d_h * d_k:
         raise ValidationError(f"partial_trace: shape {w.shape} != {d_h * d_k}")
-    t = w.reshape(d_h, d_k, d_h, d_k)
+    t = w.reshape(w.shape[:-2] + (d_h, d_k, d_h, d_k))
     if over == "K":
-        return np.trace(t, axis1=1, axis2=3)
+        return np.trace(t, axis1=-3, axis2=-1)
     if over == "H":
-        return np.trace(t, axis1=0, axis2=2)
+        return np.trace(t, axis1=-4, axis2=-2)
     raise ValidationError(f"partial_trace: over must be 'H' or 'K', got {over!r}")
 
 
 def support_projector(rho, rel_tol: float = SUPPORT_REL_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors with lambda_i
     above rel_tol times the largest eigenvalue."""
-    if not (0.0 < rel_tol < 1.0):
-        raise ValidationError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     return _checked_eig(rho).support(rel_tol)
 
 
@@ -223,14 +234,16 @@ def purity(rho) -> float:
     return float(np.trace(m @ m).real)
 
 
-def entropy_of_spectrum(w: np.ndarray) -> float:
-    """-sum lambda_i ln lambda_i over the strictly positive eigenvalues in w."""
-    w = w[w > 0.0]
-    return float(-np.sum(w * np.log(w)))
+def entropy_of_spectrum(w: np.ndarray):
+    """-sum lambda_i ln lambda_i over the last axis of w, skipping eigenvalues
+    below the eigensolver's resolution d * SPECTRUM_EPS * lambda_max."""
+    keep = w > w.shape[-1] * SPECTRUM_EPS * np.max(w, axis=-1, keepdims=True)
+    x = np.where(keep, w, 1.0)
+    return 0.0 - np.sum(x * np.log(x), axis=-1)  # 0.0 - s keeps an empty sum at +0
 
 
-def von_neumann_entropy(rho) -> float:
-    """Entropy of rho's clipped spectrum."""
+def von_neumann_entropy(rho):
+    """Entropy of rho's clipped spectrum; a stack of matrices gives one per matrix."""
     return entropy_of_spectrum(_checked_eig(rho).eigenvalues)
 
 

@@ -7,7 +7,9 @@ rho-route integrator is kept only as a cross-validation oracle.  The
 rho-dependent propagator S (i S_dot = G(rho(t)) S) can be accumulated
 alongside gamma with the same stages, and convex mixtures of processes run
 one autonomous branch per component.  Every integrator here and in
-``measurement`` steps with the one RK4 tableau in ``_rk4``.
+``measurement`` steps with the one RK4 tableau in ``_rk4``.  The step loop
+only records states; a monitor reads the whole stack of recorded states in
+one call and returns its channels as arrays along the time axis.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .linalg import (
     entropy_of_spectrum,
     hermitian_eigvals,
     max_abs,
-    purity,
     sqrt_factor,
     state_violation,
 )
@@ -39,7 +40,6 @@ GRID_REL_TOL = 1e-9
 class IntegratorConfig:
     dt: float
     t_final: float
-    renormalize_each_step: bool = True
     monitor_stride: int = 1
     max_step_drift: float = 1e-6
 
@@ -64,7 +64,7 @@ class IntegratorConfig:
 class Trajectory:
     times: np.ndarray
     states: list  # ndarray snapshots, one per recorded time
-    monitors: dict  # name -> ndarray aligned with times
+    monitors: dict  # channel name -> ndarray whose first axis runs along times
     norm_drift: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def final_state(self) -> np.ndarray:
@@ -79,7 +79,7 @@ class Trajectory:
 
 
 GeneratorFn = Callable[[np.ndarray], np.ndarray]
-MonitorFn = Callable[[np.ndarray], dict]
+MonitorFn = Callable[[np.ndarray], dict]  # (N, d, d) states -> channel arrays
 
 
 def _rk4(xs, rhs, dt: float) -> tuple:
@@ -119,13 +119,17 @@ def step_state_operator(gamma, spec: GeneratorSpec, dt: float, max_step_drift: f
     return StateOperator(matrix=_renormalize(g, max_step_drift)[0])
 
 
+def _trace(a: np.ndarray) -> np.ndarray:
+    return np.trace(a, axis1=-2, axis2=-1).real
+
+
 def default_monitor(H: np.ndarray) -> MonitorFn:
-    def monitor(rho: np.ndarray) -> dict:
-        eigs = hermitian_eigvals(rho)
+    def monitor(states: np.ndarray) -> dict:
+        eigs = hermitian_eigvals(states)
         return {
-            "trace": np.trace(rho).real,
-            "energy": np.trace(H @ rho).real,
-            "purity": purity(rho),
+            "trace": _trace(states),
+            "energy": _trace(H @ states),
+            "purity": _trace(states @ states),
             "entropy": entropy_of_spectrum(eigs),
             "eigenvalues": eigs,
         }
@@ -133,7 +137,7 @@ def default_monitor(H: np.ndarray) -> MonitorFn:
     return monitor
 
 
-def _no_monitor(rho: np.ndarray) -> dict:
+def _no_monitor(states: np.ndarray) -> dict:
     return {}
 
 
@@ -141,27 +145,26 @@ def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, monitor: Moni
     """The step loop: factorize, step, check the drift, renormalize, record.
 
     Each carried matrix x steps with gamma under i x_dot = G(rho) x; returns
-    the final (gamma, *carried) and the recorded trajectory.
+    the final (gamma, *carried) and the recorded trajectory, whose monitor
+    channels come from one monitor call on the stacked states.
     """
     xs = (sqrt_factor(np.asarray(rho0, dtype=complex)).matrix, *carried)
     rhs = _factor_rhs(g_of_rho)
-    rho = xs[0] @ dagger(xs[0])
-    times, states, drifts, records = [0.0], [rho], [0.0], [monitor(rho)]
+    times, states, drifts = [0.0], [xs[0] @ dagger(xs[0])], [0.0]
     n = cfg.n_steps
     for step in range(1, n + 1):
         xs = _rk4(xs, rhs, cfg.dt)
         gamma, drift = _renormalize(xs[0], cfg.max_step_drift)
-        if cfg.renormalize_each_step:
-            xs = (gamma, *xs[1:])
+        xs = (gamma, *xs[1:])
         if step % cfg.monitor_stride == 0 or step == n:
-            rho = xs[0] @ dagger(xs[0])
             times.append(step * cfg.dt)
-            states.append(rho)
+            states.append(gamma @ dagger(gamma))
             drifts.append(drift)
-            records.append(monitor(rho))
-    monitors = {key: np.array([rec[key] for rec in records]) for key in records[0]}
     traj = Trajectory(
-        times=np.array(times), states=states, monitors=monitors, norm_drift=np.array(drifts)
+        times=np.array(times),
+        states=states,
+        monitors=monitor(np.array(states)),
+        norm_drift=np.array(drifts),
     )
     return xs, traj
 
@@ -252,13 +255,10 @@ def evolve_convex_mixture(rho0, mix: MixtureSpec, cfg: IntegratorConfig) -> Traj
         for spec in mix.process_specs
     ]
     h_bar = sum(w * s.H for w, s in zip(mix.weights, mix.process_specs))
-    monitor = default_monitor(h_bar)
-    times = branches[0].times
-    states, records = [], []
-    for i in range(len(times)):
-        rho = sum(w * b.states[i] for w, b in zip(mix.weights, branches))
-        states.append(rho)
-        records.append(monitor(rho))
-    monitors = {key: np.array([rec[key] for rec in records]) for key in records[0]}
-    drift = np.max([b.norm_drift for b in branches], axis=0)
-    return Trajectory(times=times.copy(), states=states, monitors=monitors, norm_drift=drift)
+    states = sum(w * np.array(b.states) for w, b in zip(mix.weights, branches))
+    return Trajectory(
+        times=branches[0].times,
+        states=list(states),
+        monitors=default_monitor(h_bar)(states),
+        norm_drift=np.max([b.norm_drift for b in branches], axis=0),
+    )

@@ -8,6 +8,7 @@ from nlqd.generators import GammaFamily, GeneratorSpec, TFamily, random_density_
 from nlqd.entanglement import (
     BipartiteDynamics,
     BipartiteState,
+    bipartite_monitor,
     check_environment_stationarity,
     check_local_equivalence,
     evolve_bipartite,
@@ -140,6 +141,25 @@ class TestEvolveBipartite:
         eig0 = np.sort(np.linalg.eigvalsh(w.matrix))
         assert max_abs(np.sort(np.linalg.eigvalsh(traj.final_state())) - eig0) < 1e-7
         assert max_abs(partial_trace(traj.final_state(), (3, 2), "H") - w.marginal_K()) < 1e-8
+
+
+class TestBipartiteMonitor:
+    def test_marginal_checks_on_the_stack(self, rng):
+        monitor = bipartite_monitor((2, 2), np.eye(4))
+        good = random_density_matrix(4, rng)
+        monitor(np.array([good, good]))
+        negative = np.kron(np.diag([1.1, -0.1]), np.eye(2) / 2)  # H marginal has eigenvalue -0.1
+        with pytest.raises(ValidationError):
+            monitor(np.array([good, negative]))
+        skew = np.kron(np.eye(2) / 2, np.array([[0.5, 1e-6], [-1e-6, 0.5]]))  # K marginal anti-Hermitian part
+        with pytest.raises(ValidationError):
+            monitor(np.array([skew, good]))
+
+    def test_entropy_channels_one_per_record(self):
+        monitor = bipartite_monitor((2, 2), np.eye(4))
+        rec = monitor(np.array([bell_state(), np.eye(4) / 4]))
+        assert np.allclose(rec["entropy_H"], [np.log(2), np.log(2)], rtol=0, atol=1e-14)
+        assert np.allclose(rec["mutual_info"], [2 * np.log(2), 0.0], rtol=0, atol=1e-14)
 
 
 class TestEnvironmentStationarity:

@@ -48,6 +48,11 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             GammaFamily("nonEssential", r=1.0, A=SX)
 
+    def test_non_essential_rejects_sigma(self):
+        # _eval_Gamma never reads sigma for this family
+        with pytest.raises(ValidationError):
+            GammaFamily("nonEssential", sigma=0.5, r=2.0, A=SX)
+
     def test_non_essential_needs_hermitian_A(self):
         with pytest.raises(ValidationError):
             GammaFamily("nonEssential", r=2.0, A=np.array([[0, 1], [0, 0]]))
@@ -264,6 +269,21 @@ class TestPolchinskiCondition:
     def test_gamma_zero_passes(self, rng):
         spec = GeneratorSpec(H=SZ)
         assert check_polchinski_condition(spec, random_density_matrix(2, rng)).passed
+
+    def test_one_decomposition_per_check(self, rng, monkeypatch):
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        for gam in (
+            GammaFamily("none"),
+            GammaFamily("zeroMean", sigma=1.0, r=2.0),
+            GammaFamily("energyConserving", sigma=1.0, r=2.0),
+            GammaFamily("nonEssential", r=2.0, A=random_hermitian(3, rng)),
+        ):
+            spec = GeneratorSpec(H=random_hermitian(3, rng), gamma_family=gam)
+            for rank in (1, 3):
+                calls.clear()
+                check_polchinski_condition(spec, random_density_matrix(3, rng, rank))
+                assert len(calls) == 1
 
 
 class TestClassifier:

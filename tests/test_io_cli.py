@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import SX, SZ, random_hermitian
 from nlqd.cli import main
+from nlqd.entanglement import BipartiteDynamics, BipartiteState, evolve_bipartite
 from nlqd.errors import ValidationError
 from nlqd.generators import GammaFamily, GeneratorSpec, TFamily, random_density_matrix
 from nlqd.io import (
@@ -71,6 +73,14 @@ class TestSpecJson:
             assert back.gamma_family.sigma == gam.sigma
             assert back.gamma_family.r == gam.r
 
+    def test_non_essential_writes_no_sigma(self):
+        spec = GeneratorSpec(H=SZ, gamma_family=GammaFamily("nonEssential", r=2.0, A=SX))
+        obj = generator_spec_to_json(spec)
+        assert "sigma" not in obj["gamma"]
+        obj["gamma"]["sigma"] = 0.5
+        with pytest.raises(ValidationError):
+            generator_spec_from_json(obj)
+
     def test_defaults(self):
         spec = generator_spec_from_json({"H": matrix_to_json(SZ)})
         assert spec.t_family.family == "vonNeumann"
@@ -79,6 +89,10 @@ class TestSpecJson:
     def test_integrator_round_trip(self):
         cfg = integrator_from_json({"dt": 1e-3, "t_final": 2.0, "monitor_stride": 10})
         assert cfg.dt == 1e-3 and cfg.n_steps == 2000 and cfg.monitor_stride == 10
+
+    def test_integrator_rejects_unknown_key(self):
+        with pytest.raises(ValidationError):
+            integrator_from_json({"dt": 1e-3, "t_final": 1.0, "renormalize_each_step": False})
 
     def test_integrator_missing_key(self):
         with pytest.raises(ValidationError):
@@ -140,6 +154,25 @@ class TestCsv:
         trajectory_to_csv(traj, str(b), dump_states=True)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_bipartite_columns_are_the_monitor_channels(self, tmp_path, rng):
+        state = BipartiteState(d_H=2, d_K=2, matrix=random_density_matrix(4, rng))
+        dyn = BipartiteDynamics(spec_H=GeneratorSpec(H=SZ, t_family=TFamily("powerLaw", q=1.0)))
+        traj = evolve_bipartite(state, dyn, IntegratorConfig(dt=1e-2, t_final=0.2, monitor_stride=5))
+        out = tmp_path / "b.csv"
+        trajectory_to_csv(traj, str(out))
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        header = rows[0]
+        assert header == ["t", "trace", "energy", "purity", "entropy"] + [
+            f"eig_{i}" for i in range(1, 5)
+        ] + ["entropy_H", "entropy_K", "mutual_info"]
+        assert len(set(header)) == len(header)
+        table = np.array([[float(x) for x in row] for row in rows[1:]])
+        assert np.array_equal(table[:, 0], traj.times)
+        assert np.array_equal(table[:, 5:9], traj.monitors["eigenvalues"])
+        for name in ("trace", "energy", "purity", "entropy", "entropy_H", "entropy_K", "mutual_info"):
+            assert np.array_equal(table[:, header.index(name)], traj.monitors[name]), name
+
     def test_verify_catches_corruption(self, tmp_path, rng):
         traj = self.run_traj(rng)
         out = tmp_path / "t.csv"
@@ -188,6 +221,15 @@ class TestCliEndToEnd:
             output_path=out,
         )
         assert main(["run", p, "--dt", "0.03"]) == 1
+        assert not out.exists()
+
+    def test_unknown_integrator_key_exit_one(self, tmp_path, rng):
+        # an old scenario asking for no renormalization must not run renormalized
+        out = tmp_path / "traj.csv"
+        payload = evolve_payload(random_density_matrix(2, rng), GeneratorSpec(H=SZ))
+        payload["integrator"]["renormalize_each_step"] = False
+        p = write_scenario(tmp_path / "s.json", "evolve", payload, output_path=out)
+        assert main(["run", p]) == 1
         assert not out.exists()
 
     def test_validation_exit_one(self, tmp_path):

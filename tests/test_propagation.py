@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import SX, SY, SZ, random_hermitian, random_pure
+from nlqd.entanglement import BipartiteDynamics, BipartiteState, evolve_bipartite
 from nlqd.errors import StepSizeError, ValidationError
 from nlqd.generators import GammaFamily, GeneratorSpec, TFamily, random_density_matrix
-from nlqd.linalg import dagger, max_abs, purity, sqrt_factor
+from nlqd.linalg import dagger, max_abs, partial_trace, purity, sqrt_factor, von_neumann_entropy
 from nlqd.propagation import (
     IntegratorConfig,
     MixtureSpec,
@@ -203,6 +204,57 @@ class TestPropagator:
         rho0 = random_density_matrix(2, rng)
         s, _ = accumulate_propagator(rho0, spec, IntegratorConfig(dt=1e-3, t_final=0.5))
         assert max_abs(dagger(s) @ s - np.eye(2)) < 1e-8
+
+
+def _recorded(kind, rng):
+    """A trajectory of the given kind and the Hamiltonian its energy channel uses."""
+    pl, zm = TFamily("powerLaw", q=1.0), GammaFamily("zeroMean", sigma=0.5, r=2.0)
+    cfg = IntegratorConfig(dt=1e-3, t_final=0.1, monitor_stride=10)
+    if kind == "evolve":
+        h = random_hermitian(3, rng)
+        return evolve(random_density_matrix(3, rng), GeneratorSpec(H=h, t_family=pl, gamma_family=zm), cfg), h
+    if kind == "mixture":
+        h1, h2 = random_hermitian(3, rng), random_hermitian(3, rng)
+        specs = [GeneratorSpec(H=h1, gamma_family=zm), GeneratorSpec(H=h2, t_family=pl)]
+        mix = MixtureSpec(weights=[0.3, 0.7], process_specs=specs)
+        return evolve_convex_mixture(random_density_matrix(3, rng), mix, cfg), 0.3 * h1 + 0.7 * h2
+    h = random_hermitian(2, rng)
+    state = BipartiteState(d_H=2, d_K=2, matrix=random_density_matrix(4, rng))
+    dyn = BipartiteDynamics(spec_H=GeneratorSpec(H=h, t_family=pl))
+    return evolve_bipartite(state, dyn, cfg), np.kron(h, np.eye(2))
+
+
+class TestRecordPath:
+    @pytest.mark.parametrize("kind", ["evolve", "mixture", "bipartite"])
+    def test_monitors_match_per_state_recomputation(self, rng, kind):
+        traj, h = _recorded(kind, rng)
+        mon = traj.monitors
+        assert list(mon)[:5] == ["trace", "energy", "purity", "entropy", "eigenvalues"]
+        assert all(len(v) == len(traj.times) == len(traj.states) for v in mon.values())
+        for k, s in enumerate(traj.states):
+            assert abs(mon["trace"][k] - np.trace(s).real) <= 1e-14
+            assert abs(mon["energy"][k] - np.trace(h @ s).real) <= 1e-14
+            assert abs(mon["purity"][k] - purity(s)) <= 1e-14
+            assert max_abs(mon["eigenvalues"][k] - np.linalg.eigvalsh(s)) <= 1e-14
+            assert abs(mon["entropy"][k] - von_neumann_entropy(s)) <= 1e-13
+            if kind == "bipartite":
+                s_h = von_neumann_entropy(partial_trace(s, (2, 2), "K"))
+                s_k = von_neumann_entropy(partial_trace(s, (2, 2), "H"))
+                assert abs(mon["entropy_H"][k] - s_h) <= 1e-13
+                assert abs(mon["entropy_K"][k] - s_k) <= 1e-13
+                assert abs(mon["mutual_info"][k] - (s_h + s_k - mon["entropy"][k])) <= 1e-13
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_pure_state_entropy_stays_at_roundoff(self, d):
+        # roundoff eigenvalues of size 1e-16 would read as 1e-14 of entropy
+        rng = np.random.default_rng(d)
+        spec = GeneratorSpec(
+            H=random_hermitian(d, rng),
+            t_family=TFamily("powerLaw", q=1.0),
+            gamma_family=GammaFamily("zeroMean", sigma=0.5, r=2.0),
+        )
+        traj = evolve(random_pure(d, rng), spec, IntegratorConfig(dt=1e-3, t_final=0.2))
+        assert np.max(np.abs(traj.monitors["entropy"])) <= 2e-15
 
 
 class TestMixture:
