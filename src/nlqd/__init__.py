@@ -21,9 +21,7 @@ from .generators import (
 )
 from .linalg import (
     DensityMatrix,
-    SpectralDecomposition,
     StateOperator,
-    herm_eig,
     matrix_power,
     mutual_information,
     partial_trace,

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import ValidationError
 from .generators import GeneratorSpec, eval_Gamma, generator_matrix, random_density_matrix
 from .linalg import (
-    DensityMatrix,
+    _square,
+    _state,
     dagger,
     hermitian_eigvals,
     max_abs,
@@ -46,13 +47,7 @@ class BipartiteState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        DensityMatrix(matrix=m)
-        if m.shape[0] != self.d_H * self.d_K:
-            raise ValidationError(
-                f"matrix dim {m.shape[0]} != d_H*d_K = {self.d_H * self.d_K}"
-            )
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _state(self.matrix, self.d_H * self.d_K))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -75,15 +70,16 @@ class BipartiteDynamics:
 
 
 def polchinski_generator(dyn: BipartiteDynamics, rho_hk, dims=None) -> np.ndarray:
-    """Joint generator built from local generators at the local marginals."""
-    if isinstance(rho_hk, BipartiteState):
-        m, (d_h, d_k) = rho_hk.matrix, rho_hk.dims
-    else:
-        if dims is None:
-            raise ValidationError("dims required for a bare joint matrix")
-        m, (d_h, d_k) = np.asarray(rho_hk, dtype=complex), dims
-    if m.shape[0] != d_h * d_k:
-        raise ValidationError(f"joint dim {m.shape[0]} != {d_h * d_k}")
+    """Joint generator built from local generators at the local marginals.
+
+    The unchecked loop kernel of evolve_bipartite: beyond the dimensions it
+    checks nothing, and a BipartiteState's own dims take precedence.
+    """
+    dims = getattr(rho_hk, "dims", dims)
+    if dims is None:
+        raise ValidationError("dims required for a bare joint matrix")
+    d_h, d_k = dims
+    m = _square(rho_hk, d_h * d_k)
     if dyn.spec_H.dim != d_h:
         raise ValidationError("spec_H dimension does not match d_H")
     g = tensor_product(
@@ -154,12 +150,9 @@ def check_local_equivalence(
 
     Requires Tr_K[w] = Tr[chi] eta and Tr_H[w] = Tr[eta] chi.
     """
-    w = np.asarray(w, dtype=complex)
-    eta = np.asarray(eta, dtype=complex)
-    chi = np.asarray(chi, dtype=complex)
+    eta, chi = _square(eta), _square(chi)
     d_h, d_k = eta.shape[0], chi.shape[0]
-    if w.shape != (d_h * d_k, d_h * d_k):
-        raise ValidationError("joint operator dimension does not match eta, chi")
+    w = _square(w, d_h * d_k)
     ok_h = max_abs(partial_trace(w, (d_h, d_k), "K") - np.trace(chi) * eta) <= tol
     ok_k = max_abs(partial_trace(w, (d_h, d_k), "H") - np.trace(eta) * chi) <= tol
     return bool(ok_h and ok_k)
@@ -213,18 +206,12 @@ def verify_cp_extension(
         raise ValidationError("verify_cp_extension assumes a passive environment")
     results = []
     for sample in rho_hk_samples:
-        rho_k0 = sample.marginal_K()
         traj = evolve_bipartite(sample, dyn, cfg)
         local = evolve(sample.marginal_H(), dyn.spec_H, cfg)
-        final = traj.final_state()
-        min_eig = float(np.min(hermitian_eigvals(final)))
-        loc_res = max(
-            max_abs(partial_trace(s, sample.dims, "K") - l)
-            for s, l in zip(traj.states, local.states)
-        )
-        rem_res = max(
-            max_abs(partial_trace(s, sample.dims, "H") - rho_k0) for s in traj.states
-        )
+        states = np.array(traj.states)
+        min_eig = float(np.min(hermitian_eigvals(states[-1])))
+        loc_res = max_abs(partial_trace(states, sample.dims, "K") - np.array(local.states))
+        rem_res = max_abs(partial_trace(states, sample.dims, "H") - sample.marginal_K())
         positive = min_eig >= -1e-10
         results.append(
             CpSampleResult(

@@ -24,7 +24,8 @@ from .linalg import (
     HERM_TOL,
     SUPPORT_REL_TOL,
     ClippedEig,
-    _checked_eig,
+    _hermitian,
+    _square,
     dagger,
     is_hermitian,
     max_abs,
@@ -37,7 +38,8 @@ SUPPORT_BLOCK_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TFamily:
-    """Motion-term family: "vonNeumann" (T = H) or "powerLaw" (needs q > 0)."""
+    """Motion-term family: "vonNeumann" (T = H, takes no q) or "powerLaw"
+    (needs q > 0)."""
 
     family: str
     q: float = 1.0
@@ -47,6 +49,8 @@ class TFamily:
             raise ValidationError(f"unknown T family {self.family!r}")
         if self.family == "powerLaw" and self.q <= 0:
             raise ValidationError(f"powerLaw exponent q must be > 0, got {self.q}")
+        if self.family == "vonNeumann" and self.q != 1.0:
+            raise ValidationError(f"vonNeumann takes no q, got {self.q}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,9 @@ class GammaFamily:
     """Dissipative-term family.
 
     family: "none" | "zeroMean" | "energyConserving" | "nonEssential".
-    sigma and r apply to the first two; nonEssential needs a Hermitian
-    coupling matrix A and r > 1, and takes no sigma.
+    sigma and r apply to zeroMean and energyConserving; none takes neither;
+    nonEssential needs a Hermitian coupling matrix A and r > 1, and takes
+    no sigma.
     """
 
     family: str
@@ -66,6 +71,8 @@ class GammaFamily:
     def __post_init__(self):
         if self.family not in ("none", "zeroMean", "energyConserving", "nonEssential"):
             raise ValidationError(f"unknown Gamma family {self.family!r}")
+        if self.family == "none" and (self.sigma != 0.0 or self.r != 1.0):
+            raise ValidationError(f"none takes no sigma or r, got {self.sigma}, {self.r}")
         if self.family in ("zeroMean", "energyConserving") and self.r <= 0:
             raise ValidationError(f"exponent r must be > 0, got {self.r}")
         if self.family == "nonEssential":
@@ -105,12 +112,6 @@ class GeneratorSpec:
         return self.H.shape[0]
 
 
-@dataclass(frozen=True)
-class GeneratorValue:
-    T: np.ndarray
-    Gamma: np.ndarray
-
-
 def _eval_T(spec: GeneratorSpec, dec: ClippedEig) -> np.ndarray:
     if spec.t_family.family == "vonNeumann":
         return spec.H.copy()
@@ -118,8 +119,9 @@ def _eval_T(spec: GeneratorSpec, dec: ClippedEig) -> np.ndarray:
     return spec.H @ rq + rq @ spec.H
 
 
-def eval_T(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
-    return _eval_T(spec, ClippedEig(rho))
+def eval_T(spec: GeneratorSpec, rho) -> np.ndarray:
+    """T(rho) for a Hermitian rho of the spec's dimension."""
+    return _eval_T(spec, ClippedEig(_hermitian(rho, spec.dim)))
 
 
 def solve_lagrange_parameters(
@@ -134,9 +136,8 @@ def solve_lagrange_parameters(
     and fails when the system is singular, i.e. when H is a scalar on the
     support of rho (Cauchy-Schwarz equality).
     """
-    H = np.asarray(H, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    return _solve_lagrange(H, r, ClippedEig(rho))
+    H = _hermitian(H)
+    return _solve_lagrange(H, r, ClippedEig(_hermitian(rho, H.shape[-1])))
 
 
 def _solve_lagrange(H: np.ndarray, r: float, dec: ClippedEig) -> tuple[float, float]:
@@ -179,17 +180,18 @@ def _eval_Gamma(spec: GeneratorSpec, dec: ClippedEig) -> np.ndarray:
     return b + dagger(b)
 
 
-def eval_Gamma(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
-    return _eval_Gamma(spec, ClippedEig(rho))
-
-
-def eval_generator(spec: GeneratorSpec, rho: np.ndarray) -> GeneratorValue:
-    dec = ClippedEig(rho)
-    return GeneratorValue(T=_eval_T(spec, dec), Gamma=_eval_Gamma(spec, dec))
+def eval_Gamma(spec: GeneratorSpec, rho) -> np.ndarray:
+    """Gamma(rho) for a Hermitian rho of the spec's dimension."""
+    return _eval_Gamma(spec, ClippedEig(_hermitian(rho, spec.dim)))
 
 
 def generator_matrix(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
-    """G = T + i Gamma at the given state."""
+    """G = T + i Gamma at the given state.
+
+    The unchecked loop kernel: the integrators call it at every RK4 stage on
+    a rho that is Hermitian by construction, so it checks nothing beyond
+    ClippedEig's eigenvalue floor.  Validate input with eval_T / eval_Gamma.
+    """
     dec = ClippedEig(rho)
     return _eval_T(spec, dec) + 1j * _eval_Gamma(spec, dec)
 
@@ -210,7 +212,7 @@ def check_zero_mean(spec: GeneratorSpec, rho_samples, gamma_fn=None) -> ZeroMean
     """
     residuals = []
     for rho in rho_samples:
-        m = rho.matrix if hasattr(rho, "matrix") else np.asarray(rho, dtype=complex)
+        m = _hermitian(rho, spec.dim)
         g = sqrt_factor(m).matrix
         gam = gamma_fn(m) if gamma_fn is not None else eval_Gamma(spec, m)
         residuals.append(abs(np.trace(dagger(g) @ gam @ g)))
@@ -225,11 +227,9 @@ def make_zero_mean(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     a(w) - (Tr[w^dag a(w)] / Tr[w^dag w]) w, which annihilates every
     eigenvector of a self-adjoint ``a``.
     """
-    w = np.asarray(w, dtype=complex)
+    w = _square(w)
     d = w.shape[0]
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (d * d, d * d):
-        raise ValidationError(f"superoperator shape {a.shape} != ({d * d}, {d * d})")
+    a = _square(a, d * d)
     nrm = np.trace(dagger(w) @ w)
     if abs(nrm) <= 1e-300:
         raise ValidationError("make_zero_mean: w must be nonzero")
@@ -253,7 +253,7 @@ def check_polchinski_condition(
     product-propagator extension to entangled systems to stay completely
     positive.
     """
-    dec = _checked_eig(rho.matrix if hasattr(rho, "matrix") else rho)
+    dec = ClippedEig(_hermitian(rho, spec.dim))
     p = dec.support(rel_tol)
     residual = max_abs(p @ _eval_Gamma(spec, dec) @ p)
     return SupportBlockResult(passed=residual <= SUPPORT_BLOCK_TOL, residual=residual)

@@ -23,6 +23,9 @@ from .propagation import IntegratorConfig, Trajectory
 SCHEMA_ID = "nlqd/1"
 FLOAT_FMT = "%.17g"
 INTEGRATOR_KEYS = ("dt", "t_final", "monitor_stride", "max_step_drift")
+GENERATOR_KEYS = ("H", "t", "gamma")
+T_KEYS = ("family", "q")
+GAMMA_KEYS = ("family", "sigma", "r", "A")
 # The CSV names a vector channel's columns <prefix>_1..<prefix>_d.
 COLUMN_PREFIX = {"eigenvalues": "eig"}
 
@@ -62,11 +65,21 @@ def generator_spec_to_json(spec: GeneratorSpec) -> dict:
     return {"H": matrix_to_json(spec.H), "t": t, "gamma": g}
 
 
+def _require_known_keys(obj: dict, keys: tuple, record: str) -> None:
+    """Reject a record with a key its parser does not read."""
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValidationError(f"unknown {record} keys {unknown}; expected {keys}")
+
+
 def generator_spec_from_json(obj: dict) -> GeneratorSpec:
     try:
+        _require_known_keys(obj, GENERATOR_KEYS, "generator")
         h = matrix_from_json(obj["H"])
         t_obj = obj.get("t", {"family": "vonNeumann"})
         g_obj = obj.get("gamma", {"family": "none"})
+        _require_known_keys(t_obj, T_KEYS, "generator t")
+        _require_known_keys(g_obj, GAMMA_KEYS, "generator gamma")
         t = TFamily(family=t_obj["family"], q=float(t_obj.get("q", 1.0)))
         a = matrix_from_json(g_obj["A"]) if "A" in g_obj else None
         g = GammaFamily(
@@ -82,9 +95,7 @@ def generator_spec_from_json(obj: dict) -> GeneratorSpec:
 
 def integrator_from_json(obj: dict) -> IntegratorConfig:
     try:
-        unknown = sorted(set(obj) - set(INTEGRATOR_KEYS))
-        if unknown:
-            raise ValidationError(f"unknown integrator keys {unknown}; expected {INTEGRATOR_KEYS}")
+        _require_known_keys(obj, INTEGRATOR_KEYS, "integrator")
         return IntegratorConfig(
             dt=float(obj["dt"]),
             t_final=float(obj["t_final"]),
@@ -199,13 +210,14 @@ def schema_document() -> dict:
     mat = {"dim": "int", "re": "[row-major reals]", "im": "[row-major reals]"}
     gen = {
         "H": mat,
-        "t": {"family": "vonNeumann | powerLaw", "q": "real > 0 (powerLaw)"},
+        "t": {"family": "vonNeumann | powerLaw", "q": "real > 0 (powerLaw only)"},
         "gamma": {
             "family": "none | zeroMean | energyConserving | nonEssential",
             "sigma": "real (zeroMean, energyConserving only)",
-            "r": "real > 0 (> 1 for nonEssential)",
+            "r": "real > 0 (zeroMean, energyConserving; > 1 for nonEssential)",
             "A": "matrix (nonEssential only)",
         },
+        "(other keys)": "rejected, here and in t and gamma",
     }
     integ = {
         "dt": "real > 0",

@@ -3,11 +3,12 @@
 Hermitian spectral decompositions, fractional powers, tensor products,
 partial traces, support projectors, square-root factorization and the
 scalar diagnostics (purity, entropy, mutual information) everything else
-is built on.  All functions are pure and operate on plain ndarrays;
-the thin dataclass wrappers validate the physical invariants once at
-construction time.  ``dagger``, ``partial_trace``, the clipped spectrum and
-the entropies also take a stack of matrices with a leading batch axis, so a
-monitor reads a whole trajectory in one call.
+is built on.  All functions are pure.  A public function takes a plain
+ndarray or any wrapper that holds one in ``.matrix``; the thin dataclass
+wrappers validate the physical invariants once at construction time, through
+the same input helpers.  ``dagger``, ``partial_trace``, the clipped spectrum,
+purity and the entropies also take a stack of matrices with a leading batch
+axis, so a monitor reads a whole trajectory in one call.
 """
 
 from __future__ import annotations
@@ -27,20 +28,8 @@ SUPPORT_REL_TOL = 1e-10
 # Eigenvalues below d * SPECTRUM_EPS * lambda_max are eigensolver roundoff;
 # the entropies skip them, since -w ln w turns 1e-16 into 4e-15.
 SPECTRUM_EPS = float(np.finfo(float).eps)
-
-
-def _as_complex(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise ValidationError(f"expected a matrix, got ndim={a.ndim}")
-    return a
-
-
-def _require_square(a: np.ndarray) -> np.ndarray:
-    """a itself if it is a square matrix or a stack of them, shape (..., d, d)."""
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    return a
+# Hermiticity asked of the operator input of a public entry point.
+INPUT_HERM_TOL = 1e-10
 
 
 def max_abs(a) -> float:
@@ -74,6 +63,41 @@ def state_violation(m: np.ndarray, herm_tol: float, trace_tol: float, eig_tol: f
     return None
 
 
+# The input rule: a public entry point takes its matrices through one of
+# _square, _hermitian and _state, which unwrap .matrix from any wrapper and
+# raise ValidationError.  The per-stage kernels add no Hermiticity check.
+
+
+def _square(a, dim: int | None = None) -> np.ndarray:
+    """a as a complex square matrix or a stack (..., d, d) of them; with dim,
+    as one dim x dim matrix."""
+    m = np.asarray(getattr(a, "matrix", a), dtype=complex)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+    if dim is not None and m.shape != (dim, dim):
+        raise ValidationError(f"expected a {dim} x {dim} matrix, got shape {m.shape}")
+    return m
+
+
+def _hermitian(a, dim: int | None = None) -> np.ndarray:
+    """_square(a, dim), Hermitian to INPUT_HERM_TOL."""
+    m = _square(a, dim)
+    if not is_hermitian(m, INPUT_HERM_TOL):
+        raise ValidationError(f"matrix is not Hermitian to {INPUT_HERM_TOL:g}")
+    return m
+
+
+def _state(a, dim: int | None = None) -> np.ndarray:
+    """_square(a, dim), one density matrix to the tolerances of DensityMatrix."""
+    m = _square(a, dim)
+    if m.ndim != 2:
+        raise ValidationError(f"a state is one matrix, got shape {m.shape}")
+    problem = state_violation(m, HERM_TOL, TRACE_TOL, EIG_NEG_TOL)
+    if problem:
+        raise ValidationError(f"density matrix {problem}")
+    return m
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace state."""
@@ -81,11 +105,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _require_square(_as_complex(self.matrix))
-        object.__setattr__(self, "matrix", m)
-        problem = state_violation(m, HERM_TOL, TRACE_TOL, EIG_NEG_TOL)
-        if problem:
-            raise ValidationError(f"density matrix {problem}")
+        object.__setattr__(self, "matrix", _state(self.matrix))
 
     @property
     def dim(self) -> int:
@@ -99,7 +119,9 @@ class StateOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _require_square(_as_complex(self.matrix))
+        m = _square(self.matrix)
+        if m.ndim != 2:
+            raise ValidationError(f"a state operator is one matrix, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
         norm = np.trace(m.conj().T @ m).real
         if abs(norm - 1.0) > HS_NORM_TOL:
@@ -113,34 +135,11 @@ class StateOperator:
         return self.matrix @ self.matrix.conj().T
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    eigenvalues: np.ndarray  # real, ascending
-    eigenvectors: np.ndarray  # columns orthonormal
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ dagger(v)
-
-
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # The package's one Hermitian eigensolver call.  eigh reads the lower
     # triangle only: rho is Hermitian by construction on the integration
     # path, and the public entry points check their input first.
     return np.linalg.eigh(a)
-
-
-def _hermitian(a, tol: float = 1e-10) -> np.ndarray:
-    a = _require_square(np.asarray(a, dtype=complex))
-    if not is_hermitian(a, tol):
-        raise ValidationError(f"matrix is not Hermitian to {tol:g}")
-    return a
-
-
-def herm_eig(a, tol: float = 1e-10) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix, eigenvalues ascending."""
-    w, v = _eigh(_hermitian(a, tol))
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
 class ClippedEig:
@@ -180,21 +179,16 @@ class ClippedEig:
         return v @ v.conj().T
 
 
-def _checked_eig(rho) -> ClippedEig:
-    """ClippedEig behind the shape and Hermiticity checks of a public entry point."""
-    return ClippedEig(_hermitian(rho.matrix if isinstance(rho, DensityMatrix) else rho))
-
-
 def matrix_power(rho, s: float) -> np.ndarray:
     """Hermitian PSD power rho^s via the spectral decomposition, s > 0."""
     if s <= 0:
         raise ValidationError(f"matrix_power exponent must be > 0, got {s}")
-    return _checked_eig(rho).power(s)
+    return ClippedEig(_hermitian(rho)).power(s)
 
 
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product; the first factor carries the major (slow) index."""
-    return np.kron(_as_complex(a), _as_complex(b))
+    return np.kron(_square(a), _square(b))
 
 
 def partial_trace(w, dims: tuple[int, int], over: str) -> np.ndarray:
@@ -204,7 +198,7 @@ def partial_trace(w, dims: tuple[int, int], over: str) -> np.ndarray:
     in the flattened product basis.  A leading batch axis is kept.
     """
     d_h, d_k = dims
-    w = _require_square(np.asarray(w, dtype=complex))
+    w = _square(w)
     if w.shape[-1] != d_h * d_k:
         raise ValidationError(f"partial_trace: shape {w.shape} != {d_h * d_k}")
     t = w.reshape(w.shape[:-2] + (d_h, d_k, d_h, d_k))
@@ -218,7 +212,7 @@ def partial_trace(w, dims: tuple[int, int], over: str) -> np.ndarray:
 def support_projector(rho, rel_tol: float = SUPPORT_REL_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors with lambda_i
     above rel_tol times the largest eigenvalue."""
-    return _checked_eig(rho).support(rel_tol)
+    return ClippedEig(_hermitian(rho)).support(rel_tol)
 
 
 def sqrt_factor(rho: DensityMatrix | np.ndarray) -> StateOperator:
@@ -226,12 +220,13 @@ def sqrt_factor(rho: DensityMatrix | np.ndarray) -> StateOperator:
 
     Any other factor differs by a right unitary gauge gamma' = gamma U.
     """
-    return StateOperator(matrix=_checked_eig(rho).power(0.5))
+    return StateOperator(matrix=ClippedEig(_hermitian(rho)).power(0.5))
 
 
-def purity(rho) -> float:
-    m = rho.matrix if isinstance(rho, DensityMatrix) else _as_complex(rho)
-    return float(np.trace(m @ m).real)
+def purity(rho):
+    """Tr[rho^2]; a stack of matrices gives one per matrix."""
+    m = _square(rho)
+    return np.trace(m @ m, axis1=-2, axis2=-1).real
 
 
 def entropy_of_spectrum(w: np.ndarray):
@@ -244,12 +239,12 @@ def entropy_of_spectrum(w: np.ndarray):
 
 def von_neumann_entropy(rho):
     """Entropy of rho's clipped spectrum; a stack of matrices gives one per matrix."""
-    return entropy_of_spectrum(_checked_eig(rho).eigenvalues)
+    return entropy_of_spectrum(ClippedEig(_hermitian(rho)).eigenvalues)
 
 
 def mutual_information(rho_hk, dims: tuple[int, int]) -> float:
     """S(rho_H) + S(rho_K) - S(rho_HK)."""
-    m = rho_hk.matrix if isinstance(rho_hk, DensityMatrix) else _as_complex(rho_hk)
+    m = _square(rho_hk)
     s_h = von_neumann_entropy(partial_trace(m, dims, "K"))
     s_k = von_neumann_entropy(partial_trace(m, dims, "H"))
     return s_h + s_k - von_neumann_entropy(m)

@@ -18,8 +18,17 @@ import numpy as np
 
 from .entanglement import BipartiteDynamics, BipartiteState, polchinski_generator
 from .errors import SubspaceInvarianceError, ValidationError
-from .generators import GeneratorSpec, eval_T, generator_matrix
-from .linalg import DensityMatrix, dagger, max_abs, partial_trace, tensor_product
+from .generators import GeneratorSpec, _eval_T, eval_T, generator_matrix
+from .linalg import (
+    ClippedEig,
+    DensityMatrix,
+    _square,
+    _state,
+    dagger,
+    max_abs,
+    partial_trace,
+    tensor_product,
+)
 from .propagation import (
     IntegratorConfig,
     Trajectory,
@@ -58,11 +67,9 @@ class MeasurementSetup:
 
 
 def projective_measure(rho, m: MeasurementSetup) -> tuple[DensityMatrix, float]:
-    """Apply P rho P + Q rho Q; returns the post-state and the probability
-    of the positive outcome."""
-    mat = rho.matrix if hasattr(rho, "matrix") else np.asarray(rho, dtype=complex)
-    if mat.shape != m.P.shape:
-        raise ValidationError("state and projector dimensions differ")
+    """Apply P rho P + Q rho Q to a state of the projector's dimension; returns
+    the post-state and the probability of the positive outcome."""
+    mat = _state(rho, m.dim)
     p, q = m.P, m.Q
     post = p @ mat @ p + q @ mat @ q
     prob = float(np.trace(p @ mat @ p).real)
@@ -72,14 +79,10 @@ def projective_measure(rho, m: MeasurementSetup) -> tuple[DensityMatrix, float]:
 def check_subspace_invariance(H, A, m: MeasurementSetup) -> bool:
     """True iff H (and A, when given) are block diagonal with respect to P, Q."""
     p, q = m.P, m.Q
-    ops = [np.asarray(H, dtype=complex)]
+    ops = [_square(H, m.dim)]
     if A is not None:
-        ops.append(np.asarray(A, dtype=complex))
+        ops.append(_square(A, m.dim))
     return all(max_abs(p @ op @ q) <= INVARIANCE_TOL for op in ops)
-
-
-def _block_project_state(rho: np.ndarray, m: MeasurementSetup) -> list[np.ndarray]:
-    return [m.P @ rho @ m.P, m.Q @ rho @ m.Q]
 
 
 def evolve_block_diagonal(
@@ -91,7 +94,7 @@ def evolve_block_diagonal(
     the unnormalized block and projected back into the block.  Returns the
     full trajectory and the max deviation of the block sum from it.
     """
-    mat = rho_bd.matrix if hasattr(rho_bd, "matrix") else np.asarray(rho_bd, dtype=complex)
+    mat = _state(rho_bd, spec.dim)
     a = spec.gamma_family.A
     if not check_subspace_invariance(spec.H, a, m):
         raise SubspaceInvarianceError("H (or A) does not leave the P, Q subspaces invariant")
@@ -99,7 +102,8 @@ def evolve_block_diagonal(
         raise ValidationError("state is not block diagonal for the given projector")
     full = evolve(mat, spec, cfg)
     parts = []
-    for block, proj in zip(_block_project_state(mat, m), (m.P, m.Q)):
+    for proj in (m.P, m.Q):
+        block = proj @ mat @ proj
         w = float(np.trace(block).real)
         if w > 1e-12:
             # The block's factor runs at unit norm; its generator sees the
@@ -189,11 +193,11 @@ def _full_route(sc: CorrelationScenario, rho1: np.ndarray) -> float:
 
     def rhs(xs):
         s_p, s_q, s_k = xs
-        t_p = sc.P_H.P @ eval_T(spec_h, s_p @ m_p @ dagger(s_p)) @ sc.P_H.P
-        t_q = sc.P_H.Q @ eval_T(spec_h, s_q @ m_q @ dagger(s_q)) @ sc.P_H.Q
+        t_p = sc.P_H.P @ _eval_T(spec_h, ClippedEig(s_p @ m_p @ dagger(s_p))) @ sc.P_H.P
+        t_q = sc.P_H.Q @ _eval_T(spec_h, ClippedEig(s_q @ m_q @ dagger(s_q))) @ sc.P_H.Q
         ds_k = np.zeros_like(s_k)
         if spec_k is not None:
-            ds_k = -1j * (eval_T(spec_k, s_k @ n_k @ dagger(s_k)) @ s_k)
+            ds_k = -1j * (_eval_T(spec_k, ClippedEig(s_k @ n_k @ dagger(s_k))) @ s_k)
         return -1j * (t_p @ s_p), -1j * (t_q @ s_q), ds_k
 
     xs = (sc.P_H.P.copy(), sc.P_H.Q.copy(), np.eye(d_k, dtype=complex))

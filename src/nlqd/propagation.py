@@ -23,8 +23,9 @@ import numpy as np
 from .errors import StepSizeError, ValidationError
 from .generators import GeneratorSpec, generator_matrix
 from .linalg import (
-    DensityMatrix,
     StateOperator,
+    _square,
+    _state,
     dagger,
     entropy_of_spectrum,
     hermitian_eigvals,
@@ -65,6 +66,7 @@ class Trajectory:
     times: np.ndarray
     states: list  # ndarray snapshots, one per recorded time
     monitors: dict  # channel name -> ndarray whose first axis runs along times
+    # The largest per-step norm drift since the previous record (0 at t = 0).
     norm_drift: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def final_state(self) -> np.ndarray:
@@ -113,8 +115,8 @@ def _renormalize(gamma: np.ndarray, max_drift: float):
 
 
 def step_state_operator(gamma, spec: GeneratorSpec, dt: float, max_step_drift: float = 1e-6):
-    """One RK4 step of the square-root factor under the given generator spec."""
-    g = gamma.matrix if hasattr(gamma, "matrix") else np.asarray(gamma, dtype=complex)
+    """One RK4 step of a unit-norm square-root factor of the spec's dimension."""
+    g = StateOperator(matrix=_square(gamma, spec.dim)).matrix
     (g,) = _rk4((g,), _factor_rhs(partial(generator_matrix, spec)), dt)
     return StateOperator(matrix=_renormalize(g, max_step_drift)[0])
 
@@ -148,18 +150,21 @@ def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, monitor: Moni
     the final (gamma, *carried) and the recorded trajectory, whose monitor
     channels come from one monitor call on the stacked states.
     """
-    xs = (sqrt_factor(np.asarray(rho0, dtype=complex)).matrix, *carried)
+    xs = (sqrt_factor(rho0).matrix, *carried)
     rhs = _factor_rhs(g_of_rho)
     times, states, drifts = [0.0], [xs[0] @ dagger(xs[0])], [0.0]
+    worst = 0.0
     n = cfg.n_steps
     for step in range(1, n + 1):
         xs = _rk4(xs, rhs, cfg.dt)
         gamma, drift = _renormalize(xs[0], cfg.max_step_drift)
         xs = (gamma, *xs[1:])
+        worst = max(worst, drift)
         if step % cfg.monitor_stride == 0 or step == n:
             times.append(step * cfg.dt)
             states.append(gamma @ dagger(gamma))
-            drifts.append(drift)
+            drifts.append(worst)
+            worst = 0.0
     traj = Trajectory(
         times=np.array(times),
         states=states,
@@ -179,17 +184,10 @@ def integrate_generator(
     return _integrate(rho0, g_of_rho, cfg, monitor)[1]
 
 
-def _density(rho0) -> np.ndarray:
-    """The validated matrix of a public entry point's initial state."""
-    m = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
-    DensityMatrix(matrix=m)
-    return m
-
-
 def evolve(rho0, spec: GeneratorSpec, cfg: IntegratorConfig) -> Trajectory:
     """Propagate a density matrix under one generator spec via the gamma route."""
     return integrate_generator(
-        _density(rho0), partial(generator_matrix, spec), cfg, default_monitor(spec.H)
+        _state(rho0, spec.dim), partial(generator_matrix, spec), cfg, default_monitor(spec.H)
     )
 
 
@@ -197,7 +195,7 @@ def consistency_check_rho_route(rho0, spec: GeneratorSpec, cfg: IntegratorConfig
     """Integrate the density-matrix equation directly with the same RK4 scheme
     and report the max entrywise deviation from the gamma route over the grid.
     """
-    m = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
+    m = _state(rho0, spec.dim)
     g_of_rho = partial(generator_matrix, spec)
     gamma_route = integrate_generator(m, g_of_rho, replace(cfg, monitor_stride=1), _no_monitor)
 
@@ -222,7 +220,7 @@ def accumulate_propagator(
     state reconstructs as S rho(0) S^dag.  When the dissipative part never
     touches the support of rho, S comes out unitary.
     """
-    m = _density(rho0)
+    m = _state(rho0, spec.dim)
     s0 = np.eye(m.shape[0], dtype=complex)
     (_, s), traj = _integrate(m, partial(generator_matrix, spec), cfg, default_monitor(spec.H), (s0,))
     return s, traj
@@ -230,7 +228,7 @@ def accumulate_propagator(
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """Convex superposition of autonomous processes."""
+    """Convex superposition of autonomous processes of one dimension."""
 
     weights: Sequence[float]
     process_specs: Sequence[GeneratorSpec]
@@ -243,13 +241,15 @@ class MixtureSpec:
             raise ValidationError("all mixture weights must be > 0")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValidationError(f"mixture weights sum to {w.sum()}, not 1")
+        if len({spec.dim for spec in self.process_specs}) != 1:
+            raise ValidationError("mixture process specs differ in dimension")
         object.__setattr__(self, "weights", w)
 
 
 def evolve_convex_mixture(rho0, mix: MixtureSpec, cfg: IntegratorConfig) -> Trajectory:
     """Each process propagates rho(0) autonomously under its own nonlinear
     law; the output state is the weight-averaged sum of the branches."""
-    m = _density(rho0)
+    m = _state(rho0, mix.process_specs[0].dim)
     branches = [
         integrate_generator(m, partial(generator_matrix, spec), cfg, _no_monitor)
         for spec in mix.process_specs

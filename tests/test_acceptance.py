@@ -147,7 +147,10 @@ def test_criterion_3_zero_mean_criterion():
 
 def test_criterion_4_essentiality_dichotomy():
     rng = np.random.default_rng(404)
-    zero_mean = GeneratorSpec(H=SZ, gamma_family=GammaFamily("zeroMean", sigma=1.0, r=2.0))
+    # the spec's dimension must match the 3x3 states; zeroMean's Gamma never reads H
+    zero_mean = GeneratorSpec(
+        H=np.diag([1.0, 0.0, -1.0]), gamma_family=GammaFamily("zeroMean", sigma=1.0, r=2.0)
+    )
     n_pass = 0
     for _ in range(100):
         rho = random_density_matrix(3, rng, rank=int(rng.integers(1, 4)))

@@ -57,6 +57,19 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             GammaFamily("nonEssential", r=2.0, A=np.array([[0, 1], [0, 0]]))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: GammaFamily("none", sigma=0.5),
+            lambda: GammaFamily("none", r=3.0),
+            lambda: TFamily("vonNeumann", q=2.0),
+        ],
+        ids=["none-sigma", "none-r", "vonNeumann-q"],
+    )
+    def test_rejects_parameters_the_family_never_reads(self, make):
+        with pytest.raises(ValidationError):
+            make()
+
 
 class TestEvalT:
     def test_von_neumann_returns_H(self, rng):
@@ -94,7 +107,8 @@ class TestEvalGamma:
         assert max_abs(gam @ rho + rho @ gam) < 1e-10
 
     def test_zero_mean_trace_condition(self, rng):
-        spec = GeneratorSpec(H=SZ, gamma_family=GammaFamily("zeroMean", sigma=0.9, r=1.5))
+        h = np.diag([1.0, 0.0, -1.0])  # the spec's dimension must match the states'
+        spec = GeneratorSpec(H=h, gamma_family=GammaFamily("zeroMean", sigma=0.9, r=1.5))
         for _ in range(10):
             rho = random_density_matrix(3, rng)
             gam = eval_Gamma(spec, rho)
@@ -195,14 +209,15 @@ class TestZeroMeanCheck:
         assert rep.passed
 
     def test_zero_mean_family_passes(self, rng):
-        spec = GeneratorSpec(H=SZ, gamma_family=GammaFamily("zeroMean", sigma=1.0, r=2.0))
+        h = np.diag([1.0, 0.0, 0.0, -1.0])  # the spec's dimension must match the samples'
+        spec = GeneratorSpec(H=h, gamma_family=GammaFamily("zeroMean", sigma=1.0, r=2.0))
         samples = [random_density_matrix(4, rng) for _ in range(50)]
         rep = check_zero_mean(spec, samples)
         assert rep.passed
         assert np.max(rep.residuals) <= 1e-9
 
     def test_broken_control_fails_with_purity_residual(self, rng):
-        spec = GeneratorSpec(H=SZ)
+        spec = GeneratorSpec(H=np.diag([1.0, 0.0, -1.0]))
         samples = [random_density_matrix(3, rng) for _ in range(10)]
         rep = check_zero_mean(spec, samples, gamma_fn=lambda rho: rho)
         assert not rep.passed

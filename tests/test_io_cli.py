@@ -86,6 +86,14 @@ class TestSpecJson:
         assert spec.t_family.family == "vonNeumann"
         assert spec.gamma_family.family == "none"
 
+    @pytest.mark.parametrize("record", ["generator", "t", "gamma"])
+    def test_generator_rejects_unknown_key(self, record):
+        # a misspelled "sigam" would otherwise run zeroMean with sigma = 0
+        obj = {"H": matrix_to_json(SZ), "t": {"family": "vonNeumann"}, "gamma": {"family": "zeroMean"}}
+        (obj if record == "generator" else obj[record])["sigam"] = 0.5
+        with pytest.raises(ValidationError):
+            generator_spec_from_json(obj)
+
     def test_integrator_round_trip(self):
         cfg = integrator_from_json({"dt": 1e-3, "t_final": 2.0, "monitor_stride": 10})
         assert cfg.dt == 1e-3 and cfg.n_steps == 2000 and cfg.monitor_stride == 10
@@ -230,6 +238,22 @@ class TestCliEndToEnd:
         payload["integrator"]["renormalize_each_step"] = False
         p = write_scenario(tmp_path / "s.json", "evolve", payload, output_path=out)
         assert main(["run", p]) == 1
+        assert not out.exists()
+
+    def test_misspelled_generator_key_exit_one(self, tmp_path, rng):
+        out = tmp_path / "traj.csv"
+        payload = evolve_payload(random_density_matrix(2, rng), GeneratorSpec(H=SZ))
+        payload["generator"]["gamma"] = {"family": "zeroMean", "sigam": 0.5}
+        p = write_scenario(tmp_path / "s.json", "evolve", payload, output_path=out)
+        assert main(["run", p]) == 1
+        assert not out.exists()
+
+    def test_dimension_mismatch_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        payload = evolve_payload(np.eye(3) / 3, GeneratorSpec(H=SZ))
+        p = write_scenario(tmp_path / "s.json", "evolve", payload, output_path=out)
+        assert main(["run", p]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
         assert not out.exists()
 
     def test_validation_exit_one(self, tmp_path):

@@ -9,7 +9,6 @@ from nlqd.generators import random_density_matrix
 from nlqd.linalg import (
     DensityMatrix,
     StateOperator,
-    herm_eig,
     matrix_power,
     max_abs,
     mutual_information,
@@ -20,32 +19,6 @@ from nlqd.linalg import (
     tensor_product,
     von_neumann_entropy,
 )
-
-
-class TestHermEig:
-    def test_identity(self):
-        dec = herm_eig(np.eye(2))
-        assert np.allclose(dec.eigenvalues, [1, 1])
-        assert max_abs(dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(2)) < 1e-12
-
-    def test_pauli_z(self):
-        dec = herm_eig(SZ)
-        assert np.allclose(dec.eigenvalues, [-1, 1])
-
-    def test_random_reconstruction(self, rng):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        a = a + a.conj().T
-        dec = herm_eig(a)
-        assert max_abs(dec.reconstruct() - a) < 1e-10
-        assert np.all(np.diff(dec.eigenvalues) >= 0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValidationError):
-            herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValidationError):
-            herm_eig(np.zeros((2, 3)))
 
 
 class TestMatrixPower:

@@ -244,6 +244,19 @@ class TestRecordPath:
                 assert abs(mon["entropy_K"][k] - s_k) <= 1e-13
                 assert abs(mon["mutual_info"][k] - (s_h + s_k - mon["entropy"][k])) <= 1e-13
 
+    def test_norm_drift_keeps_the_worst_step_of_each_window(self, rng):
+        # a strong powerLaw motion term makes the per-step drift rise and fall
+        spec = GeneratorSpec(H=5.0 * random_hermitian(3, rng), t_family=TFamily("powerLaw", q=2.0))
+        rho0 = random_density_matrix(3, rng)
+        every = evolve(rho0, spec, IntegratorConfig(dt=1e-2, t_final=0.3))
+        strided = evolve(rho0, spec, IntegratorConfig(dt=1e-2, t_final=0.3, monitor_stride=7))
+        steps = [0, 7, 14, 21, 28, 30]
+        windows = zip(steps, steps[1:])
+        want = [0.0] + [max(every.norm_drift[a + 1 : b + 1]) for a, b in windows]
+        assert strided.norm_drift.tolist() == want
+        # the window maxima differ from the drifts of the recorded steps alone
+        assert want != every.norm_drift[steps].tolist()
+
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_pure_state_entropy_stays_at_roundoff(self, d):
         # roundoff eigenvalues of size 1e-16 would read as 1e-14 of entropy
