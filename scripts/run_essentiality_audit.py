@@ -43,7 +43,7 @@ def main() -> int:
     print(f"{'family':>18} {'essential':>10} {'cp audit':>10} {'worst remote residual':>22}")
     for name, gam in FAMILIES.items():
         spec = GeneratorSpec(H=SZ + 0.2 * SX, t_family=TFamily("powerLaw", q=1.0), gamma_family=gam)
-        cls = classify_dissipative_part(spec, sample_count=80, dim=2, rng=rng)
+        cls = classify_dissipative_part(spec, sample_count=80, rng=rng)
         samples = [random_entangled_state(2, 2, rng, mixture_terms=2) for _ in range(3)]
         cp = verify_cp_extension(BipartiteDynamics(spec_H=spec), samples, cfg)
         worst = max(s.remote_residual for s in cp.samples)

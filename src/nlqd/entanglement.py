@@ -37,6 +37,9 @@ from .propagation import (
     integrate_generator,
 )
 
+LOCAL_EQUIVALENCE_TOL = 1e-9
+CP_RESIDUAL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class BipartiteState:
@@ -143,18 +146,17 @@ def trivial_extension(g_h: Callable[[np.ndarray], np.ndarray], rho_hk: Bipartite
     return BipartiteState(d_H=rho_hk.d_H, d_K=rho_hk.d_K, matrix=out)
 
 
-def check_local_equivalence(
-    w: np.ndarray, eta: np.ndarray, chi: np.ndarray, tol: float = 1e-9
-) -> bool:
+def check_local_equivalence(w: np.ndarray, eta: np.ndarray, chi: np.ndarray) -> bool:
     """Does w share its marginals with the product eta (x) chi?
 
-    Requires Tr_K[w] = Tr[chi] eta and Tr_H[w] = Tr[eta] chi.
+    Requires Tr_K[w] = Tr[chi] eta and Tr_H[w] = Tr[eta] chi, each to
+    LOCAL_EQUIVALENCE_TOL.
     """
     eta, chi = _square(eta), _square(chi)
     d_h, d_k = eta.shape[0], chi.shape[0]
     w = _square(w, d_h * d_k)
-    ok_h = max_abs(partial_trace(w, (d_h, d_k), "K") - np.trace(chi) * eta) <= tol
-    ok_k = max_abs(partial_trace(w, (d_h, d_k), "H") - np.trace(eta) * chi) <= tol
+    ok_h = max_abs(partial_trace(w, (d_h, d_k), "K") - np.trace(chi) * eta) <= LOCAL_EQUIVALENCE_TOL
+    ok_k = max_abs(partial_trace(w, (d_h, d_k), "H") - np.trace(eta) * chi) <= LOCAL_EQUIVALENCE_TOL
     return bool(ok_h and ok_k)
 
 
@@ -190,17 +192,13 @@ def random_entangled_state(
     return BipartiteState(d_H=d_h, d_K=d_k, matrix=m / np.trace(m).real)
 
 
-def verify_cp_extension(
-    dyn: BipartiteDynamics,
-    rho_hk_samples,
-    cfg: IntegratorConfig,
-    tol: float = 1e-6,
-) -> CpExtensionReport:
+def verify_cp_extension(dyn: BipartiteDynamics, rho_hk_samples, cfg: IntegratorConfig) -> CpExtensionReport:
     """Audit the complete-positivity conditions on concrete samples.
 
     For each joint state: evolve with a passive environment and check that
     (a) the output stays positive, (b) the H marginal matches the standalone
-    local evolution, and (c) the K marginal never moves.
+    local evolution, and (c) the K marginal never moves, both to
+    CP_RESIDUAL_TOL.
     """
     if dyn.spec_K is not None:
         raise ValidationError("verify_cp_extension assumes a passive environment")
@@ -219,7 +217,7 @@ def verify_cp_extension(
                 min_eigenvalue=min_eig,
                 local_residual=loc_res,
                 remote_residual=rem_res,
-                passed=positive and loc_res <= tol and rem_res <= tol,
+                passed=positive and loc_res <= CP_RESIDUAL_TOL and rem_res <= CP_RESIDUAL_TOL,
             )
         )
     return CpExtensionReport(samples=results, passed=all(r.passed for r in results))

@@ -22,14 +22,13 @@ import numpy as np
 from .errors import DegenerateConstraintError, ValidationError
 from .linalg import (
     HERM_TOL,
-    SUPPORT_REL_TOL,
     ClippedEig,
+    StateOperator,
     _hermitian,
     _square,
     dagger,
     is_hermitian,
     max_abs,
-    sqrt_factor,
 )
 
 ZERO_MEAN_TOL = 1e-9
@@ -60,7 +59,7 @@ class GammaFamily:
     family: "none" | "zeroMean" | "energyConserving" | "nonEssential".
     sigma and r apply to zeroMean and energyConserving; none takes neither;
     nonEssential needs a Hermitian coupling matrix A and r > 1, and takes
-    no sigma.
+    no sigma.  No other family takes an A.
     """
 
     family: str
@@ -75,6 +74,8 @@ class GammaFamily:
             raise ValidationError(f"none takes no sigma or r, got {self.sigma}, {self.r}")
         if self.family in ("zeroMean", "energyConserving") and self.r <= 0:
             raise ValidationError(f"exponent r must be > 0, got {self.r}")
+        if self.family != "nonEssential" and self.A is not None:
+            raise ValidationError(f"{self.family} takes no A")
         if self.family == "nonEssential":
             if self.A is None:
                 raise ValidationError("nonEssential family requires a matrix A")
@@ -212,9 +213,9 @@ def check_zero_mean(spec: GeneratorSpec, rho_samples, gamma_fn=None) -> ZeroMean
     """
     residuals = []
     for rho in rho_samples:
-        m = _hermitian(rho, spec.dim)
-        g = sqrt_factor(m).matrix
-        gam = gamma_fn(m) if gamma_fn is not None else eval_Gamma(spec, m)
+        dec = ClippedEig(_hermitian(rho, spec.dim))
+        g = StateOperator(matrix=dec.power(0.5)).matrix
+        gam = gamma_fn(dec.rho) if gamma_fn is not None else _eval_Gamma(spec, dec)
         residuals.append(abs(np.trace(dagger(g) @ gam @ g)))
     residuals = np.asarray(residuals)
     return ZeroMeanReport(residuals=residuals, passed=bool(np.all(residuals <= ZERO_MEAN_TOL)))
@@ -244,9 +245,7 @@ class SupportBlockResult:
     residual: float
 
 
-def check_polchinski_condition(
-    spec: GeneratorSpec, rho: np.ndarray, rel_tol: float = SUPPORT_REL_TOL
-) -> SupportBlockResult:
+def check_polchinski_condition(spec: GeneratorSpec, rho: np.ndarray) -> SupportBlockResult:
     """Support-block criterion P_rho Gamma(rho) P_rho = 0.
 
     Holding on every state is necessary and sufficient for the separable
@@ -254,7 +253,7 @@ def check_polchinski_condition(
     positive.
     """
     dec = ClippedEig(_hermitian(rho, spec.dim))
-    p = dec.support(rel_tol)
+    p = dec.support()
     residual = max_abs(p @ _eval_Gamma(spec, dec) @ p)
     return SupportBlockResult(passed=residual <= SUPPORT_BLOCK_TOL, residual=residual)
 
@@ -281,12 +280,12 @@ def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None =
 def classify_dissipative_part(
     spec: GeneratorSpec,
     sample_count: int = 100,
-    dim: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> EssentialityReport:
-    """Sample random full-rank and rank-deficient states looking for a
-    support-block violation; the first failing state is the witness."""
-    d = spec.dim if dim is None else dim
+    """Sample random full-rank and rank-deficient states of the spec's
+    dimension looking for a support-block violation; the first failing state
+    is the witness."""
+    d = spec.dim
     rng = np.random.default_rng(0) if rng is None else rng
     for i in range(sample_count):
         rank = d if i % 2 == 0 or d < 2 else int(rng.integers(1, d))

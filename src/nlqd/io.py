@@ -1,33 +1,156 @@
-"""JSON (de)serialization and CSV trajectory export.
+"""The scenario format, JSON (de)serialization and CSV trajectory export.
 
 Matrices travel as ``{"dim": n, "re": [...], "im": [...]}`` with row-major
 entries; scenario files are UTF-8 JSON with a top-level
-``"schema": "nlqd/1"`` marker.  CSV floats are printed with 17 significant
-digits so values round-trip exactly.
+``"schema": "nlqd/1"`` marker.  Every record of a scenario has one key table
+below, naming each key the reader takes and what it holds; a record with a
+key its table does not list is rejected, and ``nlqd schema`` prints the
+tables.  CSV floats are printed with 17 significant digits so values
+round-trip exactly.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from .entanglement import BipartiteDynamics, BipartiteState
 from .errors import ValidationError
 from .generators import GammaFamily, GeneratorSpec, TFamily
-from .linalg import state_violation
-from .propagation import IntegratorConfig, Trajectory
+from .linalg import EIG_NEG_TOL, state_violation
+from .measurement import CorrelationScenario, MeasurementSetup
+from .propagation import RECORD_HERM_TOL, RECORD_TRACE_TOL, IntegratorConfig, MixtureSpec, Trajectory
 
 SCHEMA_ID = "nlqd/1"
 FLOAT_FMT = "%.17g"
-INTEGRATOR_KEYS = ("dt", "t_final", "monitor_stride", "max_step_drift")
-GENERATOR_KEYS = ("H", "t", "gamma")
-T_KEYS = ("family", "q")
-GAMMA_KEYS = ("family", "sigma", "r", "A")
 # The CSV names a vector channel's columns <prefix>_1..<prefix>_d.
 COLUMN_PREFIX = {"eigenvalues": "eig"}
+CHECKS = ("zero_mean", "polchinski", "cp_extension")
+CP_MAX_SAMPLES = 10
+CP_INTEGRATOR = IntegratorConfig(dt=1e-3, t_final=0.2, monitor_stride=20, max_step_drift=1e-3)
+
+# One key table per record, key -> what it holds, every default included.
+RECORDS = {
+    "matrix": {"dim": "int n >= 1", "re": "n^2 reals, row-major", "im": "n^2 reals (default zeros)"},
+    "generator": {
+        "H": "matrix, Hermitian",
+        "t": "t record (default family vonNeumann)",
+        "gamma": "gamma record (default family none)",
+    },
+    "t": {"family": "vonNeumann | powerLaw", "q": "real > 0, powerLaw only (default 1)"},
+    "gamma": {
+        "family": "none | zeroMean | energyConserving | nonEssential",
+        "sigma": "real, zeroMean and energyConserving only (default 0)",
+        "r": "real > 0 (default 1) for zeroMean and energyConserving; > 1 (default 2) for nonEssential",
+        "A": "matrix, Hermitian, of H's dimension: nonEssential only, and required there",
+    },
+    "integrator": {
+        "dt": "real > 0",
+        "t_final": "real, a whole number of dt steps",
+        "monitor_stride": "int >= 1 (default 1)",
+        "max_step_drift": "real (default 1e-6)",
+    },
+    "dims": {"d_H": "int >= 1", "d_K": "int >= 1"},
+}
+_RUN = {"rho0": "matrix: the initial state", "integrator": "integrator record"}
+_JOINT = {
+    **_RUN,
+    "dims": "dims record of rho0's factors H (x) K",
+    "generator_H": "generator record",
+    "generator_K": "generator record (optional: absent means a passive K)",
+}
+PAYLOADS = {
+    "evolve": {**_RUN, "generator": "generator record"},
+    "evolve_bipartite": _JOINT,
+    "mixture": {**_RUN, "weights": "[positive reals summing to 1]", "generators": "[generator record]"},
+    "measure_correlation": {
+        **_JOINT,
+        "t0": "real: rho0's time; the generators' gamma must be none",
+        "t1": "real >= t0: P_H is measured; every phase rescales dt to whole steps",
+        "t2": "real > t1: P_K is measured",
+        "P_H": "matrix: projector on H",
+        "P_K": "matrix: projector on K",
+    },
+    "check": {
+        "generator": "generator record",
+        "dim": "int: the generator's dimension (optional)",
+        "samples": f"int >= 1 (default 100); cp_extension audits at most {CP_MAX_SAMPLES}",
+        "checks": f"[distinct names from {' | '.join(CHECKS)}] (default zero_mean, polchinski)",
+        "dims": "dims record for cp_extension: d_H the generator's dimension (default d_K = 2)",
+        "integrator": (
+            f"integrator record for cp_extension (default dt {CP_INTEGRATOR.dt:g}, t_final "
+            f"{CP_INTEGRATOR.t_final:g}, monitor_stride {CP_INTEGRATOR.monitor_stride}, "
+            f"max_step_drift {CP_INTEGRATOR.max_step_drift:g})"
+        ),
+    },
+}
+SCENARIO = {
+    "schema": SCHEMA_ID,
+    "kind": " | ".join(PAYLOADS),
+    "seed": "int >= 0 (default 0): seeds the random states of a check",
+    "output_path": (
+        "string (default trajectory.csv, or correlation.json, or check-report.json): CSV for "
+        "trajectories with columns t, the monitor channels in order with eigenvalues expanded to "
+        "eig_1..eig_d, then re_i_j, im_i_j with --dump-states; JSON for reports"
+    ),
+    "payload": PAYLOADS,
+}
+
+_REQUIRED = object()
+
+
+def _require_known_keys(obj, record: str, table: dict) -> None:
+    """Reject a record that is not an object or has a key its table does not list."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{record} must be an object, got {obj!r}")
+    unknown = sorted(set(obj) - set(table))
+    if unknown:
+        raise ValidationError(f"unknown {record} keys {unknown}; expected {list(table)}")
+
+
+def _reader(obj, record: str, table: dict):
+    """get(key, parse, default) on a record checked against its key table; a
+    missing required key or a value that parse rejects raises ValidationError
+    naming the record and the key."""
+    _require_known_keys(obj, record, table)
+
+    def get(key: str, parse=lambda x: x, default=_REQUIRED):
+        if key not in obj:
+            if default is _REQUIRED:
+                raise ValidationError(f"{record} is missing key {key!r}")
+            return default
+        try:
+            return parse(obj[key])
+        except (ValidationError, TypeError, ValueError) as exc:
+            raise ValidationError(f"{record} key {key!r}: {exc}") from exc
+
+    return get
+
+
+def _real(x) -> float:
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValidationError(f"expected a number, got {x!r}")
+    return float(x)
+
+
+def _int(x, lo: int = 1) -> int:
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < lo:
+        raise ValidationError(f"expected an integer >= {lo}, got {x!r}")
+    return int(x)
+
+
+def _list(parse):
+    def read(x) -> list:
+        if not isinstance(x, list):
+            raise ValidationError(f"expected a list, got {x!r}")
+        return [parse(v) for v in x]
+
+    return read
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -40,12 +163,9 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    try:
-        n = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj.get("im", np.zeros(n * n)), dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad matrix record: {exc}") from exc
+    get = _reader(obj, "matrix", RECORDS["matrix"])
+    n = get("dim", _int)
+    re, im = np.array(get("re", _list(_real))), np.array(get("im", _list(_real), [0.0] * (n * n)))
     if re.size != n * n or im.size != n * n:
         raise ValidationError(f"matrix entries count {re.size} != dim^2 = {n * n}")
     return (re + 1j * im).reshape(n, n)
@@ -65,45 +185,54 @@ def generator_spec_to_json(spec: GeneratorSpec) -> dict:
     return {"H": matrix_to_json(spec.H), "t": t, "gamma": g}
 
 
-def _require_known_keys(obj: dict, keys: tuple, record: str) -> None:
-    """Reject a record with a key its parser does not read."""
-    unknown = sorted(set(obj) - set(keys))
-    if unknown:
-        raise ValidationError(f"unknown {record} keys {unknown}; expected {keys}")
+def _t_family(obj) -> TFamily:
+    get = _reader(obj, "t", RECORDS["t"])
+    return TFamily(family=get("family"), q=get("q", _real, 1.0))
+
+
+def _gamma_family(obj) -> GammaFamily:
+    get = _reader(obj, "gamma", RECORDS["gamma"])
+    family = get("family")
+    return GammaFamily(
+        family=family,
+        sigma=get("sigma", _real, 0.0),
+        r=get("r", _real, 2.0 if family == "nonEssential" else 1.0),
+        A=get("A", matrix_from_json, None),
+    )
 
 
 def generator_spec_from_json(obj: dict) -> GeneratorSpec:
-    try:
-        _require_known_keys(obj, GENERATOR_KEYS, "generator")
-        h = matrix_from_json(obj["H"])
-        t_obj = obj.get("t", {"family": "vonNeumann"})
-        g_obj = obj.get("gamma", {"family": "none"})
-        _require_known_keys(t_obj, T_KEYS, "generator t")
-        _require_known_keys(g_obj, GAMMA_KEYS, "generator gamma")
-        t = TFamily(family=t_obj["family"], q=float(t_obj.get("q", 1.0)))
-        a = matrix_from_json(g_obj["A"]) if "A" in g_obj else None
-        g = GammaFamily(
-            family=g_obj["family"],
-            sigma=float(g_obj.get("sigma", 0.0)),
-            r=float(g_obj.get("r", 1.0 if g_obj["family"] != "nonEssential" else 2.0)),
-            A=a,
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"bad generator record: {exc}") from exc
-    return GeneratorSpec(H=h, t_family=t, gamma_family=g)
+    get = _reader(obj, "generator", RECORDS["generator"])
+    return GeneratorSpec(
+        H=get("H", matrix_from_json),
+        t_family=get("t", _t_family, TFamily("vonNeumann")),
+        gamma_family=get("gamma", _gamma_family, GammaFamily("none")),
+    )
 
 
 def integrator_from_json(obj: dict) -> IntegratorConfig:
-    try:
-        _require_known_keys(obj, INTEGRATOR_KEYS, "integrator")
-        return IntegratorConfig(
-            dt=float(obj["dt"]),
-            t_final=float(obj["t_final"]),
-            monitor_stride=int(obj.get("monitor_stride", 1)),
-            max_step_drift=float(obj.get("max_step_drift", 1e-6)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad integrator record: {exc}") from exc
+    get = _reader(obj, "integrator", RECORDS["integrator"])
+    return IntegratorConfig(
+        dt=get("dt", _real),
+        t_final=get("t_final", _real),
+        monitor_stride=get("monitor_stride", _int, 1),
+        max_step_drift=get("max_step_drift", _real, 1e-6),
+    )
+
+
+def _dims(obj) -> tuple[int, int]:
+    get = _reader(obj, "dims", RECORDS["dims"])
+    return get("d_H", _int), get("d_K", _int)
+
+
+def _projector(obj) -> MeasurementSetup:
+    return MeasurementSetup(P=matrix_from_json(obj))
+
+
+def _check_names(names) -> list:
+    if not isinstance(names, list) or len(set(names)) < len(names) or not set(names) <= set(CHECKS):
+        raise ValidationError(f"expected a list of distinct names from {list(CHECKS)}, got {names!r}")
+    return names
 
 
 @dataclass(frozen=True)
@@ -114,29 +243,66 @@ class Scenario:
     output_path: Optional[str] = None
 
 
-KINDS = ("evolve", "evolve_bipartite", "mixture", "measure_correlation", "check")
-
-
 def load_scenario(path: str) -> Scenario:
+    """Read the envelope of a scenario file; scenario_inputs reads its payload."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read scenario file: {exc}") from exc
-    if obj.get("schema") != SCHEMA_ID:
+    get = _reader(obj, "scenario", SCENARIO)
+    if get("schema", default=None) != SCHEMA_ID:
         raise ValidationError(f'scenario must declare "schema": "{SCHEMA_ID}"')
-    kind = obj.get("kind")
-    if kind not in KINDS:
-        raise ValidationError(f"unknown scenario kind {kind!r}; expected one of {KINDS}")
-    payload = obj.get("payload")
+    kind = get("kind", default=None)
+    if not isinstance(kind, str) or kind not in PAYLOADS:
+        raise ValidationError(f"unknown scenario kind {kind!r}; expected one of {list(PAYLOADS)}")
+    payload = get("payload", default=None)
     if not isinstance(payload, dict):
         raise ValidationError("scenario payload must be an object")
-    return Scenario(
-        kind=kind,
-        payload=payload,
-        seed=int(obj.get("seed", 0)),
-        output_path=obj.get("output_path"),
-    )
+    output_path = get("output_path", default=None)
+    if output_path is not None and not isinstance(output_path, str):
+        raise ValidationError(f"scenario output_path must be a string, got {output_path!r}")
+    seed = get("seed", lambda x: _int(x, 0), 0)
+    return Scenario(kind=kind, payload=payload, seed=seed, output_path=output_path)
+
+
+def scenario_inputs(sc: Scenario, dt: Optional[float] = None) -> tuple:
+    """The positional arguments of the run of sc's kind, read from its payload
+    against the kind's key table before anything runs; an error names the
+    kind and the key.  ``dt`` replaces the integrator's dt, except in a check.
+
+    evolve: (rho0, spec, cfg); evolve_bipartite: (state, dynamics, cfg);
+    mixture: (rho0, mixture, cfg); measure_correlation: (scenario,);
+    check: (spec, samples, check names, (d_H, d_K), cfg, seed).
+    """
+    get = _reader(sc.payload, f"{sc.kind} payload", PAYLOADS[sc.kind])
+    if sc.kind == "check":
+        spec = get("generator", generator_spec_from_json)
+        dims = get("dims", _dims, (spec.dim, 2))
+        for key, d in (("dim", get("dim", _int, spec.dim)), ("dims", dims[0])):
+            if d != spec.dim:
+                raise ValidationError(
+                    f"check payload key {key!r}: {d} is not the generator's dimension {spec.dim}"
+                )
+        checks = get("checks", _check_names, ["zero_mean", "polchinski"])
+        cfg = get("integrator", integrator_from_json, CP_INTEGRATOR)
+        return spec, get("samples", _int, 100), checks, dims, cfg, _int(sc.seed, 0)
+    cfg = get("integrator", integrator_from_json)
+    cfg = cfg if dt is None else replace(cfg, dt=dt)
+    rho0 = get("rho0", matrix_from_json)
+    if sc.kind == "evolve":
+        return rho0, get("generator", generator_spec_from_json), cfg
+    if sc.kind == "mixture":
+        specs = get("generators", _list(generator_spec_from_json))
+        return rho0, MixtureSpec(get("weights", _list(_real)), specs), cfg
+    state = BipartiteState(*get("dims", _dims), matrix=rho0)
+    spec_k = get("generator_K", generator_spec_from_json, None)
+    dyn = BipartiteDynamics(get("generator_H", generator_spec_from_json), spec_k)
+    if sc.kind == "evolve_bipartite":
+        return state, dyn, cfg
+    t0, t1, t2 = (get(key, _real) for key in ("t0", "t1", "t2"))
+    p_h, p_k = get("P_H", _projector), get("P_K", _projector)
+    return (CorrelationScenario(state, dyn, t0, t1, t2, p_h, p_k, cfg),)
 
 
 def _fmt(x: float) -> str:
@@ -171,8 +337,9 @@ def trajectory_to_csv(traj: Trajectory, path: str, dump_states: bool = False) ->
             writer.writerow([_fmt(x) for x in row])
 
 
-def verify_csv(path: str, trace_tol: float = 1e-9, eig_tol: float = 1e-10) -> dict:
-    """Spot-check the physical-state invariants on an exported trajectory.
+def verify_csv(path: str) -> dict:
+    """Spot-check the physical-state invariants on an exported trajectory, to
+    the tolerances of ``Trajectory.validate``.
 
     With dumped states the full matrix invariants are checked; otherwise the
     trace and eigenvalue columns are audited.
@@ -186,11 +353,11 @@ def verify_csv(path: str, trace_tol: float = 1e-9, eig_tol: float = 1e-10) -> di
     problems = []
     for row in rows:
         t = float(row["t"])
-        if abs(float(row["trace"]) - 1.0) > trace_tol:
-            problems.append(f"t={t}: trace off by more than {trace_tol}")
+        if abs(float(row["trace"]) - 1.0) > RECORD_TRACE_TOL:
+            problems.append(f"t={t}: trace off by more than {RECORD_TRACE_TOL}")
         eigs = [float(v) for k, v in row.items() if k.startswith("eig_")]
-        if eigs and min(eigs) < -eig_tol:
-            problems.append(f"t={t}: eigenvalue below -{eig_tol}")
+        if eigs and min(eigs) < -EIG_NEG_TOL:
+            problems.append(f"t={t}: eigenvalue below -{EIG_NEG_TOL}")
         if has_states:
             d = int(round(np.sqrt(sum(1 for k in row if k.startswith("re_")))))
             m = np.array(
@@ -199,76 +366,13 @@ def verify_csv(path: str, trace_tol: float = 1e-9, eig_tol: float = 1e-10) -> di
                     for i in range(d)
                 ]
             )
-            problem = state_violation(m, 1e-9, trace_tol, eig_tol)
+            problem = state_violation(m, RECORD_HERM_TOL, RECORD_TRACE_TOL, EIG_NEG_TOL)
             if problem:
                 problems.append(f"t={t}: state {problem}")
     return {"rows": len(rows), "ok": not problems, "problems": problems}
 
 
 def schema_document() -> dict:
-    """Human-readable description of the scenario file format."""
-    mat = {"dim": "int", "re": "[row-major reals]", "im": "[row-major reals]"}
-    gen = {
-        "H": mat,
-        "t": {"family": "vonNeumann | powerLaw", "q": "real > 0 (powerLaw only)"},
-        "gamma": {
-            "family": "none | zeroMean | energyConserving | nonEssential",
-            "sigma": "real (zeroMean, energyConserving only)",
-            "r": "real > 0 (zeroMean, energyConserving; > 1 for nonEssential)",
-            "A": "matrix (nonEssential only)",
-        },
-        "(other keys)": "rejected, here and in t and gamma",
-    }
-    integ = {
-        "dt": "real > 0",
-        "t_final": "real, a whole number of dt steps",
-        "monitor_stride": "int >= 1 (default 1)",
-        "max_step_drift": "real (default 1e-6)",
-        "(other keys)": "rejected",
-    }
-    return {
-        "schema": SCHEMA_ID,
-        "kind": " | ".join(KINDS),
-        "seed": "uint (randomized sampling only)",
-        "output_path": (
-            "string (JSON for reports; CSV for trajectories with columns t, the monitor "
-            "channels in order with eigenvalues expanded to eig_1..eig_d, then "
-            "re_i_j, im_i_j with --dump-states)"
-        ),
-        "payload": {
-            "evolve": {"rho0": mat, "generator": gen, "integrator": integ},
-            "evolve_bipartite": {
-                "rho0": mat,
-                "dims": {"d_H": "int", "d_K": "int"},
-                "generator_H": gen,
-                "generator_K": "generator (optional)",
-                "integrator": integ,
-            },
-            "mixture": {
-                "rho0": mat,
-                "weights": "[positive reals summing to 1]",
-                "generators": [gen],
-                "integrator": integ,
-            },
-            "measure_correlation": {
-                "rho0": mat,
-                "dims": {"d_H": "int", "d_K": "int"},
-                "generator_H": gen,
-                "generator_K": "generator (optional)",
-                "t0": "real",
-                "t1": "real",
-                "t2": "real",
-                "P_H": mat,
-                "P_K": mat,
-                "integrator": integ,
-            },
-            "check": {
-                "generator": gen,
-                "dim": "int",
-                "samples": "int (default 100)",
-                "checks": '["zero_mean" | "polchinski" | "cp_extension"]',
-                "dims": {"d_H": "int", "d_K": "int"},
-                "integrator": "integrator (cp_extension only)",
-            },
-        },
-    }
+    """The scenario format: the envelope's key table, whose payload entry holds
+    each kind's, and under "(records)" the tables of the nested records."""
+    return {**SCENARIO, "(records)": RECORDS}

@@ -237,21 +237,24 @@ def correlation_switch_off_route(sc: CorrelationScenario) -> float:
     return _switch_off_route(sc, _first_phase(sc))
 
 
-def check_remote_generator_unaffected(sc: CorrelationScenario) -> float:
-    """Max-norm change of the K generator across the H measurement map.
-
-    Structurally zero: Tr_H[P rho P + Q rho Q] = Tr_H[rho] since P + Q = I.
-    """
+def _remote_generator_change(sc: CorrelationScenario, rho1: np.ndarray) -> float:
     if sc.dyn.spec_K is None:
         return 0.0
     d_h, d_k = sc.rho0.dims
-    rho1 = _first_phase(sc)
     p_h_full = tensor_product(sc.P_H.P, np.eye(d_k))
     q_h_full = tensor_product(sc.P_H.Q, np.eye(d_k))
     measured = p_h_full @ rho1 @ p_h_full + q_h_full @ rho1 @ q_h_full
     before = eval_T(sc.dyn.spec_K, partial_trace(rho1, (d_h, d_k), "H"))
     after = eval_T(sc.dyn.spec_K, partial_trace(measured, (d_h, d_k), "H"))
     return max_abs(after - before)
+
+
+def check_remote_generator_unaffected(sc: CorrelationScenario) -> float:
+    """Max-norm change of the K generator across the H measurement map.
+
+    Structurally zero: Tr_H[P rho P + Q rho Q] = Tr_H[rho] since P + Q = I.
+    """
+    return _remote_generator_change(sc, _first_phase(sc))
 
 
 def correlation_report(sc: CorrelationScenario) -> dict:
@@ -267,4 +270,5 @@ def correlation_report(sc: CorrelationScenario) -> dict:
         "p_joint_switch": p_switch,
         "p_first": p_first,
         "p_conditional": p_full / p_first if p_first > 1e-12 else float("nan"),
+        "remote_generator_change": _remote_generator_change(sc, rho1),
     }

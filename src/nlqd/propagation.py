@@ -23,6 +23,7 @@ import numpy as np
 from .errors import StepSizeError, ValidationError
 from .generators import GeneratorSpec, generator_matrix
 from .linalg import (
+    EIG_NEG_TOL,
     StateOperator,
     _square,
     _state,
@@ -35,6 +36,9 @@ from .linalg import (
 )
 
 GRID_REL_TOL = 1e-9
+# Hermiticity and trace a recorded state is held to, here and by io.verify_csv.
+RECORD_HERM_TOL = 1e-9
+RECORD_TRACE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,10 +76,10 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def validate(self, trace_tol: float = 1e-9, eig_tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         """Check the physical-state invariants on every recorded snapshot."""
         for t, s in zip(self.times, self.states):
-            problem = state_violation(s, 1e-9, trace_tol, eig_tol)
+            problem = state_violation(s, RECORD_HERM_TOL, RECORD_TRACE_TOL, EIG_NEG_TOL)
             if problem:
                 raise ValidationError(f"state at t={t} {problem}")
 

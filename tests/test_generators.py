@@ -18,7 +18,7 @@ from nlqd.generators import (
     random_density_matrix,
     solve_lagrange_parameters,
 )
-from nlqd.linalg import max_abs, purity, sqrt_factor
+from nlqd.linalg import dagger, max_abs, purity, sqrt_factor
 
 
 def power_law_spec(H, q=1.0, gamma=None):
@@ -63,8 +63,11 @@ class TestSpecValidation:
             lambda: GammaFamily("none", sigma=0.5),
             lambda: GammaFamily("none", r=3.0),
             lambda: TFamily("vonNeumann", q=2.0),
+            lambda: GammaFamily("none", A=SX),
+            lambda: GammaFamily("zeroMean", sigma=0.5, r=2.0, A=SX),
+            lambda: GammaFamily("energyConserving", sigma=0.5, r=2.0, A=SX),
         ],
-        ids=["none-sigma", "none-r", "vonNeumann-q"],
+        ids=["none-sigma", "none-r", "vonNeumann-q", "none-A", "zeroMean-A", "energyConserving-A"],
     )
     def test_rejects_parameters_the_family_never_reads(self, make):
         with pytest.raises(ValidationError):
@@ -299,6 +302,20 @@ class TestPolchinskiCondition:
                 calls.clear()
                 check_polchinski_condition(spec, random_density_matrix(3, rng, rank))
                 assert len(calls) == 1
+
+    def test_zero_mean_check_decomposes_each_sample_once(self, rng, monkeypatch):
+        spec = GeneratorSpec(H=random_hermitian(3, rng), gamma_family=GammaFamily("zeroMean", sigma=1.0, r=1.5))
+        samples = [random_density_matrix(3, rng, rank) for rank in (1, 2, 3, 3)]
+        # the residuals are those of the public factor and Gamma, bit for bit
+        expected = [
+            abs(np.trace(dagger(g) @ eval_Gamma(spec, s) @ g))
+            for s, g in ((s, sqrt_factor(s).matrix) for s in samples)
+        ]
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        rep = check_zero_mean(spec, samples)
+        assert len(calls) == len(samples)
+        assert rep.residuals.tolist() == expected
 
 
 class TestClassifier:

@@ -1,10 +1,11 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
-from conftest import SX, SZ, random_hermitian
+from conftest import SX, SZ, bell_state, random_hermitian
 from nlqd.cli import main
 from nlqd.entanglement import BipartiteDynamics, BipartiteState, evolve_bipartite
 from nlqd.errors import ValidationError
@@ -17,6 +18,7 @@ from nlqd.io import (
     load_scenario,
     matrix_from_json,
     matrix_to_json,
+    scenario_inputs,
     schema_document,
     trajectory_to_csv,
     verify_csv,
@@ -416,3 +418,169 @@ class TestCliEndToEnd:
             "check",
         }
         assert schema_document() == doc
+
+
+def full_scenarios(tmp_path):
+    """One valid scenario of each kind that, together, holds every documented key."""
+    power_law = generator_spec_to_json(GeneratorSpec(H=SZ, t_family=TFamily("powerLaw", q=1.2)))
+    zero_mean = generator_spec_to_json(
+        GeneratorSpec(H=SZ, gamma_family=GammaFamily("zeroMean", sigma=0.5, r=2.0))
+    )
+    non_essential = generator_spec_to_json(
+        GeneratorSpec(H=SX, gamma_family=GammaFamily("nonEssential", r=2.0, A=SZ))
+    )
+    integ = {"dt": 1e-2, "t_final": 0.1, "monitor_stride": 2, "max_step_drift": 1e-5}
+    joint = {
+        "rho0": matrix_to_json(bell_state()),
+        "dims": {"d_H": 2, "d_K": 2},
+        "generator_H": power_law,
+        "generator_K": power_law,
+        "integrator": integ,
+    }
+    payloads = {
+        "evolve": {"rho0": matrix_to_json(np.eye(2) / 2), "generator": zero_mean, "integrator": integ},
+        "evolve_bipartite": joint,
+        "mixture": {
+            "rho0": matrix_to_json(np.eye(2) / 2),
+            "weights": [0.25, 0.75],
+            "generators": [zero_mean, power_law],
+            "integrator": integ,
+        },
+        "measure_correlation": {
+            **joint,
+            "t0": 0.0,
+            "t1": 0.05,
+            "t2": 0.1,
+            "P_H": matrix_to_json(np.diag([1.0, 0.0])),
+            "P_K": matrix_to_json(np.diag([0.0, 1.0])),
+        },
+        "check": {
+            "generator": non_essential,
+            "dim": 2,
+            "samples": 4,
+            "checks": ["zero_mean", "polchinski", "cp_extension"],
+            "dims": {"d_H": 2, "d_K": 2},
+            "integrator": {"dt": 1e-2, "t_final": 0.05, "monitor_stride": 5},
+        },
+    }
+    return {
+        kind: {"schema": SCHEMA_ID, "kind": kind, "seed": 3, "output_path": str(tmp_path / "out"), "payload": p}
+        for kind, p in payloads.items()
+    }
+
+
+def read_scenario(doc, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    return scenario_inputs(load_scenario(str(path)))
+
+
+def run_rejected(doc, tmp_path, monkeypatch, capsys) -> str:
+    """Run doc through the CLI in tmp_path; it must exit 1 with one JSON
+    ValidationError record on stderr and write no file.  Returns the message."""
+    monkeypatch.chdir(tmp_path)
+    doc.pop("output_path", None)  # an output would land in tmp_path
+    (tmp_path / "s.json").write_text(json.dumps(doc))
+    assert main(["run", "s.json"]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ValidationError"
+    assert os.listdir(tmp_path) == ["s.json"]
+    return record["message"]
+
+
+def rename(record, old, new):
+    record[new] = record.pop(old)
+
+
+# case -> (kind, how the valid scenario is spoiled, the key the error names).
+# Each case used to run to a silent wrong answer or end in a traceback.
+BAD_SCENARIOS = {
+    "misspelled_generator_K": (
+        "evolve_bipartite", lambda d: rename(d["payload"], "generator_K", "generator_k"), "generator_k"
+    ),
+    "misspelled_output_path": ("evolve", lambda d: d.update(output="trajectory.csv"), "output"),
+    "misspelled_samples": ("check", lambda d: rename(d["payload"], "samples", "sample"), "sample"),
+    "missing_rho0": ("evolve", lambda d: d["payload"].pop("rho0"), "rho0"),
+    "t0_not_a_number": ("measure_correlation", lambda d: d["payload"].update(t0="x"), "t0"),
+    "weights_not_a_list": ("mixture", lambda d: d["payload"].update(weights=1.0), "weights"),
+    "zero_samples": ("check", lambda d: d["payload"].update(samples=0), "samples"),
+    "checks_not_a_list": ("check", lambda d: d["payload"].update(checks="polchinski"), "checks"),
+}
+
+
+class TestScenarioReader:
+    @pytest.mark.parametrize("case", list(BAD_SCENARIOS))
+    def test_bad_scenario_exit_one(self, case, tmp_path, monkeypatch, capsys):
+        kind, spoil, key = BAD_SCENARIOS[case]
+        doc = full_scenarios(tmp_path)[kind]
+        spoil(doc)
+        assert f"'{key}'" in run_rejected(doc, tmp_path, monkeypatch, capsys)
+
+    def test_every_record_takes_its_documented_keys_only(self, tmp_path):
+        doc = schema_document()
+        tables = {
+            "scenario": set(doc) - {"(records)"},
+            **{kind: set(t) for kind, t in doc["payload"].items()},
+            **{name: set(t) for name, t in doc["(records)"].items()},
+        }
+        # (record, scenario kind, path to the record in that scenario)
+        where = [("scenario", "evolve", ())]
+        where += [(kind, kind, ("payload",)) for kind in doc["payload"]]
+        where += [
+            ("matrix", "evolve", ("payload", "rho0")),
+            ("generator", "evolve", ("payload", "generator")),
+            ("t", "mixture", ("payload", "generators", 1, "t")),
+            ("gamma", "evolve", ("payload", "generator", "gamma")),
+            ("gamma", "check", ("payload", "generator", "gamma")),
+            ("integrator", "evolve", ("payload", "integrator")),
+            ("dims", "evolve_bipartite", ("payload", "dims")),
+        ]
+        seen = {}
+        for record, kind, path in where:
+            scenario = full_scenarios(tmp_path)[kind]
+            read_scenario(scenario, tmp_path)
+            target = scenario
+            for step in path:
+                target = target[step]
+            seen.setdefault(record, set()).update(target)
+            target["bogus"] = 1
+            with pytest.raises(ValidationError, match="bogus"):
+                read_scenario(scenario, tmp_path)
+        assert seen == tables
+
+    def test_gamma_a_outside_non_essential_exit_one(self, tmp_path, monkeypatch, capsys):
+        doc = full_scenarios(tmp_path)["evolve"]
+        doc["payload"]["generator"]["gamma"]["A"] = matrix_to_json(SX)
+        assert "takes no A" in run_rejected(doc, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("key, value", [("dim", 3), ("dims", {"d_H": 3, "d_K": 2})], ids=["dim", "dims"])
+    def test_check_dimension_must_be_the_generators(self, key, value, tmp_path, monkeypatch, capsys):
+        doc = full_scenarios(tmp_path)["check"]
+        doc["payload"][key] = value
+        message = run_rejected(doc, tmp_path, monkeypatch, capsys)
+        assert f"'{key}': 3 is not the generator's dimension 2" in message
+
+    def test_negative_seed_override_exit_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.json").write_text(json.dumps(full_scenarios(tmp_path)["check"]))
+        assert main(["run", "s.json", "--seed", "-1"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+        assert not (tmp_path / "out").exists()
+
+    def test_projector_not_invariant_exit_one(self, tmp_path, monkeypatch, capsys):
+        doc = full_scenarios(tmp_path)["measure_correlation"]
+        doc["payload"]["generator_H"] = generator_spec_to_json(GeneratorSpec(H=SX))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        assert main(["run", "s.json"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "SubspaceInvarianceError"
+        assert not (tmp_path / "out").exists()
+
+    def test_check_defaults(self, tmp_path):
+        doc = full_scenarios(tmp_path)["check"]
+        for key in ("dim", "samples", "checks", "dims", "integrator"):
+            del doc["payload"][key]
+        spec, samples, checks, dims, cfg, seed = read_scenario(doc, tmp_path)
+        assert (samples, checks, dims, seed) == (100, ["zero_mean", "polchinski"], (2, 2), 3)
+        assert (cfg.dt, cfg.t_final, cfg.monitor_stride, cfg.max_step_drift) == (1e-3, 0.2, 20, 1e-3)

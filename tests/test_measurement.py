@@ -6,6 +6,7 @@ from conftest import SX, SZ, bell_state, random_hermitian, singlet_state
 from nlqd.errors import SubspaceInvarianceError, ValidationError
 from nlqd.generators import GammaFamily, GeneratorSpec, TFamily, random_density_matrix
 from nlqd.entanglement import BipartiteDynamics, BipartiteState
+from nlqd import measurement
 from nlqd.linalg import dagger, max_abs, tensor_product
 from nlqd.measurement import (
     CorrelationScenario,
@@ -216,6 +217,25 @@ class TestRouteAgreement:
             spec_k=GeneratorSpec(H=SZ, t_family=TFamily("powerLaw", q=1.5)),
         )
         assert check_remote_generator_unaffected(sc) < 1e-12
+
+    @pytest.mark.parametrize("passive", [False, True])
+    def test_report_carries_remote_generator_change(self, passive, monkeypatch):
+        v = np.array([np.sqrt(0.6), 0, 0, np.sqrt(0.4)], dtype=complex)
+        spec = GeneratorSpec(H=SZ, t_family=TFamily("powerLaw", q=1.5))
+        sc = scenario(
+            rho0=BipartiteState(d_H=2, d_K=2, matrix=np.outer(v, v.conj())),
+            spec_h=spec,
+            spec_k=None if passive else spec,
+            t1=0.2,
+            t2=0.4,
+        )
+        expected = check_remote_generator_unaffected(sc)
+        calls = []
+        integrate = measurement.integrate_generator
+        monkeypatch.setattr(measurement, "integrate_generator", lambda *a: calls.append(1) or integrate(*a))
+        rep = correlation_report(sc)
+        assert rep["remote_generator_change"] == expected
+        assert len(calls) == 2  # t0 -> t1 once, then the switch-off route's t1 -> t2
 
     def test_repeat_measurement_certainty(self):
         # measuring the same diagonal observable twice on one side: outcome

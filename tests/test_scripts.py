@@ -1,0 +1,37 @@
+"""Smoke runs of the scripts under scripts/, so an API change that breaks them fails here."""
+
+import importlib.util
+import json
+import pathlib
+import sys
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name: str, out: pathlib.Path, monkeypatch) -> int:
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", str(out)])
+    return module.main()
+
+
+def test_purification_sweep(tmp_path, monkeypatch):
+    out = tmp_path / "sweep"
+    assert run_script("run_purification_sweep", out, monkeypatch) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert [s["sigma"] for s in summary] == [0.0, 0.25, 0.5, 1.0, 2.0]
+    assert all((out / s["csv"]).is_file() and s["max_trace_dev"] < 1e-9 for s in summary)
+    # zeroMean dissipation purifies; sigma = 0 keeps the purity of rho0
+    assert summary[0]["final_purity"] < summary[-1]["final_purity"]
+
+
+def test_essentiality_audit(tmp_path, monkeypatch):
+    out = tmp_path / "report.json"
+    assert run_script("run_essentiality_audit", out, monkeypatch) == 0
+    report = json.loads(out.read_text())
+    assert list(report) == ["none", "zeroMean", "energyConserving", "nonEssential"]
+    for name in ("none", "nonEssential"):
+        assert not report[name]["essential"] and report[name]["cp_passed"]
+    for name in ("zeroMean", "energyConserving"):
+        assert report[name]["essential"] and not report[name]["cp_passed"]
