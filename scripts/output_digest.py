@@ -1,0 +1,158 @@
+#!/usr/bin/env python3
+"""One sha256 per output of a fixed set of nlqd runs, for bitwise parity.
+
+Two checkouts give the same lines exactly when the outputs below are equal
+bit for bit, so diffing the lines of two checkouts is the parity check:
+
+    PYTHONPATH=old/src python3 scripts/output_digest.py > old.txt
+    PYTHONPATH=new/src python3 scripts/output_digest.py > new.txt
+    diff old.txt new.txt
+
+The set: ``evolve`` for the five families at d = 2, 4, 8, pure and full
+rank, monitor strides 1 and 7; ``accumulate_propagator``; the zero-mean and
+support-block residuals; same-family and mixed-family mixtures; bipartite
+runs at 2x2 and 2x4; and the six correlation scenarios of the benchmark.
+Each line is ``<run> <part> <sha256>``, a part being the states, the drifts,
+one monitor channel, the propagator S, the CSV bytes or the report values.
+
+Usage: python3 scripts/output_digest.py [out-file]
+"""
+
+import hashlib
+import pathlib
+import sys
+import tempfile
+
+import numpy as np
+
+sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+
+from nlqd.entanglement import BipartiteDynamics, BipartiteState, evolve_bipartite  # noqa: E402
+from nlqd.generators import (  # noqa: E402
+    GammaFamily,
+    GeneratorSpec,
+    TFamily,
+    check_polchinski_condition,
+    check_zero_mean,
+    random_density_matrix,
+)
+from nlqd.io import trajectory_to_csv  # noqa: E402
+from nlqd.measurement import correlation_report  # noqa: E402
+from nlqd.propagation import (  # noqa: E402
+    IntegratorConfig,
+    MixtureSpec,
+    accumulate_propagator,
+    evolve,
+    evolve_convex_mixture,
+)
+import workloads  # noqa: E402
+
+SEED = 7919
+DT = 1e-3
+FAMILIES = ("vonNeumann", "powerLaw", "zeroMean", "energyConserving", "nonEssential")
+
+
+def sha(a) -> str:
+    a = np.ascontiguousarray(a)
+    return hashlib.sha256(f"{a.dtype}{a.shape}".encode() + a.tobytes()).hexdigest()
+
+
+def herm(rng, d: int) -> np.ndarray:
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (a + a.conj().T) / 2
+
+
+def specs(h, a) -> dict:
+    pl = TFamily("powerLaw", q=1.3)
+    return {
+        "vonNeumann": GeneratorSpec(H=h),
+        "powerLaw": GeneratorSpec(H=h, t_family=pl),
+        "zeroMean": GeneratorSpec(H=h, t_family=pl, gamma_family=GammaFamily("zeroMean", sigma=0.5, r=2.0)),
+        "energyConserving": GeneratorSpec(
+            H=h, t_family=pl, gamma_family=GammaFamily("energyConserving", sigma=0.5, r=2.0)
+        ),
+        "nonEssential": GeneratorSpec(H=h, t_family=pl, gamma_family=GammaFamily("nonEssential", r=2.0, A=a)),
+    }
+
+
+class Digest:
+    def __init__(self, tmp: pathlib.Path):
+        self.lines: list[str] = []
+        self.tmp = tmp
+
+    def add(self, run: str, part: str, value) -> None:
+        self.lines.append(f"{run} {part} {sha(value)}")
+
+    def trajectory(self, run: str, traj, csv: bool = False) -> None:
+        self.add(run, "times", traj.times)
+        self.add(run, "states", np.array(traj.states))
+        self.add(run, "drifts", traj.norm_drift)
+        for name, values in traj.monitors.items():
+            self.add(run, name, values)
+        if csv:
+            path = self.tmp / "out.csv"
+            trajectory_to_csv(traj, str(path), dump_states=True)
+            self.lines.append(f"{run} csv {hashlib.sha256(path.read_bytes()).hexdigest()}")
+
+
+def collect(out: Digest) -> None:
+    rng = np.random.default_rng(SEED)
+    for d in (2, 4, 8):
+        family = specs(herm(rng, d), herm(rng, d))
+        for fam in FAMILIES:
+            for rank_name, rank in (("pure", 1), ("full", d)):
+                rho0 = random_density_matrix(d, rng, rank)
+                for stride in (1, 7):
+                    cfg = IntegratorConfig(dt=DT, t_final=0.05, monitor_stride=stride)
+                    traj = evolve(rho0, family[fam], cfg)
+                    out.trajectory(f"evolve/{fam}/d{d}/{rank_name}/s{stride}", traj, csv=True)
+            cfg = IntegratorConfig(dt=DT, t_final=0.05, monitor_stride=5)
+            s, traj = accumulate_propagator(random_density_matrix(d, rng), family[fam], cfg)
+            out.add(f"propagator/{fam}/d{d}", "S", s)
+            out.trajectory(f"propagator/{fam}/d{d}", traj)
+            samples = [random_density_matrix(d, rng, rank) for rank in (1, max(1, d // 2), d)]
+            out.add(f"checks/{fam}/d{d}", "zero_mean", check_zero_mean(family[fam], samples).residuals)
+            residuals = [check_polchinski_condition(family[fam], rho).residual for rho in samples]
+            out.add(f"checks/{fam}/d{d}", "polchinski", np.array(residuals))
+        # Same family on every branch, each with its own H; then every family
+        # once, and two families interleaved so branches of one group are apart.
+        a = herm(rng, d)
+        cfg = IntegratorConfig(dt=DT, t_final=0.05, monitor_stride=5)
+        same = {fam: [specs(herm(rng, d), a)[fam] for _ in range(4)] for fam in ("vonNeumann", "zeroMean")}
+        mixed = [specs(herm(rng, d), a)[fam] for fam in FAMILIES]
+        alternating = [specs(herm(rng, d), a)[fam] for fam in ("zeroMean", "powerLaw") * 2]
+        for name, branches in (*same.items(), ("mixed", mixed), ("alternating", alternating)):
+            w = rng.dirichlet(np.ones(len(branches)))
+            mix = MixtureSpec(weights=w / w.sum(), process_specs=branches)
+            traj = evolve_convex_mixture(random_density_matrix(d, rng), mix, cfg)
+            out.trajectory(f"mixture/{name}/d{d}", traj, csv=True)
+    cfg = IntegratorConfig(dt=DT, t_final=0.1, monitor_stride=10)
+    for d_h, d_k in ((2, 2), (2, 4)):
+        family = specs(herm(rng, d_h), herm(rng, d_h))
+        spec_k = GeneratorSpec(H=herm(rng, d_k), t_family=TFamily("powerLaw", q=1.2))
+        for fam in ("powerLaw", "nonEssential"):
+            for env, sk in (("passive", None), ("active", spec_k)):
+                for label, rank in (("mixed", 2), ("pure", 1)):
+                    rho0 = random_density_matrix(d_h * d_k, rng, rank)
+                    state = BipartiteState(d_H=d_h, d_K=d_k, matrix=rho0)
+                    traj = evolve_bipartite(state, BipartiteDynamics(spec_H=family[fam], spec_K=sk), cfg)
+                    out.trajectory(f"bipartite/{fam}/{env}/{d_h}x{d_k}/{label}", traj)
+    for name, sc, _ in workloads.correlation_scenarios(np.random.default_rng(SEED)):
+        rep = correlation_report(sc)
+        out.add(name, "report", np.array([rep[k] for k in sorted(rep)]))
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Digest(pathlib.Path(tmp))
+        collect(out)
+    text = "\n".join(out.lines) + "\n"
+    if len(sys.argv) > 1:
+        pathlib.Path(sys.argv[1]).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -39,6 +39,7 @@ from .propagation import (
     consistency_check_rho_route,
     evolve,
     evolve_convex_mixture,
+    evolve_many,
     step_state_operator,
 )
 from .entanglement import (

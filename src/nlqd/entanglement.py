@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .generators import GeneratorSpec, eval_Gamma, generator_matrix, random_density_matrix
 from .linalg import (
+    _eye,
     _square,
     _state,
     dagger,
@@ -86,13 +87,13 @@ def polchinski_generator(dyn: BipartiteDynamics, rho_hk, dims=None) -> np.ndarra
     if dyn.spec_H.dim != d_h:
         raise ValidationError("spec_H dimension does not match d_H")
     g = tensor_product(
-        generator_matrix(dyn.spec_H, partial_trace(m, (d_h, d_k), "K")), np.eye(d_k)
+        generator_matrix(dyn.spec_H, partial_trace(m, (d_h, d_k), "K")), _eye(d_k)
     )
     if dyn.spec_K is not None:
         if dyn.spec_K.dim != d_k:
             raise ValidationError("spec_K dimension does not match d_K")
         g = g + tensor_product(
-            np.eye(d_h), generator_matrix(dyn.spec_K, partial_trace(m, (d_h, d_k), "H"))
+            _eye(d_h), generator_matrix(dyn.spec_K, partial_trace(m, (d_h, d_k), "H"))
         )
     return g
 

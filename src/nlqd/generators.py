@@ -14,7 +14,7 @@ sampling classifier for essentiality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -24,8 +24,11 @@ from .linalg import (
     HERM_TOL,
     ClippedEig,
     StateOperator,
+    _eye,
     _hermitian,
+    _member,
     _square,
+    _trace,
     dagger,
     is_hermitian,
     max_abs,
@@ -98,11 +101,12 @@ class GeneratorSpec:
     gamma_family: GammaFamily = field(default_factory=lambda: GammaFamily("none"))
 
     def __post_init__(self):
-        h = np.asarray(self.H, dtype=complex)
+        h = np.array(self.H, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValidationError("H must be a square matrix")
         if not is_hermitian(h, HERM_TOL):
             raise ValidationError("H must be Hermitian to 1e-12")
+        h.setflags(write=False)  # the vonNeumann T hands out H itself
         object.__setattr__(self, "H", h)
         a = self.gamma_family.A
         if a is not None and a.shape != h.shape:
@@ -113,9 +117,41 @@ class GeneratorSpec:
         return self.H.shape[0]
 
 
+@dataclass(frozen=True)
+class _SpecStack:
+    """Specs sharing their family parameters as one spec for the kernels,
+    whose H (and A) stack the members' along a leading axis (B, d, d)."""
+
+    H: np.ndarray
+    t_family: TFamily
+    gamma_family: GammaFamily
+
+    @property
+    def dim(self) -> int:
+        return self.H.shape[-1]
+
+
+def _family_key(spec: GeneratorSpec) -> tuple:
+    """The family parameters; specs with equal keys stack into one batch."""
+    fam = spec.gamma_family
+    return spec.t_family, fam.family, fam.sigma, fam.r
+
+
+def _stack_specs(specs) -> _SpecStack:
+    """One kernel spec for specs of one _family_key, member i being specs[i]."""
+    fam = specs[0].gamma_family
+    a = None if fam.A is None else np.stack([s.gamma_family.A for s in specs])
+    return _SpecStack(np.stack([s.H for s in specs]), specs[0].t_family, replace(fam, A=a))
+
+
+# The kernels below take one state or a stack (B, d, d) of states, and a spec
+# whose H and A are (d, d) or a (B, d, d) stack: traces run over the last two
+# axes and per-member scalars broadcast as c[..., None, None].
+
+
 def _eval_T(spec: GeneratorSpec, dec: ClippedEig) -> np.ndarray:
     if spec.t_family.family == "vonNeumann":
-        return spec.H.copy()
+        return spec.H
     rq = dec.power(spec.t_family.q)
     return spec.H @ rq + rq @ spec.H
 
@@ -138,43 +174,44 @@ def solve_lagrange_parameters(
     support of rho (Cauchy-Schwarz equality).
     """
     H = _hermitian(H)
-    return _solve_lagrange(H, r, ClippedEig(_hermitian(rho, H.shape[-1])))
+    zeta, xi = _solve_lagrange(H, r, ClippedEig(_hermitian(rho, H.shape[-1])))
+    return float(zeta), float(xi)
 
 
-def _solve_lagrange(H: np.ndarray, r: float, dec: ClippedEig) -> tuple[float, float]:
+def _solve_lagrange(H: np.ndarray, r: float, dec: ClippedEig) -> tuple:
     rho = dec.rho
     rp = dec.power(r + 1.0)
-    tr_rho = np.trace(rho).real
-    tr_h = np.trace(H @ rho).real
-    tr_h2 = np.trace(H @ H @ rho).real
-    b1 = np.trace(rp).real
-    b2 = np.trace(H @ rp).real
+    tr_rho = _trace(rho)
+    tr_h = _trace(H @ rho)
+    tr_h2 = _trace(H @ H @ rho)
+    b1 = _trace(rp)
+    b2 = _trace(H @ rp)
     det = tr_h * tr_h - tr_rho * tr_h2
-    if abs(det) <= 1e-12:
+    bad = np.abs(det) <= 1e-12
+    if bad.any():
         raise DegenerateConstraintError(
-            "H acts as a scalar on the support of rho; "
+            f"H acts as a scalar on the support of rho{_member(bad)}; "
             "the energy-conservation constraints are degenerate"
         )
     zeta = (b1 * tr_h - b2 * tr_rho) / det
     xi = (tr_h * b2 - tr_h2 * b1) / det
-    return float(zeta), float(xi)
+    return zeta, xi
 
 
 def _eval_Gamma(spec: GeneratorSpec, dec: ClippedEig) -> np.ndarray:
     fam = spec.gamma_family
     rho = dec.rho
-    d = rho.shape[0]
-    eye = np.eye(d)
+    eye = _eye(rho.shape[-1])
     if fam.family == "none":
-        return np.zeros((d, d), dtype=complex)
+        return np.zeros(rho.shape, dtype=complex)
     if fam.family == "zeroMean":
         rr = dec.power(fam.r)
-        c = np.trace(rr @ rho).real / np.trace(rho).real
-        return fam.sigma * (rr - c * eye)
+        c = _trace(rr @ rho) / _trace(rho)
+        return fam.sigma * (rr - c[..., None, None] * eye)
     if fam.family == "energyConserving":
         zeta, xi = _solve_lagrange(spec.H, fam.r, dec)
         rr = dec.power(fam.r)
-        return fam.sigma * (rr - zeta * spec.H - xi * eye)
+        return fam.sigma * (rr - zeta[..., None, None] * spec.H - xi[..., None, None] * eye)
     # nonEssential: vanishes identically on the support block of rho.
     p = dec.support()
     b = (eye - dec.power(fam.r - 1.0)) @ fam.A @ (eye - p)
@@ -192,9 +229,14 @@ def generator_matrix(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
     The unchecked loop kernel: the integrators call it at every RK4 stage on
     a rho that is Hermitian by construction, so it checks nothing beyond
     ClippedEig's eigenvalue floor.  Validate input with eval_T / eval_Gamma.
+    rho may be a stack (B, d, d), and spec a stack of B specs; G is then one
+    generator per member.
     """
     dec = ClippedEig(rho)
-    return _eval_T(spec, dec) + 1j * _eval_Gamma(spec, dec)
+    t = _eval_T(spec, dec)
+    if spec.gamma_family.family == "none":
+        return t
+    return t + 1j * _eval_Gamma(spec, dec)
 
 
 @dataclass(frozen=True)

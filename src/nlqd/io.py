@@ -269,13 +269,16 @@ def load_scenario(path: str) -> Scenario:
 def scenario_inputs(sc: Scenario, dt: Optional[float] = None) -> tuple:
     """The positional arguments of the run of sc's kind, read from its payload
     against the kind's key table before anything runs; an error names the
-    kind and the key.  ``dt`` replaces the integrator's dt, except in a check.
+    kind and the key.  ``dt`` replaces the integrator's dt, a check's
+    cp_extension integrator included.
 
     evolve: (rho0, spec, cfg); evolve_bipartite: (state, dynamics, cfg);
     mixture: (rho0, mixture, cfg); measure_correlation: (scenario,);
     check: (spec, samples, check names, (d_H, d_K), cfg, seed).
     """
     get = _reader(sc.payload, f"{sc.kind} payload", PAYLOADS[sc.kind])
+    cfg = get("integrator", integrator_from_json, CP_INTEGRATOR if sc.kind == "check" else _REQUIRED)
+    cfg = cfg if dt is None else replace(cfg, dt=dt)
     if sc.kind == "check":
         spec = get("generator", generator_spec_from_json)
         dims = get("dims", _dims, (spec.dim, 2))
@@ -285,10 +288,7 @@ def scenario_inputs(sc: Scenario, dt: Optional[float] = None) -> tuple:
                     f"check payload key {key!r}: {d} is not the generator's dimension {spec.dim}"
                 )
         checks = get("checks", _check_names, ["zero_mean", "polchinski"])
-        cfg = get("integrator", integrator_from_json, CP_INTEGRATOR)
         return spec, get("samples", _int, 100), checks, dims, cfg, _int(sc.seed, 0)
-    cfg = get("integrator", integrator_from_json)
-    cfg = cfg if dt is None else replace(cfg, dt=dt)
     rho0 = get("rho0", matrix_from_json)
     if sc.kind == "evolve":
         return rho0, get("generator", generator_spec_from_json), cfg
@@ -353,10 +353,11 @@ def verify_csv(path: str) -> dict:
     problems = []
     for row in rows:
         t = float(row["t"])
-        if abs(float(row["trace"]) - 1.0) > RECORD_TRACE_TOL:
+        # Each check is written to fail on NaN, which compares False to anything.
+        if not abs(float(row["trace"]) - 1.0) <= RECORD_TRACE_TOL:
             problems.append(f"t={t}: trace off by more than {RECORD_TRACE_TOL}")
         eigs = [float(v) for k, v in row.items() if k.startswith("eig_")]
-        if eigs and min(eigs) < -EIG_NEG_TOL:
+        if eigs and not np.min(eigs) >= -EIG_NEG_TOL:
             problems.append(f"t={t}: eigenvalue below -{EIG_NEG_TOL}")
         if has_states:
             d = int(round(np.sqrt(sum(1 for k in row if k.startswith("re_")))))

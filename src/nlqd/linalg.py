@@ -6,14 +6,16 @@ scalar diagnostics (purity, entropy, mutual information) everything else
 is built on.  All functions are pure.  A public function takes a plain
 ndarray or any wrapper that holds one in ``.matrix``; the thin dataclass
 wrappers validate the physical invariants once at construction time, through
-the same input helpers.  ``dagger``, ``partial_trace``, the clipped spectrum,
-purity and the entropies also take a stack of matrices with a leading batch
-axis, so a monitor reads a whole trajectory in one call.
+the same input helpers.  ``dagger``, ``partial_trace``, ``ClippedEig`` (its
+spectrum, powers and support projector), purity and the entropies also take
+a stack of matrices with a leading batch axis, so a monitor reads a whole
+trajectory in one call and the step loop evaluates a stack of states at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,6 +48,11 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _trace(a: np.ndarray) -> np.ndarray:
+    """Real part of the trace over the last two axes."""
+    return a.trace(axis1=-2, axis2=-1).real
+
+
 def hermitian_eigvals(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part (a + a^dag) / 2."""
     return np.linalg.eigvalsh((a + dagger(a)) / 2)
@@ -53,6 +60,8 @@ def hermitian_eigvals(a: np.ndarray) -> np.ndarray:
 
 def state_violation(m: np.ndarray, herm_tol: float, trace_tol: float, eig_tol: float):
     """The first density-matrix invariant m breaks, as a phrase, or None."""
+    if not np.all(np.isfinite(m)):  # every comparison below is False on NaN
+        return "has non-finite entries"
     if max_abs(m - dagger(m)) > herm_tol:
         return f"is not Hermitian to {herm_tol:g}"
     if abs(np.trace(m) - 1.0) > trace_tol:
@@ -135,6 +144,19 @@ class StateOperator:
         return self.matrix @ self.matrix.conj().T
 
 
+def _member(bad: np.ndarray) -> str:
+    """' (member i)' for the first True of a stack's mask; '' for one matrix."""
+    return f" (member {int(np.flatnonzero(bad)[0])})" if bad.ndim else ""
+
+
+@lru_cache(maxsize=None)
+def _eye(d: int) -> np.ndarray:
+    """The d x d identity, built once per dimension and read-only."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
+
+
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # The package's one Hermitian eigensolver call.  eigh reads the lower
     # triangle only: rho is Hermitian by construction on the integration
@@ -149,15 +171,16 @@ class ClippedEig:
     treated as 0; anything more negative is a hard error.  The generator
     families evaluate several fractional powers of the same state; one
     decomposition per evaluation roughly halves the integration cost.
-    rho may be a stack (..., d, d); ``support`` needs a single matrix.
+    rho may be a stack (..., d, d); an error names the first failing member.
     """
 
     def __init__(self, rho: np.ndarray):
         self.rho = np.asarray(rho, dtype=complex)
         w, v = _eigh(self.rho)
-        lo = min(w[..., 0].flat)  # the lowest eigenvalue over a stack
-        if lo < -EIG_NEG_TOL:
-            raise ValidationError(f"matrix has eigenvalue {lo} < -1e-10")
+        lo = w[..., 0]
+        if lo.min() < -EIG_NEG_TOL:
+            bad = lo < -EIG_NEG_TOL
+            raise ValidationError(f"matrix{_member(bad)} has eigenvalue {lo[bad].flat[0]} < -1e-10")
         self.eigenvalues = np.maximum(w, 0.0)
         self.eigenvectors = v
 
@@ -166,17 +189,17 @@ class ClippedEig:
         return (v * self.eigenvalues[..., None, :] ** s) @ dagger(v)
 
     def support(self, rel_tol: float = SUPPORT_REL_TOL) -> np.ndarray:
-        """Projector onto the eigenvectors above rel_tol times the largest eigenvalue."""
+        """Projector onto the eigenvectors above rel_tol times the largest
+        eigenvalue, one per member of a stack."""
         if not (0.0 < rel_tol < 1.0):
             raise ValidationError(f"rel_tol must lie in (0, 1), got {rel_tol}")
         w = self.eigenvalues
-        if w.ndim != 1:
-            raise ValidationError("support projector of a stack of matrices")
-        lmax = float(np.max(w))
-        if lmax <= 0.0:
-            raise ValidationError("support projector of a (numerically) zero matrix")
-        v = self.eigenvectors[:, w > rel_tol * lmax]
-        return v @ v.conj().T
+        lmax = np.max(w, axis=-1, keepdims=True)
+        zero = lmax[..., 0] <= 0.0
+        if zero.any():
+            raise ValidationError(f"support projector of a (numerically) zero matrix{_member(zero)}")
+        v = self.eigenvectors * (w > rel_tol * lmax)[..., None, :]
+        return v @ dagger(v)
 
 
 def matrix_power(rho, s: float) -> np.ndarray:

@@ -22,6 +22,7 @@ from .generators import GeneratorSpec, _eval_T, eval_T, generator_matrix
 from .linalg import (
     ClippedEig,
     DensityMatrix,
+    _eye,
     _square,
     _state,
     dagger,
@@ -157,7 +158,7 @@ def _evolve_joint(sc: CorrelationScenario, rho: np.ndarray, duration: float, k_o
             if sc.dyn.spec_K is None:
                 return np.zeros_like(r)
             return tensor_product(
-                np.eye(dims[0]),
+                _eye(dims[0]),
                 generator_matrix(sc.dyn.spec_K, partial_trace(r, dims, "H")),
             )
         return polchinski_generator(sc.dyn, r, dims)

@@ -7,9 +7,14 @@ rho-route integrator is kept only as a cross-validation oracle.  The
 rho-dependent propagator S (i S_dot = G(rho(t)) S) can be accumulated
 alongside gamma with the same stages, and convex mixtures of processes run
 one autonomous branch per component.  Every integrator here and in
-``measurement`` steps with the one RK4 tableau in ``_rk4``.  The step loop
-only records states; a monitor reads the whole stack of recorded states in
-one call and returns its channels as arrays along the time axis.
+``measurement`` steps with the one RK4 tableau in ``_rk4``.
+
+The one step loop, ``_integrate``, steps one factor (d, d) or a stack
+(B, d, d) of independent ones: ``evolve_many`` runs B initial states under
+one generator, ``evolve`` is its one-member case, and a mixture runs its
+branches as one stack per group of shared family parameters.  The loop only
+records states; a monitor reads every recorded state of every member in one
+call and returns its channels as arrays along the leading axis.
 """
 
 from __future__ import annotations
@@ -21,17 +26,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import StepSizeError, ValidationError
-from .generators import GeneratorSpec, generator_matrix
+from .generators import GeneratorSpec, _family_key, _stack_specs, generator_matrix
 from .linalg import (
     EIG_NEG_TOL,
+    ClippedEig,
     StateOperator,
+    _member,
     _square,
     _state,
+    _trace,
     dagger,
     entropy_of_spectrum,
     hermitian_eigvals,
     max_abs,
-    sqrt_factor,
     state_violation,
 )
 
@@ -110,12 +117,16 @@ def _factor_rhs(g_of_rho: GeneratorFn):
 
 
 def _renormalize(gamma: np.ndarray, max_drift: float):
-    """gamma projected back onto unit HS norm, and the drift its norm^2 had."""
-    nrm = np.vdot(gamma, gamma).real
-    drift = abs(nrm - 1.0)
-    if drift > max_drift:
-        raise StepSizeError(f"norm drift {drift:.3e} exceeds {max_drift:.1e}; reduce dt")
-    return gamma / np.sqrt(nrm), drift
+    """gamma, one factor or a stack, projected back onto unit HS norm, and the
+    drift each norm^2 had; a NaN drift fails the check too."""
+    flat = gamma.reshape(gamma.shape[:-2] + (1, -1))
+    nrm = (flat.conj() @ flat.swapaxes(-1, -2)).real[..., 0, 0]  # np.vdot per member, bit for bit
+    drift = np.abs(nrm - 1.0)
+    bad = ~(drift <= max_drift)
+    if bad.any():
+        first = drift[bad].flat[0]
+        raise StepSizeError(f"norm drift {first:.3e}{_member(bad)} exceeds {max_drift:.1e}; reduce dt")
+    return gamma / np.sqrt(nrm)[..., None, None], drift
 
 
 def step_state_operator(gamma, spec: GeneratorSpec, dt: float, max_step_drift: float = 1e-6):
@@ -123,10 +134,6 @@ def step_state_operator(gamma, spec: GeneratorSpec, dt: float, max_step_drift: f
     g = StateOperator(matrix=_square(gamma, spec.dim)).matrix
     (g,) = _rk4((g,), _factor_rhs(partial(generator_matrix, spec)), dt)
     return StateOperator(matrix=_renormalize(g, max_step_drift)[0])
-
-
-def _trace(a: np.ndarray) -> np.ndarray:
-    return np.trace(a, axis1=-2, axis2=-1).real
 
 
 def default_monitor(H: np.ndarray) -> MonitorFn:
@@ -147,35 +154,51 @@ def _no_monitor(states: np.ndarray) -> dict:
     return {}
 
 
-def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, monitor: MonitorFn, carried=()):
+def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, carried=()):
     """The step loop: factorize, step, check the drift, renormalize, record.
 
-    Each carried matrix x steps with gamma under i x_dot = G(rho) x; returns
-    the final (gamma, *carried) and the recorded trajectory, whose monitor
-    channels come from one monitor call on the stacked states.
+    rho0 is one state (d, d) or a stack (B, d, d) of them, each member an
+    independent trajectory under its own slice of g_of_rho's generator.
+    Each carried matrix x steps with gamma under i x_dot = G(rho) x.  Returns
+    the final (gamma, *carried), the record times (N,), the recorded states
+    (N, ..., d, d) and the worst drift of each window (N, ...).
     """
-    xs = (sqrt_factor(rho0).matrix, *carried)
+    xs = (ClippedEig(rho0).power(0.5), *carried)
     rhs = _factor_rhs(g_of_rho)
-    times, states, drifts = [0.0], [xs[0] @ dagger(xs[0])], [0.0]
-    worst = 0.0
+    times, states, drifts = [0.0], [xs[0] @ dagger(xs[0])], [np.zeros(xs[0].shape[:-2])]
+    worst = drifts[0]
     n = cfg.n_steps
     for step in range(1, n + 1):
         xs = _rk4(xs, rhs, cfg.dt)
         gamma, drift = _renormalize(xs[0], cfg.max_step_drift)
         xs = (gamma, *xs[1:])
-        worst = max(worst, drift)
+        worst = np.maximum(worst, drift)
         if step % cfg.monitor_stride == 0 or step == n:
             times.append(step * cfg.dt)
             states.append(gamma @ dagger(gamma))
             drifts.append(worst)
-            worst = 0.0
-    traj = Trajectory(
-        times=np.array(times),
-        states=states,
-        monitors=monitor(np.array(states)),
-        norm_drift=np.array(drifts),
-    )
-    return xs, traj
+            worst = drifts[0]
+    return xs, np.array(times), np.array(states), np.array(drifts)
+
+
+def _trajectories(times, states, drifts, monitor: MonitorFn) -> list:
+    """One Trajectory per member of _integrate's records, their channels cut
+    from one monitor call on every member's states."""
+    n, d = len(times), states.shape[-1]
+    members = np.moveaxis(states, 0, -3).reshape(-1, n, d, d)  # (B, N, d, d)
+    b = len(members)
+    channels = monitor(members.reshape(-1, d, d))
+    channels = {k: v.reshape((b, n) + v.shape[1:]) for k, v in channels.items()}
+    drifts = drifts.reshape(n, b)
+    return [
+        Trajectory(
+            times=times,
+            states=list(members[i]),
+            monitors={k: v[i] for k, v in channels.items()},
+            norm_drift=drifts[:, i],
+        )
+        for i in range(b)
+    ]
 
 
 def integrate_generator(
@@ -185,14 +208,28 @@ def integrate_generator(
     monitor: MonitorFn,
 ) -> Trajectory:
     """Shared gamma-route engine: factorize, step, renormalize, record."""
-    return _integrate(rho0, g_of_rho, cfg, monitor)[1]
+    _, *records = _integrate(_state(rho0), g_of_rho, cfg)
+    return _trajectories(*records, monitor)[0]
+
+
+def evolve_many(rho0s, spec: GeneratorSpec, cfg: IntegratorConfig) -> list:
+    """Propagate each density matrix under one generator spec via the gamma
+    route, all of them as one stack through the step loop; returns one
+    Trajectory per state, in order.  An error in a stack of two or more
+    names the first failing member."""
+    if len(rho0s) == 0:
+        raise ValidationError("evolve_many needs at least one state")
+    states = [_state(r, spec.dim) for r in rho0s]
+    # One state steps as one (d, d) matrix, whose per-member scalars stay
+    # numpy scalars: cheaper than arrays of one member, and the same bits.
+    rho0 = states[0] if len(states) == 1 else np.array(states)
+    _, *records = _integrate(rho0, partial(generator_matrix, spec), cfg)
+    return _trajectories(*records, default_monitor(spec.H))
 
 
 def evolve(rho0, spec: GeneratorSpec, cfg: IntegratorConfig) -> Trajectory:
     """Propagate a density matrix under one generator spec via the gamma route."""
-    return integrate_generator(
-        _state(rho0, spec.dim), partial(generator_matrix, spec), cfg, default_monitor(spec.H)
-    )
+    return evolve_many([rho0], spec, cfg)[0]
 
 
 def consistency_check_rho_route(rho0, spec: GeneratorSpec, cfg: IntegratorConfig) -> float:
@@ -226,8 +263,8 @@ def accumulate_propagator(
     """
     m = _state(rho0, spec.dim)
     s0 = np.eye(m.shape[0], dtype=complex)
-    (_, s), traj = _integrate(m, partial(generator_matrix, spec), cfg, default_monitor(spec.H), (s0,))
-    return s, traj
+    (_, s), *records = _integrate(m, partial(generator_matrix, spec), cfg, (s0,))
+    return s, _trajectories(*records, default_monitor(spec.H))[0]
 
 
 @dataclass(frozen=True)
@@ -252,17 +289,29 @@ class MixtureSpec:
 
 def evolve_convex_mixture(rho0, mix: MixtureSpec, cfg: IntegratorConfig) -> Trajectory:
     """Each process propagates rho(0) autonomously under its own nonlinear
-    law; the output state is the weight-averaged sum of the branches."""
+    law; the output state is the weight-averaged sum of the branches.
+
+    Branches that share their family parameters (T family and q, Gamma
+    family, sigma and r) step as one stack with their H and A stacked; each
+    group of such branches is one batch.
+    """
     m = _state(rho0, mix.process_specs[0].dim)
-    branches = [
-        integrate_generator(m, partial(generator_matrix, spec), cfg, _no_monitor)
-        for spec in mix.process_specs
-    ]
+    groups: dict = {}
+    for i, spec in enumerate(mix.process_specs):
+        groups.setdefault(_family_key(spec), []).append(i)
+    states, drifts = [None] * len(mix.process_specs), [None] * len(mix.process_specs)
+    for members in groups.values():
+        stack = _stack_specs([mix.process_specs[i] for i in members])
+        _, times, batch_states, batch_drifts = _integrate(
+            np.array([m] * len(members)), partial(generator_matrix, stack), cfg
+        )
+        for j, i in enumerate(members):
+            states[i], drifts[i] = batch_states[:, j], batch_drifts[:, j]
     h_bar = sum(w * s.H for w, s in zip(mix.weights, mix.process_specs))
-    states = sum(w * np.array(b.states) for w, b in zip(mix.weights, branches))
+    mixed = sum(w * s for w, s in zip(mix.weights, states))  # in the mixture's order
     return Trajectory(
-        times=branches[0].times,
-        states=list(states),
-        monitors=default_monitor(h_bar)(states),
-        norm_drift=np.max([b.norm_drift for b in branches], axis=0),
+        times=times,
+        states=list(mixed),
+        monitors=default_monitor(h_bar)(mixed),
+        norm_drift=np.max(drifts, axis=0),
     )

@@ -42,6 +42,7 @@ from nlqd.propagation import (
 NON_HERMITIAN = np.array([[0.5, 5], [0, 0.5]], dtype=complex)
 NON_SQUARE = np.zeros((2, 3))
 NOT_PSD = np.array([[0.5, 1], [1, 0.5]], dtype=complex)  # Hermitian, unit trace, eigenvalue -0.5
+NON_FINITE = np.array([[np.nan, 0], [0, 0.5]], dtype=complex)  # every comparison with NaN is False
 WRONG_DIM = np.diag([1.0, 0.0, 0.0]).astype(complex)  # a pure 3x3 state for a 2x2 generator
 # The rho-route oracle keeps a pure state positive (to 1e-10) only for a tiny dt.
 CFG = IntegratorConfig(dt=1e-6, t_final=2e-6)
@@ -130,6 +131,17 @@ def test_rejects_wrong_dimension(name):
 def test_rejects_non_state(name):
     with pytest.raises(ValidationError):
         WITH_DIM[name](NOT_PSD, 2)
+
+
+@pytest.mark.parametrize("name", STATE_INPUT)
+def test_rejects_non_finite_state(name):
+    with pytest.raises(ValidationError, match="has non-finite entries"):
+        WITH_DIM[name](NON_FINITE, 2)
+
+
+def test_density_matrix_rejects_non_finite():
+    with pytest.raises(ValidationError, match="has non-finite entries"):
+        DensityMatrix(matrix=NON_FINITE)
 
 
 @pytest.mark.parametrize("wrapper", sorted(WRAPPERS))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import SX, SZ, bell_state, random_hermitian
+from nlqd import cli as cli_module
 from nlqd.cli import main
 from nlqd.entanglement import BipartiteDynamics, BipartiteState, evolve_bipartite
 from nlqd.errors import ValidationError
@@ -196,6 +197,20 @@ class TestCsv:
         assert not rep["ok"] and rep["problems"]
 
 
+    @pytest.mark.parametrize("column", ["trace", "re_0_0"])
+    def test_verify_catches_nan(self, tmp_path, rng, column):
+        traj = self.run_traj(rng)
+        out = tmp_path / "t.csv"
+        trajectory_to_csv(traj, str(out), dump_states=True)
+        lines = out.read_text().splitlines()
+        cols = lines[2].split(",")
+        cols[lines[0].split(",").index(column)] = "nan"
+        lines[2] = ",".join(cols)
+        out.write_text("\n".join(lines) + "\n")
+        rep = verify_csv(str(out))
+        assert not rep["ok"] and len(rep["problems"]) >= 1
+
+
 class TestCliEndToEnd:
     def test_run_evolve_exit_zero(self, tmp_path, rng):
         rho0 = random_density_matrix(2, rng)
@@ -312,6 +327,25 @@ class TestCliEndToEnd:
         assert main(["check", p, "--strict"]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["passed"]
+
+    def test_check_dt_override(self, tmp_path, monkeypatch):
+        # --dt reaches the cp_extension integrator of a check, and is checked
+        # against its t_final (0.2 by default) like any other kind's
+        spec = GeneratorSpec(H=SZ, gamma_family=GammaFamily("nonEssential", r=2.0, A=SX))
+        payload = {"generator": generator_spec_to_json(spec), "samples": 1, "checks": ["cp_extension"]}
+        p = write_scenario(tmp_path / "c.json", "check", payload, output_path=tmp_path / "report.json")
+        assert main(["check", p, "--dt", "0.5"]) == 1
+        assert not (tmp_path / "report.json").exists()
+        seen = []
+        real = cli_module.verify_cp_extension
+
+        def spy(dyn, samples, cfg):
+            seen.append(cfg)
+            return real(dyn, samples, cfg)
+
+        monkeypatch.setattr(cli_module, "verify_cp_extension", spy)
+        assert main(["check", p, "--dt", "0.0005"]) == 0
+        assert [(c.dt, c.n_steps) for c in seen] == [(0.0005, 400)]
 
     def test_check_seed_reproducible(self, tmp_path):
         spec = GeneratorSpec(H=SZ, gamma_family=GammaFamily("zeroMean", sigma=1.0, r=2.0))

@@ -7,6 +7,7 @@ from conftest import SZ, bell_state, random_pure
 from nlqd.errors import ValidationError
 from nlqd.generators import random_density_matrix
 from nlqd.linalg import (
+    ClippedEig,
     DensityMatrix,
     StateOperator,
     matrix_power,
@@ -130,6 +131,25 @@ class TestSupportProjector:
     def test_rel_tol_bounds(self):
         with pytest.raises(ValidationError):
             support_projector(np.eye(2) / 2, rel_tol=2.0)
+
+
+    def test_stack_gives_one_projector_per_member(self, rng):
+        rhos = [random_pure(3, rng), random_density_matrix(3, rng, rank=2), random_density_matrix(3, rng)]
+        stacked = support_projector(np.array(rhos))
+        for p, rho in zip(stacked, rhos):
+            assert max_abs(p - support_projector(rho)) <= 1e-14
+
+    def test_zero_member_named(self):
+        with pytest.raises(ValidationError, match=r"\(member 1\)"):
+            support_projector(np.array([np.eye(2) / 2, np.zeros((2, 2))]))
+
+
+def test_eigenvalue_floor_names_the_member():
+    stack = np.array([np.eye(2) / 2, np.eye(2) / 2, np.diag([1.5, -0.5])])
+    with pytest.raises(ValidationError, match=r"\(member 2\) has eigenvalue -0.5"):
+        ClippedEig(stack)
+    with pytest.raises(ValidationError, match="^matrix has eigenvalue -0.5"):
+        ClippedEig(stack[2])
 
 
 class TestSqrtFactor:

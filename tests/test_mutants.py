@@ -1,0 +1,111 @@
+"""One-line engine defects, each caught by a named fast test.
+
+The library's counterpart of bench/test_controls.py: a test that also
+passes on a broken engine proves nothing.  Each row below swaps one engine
+function for a copy with one line changed, and names a test that passes on
+the real engine and must fail on the broken one: by an assertion, or by
+the engine's own typed error (a generator taken at the wrong state breaks
+the norm, and the drift check stops the run).
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import test_generators
+import test_propagation
+from nlqd import generators, propagation
+from nlqd.errors import NlqdError, StepSizeError
+from nlqd.linalg import dagger
+
+REAL_RENORMALIZE = propagation._renormalize
+REAL_EVAL_GAMMA = generators._eval_Gamma
+
+
+def rk4_wrong_weights(xs, rhs, dt: float) -> tuple:
+    k1 = rhs(xs)
+    k2 = rhs(tuple([x + 0.5 * dt * k for x, k in zip(xs, k1)]))
+    k3 = rhs(tuple([x + 0.5 * dt * k for x, k in zip(xs, k2)]))
+    k4 = rhs(tuple([x + dt * k for x, k in zip(xs, k3)]))
+    return tuple(
+        [x + (dt / 6.0) * (a + 2 * b + c + 2 * d) for x, a, b, c, d in zip(xs, k1, k2, k3, k4)]  # 2c + d
+    )
+
+
+def renormalize_dropped(gamma, max_drift):
+    return gamma, REAL_RENORMALIZE(gamma, max_drift)[1]  # was the rescaled gamma
+
+
+def renormalize_member_0(gamma, max_drift):
+    flat = gamma.reshape(gamma.shape[:-2] + (1, -1))
+    nrm = (flat.conj() @ flat.swapaxes(-1, -2)).real[..., 0, 0]
+    drift = np.abs(nrm - 1.0)
+    bad = ~(drift.flat[0] <= max_drift)  # was drift
+    if bad.any():
+        raise StepSizeError(f"norm drift {drift[0]:.3e} (member 0) exceeds {max_drift:.1e}; reduce dt")
+    return gamma / np.sqrt(nrm)[..., None, None], drift
+
+
+def gamma_without_mean(spec, dec):
+    fam = spec.gamma_family
+    if fam.family == "zeroMean":
+        return fam.sigma * dec.power(fam.r)  # was sigma * (rr - c * eye)
+    return REAL_EVAL_GAMMA(spec, dec)
+
+
+def factor_rhs_swapped(g_of_rho):
+    def rhs(xs):
+        gen = g_of_rho(dagger(xs[0]) @ xs[0])  # was xs[0] @ dagger(xs[0])
+        return [-1j * (gen @ x) for x in xs]
+
+    return rhs
+
+
+def stack_member_0_h(specs):
+    fam = specs[0].gamma_family
+    a = None if fam.A is None else np.stack([s.gamma_family.A for s in specs])
+    h = np.stack([specs[0].H for s in specs])  # was s.H
+    return generators._SpecStack(h, specs[0].t_family, replace(fam, A=a))
+
+
+def rng():
+    return np.random.default_rng(12345)
+
+
+# defect -> (module, attribute, broken copy, the test that must catch it)
+MUTANTS = {
+    "rk4_coefficient": (
+        propagation, "_rk4", rk4_wrong_weights,
+        lambda: test_propagation.TestLinearLimit().test_von_neumann_matches_expm(rng()),
+    ),
+    "renormalization_dropped": (
+        propagation, "_renormalize", renormalize_dropped,
+        lambda: test_propagation.TestNonlinearRoutes().test_every_step_renormalized(rng()),
+    ),
+    "gamma_without_mean": (
+        generators, "_eval_Gamma", gamma_without_mean,
+        lambda: test_generators.TestZeroMeanCheck().test_zero_mean_family_passes(rng()),
+    ),
+    "generator_at_gamma_dag_gamma": (
+        propagation, "_factor_rhs", factor_rhs_swapped,
+        lambda: test_propagation.TestNonlinearRoutes().test_gamma_vs_rho_route(rng()),
+    ),
+    "drift_check_member_0_only": (
+        propagation, "_renormalize", renormalize_member_0,
+        lambda: test_propagation.TestEvolveMany().test_drift_error_names_the_member(),
+    ),
+    "batch_shares_member_0_h": (
+        propagation, "_stack_specs", stack_member_0_h,
+        lambda: test_propagation.TestMixture().test_batched_branches_match_branch_evolves_bitwise(rng()),
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", list(MUTANTS))
+def test_defect_is_caught(defect, monkeypatch):
+    module, attr, broken, named_test = MUTANTS[defect]
+    named_test()
+    monkeypatch.setattr(module, attr, broken)
+    with pytest.raises((AssertionError, NlqdError, pytest.fail.Exception)):
+        named_test()

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from conftest import SX, SY, SZ, random_hermitian, random_pure
 from nlqd.entanglement import BipartiteDynamics, BipartiteState, evolve_bipartite
-from nlqd.errors import StepSizeError, ValidationError
+from nlqd.errors import DegenerateConstraintError, StepSizeError, ValidationError
 from nlqd.generators import GammaFamily, GeneratorSpec, TFamily, random_density_matrix
 from nlqd.linalg import dagger, max_abs, partial_trace, purity, sqrt_factor, von_neumann_entropy
 from nlqd.propagation import (
@@ -17,6 +17,7 @@ from nlqd.propagation import (
     consistency_check_rho_route,
     evolve,
     evolve_convex_mixture,
+    evolve_many,
     step_state_operator,
 )
 
@@ -138,6 +139,15 @@ class TestNonlinearRoutes:
         assert np.all(np.diff(p) >= -1e-12)
         assert p[-1] > p[0] + 0.2
 
+    def test_every_step_renormalized(self, rng):
+        # a strong powerLaw motion term leaves each RK4 step off unit norm by
+        # more than roundoff; the recorded traces are 1 only if every step is
+        # projected back
+        spec = GeneratorSpec(H=5.0 * random_hermitian(3, rng), t_family=TFamily("powerLaw", q=2.0))
+        traj = evolve(random_density_matrix(3, rng), spec, IntegratorConfig(dt=1e-2, t_final=0.3))
+        assert traj.norm_drift.max() > 1e-9
+        assert np.max(np.abs(traj.monitors["trace"] - 1.0)) <= 1e-14
+
     def test_step_size_error(self):
         spec = GeneratorSpec(H=50.0 * SX, gamma_family=GammaFamily("zeroMean", sigma=40.0, r=2.0))
         with pytest.raises(StepSizeError):
@@ -165,6 +175,50 @@ class TestNonlinearRoutes:
         g1 = step_state_operator(g0, GeneratorSpec(H=SZ), 1e-3)
         u = expm(-1j * SZ * 1e-3)
         assert max_abs(g1.density() - u @ rho0 @ dagger(u)) < 1e-12
+
+
+class TestEvolveMany:
+    def test_members_match_evolve_bitwise(self, rng):
+        # a stack steps each member exactly as evolve steps it alone
+        spec = GeneratorSpec(
+            H=random_hermitian(3, rng),
+            t_family=TFamily("powerLaw", q=1.3),
+            gamma_family=GammaFamily("energyConserving", sigma=0.5, r=2.0),
+        )
+        rho0s = [random_density_matrix(3, rng), random_pure(3, rng), random_density_matrix(3, rng, rank=2)]
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.05, monitor_stride=7)
+        many = evolve_many(rho0s, spec, cfg)
+        assert len(many) == 3
+        for rho0, traj in zip(rho0s, many):
+            ref = evolve(rho0, spec, cfg)
+            assert np.array_equal(traj.times, ref.times)
+            assert np.array_equal(np.array(traj.states), np.array(ref.states))
+            assert np.array_equal(traj.norm_drift, ref.norm_drift)
+            assert list(traj.monitors) == list(ref.monitors)
+            assert all(np.array_equal(traj.monitors[k], ref.monitors[k]) for k in ref.monitors)
+
+    def test_drift_error_names_the_member(self):
+        # H = 0: the maximally mixed member 0 sees G = 0 and drifts by roundoff
+        # only, while the strong zeroMean term drives member 1 far off unit norm
+        spec = GeneratorSpec(H=np.zeros((2, 2)), gamma_family=GammaFamily("zeroMean", sigma=40.0, r=2.0))
+        cfg = IntegratorConfig(dt=0.5, t_final=1.0)
+        assert evolve_many([np.eye(2) / 2], spec, cfg)[0].norm_drift.max() <= 1e-15
+        with pytest.raises(StepSizeError, match=r"\(member 1\)"):
+            evolve_many([np.eye(2) / 2, np.diag([0.9, 0.1])], spec, cfg)
+
+    def test_degenerate_constraint_names_the_member(self):
+        # H = diag(0, 1) is a scalar on the support of the pure member 1 only
+        ec = GammaFamily("energyConserving", sigma=0.5, r=2.0)
+        spec = GeneratorSpec(H=np.diag([0.0, 1.0]), gamma_family=ec)
+        with pytest.raises(DegenerateConstraintError, match=r"\(member 1\)"):
+            evolve_many([np.diag([0.6, 0.4]), np.diag([1.0, 0.0])], spec, CFG)
+
+    def test_inputs_checked_per_member(self):
+        spec = GeneratorSpec(H=SZ)
+        with pytest.raises(ValidationError):
+            evolve_many([np.eye(2) / 2, np.diag([0.5, 0.6])], spec, CFG)
+        with pytest.raises(ValidationError):
+            evolve_many([], spec, CFG)
 
 
 class TestPropagator:
@@ -300,6 +354,25 @@ class TestMixture:
         # sigma_z branch leaves rho0 fixed, sigma_x rotates populations
         pop0 = 0.5 * (np.cos(t) ** 2 + 1.0)
         assert abs(traj.final_state()[0, 0].real - pop0) < 1e-9
+
+    def test_batched_branches_match_branch_evolves_bitwise(self, rng):
+        # zeroMean and powerLaw branches alternate: two batches of two, each
+        # branch with its own H, summed back in the mixture's order
+        zm, pl = GammaFamily("zeroMean", sigma=0.5, r=2.0), TFamily("powerLaw", q=1.3)
+        specs = [
+            GeneratorSpec(H=random_hermitian(3, rng), gamma_family=zm),
+            GeneratorSpec(H=random_hermitian(3, rng), t_family=pl),
+            GeneratorSpec(H=random_hermitian(3, rng), gamma_family=zm),
+            GeneratorSpec(H=random_hermitian(3, rng), t_family=pl),
+        ]
+        weights = [0.1, 0.2, 0.3, 0.4]
+        rho0 = random_density_matrix(3, rng)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.05, monitor_stride=5)
+        traj = evolve_convex_mixture(rho0, MixtureSpec(weights=weights, process_specs=specs), cfg)
+        branches = [evolve(rho0, spec, cfg) for spec in specs]
+        want = sum(w * np.array(b.states) for w, b in zip(weights, branches))
+        assert np.array_equal(np.array(traj.states), want)
+        assert np.array_equal(traj.norm_drift, np.max([b.norm_drift for b in branches], axis=0))
 
     def test_trace_preserved(self, rng):
         rho0 = random_density_matrix(2, rng)

@@ -35,3 +35,14 @@ def test_essentiality_audit(tmp_path, monkeypatch):
         assert not report[name]["essential"] and report[name]["cp_passed"]
     for name in ("zeroMean", "energyConserving"):
         assert report[name]["essential"] and not report[name]["cp_passed"]
+
+
+def test_output_digest(tmp_path, monkeypatch):
+    out = tmp_path / "digest.txt"
+    assert run_script("output_digest", out, monkeypatch) == 0
+    lines = [line.split() for line in out.read_text().splitlines()]
+    assert all(len(fields) == 3 and len(fields[2]) == 64 for fields in lines)
+    assert len({(run, part) for run, part, _ in lines}) == len(lines)
+    runs = {run.split("/")[0] for run, _, _ in lines}
+    assert runs == {"evolve", "propagator", "checks", "mixture", "bipartite", "report"}
+    assert sum(part == "csv" for _, part, _ in lines) == 60 + 12  # 60 evolve and 12 mixture CSVs
