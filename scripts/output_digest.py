@@ -11,7 +11,9 @@ bit for bit, so diffing the lines of two checkouts is the parity check:
 The set: ``evolve`` for the five families at d = 2, 4, 8, pure and full
 rank, monitor strides 1 and 7; ``accumulate_propagator``; the zero-mean and
 support-block residuals; same-family and mixed-family mixtures; bipartite
-runs at 2x2 and 2x4; and the six correlation scenarios of the benchmark.
+runs at 2x2 and 2x4; ``verify_cp_extension`` residuals at 2x2 and 3x2 for
+one sample and for three; and the six correlation scenarios of the
+benchmark.
 Each line is ``<run> <part> <sha256>``, a part being the states, the drifts,
 one monitor channel, the propagator S, the CSV bytes or the report values.
 
@@ -27,7 +29,13 @@ import numpy as np
 
 sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
 
-from nlqd.entanglement import BipartiteDynamics, BipartiteState, evolve_bipartite  # noqa: E402
+from nlqd.entanglement import (  # noqa: E402
+    BipartiteDynamics,
+    BipartiteState,
+    evolve_bipartite,
+    random_entangled_state,
+    verify_cp_extension,
+)
 from nlqd.generators import (  # noqa: E402
     GammaFamily,
     GeneratorSpec,
@@ -137,6 +145,14 @@ def collect(out: Digest) -> None:
                     state = BipartiteState(d_H=d_h, d_K=d_k, matrix=rho0)
                     traj = evolve_bipartite(state, BipartiteDynamics(spec_H=family[fam], spec_K=sk), cfg)
                     out.trajectory(f"bipartite/{fam}/{env}/{d_h}x{d_k}/{label}", traj)
+    cfg = IntegratorConfig(dt=DT, t_final=0.1, monitor_stride=20)
+    for d_h, d_k in ((2, 2), (3, 2)):
+        dyn = BipartiteDynamics(spec_H=specs(herm(rng, d_h), herm(rng, d_h))["nonEssential"])
+        for b in (1, 3):
+            samples = [random_entangled_state(d_h, d_k, rng, mixture_terms=2) for _ in range(b)]
+            rep = verify_cp_extension(dyn, samples, cfg)
+            residuals = [(r.min_eigenvalue, r.local_residual, r.remote_residual) for r in rep.samples]
+            out.add(f"checks/cp_extension/{d_h}x{d_k}/B{b}", "residuals", np.array(residuals))
     for name, sc, _ in workloads.correlation_scenarios(np.random.default_rng(SEED)):
         rep = correlation_report(sc)
         out.add(name, "report", np.array([rep[k] for k in sorted(rep)]))

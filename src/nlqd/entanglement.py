@@ -2,16 +2,21 @@
 
 The separable product-propagator extension drives the joint state with
 local generators evaluated at the instantaneous marginals,
-G(rho_HK) = G_H(Tr_K rho) (x) I_K [+ I_H (x) G_K(Tr_H rho)].  Alongside
-it live the environment-stationarity check, the deliberately nonphysical
+G(rho_HK) = G_H(Tr_K rho) (x) I_K [+ I_H (x) G_K(Tr_H rho)].  The
+integration path never forms that D x D matrix: the step loop's generator is
+a ``_JointGenerator`` that applies each local generator to its own axis of
+the reshaped factor.  ``polchinski_generator`` is the matrix form, for
+inspection and as the test oracle.  Alongside it live the
+environment-stationarity check, the deliberately nonphysical
 product-of-marginals extension (the canonical counterexample), local
 equivalence classes, and a sampling audit of the complete-positivity
-conditions.
+conditions that steps all of its samples as one stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,8 +38,9 @@ from .linalg import (
 from .propagation import (
     IntegratorConfig,
     Trajectory,
+    _integrate,
     default_monitor,
-    evolve,
+    evolve_many,
     integrate_generator,
 )
 
@@ -73,29 +79,69 @@ class BipartiteDynamics:
     spec_K: Optional[GeneratorSpec] = None
 
 
-def polchinski_generator(dyn: BipartiteDynamics, rho_hk, dims=None) -> np.ndarray:
-    """Joint generator built from local generators at the local marginals.
+def _check_dims(dyn: BipartiteDynamics, dims: tuple[int, int]) -> None:
+    """The local specs must act on the factors: spec_H on d_H, spec_K on d_K."""
+    d_h, d_k = dims
+    if dyn.spec_H.dim != d_h:
+        raise ValidationError(f"spec_H dimension {dyn.spec_H.dim} does not match d_H = {d_h}")
+    if dyn.spec_K is not None and dyn.spec_K.dim != d_k:
+        raise ValidationError(f"spec_K dimension {dyn.spec_K.dim} does not match d_K = {d_k}")
 
-    The unchecked loop kernel of evolve_bipartite: beyond the dimensions it
-    checks nothing, and a BipartiteState's own dims take precedence.
+
+def polchinski_generator(dyn: BipartiteDynamics, rho_hk, dims=None) -> np.ndarray:
+    """Joint generator built from local generators at the local marginals,
+    as the D x D matrix G_H (x) I_K + I_H (x) G_K.
+
+    The integrators apply the same operator through _JointGenerator and never
+    form this matrix.  A BipartiteState's own dims take precedence.
     """
     dims = getattr(rho_hk, "dims", dims)
     if dims is None:
         raise ValidationError("dims required for a bare joint matrix")
     d_h, d_k = dims
     m = _square(rho_hk, d_h * d_k)
-    if dyn.spec_H.dim != d_h:
-        raise ValidationError("spec_H dimension does not match d_H")
+    _check_dims(dyn, dims)
     g = tensor_product(
         generator_matrix(dyn.spec_H, partial_trace(m, (d_h, d_k), "K")), _eye(d_k)
     )
     if dyn.spec_K is not None:
-        if dyn.spec_K.dim != d_k:
-            raise ValidationError("spec_K dimension does not match d_K")
         g = g + tensor_product(
             _eye(d_h), generator_matrix(dyn.spec_K, partial_trace(m, (d_h, d_k), "H"))
         )
     return g
+
+
+class _JointGenerator:
+    """G_H (x) I_K + I_H (x) G_K as an action: ``g @ x`` applies G_H to x
+    reshaped (..., d_H, d_K n) and G_K to x reshaped (..., d_H, d_K, n), so
+    the D x D matrix is never formed.  g_h or g_k is None when that factor is
+    switched off or passive (both None applies zero); each may carry the
+    leading axis of a stack, one generator per member."""
+
+    __slots__ = ("g_h", "g_k", "d_h", "d_k")
+
+    def __init__(self, g_h, g_k, dims: tuple[int, int]):
+        self.g_h, self.g_k = g_h, g_k
+        self.d_h, self.d_k = dims
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        lead, n = x.shape[:-2], x.shape[-1]
+        out = None
+        if self.g_h is not None:
+            out = (self.g_h @ x.reshape(lead + (self.d_h, self.d_k * n))).reshape(x.shape)
+        if self.g_k is not None:
+            k = (self.g_k[..., None, :, :] @ x.reshape(lead + (self.d_h, self.d_k, n))).reshape(x.shape)
+            out = k if out is None else out + k
+        return np.zeros_like(x) if out is None else out
+
+
+def _joint_generator(dyn: BipartiteDynamics, rho: np.ndarray, dims: tuple[int, int], h_on: bool = True):
+    """The step loop's joint generator at rho, one state or a stack: the local
+    generators at the marginals, G_H only while h_on.  The unchecked kernel;
+    its callers check the dimensions once, at entry."""
+    g_h = generator_matrix(dyn.spec_H, partial_trace(rho, dims, "K")) if h_on else None
+    g_k = None if dyn.spec_K is None else generator_matrix(dyn.spec_K, partial_trace(rho, dims, "H"))
+    return _JointGenerator(g_h, g_k, dims)
 
 
 def bipartite_monitor(dims: tuple[int, int], H_joint: np.ndarray):
@@ -123,9 +169,10 @@ def joint_hamiltonian(dyn: BipartiteDynamics, dims: tuple[int, int]) -> np.ndarr
 def evolve_bipartite(rho0: BipartiteState, dyn: BipartiteDynamics, cfg: IntegratorConfig) -> Trajectory:
     """Joint gamma-route integration with marginals recomputed at every stage."""
     dims = rho0.dims
+    _check_dims(dyn, dims)
     return integrate_generator(
         rho0.matrix,
-        lambda rho: polchinski_generator(dyn, rho, dims),
+        partial(_joint_generator, dyn, dims=dims),
         cfg,
         bipartite_monitor(dims, joint_hamiltonian(dyn, dims)),
     )
@@ -134,9 +181,8 @@ def evolve_bipartite(rho0: BipartiteState, dyn: BipartiteDynamics, cfg: Integrat
 def check_environment_stationarity(dyn: BipartiteDynamics, rho_hk: BipartiteState) -> float:
     """Max-norm of Tr_H[(Gamma_H(rho_H) (x) I_K) rho_HK]; zero means the
     environment marginal cannot move."""
-    d_h, d_k = rho_hk.dims
     gam = eval_Gamma(dyn.spec_H, rho_hk.marginal_H())
-    prod = tensor_product(gam, np.eye(d_k)) @ rho_hk.matrix
+    prod = _JointGenerator(gam, None, rho_hk.dims) @ rho_hk.matrix
     return max_abs(partial_trace(prod, rho_hk.dims, "H"))
 
 
@@ -199,18 +245,27 @@ def verify_cp_extension(dyn: BipartiteDynamics, rho_hk_samples, cfg: IntegratorC
     For each joint state: evolve with a passive environment and check that
     (a) the output stays positive, (b) the H marginal matches the standalone
     local evolution, and (c) the K marginal never moves, both to
-    CP_RESIDUAL_TOL.
+    CP_RESIDUAL_TOL.  The samples share their dims; all joint states step
+    as one stack, and all H marginals as one evolve_many.
     """
     if dyn.spec_K is not None:
         raise ValidationError("verify_cp_extension assumes a passive environment")
+    samples = list(rho_hk_samples)
+    if not samples:
+        raise ValidationError("verify_cp_extension needs at least one sample")
+    dims = samples[0].dims
+    if any(s.dims != dims for s in samples):
+        raise ValidationError(f"samples differ in dims; the first has {dims}")
+    _check_dims(dyn, dims)
+    _, _, states, _ = _integrate(
+        np.array([s.matrix for s in samples]), partial(_joint_generator, dyn, dims=dims), cfg
+    )  # (N, B, D, D)
+    local = [t.states for t in evolve_many([s.marginal_H() for s in samples], dyn.spec_H, cfg)]
+    min_eigs = np.min(hermitian_eigvals(states[-1]), axis=-1)
+    loc = np.abs(partial_trace(states, dims, "K") - np.swapaxes(local, 0, 1)).max(axis=(0, 2, 3))
+    rem = np.abs(partial_trace(states, dims, "H") - [s.marginal_K() for s in samples]).max(axis=(0, 2, 3))
     results = []
-    for sample in rho_hk_samples:
-        traj = evolve_bipartite(sample, dyn, cfg)
-        local = evolve(sample.marginal_H(), dyn.spec_H, cfg)
-        states = np.array(traj.states)
-        min_eig = float(np.min(hermitian_eigvals(states[-1])))
-        loc_res = max_abs(partial_trace(states, sample.dims, "K") - np.array(local.states))
-        rem_res = max_abs(partial_trace(states, sample.dims, "H") - sample.marginal_K())
+    for min_eig, loc_res, rem_res in zip(min_eigs.tolist(), loc.tolist(), rem.tolist()):
         positive = min_eig >= -1e-10
         results.append(
             CpSampleResult(

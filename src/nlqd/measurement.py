@@ -13,16 +13,16 @@ routes agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .entanglement import BipartiteDynamics, BipartiteState, polchinski_generator
+from .entanglement import BipartiteDynamics, BipartiteState, _check_dims, _joint_generator
 from .errors import SubspaceInvarianceError, ValidationError
 from .generators import GeneratorSpec, _eval_T, eval_T, generator_matrix
 from .linalg import (
     ClippedEig,
     DensityMatrix,
-    _eye,
     _square,
     _state,
     dagger,
@@ -135,6 +135,7 @@ class CorrelationScenario:
             raise ValidationError(f"need t0 <= t1 < t2, got {self.t0}, {self.t1}, {self.t2}")
         if self.P_H.dim != self.rho0.d_H or self.P_K.dim != self.rho0.d_K:
             raise ValidationError("projector dimensions do not match the factors")
+        _check_dims(self.dyn, self.rho0.dims)
         if self.dyn.spec_H.gamma_family.family != "none":
             raise ValidationError("correlation scenarios require Gamma-free H dynamics")
         if self.dyn.spec_K is not None and self.dyn.spec_K.gamma_family.family != "none":
@@ -147,22 +148,11 @@ def _phase_cfg(cfg: IntegratorConfig, duration: float) -> IntegratorConfig:
     return replace(cfg, dt=duration / n, t_final=duration, monitor_stride=n)
 
 
-def _evolve_joint(sc: CorrelationScenario, rho: np.ndarray, duration: float, k_only: bool) -> np.ndarray:
-    """Joint gamma-route evolution; with k_only the H generator is switched off."""
+def _evolve_joint(sc: CorrelationScenario, rho: np.ndarray, duration: float, h_on: bool) -> np.ndarray:
+    """Joint gamma-route evolution; without h_on the H generator is switched off."""
     if duration <= sc.cfg.dt * 1e-9:
         return rho
-    dims = sc.rho0.dims
-
-    def g_of_rho(r):
-        if k_only:
-            if sc.dyn.spec_K is None:
-                return np.zeros_like(r)
-            return tensor_product(
-                _eye(dims[0]),
-                generator_matrix(sc.dyn.spec_K, partial_trace(r, dims, "H")),
-            )
-        return polchinski_generator(sc.dyn, r, dims)
-
+    g_of_rho = partial(_joint_generator, sc.dyn, dims=sc.rho0.dims, h_on=h_on)
     traj = integrate_generator(rho, g_of_rho, _phase_cfg(sc.cfg, duration), _no_monitor)
     return traj.final_state()
 
@@ -176,7 +166,7 @@ def _require_invariance(sc: CorrelationScenario) -> None:
 
 def _first_phase(sc: CorrelationScenario) -> np.ndarray:
     """The unmeasured joint state at t1."""
-    return _evolve_joint(sc, sc.rho0.matrix, sc.t1 - sc.t0, k_only=False)
+    return _evolve_joint(sc, sc.rho0.matrix, sc.t1 - sc.t0, h_on=True)
 
 
 def _full_route(sc: CorrelationScenario, rho1: np.ndarray) -> float:
@@ -213,7 +203,7 @@ def _full_route(sc: CorrelationScenario, rho1: np.ndarray) -> float:
 
 
 def _switch_off_route(sc: CorrelationScenario, rho1: np.ndarray) -> float:
-    rho = _evolve_joint(sc, rho1, sc.t2 - sc.t1, k_only=True)
+    rho = _evolve_joint(sc, rho1, sc.t2 - sc.t1, h_on=False)
     joint_proj = tensor_product(sc.P_H.P, sc.P_K.P)
     return float(np.trace(joint_proj @ rho @ joint_proj).real)
 

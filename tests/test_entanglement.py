@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import SX, SY, SZ, bell_state, random_hermitian
+from nlqd import entanglement, measurement
 from nlqd.errors import ValidationError
 from nlqd.generators import GammaFamily, GeneratorSpec, TFamily, random_density_matrix
 from nlqd.entanglement import (
@@ -18,6 +19,7 @@ from nlqd.entanglement import (
     trivial_extension,
     verify_cp_extension,
 )
+from nlqd.generators import generator_matrix
 from nlqd.linalg import (
     dagger,
     max_abs,
@@ -65,10 +67,91 @@ class TestPolchinskiGenerator:
         spec = GeneratorSpec(H=SZ, t_family=TFamily("powerLaw", q=1.0))
         dyn = BipartiteDynamics(spec_H=spec)
         w = random_entangled_state(2, 2, rng)
-        from nlqd.generators import generator_matrix
-
         expected = tensor_product(generator_matrix(spec, w.marginal_H()), np.eye(2))
         assert max_abs(polchinski_generator(dyn, w) - expected) < 1e-12
+
+
+def bipartite_dynamics(dims, env, rng):
+    """powerLaw + nonEssential on H; on K nothing (passive) or powerLaw (active)."""
+    d_h, d_k = dims
+    spec_h = GeneratorSpec(
+        H=random_hermitian(d_h, rng),
+        t_family=TFamily("powerLaw", q=1.3),
+        gamma_family=GammaFamily("nonEssential", r=2.0, A=random_hermitian(d_h, rng)),
+    )
+    spec_k = GeneratorSpec(H=random_hermitian(d_k, rng), t_family=TFamily("powerLaw", q=1.2))
+    return BipartiteDynamics(spec_H=spec_h, spec_K=spec_k if env == "active" else None)
+
+
+def random_factor(d, rng, lead=()):
+    return rng.standard_normal(lead + (d, d)) + 1j * rng.standard_normal(lead + (d, d))
+
+
+# Unequal factors catch an action that reshapes along the wrong axis.
+DIMS = [(2, 2), (2, 4), (3, 2), (4, 2)]
+
+
+class TestJointGenerator:
+    """The step loop's action against polchinski_generator's matrix."""
+
+    @pytest.mark.parametrize("env", ["passive", "active"])
+    @pytest.mark.parametrize("dims", DIMS, ids=lambda d: f"{d[0]}x{d[1]}")
+    def test_action_matches_matrix(self, rng, dims, env):
+        dyn = bipartite_dynamics(dims, env, rng)
+        w = random_entangled_state(*dims, rng, mixture_terms=2)
+        x = random_factor(dims[0] * dims[1], rng)
+        action = entanglement._joint_generator(dyn, w.matrix, dims)
+        assert max_abs(action @ x - polchinski_generator(dyn, w) @ x) < 1e-14
+
+    @pytest.mark.parametrize("env", ["passive", "active"])
+    @pytest.mark.parametrize("dims", DIMS, ids=lambda d: f"{d[0]}x{d[1]}")
+    def test_stack_matches_members(self, rng, dims, env):
+        dyn = bipartite_dynamics(dims, env, rng)
+        rhos = np.array([random_entangled_state(*dims, rng).matrix for _ in range(3)])
+        xs = random_factor(dims[0] * dims[1], rng, (3,))
+        applied = entanglement._joint_generator(dyn, rhos, dims) @ xs
+        assert applied.shape == xs.shape
+        for rho, x, y in zip(rhos, xs, applied):
+            assert max_abs(y - polchinski_generator(dyn, rho, dims) @ x) < 1e-14
+
+    @pytest.mark.parametrize("dims", DIMS, ids=lambda d: f"{d[0]}x{d[1]}")
+    def test_h_switched_off(self, rng, dims):
+        dyn = bipartite_dynamics(dims, "active", rng)
+        w = random_entangled_state(*dims, rng, mixture_terms=2)
+        x = random_factor(dims[0] * dims[1], rng)
+        k_only = entanglement._joint_generator(dyn, w.matrix, dims, h_on=False)
+        expected = tensor_product(np.eye(dims[0]), generator_matrix(dyn.spec_K, w.marginal_K())) @ x
+        assert max_abs(k_only @ x - expected) < 1e-14
+        passive = BipartiteDynamics(spec_H=dyn.spec_H)
+        assert np.all(entanglement._joint_generator(passive, w.matrix, dims, h_on=False) @ x == 0)
+
+    def test_step_loops_form_no_kronecker_product(self, rng, monkeypatch):
+        dyn = bipartite_dynamics((2, 2), "active", rng)
+        w = random_entangled_state(2, 2, rng, mixture_terms=2)
+        kron = np.kron
+        calls = []
+        monkeypatch.setattr(np, "kron", lambda *a: calls.append(1) or kron(*a))
+
+        def krons(run):
+            calls.clear()
+            run()
+            return len(calls)
+
+        # evolve_bipartite forms the joint Hamiltonian for its monitor once.
+        one_step = krons(lambda: evolve_bipartite(w, dyn, IntegratorConfig(dt=1e-3, t_final=1e-3)))
+        assert krons(lambda: evolve_bipartite(w, dyn, IntegratorConfig(dt=1e-3, t_final=5e-3))) == one_step
+        cfg = IntegratorConfig(dt=1e-3, t_final=5e-3)
+        assert krons(lambda: verify_cp_extension(BipartiteDynamics(spec_H=dyn.spec_H), [w, w], cfg)) == 0
+        sc = measurement.CorrelationScenario(
+            rho0=w,
+            dyn=BipartiteDynamics(spec_H=GeneratorSpec(H=SZ, t_family=TFamily("powerLaw", q=1.5)), spec_K=dyn.spec_K),
+            t0=0.0, t1=5e-3, t2=1e-2,
+            P_H=measurement.MeasurementSetup(P=np.diag([1.0, 0.0])),
+            P_K=measurement.MeasurementSetup(P=np.diag([1.0, 0.0])),
+            cfg=cfg,
+        )
+        for h_on in (True, False):
+            assert krons(lambda: measurement._evolve_joint(sc, w.matrix, 5e-3, h_on)) == 0
 
 
 class TestEvolveBipartite:
@@ -113,6 +196,14 @@ class TestEvolveBipartite:
             assert max_abs(np.sort(np.linalg.eigvalsh(s)) - eig0) < 1e-7
         ent = traj.monitors["entropy"]
         assert np.max(np.abs(ent - ent[0])) < 1e-7
+
+    @pytest.mark.parametrize("side", ["H", "K"])
+    def test_spec_dimension_checked_at_entry(self, side, rng, monkeypatch):
+        monkeypatch.setattr(entanglement, "integrate_generator", lambda *a: pytest.fail("stepped"))
+        spec2, spec3 = GeneratorSpec(H=SZ), GeneratorSpec(H=random_hermitian(3, rng))
+        dyn = BipartiteDynamics(spec_H=spec3, spec_K=spec2) if side == "H" else BipartiteDynamics(spec2, spec3)
+        with pytest.raises(ValidationError, match=f"spec_{side} dimension 3 does not match d_{side} = 2"):
+            evolve_bipartite(bell(), dyn, self.CFG)
 
     def test_remote_marginal_immobile(self, rng):
         w = random_entangled_state(2, 3, rng)
@@ -229,6 +320,24 @@ class TestCpExtensionAudit:
         assert rep.passed
         for r in rep.samples:
             assert r.min_eigenvalue > -1e-10
+
+    def test_rejects_empty_sample_list(self):
+        with pytest.raises(ValidationError, match="at least one sample"):
+            verify_cp_extension(BipartiteDynamics(spec_H=GeneratorSpec(H=SZ)), [], IntegratorConfig(dt=1e-2, t_final=0.1))
+
+    def test_rejects_samples_of_different_dims(self, rng):
+        samples = [bell(), random_entangled_state(2, 3, rng)]
+        with pytest.raises(ValidationError, match="differ in dims"):
+            verify_cp_extension(BipartiteDynamics(spec_H=GeneratorSpec(H=SZ)), samples, IntegratorConfig(dt=1e-2, t_final=0.1))
+
+    @pytest.mark.parametrize("dims", DIMS, ids=lambda d: f"{d[0]}x{d[1]}")
+    def test_batched_residuals_match_one_sample_calls_bitwise(self, rng, dims):
+        dyn = bipartite_dynamics(dims, "passive", rng)
+        samples = [random_entangled_state(*dims, rng, mixture_terms=2) for _ in range(3)]
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.05, monitor_stride=10)
+        rep = verify_cp_extension(dyn, samples, cfg)
+        assert rep.samples == [verify_cp_extension(dyn, [s], cfg).samples[0] for s in samples]
+        assert rep.passed
 
     def test_zero_mean_fails_remote_condition(self, rng):
         spec = GeneratorSpec(H=SZ, gamma_family=GammaFamily("zeroMean", sigma=1.0, r=2.0))

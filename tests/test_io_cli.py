@@ -611,6 +611,11 @@ class TestScenarioReader:
         assert json.loads(capsys.readouterr().err)["error"] == "SubspaceInvarianceError"
         assert not (tmp_path / "out").exists()
 
+    def test_correlation_factor_dimension_exit_one(self, tmp_path, monkeypatch, capsys):
+        doc = full_scenarios(tmp_path)["measure_correlation"]
+        doc["payload"]["generator_K"] = generator_spec_to_json(GeneratorSpec(H=np.diag([1.0, 0.0, -1.0])))
+        assert "spec_K dimension 3 does not match d_K = 2" in run_rejected(doc, tmp_path, monkeypatch, capsys)
+
     def test_check_defaults(self, tmp_path):
         doc = full_scenarios(tmp_path)["check"]
         for key in ("dim", "samples", "checks", "dims", "integrator"):

@@ -152,6 +152,14 @@ class TestCorrelationScenarioValidation:
                 P_K=P0,
             )
 
+    @pytest.mark.parametrize("side", ["H", "K"])
+    @pytest.mark.parametrize("t1", [0.0, 0.4], ids=["t0_eq_t1", "t0_lt_t1"])
+    def test_spec_dims(self, side, t1, rng):
+        spec3 = GeneratorSpec(H=random_hermitian(3, rng))
+        kwargs = {"spec_h": spec3} if side == "H" else {"spec_k": spec3}
+        with pytest.raises(ValidationError, match=f"spec_{side} dimension 3 does not match d_{side} = 2"):
+            scenario(t1=t1, **kwargs)
+
     def test_invariance_enforced_at_compute(self):
         sc = scenario(spec_h=GeneratorSpec(H=SX))
         with pytest.raises(SubspaceInvarianceError):
@@ -207,6 +215,21 @@ class TestRouteAgreement:
         p_full = correlation_full_route(sc)
         p_switch = correlation_switch_off_route(sc)
         assert p_full == pytest.approx(p_switch, abs=1e-8)
+
+    def test_coherent_marginal_routes_agree(self, rng):
+        # A mixed entangled state whose H marginal has coherences in the P_H
+        # basis, and a diagonal H that is not traceless: H rho^q + rho^q H then
+        # has off-diagonal entries and moves the P_H populations, so only a
+        # switch-off route that stops H at t1 matches the full route.
+        sc = scenario(
+            rho0=BipartiteState(d_H=2, d_K=2, matrix=random_density_matrix(4, rng, 2)),
+            spec_h=GeneratorSpec(H=np.diag([1.0, 0.3]), t_family=TFamily("powerLaw", q=1.5)),
+            spec_k=GeneratorSpec(H=SX, t_family=TFamily("powerLaw", q=1.2)),
+            t1=0.2,
+            t2=0.4,
+        )
+        rep = correlation_report(sc)
+        assert rep["p_joint_switch"] == pytest.approx(rep["p_joint_full"], abs=1e-9)
 
     def test_remote_generator_unaffected(self):
         v = np.array([np.sqrt(0.6), 0, 0, np.sqrt(0.4)], dtype=complex)

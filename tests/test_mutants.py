@@ -13,11 +13,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import test_entanglement
 import test_generators
+import test_measurement
 import test_propagation
-from nlqd import generators, propagation
+from nlqd import entanglement, generators, measurement, propagation
 from nlqd.errors import NlqdError, StepSizeError
-from nlqd.linalg import dagger
+from nlqd.linalg import dagger, partial_trace, tensor_product
 
 REAL_RENORMALIZE = propagation._renormalize
 REAL_EVAL_GAMMA = generators._eval_Gamma
@@ -69,6 +71,30 @@ def stack_member_0_h(specs):
     return generators._SpecStack(h, specs[0].t_family, replace(fam, A=a))
 
 
+def marginals_swapped(dyn, rho, dims, h_on=True):
+    g_h = generators.generator_matrix(dyn.spec_H, partial_trace(rho, dims, "H")) if h_on else None  # was "K"
+    g_k = None if dyn.spec_K is None else generators.generator_matrix(dyn.spec_K, partial_trace(rho, dims, "H"))
+    return entanglement._JointGenerator(g_h, g_k, dims)
+
+
+class JointGeneratorKOnHAxis(entanglement._JointGenerator):
+    def __matmul__(self, x):
+        lead, n = x.shape[:-2], x.shape[-1]
+        out = None
+        if self.g_h is not None:
+            out = (self.g_h @ x.reshape(lead + (self.d_h, self.d_k * n))).reshape(x.shape)
+        if self.g_k is not None:
+            k = (self.g_k @ x.reshape(lead + (self.d_h, self.d_k * n))).reshape(x.shape)  # was (d_h, d_k, n)
+            out = k if out is None else out + k
+        return np.zeros_like(x) if out is None else out
+
+
+def switch_off_keeps_h(sc, rho1):
+    rho = measurement._evolve_joint(sc, rho1, sc.t2 - sc.t1, h_on=True)  # was h_on=False
+    joint_proj = tensor_product(sc.P_H.P, sc.P_K.P)
+    return float(np.trace(joint_proj @ rho @ joint_proj).real)
+
+
 def rng():
     return np.random.default_rng(12345)
 
@@ -98,6 +124,18 @@ MUTANTS = {
     "batch_shares_member_0_h": (
         propagation, "_stack_specs", stack_member_0_h,
         lambda: test_propagation.TestMixture().test_batched_branches_match_branch_evolves_bitwise(rng()),
+    ),
+    "joint_marginals_swapped": (
+        entanglement, "_joint_generator", marginals_swapped,
+        lambda: test_entanglement.TestJointGenerator().test_action_matches_matrix(rng(), (2, 2), "passive"),
+    ),
+    "joint_g_k_on_h_axis": (
+        entanglement, "_JointGenerator", JointGeneratorKOnHAxis,
+        lambda: test_entanglement.TestJointGenerator().test_action_matches_matrix(rng(), (2, 2), "active"),
+    ),
+    "switch_off_keeps_h": (
+        measurement, "_switch_off_route", switch_off_keeps_h,
+        lambda: test_measurement.TestRouteAgreement().test_coherent_marginal_routes_agree(rng()),
     ),
 }
 

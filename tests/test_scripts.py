@@ -46,3 +46,4 @@ def test_output_digest(tmp_path, monkeypatch):
     runs = {run.split("/")[0] for run, _, _ in lines}
     assert runs == {"evolve", "propagator", "checks", "mixture", "bipartite", "report"}
     assert sum(part == "csv" for _, part, _ in lines) == 60 + 12  # 60 evolve and 12 mixture CSVs
+    assert sum(run.startswith("checks/cp_extension/") for run, _, _ in lines) == 4  # 2x2 and 3x2, B = 1 and 3
