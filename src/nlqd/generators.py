@@ -24,11 +24,9 @@ from .linalg import (
     HERM_TOL,
     ClippedEig,
     StateOperator,
-    _eye,
     _hermitian,
     _member,
     _square,
-    _trace,
     dagger,
     is_hermitian,
     max_abs,
@@ -179,13 +177,19 @@ def solve_lagrange_parameters(
 
 
 def _solve_lagrange(H: np.ndarray, r: float, dec: ClippedEig) -> tuple:
-    rho = dec.rho
-    rp = dec.power(r + 1.0)
-    tr_rho = _trace(rho)
-    tr_h = _trace(H @ rho)
-    tr_h2 = _trace(H @ H @ rho)
-    b1 = _trace(rp)
-    b2 = _trace(H @ rp)
+    # Every trace is a sum over the spectrum: with h_k = (V^dag H V)_kk and
+    # n_k = ||H v_k||^2 = (V^dag H^2 V)_kk, Tr[H rho] = sum_k lambda_k h_k,
+    # Tr[H^2 rho] = sum_k lambda_k n_k and Tr[H rho^{r+1}] = sum_k lambda_k^{r+1} h_k.
+    w = dec.eigenvalues
+    wp = w ** (r + 1.0)
+    hv = H @ dec.eigenvectors
+    h = (dec.vh.swapaxes(-1, -2) * hv).real.sum(axis=-2)
+    n = (hv.conj() * hv).real.sum(axis=-2)
+    tr_rho = w.sum(axis=-1)
+    tr_h = (w * h).sum(axis=-1)
+    tr_h2 = (w * n).sum(axis=-1)
+    b1 = wp.sum(axis=-1)
+    b2 = (wp * h).sum(axis=-1)
     det = tr_h * tr_h - tr_rho * tr_h2
     bad = np.abs(det) <= 1e-12
     if bad.any():
@@ -198,24 +202,42 @@ def _solve_lagrange(H: np.ndarray, r: float, dec: ClippedEig) -> tuple:
     return zeta, xi
 
 
+def _zero_mean_gamma(fam: GammaFamily, dec: ClippedEig) -> np.ndarray:
+    # sigma (rho^r - c I) with c = Tr[rho^r rho] / Tr[rho], diagonal in rho's eigenbasis.
+    w = dec.eigenvalues
+    wr = w**fam.r
+    c = (wr * w).sum(axis=-1) / w.sum(axis=-1)
+    return dec.spectral(fam.sigma * (wr - c[..., None]))
+
+
+def _energy_conserving_gamma(spec: GeneratorSpec, dec: ClippedEig) -> np.ndarray:
+    # sigma (rho^r - zeta H - xi I): the rho^r - xi I part is diagonal in rho's eigenbasis.
+    fam = spec.gamma_family
+    zeta, xi = _solve_lagrange(spec.H, fam.r, dec)
+    diag = fam.sigma * (dec.eigenvalues**fam.r - xi[..., None])
+    return dec.spectral(diag) - (fam.sigma * zeta)[..., None, None] * spec.H
+
+
+def _non_essential_gamma(fam: GammaFamily, dec: ClippedEig) -> np.ndarray:
+    # B + B^dag with B = (I - rho^{r-1}) A (I - P_rho).  In rho's eigenbasis
+    # I - rho^{r-1} = diag(a) and I - P_rho = diag(b), so with A~ = V^dag A V,
+    # Gamma = V (A~ o (a b^T + b a^T)) V^dag, which vanishes on the support block.
+    v, vh = dec.eigenvectors, dec.vh
+    a = 1.0 - dec.eigenvalues ** (fam.r - 1.0)
+    b = 1.0 - dec.support_mask()
+    weights = a[..., :, None] * b[..., None, :] + b[..., :, None] * a[..., None, :]
+    return v @ ((vh @ fam.A @ v) * weights) @ vh
+
+
 def _eval_Gamma(spec: GeneratorSpec, dec: ClippedEig) -> np.ndarray:
     fam = spec.gamma_family
-    rho = dec.rho
-    eye = _eye(rho.shape[-1])
     if fam.family == "none":
-        return np.zeros(rho.shape, dtype=complex)
+        return np.zeros(dec.rho.shape, dtype=complex)
     if fam.family == "zeroMean":
-        rr = dec.power(fam.r)
-        c = _trace(rr @ rho) / _trace(rho)
-        return fam.sigma * (rr - c[..., None, None] * eye)
+        return _zero_mean_gamma(fam, dec)
     if fam.family == "energyConserving":
-        zeta, xi = _solve_lagrange(spec.H, fam.r, dec)
-        rr = dec.power(fam.r)
-        return fam.sigma * (rr - zeta[..., None, None] * spec.H - xi[..., None, None] * eye)
-    # nonEssential: vanishes identically on the support block of rho.
-    p = dec.support()
-    b = (eye - dec.power(fam.r - 1.0)) @ fam.A @ (eye - p)
-    return b + dagger(b)
+        return _energy_conserving_gamma(spec, dec)
+    return _non_essential_gamma(fam, dec)
 
 
 def eval_Gamma(spec: GeneratorSpec, rho) -> np.ndarray:

@@ -158,39 +158,58 @@ def _eye(d: int) -> np.ndarray:
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The package's one Hermitian eigensolver call.  eigh reads the lower
-    # triangle only: rho is Hermitian by construction on the integration
-    # path, and the public entry points check their input first.
-    return np.linalg.eigh(a)
+    """Ascending eigenvalues and eigenvectors of a complex Hermitian matrix or
+    stack, from its lower triangle.
+
+    The package's one Hermitian eigensolver call.  It calls the LAPACK gufunc
+    that numpy.linalg.eigh wraps, without the wrapper: its type checks, error
+    state and result wrapping cost as much as the solve itself at d <= 4.
+    Without them a non-convergence returns NaN eigenvalues instead of raising,
+    which ClippedEig's eigenvalue floor rejects.  a must be complex: rho is
+    Hermitian by construction on the integration path, and the public entry
+    points check their input first.
+    """
+    return np.linalg._umath_linalg.eigh_lo(a, signature="D->dD")
 
 
 class ClippedEig:
     """One eigendecomposition of rho with small negative eigenvalues clipped.
 
     Eigenvalues in [-1e-10, 0) come from integration roundoff and are
-    treated as 0; anything more negative is a hard error.  The generator
-    families evaluate several fractional powers of the same state; one
-    decomposition per evaluation roughly halves the integration cost.
+    treated as 0; anything more negative, or a non-finite spectrum, is a hard
+    error.  The generator families read every power, projector and scalar
+    they need from this one decomposition: an RK4 stage makes one eigh.
     rho may be a stack (..., d, d); an error names the first failing member.
     """
 
     def __init__(self, rho: np.ndarray):
         self.rho = np.asarray(rho, dtype=complex)
         w, v = _eigh(self.rho)
-        lo = w[..., 0]
-        if lo.min() < -EIG_NEG_TOL:
-            bad = lo < -EIG_NEG_TOL
+        if not w.min() >= -EIG_NEG_TOL:  # written so that NaN fails it too
+            lo = w.min(axis=-1)
+            bad = ~(lo >= -EIG_NEG_TOL)
             raise ValidationError(f"matrix{_member(bad)} has eigenvalue {lo[bad].flat[0]} < -1e-10")
         self.eigenvalues = np.maximum(w, 0.0)
         self.eigenvectors = v
+        self._vh = None
+
+    @property
+    def vh(self) -> np.ndarray:
+        """V^dag, formed once per decomposition on first use."""
+        if self._vh is None:
+            self._vh = dagger(self.eigenvectors)
+        return self._vh
+
+    def spectral(self, f: np.ndarray) -> np.ndarray:
+        """V diag(f) V^dag for one weight vector f (..., d) per member."""
+        return (self.eigenvectors * f[..., None, :]) @ self.vh
 
     def power(self, s: float) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :] ** s) @ dagger(v)
+        return self.spectral(self.eigenvalues**s)
 
-    def support(self, rel_tol: float = SUPPORT_REL_TOL) -> np.ndarray:
-        """Projector onto the eigenvectors above rel_tol times the largest
-        eigenvalue, one per member of a stack."""
+    def support_mask(self, rel_tol: float = SUPPORT_REL_TOL) -> np.ndarray:
+        """True for the eigenvalues above rel_tol times the largest one, one
+        row per member of a stack."""
         if not (0.0 < rel_tol < 1.0):
             raise ValidationError(f"rel_tol must lie in (0, 1), got {rel_tol}")
         w = self.eigenvalues
@@ -198,8 +217,12 @@ class ClippedEig:
         zero = lmax[..., 0] <= 0.0
         if zero.any():
             raise ValidationError(f"support projector of a (numerically) zero matrix{_member(zero)}")
-        v = self.eigenvectors * (w > rel_tol * lmax)[..., None, :]
-        return v @ dagger(v)
+        return w > rel_tol * lmax
+
+    def support(self, rel_tol: float = SUPPORT_REL_TOL) -> np.ndarray:
+        """Projector onto the eigenvectors above rel_tol times the largest
+        eigenvalue, one per member of a stack."""
+        return self.spectral(self.support_mask(rel_tol))
 
 
 def matrix_power(rho, s: float) -> np.ndarray:

@@ -23,6 +23,7 @@ from .generators import GeneratorSpec, _eval_T, eval_T, generator_matrix
 from .linalg import (
     ClippedEig,
     DensityMatrix,
+    _hermitian,
     _square,
     _state,
     dagger,
@@ -50,10 +51,10 @@ class MeasurementSetup:
     P: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.P, dtype=complex)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValidationError("projector must be a square matrix")
-        p = (p + dagger(p)) / 2  # re-symmetrize user input
+        p = _hermitian(self.P)
+        if p.ndim != 2:
+            raise ValidationError(f"a projector is one matrix, got shape {p.shape}")
+        p = (p + dagger(p)) / 2  # exactly Hermitian: _hermitian lets roundoff through
         if max_abs(p @ p - p) > PROJECTOR_TOL:
             raise ValidationError("P is not idempotent to 1e-10")
         object.__setattr__(self, "P", p)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SX, SZ, random_hermitian, random_pure
+from nlqd import generators, linalg
 from nlqd.errors import DegenerateConstraintError, ValidationError
 from nlqd.generators import (
     GammaFamily,
@@ -18,7 +19,7 @@ from nlqd.generators import (
     random_density_matrix,
     solve_lagrange_parameters,
 )
-from nlqd.linalg import dagger, max_abs, purity, sqrt_factor
+from nlqd.linalg import SUPPORT_REL_TOL, ClippedEig, dagger, max_abs, purity, sqrt_factor
 
 
 def power_law_spec(H, q=1.0, gamma=None):
@@ -179,6 +180,65 @@ class TestEvalGamma:
                 assert max_abs(motion - (h @ rho - rho @ h)) < 1e-9
 
 
+def gamma_by_products(spec, rho):
+    """Each Gamma family in its matrix-product form, powers from np.linalg.eigh:
+    the oracle of the spectral kernels."""
+    fam, eye = spec.gamma_family, np.eye(rho.shape[-1])
+    w, v = np.linalg.eigh(rho)
+    w = np.maximum(w, 0.0)
+
+    def power(s):
+        return (v * w[..., None, :] ** s) @ dagger(v)
+
+    def tr(a):
+        return a.trace(axis1=-2, axis2=-1).real
+
+    if fam.family == "zeroMean":
+        rr = power(fam.r)
+        c = tr(rr @ rho) / tr(rho)
+        return fam.sigma * (rr - c[..., None, None] * eye)
+    if fam.family == "energyConserving":
+        h, rp = spec.H, power(fam.r + 1.0)
+        tr_rho, tr_h, tr_h2, b1, b2 = tr(rho), tr(h @ rho), tr(h @ h @ rho), tr(rp), tr(h @ rp)
+        det = tr_h * tr_h - tr_rho * tr_h2
+        zeta = (b1 * tr_h - b2 * tr_rho) / det
+        xi = (tr_h * b2 - tr_h2 * b1) / det
+        return fam.sigma * (power(fam.r) - zeta[..., None, None] * h - xi[..., None, None] * eye)
+    keep = w > SUPPORT_REL_TOL * w.max(axis=-1, keepdims=True)
+    p = (v * keep[..., None, :]) @ dagger(v)
+    b = (eye - power(fam.r - 1.0)) @ fam.A @ (eye - p)
+    return b + dagger(b)
+
+
+class TestSpectralKernels:
+    FAMILIES = ("zeroMean", "energyConserving", "nonEssential")
+
+    def spec(self, fam, d, rng):
+        h = random_hermitian(d, rng)
+        if fam == "nonEssential":
+            return power_law_spec(h, 1.3, GammaFamily(fam, r=1.7, A=random_hermitian(d, rng)))
+        return power_law_spec(h, 1.3, GammaFamily(fam, sigma=0.7, r=1.7))
+
+    @pytest.mark.parametrize("fam", FAMILIES)
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_match_the_matrix_product_form(self, rng, fam, d):
+        for rank in sorted({1, d - 1, d}):
+            spec, rho = self.spec(fam, d, rng), random_density_matrix(d, rng, rank)
+            assert max_abs(eval_Gamma(spec, rho) - gamma_by_products(spec, rho)) <= 1e-14
+
+    @pytest.mark.parametrize("fam", FAMILIES)
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_stack_matches_the_matrix_product_form(self, rng, fam, d):
+        specs = [self.spec(fam, d, rng) for _ in range(3)]
+        rhos = np.array([random_density_matrix(d, rng, rank) for rank in (1, max(1, d - 1), d)])
+        stacked = generators._stack_specs(specs)
+        got = generators._eval_Gamma(stacked, ClippedEig(rhos))
+        assert got.shape == rhos.shape
+        assert max_abs(got - gamma_by_products(stacked, rhos)) <= 1e-14
+        for i in range(3):
+            assert max_abs(got[i] - eval_Gamma(specs[i], rhos[i])) <= 1e-14
+
+
 class TestLagrangeParameters:
     def test_identity_hamiltonian_degenerate(self, rng):
         rho = random_density_matrix(2, rng)
@@ -289,8 +349,8 @@ class TestPolchinskiCondition:
         assert check_polchinski_condition(spec, random_density_matrix(2, rng)).passed
 
     def test_one_decomposition_per_check(self, rng, monkeypatch):
-        eigh, calls = np.linalg.eigh, []
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        eigh, calls = linalg._eigh, []
+        monkeypatch.setattr(linalg, "_eigh", lambda a: calls.append(1) or eigh(a))
         for gam in (
             GammaFamily("none"),
             GammaFamily("zeroMean", sigma=1.0, r=2.0),
@@ -311,8 +371,8 @@ class TestPolchinskiCondition:
             abs(np.trace(dagger(g) @ eval_Gamma(spec, s) @ g))
             for s, g in ((s, sqrt_factor(s).matrix) for s in samples)
         ]
-        eigh, calls = np.linalg.eigh, []
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        eigh, calls = linalg._eigh, []
+        monkeypatch.setattr(linalg, "_eigh", lambda a: calls.append(1) or eigh(a))
         rep = check_zero_mean(spec, samples)
         assert len(calls) == len(samples)
         assert rep.residuals.tolist() == expected

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SZ, bell_state, random_pure
+from nlqd import linalg
 from nlqd.errors import ValidationError
-from nlqd.generators import random_density_matrix
+from nlqd.generators import GeneratorSpec, TFamily, generator_matrix, random_density_matrix
 from nlqd.linalg import (
     ClippedEig,
     DensityMatrix,
@@ -150,6 +151,34 @@ def test_eigenvalue_floor_names_the_member():
         ClippedEig(stack)
     with pytest.raises(ValidationError, match="^matrix has eigenvalue -0.5"):
         ClippedEig(stack[2])
+
+
+@pytest.mark.parametrize("m", [[[np.nan, 0], [0, 0.5]], [[0.5, 0], [0, np.nan]], [[0.5, 0.1], [0.1, np.inf]]])
+def test_eigenvalue_floor_rejects_a_non_finite_spectrum(m):
+    with pytest.raises(ValidationError, match="^matrix has eigenvalue nan"):
+        ClippedEig(np.array(m))
+    spec = GeneratorSpec(H=SZ, t_family=TFamily("powerLaw", q=1.3))
+    with pytest.raises(ValidationError):
+        generator_matrix(spec, np.array(m))
+
+
+def test_eigenvalue_floor_names_the_non_finite_member():
+    stack = np.array([np.eye(2) / 2, np.diag([0.5, np.nan]), np.eye(2) / 2])
+    with pytest.raises(ValidationError, match=r"\(member 1\) has eigenvalue nan"):
+        ClippedEig(stack)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+def test_eigh_equals_numpy_eigh_bitwise(rng, d):
+    # _eigh calls the gufunc numpy.linalg.eigh wraps; a numpy upgrade that
+    # changes that private gufunc must show here.
+    stack = np.array([random_density_matrix(d, rng, rank) for rank in range(1, d + 1)] * 2)
+    stack[-1] += 1j * np.triu(rng.standard_normal((d, d)), 1)  # the upper triangle is never read
+    for a in (stack[0], stack[-1], stack):
+        w, v = linalg._eigh(a)
+        w_np, v_np = np.linalg.eigh(a)
+        assert w.tobytes() == w_np.tobytes() and v.tobytes() == v_np.tobytes()
+        assert w.shape == w_np.shape and v.shape == v_np.shape
 
 
 class TestSqrtFactor:

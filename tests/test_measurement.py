@@ -46,6 +46,15 @@ class TestMeasurementSetup:
     def test_complement(self):
         assert max_abs(P0.Q - np.diag([0.0, 1.0])) < 1e-12
 
+    def test_rejects_non_hermitian(self):
+        # idempotent once symmetrized (it becomes diag(1, 0)), but not Hermitian
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            MeasurementSetup(P=[[1.0, 0.5], [-0.5, 0.0]])
+
+    def test_rejects_a_stack(self):
+        with pytest.raises(ValidationError, match="one matrix"):
+            MeasurementSetup(P=np.array([np.diag([1.0, 0.0])] * 2))
+
     def test_resymmetrizes(self):
         p = MeasurementSetup(P=np.diag([1.0, 0.0]) + 1e-13 * np.array([[0, 1], [0, 0]]))
         assert max_abs(p.P - dagger(p.P)) == 0.0

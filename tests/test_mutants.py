@@ -56,6 +56,21 @@ def gamma_without_mean(spec, dec):
     return REAL_EVAL_GAMMA(spec, dec)
 
 
+def energy_conserving_without_zeta(spec, dec):
+    fam = spec.gamma_family
+    zeta, xi = generators._solve_lagrange(spec.H, fam.r, dec)
+    diag = fam.sigma * (dec.eigenvalues**fam.r - xi[..., None])
+    return dec.spectral(diag)  # was dec.spectral(diag) - sigma * zeta * H
+
+
+def non_essential_without_transpose(fam, dec):
+    v, vh = dec.eigenvectors, dec.vh
+    a = 1.0 - dec.eigenvalues ** (fam.r - 1.0)
+    b = 1.0 - dec.support_mask()
+    weights = a[..., :, None] * b[..., None, :]  # was a b^T + b a^T
+    return v @ ((vh @ fam.A @ v) * weights) @ vh
+
+
 def factor_rhs_swapped(g_of_rho):
     def rhs(xs):
         gen = g_of_rho(dagger(xs[0]) @ xs[0])  # was xs[0] @ dagger(xs[0])
@@ -112,6 +127,14 @@ MUTANTS = {
     "gamma_without_mean": (
         generators, "_eval_Gamma", gamma_without_mean,
         lambda: test_generators.TestZeroMeanCheck().test_zero_mean_family_passes(rng()),
+    ),
+    "energy_conserving_without_zeta": (
+        generators, "_energy_conserving_gamma", energy_conserving_without_zeta,
+        lambda: test_generators.TestLagrangeParameters().test_anticommutator_energy_neutral(rng()),
+    ),
+    "non_essential_without_transpose": (
+        generators, "_non_essential_gamma", non_essential_without_transpose,
+        lambda: test_generators.TestEvalGamma().test_non_essential_frozen_example(),
     ),
     "generator_at_gamma_dag_gamma": (
         propagation, "_factor_rhs", factor_rhs_swapped,
