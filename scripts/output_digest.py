@@ -12,8 +12,11 @@ The set: ``evolve`` for the five families at d = 2, 4, 8, pure and full
 rank, monitor strides 1 and 7; ``accumulate_propagator``; the zero-mean and
 support-block residuals; same-family and mixed-family mixtures; bipartite
 runs at 2x2 and 2x4; ``verify_cp_extension`` residuals at 2x2 and 3x2 for
-one sample and for three; and the six correlation scenarios of the
-benchmark.
+one sample and for three; the six correlation scenarios of the benchmark;
+and both sides of the nonEssential zero-Gamma skip: ``evolve_many`` stacks
+at d = 2 and 4 of full-rank members only and of full-rank and rank-1
+members mixed, and correlation scenarios whose Q block, or P block, carries
+no weight.
 Each line is ``<run> <part> <sha256>``, a part being the states, the drifts,
 one monitor channel, the propagator S, the CSV bytes or the report values.
 
@@ -45,13 +48,14 @@ from nlqd.generators import (  # noqa: E402
     random_density_matrix,
 )
 from nlqd.io import trajectory_to_csv  # noqa: E402
-from nlqd.measurement import correlation_report  # noqa: E402
+from nlqd.measurement import CorrelationScenario, MeasurementSetup, correlation_report  # noqa: E402
 from nlqd.propagation import (  # noqa: E402
     IntegratorConfig,
     MixtureSpec,
     accumulate_propagator,
     evolve,
     evolve_convex_mixture,
+    evolve_many,
 )
 import workloads  # noqa: E402
 
@@ -156,6 +160,28 @@ def collect(out: Digest) -> None:
     for name, sc, _ in workloads.correlation_scenarios(np.random.default_rng(SEED)):
         rep = correlation_report(sc)
         out.add(name, "report", np.array([rep[k] for k in sorted(rep)]))
+    # Own generator from here on, so the lines above stay those of earlier versions.
+    rng = np.random.default_rng(SEED + 1)
+    cfg = IntegratorConfig(dt=DT, t_final=0.05, monitor_stride=5)
+    for d in (2, 4):
+        spec = specs(herm(rng, d), herm(rng, d))["nonEssential"]
+        for name, ranks in (("full", (d, d, d)), ("mixed", (d, 1, d, 1))):
+            trajs = evolve_many([random_density_matrix(d, rng, r) for r in ranks], spec, cfg)
+            for i, traj in enumerate(trajs):
+                out.trajectory(f"evolve_many/nonEssential/d{d}/{name}/{i}", traj)
+    # The H marginal stays in |0><0|: the Q block of P_H = |0><0| carries no
+    # weight, and the P block of P_H = |1><1| none.
+    spec_h = GeneratorSpec(H=np.diag([0.7, -0.4]), t_family=TFamily("powerLaw", q=1.4))
+    spec_k = GeneratorSpec(H=herm(rng, 2), t_family=TFamily("powerLaw", q=1.2))
+    rho0 = BipartiteState(d_H=2, d_K=2, matrix=np.kron(np.diag([1.0, 0.0]), random_density_matrix(2, rng)))
+    for name, p_h in (("q_empty", np.diag([1.0, 0.0])), ("p_empty", np.diag([0.0, 1.0]))):
+        sc = CorrelationScenario(
+            rho0=rho0, dyn=BipartiteDynamics(spec_H=spec_h, spec_K=spec_k), t0=0.0, t1=0.15, t2=0.35,
+            P_H=MeasurementSetup(P=p_h), P_K=MeasurementSetup(P=np.diag([1.0, 0.0])),
+            cfg=IntegratorConfig(dt=DT, t_final=1.0),
+        )
+        rep = correlation_report(sc)
+        out.add(f"report/{name}", "report", np.array([rep[k] for k in sorted(rep)]))
 
 
 def main() -> int:

@@ -218,21 +218,26 @@ def _energy_conserving_gamma(spec: GeneratorSpec, dec: ClippedEig) -> np.ndarray
     return dec.spectral(diag) - (fam.sigma * zeta)[..., None, None] * spec.H
 
 
-def _non_essential_gamma(fam: GammaFamily, dec: ClippedEig) -> np.ndarray:
+def _non_essential_gamma(fam: GammaFamily, dec: ClippedEig) -> Optional[np.ndarray]:
     # B + B^dag with B = (I - rho^{r-1}) A (I - P_rho).  In rho's eigenbasis
     # I - rho^{r-1} = diag(a) and I - P_rho = diag(b), so with A~ = V^dag A V,
     # Gamma = V (A~ o (a b^T + b a^T)) V^dag, which vanishes on the support block.
+    mask = dec.support_mask()
+    if mask.all():  # every member's support is full: b = 0, so Gamma = 0 exactly
+        return None
     v, vh = dec.eigenvectors, dec.vh
     a = 1.0 - dec.eigenvalues ** (fam.r - 1.0)
-    b = 1.0 - dec.support_mask()
+    b = 1.0 - mask
     weights = a[..., :, None] * b[..., None, :] + b[..., :, None] * a[..., None, :]
     return v @ ((vh @ fam.A @ v) * weights) @ vh
 
 
-def _eval_Gamma(spec: GeneratorSpec, dec: ClippedEig) -> np.ndarray:
+def _eval_Gamma(spec: GeneratorSpec, dec: ClippedEig) -> Optional[np.ndarray]:
+    """Gamma at dec's state, or None where it is identically zero: the none
+    family, and nonEssential when every member's support is full."""
     fam = spec.gamma_family
     if fam.family == "none":
-        return np.zeros(dec.rho.shape, dtype=complex)
+        return None
     if fam.family == "zeroMean":
         return _zero_mean_gamma(fam, dec)
     if fam.family == "energyConserving":
@@ -240,9 +245,14 @@ def _eval_Gamma(spec: GeneratorSpec, dec: ClippedEig) -> np.ndarray:
     return _non_essential_gamma(fam, dec)
 
 
+def _gamma_or_zeros(spec: GeneratorSpec, dec: ClippedEig) -> np.ndarray:
+    gam = _eval_Gamma(spec, dec)
+    return np.zeros(dec.rho.shape, dtype=complex) if gam is None else gam
+
+
 def eval_Gamma(spec: GeneratorSpec, rho) -> np.ndarray:
     """Gamma(rho) for a Hermitian rho of the spec's dimension."""
-    return _eval_Gamma(spec, ClippedEig(_hermitian(rho, spec.dim)))
+    return _gamma_or_zeros(spec, ClippedEig(_hermitian(rho, spec.dim)))
 
 
 def generator_matrix(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
@@ -252,13 +262,13 @@ def generator_matrix(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
     a rho that is Hermitian by construction, so it checks nothing beyond
     ClippedEig's eigenvalue floor.  Validate input with eval_T / eval_Gamma.
     rho may be a stack (B, d, d), and spec a stack of B specs; G is then one
-    generator per member.
+    generator per member.  Where Gamma is identically zero, G is T itself,
+    which for vonNeumann is the spec's read-only H.
     """
     dec = ClippedEig(rho)
     t = _eval_T(spec, dec)
-    if spec.gamma_family.family == "none":
-        return t
-    return t + 1j * _eval_Gamma(spec, dec)
+    gam = _eval_Gamma(spec, dec)
+    return t if gam is None else t + 1j * gam
 
 
 @dataclass(frozen=True)
@@ -279,7 +289,7 @@ def check_zero_mean(spec: GeneratorSpec, rho_samples, gamma_fn=None) -> ZeroMean
     for rho in rho_samples:
         dec = ClippedEig(_hermitian(rho, spec.dim))
         g = StateOperator(matrix=dec.power(0.5)).matrix
-        gam = gamma_fn(dec.rho) if gamma_fn is not None else _eval_Gamma(spec, dec)
+        gam = gamma_fn(dec.rho) if gamma_fn is not None else _gamma_or_zeros(spec, dec)
         residuals.append(abs(np.trace(dagger(g) @ gam @ g)))
     residuals = np.asarray(residuals)
     return ZeroMeanReport(residuals=residuals, passed=bool(np.all(residuals <= ZERO_MEAN_TOL)))
@@ -318,7 +328,7 @@ def check_polchinski_condition(spec: GeneratorSpec, rho: np.ndarray) -> SupportB
     """
     dec = ClippedEig(_hermitian(rho, spec.dim))
     p = dec.support()
-    residual = max_abs(p @ _eval_Gamma(spec, dec) @ p)
+    residual = max_abs(p @ _gamma_or_zeros(spec, dec) @ p)
     return SupportBlockResult(passed=residual <= SUPPORT_BLOCK_TOL, residual=residual)
 
 

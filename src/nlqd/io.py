@@ -337,33 +337,54 @@ def trajectory_to_csv(traj: Trajectory, path: str, dump_states: bool = False) ->
             writer.writerow([_fmt(x) for x in row])
 
 
+def _cell(row: dict, n: int, column: str) -> float:
+    """The number in data row n's column; a missing cell or one that is not a
+    number is a ValidationError naming both."""
+    value = row.get(column)  # a short row holds None in its last columns
+    if value is None:
+        raise ValidationError(f"row {n} has no cell in column {column!r}")
+    try:
+        return float(value)
+    except ValueError:
+        raise ValidationError(f"row {n}, column {column!r}: {value!r} is not a number") from None
+
+
 def verify_csv(path: str) -> dict:
     """Spot-check the physical-state invariants on an exported trajectory, to
     the tolerances of ``Trajectory.validate``.
 
     With dumped states the full matrix invariants are checked; otherwise the
-    trace and eigenvalue columns are audited.
+    trace and eigenvalue columns are audited.  An unreadable file is a
+    ValidationError, and so is a malformed table (a missing column, a short
+    or long row, a cell that is not a number), naming the data row, counted
+    from 1 after the header, and the column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read CSV file: {exc}") from exc
     if not rows:
         raise ValidationError("empty CSV")
-    has_states = any(k.startswith("re_") for k in rows[0])
+    eig_columns = [k for k in reader.fieldnames if k.startswith("eig_")]
+    # The dumped state's dimension; 0 without states.
+    d = int(round(np.sqrt(sum(1 for k in reader.fieldnames if k.startswith("re_")))))
     problems = []
-    for row in rows:
-        t = float(row["t"])
+    for n, row in enumerate(rows, start=1):
+        if None in row:  # DictReader files the cells past the header under None
+            raise ValidationError(f"row {n} has more cells than the header")
+        t = _cell(row, n, "t")
         # Each check is written to fail on NaN, which compares False to anything.
-        if not abs(float(row["trace"]) - 1.0) <= RECORD_TRACE_TOL:
+        if not abs(_cell(row, n, "trace") - 1.0) <= RECORD_TRACE_TOL:
             problems.append(f"t={t}: trace off by more than {RECORD_TRACE_TOL}")
-        eigs = [float(v) for k, v in row.items() if k.startswith("eig_")]
+        eigs = [_cell(row, n, k) for k in eig_columns]
         if eigs and not np.min(eigs) >= -EIG_NEG_TOL:
             problems.append(f"t={t}: eigenvalue below -{EIG_NEG_TOL}")
-        if has_states:
-            d = int(round(np.sqrt(sum(1 for k in row if k.startswith("re_")))))
+        if d:
             m = np.array(
                 [
-                    [float(row[f"re_{i}_{j}"]) + 1j * float(row[f"im_{i}_{j}"]) for j in range(d)]
+                    [_cell(row, n, f"re_{i}_{j}") + 1j * _cell(row, n, f"im_{i}_{j}") for j in range(d)]
                     for i in range(d)
                 ]
             )

@@ -46,9 +46,11 @@ INVARIANCE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class MeasurementSetup:
-    """Binary projective measurement P vs its complement Q = I - P."""
+    """Binary projective measurement P vs its complement Q = I - P, both
+    built once and read-only."""
 
     P: np.ndarray
+    Q: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         p = _hermitian(self.P)
@@ -57,11 +59,11 @@ class MeasurementSetup:
         p = (p + dagger(p)) / 2  # exactly Hermitian: _hermitian lets roundoff through
         if max_abs(p @ p - p) > PROJECTOR_TOL:
             raise ValidationError("P is not idempotent to 1e-10")
+        q = np.eye(p.shape[0]) - p
+        p.setflags(write=False)
+        q.setflags(write=False)
         object.__setattr__(self, "P", p)
-
-    @property
-    def Q(self) -> np.ndarray:
-        return np.eye(self.P.shape[0]) - self.P
+        object.__setattr__(self, "Q", q)
 
     @property
     def dim(self) -> int:
@@ -177,26 +179,27 @@ def _full_route(sc: CorrelationScenario, rho1: np.ndarray) -> float:
     rho_p = p_h_full @ rho1 @ p_h_full
     rho_q = q_h_full @ rho1 @ q_h_full
 
-    # Local propagators over (t1, t2): one per H block, one shared for K.
+    # Local propagators over (t1, t2): the P block's for H, one shared for K.
+    # The Q block has a projected propagator of its own, but the probability
+    # reads only the P block, so that one is not stepped; the Q block still
+    # enters the K marginal.
     m_p = partial_trace(rho_p, (d_h, d_k), "K")
-    m_q = partial_trace(rho_q, (d_h, d_k), "K")
     n_k = partial_trace(rho_p + rho_q, (d_h, d_k), "H")
     spec_h, spec_k = sc.dyn.spec_H, sc.dyn.spec_K
 
     def rhs(xs):
-        s_p, s_q, s_k = xs
+        s_p, s_k = xs
         t_p = sc.P_H.P @ _eval_T(spec_h, ClippedEig(s_p @ m_p @ dagger(s_p))) @ sc.P_H.P
-        t_q = sc.P_H.Q @ _eval_T(spec_h, ClippedEig(s_q @ m_q @ dagger(s_q))) @ sc.P_H.Q
         ds_k = np.zeros_like(s_k)
         if spec_k is not None:
             ds_k = -1j * (_eval_T(spec_k, ClippedEig(s_k @ n_k @ dagger(s_k))) @ s_k)
-        return -1j * (t_p @ s_p), -1j * (t_q @ s_q), ds_k
+        return -1j * (t_p @ s_p), ds_k
 
-    xs = (sc.P_H.P.copy(), sc.P_H.Q.copy(), np.eye(d_k, dtype=complex))
+    xs = (sc.P_H.P.copy(), np.eye(d_k, dtype=complex))
     phase = _phase_cfg(sc.cfg, sc.t2 - sc.t1)
     for _ in range(phase.n_steps):
         xs = _rk4(xs, rhs, phase.dt)
-    s_p, _, s_k = xs
+    s_p, s_k = xs
     prop = tensor_product(s_p, s_k)
     rho_p_t2 = prop @ rho_p @ dagger(prop)
     p_k_full = tensor_product(np.eye(d_h), sc.P_K.P)
@@ -213,7 +216,7 @@ def correlation_full_route(sc: CorrelationScenario) -> float:
     """Joint probability of (positive P_H at t1, positive P_K at t2) from the
     explicit block-resolved post-measurement evolution.
 
-    The measured factor evolves per block with projected propagators; the
+    The measured factor's P block evolves with its projected propagator; the
     remote factor keeps a single propagator driven by its own (continuous)
     marginal.
     """

@@ -180,6 +180,10 @@ class TestEvalGamma:
                 assert max_abs(motion - (h @ rho - rho @ h)) < 1e-9
 
 
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def gamma_by_products(spec, rho):
     """Each Gamma family in its matrix-product form, powers from np.linalg.eigh:
     the oracle of the spectral kernels."""
@@ -237,6 +241,27 @@ class TestSpectralKernels:
         assert max_abs(got - gamma_by_products(stacked, rhos)) <= 1e-14
         for i in range(3):
             assert max_abs(got[i] - eval_Gamma(specs[i], rhos[i])) <= 1e-14
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_non_essential_on_a_full_support_is_t_itself(self, rng, d):
+        # I - P_rho = 0 on a full support, so no Gamma is formed at all
+        spec, rho = self.spec("nonEssential", d, rng), random_density_matrix(d, rng)
+        t = generators._eval_T(spec, ClippedEig(rho))
+        assert same_bits(generators.generator_matrix(spec, rho), t)
+        gam = eval_Gamma(spec, rho)
+        assert gam.shape == (d, d) and not gam.any()
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_non_essential_mixed_stack_members_match_one_matrix_bitwise(self, rng, d):
+        # A rank-1 member keeps the stack on the full formula; its full-rank
+        # members get exact zeros from it, the same bits as the skip alone.
+        specs = [self.spec("nonEssential", d, rng) for _ in range(3)]
+        rhos = np.array([random_density_matrix(d, rng, rank) for rank in (d, 1, d)])
+        stacked = generators._stack_specs(specs)
+        got = generators.generator_matrix(stacked, rhos)
+        for i in range(3):
+            assert same_bits(got[i], generators.generator_matrix(specs[i], rhos[i])), i
+        assert max_abs(got[1] - generators._eval_T(specs[1], ClippedEig(rhos[1]))) > 1e-3
 
 
 class TestLagrangeParameters:

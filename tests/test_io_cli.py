@@ -211,6 +211,44 @@ class TestCsv:
         assert not rep["ok"] and len(rep["problems"]) >= 1
 
 
+    def malformed(self, tmp_path, rng, edit):
+        """A verified CSV with dumped states, its table of cells (header
+        first) changed in place by edit."""
+        out = tmp_path / "t.csv"
+        trajectory_to_csv(self.run_traj(rng), str(out), dump_states=True)
+        table = [line.split(",") for line in out.read_text().splitlines()]
+        edit(table)
+        out.write_text("".join(",".join(row) + "\n" for row in table))
+        return str(out)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda table: table[0].__setitem__(1, "tr"), "row 1 has no cell in column 'trace'"),
+            (lambda table: table[2].__setitem__(1, "abc"), "row 2, column 'trace': 'abc' is not a number"),
+            (lambda table: table[3].pop(), "row 3 has no cell in column 'im_1_1'"),
+            (lambda table: table[1].append("0"), "row 1 has more cells than the header"),
+        ],
+        ids=["missing_column", "non_numeric_cell", "short_row", "long_row"],
+    )
+    def test_malformed_csv_exit_one(self, tmp_path, rng, capsys, edit, message):
+        path = self.malformed(tmp_path, rng, edit)
+        with pytest.raises(ValidationError, match=message):
+            verify_csv(path)
+        assert main(["verify", path]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValidationError" and message in record["message"]
+
+    @pytest.mark.parametrize("content", [None, b"t,trace\n\xff\xfe,1\n"], ids=["missing", "not_utf8"])
+    def test_unreadable_csv_exit_one(self, tmp_path, capsys, content):
+        path = tmp_path / "t.csv"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["verify", str(path)]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValidationError" and "cannot read CSV file" in record["message"]
+
+
 class TestCliEndToEnd:
     def test_run_evolve_exit_zero(self, tmp_path, rng):
         rho0 = random_density_matrix(2, rng)

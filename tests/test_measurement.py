@@ -1,13 +1,16 @@
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from conftest import SX, SZ, bell_state, random_hermitian, singlet_state
 from nlqd.errors import SubspaceInvarianceError, ValidationError
-from nlqd.generators import GammaFamily, GeneratorSpec, TFamily, random_density_matrix
+from nlqd.generators import GammaFamily, GeneratorSpec, TFamily, _eval_T, random_density_matrix
 from nlqd.entanglement import BipartiteDynamics, BipartiteState
 from nlqd import measurement
-from nlqd.linalg import dagger, max_abs, tensor_product
+from nlqd.linalg import ClippedEig, dagger, max_abs, partial_trace, tensor_product
 from nlqd.measurement import (
     CorrelationScenario,
     MeasurementSetup,
@@ -19,7 +22,10 @@ from nlqd.measurement import (
     evolve_block_diagonal,
     projective_measure,
 )
-from nlqd.propagation import IntegratorConfig
+from nlqd.propagation import IntegratorConfig, _rk4
+
+sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
 
 P0 = MeasurementSetup(P=np.diag([1.0, 0.0]))
 P1 = MeasurementSetup(P=np.diag([0.0, 1.0]))
@@ -45,6 +51,16 @@ class TestMeasurementSetup:
 
     def test_complement(self):
         assert max_abs(P0.Q - np.diag([0.0, 1.0])) < 1e-12
+
+    def test_complement_built_once_and_read_only(self, rng):
+        v = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0][:, :2]
+        m = MeasurementSetup(P=v @ dagger(v))
+        assert np.array_equal(m.Q, np.eye(3) - m.P)
+        assert m.Q is m.Q
+        for a in (m.P, m.Q):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
 
     def test_rejects_non_hermitian(self):
         # idempotent once symmetrized (it becomes diag(1, 0)), but not Hermitian
@@ -202,7 +218,83 @@ class TestSingletFrozen:
         assert rep["p_joint_switch"] == pytest.approx(rep["p_joint_full"], abs=1e-9)
 
 
+def full_route_three_propagators(sc, rho1):
+    """The block-resolved route with a propagator for each H block and one for
+    K, the Q block's stepped but never read: the oracle of _full_route."""
+    d_h, d_k = sc.rho0.dims
+    p_h_full = tensor_product(sc.P_H.P, np.eye(d_k))
+    q_h_full = tensor_product(sc.P_H.Q, np.eye(d_k))
+    rho_p = p_h_full @ rho1 @ p_h_full
+    rho_q = q_h_full @ rho1 @ q_h_full
+    m_p = partial_trace(rho_p, (d_h, d_k), "K")
+    m_q = partial_trace(rho_q, (d_h, d_k), "K")
+    n_k = partial_trace(rho_p + rho_q, (d_h, d_k), "H")
+    spec_h, spec_k = sc.dyn.spec_H, sc.dyn.spec_K
+
+    def rhs(xs):
+        s_p, s_q, s_k = xs
+        t_p = sc.P_H.P @ _eval_T(spec_h, ClippedEig(s_p @ m_p @ dagger(s_p))) @ sc.P_H.P
+        t_q = sc.P_H.Q @ _eval_T(spec_h, ClippedEig(s_q @ m_q @ dagger(s_q))) @ sc.P_H.Q
+        ds_k = np.zeros_like(s_k)
+        if spec_k is not None:
+            ds_k = -1j * (_eval_T(spec_k, ClippedEig(s_k @ n_k @ dagger(s_k))) @ s_k)
+        return -1j * (t_p @ s_p), -1j * (t_q @ s_q), ds_k
+
+    xs = (sc.P_H.P.copy(), sc.P_H.Q.copy(), np.eye(d_k, dtype=complex))
+    phase = measurement._phase_cfg(sc.cfg, sc.t2 - sc.t1)
+    for _ in range(phase.n_steps):
+        xs = _rk4(xs, rhs, phase.dt)
+    s_p, _, s_k = xs
+    prop = tensor_product(s_p, s_k)
+    rho_p_t2 = prop @ rho_p @ dagger(prop)
+    p_k_full = tensor_product(np.eye(d_h), sc.P_K.P)
+    return float(np.trace(p_k_full @ rho_p_t2 @ p_k_full).real)
+
+
+def empty_block_scenario(p_h):
+    """The H marginal stays |0><0| under a diagonal H: with p_h = |0><0| the Q
+    block carries no weight, with |1><1| the P block none."""
+    rng = np.random.default_rng(2024)
+    return CorrelationScenario(
+        rho0=BipartiteState(d_H=2, d_K=2, matrix=np.kron(np.diag([1.0, 0.0]), random_density_matrix(2, rng))),
+        dyn=BipartiteDynamics(
+            spec_H=GeneratorSpec(H=np.diag([0.7, -0.4]), t_family=TFamily("powerLaw", q=1.4)),
+            spec_K=GeneratorSpec(H=random_hermitian(2, rng), t_family=TFamily("powerLaw", q=1.2)),
+        ),
+        t0=0.0,
+        t1=0.15,
+        t2=0.35,
+        P_H=MeasurementSetup(P=p_h),
+        P_K=P0,
+        cfg=IntegratorConfig(dt=1e-3, t_final=1.0),
+    )
+
+
+ROUTE_SCENARIOS = {
+    **{name: sc for name, sc, _ in workloads.correlation_scenarios(np.random.default_rng(7919))},
+    "q_block_empty": empty_block_scenario(np.diag([1.0, 0.0])),
+    "p_block_empty": empty_block_scenario(np.diag([0.0, 1.0])),
+}
+
+
 class TestRouteAgreement:
+    @pytest.mark.parametrize("name", list(ROUTE_SCENARIOS))
+    def test_full_route_matches_three_propagators_bitwise(self, name):
+        sc = ROUTE_SCENARIOS[name]
+        rho1 = measurement._first_phase(sc)
+        got, ref = measurement._full_route(sc, rho1), full_route_three_propagators(sc, rho1)
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+    def test_empty_blocks(self):
+        q_empty, p_empty = ROUTE_SCENARIOS["q_block_empty"], ROUTE_SCENARIOS["p_block_empty"]
+        q_h_full = tensor_product(q_empty.P_H.Q, np.eye(2))
+        rho1 = measurement._first_phase(q_empty)
+        assert not (q_h_full @ rho1 @ q_h_full).any()
+        rep = correlation_report(q_empty)
+        assert rep["p_first"] == pytest.approx(1.0, abs=1e-12)
+        assert rep["p_joint_full"] == pytest.approx(rep["p_joint_switch"], abs=1e-12)
+        assert correlation_full_route(p_empty) == 0.0
+
     def test_product_state_factorizes(self, rng):
         a = np.diag([0.8, 0.2]).astype(complex)
         b = np.diag([0.3, 0.7]).astype(complex)

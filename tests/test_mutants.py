@@ -19,7 +19,7 @@ import test_measurement
 import test_propagation
 from nlqd import entanglement, generators, measurement, propagation
 from nlqd.errors import NlqdError, StepSizeError
-from nlqd.linalg import dagger, partial_trace, tensor_product
+from nlqd.linalg import ClippedEig, dagger, partial_trace, tensor_product
 
 REAL_RENORMALIZE = propagation._renormalize
 REAL_EVAL_GAMMA = generators._eval_Gamma
@@ -64,10 +64,24 @@ def energy_conserving_without_zeta(spec, dec):
 
 
 def non_essential_without_transpose(fam, dec):
+    mask = dec.support_mask()
+    if mask.all():
+        return None
     v, vh = dec.eigenvectors, dec.vh
     a = 1.0 - dec.eigenvalues ** (fam.r - 1.0)
-    b = 1.0 - dec.support_mask()
+    b = 1.0 - mask
     weights = a[..., :, None] * b[..., None, :]  # was a b^T + b a^T
+    return v @ ((vh @ fam.A @ v) * weights) @ vh
+
+
+def non_essential_skip_if_any_full(fam, dec):
+    mask = dec.support_mask()
+    if mask.all(axis=-1).any():  # was mask.all(): every member full
+        return None
+    v, vh = dec.eigenvectors, dec.vh
+    a = 1.0 - dec.eigenvalues ** (fam.r - 1.0)
+    b = 1.0 - mask
+    weights = a[..., :, None] * b[..., None, :] + b[..., :, None] * a[..., None, :]
     return v @ ((vh @ fam.A @ v) * weights) @ vh
 
 
@@ -110,6 +124,35 @@ def switch_off_keeps_h(sc, rho1):
     return float(np.trace(joint_proj @ rho @ joint_proj).real)
 
 
+def full_route_q_block_projected_with_p(sc, rho1):
+    d_h, d_k = sc.rho0.dims
+    p_h_full = tensor_product(sc.P_H.P, np.eye(d_k))
+    q_h_full = tensor_product(sc.P_H.P, np.eye(d_k))  # was sc.P_H.Q
+    rho_p = p_h_full @ rho1 @ p_h_full
+    rho_q = q_h_full @ rho1 @ q_h_full
+    m_p = partial_trace(rho_p, (d_h, d_k), "K")
+    n_k = partial_trace(rho_p + rho_q, (d_h, d_k), "H")
+    spec_h, spec_k = sc.dyn.spec_H, sc.dyn.spec_K
+
+    def rhs(xs):
+        s_p, s_k = xs
+        t_p = sc.P_H.P @ generators._eval_T(spec_h, ClippedEig(s_p @ m_p @ dagger(s_p))) @ sc.P_H.P
+        ds_k = np.zeros_like(s_k)
+        if spec_k is not None:
+            ds_k = -1j * (generators._eval_T(spec_k, ClippedEig(s_k @ n_k @ dagger(s_k))) @ s_k)
+        return -1j * (t_p @ s_p), ds_k
+
+    xs = (sc.P_H.P.copy(), np.eye(d_k, dtype=complex))
+    phase = measurement._phase_cfg(sc.cfg, sc.t2 - sc.t1)
+    for _ in range(phase.n_steps):
+        xs = propagation._rk4(xs, rhs, phase.dt)
+    s_p, s_k = xs
+    prop = tensor_product(s_p, s_k)
+    rho_p_t2 = prop @ rho_p @ dagger(prop)
+    p_k_full = tensor_product(np.eye(d_h), sc.P_K.P)
+    return float(np.trace(p_k_full @ rho_p_t2 @ p_k_full).real)
+
+
 def rng():
     return np.random.default_rng(12345)
 
@@ -136,6 +179,12 @@ MUTANTS = {
         generators, "_non_essential_gamma", non_essential_without_transpose,
         lambda: test_generators.TestEvalGamma().test_non_essential_frozen_example(),
     ),
+    "non_essential_skip_if_any_member_full": (
+        generators, "_non_essential_gamma", non_essential_skip_if_any_full,
+        lambda: test_generators.TestSpectralKernels().test_non_essential_mixed_stack_members_match_one_matrix_bitwise(
+            rng(), 4
+        ),
+    ),
     "generator_at_gamma_dag_gamma": (
         propagation, "_factor_rhs", factor_rhs_swapped,
         lambda: test_propagation.TestNonlinearRoutes().test_gamma_vs_rho_route(rng()),
@@ -158,6 +207,10 @@ MUTANTS = {
     ),
     "switch_off_keeps_h": (
         measurement, "_switch_off_route", switch_off_keeps_h,
+        lambda: test_measurement.TestRouteAgreement().test_coherent_marginal_routes_agree(rng()),
+    ),
+    "full_route_q_block_projected_with_p": (
+        measurement, "_full_route", full_route_q_block_projected_with_p,
         lambda: test_measurement.TestRouteAgreement().test_coherent_marginal_routes_agree(rng()),
     ),
 }

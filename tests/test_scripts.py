@@ -44,6 +44,9 @@ def test_output_digest(tmp_path, monkeypatch):
     assert all(len(fields) == 3 and len(fields[2]) == 64 for fields in lines)
     assert len({(run, part) for run, part, _ in lines}) == len(lines)
     runs = {run.split("/")[0] for run, _, _ in lines}
-    assert runs == {"evolve", "propagator", "checks", "mixture", "bipartite", "report"}
+    assert runs == {"evolve", "propagator", "checks", "mixture", "bipartite", "report", "evolve_many"}
+    # d = 2 and 4: a stack of 3 full-rank members, and one of 4 mixing full rank and rank 1
+    assert len({run for run, _, _ in lines if run.startswith("evolve_many/")}) == 2 * (3 + 4)
+    assert sum(run.startswith("report/") for run, _, _ in lines) == 6 + 2  # the benchmark's, the empty blocks
     assert sum(part == "csv" for _, part, _ in lines) == 60 + 12  # 60 evolve and 12 mixture CSVs
     assert sum(run.startswith("checks/cp_extension/") for run, _, _ in lines) == 4  # 2x2 and 3x2, B = 1 and 3
