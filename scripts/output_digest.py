@@ -16,14 +16,18 @@ one sample and for three; the six correlation scenarios of the benchmark;
 and both sides of the nonEssential zero-Gamma skip: ``evolve_many`` stacks
 at d = 2 and 4 of full-rank members only and of full-rank and rank-1
 members mixed, and correlation scenarios whose Q block, or P block, carries
-no weight.
+no weight.  After those lines, the ``nlqd verify`` report of every CSV
+written above, and of three copies of it spoiled in every third data row: a
+NaN state entry, a state trace off by 1e-6 and a negative eigenvalue.
 Each line is ``<run> <part> <sha256>``, a part being the states, the drifts,
-one monitor channel, the propagator S, the CSV bytes or the report values.
+one monitor channel, the propagator S, the CSV bytes, the report values or
+a verify report.
 
 Usage: python3 scripts/output_digest.py [out-file]
 """
 
 import hashlib
+import json
 import pathlib
 import sys
 import tempfile
@@ -47,7 +51,7 @@ from nlqd.generators import (  # noqa: E402
     check_zero_mean,
     random_density_matrix,
 )
-from nlqd.io import trajectory_to_csv  # noqa: E402
+from nlqd.io import trajectory_to_csv, verify_csv  # noqa: E402
 from nlqd.measurement import CorrelationScenario, MeasurementSetup, correlation_report  # noqa: E402
 from nlqd.propagation import (  # noqa: E402
     IntegratorConfig,
@@ -87,9 +91,22 @@ def specs(h, a) -> dict:
     }
 
 
+def shift(x: float):
+    return lambda cell: repr(float(cell) + x)
+
+
+# spoiled copy -> (column, new cell) pairs, applied to every third data row.
+SPOILS = {
+    "nan_state": [("im_0_1", lambda cell: "nan")],
+    "trace_off": [("re_0_0", shift(1e-6))],
+    "negative_eigenvalue": [("re_0_1", shift(2.0)), ("re_1_0", shift(2.0))],
+}
+
+
 class Digest:
     def __init__(self, tmp: pathlib.Path):
         self.lines: list[str] = []
+        self.verify_lines: list[str] = []  # written after the lines above
         self.tmp = tmp
 
     def add(self, run: str, part: str, value) -> None:
@@ -105,6 +122,20 @@ class Digest:
             path = self.tmp / "out.csv"
             trajectory_to_csv(traj, str(path), dump_states=True)
             self.lines.append(f"{run} csv {hashlib.sha256(path.read_bytes()).hexdigest()}")
+            self.verify(run, "verify", path)
+            header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+            for name, cells in SPOILS.items():
+                table = [header, *(row.copy() for row in rows)]
+                for row in table[1::3]:
+                    for column, value in cells:
+                        row[header.index(column)] = value(row[header.index(column)])
+                spoiled = self.tmp / f"{name}.csv"
+                spoiled.write_text("".join(",".join(row) + "\n" for row in table))
+                self.verify(run, f"verify/{name}", spoiled)
+
+    def verify(self, run: str, part: str, path: pathlib.Path) -> None:
+        report = json.dumps(verify_csv(str(path))).encode()
+        self.verify_lines.append(f"{run} {part} {hashlib.sha256(report).hexdigest()}")
 
 
 def collect(out: Digest) -> None:
@@ -188,7 +219,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = Digest(pathlib.Path(tmp))
         collect(out)
-    text = "\n".join(out.lines) + "\n"
+    text = "\n".join(out.lines + out.verify_lines) + "\n"
     if len(sys.argv) > 1:
         pathlib.Path(sys.argv[1]).write_text(text)
     else:

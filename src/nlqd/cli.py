@@ -107,8 +107,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first call of main, not at import
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.command == "schema":
             print(json.dumps(schema_document(), indent=2))
@@ -120,6 +126,10 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         if args.command == "check" and scenario.kind != "check":
             raise ValidationError("the check subcommand expects a scenario of kind 'check'")
+        if args.seed is not None and scenario.kind != "check":
+            raise ValidationError(f"--seed applies to kind 'check' only, not to kind {scenario.kind!r}")
+        if args.dump_states and scenario.kind in ("measure_correlation", "check"):
+            raise ValidationError(f"--dump-states writes no states for kind {scenario.kind!r}")
         if args.seed is not None:
             scenario = replace(scenario, seed=args.seed)
         return _run(scenario, args)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -22,7 +23,7 @@ import numpy as np
 from .entanglement import BipartiteDynamics, BipartiteState
 from .errors import ValidationError
 from .generators import GammaFamily, GeneratorSpec, TFamily
-from .linalg import EIG_NEG_TOL, state_violation
+from .linalg import EIG_NEG_TOL, state_violations
 from .measurement import CorrelationScenario, MeasurementSetup
 from .propagation import RECORD_HERM_TOL, RECORD_TRACE_TOL, IntegratorConfig, MixtureSpec, Trajectory
 
@@ -305,16 +306,14 @@ def scenario_inputs(sc: Scenario, dt: Optional[float] = None) -> tuple:
     return (CorrelationScenario(state, dyn, t0, t1, t2, p_h, p_k, cfg),)
 
 
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % x
-
-
 def trajectory_to_csv(traj: Trajectory, path: str, dump_states: bool = False) -> None:
     """Columns: t, then every monitor channel in the monitor's order, then
     optionally the flattened state as re_i_j, im_i_j pairs in row-major order.
 
     A vector channel expands in place to one column per entry, named
-    <prefix>_1..<prefix>_d with the prefix from COLUMN_PREFIX.
+    <prefix>_1..<prefix>_d with the prefix from COLUMN_PREFIX.  The bytes are
+    csv.writer's: a float cell never needs quoting, so a data row is one %
+    format ending in the writer's line terminator.
     """
     n = len(traj.times)
     header, columns = ["t"], [np.reshape(traj.times, (n, 1))]
@@ -330,67 +329,88 @@ def trajectory_to_csv(traj: Trajectory, path: str, dump_states: bool = False) ->
         d = s.shape[1]
         header += [f"{part}_{i}_{j}" for i in range(d) for j in range(d) for part in ("re", "im")]
         columns.append(np.stack([s.real, s.imag], axis=-1).reshape(n, -1))
+    row_fmt = ",".join([FLOAT_FMT] * len(header)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in np.hstack(columns):
-            writer.writerow([_fmt(x) for x in row])
+        csv.writer(fh).writerow(header)
+        fh.writelines(row_fmt % tuple(row) for row in np.hstack(columns).tolist())
 
 
-def _cell(row: dict, n: int, column: str) -> float:
-    """The number in data row n's column; a missing cell or one that is not a
-    number is a ValidationError naming both."""
-    value = row.get(column)  # a short row holds None in its last columns
-    if value is None:
-        raise ValidationError(f"row {n} has no cell in column {column!r}")
-    try:
-        return float(value)
-    except ValueError:
-        raise ValidationError(f"row {n}, column {column!r}: {value!r} is not a number") from None
+def _cells(n: int, row: list, columns: list, at: list) -> list:
+    """Data row n's cells in the named columns, at those indices, as floats; a
+    missing cell or one that is not a number is a ValidationError naming the
+    row and the first such column."""
+    values = []
+    for column, i in zip(columns, at):
+        if i >= len(row):
+            raise ValidationError(f"row {n} has no cell in column {column!r}")
+        try:
+            values.append(float(row[i]))
+        except ValueError:
+            raise ValidationError(f"row {n}, column {column!r}: {row[i]!r} is not a number") from None
+    return values
 
 
 def verify_csv(path: str) -> dict:
     """Spot-check the physical-state invariants on an exported trajectory, to
-    the tolerances of ``Trajectory.validate``.
+    the tolerances of ``Trajectory.validate``, and that t is finite and
+    increases from row to row.
 
     With dumped states the full matrix invariants are checked; otherwise the
-    trace and eigenvalue columns are audited.  An unreadable file is a
-    ValidationError, and so is a malformed table (a missing column, a short
-    or long row, a cell that is not a number), naming the data row, counted
-    from 1 after the header, and the column.
+    trace and eigenvalue columns are audited.  The table is read once and
+    every row checked at once.  An unreadable file is a ValidationError, and
+    so is a malformed table (a missing column, a short or long row, a cell
+    that is not a number), naming the data row, counted from 1 after the
+    header, and the column.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            rows = list(reader)
+            header, *rows = list(csv.reader(fh)) or [[]]
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read CSV file: {exc}") from exc
+    rows = [row for row in rows if row]  # blank lines are no rows, as for csv.DictReader
     if not rows:
         raise ValidationError("empty CSV")
-    eig_columns = [k for k in reader.fieldnames if k.startswith("eig_")]
+    eig_columns = [k for k in header if k.startswith("eig_")]
     # The dumped state's dimension; 0 without states.
-    d = int(round(np.sqrt(sum(1 for k in reader.fieldnames if k.startswith("re_")))))
-    problems = []
+    d = int(round(np.sqrt(sum(1 for k in header if k.startswith("re_")))))
+    columns = ["t", "trace", *eig_columns]
+    columns += [f"{part}_{i}_{j}" for i in range(d) for j in range(d) for part in ("re", "im")]
+    # A repeated name reads its last cell; a name the header lacks, a cell
+    # past the end of every row.
+    index = {k: i for i, k in enumerate(header)}
+    at = [index.get(k, len(header)) for k in columns]
+    cells = operator.itemgetter(*at)
+    table = []
     for n, row in enumerate(rows, start=1):
-        if None in row:  # DictReader files the cells past the header under None
+        if len(row) > len(header):
             raise ValidationError(f"row {n} has more cells than the header")
-        t = _cell(row, n, "t")
-        # Each check is written to fail on NaN, which compares False to anything.
-        if not abs(_cell(row, n, "trace") - 1.0) <= RECORD_TRACE_TOL:
-            problems.append(f"t={t}: trace off by more than {RECORD_TRACE_TOL}")
-        eigs = [_cell(row, n, k) for k in eig_columns]
-        if eigs and not np.min(eigs) >= -EIG_NEG_TOL:
-            problems.append(f"t={t}: eigenvalue below -{EIG_NEG_TOL}")
-        if d:
-            m = np.array(
-                [
-                    [_cell(row, n, f"re_{i}_{j}") + 1j * _cell(row, n, f"im_{i}_{j}") for j in range(d)]
-                    for i in range(d)
-                ]
-            )
-            problem = state_violation(m, RECORD_HERM_TOL, RECORD_TRACE_TOL, EIG_NEG_TOL)
-            if problem:
-                problems.append(f"t={t}: state {problem}")
+        try:
+            table.append(list(map(float, cells(row))))
+        except (IndexError, ValueError):
+            table.append(_cells(n, row, columns, at))
+    table = np.array(table)
+    t, k = table[:, 0], 2 + len(eig_columns)
+    # Each check is written to fail on NaN, which compares False to anything.
+    back = np.zeros(len(t), dtype=bool)
+    back[1:] = np.isfinite(t[1:]) & np.isfinite(t[:-1]) & (t[1:] <= t[:-1])
+    checks = [
+        (~np.isfinite(t), "t is not finite"),
+        (back, "t is not greater than the row before"),
+        (~(np.abs(table[:, 1] - 1.0) <= RECORD_TRACE_TOL), f"trace off by more than {RECORD_TRACE_TOL}"),
+    ]
+    if eig_columns:
+        checks.append((~(np.min(table[:, 2:k], axis=1) >= -EIG_NEG_TOL), f"eigenvalue below -{EIG_NEG_TOL}"))
+    states = [None] * len(rows)
+    if d:
+        m = (table[:, k::2] + 1j * table[:, k + 1 :: 2]).reshape(-1, d, d)
+        states = state_violations(m, RECORD_HERM_TOL, RECORD_TRACE_TOL, EIG_NEG_TOL)
+    problems = []
+    bad = np.any([mask for mask, _ in checks], axis=0)
+    times = t.tolist()
+    for n in np.flatnonzero(bad | [s is not None for s in states]):
+        problems += [f"t={times[n]}: {text}" for mask, text in checks if mask[n]]
+        if states[n]:
+            problems.append(f"t={times[n]}: state {states[n]}")
     return {"rows": len(rows), "ok": not problems, "problems": problems}
 
 

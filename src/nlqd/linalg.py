@@ -58,18 +58,37 @@ def hermitian_eigvals(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((a + dagger(a)) / 2)
 
 
+def state_violations(m: np.ndarray, herm_tol: float, trace_tol: float, eig_tol: float) -> list:
+    """The first density-matrix invariant each member of a stack (N, d, d)
+    breaks, as a phrase, or None: one pass per invariant over the stack.
+
+    Each check sees only the members that kept the ones before it: eigvalsh
+    takes [[nan, 0], [0, 1]] to [0, -0] without an error, so a non-finite
+    member must never reach it.
+    """
+    m = np.asarray(m)
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    phrases = [None if ok else "has non-finite entries" for ok in finite.tolist()]
+    rows = np.flatnonzero(finite)
+    f = m if rows.size == len(m) else m[rows]
+    herm_bad = np.max(np.abs(f - dagger(f)), axis=(-2, -1), initial=0.0) > herm_tol
+    trace = np.trace(f, axis1=-2, axis2=-1)
+    trace_bad = ~herm_bad & (np.abs(trace - 1.0) > trace_tol)
+    spectral = ~(herm_bad | trace_bad)
+    lo = np.min(hermitian_eigvals(f if spectral.all() else f[spectral]), axis=-1)
+    for i in rows[herm_bad]:
+        phrases[i] = f"is not Hermitian to {herm_tol:g}"
+    for i, tr in zip(rows[trace_bad], trace[trace_bad]):
+        phrases[i] = f"has trace {tr} != 1 to {trace_tol:g}"
+    for i, w in zip(rows[spectral], lo.tolist()):
+        if w < -eig_tol:
+            phrases[i] = f"has eigenvalue {w} < -{eig_tol:g}"
+    return phrases
+
+
 def state_violation(m: np.ndarray, herm_tol: float, trace_tol: float, eig_tol: float):
-    """The first density-matrix invariant m breaks, as a phrase, or None."""
-    if not np.all(np.isfinite(m)):  # every comparison below is False on NaN
-        return "has non-finite entries"
-    if max_abs(m - dagger(m)) > herm_tol:
-        return f"is not Hermitian to {herm_tol:g}"
-    if abs(np.trace(m) - 1.0) > trace_tol:
-        return f"has trace {np.trace(m)} != 1 to {trace_tol:g}"
-    lo = float(np.min(hermitian_eigvals(m)))
-    if lo < -eig_tol:
-        return f"has eigenvalue {lo} < -{eig_tol:g}"
-    return None
+    """The first density-matrix invariant one matrix m breaks, as a phrase, or None."""
+    return state_violations(np.asarray(m)[None], herm_tol, trace_tol, eig_tol)[0]
 
 
 # The input rule: a public entry point takes its matrices through one of

@@ -39,7 +39,7 @@ from .linalg import (
     entropy_of_spectrum,
     hermitian_eigvals,
     max_abs,
-    state_violation,
+    state_violations,
 )
 
 GRID_REL_TOL = 1e-9
@@ -85,8 +85,8 @@ class Trajectory:
 
     def validate(self) -> None:
         """Check the physical-state invariants on every recorded snapshot."""
-        for t, s in zip(self.times, self.states):
-            problem = state_violation(s, RECORD_HERM_TOL, RECORD_TRACE_TOL, EIG_NEG_TOL)
+        problems = state_violations(np.array(self.states), RECORD_HERM_TOL, RECORD_TRACE_TOL, EIG_NEG_TOL)
+        for t, problem in zip(self.times, problems):
             if problem:
                 raise ValidationError(f"state at t={t} {problem}")
 

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from nlqd.cli import main
 from nlqd.entanglement import BipartiteDynamics, BipartiteState, evolve_bipartite
 from nlqd.errors import ValidationError
 from nlqd.generators import GammaFamily, GeneratorSpec, TFamily, random_density_matrix
+from nlqd.linalg import EIG_NEG_TOL, state_violation
 from nlqd.io import (
     SCHEMA_ID,
     generator_spec_from_json,
@@ -25,7 +28,15 @@ from nlqd.io import (
     verify_csv,
 )
 from nlqd.linalg import max_abs
-from nlqd.propagation import IntegratorConfig, evolve
+from nlqd.propagation import (
+    RECORD_HERM_TOL,
+    RECORD_TRACE_TOL,
+    IntegratorConfig,
+    MixtureSpec,
+    Trajectory,
+    evolve,
+    evolve_convex_mixture,
+)
 
 
 def write_scenario(path, kind, payload, seed=0, output_path=None):
@@ -131,6 +142,108 @@ class TestScenarioLoading:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ValidationError):
             load_scenario(str(tmp_path / "missing.json"))
+
+
+def reference_csv(traj, path, dump_states=False):
+    """The CSV writer as it was before the table writer: csv.writer, one
+    formatted cell at a time.  The byte reference."""
+    n = len(traj.times)
+    header, columns = ["t"], [np.reshape(traj.times, (n, 1))]
+    for name, values in traj.monitors.items():
+        values = np.asarray(values)
+        if values.ndim == 1:
+            header.append(name)
+        else:
+            header += [f"{'eig' if name == 'eigenvalues' else name}_{i + 1}" for i in range(values.shape[1])]
+        columns.append(values.reshape(n, -1))
+    if dump_states:
+        s = np.array(traj.states)
+        d = s.shape[1]
+        header += [f"{part}_{i}_{j}" for i in range(d) for j in range(d) for part in ("re", "im")]
+        columns.append(np.stack([s.real, s.imag], axis=-1).reshape(n, -1))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in np.hstack(columns):
+            writer.writerow(["%.17g" % x for x in row])
+
+
+def reference_verify(path):
+    """verify_csv as a walk over the rows, one dict and one state at a time,
+    as it was before the table check, with the t column check added.  The
+    report reference."""
+
+    def cell(row, n, column):
+        value = row.get(column)
+        if value is None:
+            raise ValidationError(f"row {n} has no cell in column {column!r}")
+        try:
+            return float(value)
+        except ValueError:
+            raise ValidationError(f"row {n}, column {column!r}: {value!r} is not a number") from None
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    if not rows:
+        raise ValidationError("empty CSV")
+    eig_columns = [k for k in reader.fieldnames if k.startswith("eig_")]
+    d = int(round(np.sqrt(sum(1 for k in reader.fieldnames if k.startswith("re_")))))
+    problems, before = [], None
+    for n, row in enumerate(rows, start=1):
+        if None in row:
+            raise ValidationError(f"row {n} has more cells than the header")
+        t = cell(row, n, "t")
+        if not np.isfinite(t):
+            problems.append(f"t={t}: t is not finite")
+        elif before is not None and np.isfinite(before) and not t > before:
+            problems.append(f"t={t}: t is not greater than the row before")
+        before = t
+        if not abs(cell(row, n, "trace") - 1.0) <= RECORD_TRACE_TOL:
+            problems.append(f"t={t}: trace off by more than {RECORD_TRACE_TOL}")
+        eigs = [cell(row, n, k) for k in eig_columns]
+        if eigs and not np.min(eigs) >= -EIG_NEG_TOL:
+            problems.append(f"t={t}: eigenvalue below -{EIG_NEG_TOL}")
+        if d:
+            m = np.array(
+                [[cell(row, n, f"re_{i}_{j}") + 1j * cell(row, n, f"im_{i}_{j}") for j in range(d)] for i in range(d)]
+            )
+            problem = state_violation(m, RECORD_HERM_TOL, RECORD_TRACE_TOL, EIG_NEG_TOL)
+            if problem:
+                problems.append(f"t={t}: state {problem}")
+    return {"rows": len(rows), "ok": not problems, "problems": problems}
+
+
+# The columns of a 2 x 2 evolve CSV with dumped states.
+EVOLVE_D2_COLUMNS = ["t", "trace", "energy", "purity", "entropy", "eig_1", "eig_2"] + [
+    f"{part}_{i}_{j}" for i in range(2) for j in range(2) for part in ("re", "im")
+]
+
+
+def report_or_error(verify, path):
+    try:
+        return verify(path)
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+def layout_trajectories(rng):
+    """One trajectory of each CSV column layout: evolve, evolve_bipartite and
+    mixture; then the evolve one with nan, inf and -0.0 in a row."""
+    cfg = IntegratorConfig(dt=1e-2, t_final=0.1, monitor_stride=2)
+    spec = GeneratorSpec(H=SZ + 0.2 * SX, t_family=TFamily("powerLaw", q=1.3))
+    single = evolve(random_density_matrix(2, rng), spec, cfg)
+    state = BipartiteState(d_H=2, d_K=2, matrix=random_density_matrix(4, rng))
+    joint = evolve_bipartite(state, BipartiteDynamics(spec_H=spec, spec_K=GeneratorSpec(H=SX)), cfg)
+    mix = MixtureSpec([0.3, 0.7], [spec, GeneratorSpec(H=SX)])
+    mixed = evolve_convex_mixture(random_density_matrix(2, rng), mix, cfg)
+    monitors = {name: np.array(values, dtype=float) for name, values in single.monitors.items()}
+    monitors["energy"][1], monitors["purity"][1], monitors["entropy"][1] = np.nan, np.inf, -0.0
+    monitors["eigenvalues"][2] = [-np.inf, -0.0]
+    states = [s.copy() for s in single.states]
+    states[1][0, 1] = complex(-0.0, np.nan)
+    odd = Trajectory(times=single.times, states=states, monitors=monitors)
+    return {"evolve": single, "evolve_bipartite": joint, "mixture": mixed, "non_finite": odd}
 
 
 class TestCsv:
@@ -247,6 +360,92 @@ class TestCsv:
         assert main(["verify", str(path)]) == 1
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ValidationError" and "cannot read CSV file" in record["message"]
+
+
+    @pytest.mark.parametrize("dump_states", [False, True], ids=["monitors", "states"])
+    @pytest.mark.parametrize("layout", ["evolve", "evolve_bipartite", "mixture", "non_finite"])
+    def test_csv_bytes_equal_the_per_cell_writer(self, tmp_path, rng, layout, dump_states):
+        traj = layout_trajectories(rng)[layout]
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        trajectory_to_csv(traj, str(new), dump_states=dump_states)
+        reference_csv(traj, str(ref), dump_states=dump_states)
+        assert new.read_bytes() == ref.read_bytes()
+        if layout == "non_finite":
+            assert b",nan,inf,-0," in new.read_bytes()
+
+    def spoiled(self, tmp_path, rng, d, edits, blank=False):
+        """A CSV of a d x d run with dumped states, 21 data rows; edits maps a
+        data row to (column, new cell) pairs, and blank adds blank lines."""
+        spec = GeneratorSpec(H=np.diag(np.arange(d, dtype=float)), t_family=TFamily("powerLaw", q=1.3))
+        traj = evolve(random_density_matrix(d, rng), spec, IntegratorConfig(dt=1e-2, t_final=0.2))
+        out = tmp_path / f"d{d}.csv"
+        trajectory_to_csv(traj, str(out), dump_states=True)
+        table = [line.split(",") for line in out.read_text().splitlines()]
+        header = table[0]
+        for n, cells in edits.items():
+            for column, value in cells:
+                table[n][header.index(column)] = value(table[n][header.index(column)])
+        lines = [",".join(row) for row in table]
+        if blank:
+            lines[3:3] = ["", ""]
+            lines.append("")
+        out.write_text("".join(line + "\r\n" for line in lines))
+        return str(out)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_verify_report_equals_the_row_walk(self, tmp_path, rng, d):
+        def plus(x):
+            return lambda cell: repr(float(cell) + x)
+
+        defects = {
+            "nan_state": [("im_0_1", lambda cell: "nan")],
+            "not_hermitian": [("im_0_1", plus(1e-3))],
+            "state_trace": [("re_0_0", plus(1e-6))],
+            "negative_eigenvalue": [("re_0_1", plus(2.0)), ("re_1_0", plus(2.0))],
+            "eig_cell": [("eig_1", lambda cell: "-1e-9")],
+            "trace_cell": [("trace", lambda cell: "1.1")],
+        }
+        edits = {}
+        for k, cells in enumerate(defects.values()):
+            for n in (2 + k, 9 + k, 16 + k % 3):
+                edits.setdefault(n, []).extend(cells)
+        for blank in (False, True):
+            path = self.spoiled(tmp_path, rng, d, edits, blank)
+            rep = verify_csv(path)
+            assert rep == reference_verify(path)
+            assert rep["rows"] == 21 and len({p.split(":")[0] for p in rep["problems"]}) == len(edits)
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            {4: [(column, lambda cell: "") for column in EVOLVE_D2_COLUMNS]},
+            {3: [("im_1_1", lambda cell: "x"), ("eig_2", lambda cell: "y")], 5: [("t", lambda cell: "z")]},
+            {2: [("re_0_1", lambda cell: "nan"), ("trace", lambda cell: "1.0 1")]},
+            {6: [("t", lambda cell: "1e400"), ("energy", lambda cell: "not checked")]},
+        ],
+        ids=["empty_cells", "first_row_first_column", "check_order", "unchecked_column"],
+    )
+    def test_verify_errors_equal_the_row_walk(self, tmp_path, rng, edits):
+        path = self.spoiled(tmp_path, rng, 2, edits, blank=True)
+        assert report_or_error(verify_csv, path) == report_or_error(reference_verify, path)
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda table: table.insert(3, table.pop(2)), "t={t2}: t is not greater than the row before"),
+            (lambda table: table[3].__setitem__(0, table[2][0]), "t={t2}: t is not greater than the row before"),
+            (lambda table: table[3].__setitem__(0, "nan"), "t=nan: t is not finite"),
+        ],
+        ids=["swapped_rows", "repeated_t", "nan_t"],
+    )
+    def test_verify_checks_the_t_column(self, tmp_path, rng, capsys, edit, problem):
+        with open(self.malformed(tmp_path, rng, lambda table: None), newline="") as fh:
+            t2 = float(list(csv.reader(fh))[2][0])
+        path = self.malformed(tmp_path, rng, edit)
+        rep = verify_csv(path)
+        assert rep["problems"] == [problem.format(t2=t2)]
+        assert main(["verify", path]) == 1
+        assert json.loads(capsys.readouterr().out)["problems"] == rep["problems"]
 
 
 class TestCliEndToEnd:
@@ -478,6 +677,16 @@ class TestCliEndToEnd:
         trajectory_to_csv(traj, str(out))
         assert main(["verify", str(out)]) == 0
 
+    def test_parser_is_built_once_on_the_first_call(self, monkeypatch, capsys):
+        code = "import nlqd.cli as cli; print(cli._parser)"
+        assert subprocess.run([sys.executable, "-c", code], capture_output=True, text=True).stdout == "None\n"
+        built = []
+        build = cli_module.build_parser
+        monkeypatch.setattr(cli_module, "_parser", None)
+        monkeypatch.setattr(cli_module, "build_parser", lambda: built.append(1) or build())
+        assert main(["schema"]) == 0 and main(["schema"]) == 0
+        assert len(built) == 1
+
     def test_schema_subcommand(self, capsys):
         assert main(["schema"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -547,13 +756,14 @@ def read_scenario(doc, tmp_path):
     return scenario_inputs(load_scenario(str(path)))
 
 
-def run_rejected(doc, tmp_path, monkeypatch, capsys) -> str:
-    """Run doc through the CLI in tmp_path; it must exit 1 with one JSON
-    ValidationError record on stderr and write no file.  Returns the message."""
+def run_rejected(doc, tmp_path, monkeypatch, capsys, flags=()) -> str:
+    """Run doc through the CLI in tmp_path, with flags; it must exit 1 with one
+    JSON ValidationError record on stderr and write no file.  Returns the
+    message."""
     monkeypatch.chdir(tmp_path)
     doc.pop("output_path", None)  # an output would land in tmp_path
     (tmp_path / "s.json").write_text(json.dumps(doc))
-    assert main(["run", "s.json"]) == 1
+    assert main(["run", "s.json", *flags]) == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
     record = json.loads(line)
     assert record["error"] == "ValidationError"
@@ -639,6 +849,17 @@ class TestScenarioReader:
         assert main(["run", "s.json", "--seed", "-1"]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "kind, flags",
+        [(kind, ["--seed", "5"]) for kind in ("evolve", "evolve_bipartite", "mixture", "measure_correlation")]
+        + [(kind, ["--dump-states"]) for kind in ("measure_correlation", "check")],
+        ids=lambda x: x if isinstance(x, str) else x[0],
+    )
+    def test_flag_the_kind_cannot_use_exit_one(self, kind, flags, tmp_path, monkeypatch, capsys):
+        # each used to exit 0, ignoring the flag
+        message = run_rejected(full_scenarios(tmp_path)[kind], tmp_path, monkeypatch, capsys, flags)
+        assert flags[0] in message and repr(kind) in message
 
     def test_projector_not_invariant_exit_one(self, tmp_path, monkeypatch, capsys):
         doc = full_scenarios(tmp_path)["measure_correlation"]

@@ -181,6 +181,47 @@ def test_eigh_equals_numpy_eigh_bitwise(rng, d):
         assert w.shape == w_np.shape and v.shape == v_np.shape
 
 
+def one_state_violation(m, herm_tol, trace_tol, eig_tol):
+    """The one-matrix validator as written before the stacked one: the reference."""
+    if not np.all(np.isfinite(m)):
+        return "has non-finite entries"
+    if max_abs(m - linalg.dagger(m)) > herm_tol:
+        return f"is not Hermitian to {herm_tol:g}"
+    if abs(np.trace(m) - 1.0) > trace_tol:
+        return f"has trace {np.trace(m)} != 1 to {trace_tol:g}"
+    lo = float(np.min(linalg.hermitian_eigvals(m)))
+    if lo < -eig_tol:
+        return f"has eigenvalue {lo} < -{eig_tol:g}"
+    return None
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_state_violations_stack_equals_one_matrix_checks(rng, d):
+    good = [random_density_matrix(d, rng, rank) for rank in (1, d)]
+    spoiled = []
+    for i, j, value in [(0, 0, np.nan), (1, 0, np.inf), (0, 1, -np.inf), (1, 1, np.nan + 1j)]:
+        m = good[1].copy()
+        m[i, j] = value
+        spoiled.append(m)
+    spoiled.append(np.diag([np.nan] + [1.0] * (d - 1)))  # eigvalsh takes it to [0, -0] without an error
+    spoiled.append(good[0] + 1e-6 * np.triu(np.ones((d, d)), 1))  # not Hermitian
+    spoiled.append(1e300 * np.triu(np.ones((d, d))))  # not Hermitian, and finite only until symmetrized
+    spoiled.append(good[1] * (1 + 1e-6))  # trace off
+    spoiled.append(2 * good[1] + 0.01j * linalg.dagger(np.triu(np.ones((d, d)), 1)))  # two faults
+    flip = np.zeros((d, d))
+    flip[0, 1] = flip[1, 0] = 2.0
+    spoiled.append(good[0] + flip)  # an eigenvalue near -1
+    spoiled.append(np.diag([1.0 + 1e-11] + [0.0] * (d - 2) + [-1e-11]))  # inside every tolerance
+    stack = np.array(good + spoiled + good)
+    tols = (1e-9, 1e-9, 1e-10)
+    got = linalg.state_violations(stack, *tols)
+    want = [one_state_violation(m, *tols) for m in stack]
+    assert got == want
+    assert [linalg.state_violation(m, *tols) for m in stack] == want
+    assert got[:2] == [None, None] and got[-1] is None and all(got[2:-3])
+    assert linalg.state_violations(np.array(good), *tols) == [None, None]
+
+
 class TestSqrtFactor:
     def test_diagonal(self):
         g = sqrt_factor(np.diag([0.25, 0.75]))

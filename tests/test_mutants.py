@@ -5,9 +5,12 @@ passes on a broken engine proves nothing.  Each row below swaps one engine
 function for a copy with one line changed, and names a test that passes on
 the real engine and must fail on the broken one: by an assertion, or by
 the engine's own typed error (a generator taken at the wrong state breaks
-the norm, and the drift check stops the run).
+the norm, and the drift check stops the run).  Each named test runs in a
+fresh working directory, which the file-writing ones take as their
+tmp_path.
 """
 
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -15,11 +18,12 @@ import pytest
 
 import test_entanglement
 import test_generators
+import test_io_cli
 import test_measurement
 import test_propagation
-from nlqd import entanglement, generators, measurement, propagation
+from nlqd import entanglement, generators, io, measurement, propagation
 from nlqd.errors import NlqdError, StepSizeError
-from nlqd.linalg import ClippedEig, dagger, partial_trace, tensor_product
+from nlqd.linalg import ClippedEig, dagger, hermitian_eigvals, partial_trace, tensor_product
 
 REAL_RENORMALIZE = propagation._renormalize
 REAL_EVAL_GAMMA = generators._eval_Gamma
@@ -153,6 +157,27 @@ def full_route_q_block_projected_with_p(sc, rho1):
     return float(np.trace(p_k_full @ rho_p_t2 @ p_k_full).real)
 
 
+def state_violations_min_over_members(m, herm_tol, trace_tol, eig_tol):
+    m = np.asarray(m)
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    phrases = [None if ok else "has non-finite entries" for ok in finite.tolist()]
+    rows = np.flatnonzero(finite)
+    f = m if rows.size == len(m) else m[rows]
+    herm_bad = np.max(np.abs(f - dagger(f)), axis=(-2, -1), initial=0.0) > herm_tol
+    trace = np.trace(f, axis1=-2, axis2=-1)
+    trace_bad = ~herm_bad & (np.abs(trace - 1.0) > trace_tol)
+    spectral = ~(herm_bad | trace_bad)
+    lo = np.min(hermitian_eigvals(f if spectral.all() else f[spectral]), axis=0)  # was axis=-1
+    for i in rows[herm_bad]:
+        phrases[i] = f"is not Hermitian to {herm_tol:g}"
+    for i, tr in zip(rows[trace_bad], trace[trace_bad]):
+        phrases[i] = f"has trace {tr} != 1 to {trace_tol:g}"
+    for i, w in zip(rows[spectral], lo.tolist()):
+        if w < -eig_tol:
+            phrases[i] = f"has eigenvalue {w} < -{eig_tol:g}"
+    return phrases
+
+
 def rng():
     return np.random.default_rng(12345)
 
@@ -213,12 +238,23 @@ MUTANTS = {
         measurement, "_full_route", full_route_q_block_projected_with_p,
         lambda: test_measurement.TestRouteAgreement().test_coherent_marginal_routes_agree(rng()),
     ),
+    "verify_eigenvalue_min_over_members": (
+        io, "state_violations", state_violations_min_over_members,
+        lambda: test_io_cli.TestCsv().test_verify_report_equals_the_row_walk(pathlib.Path.cwd(), rng(), 2),
+    ),
+    "csv_row_format_16_digits": (
+        io, "FLOAT_FMT", "%.16g",  # was %.17g
+        lambda: test_io_cli.TestCsv().test_csv_bytes_equal_the_per_cell_writer(
+            pathlib.Path.cwd(), rng(), "evolve", True
+        ),
+    ),
 }
 
 
 @pytest.mark.parametrize("defect", list(MUTANTS))
-def test_defect_is_caught(defect, monkeypatch):
+def test_defect_is_caught(defect, monkeypatch, tmp_path):
     module, attr, broken, named_test = MUTANTS[defect]
+    monkeypatch.chdir(tmp_path)
     named_test()
     monkeypatch.setattr(module, attr, broken)
     with pytest.raises((AssertionError, NlqdError, pytest.fail.Exception)):

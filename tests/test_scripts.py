@@ -49,4 +49,7 @@ def test_output_digest(tmp_path, monkeypatch):
     assert len({run for run, _, _ in lines if run.startswith("evolve_many/")}) == 2 * (3 + 4)
     assert sum(run.startswith("report/") for run, _, _ in lines) == 6 + 2  # the benchmark's, the empty blocks
     assert sum(part == "csv" for _, part, _ in lines) == 60 + 12  # 60 evolve and 12 mixture CSVs
+    # each CSV's verify report, then those of its three spoiled copies, after every other line
+    verify = [i for i, (_, part, _) in enumerate(lines) if part.startswith("verify")]
+    assert verify == list(range(len(lines) - 4 * 72, len(lines)))
     assert sum(run.startswith("checks/cp_extension/") for run, _, _ in lines) == 4  # 2x2 and 3x2, B = 1 and 3
