@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""One sha256 per output of a fixed set of nlqd runs, for bitwise parity.
+"""One sha256 per output of a fixed set of nlqd runs, for bitwise parity,
+and the values of those outputs, for the committed baseline.
 
 Two checkouts give the same lines exactly when the outputs below are equal
 bit for bit, so diffing the lines of two checkouts is the parity check:
@@ -8,22 +9,33 @@ bit for bit, so diffing the lines of two checkouts is the parity check:
     PYTHONPATH=new/src python3 scripts/output_digest.py > new.txt
     diff old.txt new.txt
 
+The same runs also keep their values: per run the final state, the largest
+per-step drift, the last value of each monitor channel, the propagator S and
+every audit or report value, as flat lists of ``repr`` floats (a complex
+array as its interleaved real and imaginary parts).  Given a second path,
+the script writes them there as JSON, one run per line; that file is
+``tests/data/baseline.json``, which ``tests/test_scripts.py`` holds every
+later run to within 1e-12.
+
 The set: ``evolve`` for the five families at d = 2, 4, 8, pure and full
 rank, monitor strides 1 and 7; ``accumulate_propagator``; the zero-mean and
 support-block residuals; same-family and mixed-family mixtures; bipartite
 runs at 2x2 and 2x4; ``verify_cp_extension`` residuals at 2x2 and 3x2 for
 one sample and for three; the six correlation scenarios of the benchmark;
-and both sides of the nonEssential zero-Gamma skip: ``evolve_many`` stacks
-at d = 2 and 4 of full-rank members only and of full-rank and rank-1
-members mixed, and correlation scenarios whose Q block, or P block, carries
-no weight.  After those lines, the ``nlqd verify`` report of every CSV
+both sides of the nonEssential zero-Gamma skip: ``evolve_many`` stacks at
+d = 2 and 4 of full-rank members only and of full-rank and rank-1 members
+mixed, and correlation scenarios whose Q block, or P block, carries no
+weight; and whole exponents (q and r integers, every T and Gamma family,
+including the criterion-1 specs) as ``evolve_many`` stacks of a full-rank,
+a rank-d/2 and a pure state at d = 2, 3 and 4, with a propagator and a
+four-branch mixture at d = 3.  After those lines, the ``nlqd verify`` report of every CSV
 written above, and of three copies of it spoiled in every third data row: a
 NaN state entry, a state trace off by 1e-6 and a negative eigenvalue.
 Each line is ``<run> <part> <sha256>``, a part being the states, the drifts,
 one monitor channel, the propagator S, the CSV bytes, the report values or
 a verify report.
 
-Usage: python3 scripts/output_digest.py [out-file]
+Usage: python3 scripts/output_digest.py [out-file [values-file]]
 """
 
 import hashlib
@@ -91,6 +103,28 @@ def specs(h, a) -> dict:
     }
 
 
+def integer_specs(h, a) -> dict:
+    """Specs whose exponents are whole: the criterion-1 specs (q = 1, r = 2) and
+    other pairs of q and r, vonNeumann T included."""
+    zm, ec = "zeroMean", "energyConserving"
+
+    def spec(q, gamma):
+        return GeneratorSpec(H=h, t_family=TFamily("powerLaw", q=q) if q else TFamily("vonNeumann"), gamma_family=gamma)
+
+    return {
+        "q1/none": spec(1.0, GammaFamily("none")),
+        "q1/zeroMean": spec(1.0, GammaFamily(zm, sigma=0.5, r=2.0)),
+        "q1/energyConserving": spec(1.0, GammaFamily(ec, sigma=0.5, r=2.0)),
+        "q1/nonEssential": spec(1.0, GammaFamily("nonEssential", r=2.0, A=a)),
+        "q2/zeroMean_r3": spec(2.0, GammaFamily(zm, sigma=0.5, r=3.0)),
+        "q3/energyConserving_r2": spec(3.0, GammaFamily(ec, sigma=0.5, r=2.0)),
+        "q3/energyConserving_r1": spec(3.0, GammaFamily(ec, sigma=0.5, r=1.0)),
+        "vonNeumann/zeroMean": spec(None, GammaFamily(zm, sigma=0.5, r=1.0)),
+        "vonNeumann/energyConserving": spec(None, GammaFamily(ec, sigma=0.5, r=2.0)),
+        "q2/nonEssential_r3": spec(2.0, GammaFamily("nonEssential", r=3.0, A=a)),
+    }
+
+
 def shift(x: float):
     return lambda cell: repr(float(cell) + x)
 
@@ -103,21 +137,36 @@ SPOILS = {
 }
 
 
+def flat(a) -> list:
+    """a as a flat list of floats; a complex array as its real and imaginary parts."""
+    a = np.ascontiguousarray(a)
+    return (a.view(float) if np.iscomplexobj(a) else a.astype(float)).ravel().tolist()
+
+
 class Digest:
     def __init__(self, tmp: pathlib.Path):
         self.lines: list[str] = []
         self.verify_lines: list[str] = []  # written after the lines above
+        self.values: dict[str, dict[str, list]] = {}  # run -> part -> flat values
         self.tmp = tmp
 
-    def add(self, run: str, part: str, value) -> None:
+    def add(self, run: str, part: str, value, keep: bool = True) -> None:
         self.lines.append(f"{run} {part} {sha(value)}")
+        if keep:
+            self.keep(run, part, value)
+
+    def keep(self, run: str, part: str, value) -> None:
+        self.values.setdefault(run, {})[part] = flat(value)
 
     def trajectory(self, run: str, traj, csv: bool = False) -> None:
-        self.add(run, "times", traj.times)
-        self.add(run, "states", np.array(traj.states))
-        self.add(run, "drifts", traj.norm_drift)
+        self.add(run, "times", traj.times, keep=False)
+        self.add(run, "states", np.array(traj.states), keep=False)
+        self.add(run, "drifts", traj.norm_drift, keep=False)
+        self.keep(run, "final_state", traj.states[-1])
+        self.keep(run, "max_drift", np.max(traj.norm_drift))
         for name, values in traj.monitors.items():
-            self.add(run, name, values)
+            self.add(run, name, values, keep=False)
+            self.keep(run, f"last_{name}", values[-1])
         if csv:
             path = self.tmp / "out.csv"
             trajectory_to_csv(traj, str(path), dump_states=True)
@@ -136,6 +185,11 @@ class Digest:
     def verify(self, run: str, part: str, path: pathlib.Path) -> None:
         report = json.dumps(verify_csv(str(path))).encode()
         self.verify_lines.append(f"{run} {part} {hashlib.sha256(report).hexdigest()}")
+
+    def values_json(self) -> str:
+        """The kept values as JSON, one run per line, floats as repr."""
+        rows = [f"{json.dumps(run)}: {json.dumps(parts, separators=(',', ':'))}" for run, parts in self.values.items()]
+        return "{\n" + ",\n".join(rows) + "\n}\n"
 
 
 def collect(out: Digest) -> None:
@@ -213,6 +267,24 @@ def collect(out: Digest) -> None:
         )
         rep = correlation_report(sc)
         out.add(f"report/{name}", "report", np.array([rep[k] for k in sorted(rep)]))
+    # Whole exponents, again from a generator of their own.
+    rng = np.random.default_rng(SEED + 2)
+    cfg = IntegratorConfig(dt=DT, t_final=0.05, monitor_stride=5)
+    for d in (2, 3, 4):
+        family = integer_specs(herm(rng, d), herm(rng, d))
+        for name, spec in family.items():
+            ranks = {"full": d, "half": max(1, d // 2), "pure": 1}
+            trajs = evolve_many([random_density_matrix(d, rng, r) for r in ranks.values()], spec, cfg)
+            for label, traj in zip(ranks, trajs):
+                out.trajectory(f"integer/{name}/d{d}/{label}", traj)
+        if d == 3:
+            s, traj = accumulate_propagator(random_density_matrix(d, rng), family["q1/zeroMean"], cfg)
+            out.add(f"integer/propagator/d{d}", "S", s)
+            out.trajectory(f"integer/propagator/d{d}", traj)
+            branches = [integer_specs(herm(rng, d), herm(rng, d))["q1/zeroMean"] for _ in range(4)]
+            w = rng.dirichlet(np.ones(len(branches)))
+            mix = MixtureSpec(weights=w / w.sum(), process_specs=branches)
+            out.trajectory(f"integer/mixture/d{d}", evolve_convex_mixture(random_density_matrix(d, rng), mix, cfg))
 
 
 def main() -> int:
@@ -224,6 +296,8 @@ def main() -> int:
         pathlib.Path(sys.argv[1]).write_text(text)
     else:
         sys.stdout.write(text)
+    if len(sys.argv) > 2:
+        pathlib.Path(sys.argv[2]).write_text(out.values_json())
     return 0
 
 

@@ -21,6 +21,7 @@ import test_generators
 import test_io_cli
 import test_measurement
 import test_propagation
+import test_scripts
 from nlqd import entanglement, generators, io, measurement, propagation
 from nlqd.errors import NlqdError, StepSizeError
 from nlqd.linalg import ClippedEig, dagger, hermitian_eigvals, partial_trace, tensor_product
@@ -36,6 +37,16 @@ def rk4_wrong_weights(xs, rhs, dt: float) -> tuple:
     k4 = rhs(tuple([x + dt * k for x, k in zip(xs, k3)]))
     return tuple(
         [x + (dt / 6.0) * (a + 2 * b + c + 2 * d) for x, a, b, c, d in zip(xs, k1, k2, k3, k4)]  # 2c + d
+    )
+
+
+def rk4_weight_relative_error_1e9(xs, rhs, dt: float) -> tuple:
+    k1 = rhs(xs)
+    k2 = rhs(tuple([x + 0.5 * dt * k for x, k in zip(xs, k1)]))
+    k3 = rhs(tuple([x + 0.5 * dt * k for x, k in zip(xs, k2)]))
+    k4 = rhs(tuple([x + dt * k for x, k in zip(xs, k3)]))
+    return tuple(
+        [x + (dt / 6.0) * (a + 2 * b + 2 * c + (1.0 + 1e-9) * d) for x, a, b, c, d in zip(xs, k1, k2, k3, k4)]  # was d
     )
 
 
@@ -187,6 +198,10 @@ MUTANTS = {
     "rk4_coefficient": (
         propagation, "_rk4", rk4_wrong_weights,
         lambda: test_propagation.TestLinearLimit().test_von_neumann_matches_expm(rng()),
+    ),
+    "rk4_weight_relative_error_1e-9": (
+        propagation, "_rk4", rk4_weight_relative_error_1e9,
+        lambda: test_scripts.test_output_baseline(pathlib.Path.cwd()),
     ),
     "renormalization_dropped": (
         propagation, "_renormalize", renormalize_dropped,
