@@ -85,7 +85,7 @@ def _run(sc, args) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2)
     print(json.dumps(result))
-    if args.strict and not result.get("passed", True):
+    if args.strict and not result["passed"]:
         raise CriterionFailure("one or more checks failed")
     return EXIT_OK
 
@@ -130,6 +130,8 @@ def main(argv=None) -> int:
             raise ValidationError(f"--seed applies to kind 'check' only, not to kind {scenario.kind!r}")
         if args.dump_states and scenario.kind in ("measure_correlation", "check"):
             raise ValidationError(f"--dump-states writes no states for kind {scenario.kind!r}")
+        if args.strict and scenario.kind != "check":
+            raise ValidationError(f"--strict applies to kind 'check' only, not to kind {scenario.kind!r}")
         if args.seed is not None:
             scenario = replace(scenario, seed=args.seed)
         return _run(scenario, args)

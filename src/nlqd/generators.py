@@ -7,6 +7,14 @@ two Lagrange multipliers solved per state, and the support-avoiding form
 (I - rho^{r-1}) A (I - P_rho) + h.c. whose anticommutator action reduces
 to a commutator (a "non-essential" dissipative part).
 
+Each spec picks its kernel once, at construction.  Where every power of rho
+that G reads has a whole exponent (q, and r where Gamma reads rho^r), the
+product kernel forms rho^q and rho^r by matrix products and reads each
+trace as an elementwise sum of products it already holds: it takes no
+eigendecomposition (nonEssential takes a values-only one, to see whether
+the support is full).  Every other spec takes the spectral kernel, which
+reads everything from one eigendecomposition of rho and stays the oracle.
+
 Also here: the generic zero-mean construction for linear superoperators,
 the zero-mean and support-block checks as executable criteria, and a
 sampling classifier for essentiality.
@@ -22,14 +30,17 @@ import numpy as np
 from .errors import DegenerateConstraintError, ValidationError
 from .linalg import (
     HERM_TOL,
+    HS_NORM_TOL,
+    SUPPORT_REL_TOL,
     ClippedEig,
-    StateOperator,
+    _eigvalsh,
+    _floored,
     _hermitian,
     _member,
     _square,
+    _trace,
     dagger,
     is_hermitian,
-    max_abs,
 )
 
 ZERO_MEAN_TOL = 1e-9
@@ -109,6 +120,7 @@ class GeneratorSpec:
         a = self.gamma_family.A
         if a is not None and a.shape != h.shape:
             raise ValidationError("A and H dimensions differ")
+        object.__setattr__(self, "_products", _product_plan(h, self.t_family, self.gamma_family))
 
     @property
     def dim(self) -> int:
@@ -124,9 +136,57 @@ class _SpecStack:
     t_family: TFamily
     gamma_family: GammaFamily
 
+    def __post_init__(self):
+        object.__setattr__(self, "_products", _product_plan(self.H, self.t_family, self.gamma_family))
+
     @property
     def dim(self) -> int:
         return self.H.shape[-1]
+
+
+def _whole(x: float) -> bool:
+    """x is a whole number >= 1, so rho^x is a product of rho's."""
+    return x == int(x) and x >= 1
+
+
+@dataclass(frozen=True)
+class _Products:
+    """What the product kernel forms for one spec: rho^k for k = 1..n by
+    matrix products, T = H rho^q + rho^q H (q = 0: T = H), Gamma from rho^r
+    (r = 0: Gamma reads no power of rho), and H^2 for energyConserving."""
+
+    q: int
+    r: int
+    n: int
+    h2: Optional[np.ndarray] = None
+
+
+def _product_plan(h: np.ndarray, t_family: TFamily, gamma_family: GammaFamily) -> Optional[_Products]:
+    """The product kernel's plan when every power of rho that G reads has a
+    whole exponent, else None: the spectral kernel.  nonEssential reads no
+    power on a full support, the only support it takes the products on."""
+    fam = gamma_family.family
+    q = 0.0 if t_family.family == "vonNeumann" else t_family.q
+    if q and not _whole(q):
+        return None
+    if fam in ("none", "nonEssential"):
+        return _Products(int(q), 0, int(q))
+    if not _whole(gamma_family.r):
+        return None
+    q, r = int(q), int(gamma_family.r)
+    if fam == "zeroMean":
+        return _Products(q, r, max(q, r))
+    # energyConserving reads Tr[H rho^{r+1}] as Tr[(H rho^q) rho^{r+1-q}] when
+    # 1 <= q <= r + 1, and as Tr[H rho^{r+1}] otherwise.
+    n = max(q, r) if 1 <= q <= r + 1 else max(q, r + 1)
+    return _Products(q, r, n, h @ h)
+
+
+def _floors(*specs) -> bool:
+    """True when every spec's kernel decomposes rho at each call, and so
+    checks the eigenvalue floor of each state it is given: the spectral
+    kernel, and the product kernel of nonEssential (values only)."""
+    return all(s._products is None or s.gamma_family.family == "nonEssential" for s in specs)
 
 
 def _family_key(spec: GeneratorSpec) -> tuple:
@@ -188,8 +248,12 @@ def _solve_lagrange(H: np.ndarray, r: float, dec: ClippedEig) -> tuple:
     tr_rho = w.sum(axis=-1)
     tr_h = (w * h).sum(axis=-1)
     tr_h2 = (w * n).sum(axis=-1)
-    b1 = wp.sum(axis=-1)
-    b2 = (wp * h).sum(axis=-1)
+    return _lagrange(tr_rho, tr_h, tr_h2, wp.sum(axis=-1), (wp * h).sum(axis=-1))
+
+
+def _lagrange(tr_rho, tr_h, tr_h2, b1, b2) -> tuple:
+    """(zeta, xi) from Tr[rho], Tr[H rho], Tr[H^2 rho], b1 = Tr[rho^{r+1}] and
+    b2 = Tr[H rho^{r+1}], one value per member."""
     det = tr_h * tr_h - tr_rho * tr_h2
     bad = np.abs(det) <= 1e-12
     if bad.any():
@@ -255,20 +319,85 @@ def eval_Gamma(spec: GeneratorSpec, rho) -> np.ndarray:
     return _gamma_or_zeros(spec, ClippedEig(_hermitian(rho, spec.dim)))
 
 
-def generator_matrix(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
-    """G = T + i Gamma at the given state.
-
-    The unchecked loop kernel: the integrators call it at every RK4 stage on
-    a rho that is Hermitian by construction, so it checks nothing beyond
-    ClippedEig's eigenvalue floor.  Validate input with eval_T / eval_Gamma.
-    rho may be a stack (B, d, d), and spec a stack of B specs; G is then one
-    generator per member.  Where Gamma is identically zero, G is T itself,
-    which for vonNeumann is the spec's read-only H.
-    """
+def _by_spectrum(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
+    """The spectral kernel: G from one eigendecomposition of rho, which also
+    checks its eigenvalue floor."""
     dec = ClippedEig(rho)
     t = _eval_T(spec, dec)
     gam = _eval_Gamma(spec, dec)
     return t if gam is None else t + 1j * gam
+
+
+def _tr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re Tr[a b] over the last two axes, as an elementwise sum: no matmul."""
+    return (a * b.swapaxes(-1, -2)).sum(axis=(-2, -1)).real
+
+
+def _full_support(rho: np.ndarray) -> bool:
+    """Whether every member's support is full, from one values-only
+    decomposition and its eigenvalue floor: with the eigenvalues ascending,
+    that is the smallest above SUPPORT_REL_TOL times the largest, as
+    support_mask(...).all() reads it."""
+    w = _floored(_eigvalsh(rho))
+    return bool((w[..., 0] > SUPPORT_REL_TOL * w[..., -1]).all())
+
+
+def _by_products(spec: GeneratorSpec, plan: _Products, rho: np.ndarray) -> np.ndarray:
+    """The product kernel: G from rho^k = rho ... rho, k <= plan.n, with no
+    eigendecomposition and so no eigenvalue floor.  nonEssential alone takes
+    the eigenvalues (and their floor) to see whether the support is full,
+    and where it is not, one eigh for the spectral formula of its Gamma."""
+    fam = spec.gamma_family
+    p = [None, rho]  # p[k] = rho^k
+    for _ in range(1, plan.n):
+        p.append(p[-1] @ rho)
+    t = spec.H
+    if plan.q:
+        x = spec.H @ p[plan.q]
+        t = x + dagger(x)
+    if fam.family == "none":
+        return t
+    if fam.family == "nonEssential":
+        gam = None if _full_support(rho) else _non_essential_gamma(fam, ClippedEig(rho))
+        return t if gam is None else t + 1j * gam
+    i_sigma = 1j * fam.sigma
+    tr_rho, b1 = _trace(rho), _tr(p[plan.r], rho)  # Tr[rho], Tr[rho^{r+1}]
+    if fam.family == "zeroMean":  # i sigma (rho^r - c I), c = Tr[rho^{r+1}] / Tr[rho]
+        return t + _minus_diag(i_sigma * p[plan.r], i_sigma * (b1 / tr_rho))
+    k = plan.r + 1 - plan.q  # Tr[H rho^{r+1}] = Tr[(H rho^q) rho^k]
+    if 1 <= plan.q and k >= 0:
+        b2 = _trace(x) if k == 0 else _tr(x, p[k])
+    else:
+        b2 = _tr(spec.H, p[plan.r + 1])
+    zeta, xi = _lagrange(tr_rho, _tr(spec.H, rho), _tr(plan.h2, rho), b1, b2)
+    # i sigma (rho^r - zeta H - xi I)
+    gam = i_sigma * p[plan.r] - i_sigma * zeta[..., None, None] * spec.H
+    return t + _minus_diag(gam, i_sigma * xi)
+
+
+def _minus_diag(a: np.ndarray, c) -> np.ndarray:
+    """a - c I, c one value per member, written into a, which must be a
+    fresh contiguous array."""
+    d = a.shape[-1]
+    a.reshape(a.shape[:-2] + (d * d,))[..., :: d + 1] -= np.asarray(c)[..., None]
+    return a
+
+
+def generator_matrix(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
+    """G = T + i Gamma at the given state, by the kernel the spec chose.
+
+    The unchecked loop kernel: the integrators call it at every RK4 stage on
+    a rho that is Hermitian by construction, so it checks nothing beyond the
+    eigenvalue floor of the decomposition it takes, if it takes one: the
+    product kernel of every family but nonEssential takes none, and the step
+    loop checks each stepped state's floor instead.  Validate input with
+    eval_T / eval_Gamma, which take the spectral kernel.  rho may be a stack
+    (B, d, d), and spec a stack of B specs; G is then one generator per
+    member.  Where Gamma is identically zero, G is T itself, which for
+    vonNeumann is the spec's read-only H.
+    """
+    plan = spec._products
+    return _by_spectrum(spec, rho) if plan is None else _by_products(spec, plan, rho)
 
 
 @dataclass(frozen=True)
@@ -283,15 +412,20 @@ def check_zero_mean(spec: GeneratorSpec, rho_samples, gamma_fn=None) -> ZeroMean
 
     Uses the canonical Hermitian square root for gamma.  ``gamma_fn``
     substitutes an arbitrary map rho -> Gamma, e.g. a deliberately broken
-    control without the mean subtraction.
+    control without the mean subtraction; it is called once per sample.
+    The samples are checked one by one, then decomposed as one stack.
     """
-    residuals = []
-    for rho in rho_samples:
-        dec = ClippedEig(_hermitian(rho, spec.dim))
-        g = StateOperator(matrix=dec.power(0.5)).matrix
-        gam = gamma_fn(dec.rho) if gamma_fn is not None else _gamma_or_zeros(spec, dec)
-        residuals.append(abs(np.trace(dagger(g) @ gam @ g)))
-    residuals = np.asarray(residuals)
+    rhos = [_hermitian(rho, spec.dim) for rho in rho_samples]
+    if not rhos:
+        return ZeroMeanReport(residuals=np.zeros(0), passed=True)
+    dec = ClippedEig(np.array(rhos))
+    g = dec.power(0.5)
+    norm = _trace(dagger(g) @ g)
+    bad = np.abs(norm - 1.0) > HS_NORM_TOL
+    if bad.any():  # StateOperator's check, on the first failing sample
+        raise ValidationError(f"state operator HS norm {norm[bad][0]} != 1")
+    gam = np.array([gamma_fn(r) for r in dec.rho]) if gamma_fn is not None else _gamma_or_zeros(spec, dec)
+    residuals = np.abs(np.trace(dagger(g) @ gam @ g, axis1=-2, axis2=-1))
     return ZeroMeanReport(residuals=residuals, passed=bool(np.all(residuals <= ZERO_MEAN_TOL)))
 
 
@@ -319,6 +453,14 @@ class SupportBlockResult:
     residual: float
 
 
+def _support_block_residuals(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
+    """max |P_rho Gamma(rho) P_rho| per member of rho, one state or a stack,
+    from one decomposition."""
+    dec = ClippedEig(rho)
+    p = dec.support()
+    return np.max(np.abs(p @ _gamma_or_zeros(spec, dec) @ p), axis=(-2, -1))
+
+
 def check_polchinski_condition(spec: GeneratorSpec, rho: np.ndarray) -> SupportBlockResult:
     """Support-block criterion P_rho Gamma(rho) P_rho = 0.
 
@@ -326,9 +468,7 @@ def check_polchinski_condition(spec: GeneratorSpec, rho: np.ndarray) -> SupportB
     product-propagator extension to entangled systems to stay completely
     positive.
     """
-    dec = ClippedEig(_hermitian(rho, spec.dim))
-    p = dec.support()
-    residual = max_abs(p @ _gamma_or_zeros(spec, dec) @ p)
+    residual = float(_support_block_residuals(spec, _hermitian(rho, spec.dim)))
     return SupportBlockResult(passed=residual <= SUPPORT_BLOCK_TOL, residual=residual)
 
 
@@ -358,13 +498,31 @@ def classify_dissipative_part(
 ) -> EssentialityReport:
     """Sample random full-rank and rank-deficient states of the spec's
     dimension looking for a support-block violation; the first failing state
-    is the witness."""
+    is the witness.
+
+    All samples are drawn first, in the order a one-at-a-time search draws
+    them, and checked as one stack.  When a witness turns up before the last
+    sample, the generator is rewound and only the samples up to the witness
+    are drawn again, so rng ends where a search that stops there leaves it.
+    """
     d = spec.dim
     rng = np.random.default_rng(0) if rng is None else rng
-    for i in range(sample_count):
-        rank = d if i % 2 == 0 or d < 2 else int(rng.integers(1, d))
-        rho = random_density_matrix(d, rng, rank)
-        res = check_polchinski_condition(spec, rho)
-        if not res.passed:
-            return EssentialityReport(essential=True, witness=rho, n_samples=i + 1)
-    return EssentialityReport(essential=False, witness=None, n_samples=sample_count)
+    start = rng.bit_generator.state
+
+    def draw(count: int) -> list:
+        return [
+            random_density_matrix(d, rng, d if i % 2 == 0 or d < 2 else int(rng.integers(1, d)))
+            for i in range(count)
+        ]
+
+    rhos = draw(sample_count)
+    if not rhos:
+        return EssentialityReport(essential=False, witness=None, n_samples=0)
+    failing = np.flatnonzero(~(_support_block_residuals(spec, np.array(rhos)) <= SUPPORT_BLOCK_TOL))
+    if failing.size == 0:
+        return EssentialityReport(essential=False, witness=None, n_samples=sample_count)
+    i = int(failing[0])
+    if i + 1 < sample_count:
+        rng.bit_generator.state = start
+        draw(i + 1)
+    return EssentialityReport(essential=True, witness=rhos[i], n_samples=i + 1)

@@ -180,15 +180,33 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvectors of a complex Hermitian matrix or
     stack, from its lower triangle.
 
-    The package's one Hermitian eigensolver call.  It calls the LAPACK gufunc
-    that numpy.linalg.eigh wraps, without the wrapper: its type checks, error
-    state and result wrapping cost as much as the solve itself at d <= 4.
-    Without them a non-convergence returns NaN eigenvalues instead of raising,
-    which ClippedEig's eigenvalue floor rejects.  a must be complex: rho is
-    Hermitian by construction on the integration path, and the public entry
-    points check their input first.
+    The package's one Hermitian eigensolver call that returns vectors.  It
+    calls the LAPACK gufunc that numpy.linalg.eigh wraps, without the wrapper:
+    its type checks, error state and result wrapping cost as much as the solve
+    itself at d <= 4.  Without them a non-convergence returns NaN eigenvalues
+    instead of raising, which the eigenvalue floor rejects.  a must be
+    complex: rho is Hermitian by construction on the integration path, and
+    the public entry points check their input first.
     """
     return np.linalg._umath_linalg.eigh_lo(a, signature="D->dD")
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """The eigenvalues of _eigh alone, from the values-only gufunc that
+    numpy.linalg.eigvalsh wraps: the decomposition of a stage or a step that
+    reads no eigenvector.  The same input rules and NaN behaviour as _eigh."""
+    return np.linalg._umath_linalg.eigvalsh_lo(a, signature="D->d")
+
+
+def _floored(w: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """The eigenvalue floor: w (..., d) with eigenvalues in [-1e-10, 0)
+    clipped to 0, as integration roundoff; anything more negative, or a
+    non-finite spectrum, raises naming what and the first failing member."""
+    if not w.min() >= -EIG_NEG_TOL:  # written so that NaN fails it too
+        lo = w.min(axis=-1)
+        bad = ~(lo >= -EIG_NEG_TOL)
+        raise ValidationError(f"{what}{_member(bad)} has eigenvalue {lo[bad].flat[0]} < -1e-10")
+    return np.maximum(w, 0.0)
 
 
 class ClippedEig:
@@ -196,19 +214,16 @@ class ClippedEig:
 
     Eigenvalues in [-1e-10, 0) come from integration roundoff and are
     treated as 0; anything more negative, or a non-finite spectrum, is a hard
-    error.  The generator families read every power, projector and scalar
-    they need from this one decomposition: an RK4 stage makes one eigh.
-    rho may be a stack (..., d, d); an error names the first failing member.
+    error (the eigenvalue floor).  The spectral generator kernel reads every
+    power, projector and scalar it needs from this one decomposition: one
+    eigh per RK4 stage.  rho may be a stack (..., d, d); an error names the
+    first failing member.
     """
 
     def __init__(self, rho: np.ndarray):
         self.rho = np.asarray(rho, dtype=complex)
         w, v = _eigh(self.rho)
-        if not w.min() >= -EIG_NEG_TOL:  # written so that NaN fails it too
-            lo = w.min(axis=-1)
-            bad = ~(lo >= -EIG_NEG_TOL)
-            raise ValidationError(f"matrix{_member(bad)} has eigenvalue {lo[bad].flat[0]} < -1e-10")
-        self.eigenvalues = np.maximum(w, 0.0)
+        self.eigenvalues = _floored(w)
         self.eigenvectors = v
         self._vh = None
 

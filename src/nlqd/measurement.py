@@ -17,11 +17,10 @@ from functools import partial
 
 import numpy as np
 
-from .entanglement import BipartiteDynamics, BipartiteState, _check_dims, _joint_generator
+from .entanglement import BipartiteDynamics, BipartiteState, _check_dims, _joint_floors, _joint_generator
 from .errors import SubspaceInvarianceError, ValidationError
-from .generators import GeneratorSpec, _eval_T, eval_T, generator_matrix
+from .generators import GeneratorSpec, _floors, eval_T, generator_matrix
 from .linalg import (
-    ClippedEig,
     DensityMatrix,
     _hermitian,
     _square,
@@ -113,7 +112,8 @@ def evolve_block_diagonal(
             # The block's factor runs at unit norm; its generator sees the
             # unnormalized block w rho and is projected back into the block.
             g_of_rho = lambda rho, proj=proj, w=w: proj @ generator_matrix(spec, w * rho) @ proj
-            parts.append(w * np.array(integrate_generator(block / w, g_of_rho, cfg, _no_monitor).states))
+            traj = integrate_generator(block / w, g_of_rho, cfg, _no_monitor, _floors(spec))
+            parts.append(w * np.array(traj.states))
     residual = max_abs(sum(parts)[1:] - np.array(full.states[1:]))
     return full, residual
 
@@ -156,7 +156,8 @@ def _evolve_joint(sc: CorrelationScenario, rho: np.ndarray, duration: float, h_o
     if duration <= sc.cfg.dt * 1e-9:
         return rho
     g_of_rho = partial(_joint_generator, sc.dyn, dims=sc.rho0.dims, h_on=h_on)
-    traj = integrate_generator(rho, g_of_rho, _phase_cfg(sc.cfg, duration), _no_monitor)
+    cfg = _phase_cfg(sc.cfg, duration)
+    traj = integrate_generator(rho, g_of_rho, cfg, _no_monitor, _joint_floors(sc.dyn, h_on))
     return traj.final_state()
 
 
@@ -187,12 +188,13 @@ def _full_route(sc: CorrelationScenario, rho1: np.ndarray) -> float:
     n_k = partial_trace(rho_p + rho_q, (d_h, d_k), "H")
     spec_h, spec_k = sc.dyn.spec_H, sc.dyn.spec_K
 
+    # Both local dynamics are Gamma-free, so each generator is its T.
     def rhs(xs):
         s_p, s_k = xs
-        t_p = sc.P_H.P @ _eval_T(spec_h, ClippedEig(s_p @ m_p @ dagger(s_p))) @ sc.P_H.P
+        t_p = sc.P_H.P @ generator_matrix(spec_h, s_p @ m_p @ dagger(s_p)) @ sc.P_H.P
         ds_k = np.zeros_like(s_k)
         if spec_k is not None:
-            ds_k = -1j * (_eval_T(spec_k, ClippedEig(s_k @ n_k @ dagger(s_k))) @ s_k)
+            ds_k = -1j * (generator_matrix(spec_k, s_k @ n_k @ dagger(s_k)) @ s_k)
         return -1j * (t_p @ s_p), ds_k
 
     xs = (sc.P_H.P.copy(), np.eye(d_k, dtype=complex))

@@ -15,6 +15,12 @@ one generator, ``evolve`` is its one-member case, and a mixture runs its
 branches as one stack per group of shared family parameters.  The loop only
 records states; a monitor reads every recorded state of every member in one
 call and returns its channels as arrays along the leading axis.
+
+The eigenvalue floor holds at every step.  A spectral generator checks it on
+each state it decomposes, so stage 1 of each step checks the state the step
+before produced; where the generator takes no decomposition (the product
+kernel), the loop checks each stepped state with one values-only
+decomposition.  The loop checks the final state in either case.
 """
 
 from __future__ import annotations
@@ -26,11 +32,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import StepSizeError, ValidationError
-from .generators import GeneratorSpec, _family_key, _stack_specs, generator_matrix
+from .generators import GeneratorSpec, _family_key, _floors, _stack_specs, generator_matrix
 from .linalg import (
     EIG_NEG_TOL,
     ClippedEig,
     StateOperator,
+    _eigvalsh,
+    _floored,
     _member,
     _square,
     _state,
@@ -129,11 +137,21 @@ def _renormalize(gamma: np.ndarray, max_drift: float):
     return gamma / np.sqrt(nrm)[..., None, None], drift
 
 
+def _checked_state(gamma: np.ndarray, step: int) -> np.ndarray:
+    """The stepped state gamma gamma^dag, one factor or a stack, once its
+    eigenvalue floor holds: one values-only decomposition."""
+    rho = gamma @ dagger(gamma)
+    _floored(_eigvalsh(rho), f"state at step {step}")
+    return rho
+
+
 def step_state_operator(gamma, spec: GeneratorSpec, dt: float, max_step_drift: float = 1e-6):
     """One RK4 step of a unit-norm square-root factor of the spec's dimension."""
     g = StateOperator(matrix=_square(gamma, spec.dim)).matrix
     (g,) = _rk4((g,), _factor_rhs(partial(generator_matrix, spec)), dt)
-    return StateOperator(matrix=_renormalize(g, max_step_drift)[0])
+    g = _renormalize(g, max_step_drift)[0]
+    _checked_state(g, 1)
+    return StateOperator(matrix=g)
 
 
 def default_monitor(H: np.ndarray) -> MonitorFn:
@@ -154,13 +172,16 @@ def _no_monitor(states: np.ndarray) -> dict:
     return {}
 
 
-def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, carried=()):
+def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, carried=(), floors: bool = True):
     """The step loop: factorize, step, check the drift, renormalize, record.
 
     rho0 is one state (d, d) or a stack (B, d, d) of them, each member an
     independent trajectory under its own slice of g_of_rho's generator.
-    Each carried matrix x steps with gamma under i x_dot = G(rho) x.  Returns
-    the final (gamma, *carried), the record times (N,), the recorded states
+    Each carried matrix x steps with gamma under i x_dot = G(rho) x.
+    ``floors`` says whether g_of_rho's own decompositions check the
+    eigenvalue floor at every stage; where they do not, the loop checks
+    every stepped state, and it always checks the final one.  Returns the
+    final (gamma, *carried), the record times (N,), the recorded states
     (N, ..., d, d) and the worst drift of each window (N, ...).
     """
     xs = (ClippedEig(rho0).power(0.5), *carried)
@@ -171,11 +192,12 @@ def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, carried=()):
     for step in range(1, n + 1):
         xs = _rk4(xs, rhs, cfg.dt)
         gamma, drift = _renormalize(xs[0], cfg.max_step_drift)
+        rho = _checked_state(gamma, step) if not floors or step == n else None
         xs = (gamma, *xs[1:])
         worst = np.maximum(worst, drift)
         if step % cfg.monitor_stride == 0 or step == n:
             times.append(step * cfg.dt)
-            states.append(gamma @ dagger(gamma))
+            states.append(gamma @ dagger(gamma) if rho is None else rho)
             drifts.append(worst)
             worst = drifts[0]
     return xs, np.array(times), np.array(states), np.array(drifts)
@@ -206,9 +228,11 @@ def integrate_generator(
     g_of_rho: GeneratorFn,
     cfg: IntegratorConfig,
     monitor: MonitorFn,
+    floors: bool = True,
 ) -> Trajectory:
-    """Shared gamma-route engine: factorize, step, renormalize, record."""
-    _, *records = _integrate(_state(rho0), g_of_rho, cfg)
+    """Shared gamma-route engine: factorize, step, renormalize, record;
+    ``floors`` as for the step loop."""
+    _, *records = _integrate(_state(rho0), g_of_rho, cfg, floors=floors)
     return _trajectories(*records, monitor)[0]
 
 
@@ -223,7 +247,7 @@ def evolve_many(rho0s, spec: GeneratorSpec, cfg: IntegratorConfig) -> list:
     # One state steps as one (d, d) matrix, whose per-member scalars stay
     # numpy scalars: cheaper than arrays of one member, and the same bits.
     rho0 = states[0] if len(states) == 1 else np.array(states)
-    _, *records = _integrate(rho0, partial(generator_matrix, spec), cfg)
+    _, *records = _integrate(rho0, partial(generator_matrix, spec), cfg, floors=_floors(spec))
     return _trajectories(*records, default_monitor(spec.H))
 
 
@@ -238,7 +262,7 @@ def consistency_check_rho_route(rho0, spec: GeneratorSpec, cfg: IntegratorConfig
     """
     m = _state(rho0, spec.dim)
     g_of_rho = partial(generator_matrix, spec)
-    gamma_route = integrate_generator(m, g_of_rho, replace(cfg, monitor_stride=1), _no_monitor)
+    gamma_route = integrate_generator(m, g_of_rho, replace(cfg, monitor_stride=1), _no_monitor, _floors(spec))
 
     def rho_rhs(xs):
         g = g_of_rho(xs[0])
@@ -263,7 +287,7 @@ def accumulate_propagator(
     """
     m = _state(rho0, spec.dim)
     s0 = np.eye(m.shape[0], dtype=complex)
-    (_, s), *records = _integrate(m, partial(generator_matrix, spec), cfg, (s0,))
+    (_, s), *records = _integrate(m, partial(generator_matrix, spec), cfg, (s0,), _floors(spec))
     return s, _trajectories(*records, default_monitor(spec.H))[0]
 
 
@@ -303,7 +327,7 @@ def evolve_convex_mixture(rho0, mix: MixtureSpec, cfg: IntegratorConfig) -> Traj
     for members in groups.values():
         stack = _stack_specs([mix.process_specs[i] for i in members])
         _, times, batch_states, batch_drifts = _integrate(
-            np.array([m] * len(members)), partial(generator_matrix, stack), cfg
+            np.array([m] * len(members)), partial(generator_matrix, stack), cfg, floors=_floors(stack)
         )
         for j, i in enumerate(members):
             states[i], drifts[i] = batch_states[:, j], batch_drifts[:, j]

@@ -264,6 +264,108 @@ class TestSpectralKernels:
         assert max_abs(got[1] - generators._eval_T(specs[1], ClippedEig(rhos[1]))) > 1e-3
 
 
+def whole_exponent_spec(name, d, rng):
+    """A spec whose exponents are whole, by name "<T>/<Gamma>[/r<r>]"."""
+    t, gamma, *r = name.split("/")
+    r = float(r[0][1:]) if r else 2.0
+    t_family = TFamily("vonNeumann") if t == "vonNeumann" else TFamily("powerLaw", q=float(t[1:]))
+    if gamma == "none":
+        fam = GammaFamily("none")
+    elif gamma == "nonEssential":
+        fam = GammaFamily("nonEssential", r=r, A=random_hermitian(d, rng))
+    else:
+        fam = GammaFamily(gamma, sigma=0.7, r=r)
+    return GeneratorSpec(H=random_hermitian(d, rng), t_family=t_family, gamma_family=fam)
+
+
+WHOLE_EXPONENT_SPECS = [
+    "vonNeumann/none", "q1/none", "q2/none", "q3/none",
+    "vonNeumann/zeroMean/r1", "q1/zeroMean", "q2/zeroMean/r3", "q3/zeroMean/r1",
+    "vonNeumann/energyConserving", "q1/energyConserving", "q1/energyConserving/r1",
+    "q2/energyConserving/r1", "q3/energyConserving", "q4/energyConserving/r1",
+    "vonNeumann/nonEssential", "q1/nonEssential", "q2/nonEssential/r3",
+]  # energyConserving: q <= r + 1 (k = 2, 1, 0) and q > r + 1
+
+
+class TestProductKernel:
+    @pytest.mark.parametrize("name", WHOLE_EXPONENT_SPECS)
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_matches_the_spectral_kernel(self, rng, name, d):
+        # full, low-rank and pure states, alone and as a stack of three specs
+        for rank in sorted({1, max(1, d // 2), d - 1, d}):
+            spec, rho = whole_exponent_spec(name, d, rng), random_density_matrix(d, rng, rank)
+            assert spec._products is not None
+            assert max_abs(generators.generator_matrix(spec, rho) - generators._by_spectrum(spec, rho)) <= 1e-14
+        stacked = generators._stack_specs([whole_exponent_spec(name, d, rng) for _ in range(3)])
+        rhos = np.array([random_density_matrix(d, rng, rank) for rank in (d, 1, max(1, d - 1))])
+        got = generators.generator_matrix(stacked, rhos)
+        assert got.shape == rhos.shape
+        assert max_abs(got - generators._by_spectrum(stacked, rhos)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "t_family, gamma",
+        [
+            (TFamily("powerLaw", q=1.3), GammaFamily("none")),
+            (TFamily("powerLaw", q=0.5), GammaFamily("zeroMean", sigma=0.7, r=2.0)),
+            (TFamily("powerLaw", q=2.5), GammaFamily("nonEssential", r=2.0, A=SX)),
+            (TFamily("powerLaw", q=1.0), GammaFamily("zeroMean", sigma=0.7, r=1.5)),
+            (TFamily("vonNeumann"), GammaFamily("energyConserving", sigma=0.7, r=0.5)),
+        ],
+        ids=["q1.3", "q0.5", "q2.5-nonEssential", "r1.5", "r0.5"],
+    )
+    def test_a_fractional_exponent_keeps_the_spectral_kernel(self, rng, t_family, gamma):
+        spec = GeneratorSpec(H=SZ + 0.4 * SX, t_family=t_family, gamma_family=gamma)
+        assert spec._products is None
+        for rank in (1, 2):
+            rho = random_density_matrix(2, rng, rank)
+            assert same_bits(generators.generator_matrix(spec, rho), generators._by_spectrum(spec, rho))
+
+    def test_von_neumann_none_is_h_itself(self, rng):
+        spec = GeneratorSpec(H=SZ)
+        assert generators.generator_matrix(spec, random_density_matrix(2, rng)) is spec.H
+
+    def test_kernel_is_chosen_once_per_spec(self, rng, monkeypatch):
+        spec = whole_exponent_spec("q1/zeroMean", 3, rng)
+        stacked = generators._stack_specs([spec, spec])
+        calls = []
+        monkeypatch.setattr(generators, "_product_plan", lambda *a: calls.append(1))
+        monkeypatch.setattr(generators, "_whole", lambda x: calls.append(1))
+        rho = random_density_matrix(3, rng)
+        generators.generator_matrix(spec, rho)
+        generators.generator_matrix(stacked, np.array([rho, rho]))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "name, rank, eigh, eigvalsh",
+        [
+            ("q1/zeroMean", 3, 0, 0),
+            ("q1/energyConserving", 1, 0, 0),
+            ("vonNeumann/none", 3, 0, 0),
+            ("q1/nonEssential", 3, 0, 1),  # the eigenvalues show a full support: G = T
+            ("q1/nonEssential", 2, 1, 1),  # they do not: one eigh for Gamma
+        ],
+    )
+    def test_decompositions_per_call(self, rng, monkeypatch, name, rank, eigh, eigvalsh):
+        real_eigh, real_eigvalsh, calls = linalg._eigh, generators._eigvalsh, []
+        monkeypatch.setattr(linalg, "_eigh", lambda a: calls.append("eigh") or real_eigh(a))
+        monkeypatch.setattr(generators, "_eigvalsh", lambda a: calls.append("eigvalsh") or real_eigvalsh(a))
+        generators.generator_matrix(whole_exponent_spec(name, 3, rng), random_density_matrix(3, rng, rank))
+        assert (calls.count("eigh"), calls.count("eigvalsh")) == (eigh, eigvalsh)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_non_essential_mixed_stack_members_match_one_matrix_bitwise(self, rng, d):
+        specs = [whole_exponent_spec("q1/nonEssential", d, rng) for _ in range(3)]
+        rhos = np.array([random_density_matrix(d, rng, rank) for rank in (d, 1, d)])
+        got = generators.generator_matrix(generators._stack_specs(specs), rhos)
+        for i in range(3):
+            assert same_bits(got[i], generators.generator_matrix(specs[i], rhos[i])), i
+
+    def test_non_essential_eigenvalue_floor(self):
+        spec = whole_exponent_spec("q1/nonEssential", 2, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match=r"\(member 1\) has eigenvalue -0.5"):
+            generators.generator_matrix(spec, np.array([np.eye(2) / 2, np.diag([1.5, -0.5])]))
+
+
 class TestLagrangeParameters:
     def test_identity_hamiltonian_degenerate(self, rng):
         rho = random_density_matrix(2, rng)
@@ -388,19 +490,34 @@ class TestPolchinskiCondition:
                 check_polchinski_condition(spec, random_density_matrix(3, rng, rank))
                 assert len(calls) == 1
 
-    def test_zero_mean_check_decomposes_each_sample_once(self, rng, monkeypatch):
+    def test_zero_mean_check_decomposes_the_stack_once(self, rng, monkeypatch):
         spec = GeneratorSpec(H=random_hermitian(3, rng), gamma_family=GammaFamily("zeroMean", sigma=1.0, r=1.5))
         samples = [random_density_matrix(3, rng, rank) for rank in (1, 2, 3, 3)]
-        # the residuals are those of the public factor and Gamma, bit for bit
+        eigh, calls = linalg._eigh, []
+        monkeypatch.setattr(linalg, "_eigh", lambda a: calls.append(1) or eigh(a))
+        check_zero_mean(spec, samples)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("fam", ALL_GAMMA_FAMILIES, ids=lambda f: f.family)
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_zero_mean_check_matches_the_sample_loop(self, rng, fam, d):
+        # the stack gives the residuals of the public factor and Gamma, sample by sample
+        if fam.A is not None:
+            fam = GammaFamily("nonEssential", r=2.0, A=random_hermitian(d, rng))
+        spec = GeneratorSpec(H=random_hermitian(d, rng), gamma_family=fam)
+        samples = [random_density_matrix(d, rng, rank) for rank in (1, max(1, d // 2), d, d)]
         expected = [
             abs(np.trace(dagger(g) @ eval_Gamma(spec, s) @ g))
             for s, g in ((s, sqrt_factor(s).matrix) for s in samples)
         ]
-        eigh, calls = linalg._eigh, []
-        monkeypatch.setattr(linalg, "_eigh", lambda a: calls.append(1) or eigh(a))
         rep = check_zero_mean(spec, samples)
-        assert len(calls) == len(samples)
-        assert rep.residuals.tolist() == expected
+        assert max_abs(rep.residuals - expected) <= 1e-15
+
+    def test_zero_mean_check_names_the_first_sample_off_unit_norm(self, rng):
+        samples = [random_density_matrix(2, rng), 2 * random_density_matrix(2, rng)]
+        with pytest.raises(ValidationError, match="HS norm 2.0"):
+            check_zero_mean(GeneratorSpec(H=SZ), samples)
+        assert check_zero_mean(GeneratorSpec(H=SZ), []).residuals.shape == (0,)
 
 
 class TestClassifier:
@@ -421,3 +538,35 @@ class TestClassifier:
     def test_no_gamma(self):
         rep = classify_dissipative_part(GeneratorSpec(H=SZ), sample_count=20)
         assert not rep.essential
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_the_sample_loop(self, seed, d):
+        # the stacked search finds the one-at-a-time search's first witness, at
+        # the same count, and leaves the generator where that search does
+        rng = np.random.default_rng(seed)
+        a = random_hermitian(d, rng)
+        for fam in (
+            GammaFamily("zeroMean", sigma=1.0, r=2.0),
+            GammaFamily("nonEssential", r=2.0, A=a),
+            # a weak zeroMean: its support block can fall under the tolerance, so a witness may come late
+            GammaFamily("zeroMean", sigma=float(rng.uniform(1e-10, 1e-8)), r=2.0),
+        ):
+            spec = GeneratorSpec(H=random_hermitian(d, rng), gamma_family=fam)
+            rng_loop, rng_stack = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+            want = classify_by_loop(spec, 30, rng_loop)
+            got = classify_dissipative_part(spec, sample_count=30, rng=rng_stack)
+            assert (got.essential, got.n_samples) == (want.essential, want.n_samples)
+            assert (got.witness is None and want.witness is None) or same_bits(got.witness, want.witness)
+            assert rng_stack.random() == rng_loop.random()
+
+
+def classify_by_loop(spec, sample_count, rng):
+    """The classifier as written before it stacked its samples: the reference."""
+    d = spec.dim
+    for i in range(sample_count):
+        rank = d if i % 2 == 0 or d < 2 else int(rng.integers(1, d))
+        rho = random_density_matrix(d, rng, rank)
+        if not check_polchinski_condition(spec, rho).passed:
+            return generators.EssentialityReport(essential=True, witness=rho, n_samples=i + 1)
+    return generators.EssentialityReport(essential=False, witness=None, n_samples=sample_count)

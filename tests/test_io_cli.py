@@ -861,6 +861,12 @@ class TestScenarioReader:
         message = run_rejected(full_scenarios(tmp_path)[kind], tmp_path, monkeypatch, capsys, flags)
         assert flags[0] in message and repr(kind) in message
 
+    @pytest.mark.parametrize("kind", ["evolve", "evolve_bipartite", "mixture", "measure_correlation"])
+    def test_strict_on_a_kind_with_no_verdict_exit_one(self, kind, tmp_path, monkeypatch, capsys):
+        # only a check report has a verdict for --strict to read; each used to exit 0
+        message = run_rejected(full_scenarios(tmp_path)[kind], tmp_path, monkeypatch, capsys, ["--strict"])
+        assert message == f"--strict applies to kind 'check' only, not to kind {kind!r}"
+
     def test_projector_not_invariant_exit_one(self, tmp_path, monkeypatch, capsys):
         doc = full_scenarios(tmp_path)["measure_correlation"]
         doc["payload"]["generator_H"] = generator_spec_to_json(GeneratorSpec(H=SX))

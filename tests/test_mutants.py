@@ -24,7 +24,7 @@ import test_propagation
 import test_scripts
 from nlqd import entanglement, generators, io, measurement, propagation
 from nlqd.errors import NlqdError, StepSizeError
-from nlqd.linalg import ClippedEig, dagger, hermitian_eigvals, partial_trace, tensor_product
+from nlqd.linalg import dagger, hermitian_eigvals, partial_trace, tensor_product
 
 REAL_RENORMALIZE = propagation._renormalize
 REAL_EVAL_GAMMA = generators._eval_Gamma
@@ -100,6 +100,10 @@ def non_essential_skip_if_any_full(fam, dec):
     return v @ ((vh @ fam.A @ v) * weights) @ vh
 
 
+def whole_if_at_least_one(x):
+    return x >= 1  # was x == int(x) and x >= 1: the product kernel takes q = 1.3 as 1
+
+
 def factor_rhs_swapped(g_of_rho):
     def rhs(xs):
         gen = g_of_rho(dagger(xs[0]) @ xs[0])  # was xs[0] @ dagger(xs[0])
@@ -151,10 +155,10 @@ def full_route_q_block_projected_with_p(sc, rho1):
 
     def rhs(xs):
         s_p, s_k = xs
-        t_p = sc.P_H.P @ generators._eval_T(spec_h, ClippedEig(s_p @ m_p @ dagger(s_p))) @ sc.P_H.P
+        t_p = sc.P_H.P @ generators.generator_matrix(spec_h, s_p @ m_p @ dagger(s_p)) @ sc.P_H.P
         ds_k = np.zeros_like(s_k)
         if spec_k is not None:
-            ds_k = -1j * (generators._eval_T(spec_k, ClippedEig(s_k @ n_k @ dagger(s_k))) @ s_k)
+            ds_k = -1j * (generators.generator_matrix(spec_k, s_k @ n_k @ dagger(s_k)) @ s_k)
         return -1j * (t_p @ s_p), ds_k
 
     xs = (sc.P_H.P.copy(), np.eye(d_k, dtype=complex))
@@ -223,6 +227,12 @@ MUTANTS = {
         generators, "_non_essential_gamma", non_essential_skip_if_any_full,
         lambda: test_generators.TestSpectralKernels().test_non_essential_mixed_stack_members_match_one_matrix_bitwise(
             rng(), 4
+        ),
+    ),
+    "product_kernel_on_a_fractional_exponent": (
+        generators, "_whole", whole_if_at_least_one,
+        lambda: test_generators.TestProductKernel().test_a_fractional_exponent_keeps_the_spectral_kernel(
+            rng(), generators.TFamily("powerLaw", q=1.3), generators.GammaFamily("none")
         ),
     ),
     "generator_at_gamma_dag_gamma": (

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import SX, SY, SZ, random_hermitian, random_pure
+from nlqd import linalg, propagation
 from nlqd.entanglement import BipartiteDynamics, BipartiteState, evolve_bipartite
 from nlqd.errors import DegenerateConstraintError, StepSizeError, ValidationError
 from nlqd.generators import GammaFamily, GeneratorSpec, TFamily, random_density_matrix
@@ -219,6 +222,85 @@ class TestEvolveMany:
             evolve_many([np.eye(2) / 2, np.diag([0.5, 0.6])], spec, CFG)
         with pytest.raises(ValidationError):
             evolve_many([], spec, CFG)
+
+
+def spoil_call(monkeypatch, module, k: int) -> list:
+    """Swap module._eigvalsh for one whose k-th call returns a smallest
+    eigenvalue of -1e-9 in member 0; returns the list of matrices it saw."""
+    real, seen = module._eigvalsh, []
+
+    def spoiled(a):
+        seen.append(a.copy())
+        w = real(a)
+        if len(seen) == k:
+            w[(0,) * (w.ndim - 1) + (0,)] = -1e-9
+        return w
+
+    monkeypatch.setattr(module, "_eigvalsh", spoiled)
+    return seen
+
+
+class TestEigenvalueFloor:
+    """The floor holds on every stepped state: where the generator takes no
+    decomposition, the loop checks each one; it checks the last in any case."""
+
+    CFG = IntegratorConfig(dt=1e-3, t_final=0.02, monitor_stride=5)  # 20 steps, records at 5, 10, 15, 20
+    PRODUCTS = GeneratorSpec(
+        H=SZ + 0.4 * SX, t_family=TFamily("powerLaw", q=1.0), gamma_family=GammaFamily("zeroMean", sigma=0.5, r=2.0)
+    )
+    SPECTRAL = GeneratorSpec(
+        H=SZ + 0.4 * SX, t_family=TFamily("powerLaw", q=1.3), gamma_family=GammaFamily("zeroMean", sigma=0.5, r=2.0)
+    )
+
+    @pytest.mark.parametrize("k", [7, 20])
+    def test_fires_at_the_step_whose_state_fails(self, rng, monkeypatch, k):
+        rho0 = random_density_matrix(2, rng)
+        states = evolve(rho0, self.PRODUCTS, replace(self.CFG, monitor_stride=1)).states
+        seen = spoil_call(monkeypatch, propagation, k)
+        with pytest.raises(ValidationError, match=rf"^state at step {k} has eigenvalue -1e-09 < -1e-10$"):
+            evolve(rho0, self.PRODUCTS, self.CFG)
+        # one check per step, the k-th on the state that step k produced
+        assert len(seen) == k
+        assert max_abs(seen[-1] - states[k]) == 0.0
+
+    def test_names_the_member_of_a_stack(self, rng, monkeypatch):
+        spoil_call(monkeypatch, propagation, 3)
+        with pytest.raises(ValidationError, match=r"^state at step 3 \(member 0\) has eigenvalue"):
+            evolve_many([random_density_matrix(2, rng) for _ in range(3)], self.PRODUCTS, self.CFG)
+
+    def test_spectral_kernel_leaves_the_loop_the_last_state(self, rng, monkeypatch):
+        # a spectral stage checks the state it decomposes, so the loop checks only the last
+        rho0 = random_density_matrix(2, rng)
+        seen = spoil_call(monkeypatch, propagation, 1)
+        with pytest.raises(ValidationError, match=r"^state at step 20 has eigenvalue -1e-09"):
+            evolve(rho0, self.SPECTRAL, self.CFG)
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize(
+        "spec, eigh_per_step, floor_per_step",
+        [(PRODUCTS, 0, 1), (SPECTRAL, 4, 0), (GeneratorSpec(H=SZ), 0, 1)],
+        ids=["products", "spectral", "vonNeumann"],
+    )
+    def test_decompositions_per_step(self, rng, monkeypatch, spec, eigh_per_step, floor_per_step):
+        eigh, eigvalsh, calls = linalg._eigh, propagation._eigvalsh, []
+        monkeypatch.setattr(linalg, "_eigh", lambda a: calls.append("eigh") or eigh(a))
+        monkeypatch.setattr(propagation, "_eigvalsh", lambda a: calls.append("floor") or eigvalsh(a))
+        evolve(random_density_matrix(2, rng), spec, self.CFG)
+        n = self.CFG.n_steps  # plus the factorization's eigh, and the floor of the last state
+        assert calls.count("eigh") == 1 + eigh_per_step * n
+        assert calls.count("floor") == floor_per_step * (n - 1) + 1
+
+    def test_bipartite_loop_checks_the_joint_state_where_no_marginal_is_decomposed(self, rng, monkeypatch):
+        seen = spoil_call(monkeypatch, propagation, 7)
+        state = BipartiteState(d_H=2, d_K=2, matrix=random_density_matrix(4, rng))
+        with pytest.raises(ValidationError, match=r"^state at step 7 has eigenvalue"):
+            evolve_bipartite(state, BipartiteDynamics(spec_H=self.PRODUCTS), self.CFG)
+        assert seen[-1].shape == (4, 4)
+
+    def test_step_state_operator_checks_its_step(self, monkeypatch):
+        spoil_call(monkeypatch, propagation, 1)
+        with pytest.raises(ValidationError, match=r"^state at step 1 has eigenvalue"):
+            step_state_operator(sqrt_factor(np.eye(2) / 2), self.PRODUCTS, 1e-3)
 
 
 class TestPropagator:
