@@ -146,7 +146,13 @@ class _SpecStack:
 
 def _whole(x: float) -> bool:
     """x is a whole number >= 1, so rho^x is a product of rho's."""
-    return x == int(x) and x >= 1
+    return x >= 1 and float(x).is_integer()
+
+
+# rho^n costs n - 1 matrix products.  At n = 8 the product kernel costs
+# about what the spectral kernel does (timeit, d = 2, 4 and 8), so a spec that
+# needs a higher power of rho keeps the spectral kernel.
+MAX_PRODUCT_POWER = 8
 
 
 @dataclass(frozen=True)
@@ -167,19 +173,16 @@ def _product_plan(h: np.ndarray, t_family: TFamily, gamma_family: GammaFamily) -
     power on a full support, the only support it takes the products on."""
     fam = gamma_family.family
     q = 0.0 if t_family.family == "vonNeumann" else t_family.q
-    if q and not _whole(q):
+    reads_r = fam in ("zeroMean", "energyConserving")
+    if q and not _whole(q) or reads_r and not _whole(gamma_family.r):
         return None
-    if fam in ("none", "nonEssential"):
-        return _Products(int(q), 0, int(q))
-    if not _whole(gamma_family.r):
+    q, r = int(q), int(gamma_family.r) if reads_r else 0
+    n = max(q, r)
+    if fam == "energyConserving" and not 1 <= q <= r + 1:
+        n = max(q, r + 1)  # Tr[H rho^{r+1}] is read whole, not as Tr[(H rho^q) rho^{r+1-q}]
+    if n > MAX_PRODUCT_POWER:
         return None
-    q, r = int(q), int(gamma_family.r)
-    if fam == "zeroMean":
-        return _Products(q, r, max(q, r))
-    # energyConserving reads Tr[H rho^{r+1}] as Tr[(H rho^q) rho^{r+1-q}] when
-    # 1 <= q <= r + 1, and as Tr[H rho^{r+1}] otherwise.
-    n = max(q, r) if 1 <= q <= r + 1 else max(q, r + 1)
-    return _Products(q, r, n, h @ h)
+    return _Products(q, r, n, h @ h if fam == "energyConserving" else None)
 
 
 def _floors(*specs) -> bool:

@@ -284,7 +284,8 @@ WHOLE_EXPONENT_SPECS = [
     "vonNeumann/energyConserving", "q1/energyConserving", "q1/energyConserving/r1",
     "q2/energyConserving/r1", "q3/energyConserving", "q4/energyConserving/r1",
     "vonNeumann/nonEssential", "q1/nonEssential", "q2/nonEssential/r3",
-]  # energyConserving: q <= r + 1 (k = 2, 1, 0) and q > r + 1
+    "q8/none", "q1/zeroMean/r8", "q1/energyConserving/r7",
+]  # energyConserving: q <= r + 1 (k = 2, 1, 0) and q > r + 1; n = 8 products at most
 
 
 class TestProductKernel:
@@ -310,10 +311,14 @@ class TestProductKernel:
             (TFamily("powerLaw", q=2.5), GammaFamily("nonEssential", r=2.0, A=SX)),
             (TFamily("powerLaw", q=1.0), GammaFamily("zeroMean", sigma=0.7, r=1.5)),
             (TFamily("vonNeumann"), GammaFamily("energyConserving", sigma=0.7, r=0.5)),
+            # whole, but past MAX_PRODUCT_POWER products
+            (TFamily("powerLaw", q=9.0), GammaFamily("none")),
+            (TFamily("powerLaw", q=1e9), GammaFamily("zeroMean", sigma=0.7, r=2.0)),
+            (TFamily("powerLaw", q=1.0), GammaFamily("energyConserving", sigma=0.7, r=9.0)),
         ],
-        ids=["q1.3", "q0.5", "q2.5-nonEssential", "r1.5", "r0.5"],
+        ids=["q1.3", "q0.5", "q2.5-nonEssential", "r1.5", "r0.5", "q9", "q1e9", "r9-energyConserving"],
     )
-    def test_a_fractional_exponent_keeps_the_spectral_kernel(self, rng, t_family, gamma):
+    def test_other_exponents_keep_the_spectral_kernel(self, rng, t_family, gamma):
         spec = GeneratorSpec(H=SZ + 0.4 * SX, t_family=t_family, gamma_family=gamma)
         assert spec._products is None
         for rank in (1, 2):

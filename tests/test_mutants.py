@@ -101,7 +101,7 @@ def non_essential_skip_if_any_full(fam, dec):
 
 
 def whole_if_at_least_one(x):
-    return x >= 1  # was x == int(x) and x >= 1: the product kernel takes q = 1.3 as 1
+    return x >= 1  # was x >= 1 and float(x).is_integer(): the product kernel takes q = 1.3 as 1
 
 
 def factor_rhs_swapped(g_of_rho):
@@ -231,7 +231,7 @@ MUTANTS = {
     ),
     "product_kernel_on_a_fractional_exponent": (
         generators, "_whole", whole_if_at_least_one,
-        lambda: test_generators.TestProductKernel().test_a_fractional_exponent_keeps_the_spectral_kernel(
+        lambda: test_generators.TestProductKernel().test_other_exponents_keep_the_spectral_kernel(
             rng(), generators.TFamily("powerLaw", q=1.3), generators.GammaFamily("none")
         ),
     ),
