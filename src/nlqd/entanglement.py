@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .generators import GeneratorSpec, _floors, eval_Gamma, generator_matrix, random_density_matrix
+from .generators import GeneratorSpec, eval_Gamma, generator_matrix, random_density_matrix
 from .linalg import (
     _eye,
     _square,
@@ -144,13 +144,6 @@ def _joint_generator(dyn: BipartiteDynamics, rho: np.ndarray, dims: tuple[int, i
     return _JointGenerator(g_h, g_k, dims)
 
 
-def _joint_floors(dyn: BipartiteDynamics, h_on: bool = True) -> bool:
-    """Whether every local generator the joint one evaluates decomposes its
-    marginal, and so checks an eigenvalue floor, at every stage; where one
-    does not, the step loop checks each stepped joint state."""
-    return _floors(*[s for s in (dyn.spec_H if h_on else None, dyn.spec_K) if s is not None])
-
-
 def bipartite_monitor(dims: tuple[int, int], H_joint: np.ndarray):
     """Joint monitor adding local entropies and mutual information."""
     base = default_monitor(H_joint)
@@ -182,7 +175,6 @@ def evolve_bipartite(rho0: BipartiteState, dyn: BipartiteDynamics, cfg: Integrat
         partial(_joint_generator, dyn, dims=dims),
         cfg,
         bipartite_monitor(dims, joint_hamiltonian(dyn, dims)),
-        _joint_floors(dyn),
     )
 
 
@@ -266,7 +258,7 @@ def verify_cp_extension(dyn: BipartiteDynamics, rho_hk_samples, cfg: IntegratorC
         raise ValidationError(f"samples differ in dims; the first has {dims}")
     _check_dims(dyn, dims)
     g_of_rho = partial(_joint_generator, dyn, dims=dims)
-    _, _, states, _ = _integrate(np.array([s.matrix for s in samples]), g_of_rho, cfg, floors=_joint_floors(dyn))
+    _, _, states, _ = _integrate(np.array([s.matrix for s in samples]), g_of_rho, cfg)
     # states: (N, B, D, D)
     local = [t.states for t in evolve_many([s.marginal_H() for s in samples], dyn.spec_H, cfg)]
     min_eigs = np.min(hermitian_eigvals(states[-1]), axis=-1)

@@ -8,12 +8,14 @@ two Lagrange multipliers solved per state, and the support-avoiding form
 to a commutator (a "non-essential" dissipative part).
 
 Each spec picks its kernel once, at construction.  Where every power of rho
-that G reads has a whole exponent (q, and r where Gamma reads rho^r), the
-product kernel forms rho^q and rho^r by matrix products and reads each
-trace as an elementwise sum of products it already holds: it takes no
-eigendecomposition (nonEssential takes a values-only one, to see whether
-the support is full).  Every other spec takes the spectral kernel, which
-reads everything from one eigendecomposition of rho and stays the oracle.
+that G reads has a whole exponent (q, and r for zeroMean and
+energyConserving), the product kernel forms rho^q and rho^r by matrix
+products and reads each trace as an elementwise sum of products it already
+holds: it takes no eigendecomposition.  Every other spec, nonEssential
+always (its Gamma reads the support of rho), takes the spectral kernel,
+which reads everything from one eigendecomposition of rho and stays the
+oracle.  Neither kernel owns the eigenvalue floor of a stepped state: the
+step loop in ``propagation`` checks each one.
 
 Also here: the generic zero-mean construction for linear superoperators,
 the zero-mean and support-block checks as executable criteria, and a
@@ -31,10 +33,7 @@ from .errors import DegenerateConstraintError, ValidationError
 from .linalg import (
     HERM_TOL,
     HS_NORM_TOL,
-    SUPPORT_REL_TOL,
     ClippedEig,
-    _eigvalsh,
-    _floored,
     _hermitian,
     _member,
     _square,
@@ -50,7 +49,7 @@ SUPPORT_BLOCK_TOL = 1e-9
 @dataclass(frozen=True)
 class TFamily:
     """Motion-term family: "vonNeumann" (T = H, takes no q) or "powerLaw"
-    (needs q > 0)."""
+    (needs a finite q > 0)."""
 
     family: str
     q: float = 1.0
@@ -58,8 +57,8 @@ class TFamily:
     def __post_init__(self):
         if self.family not in ("vonNeumann", "powerLaw"):
             raise ValidationError(f"unknown T family {self.family!r}")
-        if self.family == "powerLaw" and self.q <= 0:
-            raise ValidationError(f"powerLaw exponent q must be > 0, got {self.q}")
+        if self.family == "powerLaw" and not 0 < self.q < np.inf:
+            raise ValidationError(f"powerLaw exponent q must be finite and > 0, got {self.q}")
         if self.family == "vonNeumann" and self.q != 1.0:
             raise ValidationError(f"vonNeumann takes no q, got {self.q}")
 
@@ -69,9 +68,10 @@ class GammaFamily:
     """Dissipative-term family.
 
     family: "none" | "zeroMean" | "energyConserving" | "nonEssential".
-    sigma and r apply to zeroMean and energyConserving; none takes neither;
-    nonEssential needs a Hermitian coupling matrix A and r > 1, and takes
-    no sigma.  No other family takes an A.
+    sigma (finite) and r (finite, > 0) apply to zeroMean and
+    energyConserving; none takes neither; nonEssential needs a Hermitian
+    coupling matrix A and a finite r > 1, and takes no sigma.  No other
+    family takes an A.
     """
 
     family: str
@@ -84,8 +84,11 @@ class GammaFamily:
             raise ValidationError(f"unknown Gamma family {self.family!r}")
         if self.family == "none" and (self.sigma != 0.0 or self.r != 1.0):
             raise ValidationError(f"none takes no sigma or r, got {self.sigma}, {self.r}")
-        if self.family in ("zeroMean", "energyConserving") and self.r <= 0:
-            raise ValidationError(f"exponent r must be > 0, got {self.r}")
+        if self.family in ("zeroMean", "energyConserving"):
+            if not 0 < self.r < np.inf:
+                raise ValidationError(f"exponent r must be finite and > 0, got {self.r}")
+            if not abs(self.sigma) < np.inf:
+                raise ValidationError(f"sigma must be finite, got {self.sigma}")
         if self.family != "nonEssential" and self.A is not None:
             raise ValidationError(f"{self.family} takes no A")
         if self.family == "nonEssential":
@@ -95,8 +98,8 @@ class GammaFamily:
             if not is_hermitian(a, HERM_TOL):
                 raise ValidationError("A must be Hermitian to 1e-12")
             object.__setattr__(self, "A", a)
-            if self.r <= 1:
-                raise ValidationError(f"nonEssential requires r > 1, got {self.r}")
+            if not 1 < self.r < np.inf:
+                raise ValidationError(f"nonEssential requires a finite r > 1, got {self.r}")
             if self.sigma != 0.0:
                 raise ValidationError(f"nonEssential takes no sigma, got {self.sigma}")
 
@@ -169,12 +172,12 @@ class _Products:
 
 def _product_plan(h: np.ndarray, t_family: TFamily, gamma_family: GammaFamily) -> Optional[_Products]:
     """The product kernel's plan when every power of rho that G reads has a
-    whole exponent, else None: the spectral kernel.  nonEssential reads no
-    power on a full support, the only support it takes the products on."""
+    whole exponent, else None: the spectral kernel, which nonEssential
+    always takes."""
     fam = gamma_family.family
     q = 0.0 if t_family.family == "vonNeumann" else t_family.q
     reads_r = fam in ("zeroMean", "energyConserving")
-    if q and not _whole(q) or reads_r and not _whole(gamma_family.r):
+    if fam == "nonEssential" or q and not _whole(q) or reads_r and not _whole(gamma_family.r):
         return None
     q, r = int(q), int(gamma_family.r) if reads_r else 0
     n = max(q, r)
@@ -183,13 +186,6 @@ def _product_plan(h: np.ndarray, t_family: TFamily, gamma_family: GammaFamily) -
     if n > MAX_PRODUCT_POWER:
         return None
     return _Products(q, r, n, h @ h if fam == "energyConserving" else None)
-
-
-def _floors(*specs) -> bool:
-    """True when every spec's kernel decomposes rho at each call, and so
-    checks the eigenvalue floor of each state it is given: the spectral
-    kernel, and the product kernel of nonEssential (values only)."""
-    return all(s._products is None or s.gamma_family.family == "nonEssential" for s in specs)
 
 
 def _family_key(spec: GeneratorSpec) -> tuple:
@@ -336,20 +332,9 @@ def _tr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b.swapaxes(-1, -2)).sum(axis=(-2, -1)).real
 
 
-def _full_support(rho: np.ndarray) -> bool:
-    """Whether every member's support is full, from one values-only
-    decomposition and its eigenvalue floor: with the eigenvalues ascending,
-    that is the smallest above SUPPORT_REL_TOL times the largest, as
-    support_mask(...).all() reads it."""
-    w = _floored(_eigvalsh(rho))
-    return bool((w[..., 0] > SUPPORT_REL_TOL * w[..., -1]).all())
-
-
 def _by_products(spec: GeneratorSpec, plan: _Products, rho: np.ndarray) -> np.ndarray:
     """The product kernel: G from rho^k = rho ... rho, k <= plan.n, with no
-    eigendecomposition and so no eigenvalue floor.  nonEssential alone takes
-    the eigenvalues (and their floor) to see whether the support is full,
-    and where it is not, one eigh for the spectral formula of its Gamma."""
+    eigendecomposition and so no eigenvalue floor."""
     fam = spec.gamma_family
     p = [None, rho]  # p[k] = rho^k
     for _ in range(1, plan.n):
@@ -360,9 +345,6 @@ def _by_products(spec: GeneratorSpec, plan: _Products, rho: np.ndarray) -> np.nd
         t = x + dagger(x)
     if fam.family == "none":
         return t
-    if fam.family == "nonEssential":
-        gam = None if _full_support(rho) else _non_essential_gamma(fam, ClippedEig(rho))
-        return t if gam is None else t + 1j * gam
     i_sigma = 1j * fam.sigma
     tr_rho, b1 = _trace(rho), _tr(p[plan.r], rho)  # Tr[rho], Tr[rho^{r+1}]
     if fam.family == "zeroMean":  # i sigma (rho^r - c I), c = Tr[rho^{r+1}] / Tr[rho]
@@ -392,11 +374,11 @@ def generator_matrix(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
     The unchecked loop kernel: the integrators call it at every RK4 stage on
     a rho that is Hermitian by construction, so it checks nothing beyond the
     eigenvalue floor of the decomposition it takes, if it takes one: the
-    product kernel of every family but nonEssential takes none, and the step
-    loop checks each stepped state's floor instead.  Validate input with
-    eval_T / eval_Gamma, which take the spectral kernel.  rho may be a stack
-    (B, d, d), and spec a stack of B specs; G is then one generator per
-    member.  Where Gamma is identically zero, G is T itself, which for
+    spectral kernel (nonEssential always) takes one, the product kernel
+    none.  The step loop checks the floor of each stepped state either way.
+    Validate input with eval_T / eval_Gamma, which take the spectral kernel.
+    rho may be a stack (B, d, d), and spec a stack of B specs; G is then one
+    generator per member.  Where Gamma is identically zero, G is T itself, which for
     vonNeumann is the spec's read-only H.
     """
     plan = spec._products

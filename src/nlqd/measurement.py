@@ -17,9 +17,9 @@ from functools import partial
 
 import numpy as np
 
-from .entanglement import BipartiteDynamics, BipartiteState, _check_dims, _joint_floors, _joint_generator
+from .entanglement import BipartiteDynamics, BipartiteState, _check_dims, _joint_generator
 from .errors import SubspaceInvarianceError, ValidationError
-from .generators import GeneratorSpec, _floors, eval_T, generator_matrix
+from .generators import GeneratorSpec, eval_T, generator_matrix
 from .linalg import (
     DensityMatrix,
     _hermitian,
@@ -112,7 +112,7 @@ def evolve_block_diagonal(
             # The block's factor runs at unit norm; its generator sees the
             # unnormalized block w rho and is projected back into the block.
             g_of_rho = lambda rho, proj=proj, w=w: proj @ generator_matrix(spec, w * rho) @ proj
-            traj = integrate_generator(block / w, g_of_rho, cfg, _no_monitor, _floors(spec))
+            traj = integrate_generator(block / w, g_of_rho, cfg, _no_monitor)
             parts.append(w * np.array(traj.states))
     residual = max_abs(sum(parts)[1:] - np.array(full.states[1:]))
     return full, residual
@@ -134,8 +134,8 @@ class CorrelationScenario:
     )
 
     def __post_init__(self):
-        if not (self.t0 <= self.t1 < self.t2):
-            raise ValidationError(f"need t0 <= t1 < t2, got {self.t0}, {self.t1}, {self.t2}")
+        if not (-np.inf < self.t0 <= self.t1 < self.t2 < np.inf):
+            raise ValidationError(f"need finite t0 <= t1 < t2, got {self.t0}, {self.t1}, {self.t2}")
         if self.P_H.dim != self.rho0.d_H or self.P_K.dim != self.rho0.d_K:
             raise ValidationError("projector dimensions do not match the factors")
         _check_dims(self.dyn, self.rho0.dims)
@@ -157,7 +157,7 @@ def _evolve_joint(sc: CorrelationScenario, rho: np.ndarray, duration: float, h_o
         return rho
     g_of_rho = partial(_joint_generator, sc.dyn, dims=sc.rho0.dims, h_on=h_on)
     cfg = _phase_cfg(sc.cfg, duration)
-    traj = integrate_generator(rho, g_of_rho, cfg, _no_monitor, _joint_floors(sc.dyn, h_on))
+    traj = integrate_generator(rho, g_of_rho, cfg, _no_monitor)
     return traj.final_state()
 
 
@@ -200,7 +200,7 @@ def _full_route(sc: CorrelationScenario, rho1: np.ndarray) -> float:
     xs = (sc.P_H.P.copy(), np.eye(d_k, dtype=complex))
     phase = _phase_cfg(sc.cfg, sc.t2 - sc.t1)
     for _ in range(phase.n_steps):
-        xs = _rk4(xs, rhs, phase.dt)
+        xs = _rk4(xs, rhs(xs), rhs, phase.dt)
     s_p, s_k = xs
     prop = tensor_product(s_p, s_k)
     rho_p_t2 = prop @ rho_p @ dagger(prop)

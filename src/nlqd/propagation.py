@@ -16,11 +16,11 @@ branches as one stack per group of shared family parameters.  The loop only
 records states; a monitor reads every recorded state of every member in one
 call and returns its channels as arrays along the leading axis.
 
-The eigenvalue floor holds at every step.  A spectral generator checks it on
-each state it decomposes, so stage 1 of each step checks the state the step
-before produced; where the generator takes no decomposition (the product
-kernel), the loop checks each stepped state with one values-only
-decomposition.  The loop checks the final state in either case.
+The eigenvalue floor holds at every step, and the step loop alone checks it:
+each stepped state rho = gamma gamma^dag takes one values-only
+decomposition, whatever kernel the generator runs and whether or not the
+step is recorded.  That checked rho is the recorded state and the state at
+which stage 1 of the next step takes its generator.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import StepSizeError, ValidationError
-from .generators import GeneratorSpec, _family_key, _floors, _stack_specs, generator_matrix
+from .generators import GeneratorSpec, _family_key, _stack_specs, generator_matrix
 from .linalg import (
     EIG_NEG_TOL,
     ClippedEig,
@@ -64,16 +64,18 @@ class IntegratorConfig:
     max_step_drift: float = 1e-6
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_final <= 0:
-            raise ValidationError("dt and t_final must be positive")
+        if not (0 < self.dt < np.inf and 0 < self.t_final < np.inf):
+            raise ValidationError(f"dt and t_final must be finite and positive, got {self.dt}, {self.t_final}")
+        if not 0 < self.max_step_drift < np.inf:
+            raise ValidationError(f"max_step_drift must be finite and > 0, got {self.max_step_drift}")
         if self.dt > self.t_final:
             raise ValidationError("dt must not exceed t_final")
         if abs(self.n_steps * self.dt - self.t_final) > GRID_REL_TOL * self.t_final:
             raise ValidationError(
                 f"t_final {self.t_final} is not a whole number of dt = {self.dt} steps"
             )
-        if self.monitor_stride < 1:
-            raise ValidationError("monitor_stride must be >= 1")
+        if not 1 <= self.monitor_stride < np.inf:
+            raise ValidationError(f"monitor_stride must be finite and >= 1, got {self.monitor_stride}")
 
     @property
     def n_steps(self) -> int:
@@ -103,9 +105,9 @@ GeneratorFn = Callable[[np.ndarray], np.ndarray]
 MonitorFn = Callable[[np.ndarray], dict]  # (N, d, d) states -> channel arrays
 
 
-def _rk4(xs, rhs, dt: float) -> tuple:
-    """One classical RK4 step of x_dot = rhs(x) for a tuple x of arrays."""
-    k1 = rhs(xs)
+def _rk4(xs, k1, rhs, dt: float) -> tuple:
+    """One classical RK4 step of x_dot = rhs(x) for a tuple x of arrays,
+    from the first slope k1 = rhs(xs), which the caller takes."""
     k2 = rhs(tuple([x + 0.5 * dt * k for x, k in zip(xs, k1)]))
     k3 = rhs(tuple([x + 0.5 * dt * k for x, k in zip(xs, k2)]))
     k4 = rhs(tuple([x + dt * k for x, k in zip(xs, k3)]))
@@ -114,14 +116,15 @@ def _rk4(xs, rhs, dt: float) -> tuple:
     )
 
 
+def _slopes(g_of_rho: GeneratorFn, rho: np.ndarray, xs) -> list:
+    """x_dot = -i G(rho) x for each x of xs."""
+    gen = g_of_rho(rho)
+    return [-1j * (gen @ x) for x in xs]
+
+
 def _factor_rhs(g_of_rho: GeneratorFn):
     """i x_dot = G(gamma gamma^dag) x for (gamma, *carried), G taken at gamma."""
-
-    def rhs(xs):
-        gen = g_of_rho(xs[0] @ dagger(xs[0]))
-        return [-1j * (gen @ x) for x in xs]
-
-    return rhs
+    return lambda xs: _slopes(g_of_rho, xs[0] @ dagger(xs[0]), xs)
 
 
 def _renormalize(gamma: np.ndarray, max_drift: float):
@@ -150,7 +153,8 @@ def _checked_state(gamma: np.ndarray, step: int) -> np.ndarray:
 def step_state_operator(gamma, spec: GeneratorSpec, dt: float, max_step_drift: float = 1e-6):
     """One RK4 step of a unit-norm square-root factor of the spec's dimension."""
     g = StateOperator(matrix=_square(gamma, spec.dim)).matrix
-    (g,) = _rk4((g,), _factor_rhs(partial(generator_matrix, spec)), dt)
+    rhs = _factor_rhs(partial(generator_matrix, spec))
+    (g,) = _rk4((g,), rhs((g,)), rhs, dt)
     g = _renormalize(g, max_step_drift)[0]
     _checked_state(g, 1)
     return StateOperator(matrix=g)
@@ -174,32 +178,33 @@ def _no_monitor(states: np.ndarray) -> dict:
     return {}
 
 
-def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, carried=(), floors: bool = True):
-    """The step loop: factorize, step, check the drift, renormalize, record.
+def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, carried=()):
+    """The step loop: factorize, step, check the drift, renormalize, check
+    the eigenvalue floor, record.
 
     rho0 is one state (d, d) or a stack (B, d, d) of them, each member an
     independent trajectory under its own slice of g_of_rho's generator.
-    Each carried matrix x steps with gamma under i x_dot = G(rho) x.
-    ``floors`` says whether g_of_rho's own decompositions check the
-    eigenvalue floor at every stage; where they do not, the loop checks
-    every stepped state, and it always checks the final one.  Returns the
-    final (gamma, *carried), the record times (N,), the recorded states
-    (N, ..., d, d) and the worst drift of each window (N, ...).
+    Each carried matrix x steps with gamma under i x_dot = G(rho) x.  Every
+    stepped state is checked; the checked rho is recorded and feeds stage 1
+    of the next step.  Returns the final (gamma, *carried), the record times
+    (N,), the recorded states (N, ..., d, d) and the worst drift of each
+    window (N, ...).
     """
     xs = (ClippedEig(rho0).power(0.5), *carried)
     rhs = _factor_rhs(g_of_rho)
-    times, states, drifts = [0.0], [xs[0] @ dagger(xs[0])], [np.zeros(xs[0].shape[:-2])]
+    rho = xs[0] @ dagger(xs[0])
+    times, states, drifts = [0.0], [rho], [np.zeros(rho.shape[:-2])]
     worst = drifts[0]
     n = cfg.n_steps
     for step in range(1, n + 1):
-        xs = _rk4(xs, rhs, cfg.dt)
+        xs = _rk4(xs, _slopes(g_of_rho, rho, xs), rhs, cfg.dt)
         gamma, drift = _renormalize(xs[0], cfg.max_step_drift)
-        rho = _checked_state(gamma, step) if not floors or step == n else None
+        rho = _checked_state(gamma, step)
         xs = (gamma, *xs[1:])
         worst = np.maximum(worst, drift)
         if step % cfg.monitor_stride == 0 or step == n:
             times.append(step * cfg.dt)
-            states.append(gamma @ dagger(gamma) if rho is None else rho)
+            states.append(rho)
             drifts.append(worst)
             worst = drifts[0]
     return xs, np.array(times), np.array(states), np.array(drifts)
@@ -230,11 +235,9 @@ def integrate_generator(
     g_of_rho: GeneratorFn,
     cfg: IntegratorConfig,
     monitor: MonitorFn,
-    floors: bool = True,
 ) -> Trajectory:
-    """Shared gamma-route engine: factorize, step, renormalize, record;
-    ``floors`` as for the step loop."""
-    _, *records = _integrate(_state(rho0), g_of_rho, cfg, floors=floors)
+    """Shared gamma-route engine: factorize, step, renormalize, record."""
+    _, *records = _integrate(_state(rho0), g_of_rho, cfg)
     return _trajectories(*records, monitor)[0]
 
 
@@ -249,7 +252,7 @@ def evolve_many(rho0s, spec: GeneratorSpec, cfg: IntegratorConfig) -> list:
     # One state steps as one (d, d) matrix, whose per-member scalars stay
     # numpy scalars: cheaper than arrays of one member, and the same bits.
     rho0 = states[0] if len(states) == 1 else np.array(states)
-    _, *records = _integrate(rho0, partial(generator_matrix, spec), cfg, floors=_floors(spec))
+    _, *records = _integrate(rho0, partial(generator_matrix, spec), cfg)
     return _trajectories(*records, default_monitor(spec.H))
 
 
@@ -264,7 +267,7 @@ def consistency_check_rho_route(rho0, spec: GeneratorSpec, cfg: IntegratorConfig
     """
     m = _state(rho0, spec.dim)
     g_of_rho = partial(generator_matrix, spec)
-    gamma_route = integrate_generator(m, g_of_rho, replace(cfg, monitor_stride=1), _no_monitor, _floors(spec))
+    gamma_route = integrate_generator(m, g_of_rho, replace(cfg, monitor_stride=1), _no_monitor)
 
     def rho_rhs(xs):
         g = g_of_rho(xs[0])
@@ -273,7 +276,7 @@ def consistency_check_rho_route(rho0, spec: GeneratorSpec, cfg: IntegratorConfig
     rho_direct = m.copy()
     dev = 0.0
     for rho in gamma_route.states[1:]:
-        (rho_direct,) = _rk4((rho_direct,), rho_rhs, cfg.dt)
+        (rho_direct,) = _rk4((rho_direct,), rho_rhs((rho_direct,)), rho_rhs, cfg.dt)
         dev = max(dev, max_abs(rho - rho_direct))
     return dev
 
@@ -289,7 +292,7 @@ def accumulate_propagator(
     """
     m = _state(rho0, spec.dim)
     s0 = np.eye(m.shape[0], dtype=complex)
-    (_, s), *records = _integrate(m, partial(generator_matrix, spec), cfg, (s0,), _floors(spec))
+    (_, s), *records = _integrate(m, partial(generator_matrix, spec), cfg, (s0,))
     return s, _trajectories(*records, default_monitor(spec.H))[0]
 
 
@@ -304,9 +307,9 @@ class MixtureSpec:
         w = np.asarray(self.weights, dtype=float)
         if len(w) != len(self.process_specs) or len(w) == 0:
             raise ValidationError("weights and process_specs lengths differ or empty")
-        if np.any(w <= 0):
-            raise ValidationError("all mixture weights must be > 0")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not np.all((0 < w) & (w < np.inf)):
+            raise ValidationError(f"all mixture weights must be finite and > 0, got {w.tolist()}")
+        if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValidationError(f"mixture weights sum to {w.sum()}, not 1")
         if len({spec.dim for spec in self.process_specs}) != 1:
             raise ValidationError("mixture process specs differ in dimension")
@@ -329,7 +332,7 @@ def evolve_convex_mixture(rho0, mix: MixtureSpec, cfg: IntegratorConfig) -> Traj
     for members in groups.values():
         stack = _stack_specs([mix.process_specs[i] for i in members])
         _, times, batch_states, batch_drifts = _integrate(
-            np.array([m] * len(members)), partial(generator_matrix, stack), cfg, floors=_floors(stack)
+            np.array([m] * len(members)), partial(generator_matrix, stack), cfg
         )
         for j, i in enumerate(members):
             states[i], drifts[i] = batch_states[:, j], batch_drifts[:, j]

@@ -45,6 +45,28 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             TFamily("powerLaw", q=-1.0)
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_t_family_rejects_a_non_finite_q(self, x):
+        with pytest.raises(ValidationError, match="finite"):
+            TFamily("powerLaw", q=x)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: GammaFamily("zeroMean", sigma=0.5, r=x),
+            lambda x: GammaFamily("zeroMean", sigma=x, r=2.0),
+            lambda x: GammaFamily("energyConserving", sigma=0.5, r=x),
+            lambda x: GammaFamily("energyConserving", sigma=x, r=2.0),
+            lambda x: GammaFamily("nonEssential", r=x, A=SX),
+        ],
+        ids=["zeroMean-r", "zeroMean-sigma", "energyConserving-r", "energyConserving-sigma", "nonEssential-r"],
+    )
+    def test_gamma_family_rejects_a_non_finite_parameter(self, make, x):
+        # each used to construct, and the run failed later or not at all
+        with pytest.raises(ValidationError, match="finite"):
+            make(x)
+
     def test_non_essential_needs_r_above_one(self):
         with pytest.raises(ValidationError):
             GammaFamily("nonEssential", r=1.0, A=SX)
@@ -283,7 +305,6 @@ WHOLE_EXPONENT_SPECS = [
     "vonNeumann/zeroMean/r1", "q1/zeroMean", "q2/zeroMean/r3", "q3/zeroMean/r1",
     "vonNeumann/energyConserving", "q1/energyConserving", "q1/energyConserving/r1",
     "q2/energyConserving/r1", "q3/energyConserving", "q4/energyConserving/r1",
-    "vonNeumann/nonEssential", "q1/nonEssential", "q2/nonEssential/r3",
     "q8/none", "q1/zeroMean/r8", "q1/energyConserving/r7",
 ]  # energyConserving: q <= r + 1 (k = 2, 1, 0) and q > r + 1; n = 8 products at most
 
@@ -309,6 +330,10 @@ class TestProductKernel:
             (TFamily("powerLaw", q=1.3), GammaFamily("none")),
             (TFamily("powerLaw", q=0.5), GammaFamily("zeroMean", sigma=0.7, r=2.0)),
             (TFamily("powerLaw", q=2.5), GammaFamily("nonEssential", r=2.0, A=SX)),
+            # nonEssential reads the support of rho, so it keeps the spectral kernel
+            (TFamily("vonNeumann"), GammaFamily("nonEssential", r=2.0, A=SX)),
+            (TFamily("powerLaw", q=1.0), GammaFamily("nonEssential", r=2.0, A=SX)),
+            (TFamily("powerLaw", q=2.0), GammaFamily("nonEssential", r=3.0, A=SX)),
             (TFamily("powerLaw", q=1.0), GammaFamily("zeroMean", sigma=0.7, r=1.5)),
             (TFamily("vonNeumann"), GammaFamily("energyConserving", sigma=0.7, r=0.5)),
             # whole, but past MAX_PRODUCT_POWER products
@@ -316,7 +341,10 @@ class TestProductKernel:
             (TFamily("powerLaw", q=1e9), GammaFamily("zeroMean", sigma=0.7, r=2.0)),
             (TFamily("powerLaw", q=1.0), GammaFamily("energyConserving", sigma=0.7, r=9.0)),
         ],
-        ids=["q1.3", "q0.5", "q2.5-nonEssential", "r1.5", "r0.5", "q9", "q1e9", "r9-energyConserving"],
+        ids=[
+            "q1.3", "q0.5", "q2.5-nonEssential", "vonNeumann-nonEssential", "q1-nonEssential", "q2-nonEssential-r3",
+            "r1.5", "r0.5", "q9", "q1e9", "r9-energyConserving",
+        ],
     )
     def test_other_exponents_keep_the_spectral_kernel(self, rng, t_family, gamma):
         spec = GeneratorSpec(H=SZ + 0.4 * SX, t_family=t_family, gamma_family=gamma)
@@ -340,35 +368,13 @@ class TestProductKernel:
         generators.generator_matrix(stacked, np.array([rho, rho]))
         assert calls == []
 
-    @pytest.mark.parametrize(
-        "name, rank, eigh, eigvalsh",
-        [
-            ("q1/zeroMean", 3, 0, 0),
-            ("q1/energyConserving", 1, 0, 0),
-            ("vonNeumann/none", 3, 0, 0),
-            ("q1/nonEssential", 3, 0, 1),  # the eigenvalues show a full support: G = T
-            ("q1/nonEssential", 2, 1, 1),  # they do not: one eigh for Gamma
-        ],
-    )
-    def test_decompositions_per_call(self, rng, monkeypatch, name, rank, eigh, eigvalsh):
-        real_eigh, real_eigvalsh, calls = linalg._eigh, generators._eigvalsh, []
+    @pytest.mark.parametrize("name, rank", [("q1/zeroMean", 3), ("q1/energyConserving", 1), ("vonNeumann/none", 3)])
+    def test_decompositions_per_call(self, rng, monkeypatch, name, rank):
+        real_eigh, real_eigvalsh, calls = linalg._eigh, linalg._eigvalsh, []
         monkeypatch.setattr(linalg, "_eigh", lambda a: calls.append("eigh") or real_eigh(a))
-        monkeypatch.setattr(generators, "_eigvalsh", lambda a: calls.append("eigvalsh") or real_eigvalsh(a))
+        monkeypatch.setattr(linalg, "_eigvalsh", lambda a: calls.append("eigvalsh") or real_eigvalsh(a))
         generators.generator_matrix(whole_exponent_spec(name, 3, rng), random_density_matrix(3, rng, rank))
-        assert (calls.count("eigh"), calls.count("eigvalsh")) == (eigh, eigvalsh)
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 8])
-    def test_non_essential_mixed_stack_members_match_one_matrix_bitwise(self, rng, d):
-        specs = [whole_exponent_spec("q1/nonEssential", d, rng) for _ in range(3)]
-        rhos = np.array([random_density_matrix(d, rng, rank) for rank in (d, 1, d)])
-        got = generators.generator_matrix(generators._stack_specs(specs), rhos)
-        for i in range(3):
-            assert same_bits(got[i], generators.generator_matrix(specs[i], rhos[i])), i
-
-    def test_non_essential_eigenvalue_floor(self):
-        spec = whole_exponent_spec("q1/nonEssential", 2, np.random.default_rng(0))
-        with pytest.raises(ValidationError, match=r"\(member 1\) has eigenvalue -0.5"):
-            generators.generator_matrix(spec, np.array([np.eye(2) / 2, np.diag([1.5, -0.5])]))
+        assert calls == []
 
 
 class TestLagrangeParameters:

@@ -831,6 +831,26 @@ class TestScenarioReader:
                 read_scenario(scenario, tmp_path)
         assert seen == tables
 
+    @pytest.mark.parametrize(
+        "kind, spoil",
+        [
+            ("evolve", lambda d: d["payload"]["integrator"].update(t_final=float("inf"))),
+            ("evolve", lambda d: d["payload"]["integrator"].update(dt=float("nan"))),
+            ("evolve", lambda d: d["payload"]["integrator"].update(max_step_drift=float("nan"))),
+            ("evolve", lambda d: d["payload"]["generator"]["gamma"].update(sigma=float("inf"))),
+            ("mixture", lambda d: d["payload"].update(weights=[float("nan"), 0.75])),
+            ("mixture", lambda d: d["payload"]["generators"][1]["t"].update(q=float("nan"))),
+            ("measure_correlation", lambda d: d["payload"].update(t2=float("inf"))),
+        ],
+        ids=["t_final-Infinity", "dt-NaN", "max_step_drift-NaN", "sigma-Infinity", "weight-NaN", "q-NaN", "t2-Infinity"],
+    )
+    def test_non_finite_number_exit_one(self, kind, spoil, tmp_path, monkeypatch, capsys):
+        # json reads NaN and Infinity; each used to end in a traceback, a
+        # misleading error, or a run of NaN rows that exited 0
+        doc = full_scenarios(tmp_path)[kind]
+        spoil(doc)
+        assert "finite" in run_rejected(doc, tmp_path, monkeypatch, capsys)
+
     def test_gamma_a_outside_non_essential_exit_one(self, tmp_path, monkeypatch, capsys):
         doc = full_scenarios(tmp_path)["evolve"]
         doc["payload"]["generator"]["gamma"]["A"] = matrix_to_json(SX)

@@ -160,6 +160,16 @@ class TestCorrelationScenarioValidation:
         with pytest.raises(ValidationError):
             scenario(t1=0.9, t2=0.4)
 
+    @pytest.mark.parametrize(
+        "times", [(np.nan, 0.4, 0.9), (0.0, np.nan, 0.9), (0.0, 0.4, np.nan), (0.0, 0.4, np.inf), (-np.inf, 0.4, 0.9)],
+        ids=["t0-nan", "t1-nan", "t2-nan", "t2-inf", "t0-minus-inf"],
+    )
+    def test_times_must_be_finite(self, times):
+        # an infinite phase used to end in an OverflowError when the report ran
+        sc = scenario()
+        with pytest.raises(ValidationError, match="finite"):
+            CorrelationScenario(sc.rho0, sc.dyn, *times, sc.P_H, sc.P_K, sc.cfg)
+
     def test_gamma_free_required(self):
         spec = GeneratorSpec(H=SZ, gamma_family=GammaFamily("zeroMean", sigma=1.0, r=2.0))
         with pytest.raises(ValidationError):
@@ -243,7 +253,7 @@ def full_route_three_propagators(sc, rho1):
     xs = (sc.P_H.P.copy(), sc.P_H.Q.copy(), np.eye(d_k, dtype=complex))
     phase = measurement._phase_cfg(sc.cfg, sc.t2 - sc.t1)
     for _ in range(phase.n_steps):
-        xs = _rk4(xs, rhs, phase.dt)
+        xs = _rk4(xs, rhs(xs), rhs, phase.dt)
     s_p, _, s_k = xs
     prop = tensor_product(s_p, s_k)
     rho_p_t2 = prop @ rho_p @ dagger(prop)

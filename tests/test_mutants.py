@@ -2,7 +2,8 @@
 
 The library's counterpart of bench/test_controls.py: a test that also
 passes on a broken engine proves nothing.  Each row below swaps one engine
-function for a copy with one line changed, and names a test that passes on
+function for a copy with one line changed (two where the defect needs a
+name the engine does not keep, each marked "was"), and names a test that passes on
 the real engine and must fail on the broken one: by an assertion, or by
 the engine's own typed error (a generator taken at the wrong state breaks
 the norm, and the drift check stops the run).  Each named test runs in a
@@ -24,14 +25,13 @@ import test_propagation
 import test_scripts
 from nlqd import entanglement, generators, io, measurement, propagation
 from nlqd.errors import NlqdError, StepSizeError
-from nlqd.linalg import dagger, hermitian_eigvals, partial_trace, tensor_product
+from nlqd.linalg import ClippedEig, dagger, hermitian_eigvals, partial_trace, tensor_product
 
 REAL_RENORMALIZE = propagation._renormalize
 REAL_EVAL_GAMMA = generators._eval_Gamma
 
 
-def rk4_wrong_weights(xs, rhs, dt: float) -> tuple:
-    k1 = rhs(xs)
+def rk4_wrong_weights(xs, k1, rhs, dt: float) -> tuple:
     k2 = rhs(tuple([x + 0.5 * dt * k for x, k in zip(xs, k1)]))
     k3 = rhs(tuple([x + 0.5 * dt * k for x, k in zip(xs, k2)]))
     k4 = rhs(tuple([x + dt * k for x, k in zip(xs, k3)]))
@@ -40,8 +40,7 @@ def rk4_wrong_weights(xs, rhs, dt: float) -> tuple:
     )
 
 
-def rk4_weight_relative_error_1e9(xs, rhs, dt: float) -> tuple:
-    k1 = rhs(xs)
+def rk4_weight_relative_error_1e9(xs, k1, rhs, dt: float) -> tuple:
     k2 = rhs(tuple([x + 0.5 * dt * k for x, k in zip(xs, k1)]))
     k3 = rhs(tuple([x + 0.5 * dt * k for x, k in zip(xs, k2)]))
     k4 = rhs(tuple([x + dt * k for x, k in zip(xs, k3)]))
@@ -112,6 +111,49 @@ def factor_rhs_swapped(g_of_rho):
     return rhs
 
 
+def integrate_stage_1_a_step_behind(rho0, g_of_rho, cfg, carried=()):
+    xs = (ClippedEig(rho0).power(0.5), *carried)
+    rhs = propagation._factor_rhs(g_of_rho)
+    rho = before = xs[0] @ dagger(xs[0])  # was rho = xs[0] @ dagger(xs[0])
+    times, states, drifts = [0.0], [rho], [np.zeros(rho.shape[:-2])]
+    worst = drifts[0]
+    n = cfg.n_steps
+    for step in range(1, n + 1):
+        xs = propagation._rk4(xs, propagation._slopes(g_of_rho, before, xs), rhs, cfg.dt)
+        gamma, drift = propagation._renormalize(xs[0], cfg.max_step_drift)
+        before, rho = rho, propagation._checked_state(gamma, step)  # was rho = ...: stage 1 read it
+        xs = (gamma, *xs[1:])
+        worst = np.maximum(worst, drift)
+        if step % cfg.monitor_stride == 0 or step == n:
+            times.append(step * cfg.dt)
+            states.append(rho)
+            drifts.append(worst)
+            worst = drifts[0]
+    return xs, np.array(times), np.array(states), np.array(drifts)
+
+
+def integrate_floor_on_records_only(rho0, g_of_rho, cfg, carried=()):
+    xs = (ClippedEig(rho0).power(0.5), *carried)
+    rhs = propagation._factor_rhs(g_of_rho)
+    rho = xs[0] @ dagger(xs[0])
+    times, states, drifts = [0.0], [rho], [np.zeros(rho.shape[:-2])]
+    worst = drifts[0]
+    n = cfg.n_steps
+    for step in range(1, n + 1):
+        xs = propagation._rk4(xs, propagation._slopes(g_of_rho, rho, xs), rhs, cfg.dt)
+        gamma, drift = propagation._renormalize(xs[0], cfg.max_step_drift)
+        recorded = step % cfg.monitor_stride == 0 or step == n  # was rho = _checked_state(gamma, step)
+        rho = propagation._checked_state(gamma, step) if recorded else gamma @ dagger(gamma)
+        xs = (gamma, *xs[1:])
+        worst = np.maximum(worst, drift)
+        if step % cfg.monitor_stride == 0 or step == n:
+            times.append(step * cfg.dt)
+            states.append(rho)
+            drifts.append(worst)
+            worst = drifts[0]
+    return xs, np.array(times), np.array(states), np.array(drifts)
+
+
 def stack_member_0_h(specs):
     fam = specs[0].gamma_family
     a = None if fam.A is None else np.stack([s.gamma_family.A for s in specs])
@@ -164,7 +206,7 @@ def full_route_q_block_projected_with_p(sc, rho1):
     xs = (sc.P_H.P.copy(), np.eye(d_k, dtype=complex))
     phase = measurement._phase_cfg(sc.cfg, sc.t2 - sc.t1)
     for _ in range(phase.n_steps):
-        xs = propagation._rk4(xs, rhs, phase.dt)
+        xs = propagation._rk4(xs, rhs(xs), rhs, phase.dt)
     s_p, s_k = xs
     prop = tensor_product(s_p, s_k)
     rho_p_t2 = prop @ rho_p @ dagger(prop)
@@ -195,6 +237,11 @@ def state_violations_min_over_members(m, herm_tol, trace_tol, eig_tol):
 
 def rng():
     return np.random.default_rng(12345)
+
+
+def floor_test_spoiled_at_step_7():
+    with pytest.MonkeyPatch.context() as mp:  # undoes the spoiled decomposition
+        test_propagation.TestEigenvalueFloor().test_fires_at_the_step_whose_state_fails(rng(), mp, "spectral", 7)
 
 
 # defect -> (module, attribute, broken copy, the test that must catch it)
@@ -238,6 +285,14 @@ MUTANTS = {
     "generator_at_gamma_dag_gamma": (
         propagation, "_factor_rhs", factor_rhs_swapped,
         lambda: test_propagation.TestNonlinearRoutes().test_gamma_vs_rho_route(rng()),
+    ),
+    "stage_1_a_step_behind": (
+        propagation, "_integrate", integrate_stage_1_a_step_behind,
+        lambda: test_scripts.test_output_baseline(pathlib.Path.cwd()),
+    ),
+    "floor_on_recorded_steps_only": (
+        propagation, "_integrate", integrate_floor_on_records_only,
+        floor_test_spoiled_at_step_7,
     ),
     "drift_check_member_0_only": (
         propagation, "_renormalize", renormalize_member_0,

@@ -8,7 +8,13 @@ from scipy.linalg import expm
 
 from conftest import SX, SY, SZ, random_hermitian, random_pure
 from nlqd import linalg, propagation
-from nlqd.entanglement import BipartiteDynamics, BipartiteState, evolve_bipartite
+from nlqd.entanglement import (
+    BipartiteDynamics,
+    BipartiteState,
+    evolve_bipartite,
+    random_entangled_state,
+    verify_cp_extension,
+)
 from nlqd.errors import DegenerateConstraintError, StepSizeError, ValidationError
 from nlqd.generators import GammaFamily, GeneratorSpec, TFamily, random_density_matrix
 from nlqd.linalg import dagger, max_abs, partial_trace, purity, sqrt_factor, von_neumann_entropy
@@ -35,6 +41,27 @@ class TestConfig:
     def test_rejects_dt_above_t_final(self):
         with pytest.raises(ValidationError):
             IntegratorConfig(dt=2.0, t_final=1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"dt": np.nan},
+            {"dt": np.inf},
+            {"t_final": np.nan},
+            {"t_final": np.inf},
+            {"max_step_drift": np.nan},
+            {"max_step_drift": np.inf},
+            {"max_step_drift": -1.0},
+            {"monitor_stride": np.nan},
+            {"monitor_stride": np.inf},
+        ],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_rejects_a_non_finite_or_negative_value(self, kwargs):
+        # each used to raise a bare ValueError or OverflowError, or construct
+        # and fail at step 1 with a misleading StepSizeError
+        with pytest.raises(ValidationError, match="finite"):
+            IntegratorConfig(**{"dt": 1e-3, "t_final": 1.0, **kwargs})
 
     def test_n_steps_whole_grid(self):
         assert IntegratorConfig(dt=1e-3, t_final=1.0).n_steps == 1000
@@ -241,8 +268,8 @@ def spoil_call(monkeypatch, module, k: int) -> list:
 
 
 class TestEigenvalueFloor:
-    """The floor holds on every stepped state: where the generator takes no
-    decomposition, the loop checks each one; it checks the last in any case."""
+    """The floor holds on every stepped state: the loop checks each one, with
+    one values-only decomposition, whatever kernel the generator takes."""
 
     CFG = IntegratorConfig(dt=1e-3, t_final=0.02, monitor_stride=5)  # 20 steps, records at 5, 10, 15, 20
     PRODUCTS = GeneratorSpec(
@@ -253,12 +280,14 @@ class TestEigenvalueFloor:
     )
 
     @pytest.mark.parametrize("k", [7, 20])
-    def test_fires_at_the_step_whose_state_fails(self, rng, monkeypatch, k):
+    @pytest.mark.parametrize("kernel", ["products", "spectral"])
+    def test_fires_at_the_step_whose_state_fails(self, rng, monkeypatch, kernel, k):
+        spec = self.PRODUCTS if kernel == "products" else self.SPECTRAL
         rho0 = random_density_matrix(2, rng)
-        states = evolve(rho0, self.PRODUCTS, replace(self.CFG, monitor_stride=1)).states
+        states = evolve(rho0, spec, replace(self.CFG, monitor_stride=1)).states
         seen = spoil_call(monkeypatch, propagation, k)
         with pytest.raises(ValidationError, match=rf"^state at step {k} has eigenvalue -1e-09 < -1e-10$"):
-            evolve(rho0, self.PRODUCTS, self.CFG)
+            evolve(rho0, spec, self.CFG)
         # one check per step, the k-th on the state that step k produced
         assert len(seen) == k
         assert max_abs(seen[-1] - states[k]) == 0.0
@@ -268,34 +297,39 @@ class TestEigenvalueFloor:
         with pytest.raises(ValidationError, match=r"^state at step 3 \(member 0\) has eigenvalue"):
             evolve_many([random_density_matrix(2, rng) for _ in range(3)], self.PRODUCTS, self.CFG)
 
-    def test_spectral_kernel_leaves_the_loop_the_last_state(self, rng, monkeypatch):
-        # a spectral stage checks the state it decomposes, so the loop checks only the last
-        rho0 = random_density_matrix(2, rng)
-        seen = spoil_call(monkeypatch, propagation, 1)
-        with pytest.raises(ValidationError, match=r"^state at step 20 has eigenvalue -1e-09"):
-            evolve(rho0, self.SPECTRAL, self.CFG)
-        assert len(seen) == 1
-
     @pytest.mark.parametrize(
-        "spec, eigh_per_step, floor_per_step",
-        [(PRODUCTS, 0, 1), (SPECTRAL, 4, 0), (GeneratorSpec(H=SZ), 0, 1)],
+        "spec, eigh_per_step",
+        [(PRODUCTS, 0), (SPECTRAL, 4), (GeneratorSpec(H=SZ), 0)],
         ids=["products", "spectral", "vonNeumann"],
     )
-    def test_decompositions_per_step(self, rng, monkeypatch, spec, eigh_per_step, floor_per_step):
+    def test_decompositions_per_step(self, rng, monkeypatch, spec, eigh_per_step):
         eigh, eigvalsh, calls = linalg._eigh, propagation._eigvalsh, []
         monkeypatch.setattr(linalg, "_eigh", lambda a: calls.append("eigh") or eigh(a))
         monkeypatch.setattr(propagation, "_eigvalsh", lambda a: calls.append("floor") or eigvalsh(a))
         evolve(random_density_matrix(2, rng), spec, self.CFG)
-        n = self.CFG.n_steps  # plus the factorization's eigh, and the floor of the last state
+        n = self.CFG.n_steps  # plus the factorization's eigh
         assert calls.count("eigh") == 1 + eigh_per_step * n
-        assert calls.count("floor") == floor_per_step * (n - 1) + 1
+        assert calls.count("floor") == n
 
-    def test_bipartite_loop_checks_the_joint_state_where_no_marginal_is_decomposed(self, rng, monkeypatch):
+    @pytest.mark.parametrize(
+        "dyn",
+        [BipartiteDynamics(spec_H=PRODUCTS), BipartiteDynamics(spec_H=SPECTRAL, spec_K=SPECTRAL)],
+        ids=["no-marginal-decomposed", "both-marginals-decomposed"],
+    )
+    def test_bipartite_run_checks_the_joint_state_at_every_step(self, rng, monkeypatch, dyn):
+        # positive marginals do not make a positive joint state
         seen = spoil_call(monkeypatch, propagation, 7)
         state = BipartiteState(d_H=2, d_K=2, matrix=random_density_matrix(4, rng))
         with pytest.raises(ValidationError, match=r"^state at step 7 has eigenvalue"):
-            evolve_bipartite(state, BipartiteDynamics(spec_H=self.PRODUCTS), self.CFG)
+            evolve_bipartite(state, dyn, self.CFG)
         assert seen[-1].shape == (4, 4)
+
+    def test_cp_audit_checks_the_joint_stack_at_every_step(self, rng, monkeypatch):
+        seen = spoil_call(monkeypatch, propagation, 7)
+        samples = [random_entangled_state(2, 2, rng) for _ in range(3)]
+        with pytest.raises(ValidationError, match=r"^state at step 7 \(member 0\) has eigenvalue"):
+            verify_cp_extension(BipartiteDynamics(spec_H=self.SPECTRAL), samples, self.CFG)
+        assert seen[-1].shape == (3, 4, 4)
 
     def test_step_state_operator_checks_its_step(self, monkeypatch):
         spoil_call(monkeypatch, propagation, 1)
@@ -412,6 +446,14 @@ class TestMixture:
             MixtureSpec(weights=[0.5, 0.4], process_specs=[GeneratorSpec(H=SZ)] * 2)
         with pytest.raises(ValidationError):
             MixtureSpec(weights=[1.0, -0.0], process_specs=[GeneratorSpec(H=SZ)] * 2)
+
+    @pytest.mark.parametrize(
+        "weights", [[np.nan, 0.5], [np.nan, np.nan], [np.inf, 0.5], [1.0, np.nan]], ids=["nan", "nans", "inf", "nan-last"]
+    )
+    def test_rejects_non_finite_weights(self, weights):
+        # a NaN weight used to construct, and the run wrote NaN states
+        with pytest.raises(ValidationError, match="finite"):
+            MixtureSpec(weights=weights, process_specs=[GeneratorSpec(H=SZ)] * 2)
 
     def test_single_branch_reduces_to_evolve(self, rng):
         rho0 = random_density_matrix(2, rng)
