@@ -6,16 +6,20 @@ entries; scenario files are UTF-8 JSON with a top-level
 below, naming each key the reader takes and what it holds; a record with a
 key its table does not list is rejected, and ``nlqd schema`` prints the
 tables.  CSV floats are printed with 17 significant digits so values
-round-trip exactly.
+round-trip exactly.  Every output file is written as a new file
+(``_write_new``): an existing one is unlinked, not truncated.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import numbers
 import operator
+import os
 from dataclasses import dataclass, replace
+from io import StringIO
 from typing import Optional
 
 import numpy as np
@@ -330,9 +334,29 @@ def trajectory_to_csv(traj: Trajectory, path: str, dump_states: bool = False) ->
         header += [f"{part}_{i}_{j}" for i in range(d) for j in range(d) for part in ("re", "im")]
         columns.append(np.stack([s.real, s.imag], axis=-1).reshape(n, -1))
     row_fmt = ",".join([FLOAT_FMT] * len(header)) + "\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
-        fh.writelines(row_fmt % tuple(row) for row in np.hstack(columns).tolist())
+    text = StringIO()
+    csv.writer(text).writerow(header)
+    text.writelines(row_fmt % tuple(row) for row in np.hstack(columns).tolist())
+    _write_new(path, text.getvalue())
+
+
+def _write_new(path: str, text: str) -> None:
+    """Write text, untranslated, to path as a new file.  The path is resolved
+    first, so a symlink there keeps naming its target; an existing file is
+    unlinked, never truncated, and the new one created exclusively.
+
+    Truncating a file and writing it again makes some file systems (ext4's
+    auto_da_alloc) flush the new blocks when it closes; a new file pays no
+    such flush.  A file that cannot be written is a ValidationError.
+    """
+    try:
+        path = os.path.realpath(path)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        with open(path, "x", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file: {exc}") from exc
 
 
 def _cells(n: int, row: list, columns: list, at: list) -> list:

@@ -25,6 +25,7 @@ which stage 1 of the next step takes its generator.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -74,8 +75,9 @@ class IntegratorConfig:
             raise ValidationError(
                 f"t_final {self.t_final} is not a whole number of dt = {self.dt} steps"
             )
-        if not 1 <= self.monitor_stride < np.inf:
-            raise ValidationError(f"monitor_stride must be finite and >= 1, got {self.monitor_stride}")
+        stride = self.monitor_stride
+        if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
+            raise ValidationError(f"monitor_stride must be a finite integer >= 1, got {stride}")
 
     @property
     def n_steps(self) -> int:
@@ -152,6 +154,8 @@ def _checked_state(gamma: np.ndarray, step: int) -> np.ndarray:
 
 def step_state_operator(gamma, spec: GeneratorSpec, dt: float, max_step_drift: float = 1e-6):
     """One RK4 step of a unit-norm square-root factor of the spec's dimension."""
+    if not (0 < dt < np.inf and 0 < max_step_drift < np.inf):
+        raise ValidationError(f"dt and max_step_drift must be finite and > 0, got {dt}, {max_step_drift}")
     g = StateOperator(matrix=_square(gamma, spec.dim)).matrix
     rhs = _factor_rhs(partial(generator_matrix, spec))
     (g,) = _rk4((g,), rhs((g,)), rhs, dt)

@@ -908,3 +908,53 @@ class TestScenarioReader:
         spec, samples, checks, dims, cfg, seed = read_scenario(doc, tmp_path)
         assert (samples, checks, dims, seed) == (100, ["zero_mean", "polchinski"], (2, 2), 3)
         assert (cfg.dt, cfg.t_final, cfg.monitor_stride, cfg.max_step_drift) == (1e-3, 0.2, 20, 1e-3)
+
+
+def run_into(doc, tmp_path, output_path, flags=()) -> int:
+    """Run doc through the CLI with its output at output_path."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**doc, "output_path": str(output_path)}))
+    return main(["run", str(path), *flags])
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("kind", ["evolve", "check"])
+    @pytest.mark.parametrize("where", ["missing_directory", "a_directory"])
+    def test_unwritable_output_exit_one(self, kind, where, tmp_path, capsys):
+        # each used to end in a FileNotFoundError or IsADirectoryError traceback after the run
+        out = tmp_path / "absent" / "out" if where == "missing_directory" else tmp_path
+        assert run_into(full_scenarios(tmp_path)[kind], tmp_path, out) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        record = json.loads(line)
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith("cannot write output file: ")
+        assert not (tmp_path / "absent").exists()
+
+    def test_rerun_writes_a_new_file(self, tmp_path):
+        doc = full_scenarios(tmp_path)["evolve"]
+        (tmp_path / "fresh").mkdir()
+        assert run_into(doc, tmp_path, tmp_path / "fresh" / "out.csv", ["--dump-states"]) == 0
+        fresh = (tmp_path / "fresh" / "out.csv").read_bytes()
+        out, link = tmp_path / "out.csv", tmp_path / "link.csv"
+        stale = b"stale\r\n" * (len(fresh) // 7 + 10)
+        out.write_bytes(stale)
+        os.link(out, link)
+        assert run_into(doc, tmp_path, out, ["--dump-states"]) == 0
+        # a truncating write would leave the fresh bytes in the link too,
+        # an in-place one the stale tail in the output
+        assert out.read_bytes() == fresh
+        assert link.read_bytes() == stale
+        link.unlink()
+        os.link(out, link)
+        assert run_into(doc, tmp_path, out, ["--dump-states"]) == 0
+        assert out.read_bytes() == link.read_bytes() == fresh
+        assert not os.path.samefile(out, link)
+
+    def test_symlinked_output_lands_in_its_target(self, tmp_path):
+        doc = full_scenarios(tmp_path)["measure_correlation"]
+        target, out = tmp_path / "target.json", tmp_path / "out.json"
+        target.write_text("stale")
+        out.symlink_to(target)
+        assert run_into(doc, tmp_path, out) == 0
+        assert os.readlink(out) == str(target)
+        assert json.loads(target.read_text())["p_first"] >= 0

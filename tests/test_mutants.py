@@ -3,15 +3,19 @@
 The library's counterpart of bench/test_controls.py: a test that also
 passes on a broken engine proves nothing.  Each row below swaps one engine
 function for a copy with one line changed (two where the defect needs a
-name the engine does not keep, each marked "was"), and names a test that passes on
-the real engine and must fail on the broken one: by an assertion, or by
-the engine's own typed error (a generator taken at the wrong state breaks
-the norm, and the drift check stops the run).  Each named test runs in a
-fresh working directory, which the file-writing ones take as their
-tmp_path.
+name the engine does not keep, each marked "was"; the output writer's copy
+opens with the old truncating "w" in place of its unlink and exclusive
+create), and names a test that passes on the real engine and must fail on
+the broken one: by an assertion, or by the engine's own typed error (a
+generator taken at the wrong state breaks the norm, and the drift check
+stops the run).  Each named test runs in a fresh working directory, which
+the file-writing ones take as their tmp_path; the output writer's test,
+which makes its own subdirectory, takes a new directory in it on each run.
 """
 
+import os
 import pathlib
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +28,7 @@ import test_measurement
 import test_propagation
 import test_scripts
 from nlqd import entanglement, generators, io, measurement, propagation
-from nlqd.errors import NlqdError, StepSizeError
+from nlqd.errors import NlqdError, StepSizeError, ValidationError
 from nlqd.linalg import ClippedEig, dagger, hermitian_eigvals, partial_trace, tensor_product
 
 REAL_RENORMALIZE = propagation._renormalize
@@ -235,6 +239,15 @@ def state_violations_min_over_members(m, herm_tol, trace_tol, eig_tol):
     return phrases
 
 
+def write_truncating(path, text):
+    try:
+        path = os.path.realpath(path)
+        with open(path, "w", newline="", encoding="utf-8") as fh:  # was unlink, then open with "x"
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file: {exc}") from exc
+
+
 def rng():
     return np.random.default_rng(12345)
 
@@ -327,6 +340,10 @@ MUTANTS = {
         lambda: test_io_cli.TestCsv().test_csv_bytes_equal_the_per_cell_writer(
             pathlib.Path.cwd(), rng(), "evolve", True
         ),
+    ),
+    "output_truncated_in_place": (
+        io, "_write_new", write_truncating,
+        lambda: test_io_cli.TestOutputFiles().test_rerun_writes_a_new_file(pathlib.Path(tempfile.mkdtemp(dir="."))),
     ),
 }
 

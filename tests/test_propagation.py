@@ -63,6 +63,12 @@ class TestConfig:
         with pytest.raises(ValidationError, match="finite"):
             IntegratorConfig(**{"dt": 1e-3, "t_final": 1.0, **kwargs})
 
+    @pytest.mark.parametrize("stride", [1.5, 2.0])
+    def test_rejects_a_monitor_stride_that_is_not_an_integer(self, stride):
+        # 1.5 used to construct and record steps 3, 6, 9; the scenario reader rejects both
+        with pytest.raises(ValidationError, match="integer"):
+            IntegratorConfig(dt=0.1, t_final=1.0, monitor_stride=stride)
+
     def test_n_steps_whole_grid(self):
         assert IntegratorConfig(dt=1e-3, t_final=1.0).n_steps == 1000
         assert IntegratorConfig(dt=np.pi / 2 / 2000, t_final=np.pi / 2).n_steps == 2000
@@ -205,6 +211,25 @@ class TestNonlinearRoutes:
         g1 = step_state_operator(g0, GeneratorSpec(H=SZ), 1e-3)
         u = expm(-1j * SZ * 1e-3)
         assert max_abs(g1.density() - u @ rho0 @ dagger(u)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"dt": np.nan},
+            {"dt": np.inf},
+            {"dt": -0.1},
+            {"dt": 0.0},
+            {"max_step_drift": np.nan},
+            {"max_step_drift": np.inf},
+            {"max_step_drift": 0.0},
+        ],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_step_state_operator_rejects_a_bad_step(self, kwargs):
+        # dt = -0.1 used to step backwards; a NaN raised a misleading StepSizeError
+        kwargs = {"dt": 1e-3, "max_step_drift": 1e-6, **kwargs}
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            step_state_operator(sqrt_factor(np.eye(2) / 2), GeneratorSpec(H=SZ), **kwargs)
 
 
 class TestEvolveMany:
