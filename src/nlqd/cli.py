@@ -16,13 +16,14 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import io
 from .entanglement import BipartiteDynamics, evolve_bipartite, random_entangled_state
 from .entanglement import verify_cp_extension
 from .errors import DegenerateConstraintError, NlqdError, StepSizeError
 from .errors import SubspaceInvarianceError, ValidationError
 from .generators import check_zero_mean, classify_dissipative_part, random_density_matrix
 from .io import CP_MAX_SAMPLES, load_scenario, matrix_to_json, scenario_inputs, schema_document
-from .io import _write_new, trajectory_to_csv, verify_csv
+from .io import trajectory_to_csv, verify_csv
 from .measurement import correlation_report
 from .propagation import Trajectory, evolve, evolve_convex_mixture
 
@@ -82,7 +83,7 @@ def _run(sc, args) -> int:
         trajectory_to_csv(result, sc.output_path or "trajectory.csv", dump_states=args.dump_states)
         return EXIT_OK
     out = sc.output_path or ("check-report.json" if sc.kind == "check" else "correlation.json")
-    _write_new(out, json.dumps(result, indent=2))
+    io._write_new(out, [json.dumps(result, indent=2)])
     print(json.dumps(result))
     if args.strict and not result["passed"]:
         raise CriterionFailure("one or more checks failed")

@@ -6,18 +6,20 @@ entries; scenario files are UTF-8 JSON with a top-level
 below, naming each key the reader takes and what it holds; a record with a
 key its table does not list is rejected, and ``nlqd schema`` prints the
 tables.  CSV floats are printed with 17 significant digits so values
-round-trip exactly.  Every output file is written as a new file
-(``_write_new``): an existing one is unlinked, not truncated.
+round-trip exactly.  Every output is written by ``_write_new``: an existing
+regular file is unlinked and created again, not truncated.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import numbers
 import operator
 import os
+import stat
 from dataclasses import dataclass, replace
 from io import StringIO
 from typing import Optional
@@ -334,27 +336,32 @@ def trajectory_to_csv(traj: Trajectory, path: str, dump_states: bool = False) ->
         header += [f"{part}_{i}_{j}" for i in range(d) for j in range(d) for part in ("re", "im")]
         columns.append(np.stack([s.real, s.imag], axis=-1).reshape(n, -1))
     row_fmt = ",".join([FLOAT_FMT] * len(header)) + "\r\n"
-    text = StringIO()
-    csv.writer(text).writerow(header)
-    text.writelines(row_fmt % tuple(row) for row in np.hstack(columns).tolist())
-    _write_new(path, text.getvalue())
+    head = StringIO()
+    csv.writer(head).writerow(header)
+    rows = (row_fmt % tuple(row) for row in np.hstack(columns).tolist())
+    _write_new(path, itertools.chain([head.getvalue()], rows))
 
 
-def _write_new(path: str, text: str) -> None:
-    """Write text, untranslated, to path as a new file.  The path is resolved
-    first, so a symlink there keeps naming its target; an existing file is
-    unlinked, never truncated, and the new one created exclusively.
+def _write_new(path: str, chunks) -> None:
+    """Write the text chunks, untranslated, to path.  An existing regular
+    file there is unlinked and the file created again exclusively, so it is
+    a new file, never a truncated one; a symlink there is resolved first, so
+    it keeps naming its target.  Any other path (none yet, a device such as
+    os.devnull, a FIFO) is opened for writing as it is.
 
     Truncating a file and writing it again makes some file systems (ext4's
     auto_da_alloc) flush the new blocks when it closes; a new file pays no
     such flush.  A file that cannot be written is a ValidationError.
     """
+    mode = "w"
     try:
-        path = os.path.realpath(path)
         with contextlib.suppress(FileNotFoundError):
-            os.unlink(path)
-        with open(path, "x", newline="", encoding="utf-8") as fh:
-            fh.write(text)
+            if stat.S_ISREG(os.stat(path).st_mode):
+                path = os.path.realpath(path)
+                os.unlink(path)
+                mode = "x"
+        with open(path, mode, newline="", encoding="utf-8") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
         raise ValidationError(f"cannot write output file: {exc}") from exc
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import SX, SZ, bell_state, random_hermitian
 from nlqd import cli as cli_module
+from nlqd import io as io_module
 from nlqd.cli import main
 from nlqd.entanglement import BipartiteDynamics, BipartiteState, evolve_bipartite
 from nlqd.errors import ValidationError
@@ -930,25 +932,46 @@ class TestOutputFiles:
         assert record["message"].startswith("cannot write output file: ")
         assert not (tmp_path / "absent").exists()
 
-    def test_rerun_writes_a_new_file(self, tmp_path):
-        doc = full_scenarios(tmp_path)["evolve"]
+    @pytest.mark.parametrize("kind", ["evolve", "check"])
+    def test_rerun_writes_a_new_file(self, kind, tmp_path):
+        doc = full_scenarios(tmp_path)[kind]
+        flags = ["--dump-states"] if kind == "evolve" else []
         (tmp_path / "fresh").mkdir()
-        assert run_into(doc, tmp_path, tmp_path / "fresh" / "out.csv", ["--dump-states"]) == 0
-        fresh = (tmp_path / "fresh" / "out.csv").read_bytes()
-        out, link = tmp_path / "out.csv", tmp_path / "link.csv"
+        assert run_into(doc, tmp_path, tmp_path / "fresh" / "out", flags) == 0
+        fresh = (tmp_path / "fresh" / "out").read_bytes()
+        out, link = tmp_path / "out", tmp_path / "link"
         stale = b"stale\r\n" * (len(fresh) // 7 + 10)
         out.write_bytes(stale)
         os.link(out, link)
-        assert run_into(doc, tmp_path, out, ["--dump-states"]) == 0
+        assert run_into(doc, tmp_path, out, flags) == 0
         # a truncating write would leave the fresh bytes in the link too,
         # an in-place one the stale tail in the output
         assert out.read_bytes() == fresh
         assert link.read_bytes() == stale
         link.unlink()
         os.link(out, link)
-        assert run_into(doc, tmp_path, out, ["--dump-states"]) == 0
+        assert run_into(doc, tmp_path, out, flags) == 0
         assert out.read_bytes() == link.read_bytes() == fresh
         assert not os.path.samefile(out, link)
+
+    def test_devnull_output_is_written_not_replaced(self, tmp_path, monkeypatch, capsys):
+        # the device must never be unlinked; the stub unlinks nothing even if it is called
+        unlinked = []
+        monkeypatch.setattr(os, "unlink", unlinked.append)
+        assert run_into(full_scenarios(tmp_path)["measure_correlation"], tmp_path, os.devnull) == 0
+        assert unlinked == []
+        assert json.loads(capsys.readouterr().out)["p_first"] >= 0
+
+    def test_fifo_output_reaches_its_reader(self, tmp_path):
+        fifo = tmp_path / "out"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            io_module._write_new(str(fifo), ["t,x\r\n", "0.5,1\r\n"])
+            assert os.read(reader, 100) == b"t,x\r\n0.5,1\r\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
     def test_symlinked_output_lands_in_its_target(self, tmp_path):
         doc = full_scenarios(tmp_path)["measure_correlation"]

@@ -5,15 +5,14 @@ passes on a broken engine proves nothing.  Each row below swaps one engine
 function for a copy with one line changed (two where the defect needs a
 name the engine does not keep, each marked "was"; the output writer's copy
 opens with the old truncating "w" in place of its unlink and exclusive
-create), and names a test that passes on the real engine and must fail on
-the broken one: by an assertion, or by the engine's own typed error (a
-generator taken at the wrong state breaks the norm, and the drift check
-stops the run).  Each named test runs in a fresh working directory, which
+create, and is caught once on a CSV and once on a report), and names a
+test that passes on the real engine and must fail on the broken one: by an
+assertion, or by the engine's own typed error (a generator taken at the
+wrong state breaks the norm, and the drift check stops the run).  Each named test runs in a fresh working directory, which
 the file-writing ones take as their tmp_path; the output writer's test,
 which makes its own subdirectory, takes a new directory in it on each run.
 """
 
-import os
 import pathlib
 import tempfile
 from dataclasses import replace
@@ -239,11 +238,10 @@ def state_violations_min_over_members(m, herm_tol, trace_tol, eig_tol):
     return phrases
 
 
-def write_truncating(path, text):
+def write_truncating(path, chunks):
     try:
-        path = os.path.realpath(path)
-        with open(path, "w", newline="", encoding="utf-8") as fh:  # was unlink, then open with "x"
-            fh.write(text)
+        with open(path, "w", newline="", encoding="utf-8") as fh:  # was unlink a regular file, then open with "x"
+            fh.writelines(chunks)
     except OSError as exc:
         raise ValidationError(f"cannot write output file: {exc}") from exc
 
@@ -343,7 +341,11 @@ MUTANTS = {
     ),
     "output_truncated_in_place": (
         io, "_write_new", write_truncating,
-        lambda: test_io_cli.TestOutputFiles().test_rerun_writes_a_new_file(pathlib.Path(tempfile.mkdtemp(dir="."))),
+        lambda: test_io_cli.TestOutputFiles().test_rerun_writes_a_new_file("evolve", pathlib.Path(tempfile.mkdtemp(dir="."))),
+    ),
+    "report_truncated_in_place": (
+        io, "_write_new", write_truncating,
+        lambda: test_io_cli.TestOutputFiles().test_rerun_writes_a_new_file("check", pathlib.Path(tempfile.mkdtemp(dir="."))),
     ),
 }
 
