@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -68,21 +69,23 @@ def _check_report(spec, samples: int, checks: list, dims: tuple, cfg, seed: int)
 
 
 def _run(sc, args) -> int:
-    """Run the scenario's kind on its payload, then write the trajectory as CSV
-    or the report as JSON, echoed on stdout."""
+    """Check the output path, run the scenario's kind on its payload, then
+    write the trajectory as CSV or the report as JSON, echoed on stdout."""
     # Built per call, so a function swapped in under its module name (a tracer) is the one run.
-    run = {
-        "evolve": evolve,
-        "evolve_bipartite": evolve_bipartite,
-        "mixture": evolve_convex_mixture,
-        "measure_correlation": correlation_report,
-        "check": _check_report,
+    run, default_out = {
+        "evolve": (evolve, "trajectory.csv"),
+        "evolve_bipartite": (evolve_bipartite, "trajectory.csv"),
+        "mixture": (evolve_convex_mixture, "trajectory.csv"),
+        "measure_correlation": (correlation_report, "correlation.json"),
+        "check": (_check_report, "check-report.json"),
     }[sc.kind]
+    out = sc.output_path or default_out
+    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):  # found before the run
+        raise ValidationError(f"cannot write output file: {out!r} is a directory or in a missing one")
     result = run(*scenario_inputs(sc, args.dt))
     if isinstance(result, Trajectory):
-        trajectory_to_csv(result, sc.output_path or "trajectory.csv", dump_states=args.dump_states)
+        trajectory_to_csv(result, out, dump_states=args.dump_states)
         return EXIT_OK
-    out = sc.output_path or ("check-report.json" if sc.kind == "check" else "correlation.json")
     io._write_new(out, [json.dumps(result, indent=2)])
     print(json.dumps(result))
     if args.strict and not result["passed"]:

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ValidationError
 from .generators import GeneratorSpec, eval_Gamma, generator_matrix, random_density_matrix
 from .linalg import (
+    EIG_NEG_TOL,
     _eye,
     _square,
     _state,
@@ -199,7 +200,7 @@ def check_local_equivalence(w: np.ndarray, eta: np.ndarray, chi: np.ndarray) -> 
     Requires Tr_K[w] = Tr[chi] eta and Tr_H[w] = Tr[eta] chi, each to
     LOCAL_EQUIVALENCE_TOL.
     """
-    eta, chi = _square(eta), _square(chi)
+    eta, chi = _square(eta, what="eta", one=True), _square(chi, what="chi", one=True)
     d_h, d_k = eta.shape[0], chi.shape[0]
     w = _square(w, d_h * d_k)
     ok_h = max_abs(partial_trace(w, (d_h, d_k), "K") - np.trace(chi) * eta) <= LOCAL_EQUIVALENCE_TOL
@@ -266,7 +267,7 @@ def verify_cp_extension(dyn: BipartiteDynamics, rho_hk_samples, cfg: IntegratorC
     rem = np.abs(partial_trace(states, dims, "H") - [s.marginal_K() for s in samples]).max(axis=(0, 2, 3))
     results = []
     for min_eig, loc_res, rem_res in zip(min_eigs.tolist(), loc.tolist(), rem.tolist()):
-        positive = min_eig >= -1e-10
+        positive = min_eig >= -EIG_NEG_TOL
         results.append(
             CpSampleResult(
                 positive=positive,

@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import DegenerateConstraintError, ValidationError
 from .linalg import (
-    HERM_TOL,
     HS_NORM_TOL,
     ClippedEig,
     _hermitian,
@@ -39,7 +38,6 @@ from .linalg import (
     _square,
     _trace,
     dagger,
-    is_hermitian,
 )
 
 ZERO_MEAN_TOL = 1e-9
@@ -70,8 +68,8 @@ class GammaFamily:
     family: "none" | "zeroMean" | "energyConserving" | "nonEssential".
     sigma (finite) and r (finite, > 0) apply to zeroMean and
     energyConserving; none takes neither; nonEssential needs a Hermitian
-    coupling matrix A and a finite r > 1, and takes no sigma.  No other
-    family takes an A.
+    coupling matrix A (or a stack) and a finite r > 1, and no sigma.  No
+    other family takes an A.
     """
 
     family: str
@@ -94,10 +92,7 @@ class GammaFamily:
         if self.family == "nonEssential":
             if self.A is None:
                 raise ValidationError("nonEssential family requires a matrix A")
-            a = np.asarray(self.A, dtype=complex)
-            if not is_hermitian(a, HERM_TOL):
-                raise ValidationError("A must be Hermitian to 1e-12")
-            object.__setattr__(self, "A", a)
+            object.__setattr__(self, "A", _hermitian(self.A, what="A"))
             if not 1 < self.r < np.inf:
                 raise ValidationError(f"nonEssential requires a finite r > 1, got {self.r}")
             if self.sigma != 0.0:
@@ -113,11 +108,9 @@ class GeneratorSpec:
     gamma_family: GammaFamily = field(default_factory=lambda: GammaFamily("none"))
 
     def __post_init__(self):
-        h = np.array(self.H, dtype=complex)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValidationError("H must be a square matrix")
-        if not is_hermitian(h, HERM_TOL):
-            raise ValidationError("H must be Hermitian to 1e-12")
+        if not isinstance(self.t_family, TFamily) or not isinstance(self.gamma_family, GammaFamily):
+            raise ValidationError("t_family must be a TFamily and gamma_family a GammaFamily")
+        h = _hermitian(self.H, what="H", one=True).copy()
         h.setflags(write=False)  # the vonNeumann T hands out H itself
         object.__setattr__(self, "H", h)
         a = self.gamma_family.A
@@ -230,8 +223,8 @@ def solve_lagrange_parameters(
     and fails when the system is singular, i.e. when H is a scalar on the
     support of rho (Cauchy-Schwarz equality).
     """
-    H = _hermitian(H)
-    zeta, xi = _solve_lagrange(H, r, ClippedEig(_hermitian(rho, H.shape[-1])))
+    spec = GeneratorSpec(H, gamma_family=GammaFamily("energyConserving", sigma=sigma, r=r))
+    zeta, xi = _solve_lagrange(spec.H, r, ClippedEig(_hermitian(rho, spec.dim)))
     return float(zeta), float(xi)
 
 
@@ -421,7 +414,7 @@ def make_zero_mean(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     a(w) - (Tr[w^dag a(w)] / Tr[w^dag w]) w, which annihilates every
     eigenvector of a self-adjoint ``a``.
     """
-    w = _square(w)
+    w = _square(w, what="w", one=True)
     d = w.shape[0]
     a = _square(a, d * d)
     nrm = np.trace(dagger(w) @ w)

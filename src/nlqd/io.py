@@ -58,9 +58,9 @@ RECORDS = {
     },
     "integrator": {
         "dt": "real > 0",
-        "t_final": "real, a whole number of dt steps",
+        "t_final": "real > 0, a whole number of dt steps",
         "monitor_stride": "int >= 1 (default 1)",
-        "max_step_drift": "real (default 1e-6)",
+        "max_step_drift": "real > 0 (default 1e-6)",
     },
     "dims": {"d_H": "int >= 1", "d_K": "int >= 1"},
 }
@@ -77,6 +77,8 @@ PAYLOADS = {
     "mixture": {**_RUN, "weights": "[positive reals summing to 1]", "generators": "[generator record]"},
     "measure_correlation": {
         **_JOINT,
+        "integrator": "integrator record: only dt and max_step_drift are used, as each phase rescales dt; "
+        "t_final and monitor_stride are read but ignored",
         "t0": "real: rho0's time; the generators' gamma must be none",
         "t1": "real >= t0: P_H is measured; every phase rescales dt to whole steps",
         "t2": "real > t1: P_K is measured",

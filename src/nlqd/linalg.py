@@ -39,10 +39,6 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if np.size(a) else 0.0
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return max_abs(a - dagger(a)) <= tol
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes."""
     return a.conj().swapaxes(-1, -2)
@@ -91,35 +87,38 @@ def state_violation(m: np.ndarray, herm_tol: float, trace_tol: float, eig_tol: f
     return state_violations(np.asarray(m)[None], herm_tol, trace_tol, eig_tol)[0]
 
 
-# The input rule: a public entry point takes its matrices through one of
-# _square, _hermitian and _state, which unwrap .matrix from any wrapper and
-# raise ValidationError.  The per-stage kernels add no Hermiticity check.
+# The input rule: every public entry point and constructor takes its matrices
+# through _square, _hermitian or _state, which unwrap .matrix, name the input
+# as what and raise ValidationError.  The per-stage kernels check nothing.
 
 
-def _square(a, dim: int | None = None) -> np.ndarray:
-    """a as a complex square matrix or a stack (..., d, d) of them; with dim,
-    as one dim x dim matrix."""
-    m = np.asarray(getattr(a, "matrix", a), dtype=complex)
+def _square(a, dim: int | None = None, what: str = "matrix", one: bool = False) -> np.ndarray:
+    """a as a complex square matrix or, unless one, a stack (..., d, d) of
+    them; with dim, as one dim x dim matrix."""
+    try:
+        m = np.asarray(getattr(a, "matrix", a), dtype=complex)
+    except (TypeError, ValueError) as exc:  # a string, a ragged list
+        raise ValidationError(f"{what} is not a complex array: {exc}") from exc
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+        raise ValidationError(f"{what} must be square, got shape {m.shape}")
+    if one and m.ndim != 2:
+        raise ValidationError(f"{what} must be one matrix, got shape {m.shape}")
     if dim is not None and m.shape != (dim, dim):
-        raise ValidationError(f"expected a {dim} x {dim} matrix, got shape {m.shape}")
+        raise ValidationError(f"{what} must be {dim} x {dim}, got shape {m.shape}")
     return m
 
 
-def _hermitian(a, dim: int | None = None) -> np.ndarray:
-    """_square(a, dim), Hermitian to INPUT_HERM_TOL."""
-    m = _square(a, dim)
-    if not is_hermitian(m, INPUT_HERM_TOL):
-        raise ValidationError(f"matrix is not Hermitian to {INPUT_HERM_TOL:g}")
+def _hermitian(a, dim: int | None = None, what: str = "matrix", one: bool = False) -> np.ndarray:
+    """_square(a, dim, what, one), Hermitian to INPUT_HERM_TOL."""
+    m = _square(a, dim, what, one)
+    if not max_abs(m - dagger(m)) <= INPUT_HERM_TOL:  # written so that NaN fails it too
+        raise ValidationError(f"{what} is not Hermitian to {INPUT_HERM_TOL:g}")
     return m
 
 
 def _state(a, dim: int | None = None) -> np.ndarray:
     """_square(a, dim), one density matrix to the tolerances of DensityMatrix."""
-    m = _square(a, dim)
-    if m.ndim != 2:
-        raise ValidationError(f"a state is one matrix, got shape {m.shape}")
+    m = _square(a, dim, "state", one=True)
     problem = state_violation(m, HERM_TOL, TRACE_TOL, EIG_NEG_TOL)
     if problem:
         raise ValidationError(f"density matrix {problem}")
@@ -147,9 +146,7 @@ class StateOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _square(self.matrix)
-        if m.ndim != 2:
-            raise ValidationError(f"a state operator is one matrix, got shape {m.shape}")
+        m = _square(self.matrix, what="state operator", one=True)
         object.__setattr__(self, "matrix", m)
         norm = np.trace(m.conj().T @ m).real
         if abs(norm - 1.0) > HS_NORM_TOL:
@@ -199,20 +196,20 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
 
 
 def _floored(w: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """The eigenvalue floor: w (..., d) with eigenvalues in [-1e-10, 0)
+    """The eigenvalue floor: w (..., d) with eigenvalues in [-EIG_NEG_TOL, 0)
     clipped to 0, as integration roundoff; anything more negative, or a
     non-finite spectrum, raises naming what and the first failing member."""
     if not w.min() >= -EIG_NEG_TOL:  # written so that NaN fails it too
         lo = w.min(axis=-1)
         bad = ~(lo >= -EIG_NEG_TOL)
-        raise ValidationError(f"{what}{_member(bad)} has eigenvalue {lo[bad].flat[0]} < -1e-10")
+        raise ValidationError(f"{what}{_member(bad)} has eigenvalue {lo[bad].flat[0]} < -{EIG_NEG_TOL:g}")
     return np.maximum(w, 0.0)
 
 
 class ClippedEig:
     """One eigendecomposition of rho with small negative eigenvalues clipped.
 
-    Eigenvalues in [-1e-10, 0) come from integration roundoff and are
+    Eigenvalues in [-EIG_NEG_TOL, 0) come from integration roundoff and are
     treated as 0; anything more negative, or a non-finite spectrum, is a hard
     error (the eigenvalue floor).  The spectral generator kernel reads every
     power, projector and scalar it needs from this one decomposition: one
@@ -241,28 +238,26 @@ class ClippedEig:
     def power(self, s: float) -> np.ndarray:
         return self.spectral(self.eigenvalues**s)
 
-    def support_mask(self, rel_tol: float = SUPPORT_REL_TOL) -> np.ndarray:
-        """True for the eigenvalues above rel_tol times the largest one, one
-        row per member of a stack."""
-        if not (0.0 < rel_tol < 1.0):
-            raise ValidationError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+    def support_mask(self) -> np.ndarray:
+        """True for the eigenvalues above SUPPORT_REL_TOL times the largest
+        one, one row per member of a stack."""
         w = self.eigenvalues
         lmax = np.max(w, axis=-1, keepdims=True)
         zero = lmax[..., 0] <= 0.0
         if zero.any():
             raise ValidationError(f"support projector of a (numerically) zero matrix{_member(zero)}")
-        return w > rel_tol * lmax
+        return w > SUPPORT_REL_TOL * lmax
 
-    def support(self, rel_tol: float = SUPPORT_REL_TOL) -> np.ndarray:
-        """Projector onto the eigenvectors above rel_tol times the largest
-        eigenvalue, one per member of a stack."""
-        return self.spectral(self.support_mask(rel_tol))
+    def support(self) -> np.ndarray:
+        """Projector onto the eigenvectors above SUPPORT_REL_TOL times the
+        largest eigenvalue, one per member of a stack."""
+        return self.spectral(self.support_mask())
 
 
 def matrix_power(rho, s: float) -> np.ndarray:
-    """Hermitian PSD power rho^s via the spectral decomposition, s > 0."""
-    if s <= 0:
-        raise ValidationError(f"matrix_power exponent must be > 0, got {s}")
+    """Hermitian PSD power rho^s via the spectral decomposition, 0 < s < inf."""
+    if not 0 < s < np.inf:
+        raise ValidationError(f"matrix_power exponent must be finite and > 0, got {s}")
     return ClippedEig(_hermitian(rho)).power(s)
 
 
@@ -289,10 +284,10 @@ def partial_trace(w, dims: tuple[int, int], over: str) -> np.ndarray:
     raise ValidationError(f"partial_trace: over must be 'H' or 'K', got {over!r}")
 
 
-def support_projector(rho, rel_tol: float = SUPPORT_REL_TOL) -> np.ndarray:
+def support_projector(rho) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors with lambda_i
-    above rel_tol times the largest eigenvalue."""
-    return ClippedEig(_hermitian(rho)).support(rel_tol)
+    above SUPPORT_REL_TOL times the largest eigenvalue."""
+    return ClippedEig(_hermitian(rho)).support()
 
 
 def sqrt_factor(rho: DensityMatrix | np.ndarray) -> StateOperator:

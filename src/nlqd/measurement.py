@@ -52,12 +52,10 @@ class MeasurementSetup:
     Q: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        p = _hermitian(self.P)
-        if p.ndim != 2:
-            raise ValidationError(f"a projector is one matrix, got shape {p.shape}")
+        p = _hermitian(self.P, what="P", one=True)
         p = (p + dagger(p)) / 2  # exactly Hermitian: _hermitian lets roundoff through
         if max_abs(p @ p - p) > PROJECTOR_TOL:
-            raise ValidationError("P is not idempotent to 1e-10")
+            raise ValidationError(f"P is not idempotent to {PROJECTOR_TOL:g}")
         q = np.eye(p.shape[0]) - p
         p.setflags(write=False)
         q.setflags(write=False)
@@ -101,7 +99,7 @@ def evolve_block_diagonal(
     a = spec.gamma_family.A
     if not check_subspace_invariance(spec.H, a, m):
         raise SubspaceInvarianceError("H (or A) does not leave the P, Q subspaces invariant")
-    if max_abs(m.P @ mat @ m.Q) > 1e-10:
+    if max_abs(m.P @ mat @ m.Q) > INVARIANCE_TOL:
         raise ValidationError("state is not block diagonal for the given projector")
     full = evolve(mat, spec, cfg)
     parts = []

@@ -294,6 +294,11 @@ class TestLocalEquivalence:
     def test_bell_vs_mixed_product(self):
         assert check_local_equivalence(bell_state(), np.eye(2) / 2, np.eye(2) / 2)
 
+    def test_rejects_a_stack_of_marginals(self):
+        # used to answer for the stack, without an error
+        with pytest.raises(ValidationError, match="one matrix"):
+            check_local_equivalence(np.eye(4) / 4, np.array([np.eye(2) / 2] * 2), np.eye(2) / 2)
+
     def test_mismatch_detected(self, rng):
         a = random_density_matrix(2, rng)
         assert not check_local_equivalence(bell_state(), a, np.eye(2) / 2) or max_abs(

@@ -41,6 +41,19 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             GeneratorSpec(H=np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_h_is_a_read_only_copy(self):
+        h = SZ.astype(complex)
+        spec = GeneratorSpec(H=h)
+        assert h.flags.writeable
+        assert not spec.H.flags.writeable
+        assert not np.shares_memory(spec.H, h)
+
+    @pytest.mark.parametrize("field", ["t_family", "gamma_family"])
+    def test_rejects_a_family_of_another_type(self, field):
+        # t_family="powerLaw" used to raise AttributeError
+        with pytest.raises(ValidationError, match="TFamily"):
+            GeneratorSpec(H=SZ, **{field: "powerLaw"})
+
     def test_rejects_bad_q(self):
         with pytest.raises(ValidationError):
             TFamily("powerLaw", q=-1.0)
@@ -378,6 +391,14 @@ class TestProductKernel:
 
 
 class TestLagrangeParameters:
+    @pytest.mark.parametrize(
+        "sigma, r", [(0.5, np.nan), (np.nan, 2.0), (0.5, -1.0)], ids=["r-nan", "sigma-nan", "r-negative"]
+    )
+    def test_rejects_the_parameters_gamma_family_rejects(self, sigma, r):
+        # r = nan used to return (nan, nan)
+        with pytest.raises(ValidationError):
+            solve_lagrange_parameters(SZ, sigma, r, np.diag([0.7, 0.3]))
+
     def test_identity_hamiltonian_degenerate(self, rng):
         rho = random_density_matrix(2, rng)
         with pytest.raises(DegenerateConstraintError):
@@ -467,6 +488,12 @@ class TestMakeZeroMean:
     def test_rejects_zero_w(self):
         with pytest.raises(ValidationError):
             make_zero_mean(np.eye(4), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rejects_a_stack_of_w(self, n):
+        # n = 2 used to raise an untyped ValueError, n = 3 to ask for a 9 x 9 a
+        with pytest.raises(ValidationError, match="one matrix"):
+            make_zero_mean(np.eye(4), np.ones((n, 2, 2)))
 
 
 class TestPolchinskiCondition:

@@ -1,8 +1,10 @@
-"""The one input rule, table-driven over the public entry points.
+"""The one input rule, table-driven over the public entry points and the
+constructors that take a matrix.
 
-Each entry point takes a plain ndarray, a DensityMatrix or a BipartiteState
-alike, and rejects a non-Hermitian, non-square or wrong-sized matrix with
-ValidationError instead of answering for the wrong input.
+Each takes a plain ndarray, a DensityMatrix or a BipartiteState alike, and
+rejects a non-Hermitian, non-square or wrong-sized matrix, or an input that
+is not a complex array at all, with ValidationError instead of answering for
+the wrong input.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from conftest import bell_state
 from nlqd.entanglement import BipartiteState
 from nlqd.errors import ValidationError
 from nlqd.generators import (
+    GammaFamily,
     GeneratorSpec,
     TFamily,
     check_polchinski_condition,
@@ -21,6 +24,7 @@ from nlqd.generators import (
 )
 from nlqd.linalg import (
     DensityMatrix,
+    StateOperator,
     matrix_power,
     mutual_information,
     purity,
@@ -92,7 +96,14 @@ ANY_DIM = {
     "von_neumann_entropy": lambda x, d: von_neumann_entropy(x),
     "mutual_information": lambda x, d: mutual_information(x, (2, d // 2)),
 }
-ENTRY_POINTS = {**WITH_DIM, **ANY_DIM, "purity": lambda x, d: purity(x)}
+# Constructors of any dimension, each given x as its one matrix input.
+HERMITIAN_CONSTRUCTORS = {
+    "GeneratorSpec.H": lambda x, d: GeneratorSpec(H=x),
+    "GammaFamily.A": lambda x, d: GammaFamily("nonEssential", r=2.0, A=x),
+    "MeasurementSetup.P": lambda x, d: MeasurementSetup(P=x),
+}
+CONSTRUCTORS = {**HERMITIAN_CONSTRUCTORS, "StateOperator": lambda x, d: StateOperator(matrix=x)}
+ENTRY_POINTS = {**WITH_DIM, **ANY_DIM, **CONSTRUCTORS, "purity": lambda x, d: purity(x)}
 WRAPPERS = {
     "DensityMatrix": lambda m: DensityMatrix(matrix=m),
     "BipartiteState": lambda m: BipartiteState(d_H=2, d_K=2, matrix=m),
@@ -103,13 +114,13 @@ def _numbers(out) -> list:
     """The arrays and scalars an entry point returned, for comparing two calls."""
     if isinstance(out, tuple):
         return [x for o in out for x in _numbers(o)]
-    for attr in ("states", "matrix", "residual"):
+    for attr in ("states", "matrix", "residual", "H", "A", "P"):
         if hasattr(out, attr):
             return [np.asarray(getattr(out, attr))]
     return [np.asarray(out)]
 
 
-@pytest.mark.parametrize("name", sorted({**WITH_DIM, **ANY_DIM}))
+@pytest.mark.parametrize("name", sorted({**WITH_DIM, **ANY_DIM, **HERMITIAN_CONSTRUCTORS}))
 def test_rejects_non_hermitian(name):
     with pytest.raises(ValidationError):
         ENTRY_POINTS[name](NON_HERMITIAN, 2)
@@ -119,6 +130,19 @@ def test_rejects_non_hermitian(name):
 def test_rejects_non_square(name):
     with pytest.raises(ValidationError):
         ENTRY_POINTS[name](NON_SQUARE, 2)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_rejects_a_vector(name):
+    with pytest.raises(ValidationError):
+        ENTRY_POINTS[name](np.zeros(3, dtype=complex), 2)
+
+
+@pytest.mark.parametrize("x", ["not a matrix", [[0.5, 0], [0]]], ids=["string", "ragged"])
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_rejects_what_is_not_a_complex_array(name, x):
+    with pytest.raises(ValidationError):
+        ENTRY_POINTS[name](x, 2)
 
 
 @pytest.mark.parametrize("name", sorted(WITH_DIM))

@@ -932,6 +932,29 @@ class TestOutputFiles:
         assert record["message"].startswith("cannot write output file: ")
         assert not (tmp_path / "absent").exists()
 
+    @pytest.mark.parametrize(
+        "kind, runner",
+        [
+            ("evolve", "evolve"),
+            ("evolve_bipartite", "evolve_bipartite"),
+            ("mixture", "evolve_convex_mixture"),
+            ("measure_correlation", "correlation_report"),
+            ("check", "_check_report"),
+        ],
+    )
+    @pytest.mark.parametrize("where", ["missing_directory", "a_directory"])
+    def test_unwritable_output_fails_before_the_run(self, kind, runner, where, tmp_path, monkeypatch, capsys):
+        # each used to run every integration or audit first, and only then exit 1
+        def never(*args):
+            pytest.fail(f"{runner} ran before the output path was checked")
+
+        monkeypatch.setattr(cli_module, runner, never)
+        out = tmp_path / "absent" / "out" if where == "missing_directory" else tmp_path
+        assert run_into(full_scenarios(tmp_path)[kind], tmp_path, out) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["message"].startswith("cannot write output file: ")
+        assert not (tmp_path / "absent").exists()
+
     @pytest.mark.parametrize("kind", ["evolve", "check"])
     def test_rerun_writes_a_new_file(self, kind, tmp_path):
         doc = full_scenarios(tmp_path)[kind]

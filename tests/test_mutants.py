@@ -22,13 +22,14 @@ import pytest
 
 import test_entanglement
 import test_generators
+import test_inputs
 import test_io_cli
 import test_measurement
 import test_propagation
 import test_scripts
 from nlqd import entanglement, generators, io, measurement, propagation
 from nlqd.errors import NlqdError, StepSizeError, ValidationError
-from nlqd.linalg import ClippedEig, dagger, hermitian_eigvals, partial_trace, tensor_product
+from nlqd.linalg import ClippedEig, _square, dagger, hermitian_eigvals, partial_trace, tensor_product
 
 REAL_RENORMALIZE = propagation._renormalize
 REAL_EVAL_GAMMA = generators._eval_Gamma
@@ -100,6 +101,18 @@ def non_essential_skip_if_any_full(fam, dec):
     b = 1.0 - mask
     weights = a[..., :, None] * b[..., None, :] + b[..., :, None] * a[..., None, :]
     return v @ ((vh @ fam.A @ v) * weights) @ vh
+
+
+def spec_without_hermiticity_check(self):
+    if not (isinstance(self.t_family, generators.TFamily) and isinstance(self.gamma_family, generators.GammaFamily)):
+        raise ValidationError("t_family must be a TFamily and gamma_family a GammaFamily")
+    h = _square(self.H, what="H", one=True).copy()  # was _hermitian
+    h.setflags(write=False)
+    object.__setattr__(self, "H", h)
+    a = self.gamma_family.A
+    if a is not None and a.shape != h.shape:
+        raise ValidationError("A and H dimensions differ")
+    object.__setattr__(self, "_products", generators._product_plan(h, self.t_family, self.gamma_family))
 
 
 def whole_if_at_least_one(x):
@@ -286,6 +299,10 @@ MUTANTS = {
         lambda: test_generators.TestSpectralKernels().test_non_essential_mixed_stack_members_match_one_matrix_bitwise(
             rng(), 4
         ),
+    ),
+    "generator_spec_skips_hermiticity": (
+        generators.GeneratorSpec, "__post_init__", spec_without_hermiticity_check,
+        lambda: test_inputs.test_rejects_non_hermitian("GeneratorSpec.H"),
     ),
     "product_kernel_on_a_fractional_exponent": (
         generators, "_whole", whole_if_at_least_one,
