@@ -63,7 +63,7 @@ from nlqd.generators import (  # noqa: E402
     check_zero_mean,
     random_density_matrix,
 )
-from nlqd.io import trajectory_to_csv, verify_csv  # noqa: E402
+from nlqd.io import _write_new, trajectory_to_csv, verify_csv  # noqa: E402
 from nlqd.measurement import CorrelationScenario, MeasurementSetup, correlation_report  # noqa: E402
 from nlqd.propagation import (  # noqa: E402
     IntegratorConfig,
@@ -179,7 +179,7 @@ class Digest:
                     for column, value in cells:
                         row[header.index(column)] = value(row[header.index(column)])
                 spoiled = self.tmp / f"{name}.csv"
-                spoiled.write_text("".join(",".join(row) + "\n" for row in table))
+                _write_new(str(spoiled), [",".join(row) + "\n" for row in table])
                 self.verify(run, f"verify/{name}", spoiled)
 
     def verify(self, run: str, part: str, path: pathlib.Path) -> None:

@@ -26,6 +26,8 @@ from .generators import GeneratorSpec, eval_Gamma, generator_matrix, random_dens
 from .linalg import (
     EIG_NEG_TOL,
     _eye,
+    _factor_dims,
+    _partial_trace,
     _square,
     _state,
     dagger,
@@ -58,7 +60,8 @@ class BipartiteState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _state(self.matrix, self.d_H * self.d_K))
+        d_h, d_k = _factor_dims(self.dims)
+        object.__setattr__(self, "matrix", _state(self.matrix, d_h * d_k))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -96,10 +99,7 @@ def polchinski_generator(dyn: BipartiteDynamics, rho_hk, dims=None) -> np.ndarra
     The integrators apply the same operator through _JointGenerator and never
     form this matrix.  A BipartiteState's own dims take precedence.
     """
-    dims = getattr(rho_hk, "dims", dims)
-    if dims is None:
-        raise ValidationError("dims required for a bare joint matrix")
-    d_h, d_k = dims
+    d_h, d_k = dims = _factor_dims(getattr(rho_hk, "dims", dims))
     m = _square(rho_hk, d_h * d_k)
     _check_dims(dyn, dims)
     g = tensor_product(
@@ -140,8 +140,8 @@ def _joint_generator(dyn: BipartiteDynamics, rho: np.ndarray, dims: tuple[int, i
     """The step loop's joint generator at rho, one state or a stack: the local
     generators at the marginals, G_H only while h_on.  The unchecked kernel;
     its callers check the dimensions once, at entry."""
-    g_h = generator_matrix(dyn.spec_H, partial_trace(rho, dims, "K")) if h_on else None
-    g_k = None if dyn.spec_K is None else generator_matrix(dyn.spec_K, partial_trace(rho, dims, "H"))
+    g_h = generator_matrix(dyn.spec_H, _partial_trace(rho, dims, "K")) if h_on else None
+    g_k = None if dyn.spec_K is None else generator_matrix(dyn.spec_K, _partial_trace(rho, dims, "H"))
     return _JointGenerator(g_h, g_k, dims)
 
 

@@ -14,6 +14,7 @@ trajectory in one call and the step loop evaluates a stack of states at once.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -89,7 +90,8 @@ def state_violation(m: np.ndarray, herm_tol: float, trace_tol: float, eig_tol: f
 
 # The input rule: every public entry point and constructor takes its matrices
 # through _square, _hermitian or _state, which unwrap .matrix, name the input
-# as what and raise ValidationError.  The per-stage kernels check nothing.
+# as what and raise ValidationError, its dims through _factor_dims and its
+# positive reals through _positive.  The per-stage kernels check nothing.
 
 
 def _square(a, dim: int | None = None, what: str = "matrix", one: bool = False) -> np.ndarray:
@@ -114,6 +116,26 @@ def _hermitian(a, dim: int | None = None, what: str = "matrix", one: bool = Fals
     if not max_abs(m - dagger(m)) <= INPUT_HERM_TOL:  # written so that NaN fails it too
         raise ValidationError(f"{what} is not Hermitian to {INPUT_HERM_TOL:g}")
     return m
+
+
+def _positive(x, what: str):
+    """x, a real number, finite and > 0 (so not NaN)."""
+    if not (isinstance(x, numbers.Real) and 0 < x < np.inf):
+        raise ValidationError(f"{what} must be finite and > 0, got {x}")
+    return x
+
+
+def _factor_dims(dims, dim: int | None = None) -> tuple[int, int]:
+    """dims as (d_H, d_K): two integers >= 1, whose product is dim when given."""
+    try:
+        d_h, d_k = dims
+    except (TypeError, ValueError):
+        d_h = d_k = 0  # not a pair: fails the rule below
+    if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 1 for d in (d_h, d_k)):
+        raise ValidationError(f"dims must be two integers >= 1, got {dims!r}")
+    if dim is not None and d_h * d_k != dim:
+        raise ValidationError(f"dims {dims} do not multiply to the dimension {dim}")
+    return int(d_h), int(d_k)
 
 
 def _state(a, dim: int | None = None) -> np.ndarray:
@@ -256,9 +278,7 @@ class ClippedEig:
 
 def matrix_power(rho, s: float) -> np.ndarray:
     """Hermitian PSD power rho^s via the spectral decomposition, 0 < s < inf."""
-    if not 0 < s < np.inf:
-        raise ValidationError(f"matrix_power exponent must be finite and > 0, got {s}")
-    return ClippedEig(_hermitian(rho)).power(s)
+    return ClippedEig(_hermitian(rho)).power(_positive(s, "matrix_power exponent"))
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -272,16 +292,18 @@ def partial_trace(w, dims: tuple[int, int], over: str) -> np.ndarray:
     ``dims`` is (d_H, d_K); ``over`` is "H" or "K".  H is the major index
     in the flattened product basis.  A leading batch axis is kept.
     """
-    d_h, d_k = dims
     w = _square(w)
-    if w.shape[-1] != d_h * d_k:
-        raise ValidationError(f"partial_trace: shape {w.shape} != {d_h * d_k}")
+    dims = _factor_dims(dims, w.shape[-1])
+    if over not in ("H", "K"):
+        raise ValidationError(f"partial_trace: over must be 'H' or 'K', got {over!r}")
+    return _partial_trace(w, dims, over)
+
+
+def _partial_trace(w: np.ndarray, dims: tuple[int, int], over: str) -> np.ndarray:
+    """partial_trace without its input checks: the per-stage kernel."""
+    d_h, d_k = dims
     t = w.reshape(w.shape[:-2] + (d_h, d_k, d_h, d_k))
-    if over == "K":
-        return np.trace(t, axis1=-3, axis2=-1)
-    if over == "H":
-        return np.trace(t, axis1=-4, axis2=-2)
-    raise ValidationError(f"partial_trace: over must be 'H' or 'K', got {over!r}")
+    return np.trace(t, axis1=-3, axis2=-1) if over == "K" else np.trace(t, axis1=-4, axis2=-2)
 
 
 def support_projector(rho) -> np.ndarray:

@@ -3,11 +3,12 @@
 A measurement maps rho -> P rho P + Q rho Q.  When the Hamiltonian (and
 coupling matrix, if any) leave the P and Q subspaces invariant, the
 projected components evolve independently, each under its own projected
-propagator.  Joint outcome probabilities for a measurement on H at t1
-followed by one on K at t2 can be computed either from the explicit
-block-resolved evolution or by propagating the unmeasured state with the
-local generators switched off past their measurement times; the two
-routes agree.
+generator.  Joint outcome probabilities for a measurement on H at t1
+followed by one on K at t2 come by two routes: the block-resolved
+evolution of the measured state, or the unmeasured state propagated with
+the H generator switched off past t1; the two routes agree.  Both step
+their state through the one step loop, ``_integrate``, which checks the
+norm drift and the eigenvalue floor at every step.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .propagation import (
     IntegratorConfig,
     Trajectory,
     _no_monitor,
-    _rk4,
     evolve,
     integrate_generator,
 )
@@ -171,55 +171,37 @@ def _first_phase(sc: CorrelationScenario) -> np.ndarray:
     return _evolve_joint(sc, sc.rho0.matrix, sc.t1 - sc.t0, h_on=True)
 
 
-def _full_route(sc: CorrelationScenario, rho1: np.ndarray) -> float:
-    d_h, d_k = sc.rho0.dims
-    p_h_full = tensor_product(sc.P_H.P, np.eye(d_k))
-    q_h_full = tensor_product(sc.P_H.Q, np.eye(d_k))
-    rho_p = p_h_full @ rho1 @ p_h_full
-    rho_q = q_h_full @ rho1 @ q_h_full
-
-    # Local propagators over (t1, t2): the P block's for H, one shared for K.
-    # The Q block has a projected propagator of its own, but the probability
-    # reads only the P block, so that one is not stepped; the Q block still
-    # enters the K marginal.
-    m_p = partial_trace(rho_p, (d_h, d_k), "K")
-    n_k = partial_trace(rho_p + rho_q, (d_h, d_k), "H")
-    spec_h, spec_k = sc.dyn.spec_H, sc.dyn.spec_K
-
-    # Both local dynamics are Gamma-free, so each generator is its T.
-    def rhs(xs):
-        s_p, s_k = xs
-        t_p = sc.P_H.P @ generator_matrix(spec_h, s_p @ m_p @ dagger(s_p)) @ sc.P_H.P
-        ds_k = np.zeros_like(s_k)
-        if spec_k is not None:
-            ds_k = -1j * (generator_matrix(spec_k, s_k @ n_k @ dagger(s_k)) @ s_k)
-        return -1j * (t_p @ s_p), ds_k
-
-    xs = (sc.P_H.P.copy(), np.eye(d_k, dtype=complex))
-    phase = _phase_cfg(sc.cfg, sc.t2 - sc.t1)
-    for _ in range(phase.n_steps):
-        xs = _rk4(xs, rhs(xs), rhs, phase.dt)
-    s_p, s_k = xs
-    prop = tensor_product(s_p, s_k)
-    rho_p_t2 = prop @ rho_p @ dagger(prop)
-    p_k_full = tensor_product(np.eye(d_h), sc.P_K.P)
-    return float(np.trace(p_k_full @ rho_p_t2 @ p_k_full).real)
+def _measure_h(sc: CorrelationScenario, rho1: np.ndarray) -> np.ndarray:
+    """The joint state after the H measurement: P rho P + Q rho Q on H."""
+    p, q = (tensor_product(x, np.eye(sc.rho0.d_K)) for x in (sc.P_H.P, sc.P_H.Q))
+    return p @ rho1 @ p + q @ rho1 @ q
 
 
-def _switch_off_route(sc: CorrelationScenario, rho1: np.ndarray) -> float:
-    rho = _evolve_joint(sc, rho1, sc.t2 - sc.t1, h_on=False)
+def _p_joint(sc: CorrelationScenario, rho: np.ndarray, h_on: bool) -> float:
+    """Tr[(P_H (x) P_K) rho(t2)], rho stepped from t1 through the step loop."""
+    rho = _evolve_joint(sc, rho, sc.t2 - sc.t1, h_on)
     joint_proj = tensor_product(sc.P_H.P, sc.P_K.P)
     return float(np.trace(joint_proj @ rho @ joint_proj).real)
 
 
+def _full_route(sc: CorrelationScenario, rho1: np.ndarray) -> float:
+    # The block-resolved evolution, stepped whole.  The dynamics are Gamma-free
+    # and H leaves P and Q invariant, so on the block-diagonal H marginal
+    # m_P + m_Q, T = H rho^q + rho^q H is P T(m_P) P + Q T(m_Q) Q: each H
+    # block steps under its own projected generator, and K under
+    # Tr_H[P rho P + Q rho Q].  H stays on, so no-signalling is not assumed.
+    return _p_joint(sc, _measure_h(sc, rho1), h_on=True)
+
+
+def _switch_off_route(sc: CorrelationScenario, rho1: np.ndarray) -> float:
+    return _p_joint(sc, rho1, h_on=False)
+
+
 def correlation_full_route(sc: CorrelationScenario) -> float:
     """Joint probability of (positive P_H at t1, positive P_K at t2) from the
-    explicit block-resolved post-measurement evolution.
-
-    The measured factor's P block evolves with its projected propagator; the
-    remote factor keeps a single propagator driven by its own (continuous)
-    marginal.
-    """
+    block-resolved evolution: the measured state P rho P + Q rho Q steps
+    whole from t1 to t2, both local generators on, each H block under its
+    own projected generator and K under its own marginal."""
     _require_invariance(sc)
     return _full_route(sc, _first_phase(sc))
 
@@ -235,12 +217,8 @@ def correlation_switch_off_route(sc: CorrelationScenario) -> float:
 def _remote_generator_change(sc: CorrelationScenario, rho1: np.ndarray) -> float:
     if sc.dyn.spec_K is None:
         return 0.0
-    d_h, d_k = sc.rho0.dims
-    p_h_full = tensor_product(sc.P_H.P, np.eye(d_k))
-    q_h_full = tensor_product(sc.P_H.Q, np.eye(d_k))
-    measured = p_h_full @ rho1 @ p_h_full + q_h_full @ rho1 @ q_h_full
-    before = eval_T(sc.dyn.spec_K, partial_trace(rho1, (d_h, d_k), "H"))
-    after = eval_T(sc.dyn.spec_K, partial_trace(measured, (d_h, d_k), "H"))
+    before = eval_T(sc.dyn.spec_K, partial_trace(rho1, sc.rho0.dims, "H"))
+    after = eval_T(sc.dyn.spec_K, partial_trace(_measure_h(sc, rho1), sc.rho0.dims, "H"))
     return max_abs(after - before)
 
 

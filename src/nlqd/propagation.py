@@ -6,8 +6,8 @@ stage; rho = gamma gamma^dag is then positive by construction.  The direct
 rho-route integrator is kept only as a cross-validation oracle.  The
 rho-dependent propagator S (i S_dot = G(rho(t)) S) can be accumulated
 alongside gamma with the same stages, and convex mixtures of processes run
-one autonomous branch per component.  Every integrator here and in
-``measurement`` steps with the one RK4 tableau in ``_rk4``.
+one autonomous branch per component.  Every integrator steps with the one
+RK4 tableau in ``_rk4``, which no other module calls.
 
 The one step loop, ``_integrate``, steps one factor (d, d) or a stack
 (B, d, d) of independent ones: ``evolve_many`` runs B initial states under
@@ -41,6 +41,7 @@ from .linalg import (
     _eigvalsh,
     _floored,
     _member,
+    _positive,
     _square,
     _state,
     _trace,
@@ -65,10 +66,8 @@ class IntegratorConfig:
     max_step_drift: float = 1e-6
 
     def __post_init__(self):
-        if not (0 < self.dt < np.inf and 0 < self.t_final < np.inf):
-            raise ValidationError(f"dt and t_final must be finite and positive, got {self.dt}, {self.t_final}")
-        if not 0 < self.max_step_drift < np.inf:
-            raise ValidationError(f"max_step_drift must be finite and > 0, got {self.max_step_drift}")
+        for name in ("dt", "t_final", "max_step_drift"):
+            _positive(getattr(self, name), name)
         if self.dt > self.t_final:
             raise ValidationError("dt must not exceed t_final")
         if abs(self.n_steps * self.dt - self.t_final) > GRID_REL_TOL * self.t_final:
@@ -154,8 +153,8 @@ def _checked_state(gamma: np.ndarray, step: int) -> np.ndarray:
 
 def step_state_operator(gamma, spec: GeneratorSpec, dt: float, max_step_drift: float = 1e-6):
     """One RK4 step of a unit-norm square-root factor of the spec's dimension."""
-    if not (0 < dt < np.inf and 0 < max_step_drift < np.inf):
-        raise ValidationError(f"dt and max_step_drift must be finite and > 0, got {dt}, {max_step_drift}")
+    _positive(dt, "dt")
+    _positive(max_step_drift, "max_step_drift")
     g = StateOperator(matrix=_square(gamma, spec.dim)).matrix
     rhs = _factor_rhs(partial(generator_matrix, spec))
     (g,) = _rk4((g,), rhs((g,)), rhs, dt)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import bell_state
-from nlqd.entanglement import BipartiteState
+from nlqd.entanglement import BipartiteDynamics, BipartiteState, polchinski_generator
 from nlqd.errors import ValidationError
 from nlqd.generators import (
     GammaFamily,
@@ -27,6 +27,7 @@ from nlqd.linalg import (
     StateOperator,
     matrix_power,
     mutual_information,
+    partial_trace,
     purity,
     sqrt_factor,
     support_projector,
@@ -182,3 +183,39 @@ def test_accepts_wrappers_like_ndarray(name, wrapper):
 def test_mixture_specs_share_one_dimension():
     with pytest.raises(ValidationError):
         MixtureSpec(weights=[0.5, 0.5], process_specs=[spec(2), spec(3)])
+
+
+MIXED = np.eye(4) / 4
+# Factor dimensions must be two integers >= 1 whose product is the matrix's.
+BAD_DIMS = {
+    "partial_trace-negative": lambda: partial_trace(MIXED, (-2, -2), "K"),
+    "partial_trace-float": lambda: partial_trace(MIXED, (2.0, 2), "K"),
+    "mutual_information-one": lambda: mutual_information(MIXED, (4,)),
+    "mutual_information-float": lambda: mutual_information(MIXED, (2.0, 2)),
+    "polchinski_generator-float": lambda: polchinski_generator(BipartiteDynamics(spec_H=spec(2)), MIXED, (2.0, 2)),
+    "BipartiteState-negative": lambda: BipartiteState(d_H=-2, d_K=-2, matrix=MIXED),
+    "BipartiteState-float": lambda: BipartiteState(d_H=2.0, d_K=2, matrix=MIXED),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DIMS))
+def test_rejects_bad_dims(case):
+    with pytest.raises(ValidationError, match="dims"):
+        BAD_DIMS[case]()
+
+
+# A step size, drift bound or exponent must be a real number, finite and > 0.
+NOT_A_NUMBER = {
+    "IntegratorConfig.dt": lambda: IntegratorConfig(dt="x", t_final=1.0),
+    "step_state_operator.dt": lambda: step_state_operator(sqrt_factor(np.eye(2) / 2), spec(2), "x"),
+    "step_state_operator.max_step_drift": lambda: step_state_operator(
+        sqrt_factor(np.eye(2) / 2), spec(2), 1e-3, max_step_drift="x"
+    ),
+    "matrix_power": lambda: matrix_power(np.eye(2) / 2, "2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_NUMBER))
+def test_rejects_a_string_for_a_number(case):
+    with pytest.raises(ValidationError, match="must be finite and > 0"):
+        NOT_A_NUMBER[case]()

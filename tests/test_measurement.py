@@ -1,12 +1,13 @@
 import pathlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from conftest import SX, SZ, bell_state, random_hermitian, singlet_state
-from nlqd.errors import SubspaceInvarianceError, ValidationError
+from nlqd.errors import StepSizeError, SubspaceInvarianceError, ValidationError
 from nlqd.generators import GammaFamily, GeneratorSpec, TFamily, _eval_T, random_density_matrix
 from nlqd.entanglement import BipartiteDynamics, BipartiteState
 from nlqd import measurement
@@ -287,13 +288,42 @@ ROUTE_SCENARIOS = {
 }
 
 
+def full_route_gap(sc, dt):
+    """|block route - propagator oracle| with both stepped at dt."""
+    sc = replace(sc, cfg=replace(sc.cfg, dt=dt))
+    rho1 = measurement._first_phase(sc)
+    return abs(measurement._full_route(sc, rho1) - full_route_three_propagators(sc, rho1))
+
+
 class TestRouteAgreement:
     @pytest.mark.parametrize("name", list(ROUTE_SCENARIOS))
-    def test_full_route_matches_three_propagators_bitwise(self, name):
-        sc = ROUTE_SCENARIOS[name]
-        rho1 = measurement._first_phase(sc)
-        got, ref = measurement._full_route(sc, rho1), full_route_three_propagators(sc, rho1)
-        assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+    def test_full_route_matches_three_propagators(self, name):
+        assert full_route_gap(ROUTE_SCENARIOS[name], 1e-3) <= 1e-11
+
+    def test_full_route_gap_to_the_propagators_is_truncation(self):
+        # The measured state stepped whole and the propagators differ only by
+        # RK4 truncation, which shrinks 16x per halving of dt.
+        sc = ROUTE_SCENARIOS["q_block_empty"]
+        assert full_route_gap(sc, 5e-4) * 8 <= full_route_gap(sc, 1e-3)
+
+    def test_full_route_checks_every_step(self):
+        # At dt = 0.4 the oracle's unchecked propagators give p = 0.70488
+        # (0.27867 at dt = 1e-4); the step loop must refuse the step instead.
+        sc = CorrelationScenario(
+            rho0=BipartiteState(d_H=2, d_K=2, matrix=random_density_matrix(4, np.random.default_rng(3), 2)),
+            dyn=BipartiteDynamics(
+                spec_H=GeneratorSpec(H=np.diag([1.0, 0.3]), t_family=TFamily("powerLaw", q=1.5)),
+                spec_K=GeneratorSpec(H=3.0 * SX, t_family=TFamily("powerLaw", q=1.2)),
+            ),
+            t0=0.0,
+            t1=0.0,
+            t2=2.0,
+            P_H=P0,
+            P_K=P0,
+            cfg=IntegratorConfig(dt=0.4, t_final=2.0),
+        )
+        with pytest.raises(StepSizeError):
+            correlation_full_route(sc)
 
     def test_empty_blocks(self):
         q_empty, p_empty = ROUTE_SCENARIOS["q_block_empty"], ROUTE_SCENARIOS["p_block_empty"]
@@ -369,7 +399,7 @@ class TestRouteAgreement:
         monkeypatch.setattr(measurement, "integrate_generator", lambda *a: calls.append(1) or integrate(*a))
         rep = correlation_report(sc)
         assert rep["remote_generator_change"] == expected
-        assert len(calls) == 2  # t0 -> t1 once, then the switch-off route's t1 -> t2
+        assert len(calls) == 3  # t0 -> t1 once, then t1 -> t2 once per route
 
     def test_repeat_measurement_certainty(self):
         # measuring the same diagonal observable twice on one side: outcome

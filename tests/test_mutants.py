@@ -5,7 +5,9 @@ passes on a broken engine proves nothing.  Each row below swaps one engine
 function for a copy with one line changed (two where the defect needs a
 name the engine does not keep, each marked "was"; the output writer's copy
 opens with the old truncating "w" in place of its unlink and exclusive
-create, and is caught once on a CSV and once on a report), and names a
+create, and is caught once on a CSV and once on a report; one block
+route is test_measurement's propagator oracle, whose RK4 loop checks no
+step), and names a
 test that passes on the real engine and must fail on the broken one: by an
 assertion, or by the engine's own typed error (a generator taken at the
 wrong state breaks the norm, and the drift check stops the run).  Each named test runs in a fresh working directory, which
@@ -29,7 +31,7 @@ import test_propagation
 import test_scripts
 from nlqd import entanglement, generators, io, measurement, propagation
 from nlqd.errors import NlqdError, StepSizeError, ValidationError
-from nlqd.linalg import ClippedEig, _square, dagger, hermitian_eigvals, partial_trace, tensor_product
+from nlqd.linalg import ClippedEig, _square, dagger, hermitian_eigvals, partial_trace
 
 REAL_RENORMALIZE = propagation._renormalize
 REAL_EVAL_GAMMA = generators._eval_Gamma
@@ -196,38 +198,11 @@ class JointGeneratorKOnHAxis(entanglement._JointGenerator):
 
 
 def switch_off_keeps_h(sc, rho1):
-    rho = measurement._evolve_joint(sc, rho1, sc.t2 - sc.t1, h_on=True)  # was h_on=False
-    joint_proj = tensor_product(sc.P_H.P, sc.P_K.P)
-    return float(np.trace(joint_proj @ rho @ joint_proj).real)
+    return measurement._p_joint(sc, rho1, h_on=True)  # was h_on=False
 
 
-def full_route_q_block_projected_with_p(sc, rho1):
-    d_h, d_k = sc.rho0.dims
-    p_h_full = tensor_product(sc.P_H.P, np.eye(d_k))
-    q_h_full = tensor_product(sc.P_H.P, np.eye(d_k))  # was sc.P_H.Q
-    rho_p = p_h_full @ rho1 @ p_h_full
-    rho_q = q_h_full @ rho1 @ q_h_full
-    m_p = partial_trace(rho_p, (d_h, d_k), "K")
-    n_k = partial_trace(rho_p + rho_q, (d_h, d_k), "H")
-    spec_h, spec_k = sc.dyn.spec_H, sc.dyn.spec_K
-
-    def rhs(xs):
-        s_p, s_k = xs
-        t_p = sc.P_H.P @ generators.generator_matrix(spec_h, s_p @ m_p @ dagger(s_p)) @ sc.P_H.P
-        ds_k = np.zeros_like(s_k)
-        if spec_k is not None:
-            ds_k = -1j * (generators.generator_matrix(spec_k, s_k @ n_k @ dagger(s_k)) @ s_k)
-        return -1j * (t_p @ s_p), ds_k
-
-    xs = (sc.P_H.P.copy(), np.eye(d_k, dtype=complex))
-    phase = measurement._phase_cfg(sc.cfg, sc.t2 - sc.t1)
-    for _ in range(phase.n_steps):
-        xs = propagation._rk4(xs, rhs(xs), rhs, phase.dt)
-    s_p, s_k = xs
-    prop = tensor_product(s_p, s_k)
-    rho_p_t2 = prop @ rho_p @ dagger(prop)
-    p_k_full = tensor_product(np.eye(d_h), sc.P_K.P)
-    return float(np.trace(p_k_full @ rho_p_t2 @ p_k_full).real)
+def full_route_unmeasured(sc, rho1):
+    return measurement._p_joint(sc, rho1, h_on=True)  # was _measure_h(sc, rho1)
 
 
 def state_violations_min_over_members(m, herm_tol, trace_tol, eig_tol):
@@ -342,9 +317,13 @@ MUTANTS = {
         measurement, "_switch_off_route", switch_off_keeps_h,
         lambda: test_measurement.TestRouteAgreement().test_coherent_marginal_routes_agree(rng()),
     ),
-    "full_route_q_block_projected_with_p": (
-        measurement, "_full_route", full_route_q_block_projected_with_p,
+    "full_route_unmeasured": (
+        measurement, "_full_route", full_route_unmeasured,
         lambda: test_measurement.TestRouteAgreement().test_coherent_marginal_routes_agree(rng()),
+    ),
+    "full_route_unchecked_propagators": (
+        measurement, "_full_route", test_measurement.full_route_three_propagators,
+        lambda: test_measurement.TestRouteAgreement().test_full_route_checks_every_step(),
     ),
     "verify_eigenvalue_min_over_members": (
         io, "state_violations", state_violations_min_over_members,
