@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .generators import GeneratorSpec, eval_Gamma, generator_matrix, random_density_matrix
+from .generators import GeneratorSpec, _fixed_generator, eval_Gamma, generator_matrix, random_density_matrix
 from .linalg import (
     EIG_NEG_TOL,
     _eye,
@@ -41,6 +41,7 @@ from .linalg import (
 from .propagation import (
     IntegratorConfig,
     Trajectory,
+    _Fixed,
     _integrate,
     default_monitor,
     evolve_many,
@@ -145,6 +146,18 @@ def _joint_generator(dyn: BipartiteDynamics, rho: np.ndarray, dims: tuple[int, i
     return _JointGenerator(g_h, g_k, dims)
 
 
+def _joint_generator_fn(dyn: BipartiteDynamics, dims: tuple[int, int], h_on: bool = True):
+    """rho -> the step loop's joint generator.  When every active side (H
+    while h_on, K unless passive) reads no state, the joint generator reads
+    none either: a _Fixed of the constant sides' H, which applies zero when
+    no side is active."""
+    g_h = _fixed_generator(dyn.spec_H) if h_on else None
+    g_k = None if dyn.spec_K is None else _fixed_generator(dyn.spec_K)
+    if (h_on and g_h is None) or (dyn.spec_K is not None and g_k is None):
+        return partial(_joint_generator, dyn, dims=dims, h_on=h_on)
+    return _Fixed(_JointGenerator(g_h, g_k, dims))
+
+
 def bipartite_monitor(dims: tuple[int, int], H_joint: np.ndarray):
     """Joint monitor adding local entropies and mutual information."""
     base = default_monitor(H_joint)
@@ -173,7 +186,7 @@ def evolve_bipartite(rho0: BipartiteState, dyn: BipartiteDynamics, cfg: Integrat
     _check_dims(dyn, dims)
     return integrate_generator(
         rho0.matrix,
-        partial(_joint_generator, dyn, dims=dims),
+        _joint_generator_fn(dyn, dims),
         cfg,
         bipartite_monitor(dims, joint_hamiltonian(dyn, dims)),
     )
@@ -258,8 +271,7 @@ def verify_cp_extension(dyn: BipartiteDynamics, rho_hk_samples, cfg: IntegratorC
     if any(s.dims != dims for s in samples):
         raise ValidationError(f"samples differ in dims; the first has {dims}")
     _check_dims(dyn, dims)
-    g_of_rho = partial(_joint_generator, dyn, dims=dims)
-    _, _, states, _ = _integrate(np.array([s.matrix for s in samples]), g_of_rho, cfg)
+    _, _, states, _ = _integrate(np.array([s.matrix for s in samples]), _joint_generator_fn(dyn, dims), cfg)
     # states: (N, B, D, D)
     local = [t.states for t in evolve_many([s.marginal_H() for s in samples], dyn.spec_H, cfg)]
     min_eigs = np.min(hermitian_eigvals(states[-1]), axis=-1)

@@ -33,8 +33,10 @@ from .errors import DegenerateConstraintError, ValidationError
 from .linalg import (
     HS_NORM_TOL,
     ClippedEig,
+    _finite,
     _hermitian,
     _member,
+    _positive,
     _square,
     _trace,
     dagger,
@@ -55,8 +57,8 @@ class TFamily:
     def __post_init__(self):
         if self.family not in ("vonNeumann", "powerLaw"):
             raise ValidationError(f"unknown T family {self.family!r}")
-        if self.family == "powerLaw" and not 0 < self.q < np.inf:
-            raise ValidationError(f"powerLaw exponent q must be finite and > 0, got {self.q}")
+        if self.family == "powerLaw":
+            _positive(self.q, "powerLaw exponent q")
         if self.family == "vonNeumann" and self.q != 1.0:
             raise ValidationError(f"vonNeumann takes no q, got {self.q}")
 
@@ -83,17 +85,15 @@ class GammaFamily:
         if self.family == "none" and (self.sigma != 0.0 or self.r != 1.0):
             raise ValidationError(f"none takes no sigma or r, got {self.sigma}, {self.r}")
         if self.family in ("zeroMean", "energyConserving"):
-            if not 0 < self.r < np.inf:
-                raise ValidationError(f"exponent r must be finite and > 0, got {self.r}")
-            if not abs(self.sigma) < np.inf:
-                raise ValidationError(f"sigma must be finite, got {self.sigma}")
+            _positive(self.r, "exponent r")
+            _finite(self.sigma, "sigma")
         if self.family != "nonEssential" and self.A is not None:
             raise ValidationError(f"{self.family} takes no A")
         if self.family == "nonEssential":
             if self.A is None:
                 raise ValidationError("nonEssential family requires a matrix A")
             object.__setattr__(self, "A", _hermitian(self.A, what="A"))
-            if not 1 < self.r < np.inf:
+            if not _positive(self.r, "nonEssential exponent r") > 1:
                 raise ValidationError(f"nonEssential requires a finite r > 1, got {self.r}")
             if self.sigma != 0.0:
                 raise ValidationError(f"nonEssential takes no sigma, got {self.sigma}")
@@ -179,6 +179,16 @@ def _product_plan(h: np.ndarray, t_family: TFamily, gamma_family: GammaFamily) -
     if n > MAX_PRODUCT_POWER:
         return None
     return _Products(q, r, n, h @ h if fam == "energyConserving" else None)
+
+
+def _fixed_generator(spec):
+    """G itself when it reads no state, else None: the product kernel's plan
+    reads no power of rho (q = 0, r = 0) and the family is none, so G = H at
+    every rho (for a _SpecStack, its stack of H)."""
+    plan = spec._products
+    if plan is not None and plan.q == 0 and plan.r == 0 and spec.gamma_family.family == "none":
+        return spec.H
+    return None
 
 
 def _family_key(spec: GeneratorSpec) -> tuple:
@@ -364,7 +374,8 @@ def _minus_diag(a: np.ndarray, c) -> np.ndarray:
 def generator_matrix(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
     """G = T + i Gamma at the given state, by the kernel the spec chose.
 
-    The unchecked loop kernel: the integrators call it at every RK4 stage on
+    The unchecked loop kernel: the integrators call it at every RK4 stage
+    (unless the spec reads no state, see _fixed_generator) on
     a rho that is Hermitian by construction, so it checks nothing beyond the
     eigenvalue floor of the decomposition it takes, if it takes one: the
     spectral kernel (nonEssential always) takes one, the product kernel

@@ -29,7 +29,7 @@ import numpy as np
 from .entanglement import BipartiteDynamics, BipartiteState
 from .errors import ValidationError
 from .generators import GammaFamily, GeneratorSpec, TFamily
-from .linalg import EIG_NEG_TOL, state_violations
+from .linalg import EIG_NEG_TOL, _is_integer, state_violations
 from .measurement import CorrelationScenario, MeasurementSetup
 from .propagation import RECORD_HERM_TOL, RECORD_TRACE_TOL, IntegratorConfig, MixtureSpec, Trajectory
 
@@ -148,7 +148,7 @@ def _real(x) -> float:
 
 
 def _int(x, lo: int = 1) -> int:
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < lo:
+    if not _is_integer(x, lo):
         raise ValidationError(f"expected an integer >= {lo}, got {x!r}")
     return int(x)
 

@@ -90,8 +90,9 @@ def state_violation(m: np.ndarray, herm_tol: float, trace_tol: float, eig_tol: f
 
 # The input rule: every public entry point and constructor takes its matrices
 # through _square, _hermitian or _state, which unwrap .matrix, name the input
-# as what and raise ValidationError, its dims through _factor_dims and its
-# positive reals through _positive.  The per-stage kernels check nothing.
+# as what and raise ValidationError, its dims through _factor_dims, its
+# positive reals through _positive, its other reals through _finite and its
+# counts through _is_integer.  The per-stage kernels check nothing.
 
 
 def _square(a, dim: int | None = None, what: str = "matrix", one: bool = False) -> np.ndarray:
@@ -125,13 +126,25 @@ def _positive(x, what: str):
     return x
 
 
+def _finite(x, what: str):
+    """x, a real number, finite (so not NaN)."""
+    if not (isinstance(x, numbers.Real) and abs(x) < np.inf):
+        raise ValidationError(f"{what} must be finite, got {x}")
+    return x
+
+
+def _is_integer(x, lo: int) -> bool:
+    """x is an integer >= lo, and not a bool; each caller words its own error."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= lo
+
+
 def _factor_dims(dims, dim: int | None = None) -> tuple[int, int]:
     """dims as (d_H, d_K): two integers >= 1, whose product is dim when given."""
     try:
         d_h, d_k = dims
     except (TypeError, ValueError):
         d_h = d_k = 0  # not a pair: fails the rule below
-    if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 1 for d in (d_h, d_k)):
+    if not (_is_integer(d_h, 1) and _is_integer(d_k, 1)):
         raise ValidationError(f"dims must be two integers >= 1, got {dims!r}")
     if dim is not None and d_h * d_k != dim:
         raise ValidationError(f"dims {dims} do not multiply to the dimension {dim}")

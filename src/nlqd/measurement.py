@@ -14,11 +14,10 @@ norm drift and the eigenvalue floor at every step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
-from .entanglement import BipartiteDynamics, BipartiteState, _check_dims, _joint_generator
+from .entanglement import BipartiteDynamics, BipartiteState, _check_dims, _joint_generator_fn
 from .errors import SubspaceInvarianceError, ValidationError
 from .generators import GeneratorSpec, eval_T, generator_matrix
 from .linalg import (
@@ -153,7 +152,7 @@ def _evolve_joint(sc: CorrelationScenario, rho: np.ndarray, duration: float, h_o
     """Joint gamma-route evolution; without h_on the H generator is switched off."""
     if duration <= sc.cfg.dt * 1e-9:
         return rho
-    g_of_rho = partial(_joint_generator, sc.dyn, dims=sc.rho0.dims, h_on=h_on)
+    g_of_rho = _joint_generator_fn(sc.dyn, sc.rho0.dims, h_on)
     cfg = _phase_cfg(sc.cfg, duration)
     traj = integrate_generator(rho, g_of_rho, cfg, _no_monitor)
     return traj.final_state()

@@ -2,7 +2,12 @@
 
 The production path integrates i gamma_dot = G(gamma gamma^dag) gamma with
 classical fixed-step RK4, re-evaluating the generator at every internal
-stage; rho = gamma gamma^dag is then positive by construction.  The direct
+stage; rho = gamma gamma^dag is then positive by construction.  A generator
+that reads no state (the vonNeumann T with no Gamma, G = H, and a joint
+generator whose active sides are all such) is not re-evaluated: for a linear
+equation RK4 is exactly x -> R x, so the loop forms the RK4 matrix R once
+per run, from the same tableau, and each step is one product per matrix it
+carries.  The direct
 rho-route integrator is kept only as a cross-validation oracle.  The
 rho-dependent propagator S (i S_dot = G(rho(t)) S) can be accumulated
 alongside gamma with the same stages, and convex mixtures of processes run
@@ -25,7 +30,6 @@ which stage 1 of the next step takes its generator.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -33,13 +37,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import StepSizeError, ValidationError
-from .generators import GeneratorSpec, _family_key, _stack_specs, generator_matrix
+from .generators import GeneratorSpec, _family_key, _fixed_generator, _stack_specs, generator_matrix
 from .linalg import (
     EIG_NEG_TOL,
     ClippedEig,
     StateOperator,
     _eigvalsh,
     _floored,
+    _is_integer,
     _member,
     _positive,
     _square,
@@ -74,9 +79,8 @@ class IntegratorConfig:
             raise ValidationError(
                 f"t_final {self.t_final} is not a whole number of dt = {self.dt} steps"
             )
-        stride = self.monitor_stride
-        if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
-            raise ValidationError(f"monitor_stride must be a finite integer >= 1, got {stride}")
+        if not _is_integer(self.monitor_stride, 1):
+            raise ValidationError(f"monitor_stride must be a finite integer >= 1, got {self.monitor_stride}")
 
     @property
     def n_steps(self) -> int:
@@ -126,6 +130,36 @@ def _slopes(g_of_rho: GeneratorFn, rho: np.ndarray, xs) -> list:
 def _factor_rhs(g_of_rho: GeneratorFn):
     """i x_dot = G(gamma gamma^dag) x for (gamma, *carried), G taken at gamma."""
     return lambda xs: _slopes(g_of_rho, xs[0] @ dagger(xs[0]), xs)
+
+
+class _Fixed:
+    """A generator that reads no state: G(rho) = gen at every rho, gen a
+    matrix, a stack of them, or anything else that applies by ``gen @ x``.
+    The step loop steps it by one RK4 matrix, formed once per run."""
+
+    __slots__ = ("gen",)
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def __call__(self, rho: np.ndarray):
+        return self.gen
+
+
+def _spec_generator(spec) -> GeneratorFn:
+    """rho -> G(rho) for a spec or a spec stack: _Fixed when G reads no state."""
+    gen = _fixed_generator(spec)
+    return partial(generator_matrix, spec) if gen is None else _Fixed(gen)
+
+
+def _step_matrix(g_of_rho: _Fixed, d: int, dt: float) -> np.ndarray:
+    """The RK4 matrix R of a generator G that reads no state: one RK4 step of
+    the linear i x_dot = G x is exactly x -> R x, so R is _rk4 applied once
+    to the d x d identity.  A stack of G gives a stack of R, and G = 0 the
+    identity exactly."""
+    eye = np.eye(d, dtype=complex)
+    rhs = _factor_rhs(g_of_rho)
+    return _rk4((eye,), rhs((eye,)), rhs, dt)[0]
 
 
 def _renormalize(gamma: np.ndarray, max_drift: float):
@@ -187,20 +221,26 @@ def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, carried=()):
 
     rho0 is one state (d, d) or a stack (B, d, d) of them, each member an
     independent trajectory under its own slice of g_of_rho's generator.
-    Each carried matrix x steps with gamma under i x_dot = G(rho) x.  Every
-    stepped state is checked; the checked rho is recorded and feeds stage 1
-    of the next step.  Returns the final (gamma, *carried), the record times
-    (N,), the recorded states (N, ..., d, d) and the worst drift of each
-    window (N, ...).
+    Each carried matrix x steps with gamma under i x_dot = G(rho) x.  A
+    _Fixed generator, which reads no state, steps every x by x <- R x with
+    the RK4 matrix R of _step_matrix; any other takes G at every stage.
+    Every stepped state is checked either way; the checked rho is recorded
+    and feeds stage 1 of the next step.  Returns the final (gamma,
+    *carried), the record times (N,), the recorded states (N, ..., d, d)
+    and the worst drift of each window (N, ...).
     """
     xs = (ClippedEig(rho0).power(0.5), *carried)
     rhs = _factor_rhs(g_of_rho)
     rho = xs[0] @ dagger(xs[0])
+    r = _step_matrix(g_of_rho, rho.shape[-1], cfg.dt) if isinstance(g_of_rho, _Fixed) else None
     times, states, drifts = [0.0], [rho], [np.zeros(rho.shape[:-2])]
     worst = drifts[0]
     n = cfg.n_steps
     for step in range(1, n + 1):
-        xs = _rk4(xs, _slopes(g_of_rho, rho, xs), rhs, cfg.dt)
+        if r is None:
+            xs = _rk4(xs, _slopes(g_of_rho, rho, xs), rhs, cfg.dt)
+        else:
+            xs = tuple([r @ x for x in xs])
         gamma, drift = _renormalize(xs[0], cfg.max_step_drift)
         rho = _checked_state(gamma, step)
         xs = (gamma, *xs[1:])
@@ -255,7 +295,7 @@ def evolve_many(rho0s, spec: GeneratorSpec, cfg: IntegratorConfig) -> list:
     # One state steps as one (d, d) matrix, whose per-member scalars stay
     # numpy scalars: cheaper than arrays of one member, and the same bits.
     rho0 = states[0] if len(states) == 1 else np.array(states)
-    _, *records = _integrate(rho0, partial(generator_matrix, spec), cfg)
+    _, *records = _integrate(rho0, _spec_generator(spec), cfg)
     return _trajectories(*records, default_monitor(spec.H))
 
 
@@ -295,7 +335,7 @@ def accumulate_propagator(
     """
     m = _state(rho0, spec.dim)
     s0 = np.eye(m.shape[0], dtype=complex)
-    (_, s), *records = _integrate(m, partial(generator_matrix, spec), cfg, (s0,))
+    (_, s), *records = _integrate(m, _spec_generator(spec), cfg, (s0,))
     return s, _trajectories(*records, default_monitor(spec.H))[0]
 
 
@@ -335,7 +375,7 @@ def evolve_convex_mixture(rho0, mix: MixtureSpec, cfg: IntegratorConfig) -> Traj
     for members in groups.values():
         stack = _stack_specs([mix.process_specs[i] for i in members])
         _, times, batch_states, batch_drifts = _integrate(
-            np.array([m] * len(members)), partial(generator_matrix, stack), cfg
+            np.array([m] * len(members)), _spec_generator(stack), cfg
         )
         for j, i in enumerate(members):
             states[i], drifts[i] = batch_states[:, j], batch_drifts[:, j]

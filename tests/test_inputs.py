@@ -13,6 +13,7 @@ import pytest
 from conftest import bell_state
 from nlqd.entanglement import BipartiteDynamics, BipartiteState, polchinski_generator
 from nlqd.errors import ValidationError
+from nlqd.io import matrix_from_json
 from nlqd.generators import (
     GammaFamily,
     GeneratorSpec,
@@ -212,6 +213,10 @@ NOT_A_NUMBER = {
         sqrt_factor(np.eye(2) / 2), spec(2), 1e-3, max_step_drift="x"
     ),
     "matrix_power": lambda: matrix_power(np.eye(2) / 2, "2"),
+    # each used to raise an untyped TypeError from the comparison
+    "TFamily.q": lambda: TFamily("powerLaw", q="x"),
+    "GammaFamily.r-zeroMean": lambda: GammaFamily("zeroMean", sigma=0.5, r="x"),
+    "GammaFamily.r-nonEssential": lambda: GammaFamily("nonEssential", r="x", A=np.diag([1.0, -1.0])),
 }
 
 
@@ -219,3 +224,28 @@ NOT_A_NUMBER = {
 def test_rejects_a_string_for_a_number(case):
     with pytest.raises(ValidationError, match="must be finite and > 0"):
         NOT_A_NUMBER[case]()
+
+
+# sigma may take any sign, but must be a real number and finite.
+@pytest.mark.parametrize("family", ["zeroMean", "energyConserving"])
+def test_rejects_a_string_for_sigma(family):
+    # used to raise an untyped TypeError from abs("x")
+    with pytest.raises(ValidationError, match="sigma must be finite"):
+        GammaFamily(family, sigma="x", r=1.0)
+
+
+# A count is an integer >= its least value and not a bool; each reader words
+# its own error.
+NOT_A_COUNT = {
+    "IntegratorConfig.monitor_stride": (lambda: IntegratorConfig(dt=0.1, t_final=1.0, monitor_stride=True), "monitor_stride"),
+    "BipartiteState.d_H": (lambda: BipartiteState(d_H=True, d_K=4, matrix=np.eye(4) / 4), "dims"),
+    "matrix_from_json.dim": (lambda: matrix_from_json({"dim": True, "re": [1.0]}), "expected an integer >= 1"),
+    "matrix_from_json.dim-zero": (lambda: matrix_from_json({"dim": 0, "re": []}), "expected an integer >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_COUNT))
+def test_rejects_a_bool_or_a_small_count(case):
+    make, message = NOT_A_COUNT[case]
+    with pytest.raises(ValidationError, match=message):
+        make()

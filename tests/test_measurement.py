@@ -10,7 +10,7 @@ from conftest import SX, SZ, bell_state, random_hermitian, singlet_state
 from nlqd.errors import StepSizeError, SubspaceInvarianceError, ValidationError
 from nlqd.generators import GammaFamily, GeneratorSpec, TFamily, _eval_T, random_density_matrix
 from nlqd.entanglement import BipartiteDynamics, BipartiteState
-from nlqd import measurement
+from nlqd import entanglement, measurement, propagation
 from nlqd.linalg import ClippedEig, dagger, max_abs, partial_trace, tensor_product
 from nlqd.measurement import (
     CorrelationScenario,
@@ -32,7 +32,7 @@ P0 = MeasurementSetup(P=np.diag([1.0, 0.0]))
 P1 = MeasurementSetup(P=np.diag([0.0, 1.0]))
 
 
-def scenario(rho0=None, spec_h=None, spec_k=None, t1=0.4, t2=0.9, dt=1e-3):
+def scenario(rho0=None, spec_h=None, spec_k=None, t1=0.4, t2=0.9, dt=1e-3, P_K=P0):
     return CorrelationScenario(
         rho0=rho0 or BipartiteState(d_H=2, d_K=2, matrix=singlet_state()),
         dyn=BipartiteDynamics(spec_H=spec_h or GeneratorSpec(H=SZ), spec_K=spec_k),
@@ -40,7 +40,7 @@ def scenario(rho0=None, spec_h=None, spec_k=None, t1=0.4, t2=0.9, dt=1e-3):
         t1=t1,
         t2=t2,
         P_H=P0,
-        P_K=P0,
+        P_K=P_K,
         cfg=IntegratorConfig(dt=dt, t_final=1.0),
     )
 
@@ -227,6 +227,48 @@ class TestSingletFrozen:
         assert rep["p_joint_full"] == pytest.approx(0.5, abs=1e-9)
         assert rep["p_conditional"] == pytest.approx(1.0, abs=1e-8)
         assert rep["p_joint_switch"] == pytest.approx(rep["p_joint_full"], abs=1e-9)
+
+
+class TestFixedJointGenerator:
+    """A phase whose active sides all read no state steps by the RK4 matrix
+    of the joint generator of their H, formed once per phase."""
+
+    def test_zero_joint_generator_steps_by_the_identity(self):
+        # the singlet's switch-off phase: H switched off and K passive
+        g = entanglement._joint_generator_fn(BipartiteDynamics(spec_H=GeneratorSpec(H=SZ)), (2, 2), h_on=False)
+        assert isinstance(g, propagation._Fixed)
+        assert np.array_equal(propagation._step_matrix(g, 4, 0.3), np.eye(4))
+
+    def test_singlet_report_takes_no_generator_call(self, monkeypatch):
+        sc = scenario()
+        want = correlation_report(sc)
+        calls = []
+        real = entanglement.generator_matrix
+        monkeypatch.setattr(entanglement, "generator_matrix", lambda *a: calls.append(1) or real(*a))
+        formed, floors = [], []
+        step_matrix, eigvalsh = propagation._step_matrix, propagation._eigvalsh
+        monkeypatch.setattr(propagation, "_step_matrix", lambda *a: formed.append(1) or step_matrix(*a))
+        monkeypatch.setattr(propagation, "_eigvalsh", lambda a: floors.append(1) or eigvalsh(a))
+        assert correlation_report(sc) == want
+        assert calls == []
+        assert len(formed) == 3  # t0 -> t1, then t1 -> t2 once per route
+        first, second = (measurement._phase_cfg(sc.cfg, t).n_steps for t in (sc.t1 - sc.t0, sc.t2 - sc.t1))
+        assert len(floors) == first + 2 * second  # every stepped state is checked
+
+    def test_routes_match_a_stage_by_stage_run(self, monkeypatch):
+        sc = scenario(spec_k=GeneratorSpec(H=0.7 * SX + 0.2 * SZ), P_K=P1)
+        fixed = correlation_report(sc)
+        monkeypatch.setattr(entanglement, "_fixed_generator", lambda spec: None)
+        staged = correlation_report(sc)
+        for key in ("p_joint_full", "p_joint_switch", "p_first"):
+            assert abs(fixed[key] - staged[key]) <= 1e-13
+
+    @pytest.mark.parametrize("route", [correlation_full_route, correlation_switch_off_route])
+    def test_a_large_step_raises(self, route):
+        # K under 3 sigma_x at dt = 0.5: |P(i y)|^2 = 1 - y^6 / 72 + y^8 / 576 drifts by 0.1 per step
+        sc = scenario(spec_k=GeneratorSpec(H=3.0 * SX), t1=0.0, t2=2.0, dt=0.5)
+        with pytest.raises(StepSizeError, match="reduce dt"):
+            route(sc)
 
 
 def full_route_three_propagators(sc, rho1):

@@ -35,6 +35,7 @@ from nlqd.linalg import ClippedEig, _square, dagger, hermitian_eigvals, partial_
 
 REAL_RENORMALIZE = propagation._renormalize
 REAL_EVAL_GAMMA = generators._eval_Gamma
+REAL_STEP_MATRIX = propagation._step_matrix
 
 
 def rk4_wrong_weights(xs, k1, rhs, dt: float) -> tuple:
@@ -133,11 +134,15 @@ def integrate_stage_1_a_step_behind(rho0, g_of_rho, cfg, carried=()):
     xs = (ClippedEig(rho0).power(0.5), *carried)
     rhs = propagation._factor_rhs(g_of_rho)
     rho = before = xs[0] @ dagger(xs[0])  # was rho = xs[0] @ dagger(xs[0])
+    r = propagation._step_matrix(g_of_rho, rho.shape[-1], cfg.dt) if isinstance(g_of_rho, propagation._Fixed) else None
     times, states, drifts = [0.0], [rho], [np.zeros(rho.shape[:-2])]
     worst = drifts[0]
     n = cfg.n_steps
     for step in range(1, n + 1):
-        xs = propagation._rk4(xs, propagation._slopes(g_of_rho, before, xs), rhs, cfg.dt)
+        if r is None:
+            xs = propagation._rk4(xs, propagation._slopes(g_of_rho, before, xs), rhs, cfg.dt)
+        else:
+            xs = tuple([r @ x for x in xs])
         gamma, drift = propagation._renormalize(xs[0], cfg.max_step_drift)
         before, rho = rho, propagation._checked_state(gamma, step)  # was rho = ...: stage 1 read it
         xs = (gamma, *xs[1:])
@@ -154,11 +159,15 @@ def integrate_floor_on_records_only(rho0, g_of_rho, cfg, carried=()):
     xs = (ClippedEig(rho0).power(0.5), *carried)
     rhs = propagation._factor_rhs(g_of_rho)
     rho = xs[0] @ dagger(xs[0])
+    r = propagation._step_matrix(g_of_rho, rho.shape[-1], cfg.dt) if isinstance(g_of_rho, propagation._Fixed) else None
     times, states, drifts = [0.0], [rho], [np.zeros(rho.shape[:-2])]
     worst = drifts[0]
     n = cfg.n_steps
     for step in range(1, n + 1):
-        xs = propagation._rk4(xs, propagation._slopes(g_of_rho, rho, xs), rhs, cfg.dt)
+        if r is None:
+            xs = propagation._rk4(xs, propagation._slopes(g_of_rho, rho, xs), rhs, cfg.dt)
+        else:
+            xs = tuple([r @ x for x in xs])
         gamma, drift = propagation._renormalize(xs[0], cfg.max_step_drift)
         recorded = step % cfg.monitor_stride == 0 or step == n  # was rho = _checked_state(gamma, step)
         rho = propagation._checked_state(gamma, step) if recorded else gamma @ dagger(gamma)
@@ -170,6 +179,42 @@ def integrate_floor_on_records_only(rho0, g_of_rho, cfg, carried=()):
             drifts.append(worst)
             worst = drifts[0]
     return xs, np.array(times), np.array(states), np.array(drifts)
+
+
+def integrate_fixed_path_unchecked(rho0, g_of_rho, cfg, carried=()):
+    xs = (ClippedEig(rho0).power(0.5), *carried)
+    rhs = propagation._factor_rhs(g_of_rho)
+    rho = xs[0] @ dagger(xs[0])
+    r = propagation._step_matrix(g_of_rho, rho.shape[-1], cfg.dt) if isinstance(g_of_rho, propagation._Fixed) else None
+    times, states, drifts = [0.0], [rho], [np.zeros(rho.shape[:-2])]
+    worst = drifts[0]
+    n = cfg.n_steps
+    for step in range(1, n + 1):
+        if r is None:
+            xs = propagation._rk4(xs, propagation._slopes(g_of_rho, rho, xs), rhs, cfg.dt)
+        else:
+            xs = tuple([r @ x for x in xs])
+        gamma, drift = propagation._renormalize(xs[0], cfg.max_step_drift)
+        rho = propagation._checked_state(gamma, step) if r is None else gamma @ dagger(gamma)  # was always checked
+        xs = (gamma, *xs[1:])
+        worst = np.maximum(worst, drift)
+        if step % cfg.monitor_stride == 0 or step == n:
+            times.append(step * cfg.dt)
+            states.append(rho)
+            drifts.append(worst)
+            worst = drifts[0]
+    return xs, np.array(times), np.array(states), np.array(drifts)
+
+
+def step_matrix_at_half_dt(g_of_rho, d, dt):
+    return REAL_STEP_MATRIX(g_of_rho, d, dt / 2)  # was dt
+
+
+def fixed_generator_reads_q_only(spec):
+    plan = spec._products
+    if plan is not None and plan.q == 0:  # was plan.q == 0 and plan.r == 0 and the family none
+        return spec.H
+    return None
 
 
 def stack_member_0_h(specs):
@@ -238,9 +283,14 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def floor_test_spoiled_at_step_7():
+def floor_test_spoiled_at_step_7(kernel="spectral"):
     with pytest.MonkeyPatch.context() as mp:  # undoes the spoiled decomposition
-        test_propagation.TestEigenvalueFloor().test_fires_at_the_step_whose_state_fails(rng(), mp, "spectral", 7)
+        test_propagation.TestEigenvalueFloor().test_fires_at_the_step_whose_state_fails(rng(), mp, kernel, 7)
+
+
+def stage_kernel_test(name):
+    with pytest.MonkeyPatch.context() as mp:  # undoes the generator counter
+        test_propagation.TestFixedGenerator().test_state_reading_specs_step_by_stages(rng(), mp, name)
 
 
 # defect -> (module, attribute, broken copy, the test that must catch it)
@@ -296,6 +346,18 @@ MUTANTS = {
     "floor_on_recorded_steps_only": (
         propagation, "_integrate", integrate_floor_on_records_only,
         floor_test_spoiled_at_step_7,
+    ),
+    "fixed_path_skips_the_floor": (
+        propagation, "_integrate", integrate_fixed_path_unchecked,
+        lambda: floor_test_spoiled_at_step_7("fixed"),
+    ),
+    "step_matrix_at_half_dt": (
+        propagation, "_step_matrix", step_matrix_at_half_dt,
+        lambda: test_propagation.TestLinearLimit().test_von_neumann_matches_expm(rng()),
+    ),
+    "step_matrix_for_a_state_reading_spec": (
+        propagation, "_fixed_generator", fixed_generator_reads_q_only,
+        lambda: stage_kernel_test("vonNeumann-zeroMean-r1"),
     ),
     "drift_check_member_0_only": (
         propagation, "_renormalize", renormalize_member_0,

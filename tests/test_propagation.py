@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import SX, SY, SZ, random_hermitian, random_pure
-from nlqd import linalg, propagation
+from nlqd import entanglement, generators, linalg, propagation
 from nlqd.entanglement import (
     BipartiteDynamics,
     BipartiteState,
@@ -303,11 +303,12 @@ class TestEigenvalueFloor:
     SPECTRAL = GeneratorSpec(
         H=SZ + 0.4 * SX, t_family=TFamily("powerLaw", q=1.3), gamma_family=GammaFamily("zeroMean", sigma=0.5, r=2.0)
     )
+    FIXED = GeneratorSpec(H=SZ + 0.4 * SX)  # reads no state: steps by one RK4 matrix
 
     @pytest.mark.parametrize("k", [7, 20])
-    @pytest.mark.parametrize("kernel", ["products", "spectral"])
+    @pytest.mark.parametrize("kernel", ["products", "spectral", "fixed"])
     def test_fires_at_the_step_whose_state_fails(self, rng, monkeypatch, kernel, k):
-        spec = self.PRODUCTS if kernel == "products" else self.SPECTRAL
+        spec = {"products": self.PRODUCTS, "spectral": self.SPECTRAL, "fixed": self.FIXED}[kernel]
         rho0 = random_density_matrix(2, rng)
         states = evolve(rho0, spec, replace(self.CFG, monitor_stride=1)).states
         seen = spoil_call(monkeypatch, propagation, k)
@@ -338,8 +339,12 @@ class TestEigenvalueFloor:
 
     @pytest.mark.parametrize(
         "dyn",
-        [BipartiteDynamics(spec_H=PRODUCTS), BipartiteDynamics(spec_H=SPECTRAL, spec_K=SPECTRAL)],
-        ids=["no-marginal-decomposed", "both-marginals-decomposed"],
+        [
+            BipartiteDynamics(spec_H=PRODUCTS),
+            BipartiteDynamics(spec_H=SPECTRAL, spec_K=SPECTRAL),
+            BipartiteDynamics(spec_H=FIXED, spec_K=FIXED),
+        ],
+        ids=["no-marginal-decomposed", "both-marginals-decomposed", "fixed"],
     )
     def test_bipartite_run_checks_the_joint_state_at_every_step(self, rng, monkeypatch, dyn):
         # positive marginals do not make a positive joint state
@@ -360,6 +365,119 @@ class TestEigenvalueFloor:
         spoil_call(monkeypatch, propagation, 1)
         with pytest.raises(ValidationError, match=r"^state at step 1 has eigenvalue"):
             step_state_operator(sqrt_factor(np.eye(2) / 2), self.PRODUCTS, 1e-3)
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Swap module.name for a wrapper that appends to the returned list."""
+    real, calls = getattr(module, name), []
+    monkeypatch.setattr(module, name, lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def count_generator_calls(monkeypatch) -> list:
+    """The generator_matrix calls of every spec run and joint generator."""
+    calls = []
+    for module in (propagation, entanglement):
+        real = module.generator_matrix
+        monkeypatch.setattr(module, "generator_matrix", lambda *a, real=real: calls.append(1) or real(*a))
+    return calls
+
+
+def fixed_run(kind: str, cfg: IntegratorConfig) -> list:
+    """One run of the given kind whose generator reads no state: its final
+    state, then its propagator S if it has one."""
+    rng = np.random.default_rng(5)
+    rho0, spec = random_density_matrix(3, rng), GeneratorSpec(H=random_hermitian(3, rng))
+    if kind == "evolve":
+        return [evolve(rho0, spec, cfg).final_state()]
+    if kind == "propagator":
+        s, traj = accumulate_propagator(rho0, spec, cfg)
+        return [traj.final_state(), s]
+    if kind == "mixture":  # three vonNeumann branches: one stack of three H
+        specs = [spec, GeneratorSpec(H=random_hermitian(3, rng)), GeneratorSpec(H=random_hermitian(3, rng))]
+        return [evolve_convex_mixture(rho0, MixtureSpec(weights=[0.2, 0.3, 0.5], process_specs=specs), cfg).final_state()]
+    dyn = BipartiteDynamics(spec_H=GeneratorSpec(H=random_hermitian(2, rng)), spec_K=spec)
+    state = BipartiteState(d_H=2, d_K=3, matrix=random_density_matrix(6, rng))
+    return [evolve_bipartite(state, dyn, cfg).final_state()]
+
+
+STAGE_SPECS = {
+    "powerLaw-q1": GeneratorSpec(H=SZ + 0.4 * SX, t_family=TFamily("powerLaw", q=1.0)),
+    "vonNeumann-zeroMean-r1": GeneratorSpec(H=SZ + 0.4 * SX, gamma_family=GammaFamily("zeroMean", sigma=0.5, r=1.0)),
+    "nonEssential": GeneratorSpec(H=SZ + 0.4 * SX, gamma_family=GammaFamily("nonEssential", r=2.0, A=SY)),
+}
+
+
+class TestFixedGenerator:
+    """A generator that reads no state (vonNeumann T, no Gamma) steps every
+    factor by one RK4 matrix R, formed once per run, with the same drift and
+    floor checks at every step."""
+
+    CFG = IntegratorConfig(dt=1e-3, t_final=0.2, monitor_stride=50)
+    KINDS = ["evolve", "propagator", "mixture", "bipartite"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_steps_without_a_generator_call(self, monkeypatch, kind):
+        calls = count_generator_calls(monkeypatch)
+        formed = count_calls(monkeypatch, propagation, "_step_matrix")
+        floors = count_calls(monkeypatch, propagation, "_eigvalsh")
+        fixed_run(kind, self.CFG)
+        assert calls == []
+        assert len(formed) == 1
+        assert len(floors) == self.CFG.n_steps
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_a_stage_by_stage_run(self, monkeypatch, kind):
+        cfg = replace(self.CFG, t_final=1.0)
+        fixed = fixed_run(kind, cfg)
+        for module in (propagation, entanglement):
+            monkeypatch.setattr(module, "_fixed_generator", lambda spec: None)
+        calls = count_generator_calls(monkeypatch)
+        staged = fixed_run(kind, cfg)
+        assert len(calls) >= 4 * cfg.n_steps  # the forced run took G at every stage
+        assert len(fixed) == len(staged)
+        for a, b in zip(fixed, staged):
+            assert max_abs(a - b) <= 1e-13
+
+    @pytest.mark.parametrize("name", list(STAGE_SPECS))
+    def test_state_reading_specs_step_by_stages(self, rng, monkeypatch, name):
+        spec = STAGE_SPECS[name]
+        assert generators._fixed_generator(spec) is None
+        calls = count_generator_calls(monkeypatch)
+        formed = count_calls(monkeypatch, propagation, "_step_matrix")
+        evolve(random_density_matrix(2, rng), spec, self.CFG)
+        assert len(calls) == 4 * self.CFG.n_steps
+        assert formed == []
+
+    def test_a_joint_generator_with_one_state_reading_side_steps_by_stages(self, rng, monkeypatch):
+        dyn = BipartiteDynamics(spec_H=GeneratorSpec(H=SZ), spec_K=STAGE_SPECS["powerLaw-q1"])
+        for h_on in (True, False):  # K reads its marginal either way
+            assert not isinstance(entanglement._joint_generator_fn(dyn, (2, 2), h_on), propagation._Fixed)
+        calls = count_generator_calls(monkeypatch)
+        evolve_bipartite(BipartiteState(d_H=2, d_K=2, matrix=random_density_matrix(4, rng)), dyn, self.CFG)
+        assert len(calls) == 2 * 4 * self.CFG.n_steps  # G_H and G_K at every stage
+
+    def test_a_stack_of_h_gives_a_stack_of_r(self, rng):
+        specs = [GeneratorSpec(H=random_hermitian(2, rng)) for _ in range(3)]
+        stacked = propagation._step_matrix(propagation._spec_generator(generators._stack_specs(specs)), 2, 0.1)
+        one = [propagation._step_matrix(propagation._spec_generator(s), 2, 0.1) for s in specs]
+        assert stacked.shape == (3, 2, 2)
+        assert max_abs(stacked - np.array(one)) == 0.0
+
+    def test_r_is_rk4_of_the_linear_step(self, rng):
+        # RK4 on a linear x_dot = A x is exactly x -> P(dt A) x, P the degree-4 Taylor polynomial
+        h, dt = random_hermitian(3, rng), 0.05
+        z = -1j * dt * h
+        taylor = np.eye(3) + z + z @ z / 2 + z @ z @ z / 6 + z @ z @ z @ z / 24
+        r = propagation._step_matrix(propagation._spec_generator(GeneratorSpec(H=h)), 3, dt)
+        assert max_abs(r - taylor) <= 1e-15
+
+    def test_a_large_step_raises(self):
+        # |P(i y)|^2 = 1 - y^6 / 72 + y^8 / 576: at dt ||H|| = 0.5 the norm drifts by 2e-4
+        with pytest.raises(StepSizeError, match="reduce dt"):
+            evolve(np.diag([0.9, 0.1]), GeneratorSpec(H=SX), IntegratorConfig(dt=0.5, t_final=5.0))
+        with pytest.raises(StepSizeError, match="reduce dt"):
+            accumulate_propagator(np.diag([0.9, 0.1]), GeneratorSpec(H=SX), IntegratorConfig(dt=0.5, t_final=5.0))
 
 
 class TestPropagator:
