@@ -25,18 +25,18 @@ from .errors import ValidationError
 from .generators import GeneratorSpec, _fixed_generator, eval_Gamma, generator_matrix, random_density_matrix
 from .linalg import (
     EIG_NEG_TOL,
+    _eigvalsh,
     _eye,
     _factor_dims,
+    _is_integer,
     _partial_trace,
     _square,
     _state,
     dagger,
-    hermitian_eigvals,
+    entropy_of_spectrum,
     max_abs,
-    mutual_information,
     partial_trace,
     tensor_product,
-    von_neumann_entropy,
 )
 from .propagation import (
     IntegratorConfig,
@@ -159,13 +159,13 @@ def _joint_generator_fn(dyn: BipartiteDynamics, dims: tuple[int, int], h_on: boo
 
 
 def bipartite_monitor(dims: tuple[int, int], H_joint: np.ndarray):
-    """Joint monitor adding local entropies and mutual information."""
+    """Joint monitor adding local entropies (values only) and mutual information."""
     base = default_monitor(H_joint)
 
-    def monitor(states: np.ndarray) -> dict:
-        rec = base(states)
-        rec["entropy_H"] = von_neumann_entropy(partial_trace(states, dims, "K"))
-        rec["entropy_K"] = von_neumann_entropy(partial_trace(states, dims, "H"))
+    def monitor(states: np.ndarray, spectra: np.ndarray) -> dict:
+        rec = base(states, spectra)
+        rec["entropy_H"] = entropy_of_spectrum(_eigvalsh(_partial_trace(states, dims, "K")))
+        rec["entropy_K"] = entropy_of_spectrum(_eigvalsh(_partial_trace(states, dims, "H")))
         rec["mutual_info"] = rec["entropy_H"] + rec["entropy_K"] - rec["entropy"]
         return rec
 
@@ -241,6 +241,9 @@ def random_entangled_state(
 ) -> BipartiteState:
     """Partial trace of a random pure state on an enlarged space, optionally
     convex-mixed over several draws."""
+    if not _is_integer(mixture_terms, 1):
+        raise ValidationError(f"mixture_terms must be an integer >= 1, got {mixture_terms}")
+    d_h, d_k = _factor_dims((d_h, d_k))
     d = d_h * d_k
     m = np.zeros((d, d), dtype=complex)
     for _ in range(mixture_terms):
@@ -271,10 +274,11 @@ def verify_cp_extension(dyn: BipartiteDynamics, rho_hk_samples, cfg: IntegratorC
     if any(s.dims != dims for s in samples):
         raise ValidationError(f"samples differ in dims; the first has {dims}")
     _check_dims(dyn, dims)
-    _, _, states, _ = _integrate(np.array([s.matrix for s in samples]), _joint_generator_fn(dyn, dims), cfg)
-    # states: (N, B, D, D)
+    rho0s = np.array([s.matrix for s in samples])
+    _, _, states, spectra, _ = _integrate(rho0s, _joint_generator_fn(dyn, dims), cfg)
+    # states: (N, B, D, D), spectra: (N, B, D)
     local = [t.states for t in evolve_many([s.marginal_H() for s in samples], dyn.spec_H, cfg)]
-    min_eigs = np.min(hermitian_eigvals(states[-1]), axis=-1)
+    min_eigs = np.min(spectra[-1], axis=-1)
     loc = np.abs(partial_trace(states, dims, "K") - np.swapaxes(local, 0, 1)).max(axis=(0, 2, 3))
     rem = np.abs(partial_trace(states, dims, "H") - [s.marginal_K() for s in samples]).max(axis=(0, 2, 3))
     results = []

@@ -35,6 +35,7 @@ from .linalg import (
     ClippedEig,
     _finite,
     _hermitian,
+    _is_integer,
     _member,
     _positive,
     _square,
@@ -475,6 +476,8 @@ class EssentialityReport:
 def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
     """Hilbert-Schmidt style random state of the given rank (default full)."""
     k = dim if rank is None else rank
+    if not (_is_integer(dim, 1) and _is_integer(k, 1) and k <= dim):
+        raise ValidationError(f"need integers dim >= 1 and rank in [1, dim], got dim {dim}, rank {rank}")
     g = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
     m = g @ dagger(g)
     return m / np.trace(m).real
@@ -494,6 +497,8 @@ def classify_dissipative_part(
     sample, the generator is rewound and only the samples up to the witness
     are drawn again, so rng ends where a search that stops there leaves it.
     """
+    if not _is_integer(sample_count, 0):
+        raise ValidationError(f"sample_count must be an integer >= 0, got {sample_count}")
     d = spec.dim
     rng = np.random.default_rng(0) if rng is None else rng
     start = rng.bit_generator.state

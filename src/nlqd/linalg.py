@@ -8,8 +8,10 @@ ndarray or any wrapper that holds one in ``.matrix``; the thin dataclass
 wrappers validate the physical invariants once at construction time, through
 the same input helpers.  ``dagger``, ``partial_trace``, ``ClippedEig`` (its
 spectrum, powers and support projector), purity and the entropies also take
-a stack of matrices with a leading batch axis, so a monitor reads a whole
-trajectory in one call and the step loop evaluates a stack of states at once.
+a stack of matrices with a leading batch axis, so the step loop evaluates a
+stack of states at once.  Every spectrum comes from ``_eigh`` (with vectors)
+or ``_eigvalsh`` (values only); the monitors and the CP audit read the step
+loop's ``_eigvalsh`` of each recorded state instead of decomposing it again.
 """
 
 from __future__ import annotations
@@ -50,11 +52,6 @@ def _trace(a: np.ndarray) -> np.ndarray:
     return a.trace(axis1=-2, axis2=-1).real
 
 
-def hermitian_eigvals(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part (a + a^dag) / 2."""
-    return np.linalg.eigvalsh((a + dagger(a)) / 2)
-
-
 def state_violations(m: np.ndarray, herm_tol: float, trace_tol: float, eig_tol: float) -> list:
     """The first density-matrix invariant each member of a stack (N, d, d)
     breaks, as a phrase, or None: one pass per invariant over the stack.
@@ -72,13 +69,14 @@ def state_violations(m: np.ndarray, herm_tol: float, trace_tol: float, eig_tol: 
     trace = np.trace(f, axis1=-2, axis2=-1)
     trace_bad = ~herm_bad & (np.abs(trace - 1.0) > trace_tol)
     spectral = ~(herm_bad | trace_bad)
-    lo = np.min(hermitian_eigvals(f if spectral.all() else f[spectral]), axis=-1)
+    g = f if spectral.all() else f[spectral]
+    lo = np.min(_eigvalsh((g + dagger(g)) / 2), axis=-1)  # the Hermitian part: herm_tol > eig_tol
     for i in rows[herm_bad]:
         phrases[i] = f"is not Hermitian to {herm_tol:g}"
     for i, tr in zip(rows[trace_bad], trace[trace_bad]):
         phrases[i] = f"has trace {tr} != 1 to {trace_tol:g}"
     for i, w in zip(rows[spectral], lo.tolist()):
-        if w < -eig_tol:
+        if not w >= -eig_tol:  # a NaN eigenvalue, LAPACK's non-convergence, fails too
             phrases[i] = f"has eigenvalue {w} < -{eig_tol:g}"
     return phrases
 
@@ -349,7 +347,7 @@ def entropy_of_spectrum(w: np.ndarray):
 
 def von_neumann_entropy(rho):
     """Entropy of rho's clipped spectrum; a stack of matrices gives one per matrix."""
-    return entropy_of_spectrum(ClippedEig(_hermitian(rho)).eigenvalues)
+    return entropy_of_spectrum(_floored(_eigvalsh(_hermitian(rho))))
 
 
 def mutual_information(rho_hk, dims: tuple[int, int]) -> float:

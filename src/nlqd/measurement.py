@@ -19,7 +19,7 @@ import numpy as np
 
 from .entanglement import BipartiteDynamics, BipartiteState, _check_dims, _joint_generator_fn
 from .errors import SubspaceInvarianceError, ValidationError
-from .generators import GeneratorSpec, eval_T, generator_matrix
+from .generators import GeneratorSpec, _fixed_generator, eval_T, generator_matrix
 from .linalg import (
     DensityMatrix,
     _hermitian,
@@ -33,6 +33,8 @@ from .linalg import (
 from .propagation import (
     IntegratorConfig,
     Trajectory,
+    _Fixed,
+    _integrate,
     _no_monitor,
     evolve,
     integrate_generator,
@@ -90,9 +92,9 @@ def evolve_block_diagonal(
 ) -> tuple[Trajectory, float]:
     """Evolve a block-diagonal state both whole and block by block.
 
-    Each block keeps its own trace weight; its generator is evaluated on
-    the unnormalized block and projected back into the block.  Returns the
-    full trajectory and the max deviation of the block sum from it.
+    The blocks that carry weight step as one stack, each at unit trace; a
+    block's generator sees the unnormalized block and is projected back into
+    it.  Returns the full trajectory and the max deviation of the block sum.
     """
     mat = _state(rho_bd, spec.dim)
     a = spec.gamma_family.A
@@ -101,17 +103,15 @@ def evolve_block_diagonal(
     if max_abs(m.P @ mat @ m.Q) > INVARIANCE_TOL:
         raise ValidationError("state is not block diagonal for the given projector")
     full = evolve(mat, spec, cfg)
-    parts = []
-    for proj in (m.P, m.Q):
-        block = proj @ mat @ proj
-        w = float(np.trace(block).real)
-        if w > 1e-12:
-            # The block's factor runs at unit norm; its generator sees the
-            # unnormalized block w rho and is projected back into the block.
-            g_of_rho = lambda rho, proj=proj, w=w: proj @ generator_matrix(spec, w * rho) @ proj
-            traj = integrate_generator(block / w, g_of_rho, cfg, _no_monitor)
-            parts.append(w * np.array(traj.states))
-    residual = max_abs(sum(parts)[1:] - np.array(full.states[1:]))
+    projs = np.array([m.P, m.Q])
+    w = np.trace(projs @ mat @ projs, axis1=1, axis2=2).real
+    projs, w = projs[w > 1e-12], w[w > 1e-12, None, None]
+    h = _fixed_generator(spec)
+    g_of_rho = _Fixed(projs @ h @ projs) if h is not None else (
+        lambda rho: projs @ generator_matrix(spec, w * rho) @ projs
+    )
+    _, _, states, _, _ = _integrate(projs @ mat @ projs / w, g_of_rho, cfg)
+    residual = max_abs((w * states).sum(axis=1)[1:] - np.array(full.states[1:]))
     return full, residual
 
 

@@ -24,8 +24,9 @@ call and returns its channels as arrays along the leading axis.
 The eigenvalue floor holds at every step, and the step loop alone checks it:
 each stepped state rho = gamma gamma^dag takes one values-only
 decomposition, whatever kernel the generator runs and whether or not the
-step is recorded.  That checked rho is the recorded state and the state at
-which stage 1 of the next step takes its generator.
+step is recorded.  That checked rho is the recorded state, its spectrum
+the one the monitors and the CP audit read, so no recorded state is
+decomposed twice; stage 1 of the next step takes its generator at that rho.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .linalg import (
     _trace,
     dagger,
     entropy_of_spectrum,
-    hermitian_eigvals,
     max_abs,
     state_violations,
 )
@@ -107,7 +107,7 @@ class Trajectory:
 
 
 GeneratorFn = Callable[[np.ndarray], np.ndarray]
-MonitorFn = Callable[[np.ndarray], dict]  # (N, d, d) states -> channel arrays
+MonitorFn = Callable[[np.ndarray, np.ndarray], dict]  # (N, d, d) states, (N, d) spectra -> channels
 
 
 def _rk4(xs, k1, rhs, dt: float) -> tuple:
@@ -175,14 +175,14 @@ def _renormalize(gamma: np.ndarray, max_drift: float):
     return gamma / np.sqrt(nrm)[..., None, None], drift
 
 
-def _checked_state(gamma: np.ndarray, step: int) -> np.ndarray:
-    """The stepped state gamma gamma^dag, one factor or a stack, once its
-    eigenvalue floor holds: one values-only decomposition."""
+def _checked_state(gamma: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stepped state gamma gamma^dag, one factor or a stack, and its raw
+    spectrum, once its eigenvalue floor holds: one values-only decomposition."""
     rho = gamma @ dagger(gamma)
     w = _eigvalsh(rho)
     if not w.min() >= -EIG_NEG_TOL:  # as in _floored, which names the step and member
         _floored(w, f"state at step {step}")
-    return rho
+    return rho, w
 
 
 def step_state_operator(gamma, spec: GeneratorSpec, dt: float, max_step_drift: float = 1e-6):
@@ -198,20 +198,19 @@ def step_state_operator(gamma, spec: GeneratorSpec, dt: float, max_step_drift: f
 
 
 def default_monitor(H: np.ndarray) -> MonitorFn:
-    def monitor(states: np.ndarray) -> dict:
-        eigs = hermitian_eigvals(states)
+    def monitor(states: np.ndarray, spectra: np.ndarray) -> dict:
         return {
             "trace": _trace(states),
             "energy": _trace(H @ states),
             "purity": _trace(states @ states),
-            "entropy": entropy_of_spectrum(eigs),
-            "eigenvalues": eigs,
+            "entropy": entropy_of_spectrum(spectra),
+            "eigenvalues": spectra,
         }
 
     return monitor
 
 
-def _no_monitor(states: np.ndarray) -> dict:
+def _no_monitor(states: np.ndarray, spectra: np.ndarray) -> dict:
     return {}
 
 
@@ -224,16 +223,17 @@ def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, carried=()):
     Each carried matrix x steps with gamma under i x_dot = G(rho) x.  A
     _Fixed generator, which reads no state, steps every x by x <- R x with
     the RK4 matrix R of _step_matrix; any other takes G at every stage.
-    Every stepped state is checked either way; the checked rho is recorded
-    and feeds stage 1 of the next step.  Returns the final (gamma,
-    *carried), the record times (N,), the recorded states (N, ..., d, d)
-    and the worst drift of each window (N, ...).
+    Every state, the t = 0 one as step 0, is checked either way; the
+    checked rho is recorded with its spectrum and feeds stage 1 of the next
+    step.  Returns the final (gamma, *carried), the record times (N,), the
+    recorded states (N, ..., d, d), their spectra (N, ..., d) and the worst
+    drift of each window (N, ...).
     """
     xs = (ClippedEig(rho0).power(0.5), *carried)
     rhs = _factor_rhs(g_of_rho)
-    rho = xs[0] @ dagger(xs[0])
+    rho, w = _checked_state(xs[0], 0)
     r = _step_matrix(g_of_rho, rho.shape[-1], cfg.dt) if isinstance(g_of_rho, _Fixed) else None
-    times, states, drifts = [0.0], [rho], [np.zeros(rho.shape[:-2])]
+    times, states, spectra, drifts = [0.0], [rho], [w], [np.zeros(rho.shape[:-2])]
     worst = drifts[0]
     n = cfg.n_steps
     for step in range(1, n + 1):
@@ -242,24 +242,25 @@ def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, carried=()):
         else:
             xs = tuple([r @ x for x in xs])
         gamma, drift = _renormalize(xs[0], cfg.max_step_drift)
-        rho = _checked_state(gamma, step)
+        rho, w = _checked_state(gamma, step)
         xs = (gamma, *xs[1:])
         worst = np.maximum(worst, drift)
         if step % cfg.monitor_stride == 0 or step == n:
             times.append(step * cfg.dt)
             states.append(rho)
+            spectra.append(w)
             drifts.append(worst)
             worst = drifts[0]
-    return xs, np.array(times), np.array(states), np.array(drifts)
+    return xs, np.array(times), np.array(states), np.array(spectra), np.array(drifts)
 
 
-def _trajectories(times, states, drifts, monitor: MonitorFn) -> list:
+def _trajectories(times, states, spectra, drifts, monitor: MonitorFn) -> list:
     """One Trajectory per member of _integrate's records, their channels cut
-    from one monitor call on every member's states."""
+    from one monitor call on every member's states and spectra."""
     n, d = len(times), states.shape[-1]
     members = np.moveaxis(states, 0, -3).reshape(-1, n, d, d)  # (B, N, d, d)
     b = len(members)
-    channels = monitor(members.reshape(-1, d, d))
+    channels = monitor(members.reshape(-1, d, d), np.moveaxis(spectra, 0, -2).reshape(-1, d))
     channels = {k: v.reshape((b, n) + v.shape[1:]) for k, v in channels.items()}
     drifts = drifts.reshape(n, b)
     return [
@@ -374,7 +375,7 @@ def evolve_convex_mixture(rho0, mix: MixtureSpec, cfg: IntegratorConfig) -> Traj
     states, drifts = [None] * len(mix.process_specs), [None] * len(mix.process_specs)
     for members in groups.values():
         stack = _stack_specs([mix.process_specs[i] for i in members])
-        _, times, batch_states, batch_drifts = _integrate(
+        _, times, batch_states, _, batch_drifts = _integrate(
             np.array([m] * len(members)), _spec_generator(stack), cfg
         )
         for j, i in enumerate(members):
@@ -384,6 +385,6 @@ def evolve_convex_mixture(rho0, mix: MixtureSpec, cfg: IntegratorConfig) -> Traj
     return Trajectory(
         times=times,
         states=list(mixed),
-        monitors=default_monitor(h_bar)(mixed),
+        monitors=default_monitor(h_bar)(mixed, _eigvalsh(mixed)),
         norm_drift=np.max(drifts, axis=0),
     )

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import SX, SY, SZ, bell_state, random_hermitian
-from nlqd import entanglement, measurement
+from nlqd import entanglement, linalg, measurement
 from nlqd.errors import ValidationError
 from nlqd.generators import GammaFamily, GeneratorSpec, TFamily, random_density_matrix
 from nlqd.entanglement import (
@@ -234,21 +234,38 @@ class TestEvolveBipartite:
         assert max_abs(partial_trace(traj.final_state(), (3, 2), "H") - w.marginal_K()) < 1e-8
 
 
+def bipartite_channels(states) -> dict:
+    """The 2x2 monitor's channels, given spectra taken by numpy, not by the
+    step loop that feeds it in a run."""
+    states = np.array(states)
+    return bipartite_monitor((2, 2), np.eye(4))(states, np.linalg.eigvalsh(states))
+
+
 class TestBipartiteMonitor:
-    def test_marginal_checks_on_the_stack(self, rng):
-        monitor = bipartite_monitor((2, 2), np.eye(4))
-        good = random_density_matrix(4, rng)
-        monitor(np.array([good, good]))
-        negative = np.kron(np.diag([1.1, -0.1]), np.eye(2) / 2)  # H marginal has eigenvalue -0.1
-        with pytest.raises(ValidationError):
-            monitor(np.array([good, negative]))
-        skew = np.kron(np.eye(2) / 2, np.array([[0.5, 1e-6], [-1e-6, 0.5]]))  # K marginal anti-Hermitian part
-        with pytest.raises(ValidationError):
-            monitor(np.array([skew, good]))
+    def test_marginal_entropies_on_the_stack(self, rng):
+        # the step loop has checked every state the monitor reads, so the
+        # monitor checks nothing; each member's marginals are its own
+        stack = [random_density_matrix(4, rng, rank) for rank in (1, 2, 4)]
+        rec = bipartite_channels(stack)
+        for k, s in enumerate(stack):
+            s_h = von_neumann_entropy(partial_trace(s, (2, 2), "K"))
+            s_k = von_neumann_entropy(partial_trace(s, (2, 2), "H"))
+            assert abs(rec["entropy_H"][k] - s_h) <= 1e-13 and abs(rec["entropy_K"][k] - s_k) <= 1e-13
+            assert abs(rec["mutual_info"][k] - (s_h + s_k - von_neumann_entropy(s))) <= 1e-13
+
+    def test_a_von_neumann_run_takes_one_eigh(self, rng, monkeypatch):
+        # the joint entropy comes from the step loop's spectra, each marginal's
+        # from a values-only decomposition: the factorization is the one eigh
+        real, calls = linalg._eigh, []
+        monkeypatch.setattr(linalg, "_eigh", lambda a: calls.append(a.shape) or real(a))
+        dyn = BipartiteDynamics(spec_H=GeneratorSpec(H=SZ), spec_K=GeneratorSpec(H=SX))
+        state = BipartiteState(d_H=2, d_K=2, matrix=random_density_matrix(4, rng))
+        traj = evolve_bipartite(state, dyn, IntegratorConfig(dt=1e-3, t_final=0.02, monitor_stride=5))
+        assert calls == [(4, 4)]
+        assert len(traj.monitors["entropy_H"]) == 5
 
     def test_entropy_channels_one_per_record(self):
-        monitor = bipartite_monitor((2, 2), np.eye(4))
-        rec = monitor(np.array([bell_state(), np.eye(4) / 4]))
+        rec = bipartite_channels([bell_state(), np.eye(4) / 4])
         assert np.allclose(rec["entropy_H"], [np.log(2), np.log(2)], rtol=0, atol=1e-14)
         assert np.allclose(rec["mutual_info"], [2 * np.log(2), 0.0], rtol=0, atol=1e-14)
 

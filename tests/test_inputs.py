@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import bell_state
-from nlqd.entanglement import BipartiteDynamics, BipartiteState, polchinski_generator
+from nlqd.entanglement import BipartiteDynamics, BipartiteState, polchinski_generator, random_entangled_state
 from nlqd.errors import ValidationError
 from nlqd.io import matrix_from_json
 from nlqd.generators import (
@@ -19,8 +19,10 @@ from nlqd.generators import (
     GeneratorSpec,
     TFamily,
     check_polchinski_condition,
+    classify_dissipative_part,
     eval_Gamma,
     eval_T,
+    random_density_matrix,
     solve_lagrange_parameters,
 )
 from nlqd.linalg import (
@@ -52,6 +54,7 @@ NON_FINITE = np.array([[np.nan, 0], [0, 0.5]], dtype=complex)  # every compariso
 WRONG_DIM = np.diag([1.0, 0.0, 0.0]).astype(complex)  # a pure 3x3 state for a 2x2 generator
 # The rho-route oracle keeps a pure state positive (to 1e-10) only for a tiny dt.
 CFG = IntegratorConfig(dt=1e-6, t_final=2e-6)
+RNG = np.random.default_rng(0)
 
 
 def spec(d):
@@ -196,6 +199,7 @@ BAD_DIMS = {
     "polchinski_generator-float": lambda: polchinski_generator(BipartiteDynamics(spec_H=spec(2)), MIXED, (2.0, 2)),
     "BipartiteState-negative": lambda: BipartiteState(d_H=-2, d_K=-2, matrix=MIXED),
     "BipartiteState-float": lambda: BipartiteState(d_H=2.0, d_K=2, matrix=MIXED),
+    "random_entangled_state-float": lambda: random_entangled_state(2.0, 2, RNG),  # was an untyped TypeError
 }
 
 
@@ -241,6 +245,21 @@ NOT_A_COUNT = {
     "BipartiteState.d_H": (lambda: BipartiteState(d_H=True, d_K=4, matrix=np.eye(4) / 4), "dims"),
     "matrix_from_json.dim": (lambda: matrix_from_json({"dim": True, "re": [1.0]}), "expected an integer >= 1"),
     "matrix_from_json.dim-zero": (lambda: matrix_from_json({"dim": 0, "re": []}), "expected an integer >= 1"),
+    # each used to answer: an all-NaN state, a report on no samples, a TypeError
+    # or a misleading "non-finite entries"
+    "random_density_matrix.rank-zero": (lambda: random_density_matrix(2, RNG, 0), r"rank in \[1, dim\]"),
+    "random_density_matrix.rank-above-dim": (lambda: random_density_matrix(2, RNG, 3), r"rank in \[1, dim\]"),
+    "random_density_matrix.dim-zero": (lambda: random_density_matrix(0, RNG), "dim >= 1"),
+    "random_density_matrix.rank-fraction": (lambda: random_density_matrix(2, RNG, 1.5), r"rank in \[1, dim\]"),
+    "classify_dissipative_part.sample_count-negative": (
+        lambda: classify_dissipative_part(spec(2), sample_count=-3), "sample_count must be an integer >= 0"
+    ),
+    "classify_dissipative_part.sample_count-fraction": (
+        lambda: classify_dissipative_part(spec(2), sample_count=2.5), "sample_count must be an integer >= 0"
+    ),
+    "random_entangled_state.mixture_terms-zero": (
+        lambda: random_entangled_state(2, 2, RNG, 0), "mixture_terms must be an integer >= 1"
+    ),
 }
 
 

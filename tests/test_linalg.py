@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,7 +193,7 @@ def one_state_violation(m, herm_tol, trace_tol, eig_tol):
         return f"is not Hermitian to {herm_tol:g}"
     if abs(np.trace(m) - 1.0) > trace_tol:
         return f"has trace {np.trace(m)} != 1 to {trace_tol:g}"
-    lo = float(np.min(linalg.hermitian_eigvals(m)))
+    lo = float(np.min(np.linalg.eigvalsh((m + linalg.dagger(m)) / 2)))
     if lo < -eig_tol:
         return f"has eigenvalue {lo} < -{eig_tol:g}"
     return None
@@ -221,6 +224,30 @@ def test_state_violations_stack_equals_one_matrix_checks(rng, d):
     assert [linalg.state_violation(m, *tols) for m in stack] == want
     assert got[:2] == [None, None] and got[-1] is None and all(got[2:-3])
     assert linalg.state_violations(np.array(good), *tols) == [None, None]
+
+
+def test_state_violations_reports_a_nan_spectrum(monkeypatch):
+    # LAPACK's gufunc returns NaN where it does not converge; numpy's wrapper raised
+    real = linalg._eigvalsh
+
+    def nan_in_member_1(a):
+        w = real(a)
+        w[1] = np.nan
+        return w
+
+    monkeypatch.setattr(linalg, "_eigvalsh", nan_in_member_1)
+    got = linalg.state_violations(np.array([np.eye(2) / 2] * 3), 1e-9, 1e-9, 1e-10)
+    assert got == [None, "has eigenvalue nan < -1e-10", None]
+
+
+def test_every_spectrum_comes_from_one_of_two_calls():
+    # _eigh and _eigvalsh are the package's only eigensolver calls
+    sources = {path.name: path.read_text() for path in pathlib.Path(linalg.__file__).parent.glob("*.py")}
+    assert len(sources) > 5
+    for name, text in sources.items():
+        assert not re.search(r"np\.linalg\.eig|numpy\.linalg import|hermitian_eigvals", text), name
+        assert name == "linalg.py" or "_umath_linalg" not in text, name
+    assert sources["linalg.py"].count("_umath_linalg.") == 2
 
 
 class TestSqrtFactor:

@@ -148,6 +148,22 @@ class TestBlockDiagonalEvolution:
         assert residual < 1e-10
         assert max_abs(full.final_state() - rho) < 1e-10
 
+    @pytest.mark.parametrize(
+        "t_family, calls", [(TFamily("vonNeumann"), 0), (TFamily("powerLaw", q=1.5), 4)], ids=["vonNeumann", "powerLaw"]
+    )
+    def test_blocks_step_as_one_stack(self, monkeypatch, t_family, calls):
+        # both blocks take one generator call per stage, or none when G reads no state
+        m = MeasurementSetup(P=np.diag([1.0, 1.0, 0.0]))
+        h = np.diag([0.3, -0.2, 1.0]).astype(complex)
+        h[0, 1] = h[1, 0] = 0.5
+        rho = np.diag([0.5, 0.2, 0.3]).astype(complex)
+        real, seen = measurement.generator_matrix, []
+        monkeypatch.setattr(measurement, "generator_matrix", lambda *a: seen.append(1) or real(*a))
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.1)
+        full, residual = evolve_block_diagonal(rho, GeneratorSpec(H=h, t_family=t_family), m, cfg)
+        assert len(seen) == calls * cfg.n_steps
+        assert residual < 1e-13
+
     def test_empty_block(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
         full, residual = evolve_block_diagonal(
@@ -253,7 +269,7 @@ class TestFixedJointGenerator:
         assert calls == []
         assert len(formed) == 3  # t0 -> t1, then t1 -> t2 once per route
         first, second = (measurement._phase_cfg(sc.cfg, t).n_steps for t in (sc.t1 - sc.t0, sc.t2 - sc.t1))
-        assert len(floors) == first + 2 * second  # every stepped state is checked
+        assert len(floors) == 3 + first + 2 * second  # every state is checked, t = 0 once per phase
 
     def test_routes_match_a_stage_by_stage_run(self, monkeypatch):
         sc = scenario(spec_k=GeneratorSpec(H=0.7 * SX + 0.2 * SZ), P_K=P1)

@@ -31,7 +31,7 @@ import test_propagation
 import test_scripts
 from nlqd import entanglement, generators, io, measurement, propagation
 from nlqd.errors import NlqdError, StepSizeError, ValidationError
-from nlqd.linalg import ClippedEig, _square, dagger, hermitian_eigvals, partial_trace
+from nlqd.linalg import ClippedEig, _eigvalsh, _square, dagger, partial_trace
 
 REAL_RENORMALIZE = propagation._renormalize
 REAL_EVAL_GAMMA = generators._eval_Gamma
@@ -130,12 +130,20 @@ def factor_rhs_swapped(g_of_rho):
     return rhs
 
 
+def unchecked_state(gamma):
+    """gamma gamma^dag and its spectrum, with no floor check: the loop's
+    _checked_state without its check."""
+    rho = gamma @ dagger(gamma)
+    return rho, propagation._eigvalsh(rho)
+
+
 def integrate_stage_1_a_step_behind(rho0, g_of_rho, cfg, carried=()):
     xs = (ClippedEig(rho0).power(0.5), *carried)
     rhs = propagation._factor_rhs(g_of_rho)
-    rho = before = xs[0] @ dagger(xs[0])  # was rho = xs[0] @ dagger(xs[0])
+    rho, w = propagation._checked_state(xs[0], 0)
+    before = rho  # was absent: stage 1 reads rho
     r = propagation._step_matrix(g_of_rho, rho.shape[-1], cfg.dt) if isinstance(g_of_rho, propagation._Fixed) else None
-    times, states, drifts = [0.0], [rho], [np.zeros(rho.shape[:-2])]
+    times, states, spectra, drifts = [0.0], [rho], [w], [np.zeros(rho.shape[:-2])]
     worst = drifts[0]
     n = cfg.n_steps
     for step in range(1, n + 1):
@@ -144,23 +152,24 @@ def integrate_stage_1_a_step_behind(rho0, g_of_rho, cfg, carried=()):
         else:
             xs = tuple([r @ x for x in xs])
         gamma, drift = propagation._renormalize(xs[0], cfg.max_step_drift)
-        before, rho = rho, propagation._checked_state(gamma, step)  # was rho = ...: stage 1 read it
+        before, (rho, w) = rho, propagation._checked_state(gamma, step)  # was rho, w = ...: stage 1 read rho
         xs = (gamma, *xs[1:])
         worst = np.maximum(worst, drift)
         if step % cfg.monitor_stride == 0 or step == n:
             times.append(step * cfg.dt)
             states.append(rho)
+            spectra.append(w)
             drifts.append(worst)
             worst = drifts[0]
-    return xs, np.array(times), np.array(states), np.array(drifts)
+    return xs, np.array(times), np.array(states), np.array(spectra), np.array(drifts)
 
 
 def integrate_floor_on_records_only(rho0, g_of_rho, cfg, carried=()):
     xs = (ClippedEig(rho0).power(0.5), *carried)
     rhs = propagation._factor_rhs(g_of_rho)
-    rho = xs[0] @ dagger(xs[0])
+    rho, w = propagation._checked_state(xs[0], 0)
     r = propagation._step_matrix(g_of_rho, rho.shape[-1], cfg.dt) if isinstance(g_of_rho, propagation._Fixed) else None
-    times, states, drifts = [0.0], [rho], [np.zeros(rho.shape[:-2])]
+    times, states, spectra, drifts = [0.0], [rho], [w], [np.zeros(rho.shape[:-2])]
     worst = drifts[0]
     n = cfg.n_steps
     for step in range(1, n + 1):
@@ -169,24 +178,25 @@ def integrate_floor_on_records_only(rho0, g_of_rho, cfg, carried=()):
         else:
             xs = tuple([r @ x for x in xs])
         gamma, drift = propagation._renormalize(xs[0], cfg.max_step_drift)
-        recorded = step % cfg.monitor_stride == 0 or step == n  # was rho = _checked_state(gamma, step)
-        rho = propagation._checked_state(gamma, step) if recorded else gamma @ dagger(gamma)
+        recorded = step % cfg.monitor_stride == 0 or step == n  # was rho, w = _checked_state(gamma, step)
+        rho, w = propagation._checked_state(gamma, step) if recorded else unchecked_state(gamma)
         xs = (gamma, *xs[1:])
         worst = np.maximum(worst, drift)
         if step % cfg.monitor_stride == 0 or step == n:
             times.append(step * cfg.dt)
             states.append(rho)
+            spectra.append(w)
             drifts.append(worst)
             worst = drifts[0]
-    return xs, np.array(times), np.array(states), np.array(drifts)
+    return xs, np.array(times), np.array(states), np.array(spectra), np.array(drifts)
 
 
 def integrate_fixed_path_unchecked(rho0, g_of_rho, cfg, carried=()):
     xs = (ClippedEig(rho0).power(0.5), *carried)
     rhs = propagation._factor_rhs(g_of_rho)
-    rho = xs[0] @ dagger(xs[0])
+    rho, w = propagation._checked_state(xs[0], 0)
     r = propagation._step_matrix(g_of_rho, rho.shape[-1], cfg.dt) if isinstance(g_of_rho, propagation._Fixed) else None
-    times, states, drifts = [0.0], [rho], [np.zeros(rho.shape[:-2])]
+    times, states, spectra, drifts = [0.0], [rho], [w], [np.zeros(rho.shape[:-2])]
     worst = drifts[0]
     n = cfg.n_steps
     for step in range(1, n + 1):
@@ -195,15 +205,16 @@ def integrate_fixed_path_unchecked(rho0, g_of_rho, cfg, carried=()):
         else:
             xs = tuple([r @ x for x in xs])
         gamma, drift = propagation._renormalize(xs[0], cfg.max_step_drift)
-        rho = propagation._checked_state(gamma, step) if r is None else gamma @ dagger(gamma)  # was always checked
+        rho, w = propagation._checked_state(gamma, step) if r is None else unchecked_state(gamma)  # was always checked
         xs = (gamma, *xs[1:])
         worst = np.maximum(worst, drift)
         if step % cfg.monitor_stride == 0 or step == n:
             times.append(step * cfg.dt)
             states.append(rho)
+            spectra.append(w)
             drifts.append(worst)
             worst = drifts[0]
-    return xs, np.array(times), np.array(states), np.array(drifts)
+    return xs, np.array(times), np.array(states), np.array(spectra), np.array(drifts)
 
 
 def step_matrix_at_half_dt(g_of_rho, d, dt):
@@ -260,13 +271,14 @@ def state_violations_min_over_members(m, herm_tol, trace_tol, eig_tol):
     trace = np.trace(f, axis1=-2, axis2=-1)
     trace_bad = ~herm_bad & (np.abs(trace - 1.0) > trace_tol)
     spectral = ~(herm_bad | trace_bad)
-    lo = np.min(hermitian_eigvals(f if spectral.all() else f[spectral]), axis=0)  # was axis=-1
+    g = f if spectral.all() else f[spectral]
+    lo = np.min(_eigvalsh((g + dagger(g)) / 2), axis=0)  # was axis=-1
     for i in rows[herm_bad]:
         phrases[i] = f"is not Hermitian to {herm_tol:g}"
     for i, tr in zip(rows[trace_bad], trace[trace_bad]):
         phrases[i] = f"has trace {tr} != 1 to {trace_tol:g}"
     for i, w in zip(rows[spectral], lo.tolist()):
-        if w < -eig_tol:
+        if not w >= -eig_tol:
             phrases[i] = f"has eigenvalue {w} < -{eig_tol:g}"
     return phrases
 

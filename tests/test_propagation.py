@@ -293,8 +293,9 @@ def spoil_call(monkeypatch, module, k: int) -> list:
 
 
 class TestEigenvalueFloor:
-    """The floor holds on every stepped state: the loop checks each one, with
-    one values-only decomposition, whatever kernel the generator takes."""
+    """The floor holds on every stepped state: the loop checks each one, the
+    t = 0 state as step 0, with one values-only decomposition, whatever kernel
+    the generator takes.  So the k-th step's check is the (k + 1)-th call."""
 
     CFG = IntegratorConfig(dt=1e-3, t_final=0.02, monitor_stride=5)  # 20 steps, records at 5, 10, 15, 20
     PRODUCTS = GeneratorSpec(
@@ -311,15 +312,15 @@ class TestEigenvalueFloor:
         spec = {"products": self.PRODUCTS, "spectral": self.SPECTRAL, "fixed": self.FIXED}[kernel]
         rho0 = random_density_matrix(2, rng)
         states = evolve(rho0, spec, replace(self.CFG, monitor_stride=1)).states
-        seen = spoil_call(monkeypatch, propagation, k)
+        seen = spoil_call(monkeypatch, propagation, k + 1)
         with pytest.raises(ValidationError, match=rf"^state at step {k} has eigenvalue -1e-09 < -1e-10$"):
             evolve(rho0, spec, self.CFG)
-        # one check per step, the k-th on the state that step k produced
-        assert len(seen) == k
+        # one check per step after the t = 0 one, the last on the state that step k produced
+        assert len(seen) == k + 1
         assert max_abs(seen[-1] - states[k]) == 0.0
 
     def test_names_the_member_of_a_stack(self, rng, monkeypatch):
-        spoil_call(monkeypatch, propagation, 3)
+        spoil_call(monkeypatch, propagation, 4)
         with pytest.raises(ValidationError, match=r"^state at step 3 \(member 0\) has eigenvalue"):
             evolve_many([random_density_matrix(2, rng) for _ in range(3)], self.PRODUCTS, self.CFG)
 
@@ -333,9 +334,9 @@ class TestEigenvalueFloor:
         monkeypatch.setattr(linalg, "_eigh", lambda a: calls.append("eigh") or eigh(a))
         monkeypatch.setattr(propagation, "_eigvalsh", lambda a: calls.append("floor") or eigvalsh(a))
         evolve(random_density_matrix(2, rng), spec, self.CFG)
-        n = self.CFG.n_steps  # plus the factorization's eigh
+        n = self.CFG.n_steps  # plus the factorization's eigh, and the t = 0 state's check
         assert calls.count("eigh") == 1 + eigh_per_step * n
-        assert calls.count("floor") == n
+        assert calls.count("floor") == n + 1
 
     @pytest.mark.parametrize(
         "dyn",
@@ -348,14 +349,14 @@ class TestEigenvalueFloor:
     )
     def test_bipartite_run_checks_the_joint_state_at_every_step(self, rng, monkeypatch, dyn):
         # positive marginals do not make a positive joint state
-        seen = spoil_call(monkeypatch, propagation, 7)
+        seen = spoil_call(monkeypatch, propagation, 8)
         state = BipartiteState(d_H=2, d_K=2, matrix=random_density_matrix(4, rng))
         with pytest.raises(ValidationError, match=r"^state at step 7 has eigenvalue"):
             evolve_bipartite(state, dyn, self.CFG)
         assert seen[-1].shape == (4, 4)
 
     def test_cp_audit_checks_the_joint_stack_at_every_step(self, rng, monkeypatch):
-        seen = spoil_call(monkeypatch, propagation, 7)
+        seen = spoil_call(monkeypatch, propagation, 8)
         samples = [random_entangled_state(2, 2, rng) for _ in range(3)]
         with pytest.raises(ValidationError, match=r"^state at step 7 \(member 0\) has eigenvalue"):
             verify_cp_extension(BipartiteDynamics(spec_H=self.SPECTRAL), samples, self.CFG)
@@ -365,6 +366,40 @@ class TestEigenvalueFloor:
         spoil_call(monkeypatch, propagation, 1)
         with pytest.raises(ValidationError, match=r"^state at step 1 has eigenvalue"):
             step_state_operator(sqrt_factor(np.eye(2) / 2), self.PRODUCTS, 1e-3)
+
+
+def count_decomposed(monkeypatch, gufunc: str) -> list:
+    """Swap LAPACK's gufunc for one that appends the number of matrices each
+    call decomposes; numpy's own wrapper goes through the same gufunc."""
+    umath = np.linalg._umath_linalg
+    real, seen = getattr(umath, gufunc), []
+    monkeypatch.setattr(umath, gufunc, lambda a, **kw: seen.append(int(np.prod(a.shape[:-2]))) or real(a, **kw))
+    return seen
+
+
+class TestOneSpectrumPerState:
+    """The step loop decomposes each state once, values only, and the
+    monitors read the spectra it recorded."""
+
+    @pytest.mark.parametrize("spec", [TestEigenvalueFloor.PRODUCTS, GeneratorSpec(H=SZ)], ids=["products", "fixed"])
+    def test_evolve_decomposes_each_state_once(self, rng, monkeypatch, spec):
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.02)  # 20 steps, every one recorded
+        rho0 = random_density_matrix(2, rng)
+        seen = count_decomposed(monkeypatch, "eigvalsh_lo")
+        evolve(rho0, spec, cfg)
+        assert sum(seen) == 1 + cfg.n_steps + 1  # the input check, then the state at t = 0 and after each step
+
+    def test_monitor_reads_the_checked_spectra(self, rng, monkeypatch):
+        real, spectra = propagation._checked_state, []
+
+        def checked(gamma, step):
+            rho, w = real(gamma, step)
+            spectra.append(w)
+            return rho, w
+
+        monkeypatch.setattr(propagation, "_checked_state", checked)
+        traj = evolve(random_density_matrix(2, rng), TestEigenvalueFloor.PRODUCTS, IntegratorConfig(dt=1e-3, t_final=0.02))
+        assert np.array_equal(traj.monitors["eigenvalues"], spectra)
 
 
 def count_calls(monkeypatch, module, name: str) -> list:
@@ -424,7 +459,8 @@ class TestFixedGenerator:
         fixed_run(kind, self.CFG)
         assert calls == []
         assert len(formed) == 1
-        assert len(floors) == self.CFG.n_steps
+        # every state from t = 0 on; a mixture adds one call for its mixed states
+        assert len(floors) == self.CFG.n_steps + 1 + (kind == "mixture")
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_a_stage_by_stage_run(self, monkeypatch, kind):
