@@ -5,8 +5,10 @@ local generators evaluated at the instantaneous marginals,
 G(rho_HK) = G_H(Tr_K rho) (x) I_K [+ I_H (x) G_K(Tr_H rho)].  The
 integration path never forms that D x D matrix: the step loop's generator is
 a ``_JointGenerator`` that applies each local generator to its own axis of
-the reshaped factor.  ``polchinski_generator`` is the matrix form, for
-inspection and as the test oracle.  Alongside it live the
+the reshaped factor.  Its spec_H may be a stack, one spec per member of a
+stacked run (a correlation report's two routes).  ``polchinski_generator``
+is the matrix form, for inspection and as the test oracle.  Alongside it
+live the
 environment-stationarity check, the deliberately nonphysical
 product-of-marginals extension (the canonical counterexample), local
 equivalence classes, and a sampling audit of the complete-positivity
@@ -22,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .generators import GeneratorSpec, _fixed_generator, eval_Gamma, generator_matrix, random_density_matrix
+from .generators import GeneratorSpec, _fixed_generator, _SpecStack, eval_Gamma, generator_matrix, random_density_matrix
 from .linalg import (
     EIG_NEG_TOL,
     _eigvalsh,
@@ -78,10 +80,17 @@ class BipartiteState:
 @dataclass(frozen=True)
 class BipartiteDynamics:
     """Local specs for the two factors; spec_K absent means a passive,
-    noninteracting environment."""
+    noninteracting environment.  Inside the library spec_H may also be a
+    spec stack, the H sides of a stacked run, one spec per member."""
 
     spec_H: GeneratorSpec
     spec_K: Optional[GeneratorSpec] = None
+
+    def __post_init__(self):
+        if not isinstance(self.spec_H, (GeneratorSpec, _SpecStack)):
+            raise ValidationError(f"spec_H must be a GeneratorSpec, got {type(self.spec_H).__name__}")
+        if not isinstance(self.spec_K, (GeneratorSpec, type(None))):
+            raise ValidationError(f"spec_K must be a GeneratorSpec or None, got {type(self.spec_K).__name__}")
 
 
 def _check_dims(dyn: BipartiteDynamics, dims: tuple[int, int]) -> None:
@@ -116,9 +125,8 @@ def polchinski_generator(dyn: BipartiteDynamics, rho_hk, dims=None) -> np.ndarra
 class _JointGenerator:
     """G_H (x) I_K + I_H (x) G_K as an action: ``g @ x`` applies G_H to x
     reshaped (..., d_H, d_K n) and G_K to x reshaped (..., d_H, d_K, n), so
-    the D x D matrix is never formed.  g_h or g_k is None when that factor is
-    switched off or passive (both None applies zero); each may carry the
-    leading axis of a stack, one generator per member."""
+    the D x D matrix is never formed.  g_k is None when K is passive; each
+    may carry the leading axis of a stack, one generator per member."""
 
     __slots__ = ("g_h", "g_k", "d_h", "d_k")
 
@@ -128,33 +136,29 @@ class _JointGenerator:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         lead, n = x.shape[:-2], x.shape[-1]
-        out = None
-        if self.g_h is not None:
-            out = (self.g_h @ x.reshape(lead + (self.d_h, self.d_k * n))).reshape(x.shape)
-        if self.g_k is not None:
-            k = (self.g_k[..., None, :, :] @ x.reshape(lead + (self.d_h, self.d_k, n))).reshape(x.shape)
-            out = k if out is None else out + k
-        return np.zeros_like(x) if out is None else out
+        out = (self.g_h @ x.reshape(lead + (self.d_h, self.d_k * n))).reshape(x.shape)
+        if self.g_k is None:
+            return out
+        return out + (self.g_k[..., None, :, :] @ x.reshape(lead + (self.d_h, self.d_k, n))).reshape(x.shape)
 
 
-def _joint_generator(dyn: BipartiteDynamics, rho: np.ndarray, dims: tuple[int, int], h_on: bool = True):
+def _joint_generator(dyn: BipartiteDynamics, rho: np.ndarray, dims: tuple[int, int]):
     """The step loop's joint generator at rho, one state or a stack: the local
-    generators at the marginals, G_H only while h_on.  The unchecked kernel;
-    its callers check the dimensions once, at entry."""
-    g_h = generator_matrix(dyn.spec_H, _partial_trace(rho, dims, "K")) if h_on else None
+    generators at the marginals.  spec_H may be a stack, one spec per member.
+    The unchecked kernel; its callers check the dimensions once, at entry."""
+    g_h = generator_matrix(dyn.spec_H, _partial_trace(rho, dims, "K"))
     g_k = None if dyn.spec_K is None else generator_matrix(dyn.spec_K, _partial_trace(rho, dims, "H"))
     return _JointGenerator(g_h, g_k, dims)
 
 
-def _joint_generator_fn(dyn: BipartiteDynamics, dims: tuple[int, int], h_on: bool = True):
-    """rho -> the step loop's joint generator.  When every active side (H
-    while h_on, K unless passive) reads no state, the joint generator reads
-    none either: a _Fixed of the constant sides' H, which applies zero when
-    no side is active."""
-    g_h = _fixed_generator(dyn.spec_H) if h_on else None
+def _joint_generator_fn(dyn: BipartiteDynamics, dims: tuple[int, int]):
+    """rho -> the step loop's joint generator.  When both sides read no state
+    (K may be passive), the joint generator reads none either: a _Fixed of
+    their H."""
+    g_h = _fixed_generator(dyn.spec_H)
     g_k = None if dyn.spec_K is None else _fixed_generator(dyn.spec_K)
-    if (h_on and g_h is None) or (dyn.spec_K is not None and g_k is None):
-        return partial(_joint_generator, dyn, dims=dims, h_on=h_on)
+    if g_h is None or (dyn.spec_K is not None and g_k is None):
+        return partial(_joint_generator, dyn, dims=dims)
     return _Fixed(_JointGenerator(g_h, g_k, dims))
 
 

@@ -78,7 +78,7 @@ PAYLOADS = {
     "measure_correlation": {
         **_JOINT,
         "integrator": "integrator record: only dt and max_step_drift are used, as each phase rescales dt; "
-        "t_final and monitor_stride are read but ignored",
+        "t_final and monitor_stride are optional, read but ignored",
         "t0": "real: rho0's time; the generators' gamma must be none",
         "t1": "real >= t0: P_H is measured; every phase rescales dt to whole steps",
         "t2": "real > t1: P_K is measured",
@@ -229,6 +229,16 @@ def integrator_from_json(obj: dict) -> IntegratorConfig:
     )
 
 
+def _phase_integrator(obj: dict) -> IntegratorConfig:
+    """A correlation scenario's integrator, dt and max_step_drift alone:
+    each phase rescales dt to whole steps of its own length."""
+    get = _reader(obj, "integrator", RECORDS["integrator"])
+    get("t_final", _real, None)  # each checked as its key table says, then dropped
+    get("monitor_stride", _int, 1)
+    dt = get("dt", _real)
+    return IntegratorConfig(dt=dt, t_final=dt, max_step_drift=get("max_step_drift", _real, 1e-6))
+
+
 def _dims(obj) -> tuple[int, int]:
     get = _reader(obj, "dims", RECORDS["dims"])
     return get("d_H", _int), get("d_K", _int)
@@ -286,8 +296,12 @@ def scenario_inputs(sc: Scenario, dt: Optional[float] = None) -> tuple:
     check: (spec, samples, check names, (d_H, d_K), cfg, seed).
     """
     get = _reader(sc.payload, f"{sc.kind} payload", PAYLOADS[sc.kind])
-    cfg = get("integrator", integrator_from_json, CP_INTEGRATOR if sc.kind == "check" else _REQUIRED)
-    cfg = cfg if dt is None else replace(cfg, dt=dt)
+    if sc.kind == "measure_correlation":
+        cfg = get("integrator", _phase_integrator)
+        cfg = cfg if dt is None else replace(cfg, dt=dt, t_final=dt)
+    else:
+        cfg = get("integrator", integrator_from_json, CP_INTEGRATOR if sc.kind == "check" else _REQUIRED)
+        cfg = cfg if dt is None else replace(cfg, dt=dt)
     if sc.kind == "check":
         spec = get("generator", generator_spec_from_json)
         dims = get("dims", _dims, (spec.dim, 2))

@@ -6,9 +6,10 @@ projected components evolve independently, each under its own projected
 generator.  Joint outcome probabilities for a measurement on H at t1
 followed by one on K at t2 come by two routes: the block-resolved
 evolution of the measured state, or the unmeasured state propagated with
-the H generator switched off past t1; the two routes agree.  Both step
-their state through the one step loop, ``_integrate``, which checks the
-norm drift and the eigenvalue floor at every step.
+the H generator switched off past t1; the two routes agree.  From t1 to t2
+they step as one two-member stack through the one step loop, ``_integrate``,
+which checks the norm drift and the eigenvalue floor at every step; each
+public route function steps only its own member, by the same code.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import numpy as np
 
 from .entanglement import BipartiteDynamics, BipartiteState, _check_dims, _joint_generator_fn
 from .errors import SubspaceInvarianceError, ValidationError
-from .generators import GeneratorSpec, _fixed_generator, eval_T, generator_matrix
+from .generators import GeneratorSpec, _fixed_generator, _stack_specs, eval_T, generator_matrix
 from .linalg import (
     DensityMatrix,
+    _finite,
     _hermitian,
     _square,
     _state,
@@ -35,9 +37,7 @@ from .propagation import (
     Trajectory,
     _Fixed,
     _integrate,
-    _no_monitor,
     evolve,
-    integrate_generator,
 )
 
 PROJECTOR_TOL = 1e-10
@@ -131,7 +131,13 @@ class CorrelationScenario:
     )
 
     def __post_init__(self):
-        if not (-np.inf < self.t0 <= self.t1 < self.t2 < np.inf):
+        for name, kind in (("rho0", BipartiteState), ("dyn", BipartiteDynamics), ("P_H", MeasurementSetup),
+                           ("P_K", MeasurementSetup), ("cfg", IntegratorConfig)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValidationError(f"{name} must be a {kind.__name__}, got {type(getattr(self, name)).__name__}")
+        for name in ("t0", "t1", "t2"):
+            _finite(getattr(self, name), name)
+        if not (self.t0 <= self.t1 < self.t2):
             raise ValidationError(f"need finite t0 <= t1 < t2, got {self.t0}, {self.t1}, {self.t2}")
         if self.P_H.dim != self.rho0.d_H or self.P_K.dim != self.rho0.d_K:
             raise ValidationError("projector dimensions do not match the factors")
@@ -148,14 +154,16 @@ def _phase_cfg(cfg: IntegratorConfig, duration: float) -> IntegratorConfig:
     return replace(cfg, dt=duration / n, t_final=duration, monitor_stride=n)
 
 
-def _evolve_joint(sc: CorrelationScenario, rho: np.ndarray, duration: float, h_on: bool) -> np.ndarray:
-    """Joint gamma-route evolution; without h_on the H generator is switched off."""
+def _evolve_joint(sc: CorrelationScenario, members: list, duration: float) -> np.ndarray:
+    """Joint gamma-route evolution of (state, H-side spec) members over
+    duration, under the scenario's K dynamics, as one stack through the step
+    loop; returns the final states (B, D, D)."""
+    rhos, specs = zip(*members)
     if duration <= sc.cfg.dt * 1e-9:
-        return rho
-    g_of_rho = _joint_generator_fn(sc.dyn, sc.rho0.dims, h_on)
-    cfg = _phase_cfg(sc.cfg, duration)
-    traj = integrate_generator(rho, g_of_rho, cfg, _no_monitor)
-    return traj.final_state()
+        return np.array(rhos)
+    g_of_rho = _joint_generator_fn(replace(sc.dyn, spec_H=_stack_specs(specs)), sc.rho0.dims)
+    _, _, states, _, _ = _integrate(np.array(rhos), g_of_rho, _phase_cfg(sc.cfg, duration))
+    return states[-1]
 
 
 def _require_invariance(sc: CorrelationScenario) -> None:
@@ -167,7 +175,7 @@ def _require_invariance(sc: CorrelationScenario) -> None:
 
 def _first_phase(sc: CorrelationScenario) -> np.ndarray:
     """The unmeasured joint state at t1."""
-    return _evolve_joint(sc, sc.rho0.matrix, sc.t1 - sc.t0, h_on=True)
+    return _evolve_joint(sc, [(sc.rho0.matrix, sc.dyn.spec_H)], sc.t1 - sc.t0)[0]
 
 
 def _measure_h(sc: CorrelationScenario, rho1: np.ndarray) -> np.ndarray:
@@ -176,24 +184,25 @@ def _measure_h(sc: CorrelationScenario, rho1: np.ndarray) -> np.ndarray:
     return p @ rho1 @ p + q @ rho1 @ q
 
 
-def _p_joint(sc: CorrelationScenario, rho: np.ndarray, h_on: bool) -> float:
-    """Tr[(P_H (x) P_K) rho(t2)], rho stepped from t1 through the step loop."""
-    rho = _evolve_joint(sc, rho, sc.t2 - sc.t1, h_on)
+def _route_members(sc: CorrelationScenario, rho1: np.ndarray) -> list:
+    """The t1 -> t2 routes as (state, H-side spec) members.  0 is the
+    block-resolved route, the measured state stepped whole: the dynamics are
+    Gamma-free and H leaves P and Q invariant, so on the block-diagonal H
+    marginal m_P + m_Q, T = H rho^q + rho^q H is P T(m_P) P + Q T(m_Q) Q and
+    each H block steps under its own projected generator.  H stays on, so
+    no-signalling is not assumed.  1 is the switch-off route: the unmeasured
+    state under spec_H with H = 0, whose G_H is exactly 0."""
+    spec_h = sc.dyn.spec_H
+    return [(_measure_h(sc, rho1), spec_h), (rho1, replace(spec_h, H=np.zeros_like(spec_h.H)))]
+
+
+def _p_joint(sc: CorrelationScenario, rho1: np.ndarray, routes: tuple) -> list:
+    """Tr[(P_H (x) P_K) rho(t2)] by each of the routes (indices into
+    _route_members), their members stepped from t1 as one stack."""
+    members = _route_members(sc, rho1)
+    rho = _evolve_joint(sc, [members[i] for i in routes], sc.t2 - sc.t1)
     joint_proj = tensor_product(sc.P_H.P, sc.P_K.P)
-    return float(np.trace(joint_proj @ rho @ joint_proj).real)
-
-
-def _full_route(sc: CorrelationScenario, rho1: np.ndarray) -> float:
-    # The block-resolved evolution, stepped whole.  The dynamics are Gamma-free
-    # and H leaves P and Q invariant, so on the block-diagonal H marginal
-    # m_P + m_Q, T = H rho^q + rho^q H is P T(m_P) P + Q T(m_Q) Q: each H
-    # block steps under its own projected generator, and K under
-    # Tr_H[P rho P + Q rho Q].  H stays on, so no-signalling is not assumed.
-    return _p_joint(sc, _measure_h(sc, rho1), h_on=True)
-
-
-def _switch_off_route(sc: CorrelationScenario, rho1: np.ndarray) -> float:
-    return _p_joint(sc, rho1, h_on=False)
+    return np.trace(joint_proj @ rho @ joint_proj, axis1=-2, axis2=-1).real.tolist()
 
 
 def correlation_full_route(sc: CorrelationScenario) -> float:
@@ -202,7 +211,7 @@ def correlation_full_route(sc: CorrelationScenario) -> float:
     whole from t1 to t2, both local generators on, each H block under its
     own projected generator and K under its own marginal."""
     _require_invariance(sc)
-    return _full_route(sc, _first_phase(sc))
+    return _p_joint(sc, _first_phase(sc), (0,))[0]
 
 
 def correlation_switch_off_route(sc: CorrelationScenario) -> float:
@@ -210,7 +219,7 @@ def correlation_switch_off_route(sc: CorrelationScenario) -> float:
     piecewise generator: the H part runs only up to t1, the K part up to t2;
     the probability is the trace against P_H (x) P_K."""
     _require_invariance(sc)
-    return _switch_off_route(sc, _first_phase(sc))
+    return _p_joint(sc, _first_phase(sc), (1,))[0]
 
 
 def _remote_generator_change(sc: CorrelationScenario, rho1: np.ndarray) -> float:
@@ -230,13 +239,13 @@ def check_remote_generator_unaffected(sc: CorrelationScenario) -> float:
 
 
 def correlation_report(sc: CorrelationScenario) -> dict:
-    """All correlation outputs in one record; the t0 -> t1 phase runs once."""
+    """All correlation outputs in one record; the t0 -> t1 phase runs once,
+    and the two t1 -> t2 routes step as one two-member stack."""
     _require_invariance(sc)
     rho1 = _first_phase(sc)
     p_h_full = tensor_product(sc.P_H.P, np.eye(sc.rho0.d_K))
     p_first = float(np.trace(p_h_full @ rho1 @ p_h_full).real)
-    p_full = _full_route(sc, rho1)
-    p_switch = _switch_off_route(sc, rho1)
+    p_full, p_switch = _p_joint(sc, rho1, (0, 1))
     return {
         "p_joint_full": p_full,
         "p_joint_switch": p_switch,

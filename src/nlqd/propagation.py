@@ -2,17 +2,18 @@
 
 The production path integrates i gamma_dot = G(gamma gamma^dag) gamma with
 classical fixed-step RK4, re-evaluating the generator at every internal
-stage; rho = gamma gamma^dag is then positive by construction.  A generator
-that reads no state (the vonNeumann T with no Gamma, G = H, and a joint
-generator whose active sides are all such) is not re-evaluated: for a linear
-equation RK4 is exactly x -> R x, so the loop forms the RK4 matrix R once
-per run, from the same tableau, and each step is one product per matrix it
-carries.  The direct
-rho-route integrator is kept only as a cross-validation oracle.  The
+stage; rho = gamma gamma^dag is then positive by construction.  RK4 steps
+x_dot = G x in complex time h = -i dt, so no stage multiplies by -i.  The
 rho-dependent propagator S (i S_dot = G(rho(t)) S) can be accumulated
-alongside gamma with the same stages, and convex mixtures of processes run
-one autonomous branch per component.  Every integrator steps with the one
-RK4 tableau in ``_rk4``, which no other module calls.
+alongside gamma: it rides behind gamma as x[1] of one stack x, so each
+stage applies G to both by one product.  A generator that reads no state
+(the vonNeumann T with no Gamma, G = H, and a joint generator whose sides
+are all such) is not re-evaluated: for a linear equation RK4 is exactly
+x -> R x, so the loop forms the RK4 matrix R once per run, from the same
+tableau, and each step is one product.  The direct rho-route integrator is
+kept only as a cross-validation oracle, and convex mixtures of processes
+run one autonomous branch per component.  Every integrator steps with the
+one RK4 tableau in ``_rk4``, which no other module calls.
 
 The one step loop, ``_integrate``, steps one factor (d, d) or a stack
 (B, d, d) of independent ones: ``evolve_many`` runs B initial states under
@@ -110,26 +111,21 @@ GeneratorFn = Callable[[np.ndarray], np.ndarray]
 MonitorFn = Callable[[np.ndarray, np.ndarray], dict]  # (N, d, d) states, (N, d) spectra -> channels
 
 
-def _rk4(xs, k1, rhs, dt: float) -> tuple:
-    """One classical RK4 step of x_dot = rhs(x) for a tuple x of arrays,
-    from the first slope k1 = rhs(xs), which the caller takes."""
-    k2 = rhs(tuple([x + 0.5 * dt * k for x, k in zip(xs, k1)]))
-    k3 = rhs(tuple([x + 0.5 * dt * k for x, k in zip(xs, k2)]))
-    k4 = rhs(tuple([x + dt * k for x, k in zip(xs, k3)]))
-    return tuple(
-        [x + (dt / 6.0) * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(xs, k1, k2, k3, k4)]
-    )
+def _rk4(x: np.ndarray, k1: np.ndarray, f, h) -> np.ndarray:
+    """One classical RK4 step of x_dot = f(x) from the first slope k1 = f(x),
+    which the caller takes.  h may be complex: the step loop steps
+    i x_dot = G x as x_dot = G x in complex time h = -i dt, which is exact,
+    since a product with -i only swaps and negates components."""
+    k2 = f(x + 0.5 * h * k1)
+    k3 = f(x + 0.5 * h * k2)
+    k4 = f(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _slopes(g_of_rho: GeneratorFn, rho: np.ndarray, xs) -> list:
-    """x_dot = -i G(rho) x for each x of xs."""
-    gen = g_of_rho(rho)
-    return [-1j * (gen @ x) for x in xs]
-
-
-def _factor_rhs(g_of_rho: GeneratorFn):
-    """i x_dot = G(gamma gamma^dag) x for (gamma, *carried), G taken at gamma."""
-    return lambda xs: _slopes(g_of_rho, xs[0] @ dagger(xs[0]), xs)
+def _action(g_of_rho: GeneratorFn):
+    """x -> G(gamma gamma^dag) @ x for a stack x whose x[0] is gamma: every
+    matrix of x under the generator taken at gamma, by one product."""
+    return lambda x: g_of_rho(x[0] @ dagger(x[0])) @ x
 
 
 class _Fixed:
@@ -152,14 +148,15 @@ def _spec_generator(spec) -> GeneratorFn:
     return partial(generator_matrix, spec) if gen is None else _Fixed(gen)
 
 
-def _step_matrix(g_of_rho: _Fixed, d: int, dt: float) -> np.ndarray:
-    """The RK4 matrix R of a generator G that reads no state: one RK4 step of
-    the linear i x_dot = G x is exactly x -> R x, so R is _rk4 applied once
-    to the d x d identity.  A stack of G gives a stack of R, and G = 0 the
-    identity exactly."""
-    eye = np.eye(d, dtype=complex)
-    rhs = _factor_rhs(g_of_rho)
-    return _rk4((eye,), rhs((eye,)), rhs, dt)[0]
+def _step_matrix(g_of_rho: _Fixed, shape: tuple, h: complex) -> np.ndarray:
+    """The RK4 matrix R of a generator G that reads no state, for states of
+    the given shape, one (d, d) or a stack (B, d, d): one RK4 step of the
+    linear x_dot = G x in complex time h is exactly x -> R x, so R is _rk4
+    applied once to the identity broadcast to that shape.  A stack of G
+    gives a stack of R, and G = 0 the identity exactly."""
+    eye = np.broadcast_to(np.eye(shape[-1], dtype=complex), shape)
+    f = g_of_rho.gen.__matmul__
+    return _rk4(eye, f(eye), f, h)
 
 
 def _renormalize(gamma: np.ndarray, max_drift: float):
@@ -189,10 +186,9 @@ def step_state_operator(gamma, spec: GeneratorSpec, dt: float, max_step_drift: f
     """One RK4 step of a unit-norm square-root factor of the spec's dimension."""
     _positive(dt, "dt")
     _positive(max_step_drift, "max_step_drift")
-    g = StateOperator(matrix=_square(gamma, spec.dim)).matrix
-    rhs = _factor_rhs(partial(generator_matrix, spec))
-    (g,) = _rk4((g,), rhs((g,)), rhs, dt)
-    g = _renormalize(g, max_step_drift)[0]
+    x = StateOperator(matrix=_square(gamma, spec.dim)).matrix[None]
+    f = _action(partial(generator_matrix, spec))
+    g = _renormalize(_rk4(x, f(x), f, -1j * dt)[0], max_step_drift)[0]
     _checked_state(g, 1)
     return StateOperator(matrix=g)
 
@@ -220,30 +216,30 @@ def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, carried=()):
 
     rho0 is one state (d, d) or a stack (B, d, d) of them, each member an
     independent trajectory under its own slice of g_of_rho's generator.
-    Each carried matrix x steps with gamma under i x_dot = G(rho) x.  A
-    _Fixed generator, which reads no state, steps every x by x <- R x with
-    the RK4 matrix R of _step_matrix; any other takes G at every stage.
-    Every state, the t = 0 one as step 0, is checked either way; the
-    checked rho is recorded with its spectrum and feeds stage 1 of the next
-    step.  Returns the final (gamma, *carried), the record times (N,), the
-    recorded states (N, ..., d, d), their spectra (N, ..., d) and the worst
-    drift of each window (N, ...).
+    The loop steps one array x: gamma is x[0], and each carried matrix
+    rides behind it along the leading axis, stepping under the same
+    i x_dot = G(rho) x, so every stage applies G to all of x by one
+    product.  Only x[0] is renormalized.  A _Fixed generator, which reads no
+    state, steps x by x <- R x with the RK4 matrix R of _step_matrix; any
+    other takes G at every stage.  Every state, the t = 0 one as step 0, is
+    checked either way; the checked rho is recorded with its spectrum and
+    feeds stage 1 of the next step.  Returns the final x, the record times
+    (N,), the recorded states (N, ..., d, d), their spectra (N, ..., d) and
+    the worst drift of each window (N, ...).
     """
-    xs = (ClippedEig(rho0).power(0.5), *carried)
-    rhs = _factor_rhs(g_of_rho)
-    rho, w = _checked_state(xs[0], 0)
-    r = _step_matrix(g_of_rho, rho.shape[-1], cfg.dt) if isinstance(g_of_rho, _Fixed) else None
+    x = np.stack((ClippedEig(rho0).power(0.5), *carried))
+    f = _action(g_of_rho)
+    h = -1j * cfg.dt
+    rho, w = _checked_state(x[0], 0)
+    r = _step_matrix(g_of_rho, rho.shape, h) if isinstance(g_of_rho, _Fixed) else None
     times, states, spectra, drifts = [0.0], [rho], [w], [np.zeros(rho.shape[:-2])]
     worst = drifts[0]
     n = cfg.n_steps
     for step in range(1, n + 1):
-        if r is None:
-            xs = _rk4(xs, _slopes(g_of_rho, rho, xs), rhs, cfg.dt)
-        else:
-            xs = tuple([r @ x for x in xs])
-        gamma, drift = _renormalize(xs[0], cfg.max_step_drift)
+        x = _rk4(x, g_of_rho(rho) @ x, f, h) if r is None else r @ x
+        gamma, drift = _renormalize(x[0], cfg.max_step_drift)
+        x[0] = gamma
         rho, w = _checked_state(gamma, step)
-        xs = (gamma, *xs[1:])
         worst = np.maximum(worst, drift)
         if step % cfg.monitor_stride == 0 or step == n:
             times.append(step * cfg.dt)
@@ -251,7 +247,7 @@ def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, carried=()):
             spectra.append(w)
             drifts.append(worst)
             worst = drifts[0]
-    return xs, np.array(times), np.array(states), np.array(spectra), np.array(drifts)
+    return x, np.array(times), np.array(states), np.array(spectra), np.array(drifts)
 
 
 def _trajectories(times, states, spectra, drifts, monitor: MonitorFn) -> list:
@@ -313,14 +309,14 @@ def consistency_check_rho_route(rho0, spec: GeneratorSpec, cfg: IntegratorConfig
     g_of_rho = partial(generator_matrix, spec)
     gamma_route = integrate_generator(m, g_of_rho, replace(cfg, monitor_stride=1), _no_monitor)
 
-    def rho_rhs(xs):
-        g = g_of_rho(xs[0])
-        return [-1j * (g @ xs[0] - xs[0] @ dagger(g))]
+    def f(rho):  # i rho_dot = G rho - rho G^dag
+        g = g_of_rho(rho)
+        return g @ rho - rho @ dagger(g)
 
     rho_direct = m.copy()
     dev = 0.0
     for rho in gamma_route.states[1:]:
-        (rho_direct,) = _rk4((rho_direct,), rho_rhs((rho_direct,)), rho_rhs, cfg.dt)
+        rho_direct = _rk4(rho_direct, f(rho_direct), f, -1j * cfg.dt)
         dev = max(dev, max_abs(rho - rho_direct))
     return dev
 
@@ -336,8 +332,8 @@ def accumulate_propagator(
     """
     m = _state(rho0, spec.dim)
     s0 = np.eye(m.shape[0], dtype=complex)
-    (_, s), *records = _integrate(m, _spec_generator(spec), cfg, (s0,))
-    return s, _trajectories(*records, default_monitor(spec.H))[0]
+    x, *records = _integrate(m, _spec_generator(spec), cfg, (s0,))
+    return x[1], _trajectories(*records, default_monitor(spec.H))[0]
 
 
 @dataclass(frozen=True)
@@ -348,14 +344,20 @@ class MixtureSpec:
     process_specs: Sequence[GeneratorSpec]
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if len(w) != len(self.process_specs) or len(w) == 0:
+        try:
+            weights, specs = list(self.weights), list(self.process_specs)
+        except TypeError as exc:  # None, a number
+            raise ValidationError(f"weights and process_specs must be sequences: {exc}") from exc
+        if len(weights) != len(specs) or not weights:
             raise ValidationError("weights and process_specs lengths differ or empty")
-        if not np.all((0 < w) & (w < np.inf)):
-            raise ValidationError(f"all mixture weights must be finite and > 0, got {w.tolist()}")
+        for x in weights:
+            _positive(x, "every mixture weight")
+        if not all(isinstance(spec, GeneratorSpec) for spec in specs):
+            raise ValidationError("every mixture process spec must be a GeneratorSpec")
+        w = np.array(weights, dtype=float)
         if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValidationError(f"mixture weights sum to {w.sum()}, not 1")
-        if len({spec.dim for spec in self.process_specs}) != 1:
+        if len({spec.dim for spec in specs}) != 1:
             raise ValidationError("mixture process specs differ in dimension")
         object.__setattr__(self, "weights", w)
 

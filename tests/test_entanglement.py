@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -119,11 +121,11 @@ class TestJointGenerator:
         dyn = bipartite_dynamics(dims, "active", rng)
         w = random_entangled_state(*dims, rng, mixture_terms=2)
         x = random_factor(dims[0] * dims[1], rng)
-        k_only = entanglement._joint_generator(dyn, w.matrix, dims, h_on=False)
+        off = replace(dyn.spec_H, H=np.zeros_like(dyn.spec_H.H))  # the switch-off route's H side
+        k_only = entanglement._joint_generator(replace(dyn, spec_H=off), w.matrix, dims)
         expected = tensor_product(np.eye(dims[0]), generator_matrix(dyn.spec_K, w.marginal_K())) @ x
         assert max_abs(k_only @ x - expected) < 1e-14
-        passive = BipartiteDynamics(spec_H=dyn.spec_H)
-        assert np.all(entanglement._joint_generator(passive, w.matrix, dims, h_on=False) @ x == 0)
+        assert np.all(entanglement._joint_generator(BipartiteDynamics(spec_H=off), w.matrix, dims) @ x == 0)
 
     def test_step_loops_form_no_kronecker_product(self, rng, monkeypatch):
         dyn = bipartite_dynamics((2, 2), "active", rng)
@@ -150,8 +152,9 @@ class TestJointGenerator:
             P_K=measurement.MeasurementSetup(P=np.diag([1.0, 0.0])),
             cfg=cfg,
         )
-        for h_on in (True, False):
-            assert krons(lambda: measurement._evolve_joint(sc, w.matrix, 5e-3, h_on)) == 0
+        spec_h = sc.dyn.spec_H
+        for members in ([(w.matrix, spec_h)], measurement._route_members(sc, w.matrix)):  # one phase, both routes
+            assert krons(lambda: measurement._evolve_joint(sc, members, 5e-3)) == 0
 
 
 class TestEvolveBipartite:

@@ -36,7 +36,7 @@ from nlqd.linalg import (
     support_projector,
     von_neumann_entropy,
 )
-from nlqd.measurement import MeasurementSetup, evolve_block_diagonal, projective_measure
+from nlqd.measurement import CorrelationScenario, MeasurementSetup, evolve_block_diagonal, projective_measure
 from nlqd.propagation import (
     IntegratorConfig,
     MixtureSpec,
@@ -268,3 +268,46 @@ def test_rejects_a_bool_or_a_small_count(case):
     make, message = NOT_A_COUNT[case]
     with pytest.raises(ValidationError, match=message):
         make()
+
+
+def correlation(**change):
+    """A valid correlation scenario on the Bell state, with the given fields changed."""
+    fields = dict(
+        rho0=BipartiteState(d_H=2, d_K=2, matrix=bell_state()),
+        dyn=BipartiteDynamics(spec_H=spec(2)),
+        t0=0.0,
+        t1=0.1,
+        t2=0.2,
+        P_H=MeasurementSetup(P=np.diag([1.0, 0.0])),
+        P_K=MeasurementSetup(P=np.diag([1.0, 0.0])),
+        cfg=CFG,
+    )
+    return CorrelationScenario(**{**fields, **change})
+
+
+# A composite record checks the type of each field at construction; each
+# used to raise an untyped error, at construction or at first use, or to
+# accept the wrong type.
+BAD_RECORDS = {
+    "MixtureSpec.weights-string": lambda: MixtureSpec(weights=["x"], process_specs=[spec(2)]),
+    "MixtureSpec.weights-None": lambda: MixtureSpec(weights=None, process_specs=[spec(2)]),
+    "MixtureSpec.weights-one-string": lambda: MixtureSpec(weights=[0.5, "0.5"], process_specs=[spec(2), spec(2)]),
+    "MixtureSpec.process_specs-not-a-spec": lambda: MixtureSpec(weights=[1.0], process_specs=[np.eye(2)]),
+    "BipartiteDynamics.spec_H-string": lambda: BipartiteDynamics(spec_H="x"),
+    "BipartiteDynamics.spec_K-matrix": lambda: BipartiteDynamics(spec_H=spec(2), spec_K=np.eye(2)),
+    "CorrelationScenario.t0-string": lambda: correlation(t0="0"),
+    "CorrelationScenario.t0-None": lambda: correlation(t0=None),
+    "CorrelationScenario.P_H-ndarray": lambda: correlation(P_H=np.diag([1.0, 0.0])),
+    "CorrelationScenario.rho0-ndarray": lambda: correlation(rho0=bell_state()),
+    "CorrelationScenario.cfg-string": lambda: correlation(cfg="x"),
+}
+
+
+def test_the_valid_correlation_scenario_constructs():
+    assert correlation().t2 == 0.2
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+def test_rejects_a_wrong_type_in_a_record(case):
+    with pytest.raises(ValidationError):
+        BAD_RECORDS[case]()

@@ -671,6 +671,33 @@ class TestCliEndToEnd:
         assert report["p_first"] == pytest.approx(0.5, abs=1e-9)
         assert report["p_conditional"] == pytest.approx(1.0, abs=1e-8)
 
+    def test_correlation_ignores_the_integrator_t_final(self, tmp_path):
+        # each used to exit 1: "t_final 1.0 is not a whole number of dt = 0.003 steps"
+        from conftest import singlet_state
+
+        def report(name, integrator, flags=()):
+            payload = {
+                "rho0": matrix_to_json(singlet_state()),
+                "dims": {"d_H": 2, "d_K": 2},
+                "generator_H": generator_spec_to_json(GeneratorSpec(H=SZ, t_family=TFamily("powerLaw", q=1.5))),
+                "generator_K": generator_spec_to_json(GeneratorSpec(H=SX)),
+                "t0": 0.0,
+                "t1": 0.1,
+                "t2": 0.2,
+                "P_H": matrix_to_json(np.diag([1.0, 0.0])),
+                "P_K": matrix_to_json(np.diag([0.0, 1.0])),
+                "integrator": integrator,
+            }
+            out = tmp_path / f"{name}.json"
+            assert main(["run", write_scenario(tmp_path / f"{name}_s.json", "measure_correlation", payload, output_path=out), *flags]) == 0
+            return json.loads(out.read_text())
+
+        by_flag = report("flag", {"dt": 1e-3, "t_final": 1.0}, ["--dt", "0.003"])
+        by_payload = report("payload", {"dt": 0.003, "t_final": 1.0, "monitor_stride": 7})
+        without = report("without", {"dt": 0.003})
+        assert by_flag == by_payload == without
+        assert by_flag != report("fine", {"dt": 1e-3, "t_final": 1.0})
+
     def test_verify_subcommand(self, tmp_path, rng):
         traj = evolve(
             random_density_matrix(2, rng), GeneratorSpec(H=SZ), IntegratorConfig(dt=1e-2, t_final=0.1)

@@ -23,7 +23,7 @@ from nlqd.measurement import (
     evolve_block_diagonal,
     projective_measure,
 )
-from nlqd.propagation import IntegratorConfig, _rk4
+from nlqd.propagation import IntegratorConfig
 
 sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
@@ -250,10 +250,10 @@ class TestFixedJointGenerator:
     of the joint generator of their H, formed once per phase."""
 
     def test_zero_joint_generator_steps_by_the_identity(self):
-        # the singlet's switch-off phase: H switched off and K passive
-        g = entanglement._joint_generator_fn(BipartiteDynamics(spec_H=GeneratorSpec(H=SZ)), (2, 2), h_on=False)
+        # the singlet's switch-off route: H switched off and K passive
+        g = entanglement._joint_generator_fn(BipartiteDynamics(spec_H=GeneratorSpec(H=0 * SZ)), (2, 2))
         assert isinstance(g, propagation._Fixed)
-        assert np.array_equal(propagation._step_matrix(g, 4, 0.3), np.eye(4))
+        assert np.array_equal(propagation._step_matrix(g, (4, 4), -0.3j), np.eye(4))
 
     def test_singlet_report_takes_no_generator_call(self, monkeypatch):
         sc = scenario()
@@ -267,9 +267,9 @@ class TestFixedJointGenerator:
         monkeypatch.setattr(propagation, "_eigvalsh", lambda a: floors.append(1) or eigvalsh(a))
         assert correlation_report(sc) == want
         assert calls == []
-        assert len(formed) == 3  # t0 -> t1, then t1 -> t2 once per route
+        assert len(formed) == 2  # t0 -> t1, then t1 -> t2 once for both routes
         first, second = (measurement._phase_cfg(sc.cfg, t).n_steps for t in (sc.t1 - sc.t0, sc.t2 - sc.t1))
-        assert len(floors) == 3 + first + 2 * second  # every state is checked, t = 0 once per phase
+        assert len(floors) == 2 + first + second  # every state is checked, t = 0 once per phase
 
     def test_routes_match_a_stage_by_stage_run(self, monkeypatch):
         sc = scenario(spec_k=GeneratorSpec(H=0.7 * SX + 0.2 * SZ), P_K=P1)
@@ -287,9 +287,19 @@ class TestFixedJointGenerator:
             route(sc)
 
 
+def rk4(xs, rhs, dt):
+    """One classical RK4 step of x_dot = rhs(x) for a tuple x of arrays."""
+    k1 = rhs(xs)
+    k2 = rhs(tuple(x + 0.5 * dt * k for x, k in zip(xs, k1)))
+    k3 = rhs(tuple(x + 0.5 * dt * k for x, k in zip(xs, k2)))
+    k4 = rhs(tuple(x + dt * k for x, k in zip(xs, k3)))
+    return tuple(x + (dt / 6.0) * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(xs, k1, k2, k3, k4))
+
+
 def full_route_three_propagators(sc, rho1):
     """The block-resolved route with a propagator for each H block and one for
-    K, the Q block's stepped but never read: the oracle of _full_route."""
+    K, the Q block's stepped but never read, by its own RK4 tableau: the
+    oracle of the block route, independent of the engine's step loop."""
     d_h, d_k = sc.rho0.dims
     p_h_full = tensor_product(sc.P_H.P, np.eye(d_k))
     q_h_full = tensor_product(sc.P_H.Q, np.eye(d_k))
@@ -312,7 +322,7 @@ def full_route_three_propagators(sc, rho1):
     xs = (sc.P_H.P.copy(), sc.P_H.Q.copy(), np.eye(d_k, dtype=complex))
     phase = measurement._phase_cfg(sc.cfg, sc.t2 - sc.t1)
     for _ in range(phase.n_steps):
-        xs = _rk4(xs, rhs(xs), rhs, phase.dt)
+        xs = rk4(xs, rhs, phase.dt)
     s_p, _, s_k = xs
     prop = tensor_product(s_p, s_k)
     rho_p_t2 = prop @ rho_p @ dagger(prop)
@@ -339,8 +349,9 @@ def empty_block_scenario(p_h):
     )
 
 
+BENCH_REPORTS = {name: sc for name, sc, _ in workloads.correlation_scenarios(np.random.default_rng(7919))}
 ROUTE_SCENARIOS = {
-    **{name: sc for name, sc, _ in workloads.correlation_scenarios(np.random.default_rng(7919))},
+    **BENCH_REPORTS,
     "q_block_empty": empty_block_scenario(np.diag([1.0, 0.0])),
     "p_block_empty": empty_block_scenario(np.diag([0.0, 1.0])),
 }
@@ -350,7 +361,7 @@ def full_route_gap(sc, dt):
     """|block route - propagator oracle| with both stepped at dt."""
     sc = replace(sc, cfg=replace(sc.cfg, dt=dt))
     rho1 = measurement._first_phase(sc)
-    return abs(measurement._full_route(sc, rho1) - full_route_three_propagators(sc, rho1))
+    return abs(measurement._p_joint(sc, rho1, (0,))[0] - full_route_three_propagators(sc, rho1))
 
 
 class TestRouteAgreement:
@@ -453,11 +464,28 @@ class TestRouteAgreement:
         )
         expected = check_remote_generator_unaffected(sc)
         calls = []
-        integrate = measurement.integrate_generator
-        monkeypatch.setattr(measurement, "integrate_generator", lambda *a: calls.append(1) or integrate(*a))
+        integrate = measurement._integrate
+        monkeypatch.setattr(measurement, "_integrate", lambda *a: calls.append(1) or integrate(*a))
         rep = correlation_report(sc)
         assert rep["remote_generator_change"] == expected
-        assert len(calls) == 3  # t0 -> t1 once, then t1 -> t2 once per route
+        assert len(calls) == 2  # t0 -> t1 once, then t1 -> t2 once for both routes
+
+    def test_report_steps_both_routes_as_one_stack(self, monkeypatch):
+        sc = ROUTE_SCENARIOS["report/powerLaw/0"]
+        want = correlation_report(sc)
+        runs = []
+        for module in (propagation, measurement):
+            real = module._integrate
+            monkeypatch.setattr(module, "_integrate", lambda rho0, *a, real=real: runs.append(rho0.shape) or real(rho0, *a))
+        assert correlation_report(sc) == want
+        assert runs == [(1, 4, 4), (2, 4, 4)]  # t0 -> t1, then both routes from t1 to t2
+
+    @pytest.mark.parametrize("name", list(BENCH_REPORTS))
+    def test_report_routes_equal_the_single_routes_bitwise(self, name):
+        sc = ROUTE_SCENARIOS[name]
+        rep = correlation_report(sc)
+        assert rep["p_joint_full"] == correlation_full_route(sc)
+        assert rep["p_joint_switch"] == correlation_switch_off_route(sc)
 
     def test_repeat_measurement_certainty(self):
         # measuring the same diagonal observable twice on one side: outcome

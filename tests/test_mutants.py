@@ -2,19 +2,23 @@
 
 The library's counterpart of bench/test_controls.py: a test that also
 passes on a broken engine proves nothing.  Each row below swaps one engine
-function for a copy with one line changed (two where the defect needs a
-name the engine does not keep, each marked "was"; the output writer's copy
-opens with the old truncating "w" in place of its unlink and exclusive
-create, and is caught once on a CSV and once on a report; one block
-route is test_measurement's propagator oracle, whose RK4 loop checks no
-step), and names a
-test that passes on the real engine and must fail on the broken one: by an
-assertion, or by the engine's own typed error (a generator taken at the
-wrong state breaks the norm, and the drift check stops the run).  Each named test runs in a fresh working directory, which
-the file-writing ones take as their tmp_path; the output writer's test,
-which makes its own subdirectory, takes a new directory in it on each run.
+function for a copy with one line changed, and names a test that passes on
+the real engine and must fail on the broken one: by an assertion, or by the
+engine's own typed error (a generator taken at the wrong state breaks the
+norm, and the drift check stops the run).  Most copies are written out,
+with the changed line (two where the defect needs a name the engine does
+not keep) marked "was"; ``edited`` builds the others from the engine
+function's current source with the named lines replaced, so they follow
+the engine as it changes.  The output writer's copy opens with the old
+truncating "w" in place of its unlink and exclusive create, and is caught
+once on a CSV and once on a report; one block route is test_measurement's
+propagator oracle, whose RK4 loop checks no step.  Each named test runs in
+a fresh working directory, which the file-writing ones take as their
+tmp_path; the output writer's test, which makes its own subdirectory,
+takes a new directory in it on each run.
 """
 
+import inspect
 import pathlib
 import tempfile
 from dataclasses import replace
@@ -36,24 +40,6 @@ from nlqd.linalg import ClippedEig, _eigvalsh, _square, dagger, partial_trace
 REAL_RENORMALIZE = propagation._renormalize
 REAL_EVAL_GAMMA = generators._eval_Gamma
 REAL_STEP_MATRIX = propagation._step_matrix
-
-
-def rk4_wrong_weights(xs, k1, rhs, dt: float) -> tuple:
-    k2 = rhs(tuple([x + 0.5 * dt * k for x, k in zip(xs, k1)]))
-    k3 = rhs(tuple([x + 0.5 * dt * k for x, k in zip(xs, k2)]))
-    k4 = rhs(tuple([x + dt * k for x, k in zip(xs, k3)]))
-    return tuple(
-        [x + (dt / 6.0) * (a + 2 * b + c + 2 * d) for x, a, b, c, d in zip(xs, k1, k2, k3, k4)]  # 2c + d
-    )
-
-
-def rk4_weight_relative_error_1e9(xs, k1, rhs, dt: float) -> tuple:
-    k2 = rhs(tuple([x + 0.5 * dt * k for x, k in zip(xs, k1)]))
-    k3 = rhs(tuple([x + 0.5 * dt * k for x, k in zip(xs, k2)]))
-    k4 = rhs(tuple([x + dt * k for x, k in zip(xs, k3)]))
-    return tuple(
-        [x + (dt / 6.0) * (a + 2 * b + 2 * c + (1.0 + 1e-9) * d) for x, a, b, c, d in zip(xs, k1, k2, k3, k4)]  # was d
-    )
 
 
 def renormalize_dropped(gamma, max_drift):
@@ -122,103 +108,29 @@ def whole_if_at_least_one(x):
     return x >= 1  # was x >= 1 and float(x).is_integer(): the product kernel takes q = 1.3 as 1
 
 
-def factor_rhs_swapped(g_of_rho):
-    def rhs(xs):
-        gen = g_of_rho(dagger(xs[0]) @ xs[0])  # was xs[0] @ dagger(xs[0])
-        return [-1j * (gen @ x) for x in xs]
-
-    return rhs
-
-
-def unchecked_state(gamma):
-    """gamma gamma^dag and its spectrum, with no floor check: the loop's
-    _checked_state without its check."""
-    rho = gamma @ dagger(gamma)
-    return rho, propagation._eigvalsh(rho)
-
-
-def integrate_stage_1_a_step_behind(rho0, g_of_rho, cfg, carried=()):
-    xs = (ClippedEig(rho0).power(0.5), *carried)
-    rhs = propagation._factor_rhs(g_of_rho)
-    rho, w = propagation._checked_state(xs[0], 0)
-    before = rho  # was absent: stage 1 reads rho
-    r = propagation._step_matrix(g_of_rho, rho.shape[-1], cfg.dt) if isinstance(g_of_rho, propagation._Fixed) else None
-    times, states, spectra, drifts = [0.0], [rho], [w], [np.zeros(rho.shape[:-2])]
-    worst = drifts[0]
-    n = cfg.n_steps
-    for step in range(1, n + 1):
-        if r is None:
-            xs = propagation._rk4(xs, propagation._slopes(g_of_rho, before, xs), rhs, cfg.dt)
-        else:
-            xs = tuple([r @ x for x in xs])
-        gamma, drift = propagation._renormalize(xs[0], cfg.max_step_drift)
-        before, (rho, w) = rho, propagation._checked_state(gamma, step)  # was rho, w = ...: stage 1 read rho
-        xs = (gamma, *xs[1:])
-        worst = np.maximum(worst, drift)
-        if step % cfg.monitor_stride == 0 or step == n:
-            times.append(step * cfg.dt)
-            states.append(rho)
-            spectra.append(w)
-            drifts.append(worst)
-            worst = drifts[0]
-    return xs, np.array(times), np.array(states), np.array(spectra), np.array(drifts)
+def edited(fn, *changes):
+    """A copy of engine function fn, compiled from its current source in its
+    own module, with each (line, replacement) of changes applied: the line,
+    stripped of its indentation, must occur exactly once."""
+    lines = inspect.getsource(fn).splitlines()
+    for old, new in changes:
+        hits = [i for i, line in enumerate(lines) if line.strip() == old]
+        assert len(hits) == 1, f"{fn.__name__} has {len(hits)} lines {old!r}"
+        line = lines[hits[0]]
+        lines[hits[0]] = line[: len(line) - len(line.lstrip())] + new
+    namespace = {}
+    exec(compile("\n".join(lines), inspect.getsourcefile(fn), "exec"), vars(inspect.getmodule(fn)), namespace)
+    return namespace[fn.__name__]
 
 
-def integrate_floor_on_records_only(rho0, g_of_rho, cfg, carried=()):
-    xs = (ClippedEig(rho0).power(0.5), *carried)
-    rhs = propagation._factor_rhs(g_of_rho)
-    rho, w = propagation._checked_state(xs[0], 0)
-    r = propagation._step_matrix(g_of_rho, rho.shape[-1], cfg.dt) if isinstance(g_of_rho, propagation._Fixed) else None
-    times, states, spectra, drifts = [0.0], [rho], [w], [np.zeros(rho.shape[:-2])]
-    worst = drifts[0]
-    n = cfg.n_steps
-    for step in range(1, n + 1):
-        if r is None:
-            xs = propagation._rk4(xs, propagation._slopes(g_of_rho, rho, xs), rhs, cfg.dt)
-        else:
-            xs = tuple([r @ x for x in xs])
-        gamma, drift = propagation._renormalize(xs[0], cfg.max_step_drift)
-        recorded = step % cfg.monitor_stride == 0 or step == n  # was rho, w = _checked_state(gamma, step)
-        rho, w = propagation._checked_state(gamma, step) if recorded else unchecked_state(gamma)
-        xs = (gamma, *xs[1:])
-        worst = np.maximum(worst, drift)
-        if step % cfg.monitor_stride == 0 or step == n:
-            times.append(step * cfg.dt)
-            states.append(rho)
-            spectra.append(w)
-            drifts.append(worst)
-            worst = drifts[0]
-    return xs, np.array(times), np.array(states), np.array(spectra), np.array(drifts)
+RK4_LAST = "return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)"
+LOOP_STAGES = "x = _rk4(x, g_of_rho(rho) @ x, f, h) if r is None else r @ x"
+LOOP_FLOOR = "rho, w = _checked_state(gamma, step)"
+ROUTE_MEMBERS = "return [(_measure_h(sc, rho1), spec_h), (rho1, replace(spec_h, H=np.zeros_like(spec_h.H)))]"
 
 
-def integrate_fixed_path_unchecked(rho0, g_of_rho, cfg, carried=()):
-    xs = (ClippedEig(rho0).power(0.5), *carried)
-    rhs = propagation._factor_rhs(g_of_rho)
-    rho, w = propagation._checked_state(xs[0], 0)
-    r = propagation._step_matrix(g_of_rho, rho.shape[-1], cfg.dt) if isinstance(g_of_rho, propagation._Fixed) else None
-    times, states, spectra, drifts = [0.0], [rho], [w], [np.zeros(rho.shape[:-2])]
-    worst = drifts[0]
-    n = cfg.n_steps
-    for step in range(1, n + 1):
-        if r is None:
-            xs = propagation._rk4(xs, propagation._slopes(g_of_rho, rho, xs), rhs, cfg.dt)
-        else:
-            xs = tuple([r @ x for x in xs])
-        gamma, drift = propagation._renormalize(xs[0], cfg.max_step_drift)
-        rho, w = propagation._checked_state(gamma, step) if r is None else unchecked_state(gamma)  # was always checked
-        xs = (gamma, *xs[1:])
-        worst = np.maximum(worst, drift)
-        if step % cfg.monitor_stride == 0 or step == n:
-            times.append(step * cfg.dt)
-            states.append(rho)
-            spectra.append(w)
-            drifts.append(worst)
-            worst = drifts[0]
-    return xs, np.array(times), np.array(states), np.array(spectra), np.array(drifts)
-
-
-def step_matrix_at_half_dt(g_of_rho, d, dt):
-    return REAL_STEP_MATRIX(g_of_rho, d, dt / 2)  # was dt
+def step_matrix_at_half_dt(g_of_rho, shape, h):
+    return REAL_STEP_MATRIX(g_of_rho, shape, h / 2)  # was h
 
 
 def fixed_generator_reads_q_only(spec):
@@ -235,30 +147,17 @@ def stack_member_0_h(specs):
     return generators._SpecStack(h, specs[0].t_family, replace(fam, A=a))
 
 
-def marginals_swapped(dyn, rho, dims, h_on=True):
-    g_h = generators.generator_matrix(dyn.spec_H, partial_trace(rho, dims, "H")) if h_on else None  # was "K"
-    g_k = None if dyn.spec_K is None else generators.generator_matrix(dyn.spec_K, partial_trace(rho, dims, "H"))
-    return entanglement._JointGenerator(g_h, g_k, dims)
-
-
 class JointGeneratorKOnHAxis(entanglement._JointGenerator):
     def __matmul__(self, x):
         lead, n = x.shape[:-2], x.shape[-1]
-        out = None
-        if self.g_h is not None:
-            out = (self.g_h @ x.reshape(lead + (self.d_h, self.d_k * n))).reshape(x.shape)
-        if self.g_k is not None:
-            k = (self.g_k @ x.reshape(lead + (self.d_h, self.d_k * n))).reshape(x.shape)  # was (d_h, d_k, n)
-            out = k if out is None else out + k
-        return np.zeros_like(x) if out is None else out
+        out = (self.g_h @ x.reshape(lead + (self.d_h, self.d_k * n))).reshape(x.shape)
+        if self.g_k is None:
+            return out
+        return out + (self.g_k @ x.reshape(lead + (self.d_h, self.d_k * n))).reshape(x.shape)  # was (d_h, d_k, n)
 
 
-def switch_off_keeps_h(sc, rho1):
-    return measurement._p_joint(sc, rho1, h_on=True)  # was h_on=False
-
-
-def full_route_unmeasured(sc, rho1):
-    return measurement._p_joint(sc, rho1, h_on=True)  # was _measure_h(sc, rho1)
+def p_joint_by_propagators(sc, rho1, routes):
+    return [test_measurement.full_route_three_propagators(sc, rho1) for _ in routes]  # was the step loop
 
 
 def state_violations_min_over_members(m, herm_tol, trace_tol, eig_tol):
@@ -308,11 +207,11 @@ def stage_kernel_test(name):
 # defect -> (module, attribute, broken copy, the test that must catch it)
 MUTANTS = {
     "rk4_coefficient": (
-        propagation, "_rk4", rk4_wrong_weights,
+        propagation, "_rk4", edited(propagation._rk4, (RK4_LAST, RK4_LAST.replace("2 * k3 + k4", "k3 + 2 * k4"))),
         lambda: test_propagation.TestLinearLimit().test_von_neumann_matches_expm(rng()),
     ),
     "rk4_weight_relative_error_1e-9": (
-        propagation, "_rk4", rk4_weight_relative_error_1e9,
+        propagation, "_rk4", edited(propagation._rk4, (RK4_LAST, RK4_LAST.replace("+ k4", "+ (1.0 + 1e-9) * k4"))),
         lambda: test_scripts.test_output_baseline(pathlib.Path.cwd()),
     ),
     "renormalization_dropped": (
@@ -348,20 +247,46 @@ MUTANTS = {
         ),
     ),
     "generator_at_gamma_dag_gamma": (
-        propagation, "_factor_rhs", factor_rhs_swapped,
+        propagation, "_action", edited(
+            propagation._action,
+            ("return lambda x: g_of_rho(x[0] @ dagger(x[0])) @ x", "return lambda x: g_of_rho(dagger(x[0]) @ x[0]) @ x"),
+        ),
         lambda: test_propagation.TestNonlinearRoutes().test_gamma_vs_rho_route(rng()),
     ),
     "stage_1_a_step_behind": (
-        propagation, "_integrate", integrate_stage_1_a_step_behind,
+        propagation, "_integrate", edited(  # stage 1 reads the state before the last step
+            propagation._integrate,
+            ("rho, w = _checked_state(x[0], 0)", "before = rho, w = _checked_state(x[0], 0)"),
+            (LOOP_STAGES, LOOP_STAGES.replace("g_of_rho(rho)", "g_of_rho(before[0])")),
+            (LOOP_FLOOR, "before, (rho, w) = (rho, w), _checked_state(gamma, step)"),
+        ),
         lambda: test_scripts.test_output_baseline(pathlib.Path.cwd()),
     ),
     "floor_on_recorded_steps_only": (
-        propagation, "_integrate", integrate_floor_on_records_only,
+        propagation, "_integrate", edited(
+            propagation._integrate,
+            (LOOP_FLOOR, "rho, w = _checked_state(gamma, step) if step % cfg.monitor_stride == 0 or step == n "
+             "else (gamma @ dagger(gamma), _eigvalsh(gamma @ dagger(gamma)))"),
+        ),
         floor_test_spoiled_at_step_7,
     ),
     "fixed_path_skips_the_floor": (
-        propagation, "_integrate", integrate_fixed_path_unchecked,
+        propagation, "_integrate", edited(
+            propagation._integrate,
+            (LOOP_FLOOR, "rho, w = _checked_state(gamma, step) if r is None else (gamma @ dagger(gamma), _eigvalsh(gamma @ dagger(gamma)))"),
+        ),
         lambda: floor_test_spoiled_at_step_7("fixed"),
+    ),
+    "step_in_real_time": (
+        propagation, "_integrate", edited(propagation._integrate, ("h = -1j * cfg.dt", "h = cfg.dt")),
+        lambda: test_propagation.TestNonlinearRoutes().test_gamma_vs_rho_route(rng()),
+    ),
+    "propagator_renormalized_with_gamma": (
+        propagation, "_integrate", edited(
+            propagation._integrate,
+            ("x[0] = gamma", "x = x / np.sqrt((abs(x) ** 2).sum(axis=(-2, -1), keepdims=True))"),
+        ),
+        lambda: test_propagation.TestPropagator().test_reconstructs_final_state(rng()),
     ),
     "step_matrix_at_half_dt": (
         propagation, "_step_matrix", step_matrix_at_half_dt,
@@ -380,7 +305,11 @@ MUTANTS = {
         lambda: test_propagation.TestMixture().test_batched_branches_match_branch_evolves_bitwise(rng()),
     ),
     "joint_marginals_swapped": (
-        entanglement, "_joint_generator", marginals_swapped,
+        entanglement, "_joint_generator", edited(
+            entanglement._joint_generator,
+            ('g_h = generator_matrix(dyn.spec_H, _partial_trace(rho, dims, "K"))',
+             'g_h = generator_matrix(dyn.spec_H, _partial_trace(rho, dims, "H"))'),
+        ),
         lambda: test_entanglement.TestJointGenerator().test_action_matches_matrix(rng(), (2, 2), "passive"),
     ),
     "joint_g_k_on_h_axis": (
@@ -388,15 +317,19 @@ MUTANTS = {
         lambda: test_entanglement.TestJointGenerator().test_action_matches_matrix(rng(), (2, 2), "active"),
     ),
     "switch_off_keeps_h": (
-        measurement, "_switch_off_route", switch_off_keeps_h,
+        measurement, "_route_members", edited(
+            measurement._route_members, (ROUTE_MEMBERS, "return [(_measure_h(sc, rho1), spec_h), (rho1, spec_h)]")
+        ),
         lambda: test_measurement.TestRouteAgreement().test_coherent_marginal_routes_agree(rng()),
     ),
     "full_route_unmeasured": (
-        measurement, "_full_route", full_route_unmeasured,
+        measurement, "_route_members", edited(
+            measurement._route_members, (ROUTE_MEMBERS, ROUTE_MEMBERS.replace("(_measure_h(sc, rho1), spec_h)", "(rho1, spec_h)"))
+        ),
         lambda: test_measurement.TestRouteAgreement().test_coherent_marginal_routes_agree(rng()),
     ),
     "full_route_unchecked_propagators": (
-        measurement, "_full_route", test_measurement.full_route_three_propagators,
+        measurement, "_p_joint", p_joint_by_propagators,
         lambda: test_measurement.TestRouteAgreement().test_full_route_checks_every_step(),
     ),
     "verify_eigenvalue_min_over_members": (

@@ -487,16 +487,16 @@ class TestFixedGenerator:
 
     def test_a_joint_generator_with_one_state_reading_side_steps_by_stages(self, rng, monkeypatch):
         dyn = BipartiteDynamics(spec_H=GeneratorSpec(H=SZ), spec_K=STAGE_SPECS["powerLaw-q1"])
-        for h_on in (True, False):  # K reads its marginal either way
-            assert not isinstance(entanglement._joint_generator_fn(dyn, (2, 2), h_on), propagation._Fixed)
+        for spec_h in (dyn.spec_H, GeneratorSpec(H=0 * SZ)):  # K reads its marginal with H on or off
+            assert not isinstance(entanglement._joint_generator_fn(replace(dyn, spec_H=spec_h), (2, 2)), propagation._Fixed)
         calls = count_generator_calls(monkeypatch)
         evolve_bipartite(BipartiteState(d_H=2, d_K=2, matrix=random_density_matrix(4, rng)), dyn, self.CFG)
         assert len(calls) == 2 * 4 * self.CFG.n_steps  # G_H and G_K at every stage
 
     def test_a_stack_of_h_gives_a_stack_of_r(self, rng):
         specs = [GeneratorSpec(H=random_hermitian(2, rng)) for _ in range(3)]
-        stacked = propagation._step_matrix(propagation._spec_generator(generators._stack_specs(specs)), 2, 0.1)
-        one = [propagation._step_matrix(propagation._spec_generator(s), 2, 0.1) for s in specs]
+        stacked = propagation._step_matrix(propagation._spec_generator(generators._stack_specs(specs)), (3, 2, 2), -0.1j)
+        one = [propagation._step_matrix(propagation._spec_generator(s), (2, 2), -0.1j) for s in specs]
         assert stacked.shape == (3, 2, 2)
         assert max_abs(stacked - np.array(one)) == 0.0
 
@@ -505,7 +505,7 @@ class TestFixedGenerator:
         h, dt = random_hermitian(3, rng), 0.05
         z = -1j * dt * h
         taylor = np.eye(3) + z + z @ z / 2 + z @ z @ z / 6 + z @ z @ z @ z / 24
-        r = propagation._step_matrix(propagation._spec_generator(GeneratorSpec(H=h)), 3, dt)
+        r = propagation._step_matrix(propagation._spec_generator(GeneratorSpec(H=h)), (3, 3), -1j * dt)
         assert max_abs(r - taylor) <= 1e-15
 
     def test_a_large_step_raises(self):
@@ -547,6 +547,27 @@ class TestPropagator:
         assert np.array_equal(traj.times, ref.times)
         assert len(traj.states) == len(ref.states)
         assert all(np.array_equal(a, b) for a, b in zip(traj.states, ref.states))
+
+    def test_one_product_per_stage_steps_gamma_and_s(self, rng, monkeypatch):
+        # S rides behind gamma as one stack, so each RK4 stage applies G once
+        spec = GeneratorSpec(H=SZ + 0.2 * SX, t_family=TFamily("powerLaw", q=1.3))
+        rho0, cfg = random_density_matrix(2, rng), IntegratorConfig(dt=1e-3, t_final=2e-2)
+        want_s, want = accumulate_propagator(rho0, spec, cfg)
+        products = []
+
+        class Counted:
+            def __init__(self, g):
+                self.g = g
+
+            def __matmul__(self, x):
+                products.append(x.shape)
+                return self.g @ x
+
+        real = propagation._spec_generator
+        monkeypatch.setattr(propagation, "_spec_generator", lambda spec: lambda rho, g=real(spec): Counted(g(rho)))
+        s, traj = accumulate_propagator(rho0, spec, cfg)
+        assert np.array_equal(s, want_s) and np.array_equal(traj.final_state(), want.final_state())
+        assert products == [(2, 2, 2)] * 4 * cfg.n_steps
 
     def test_unitary_when_gamma_off_support(self, rng):
         spec = GeneratorSpec(H=SZ, t_family=TFamily("powerLaw", q=1.0))
