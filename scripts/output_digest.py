@@ -28,9 +28,11 @@ mixed, and correlation scenarios whose Q block, or P block, carries no
 weight; and whole exponents (q and r integers, every T and Gamma family,
 including the criterion-1 specs) as ``evolve_many`` stacks of a full-rank,
 a rank-d/2 and a pure state at d = 2, 3 and 4, with a propagator and a
-four-branch mixture at d = 3.  After those lines, the ``nlqd verify`` report of every CSV
-written above, and of three copies of it spoiled in every third data row: a
-NaN state entry, a state trace off by 1e-6 and a negative eigenvalue.
+four-branch mixture at d = 3; and a spectral side at q = 0.5 beside one at
+q = 1.2, in a 2x2 active bipartite run and in a correlation scenario.
+After those lines, the ``nlqd verify`` report of every CSV written above,
+and of three copies of it spoiled in every third data row: a NaN state
+entry, a state trace off by 1e-6 and a negative eigenvalue.
 Each line is ``<run> <part> <sha256>``, a part being the states, the drifts,
 one monitor channel, the propagator S, the CSV bytes, the report values or
 a verify report.
@@ -43,6 +45,7 @@ import json
 import pathlib
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -285,6 +288,23 @@ def collect(out: Digest) -> None:
             w = rng.dirichlet(np.ones(len(branches)))
             mix = MixtureSpec(weights=w / w.sum(), process_specs=branches)
             out.trajectory(f"integer/mixture/d{d}", evolve_convex_mixture(random_density_matrix(d, rng), mix, cfg))
+    # A spectral side at q = 0.5, whose power numpy takes by sqrt, beside one
+    # at q = 1.2, in a 2x2 active bipartite run and in a correlation scenario.
+    rng = np.random.default_rng(SEED + 3)
+    half = GeneratorSpec(H=herm(rng, 2), t_family=TFamily("powerLaw", q=0.5))
+    spec_k = GeneratorSpec(H=herm(rng, 2), t_family=TFamily("powerLaw", q=1.2))
+    state = BipartiteState(d_H=2, d_K=2, matrix=random_density_matrix(4, rng, 2))
+    cfg = IntegratorConfig(dt=DT, t_final=0.1, monitor_stride=10)
+    out.trajectory("bipartite/q0.5/active/2x2/mixed", evolve_bipartite(state, BipartiteDynamics(spec_H=half, spec_K=spec_k), cfg))
+    spec_h = GeneratorSpec(H=np.diag([0.6, -0.3]), t_family=TFamily("powerLaw", q=1.2))
+    sc = CorrelationScenario(
+        rho0=BipartiteState(d_H=2, d_K=2, matrix=random_density_matrix(4, rng, 2)),
+        dyn=BipartiteDynamics(spec_H=spec_h, spec_K=replace(half, H=herm(rng, 2))), t0=0.0, t1=0.15, t2=0.35,
+        P_H=MeasurementSetup(P=np.diag([1.0, 0.0])), P_K=MeasurementSetup(P=np.diag([1.0, 0.0])),
+        cfg=IntegratorConfig(dt=DT, t_final=1.0),
+    )
+    rep = correlation_report(sc)
+    out.add("report/q0.5", "report", np.array([rep[k] for k in sorted(rep)]))
 
 
 def main() -> int:

@@ -6,9 +6,12 @@ G(rho_HK) = G_H(Tr_K rho) (x) I_K [+ I_H (x) G_K(Tr_H rho)].  The
 integration path never forms that D x D matrix: the step loop's generator is
 a ``_JointGenerator`` that applies each local generator to its own axis of
 the reshaped factor.  Its spec_H may be a stack, one spec per member of a
-stacked run (a correlation report's two routes).  ``polchinski_generator``
-is the matrix form, for inspection and as the test oracle.  Alongside it
-live the
+stacked run (a correlation report's two routes).  Each stage evaluates the
+two sides by two generator_matrix calls, or by one when K is active on a
+factor of H's dimension and the two specs stack (``_stack_key``): the
+marginals then go in as one stack, and the result splits into G_H and G_K
+with the same bits as two calls.  ``polchinski_generator`` is the matrix
+form, for inspection and as the test oracle.  Alongside it live the
 environment-stationarity check, the deliberately nonphysical
 product-of-marginals extension (the canonical counterexample), local
 equivalence classes, and a sampling audit of the complete-positivity
@@ -24,13 +27,23 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .generators import GeneratorSpec, _fixed_generator, _SpecStack, eval_Gamma, generator_matrix, random_density_matrix
+from .generators import (
+    GeneratorSpec,
+    _fixed_generator,
+    _SpecStack,
+    _stack_key,
+    _stack_specs,
+    eval_Gamma,
+    generator_matrix,
+    random_density_matrix,
+)
 from .linalg import (
     EIG_NEG_TOL,
     _eigvalsh,
     _eye,
     _factor_dims,
     _is_integer,
+    _marginals,
     _partial_trace,
     _square,
     _state,
@@ -144,22 +157,34 @@ class _JointGenerator:
 
 def _joint_generator(dyn: BipartiteDynamics, rho: np.ndarray, dims: tuple[int, int]):
     """The step loop's joint generator at rho, one state or a stack: the local
-    generators at the marginals.  spec_H may be a stack, one spec per member.
-    The unchecked kernel; its callers check the dimensions once, at entry."""
+    generators at the marginals, one generator_matrix call per side.  spec_H
+    may be a stack, one spec per member.  The unchecked kernel; its callers
+    check the dimensions once, at entry."""
     g_h = generator_matrix(dyn.spec_H, _partial_trace(rho, dims, "K"))
     g_k = None if dyn.spec_K is None else generator_matrix(dyn.spec_K, _partial_trace(rho, dims, "H"))
     return _JointGenerator(g_h, g_k, dims)
 
 
+def _paired_joint_generator(pair: _SpecStack, rho: np.ndarray, dims: tuple[int, int]):
+    """_joint_generator for two sides of one dimension that stack into pair,
+    H at index 0 of its axis -3 and K at 1: one generator_matrix call on the
+    marginals stacked the same way, split back into G_H and G_K."""
+    g = generator_matrix(pair, _marginals(rho, dims[0]))
+    return _JointGenerator(g[..., 0, :, :], g[..., 1, :, :], dims)
+
+
 def _joint_generator_fn(dyn: BipartiteDynamics, dims: tuple[int, int]):
     """rho -> the step loop's joint generator.  When both sides read no state
     (K may be passive), the joint generator reads none either: a _Fixed of
-    their H."""
+    their H.  Else, when K is active on a factor of H's dimension and the
+    sides stack, both take one generator_matrix call per stage."""
     g_h = _fixed_generator(dyn.spec_H)
     g_k = None if dyn.spec_K is None else _fixed_generator(dyn.spec_K)
-    if g_h is None or (dyn.spec_K is not None and g_k is None):
-        return partial(_joint_generator, dyn, dims=dims)
-    return _Fixed(_JointGenerator(g_h, g_k, dims))
+    if g_h is not None and (dyn.spec_K is None or g_k is not None):
+        return _Fixed(_JointGenerator(g_h, g_k, dims))
+    if dyn.spec_K is not None and dims[0] == dims[1] and _stack_key(dyn.spec_H) == _stack_key(dyn.spec_K):
+        return partial(_paired_joint_generator, _stack_specs([dyn.spec_H, dyn.spec_K]), dims=dims)
+    return partial(_joint_generator, dyn, dims=dims)
 
 
 def bipartite_monitor(dims: tuple[int, int], H_joint: np.ndarray):

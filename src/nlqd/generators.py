@@ -126,12 +126,15 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class _SpecStack:
-    """Specs sharing their family parameters as one spec for the kernels,
-    whose H (and A) stack the members' along a leading axis (B, d, d)."""
+    """Specs that stack (_stack_key) as one spec for the kernels, whose H (and
+    A) stack the members' along axis -3, (..., B, d, d).  qs is None when
+    every member takes t_family's q, else the q of each member along that
+    axis, which only the spectral _eval_T reads."""
 
     H: np.ndarray
     t_family: TFamily
     gamma_family: GammaFamily
+    qs: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "_products", _product_plan(self.H, self.t_family, self.gamma_family))
@@ -198,22 +201,51 @@ def _family_key(spec: GeneratorSpec) -> tuple:
     return spec.t_family, fam.family, fam.sigma, fam.r
 
 
+def _stack_key(spec) -> tuple:
+    """Specs with equal keys stack (_stack_specs): equal _family_key, or both
+    on the spectral kernel with one T family, one Gamma family and one sigma
+    and r, q free per member."""
+    if spec._products is not None:
+        return _family_key(spec)
+    fam = spec.gamma_family
+    return None, spec.t_family.family, fam.family, fam.sigma, fam.r
+
+
+def _stack(ms) -> np.ndarray:
+    """The matrices ms, each (d, d) or a stack, broadcast to one shape and
+    stacked along axis -3."""
+    return np.stack(np.broadcast_arrays(*ms), axis=-3)
+
+
 def _stack_specs(specs) -> _SpecStack:
-    """One kernel spec for specs of one _family_key, member i being specs[i]."""
+    """One kernel spec for specs of one _stack_key, member i being specs[i]
+    along axis -3.  A member may itself be a stack whose members share one q;
+    its members stay on the axes before."""
     fam = specs[0].gamma_family
-    a = None if fam.A is None else np.stack([s.gamma_family.A for s in specs])
-    return _SpecStack(np.stack([s.H for s in specs]), specs[0].t_family, replace(fam, A=a))
+    a = None if fam.A is None else _stack([s.gamma_family.A for s in specs])
+    qs = tuple(s.t_family.q for s in specs)
+    qs = None if len(set(qs)) == 1 else qs
+    return _SpecStack(_stack([s.H for s in specs]), specs[0].t_family, replace(fam, A=a), qs)
 
 
-# The kernels below take one state or a stack (B, d, d) of states, and a spec
-# whose H and A are (d, d) or a (B, d, d) stack: traces run over the last two
-# axes and per-member scalars broadcast as c[..., None, None].
+# The kernels below take one state or a stack (..., d, d) of states, and a
+# spec whose H and A are (d, d) or a stack that broadcasts against them:
+# traces run over the last two axes and per-member scalars broadcast as
+# c[..., None, None].
 
 
 def _eval_T(spec: GeneratorSpec, dec: ClippedEig) -> np.ndarray:
     if spec.t_family.family == "vonNeumann":
         return spec.H
-    rq = dec.power(spec.t_family.q)
+    qs = getattr(spec, "qs", None)
+    if qs is None:
+        rq = dec.power(spec.t_family.q)
+    else:  # one scalar power per member: numpy takes q = 0.5 and 2 by sqrt and square, a q array by pow
+        w = dec.eigenvalues
+        wq = w ** qs[0]
+        for i in range(1, len(qs)):
+            wq[..., i, :] = w[..., i, :] ** qs[i]
+        rq = dec.spectral(wq)
     return spec.H @ rq + rq @ spec.H
 
 

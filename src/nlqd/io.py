@@ -29,7 +29,7 @@ import numpy as np
 from .entanglement import BipartiteDynamics, BipartiteState
 from .errors import ValidationError
 from .generators import GammaFamily, GeneratorSpec, TFamily
-from .linalg import EIG_NEG_TOL, _is_integer, state_violations
+from .linalg import EIG_NEG_TOL, _is_integer, _positive, state_violations
 from .measurement import CorrelationScenario, MeasurementSetup
 from .propagation import RECORD_HERM_TOL, RECORD_TRACE_TOL, IntegratorConfig, MixtureSpec, Trajectory
 
@@ -301,7 +301,17 @@ def scenario_inputs(sc: Scenario, dt: Optional[float] = None) -> tuple:
         cfg = cfg if dt is None else replace(cfg, dt=dt, t_final=dt)
     else:
         cfg = get("integrator", integrator_from_json, CP_INTEGRATOR if sc.kind == "check" else _REQUIRED)
-        cfg = cfg if dt is None else replace(cfg, dt=dt)
+        if dt is not None and cfg is CP_INTEGRATOR:
+            _positive(dt, "dt")
+            try:
+                cfg = replace(cfg, dt=dt)
+            except ValidationError as exc:  # dt does not fit a t_final the file never wrote
+                raise ValidationError(
+                    f"{exc}: t_final {cfg.t_final:g} is the default cp_extension integrator's, "
+                    "which an integrator record in the check payload sets"
+                ) from None
+        elif dt is not None:
+            cfg = replace(cfg, dt=dt)
     if sc.kind == "check":
         spec = get("generator", generator_spec_from_json)
         dims = get("dims", _dims, (spec.dim, 2))

@@ -317,6 +317,15 @@ def _partial_trace(w: np.ndarray, dims: tuple[int, int], over: str) -> np.ndarra
     return np.trace(t, axis1=-3, axis2=-1) if over == "K" else np.trace(t, axis1=-4, axis2=-2)
 
 
+def _marginals(w: np.ndarray, d: int) -> np.ndarray:
+    """Tr_K w and Tr_H w of a matrix (or stack) on H (x) K with d_H = d_K = d,
+    stacked along axis -3 in that order, each with _partial_trace's bits: one
+    trace over the K axes of w reshaped (H, K, H', K') and of its copy with
+    H and K swapped."""
+    t = w.reshape(w.shape[:-2] + (1, d, d, d, d))
+    return np.trace(np.concatenate((t, t.swapaxes(-4, -3).swapaxes(-2, -1)), axis=-5), axis1=-3, axis2=-1)
+
+
 def support_projector(rho) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors with lambda_i
     above SUPPORT_REL_TOL times the largest eigenvalue."""

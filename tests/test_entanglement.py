@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import SX, SY, SZ, bell_state, random_hermitian
-from nlqd import entanglement, linalg, measurement
+from nlqd import entanglement, generators, linalg, measurement
 from nlqd.errors import ValidationError
 from nlqd.generators import GammaFamily, GeneratorSpec, TFamily, random_density_matrix
 from nlqd.entanglement import (
@@ -31,6 +31,7 @@ from nlqd.linalg import (
     von_neumann_entropy,
 )
 from nlqd.propagation import IntegratorConfig, evolve
+from test_propagation import count_generator_calls
 
 
 def bell():
@@ -155,6 +156,74 @@ class TestJointGenerator:
         spec_h = sc.dyn.spec_H
         for members in ([(w.matrix, spec_h)], measurement._route_members(sc, w.matrix)):  # one phase, both routes
             assert krons(lambda: measurement._evolve_joint(sc, members, 5e-3)) == 0
+
+
+def power_law_sides(q_h, q_k, rng, dims=(2, 2)):
+    """powerLaw on both sides, with exponents q_h and q_k."""
+    return BipartiteDynamics(
+        spec_H=GeneratorSpec(H=random_hermitian(dims[0], rng), t_family=TFamily("powerLaw", q=q_h)),
+        spec_K=GeneratorSpec(H=random_hermitian(dims[1], rng), t_family=TFamily("powerLaw", q=q_k)),
+    )
+
+
+class TestPairedJointGenerator:
+    """Two sides of one dimension that stack take one generator_matrix call
+    on both marginals, which gives each side's generator bit for bit."""
+
+    # Two spectral sides of different q, one of them 0.5, whose power numpy
+    # takes by sqrt, and two of one q.
+    @pytest.mark.parametrize("q_h, q_k", [(1.3, 1.2), (0.5, 1.2), (0.8, 0.8)])
+    @pytest.mark.parametrize("members", ["one", "states", "specs"])
+    def test_equals_per_side_calls_bitwise(self, rng, q_h, q_k, members):
+        # one state; two states under one spec per side; two states under a
+        # stack of two H-side specs, as a correlation report's routes step
+        dyn, dims = power_law_sides(q_h, q_k, rng), (2, 2)
+        rho = np.array([random_entangled_state(*dims, rng, mixture_terms=2).matrix for _ in range(2)])
+        if members == "one":
+            rho = rho[0]
+        if members == "specs":
+            other = replace(dyn.spec_H, H=random_hermitian(2, rng))
+            dyn = replace(dyn, spec_H=generators._stack_specs([dyn.spec_H, other]))
+        g_of_rho = entanglement._joint_generator_fn(dyn, dims)
+        assert g_of_rho.func is entanglement._paired_joint_generator
+        g = g_of_rho(rho)
+        assert np.array_equal(g.g_h, generator_matrix(dyn.spec_H, partial_trace(rho, dims, "K")))
+        assert np.array_equal(g.g_k, generator_matrix(dyn.spec_K, partial_trace(rho, dims, "H")))
+
+    @pytest.mark.parametrize(
+        "h_side, dims, calls",
+        [("powerLaw", (2, 2), 1), ("powerLaw", (2, 4), 2), ("nonEssential", (2, 2), 2)],
+        ids=["powerLaw-2x2", "powerLaw-2x4", "nonEssential-2x2"],
+    )
+    def test_generator_calls_per_stage(self, rng, monkeypatch, h_side, dims, calls):
+        dyn = power_law_sides(0.8, 1.2, rng, dims)
+        if h_side == "nonEssential":
+            dyn = replace(dyn, spec_H=bipartite_dynamics(dims, "active", rng).spec_H)
+        state = random_entangled_state(*dims, rng, mixture_terms=2)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.02)
+        seen = count_generator_calls(monkeypatch)
+        evolve_bipartite(state, dyn, cfg)
+        assert len(seen) == calls * 4 * cfg.n_steps
+
+    def test_sides_stack_by_kernel_and_families(self, rng):
+        # spectral sides stack whatever their q; product-kernel sides only at one q
+        h = random_hermitian(2, rng)
+
+        def spec(q, gamma=GammaFamily("none")):
+            return GeneratorSpec(H=h, t_family=TFamily("powerLaw", q=q), gamma_family=gamma)
+
+        def paired(spec_h, spec_k):
+            return entanglement._joint_generator_fn(BipartiteDynamics(spec_h, spec_k), (2, 2)).func is (
+                entanglement._paired_joint_generator
+            )
+
+        zero_mean = GammaFamily("zeroMean", sigma=0.5, r=1.5)
+        assert paired(spec(1.3), spec(0.5)) and paired(spec(2.0), spec(2.0))
+        assert paired(spec(1.0, zero_mean), spec(2.0, zero_mean))  # r = 1.5 puts both on the spectral kernel
+        assert not paired(spec(1.3), spec(2.0))  # q = 2 takes the product kernel
+        assert not paired(spec(2.0), spec(3.0))
+        assert not paired(spec(1.3), spec(1.3, zero_mean))
+        assert not paired(spec(1.3, zero_mean), spec(1.3, replace(zero_mean, sigma=0.25)))
 
 
 class TestEvolveBipartite:

@@ -930,6 +930,18 @@ class TestScenarioReader:
         doc["payload"]["generator_K"] = generator_spec_to_json(GeneratorSpec(H=np.diag([1.0, 0.0, -1.0])))
         assert "spec_K dimension 3 does not match d_K = 2" in run_rejected(doc, tmp_path, monkeypatch, capsys)
 
+    @pytest.mark.parametrize("dt", ["0.003", "0.5"], ids=["off_grid", "over_t_final"])
+    def test_check_dt_against_the_default_integrator_names_it(self, dt, tmp_path, monkeypatch, capsys):
+        # used to name only "t_final 0.2", a value the file never wrote
+        doc = full_scenarios(tmp_path)["check"]
+        del doc["payload"]["integrator"]
+        message = run_rejected(doc, tmp_path, monkeypatch, capsys, ["--dt", dt])
+        assert message.endswith(
+            "t_final 0.2 is the default cp_extension integrator's, which an integrator record in the check payload sets"
+        )
+        written = full_scenarios(tmp_path)["check"]  # its record's t_final 0.05 is in the file
+        assert "default" not in run_rejected(written, tmp_path, monkeypatch, capsys, ["--dt", "0.003"])
+
     def test_check_defaults(self, tmp_path):
         doc = full_scenarios(tmp_path)["check"]
         for key in ("dim", "samples", "checks", "dims", "integrator"):

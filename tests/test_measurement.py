@@ -480,6 +480,18 @@ class TestRouteAgreement:
         assert correlation_report(sc) == want
         assert runs == [(1, 4, 4), (2, 4, 4)]  # t0 -> t1, then both routes from t1 to t2
 
+    def test_report_takes_one_generator_call_per_stage(self, monkeypatch):
+        # the H and K sides are spectral powerLaw of one dimension: they stack
+        # in both phases, routes included, into one call per stage
+        sc = ROUTE_SCENARIOS["report/powerLaw/0"]
+        want = correlation_report(sc)
+        calls = []
+        real = entanglement.generator_matrix
+        monkeypatch.setattr(entanglement, "generator_matrix", lambda *a: calls.append(1) or real(*a))
+        assert correlation_report(sc) == want
+        first, second = (measurement._phase_cfg(sc.cfg, t).n_steps for t in (sc.t1 - sc.t0, sc.t2 - sc.t1))
+        assert len(calls) == 4 * (first + second)
+
     @pytest.mark.parametrize("name", list(BENCH_REPORTS))
     def test_report_routes_equal_the_single_routes_bitwise(self, name):
         sc = ROUTE_SCENARIOS[name]

@@ -312,6 +312,14 @@ MUTANTS = {
         ),
         lambda: test_entanglement.TestJointGenerator().test_action_matches_matrix(rng(), (2, 2), "passive"),
     ),
+    "joint_pair_halves_swapped": (
+        entanglement, "_paired_joint_generator", edited(
+            entanglement._paired_joint_generator,
+            ("return _JointGenerator(g[..., 0, :, :], g[..., 1, :, :], dims)",
+             "return _JointGenerator(g[..., 1, :, :], g[..., 0, :, :], dims)"),
+        ),
+        lambda: test_entanglement.TestPairedJointGenerator().test_equals_per_side_calls_bitwise(rng(), 1.3, 1.2, "one"),
+    ),
     "joint_g_k_on_h_axis": (
         entanglement, "_JointGenerator", JointGeneratorKOnHAxis,
         lambda: test_entanglement.TestJointGenerator().test_action_matches_matrix(rng(), (2, 2), "active"),

@@ -75,7 +75,8 @@ def test_output_baseline(tmp_path):
     assert runs == {"evolve", "propagator", "checks", "mixture", "bipartite", "report", "evolve_many", "integer"}
     # d = 2 and 4: a stack of 3 full-rank members, and one of 4 mixing full rank and rank 1
     assert len({run for run, _, _ in lines if run.startswith("evolve_many/")}) == 2 * (3 + 4)
-    assert sum(run.startswith("report/") for run, _, _ in lines) == 6 + 2  # the benchmark's, the empty blocks
+    # the benchmark's, the empty blocks, q = 0.5 beside q = 1.2
+    assert sum(run.startswith("report/") for run, _, _ in lines) == 6 + 2 + 1
     assert sum(part == "csv" for _, part, _ in lines) == 60 + 12  # 60 evolve and 12 mixture CSVs
     # each CSV's verify report, then those of its three spoiled copies, after every other line
     verify = [i for i, (_, part, _) in enumerate(lines) if part.startswith("verify")]
