@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NlqdError, ValidationError
 from .generators import (
     GeneratorSpec,
     _fixed_generator,
@@ -165,11 +165,16 @@ def _joint_generator(dyn: BipartiteDynamics, rho: np.ndarray, dims: tuple[int, i
     return _JointGenerator(g_h, g_k, dims)
 
 
-def _paired_joint_generator(pair: _SpecStack, rho: np.ndarray, dims: tuple[int, int]):
+def _paired_joint_generator(pair: _SpecStack, dyn: BipartiteDynamics, rho: np.ndarray, dims: tuple[int, int]):
     """_joint_generator for two sides of one dimension that stack into pair,
     H at index 0 of its axis -3 and K at 1: one generator_matrix call on the
-    marginals stacked the same way, split back into G_H and G_K."""
-    g = generator_matrix(pair, _marginals(rho, dims[0]))
+    marginals stacked the same way, split into G_H and G_K.  If it raises,
+    dyn's per-side calls are made, so that their error, naming no side, wins."""
+    try:
+        g = generator_matrix(pair, _marginals(rho, dims[0]))
+    except NlqdError:
+        _joint_generator(dyn, rho, dims)
+        raise
     return _JointGenerator(g[..., 0, :, :], g[..., 1, :, :], dims)
 
 
@@ -183,7 +188,7 @@ def _joint_generator_fn(dyn: BipartiteDynamics, dims: tuple[int, int]):
     if g_h is not None and (dyn.spec_K is None or g_k is not None):
         return _Fixed(_JointGenerator(g_h, g_k, dims))
     if dyn.spec_K is not None and dims[0] == dims[1] and _stack_key(dyn.spec_H) == _stack_key(dyn.spec_K):
-        return partial(_paired_joint_generator, _stack_specs([dyn.spec_H, dyn.spec_K]), dims=dims)
+        return partial(_paired_joint_generator, _stack_specs([dyn.spec_H, dyn.spec_K]), dyn, dims=dims)
     return partial(_joint_generator, dyn, dims=dims)
 
 

@@ -10,12 +10,12 @@ to a commutator (a "non-essential" dissipative part).
 Each spec picks its kernel once, at construction.  Where every power of rho
 that G reads has a whole exponent (q, and r for zeroMean and
 energyConserving), the product kernel forms rho^q and rho^r by matrix
-products and reads each trace as an elementwise sum of products it already
-holds: it takes no eigendecomposition.  Every other spec, nonEssential
-always (its Gamma reads the support of rho), takes the spectral kernel,
-which reads everything from one eigendecomposition of rho and stays the
-oracle.  Neither kernel owns the eigenvalue floor of a stepped state: the
-step loop in ``propagation`` checks each one.
+products, with no eigendecomposition; energyConserving reads its traces by
+one matmul of the stack (rho, rho^{r+1}) on rows for I, H and H^2.  Every
+other spec, nonEssential always (its Gamma reads the support of rho), takes
+the spectral kernel, which reads everything from one eigendecomposition of
+rho and stays the oracle.  Neither kernel owns the eigenvalue floor of a
+stepped state: the step loop in ``propagation`` checks each one.
 
 Also here: the generic zero-mean construction for linear superoperators,
 the zero-mean and support-block checks as executable criteria, and a
@@ -159,12 +159,18 @@ MAX_PRODUCT_POWER = 8
 class _Products:
     """What the product kernel forms for one spec: rho^k for k = 1..n by
     matrix products, T = H rho^q + rho^q H (q = 0: T = H), Gamma from rho^r
-    (r = 0: Gamma reads no power of rho), and H^2 for energyConserving."""
+    (r = 0: Gamma reads no power of rho), and energyConserving's _trace_rows."""
 
     q: int
     r: int
     n: int
-    h2: Optional[np.ndarray] = None
+    rows: Optional[np.ndarray] = None
+
+
+def _trace_rows(h: np.ndarray) -> np.ndarray:
+    """vec([I, H, H^2]^T) as (..., d^2, 3): s flattened to (..., d^2) times it is Tr[s], Tr[H s], Tr[H^2 s]."""
+    m = _stack([np.eye(h.shape[-1]), h, h @ h]).swapaxes(-1, -2)  # (..., 3, d, d), each transposed
+    return np.ascontiguousarray(m.reshape(m.shape[:-2] + (-1,)).swapaxes(-1, -2))
 
 
 def _product_plan(h: np.ndarray, t_family: TFamily, gamma_family: GammaFamily) -> Optional[_Products]:
@@ -177,12 +183,11 @@ def _product_plan(h: np.ndarray, t_family: TFamily, gamma_family: GammaFamily) -
     if fam == "nonEssential" or q and not _whole(q) or reads_r and not _whole(gamma_family.r):
         return None
     q, r = int(q), int(gamma_family.r) if reads_r else 0
-    n = max(q, r)
-    if fam == "energyConserving" and not 1 <= q <= r + 1:
-        n = max(q, r + 1)  # Tr[H rho^{r+1}] is read whole, not as Tr[(H rho^q) rho^{r+1-q}]
+    energy = fam == "energyConserving"
+    n = max(q, r + 1 if energy else r)  # energyConserving reads Tr[H rho^{r+1}]
     if n > MAX_PRODUCT_POWER:
         return None
-    return _Products(q, r, n, h @ h if fam == "energyConserving" else None)
+    return _Products(q, r, n, _trace_rows(h) if energy else None)
 
 
 def _fixed_generator(spec):
@@ -326,9 +331,8 @@ def _non_essential_gamma(fam: GammaFamily, dec: ClippedEig) -> Optional[np.ndarr
         return None
     v, vh = dec.eigenvectors, dec.vh
     a = 1.0 - dec.eigenvalues ** (fam.r - 1.0)
-    b = 1.0 - mask
-    weights = a[..., :, None] * b[..., None, :] + b[..., :, None] * a[..., None, :]
-    return v @ ((vh @ fam.A @ v) * weights) @ vh
+    u = a[..., :, None] * (1.0 - mask[..., None, :])  # a b^T
+    return v @ ((vh @ fam.A @ v) * (u + u.swapaxes(-1, -2))) @ vh
 
 
 def _eval_Gamma(spec: GeneratorSpec, dec: ClippedEig) -> Optional[np.ndarray]:
@@ -363,11 +367,6 @@ def _by_spectrum(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
     return t if gam is None else t + 1j * gam
 
 
-def _tr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re Tr[a b] over the last two axes, as an elementwise sum: no matmul."""
-    return (a * b.swapaxes(-1, -2)).sum(axis=(-2, -1)).real
-
-
 def _by_products(spec: GeneratorSpec, plan: _Products, rho: np.ndarray) -> np.ndarray:
     """The product kernel: G from rho^k = rho ... rho, k <= plan.n, with no
     eigendecomposition and so no eigenvalue floor."""
@@ -382,17 +381,14 @@ def _by_products(spec: GeneratorSpec, plan: _Products, rho: np.ndarray) -> np.nd
     if fam.family == "none":
         return t
     i_sigma = 1j * fam.sigma
-    tr_rho, b1 = _trace(rho), _tr(p[plan.r], rho)  # Tr[rho], Tr[rho^{r+1}]
-    if fam.family == "zeroMean":  # i sigma (rho^r - c I), c = Tr[rho^{r+1}] / Tr[rho]
-        return t + _minus_diag(i_sigma * p[plan.r], i_sigma * (b1 / tr_rho))
-    k = plan.r + 1 - plan.q  # Tr[H rho^{r+1}] = Tr[(H rho^q) rho^k]
-    if 1 <= plan.q and k >= 0:
-        b2 = _trace(x) if k == 0 else _tr(x, p[k])
-    else:
-        b2 = _tr(spec.H, p[plan.r + 1])
-    zeta, xi = _lagrange(tr_rho, _tr(spec.H, rho), _tr(plan.h2, rho), b1, b2)
-    # i sigma (rho^r - zeta H - xi I)
-    gam = i_sigma * p[plan.r] - i_sigma * zeta[..., None, None] * spec.H
+    if fam.family == "zeroMean":  # i sigma (rho^r - c I), c = Tr[rho^{r+1}] / Tr[rho], an elementwise sum
+        b1 = (p[plan.r] * rho.swapaxes(-1, -2)).sum(axis=(-2, -1)).real
+        return t + _minus_diag(i_sigma * p[plan.r], i_sigma * (b1 / _trace(rho)))
+    # Tr[M rho] over Tr[M rho^{r+1}], M = I, H, H^2, from the stack (rho, rho^{r+1}) as (..., 2d, d)
+    s = np.concatenate((rho, p[plan.r + 1]), axis=-2)
+    tr = (s.reshape(s.shape[:-2] + (2, rho.shape[-1] ** 2)) @ plan.rows).real
+    zeta, xi = _lagrange(tr[..., 0, 0], tr[..., 0, 1], tr[..., 0, 2], tr[..., 1, 0], tr[..., 1, 1])
+    gam = i_sigma * p[plan.r] - i_sigma * zeta[..., None, None] * spec.H  # i sigma (rho^r - zeta H - xi I)
     return t + _minus_diag(gam, i_sigma * xi)
 
 

@@ -230,13 +230,13 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
 
 def _floored(w: np.ndarray, what: str = "matrix") -> np.ndarray:
     """The eigenvalue floor: w (..., d) with eigenvalues in [-EIG_NEG_TOL, 0)
-    clipped to 0, as integration roundoff; anything more negative, or a
-    non-finite spectrum, raises naming what and the first failing member."""
-    if not w.min() >= -EIG_NEG_TOL:  # written so that NaN fails it too
+    clipped to 0 as integration roundoff (w itself if none is negative); lower
+    ones, or a non-finite spectrum, raise naming what and the first failing member."""
+    if not (lo := w.min()) >= -EIG_NEG_TOL:  # written so that NaN fails it too
         lo = w.min(axis=-1)
         bad = ~(lo >= -EIG_NEG_TOL)
         raise ValidationError(f"{what}{_member(bad)} has eigenvalue {lo[bad].flat[0]} < -{EIG_NEG_TOL:g}")
-    return np.maximum(w, 0.0)
+    return w if lo >= 0.0 else np.maximum(w, 0.0)
 
 
 class ClippedEig:
@@ -275,7 +275,7 @@ class ClippedEig:
         """True for the eigenvalues above SUPPORT_REL_TOL times the largest
         one, one row per member of a stack."""
         w = self.eigenvalues
-        lmax = np.max(w, axis=-1, keepdims=True)
+        lmax = w[..., -1:]  # the spectrum ascends
         zero = lmax[..., 0] <= 0.0
         if zero.any():
             raise ValidationError(f"support projector of a (numerically) zero matrix{_member(zero)}")

@@ -165,10 +165,9 @@ def _renormalize(gamma: np.ndarray, max_drift: float):
     flat = gamma.reshape(gamma.shape[:-2] + (1, -1))
     nrm = (flat.conj() @ flat.swapaxes(-1, -2)).real[..., 0, 0]  # np.vdot per member, bit for bit
     drift = np.abs(nrm - 1.0)
-    bad = ~(drift <= max_drift)
-    if bad.any():
-        first = drift[bad].flat[0]
-        raise StepSizeError(f"norm drift {first:.3e}{_member(bad)} exceeds {max_drift:.1e}; reduce dt")
+    if not drift.max() <= max_drift:  # written so that NaN fails it too
+        bad = ~(drift <= max_drift)
+        raise StepSizeError(f"norm drift {drift[bad].flat[0]:.3e}{_member(bad)} exceeds {max_drift:.1e}; reduce dt")
     return gamma / np.sqrt(nrm)[..., None, None], drift
 
 

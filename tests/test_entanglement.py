@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from conftest import SX, SY, SZ, bell_state, random_hermitian
 from nlqd import entanglement, generators, linalg, measurement
-from nlqd.errors import ValidationError
+from nlqd.errors import DegenerateConstraintError, ValidationError
 from nlqd.generators import GammaFamily, GeneratorSpec, TFamily, random_density_matrix
 from nlqd.entanglement import (
     BipartiteDynamics,
@@ -224,6 +224,48 @@ class TestPairedJointGenerator:
         assert not paired(spec(2.0), spec(3.0))
         assert not paired(spec(1.3), spec(1.3, zero_mean))
         assert not paired(spec(1.3, zero_mean), spec(1.3, replace(zero_mean, sigma=0.25)))
+
+
+    def test_kernel_error_names_no_side(self):
+        # K's H acts as a scalar: the paired call fails on side 1, and the stage
+        # taken again side by side raises what an unpaired stage raises
+        fam = GammaFamily("energyConserving", sigma=0.5, r=2.0)
+        dyn = BipartiteDynamics(
+            spec_H=GeneratorSpec(H=SZ + 0.3 * SX, gamma_family=fam),
+            spec_K=GeneratorSpec(H=0.7 * np.eye(2), gamma_family=fam),
+        )
+        assert entanglement._joint_generator_fn(dyn, (2, 2)).func is entanglement._paired_joint_generator
+        state = random_entangled_state(2, 2, np.random.default_rng(3))
+        with pytest.raises(DegenerateConstraintError, match=r"^H acts as a scalar on the support of rho; "):
+            evolve_bipartite(state, dyn, IntegratorConfig(dt=1e-3, t_final=1e-2))
+
+    @pytest.mark.parametrize("side", ["H", "K"])
+    def test_kernel_error_on_a_route_stack_names_the_route(self, rng, side):
+        # two routes on the H side, as a correlation report steps them; route 1
+        # has a marginal below the floor on the given side
+        dyn = power_law_sides(1.3, 1.2, rng)
+        switch_off = replace(dyn.spec_H, H=np.zeros((2, 2)))
+        dyn = replace(dyn, spec_H=generators._stack_specs([dyn.spec_H, switch_off]))
+        g_of_rho = entanglement._joint_generator_fn(dyn, (2, 2))
+        assert g_of_rho.func is entanglement._paired_joint_generator
+        factors = [np.eye(2) / 2, np.diag([1.1, -0.1])]
+        bad = tensor_product(*factors[:: 1 if side == "K" else -1])
+        with pytest.raises(ValidationError, match=r"^matrix \(member 1\) has eigenvalue -0.1"):
+            g_of_rho(np.array([np.eye(4) / 4, bad]))
+
+    def test_paired_error_stands_when_the_sides_pass(self, rng, monkeypatch):
+        dyn = power_law_sides(1.3, 1.2, rng)
+        g_of_rho = entanglement._joint_generator_fn(dyn, (2, 2))
+        pair = g_of_rho.args[0]
+
+        def fails_paired(spec, rho):
+            if spec is pair:
+                raise ValidationError("paired")
+            return generator_matrix(spec, rho)
+
+        monkeypatch.setattr(entanglement, "generator_matrix", fails_paired)
+        with pytest.raises(ValidationError, match="^paired$"):
+            g_of_rho(random_entangled_state(2, 2, rng).matrix)
 
 
 class TestEvolveBipartite:

@@ -319,7 +319,7 @@ WHOLE_EXPONENT_SPECS = [
     "vonNeumann/energyConserving", "q1/energyConserving", "q1/energyConserving/r1",
     "q2/energyConserving/r1", "q3/energyConserving", "q4/energyConserving/r1",
     "q8/none", "q1/zeroMean/r8", "q1/energyConserving/r7",
-]  # energyConserving: q <= r + 1 (k = 2, 1, 0) and q > r + 1; n = 8 products at most
+]  # energyConserving: q below, at and above r + 1; n = 8 products at most
 
 
 class TestProductKernel:
@@ -353,10 +353,12 @@ class TestProductKernel:
             (TFamily("powerLaw", q=9.0), GammaFamily("none")),
             (TFamily("powerLaw", q=1e9), GammaFamily("zeroMean", sigma=0.7, r=2.0)),
             (TFamily("powerLaw", q=1.0), GammaFamily("energyConserving", sigma=0.7, r=9.0)),
+            # energyConserving reads rho^{r+1}: r = 8 needs 9 products
+            (TFamily("powerLaw", q=1.0), GammaFamily("energyConserving", sigma=0.7, r=8.0)),
         ],
         ids=[
             "q1.3", "q0.5", "q2.5-nonEssential", "vonNeumann-nonEssential", "q1-nonEssential", "q2-nonEssential-r3",
-            "r1.5", "r0.5", "q9", "q1e9", "r9-energyConserving",
+            "r1.5", "r0.5", "q9", "q1e9", "r9-energyConserving", "r8-energyConserving",
         ],
     )
     def test_other_exponents_keep_the_spectral_kernel(self, rng, t_family, gamma):
@@ -365,6 +367,16 @@ class TestProductKernel:
         for rank in (1, 2):
             rho = random_density_matrix(2, rng, rank)
             assert same_bits(generators.generator_matrix(spec, rho), generators._by_spectrum(spec, rho))
+
+    @pytest.mark.parametrize("r, n", [(7.0, 8), (8.0, None)])
+    def test_energy_conserving_at_the_product_power_edge(self, rng, r, n):
+        # n = max(q, r + 1): r = 7 forms rho^8 = rho^MAX_PRODUCT_POWER, r = 8 goes spectral
+        spec = power_law_spec(SZ + 0.4 * SX, 1.0, GammaFamily("energyConserving", sigma=0.7, r=r))
+        assert (None if spec._products is None else spec._products.n) == n
+        assert generators.MAX_PRODUCT_POWER == 8
+        rho = random_density_matrix(2, rng)
+        got, oracle = generators.generator_matrix(spec, rho), generators._by_spectrum(spec, rho)
+        assert same_bits(got, oracle) if n is None else max_abs(got - oracle) <= 1e-14
 
     def test_von_neumann_none_is_h_itself(self, rng):
         spec = GeneratorSpec(H=SZ)

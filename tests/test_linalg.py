@@ -11,6 +11,7 @@ from nlqd import linalg
 from nlqd.errors import ValidationError
 from nlqd.generators import GeneratorSpec, TFamily, generator_matrix, random_density_matrix
 from nlqd.linalg import (
+    EIG_NEG_TOL,
     ClippedEig,
     DensityMatrix,
     StateOperator,
@@ -144,9 +145,14 @@ class TestSupportProjector:
         for p, rho in zip(stacked, rhos):
             assert max_abs(p - support_projector(rho)) <= 1e-14
 
-    def test_zero_member_named(self):
-        with pytest.raises(ValidationError, match=r"\(member 1\)"):
-            support_projector(np.array([np.eye(2) / 2, np.zeros((2, 2))]))
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_zero_member_named(self, i):
+        # the largest eigenvalue is read off the ascending spectrum, per member
+        stack = np.array([np.zeros((2, 2)) if j == i else np.eye(2) / 2 for j in range(3)])
+        with pytest.raises(ValidationError, match=rf"zero matrix \(member {i}\)$"):
+            support_projector(stack)
+        with pytest.raises(ValidationError, match=rf"zero matrix \(member {i}\)$"):
+            ClippedEig(stack).support_mask()
 
 
 def test_eigenvalue_floor_names_the_member():
@@ -170,6 +176,32 @@ def test_eigenvalue_floor_names_the_non_finite_member():
     stack = np.array([np.eye(2) / 2, np.diag([0.5, np.nan]), np.eye(2) / 2])
     with pytest.raises(ValidationError, match=r"\(member 1\) has eigenvalue nan"):
         ClippedEig(stack)
+
+
+FLOOR_FAILURES = {
+    "nan-entry": np.diag([0.5, np.nan]),
+    "inf-entry": np.array([[0.5, 0.1], [0.1, np.inf]]),
+    "below-floor": np.diag([1.0, -2 * EIG_NEG_TOL]),
+}
+
+
+@pytest.mark.parametrize("kind", FLOOR_FAILURES)
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_eigenvalue_floor_fails_past_its_no_negative_return(kind, i):
+    # every other member has no negative eigenvalue, the spectrum the floor returns as it is
+    bad = FLOOR_FAILURES[kind]
+    stack = np.array([bad if j == i else np.diag([0.7, 0.3]) for j in range(3)])
+    with pytest.raises(ValidationError, match=rf"^matrix \(member {i}\) has eigenvalue (nan|-2e-10) <"):
+        ClippedEig(stack)
+    with pytest.raises(ValidationError, match="^matrix has eigenvalue (nan|-2e-10) <"):
+        ClippedEig(bad)
+
+
+def test_eigenvalue_floor_clips_roundoff_and_keeps_the_rest():
+    w = ClippedEig(np.diag([0.6, -0.5 * EIG_NEG_TOL, 0.4])).eigenvalues
+    assert w.tolist() == [0.0, 0.4, 0.6] and not np.signbit(w).any()
+    spectrum = np.array([0.0, 0.25, 0.75])
+    assert ClippedEig(np.diag(spectrum)).eigenvalues.tolist() == spectrum.tolist()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])

@@ -76,9 +76,8 @@ def non_essential_without_transpose(fam, dec):
         return None
     v, vh = dec.eigenvectors, dec.vh
     a = 1.0 - dec.eigenvalues ** (fam.r - 1.0)
-    b = 1.0 - mask
-    weights = a[..., :, None] * b[..., None, :]  # was a b^T + b a^T
-    return v @ ((vh @ fam.A @ v) * weights) @ vh
+    u = a[..., :, None] * (1.0 - mask[..., None, :])
+    return v @ ((vh @ fam.A @ v) * u) @ vh  # was u + u^T
 
 
 def non_essential_skip_if_any_full(fam, dec):
@@ -87,9 +86,8 @@ def non_essential_skip_if_any_full(fam, dec):
         return None
     v, vh = dec.eigenvectors, dec.vh
     a = 1.0 - dec.eigenvalues ** (fam.r - 1.0)
-    b = 1.0 - mask
-    weights = a[..., :, None] * b[..., None, :] + b[..., :, None] * a[..., None, :]
-    return v @ ((vh @ fam.A @ v) * weights) @ vh
+    u = a[..., :, None] * (1.0 - mask[..., None, :])
+    return v @ ((vh @ fam.A @ v) * (u + u.swapaxes(-1, -2))) @ vh
 
 
 def spec_without_hermiticity_check(self):
@@ -127,6 +125,7 @@ RK4_LAST = "return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)"
 LOOP_STAGES = "x = _rk4(x, g_of_rho(rho) @ x, f, h) if r is None else r @ x"
 LOOP_FLOOR = "rho, w = _checked_state(gamma, step)"
 ROUTE_MEMBERS = "return [(_measure_h(sc, rho1), spec_h), (rho1, replace(spec_h, H=np.zeros_like(spec_h.H)))]"
+LAGRANGE_TRACES = "zeta, xi = _lagrange(tr[..., 0, 0], tr[..., 0, 1], tr[..., 0, 2], tr[..., 1, 0], tr[..., 1, 1])"
 
 
 def step_matrix_at_half_dt(g_of_rho, shape, h):
@@ -225,6 +224,18 @@ MUTANTS = {
     "energy_conserving_without_zeta": (
         generators, "_energy_conserving_gamma", energy_conserving_without_zeta,
         lambda: test_generators.TestLagrangeParameters().test_anticommutator_energy_neutral(rng()),
+    ),
+    "energy_conserving_products_read_h2_rho_r_plus_1": (  # Tr[H rho^{r+1}] from the H^2 row
+        generators, "_by_products", edited(
+            generators._by_products, (LAGRANGE_TRACES, LAGRANGE_TRACES.replace("tr[..., 1, 1]", "tr[..., 1, 2]"))
+        ),
+        lambda: test_generators.TestProductKernel().test_matches_the_spectral_kernel(rng(), "q1/energyConserving", 2),
+    ),
+    "energy_conserving_products_read_h_rho": (  # Tr[H rho^{r+1}] from the power 1
+        generators, "_by_products", edited(
+            generators._by_products, (LAGRANGE_TRACES, LAGRANGE_TRACES.replace("tr[..., 1, 1]", "tr[..., 0, 1]"))
+        ),
+        lambda: test_generators.TestProductKernel().test_matches_the_spectral_kernel(rng(), "q1/energyConserving", 2),
     ),
     "non_essential_without_transpose": (
         generators, "_non_essential_gamma", non_essential_without_transpose,
