@@ -28,8 +28,10 @@ mixed, and correlation scenarios whose Q block, or P block, carries no
 weight; and whole exponents (q and r integers, every T and Gamma family,
 including the criterion-1 specs) as ``evolve_many`` stacks of a full-rank,
 a rank-d/2 and a pure state at d = 2, 3 and 4, with a propagator and a
-four-branch mixture at d = 3; and a spectral side at q = 0.5 beside one at
-q = 1.2, in a 2x2 active bipartite run and in a correlation scenario.
+four-branch mixture at d = 3; a spectral side at q = 0.5 beside one at
+q = 1.2, in a 2x2 active bipartite run and in a correlation scenario; and a
+four-branch mixture at d = 3 of spectral zeroMean branches that differ only
+in q, which step as one batch.
 After those lines, the ``nlqd verify`` report of every CSV written above,
 and of three copies of it spoiled in every third data row: a NaN state
 entry, a state trace off by 1e-6 and a negative eigenvalue.
@@ -305,6 +307,18 @@ def collect(out: Digest) -> None:
     )
     rep = correlation_report(sc)
     out.add("report/q0.5", "report", np.array([rep[k] for k in sorted(rep)]))
+    # Spectral zeroMean branches that differ only in q (and H), one of them at
+    # q = 0.5, whose power numpy takes by sqrt: they stack into one batch.
+    rng = np.random.default_rng(SEED + 4)
+    d, cfg = 3, IntegratorConfig(dt=DT, t_final=0.05, monitor_stride=5)
+    zero_mean = GammaFamily("zeroMean", sigma=0.5, r=1.5)
+    branches = [
+        GeneratorSpec(H=herm(rng, d), t_family=TFamily("powerLaw", q=q), gamma_family=zero_mean)
+        for q in (1.3, 0.5, 2.5, 1.3)
+    ]
+    w = rng.dirichlet(np.ones(len(branches)))
+    mix = MixtureSpec(weights=w / w.sum(), process_specs=branches)
+    out.trajectory(f"mixture/q_only/d{d}", evolve_convex_mixture(random_density_matrix(d, rng), mix, cfg))
 
 
 def main() -> int:

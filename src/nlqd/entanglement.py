@@ -6,13 +6,11 @@ G(rho_HK) = G_H(Tr_K rho) (x) I_K [+ I_H (x) G_K(Tr_H rho)].  The
 integration path never forms that D x D matrix: the step loop's generator is
 a ``_JointGenerator`` that applies each local generator to its own axis of
 the reshaped factor.  Its spec_H may be a stack, one spec per member of a
-stacked run (a correlation report's two routes).  Each stage evaluates the
-two sides by two generator_matrix calls, or by one when K is active on a
-factor of H's dimension and the two specs stack (``_stack_key``): the
-marginals then go in as one stack, and the result splits into G_H and G_K
-with the same bits as two calls.  ``polchinski_generator`` is the matrix
-form, for inspection and as the test oracle.  Alongside it live the
-environment-stationarity check, the deliberately nonphysical
+stacked run (a correlation report's two routes).  Two sides of one
+dimension that stack (``_stack_key``) take one generator_matrix call per
+stage, with the bits and the errors of two.  ``polchinski_generator`` is
+the matrix form, for inspection and as the test oracle.  Alongside it live
+the environment-stationarity check, the deliberately nonphysical
 product-of-marginals extension (the canonical counterexample), local
 equivalence classes, and a sampling audit of the complete-positivity
 conditions that steps all of its samples as one stack.
@@ -20,7 +18,7 @@ conditions that steps all of its samples as one stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -35,7 +33,6 @@ from .generators import (
     _stack_specs,
     eval_Gamma,
     generator_matrix,
-    random_density_matrix,
 )
 from .linalg import (
     EIG_NEG_TOL,
@@ -44,6 +41,7 @@ from .linalg import (
     _factor_dims,
     _is_integer,
     _marginals,
+    _name_member,
     _partial_trace,
     _square,
     _state,
@@ -165,16 +163,15 @@ def _joint_generator(dyn: BipartiteDynamics, rho: np.ndarray, dims: tuple[int, i
     return _JointGenerator(g_h, g_k, dims)
 
 
-def _paired_joint_generator(pair: _SpecStack, dyn: BipartiteDynamics, rho: np.ndarray, dims: tuple[int, int]):
+def _paired_joint_generator(pair: _SpecStack, rho: np.ndarray, dims: tuple[int, int]):
     """_joint_generator for two sides of one dimension that stack into pair,
     H at index 0 of its axis -3 and K at 1: one generator_matrix call on the
-    marginals stacked the same way, split into G_H and G_K.  If it raises,
-    dyn's per-side calls are made, so that their error, naming no side, wins."""
+    marginals stacked the same way, split into G_H and G_K.  Its errors name
+    what per-side calls name: rho's member k // 2 for kernel member k."""
     try:
         g = generator_matrix(pair, _marginals(rho, dims[0]))
-    except NlqdError:
-        _joint_generator(dyn, rho, dims)
-        raise
+    except NlqdError as exc:
+        raise _name_member(exc, [None] * 2 if rho.ndim == 2 else [f"member {k // 2}" for k in range(2 * len(rho))])
     return _JointGenerator(g[..., 0, :, :], g[..., 1, :, :], dims)
 
 
@@ -188,7 +185,7 @@ def _joint_generator_fn(dyn: BipartiteDynamics, dims: tuple[int, int]):
     if g_h is not None and (dyn.spec_K is None or g_k is not None):
         return _Fixed(_JointGenerator(g_h, g_k, dims))
     if dyn.spec_K is not None and dims[0] == dims[1] and _stack_key(dyn.spec_H) == _stack_key(dyn.spec_K):
-        return partial(_paired_joint_generator, _stack_specs([dyn.spec_H, dyn.spec_K]), dyn, dims=dims)
+        return partial(_paired_joint_generator, _stack_specs([dyn.spec_H, dyn.spec_K]), dims=dims)
     return partial(_joint_generator, dyn, dims=dims)
 
 

@@ -126,10 +126,10 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class _SpecStack:
-    """Specs that stack (_stack_key) as one spec for the kernels, whose H (and
-    A) stack the members' along axis -3, (..., B, d, d).  qs is None when
-    every member takes t_family's q, else the q of each member along that
-    axis, which only the spectral _eval_T reads."""
+    """Specs that stack (_stack_key), mixture branches, joint sides or report
+    routes, as one spec for the kernels: H (and A) stack the members' along
+    axis -3, (..., B, d, d); qs is None when every member takes t_family's q,
+    else one q per member, which only the spectral _eval_T reads."""
 
     H: np.ndarray
     t_family: TFamily
@@ -200,20 +200,13 @@ def _fixed_generator(spec):
     return None
 
 
-def _family_key(spec: GeneratorSpec) -> tuple:
-    """The family parameters; specs with equal keys stack into one batch."""
-    fam = spec.gamma_family
-    return spec.t_family, fam.family, fam.sigma, fam.r
-
-
 def _stack_key(spec) -> tuple:
-    """Specs with equal keys stack (_stack_specs): equal _family_key, or both
-    on the spectral kernel with one T family, one Gamma family and one sigma
-    and r, q free per member."""
-    if spec._products is not None:
-        return _family_key(spec)
+    """The one rule by which specs stack (_stack_specs), as mixture branches
+    or joint sides: one T family, Gamma family, sigma and r, and one q on
+    the product kernel; the spectral kernel reads q per member."""
     fam = spec.gamma_family
-    return None, spec.t_family.family, fam.family, fam.sigma, fam.r
+    q = None if spec._products is None else spec.t_family.q
+    return q, spec.t_family.family, fam.family, fam.sigma, fam.r
 
 
 def _stack(ms) -> np.ndarray:

@@ -198,6 +198,17 @@ def _member(bad: np.ndarray) -> str:
     return f" (member {int(np.flatnonzero(bad)[0])})" if bad.ndim else ""
 
 
+def _name_member(exc: Exception, labels) -> Exception:
+    """exc, its ' (member i)' re-worded in place as ' (labels[i])', or dropped
+    for a None label: a stack's builder names its members so, on error only."""
+    head, sep, tail = exc.args[0].partition(" (member ")
+    if sep and labels is not None:
+        i, _, tail = tail.partition(")")
+        label = labels[int(i)]
+        exc.args = (head + ("" if label is None else f" ({label})") + tail,)
+    return exc
+
+
 @lru_cache(maxsize=None)
 def _eye(d: int) -> np.ndarray:
     """The d x d identity, built once per dimension and read-only."""

@@ -42,6 +42,7 @@ from .propagation import (
 
 PROJECTOR_TOL = 1e-10
 INVARIANCE_TOL = 1e-10
+ROUTES = ("full route", "switch-off route")  # as an error names _route_members' routes
 
 
 @dataclass(frozen=True)
@@ -142,10 +143,9 @@ class CorrelationScenario:
         if self.P_H.dim != self.rho0.d_H or self.P_K.dim != self.rho0.d_K:
             raise ValidationError("projector dimensions do not match the factors")
         _check_dims(self.dyn, self.rho0.dims)
-        if self.dyn.spec_H.gamma_family.family != "none":
-            raise ValidationError("correlation scenarios require Gamma-free H dynamics")
-        if self.dyn.spec_K is not None and self.dyn.spec_K.gamma_family.family != "none":
-            raise ValidationError("correlation scenarios require Gamma-free K dynamics")
+        for side, spec in (("H", self.dyn.spec_H), ("K", self.dyn.spec_K)):
+            if spec is not None and spec.gamma_family.family != "none":
+                raise ValidationError(f"correlation scenarios require Gamma-free {side} dynamics")
 
 
 def _phase_cfg(cfg: IntegratorConfig, duration: float) -> IntegratorConfig:
@@ -154,15 +154,15 @@ def _phase_cfg(cfg: IntegratorConfig, duration: float) -> IntegratorConfig:
     return replace(cfg, dt=duration / n, t_final=duration, monitor_stride=n)
 
 
-def _evolve_joint(sc: CorrelationScenario, members: list, duration: float) -> np.ndarray:
+def _evolve_joint(sc: CorrelationScenario, members: list, duration: float, labels=None) -> np.ndarray:
     """Joint gamma-route evolution of (state, H-side spec) members over
     duration, under the scenario's K dynamics, as one stack through the step
-    loop; returns the final states (B, D, D)."""
+    loop, an error naming member i as labels[i]; returns the final states."""
     rhos, specs = zip(*members)
     if duration <= sc.cfg.dt * 1e-9:
         return np.array(rhos)
     g_of_rho = _joint_generator_fn(replace(sc.dyn, spec_H=_stack_specs(specs)), sc.rho0.dims)
-    _, _, states, _, _ = _integrate(np.array(rhos), g_of_rho, _phase_cfg(sc.cfg, duration))
+    _, _, states, _, _ = _integrate(np.array(rhos), g_of_rho, _phase_cfg(sc.cfg, duration), labels)
     return states[-1]
 
 
@@ -174,8 +174,8 @@ def _require_invariance(sc: CorrelationScenario) -> None:
 
 
 def _first_phase(sc: CorrelationScenario) -> np.ndarray:
-    """The unmeasured joint state at t1."""
-    return _evolve_joint(sc, [(sc.rho0.matrix, sc.dyn.spec_H)], sc.t1 - sc.t0)[0]
+    """The unmeasured joint state at t1; an error names no member."""
+    return _evolve_joint(sc, [(sc.rho0.matrix, sc.dyn.spec_H)], sc.t1 - sc.t0, [None])[0]
 
 
 def _measure_h(sc: CorrelationScenario, rho1: np.ndarray) -> np.ndarray:
@@ -200,7 +200,7 @@ def _p_joint(sc: CorrelationScenario, rho1: np.ndarray, routes: tuple) -> list:
     """Tr[(P_H (x) P_K) rho(t2)] by each of the routes (indices into
     _route_members), their members stepped from t1 as one stack."""
     members = _route_members(sc, rho1)
-    rho = _evolve_joint(sc, [members[i] for i in routes], sc.t2 - sc.t1)
+    rho = _evolve_joint(sc, [members[i] for i in routes], sc.t2 - sc.t1, [ROUTES[i] for i in routes])
     joint_proj = tensor_product(sc.P_H.P, sc.P_K.P)
     return np.trace(joint_proj @ rho @ joint_proj, axis1=-2, axis2=-1).real.tolist()
 

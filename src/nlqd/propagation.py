@@ -11,16 +11,16 @@ stage applies G to both by one product.  A generator that reads no state
 are all such) is not re-evaluated: for a linear equation RK4 is exactly
 x -> R x, so the loop forms the RK4 matrix R once per run, from the same
 tableau, and each step is one product.  The direct rho-route integrator is
-kept only as a cross-validation oracle, and convex mixtures of processes
-run one autonomous branch per component.  Every integrator steps with the
+kept only as a cross-validation oracle.  Every integrator steps with the
 one RK4 tableau in ``_rk4``, which no other module calls.
 
 The one step loop, ``_integrate``, steps one factor (d, d) or a stack
 (B, d, d) of independent ones: ``evolve_many`` runs B initial states under
-one generator, ``evolve`` is its one-member case, and a mixture runs its
-branches as one stack per group of shared family parameters.  The loop only
-records states; a monitor reads every recorded state of every member in one
-call and returns its channels as arrays along the leading axis.
+one generator, ``evolve`` is its one-member case, and a convex mixture runs
+its autonomous branches as one stack per group of specs that stack
+(``_stack_key``), an error naming the branch.  The loop only records
+states; a monitor reads every recorded state of every member in one call
+and returns its channels as arrays along the leading axis.
 
 The eigenvalue floor holds at every step, and the step loop alone checks it:
 each stepped state rho = gamma gamma^dag takes one values-only
@@ -38,8 +38,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import StepSizeError, ValidationError
-from .generators import GeneratorSpec, _family_key, _fixed_generator, _stack_specs, generator_matrix
+from .errors import NlqdError, StepSizeError, ValidationError
+from .generators import GeneratorSpec, _fixed_generator, _stack_key, _stack_specs, generator_matrix
 from .linalg import (
     EIG_NEG_TOL,
     ClippedEig,
@@ -48,6 +48,7 @@ from .linalg import (
     _floored,
     _is_integer,
     _member,
+    _name_member,
     _positive,
     _square,
     _state,
@@ -209,7 +210,7 @@ def _no_monitor(states: np.ndarray, spectra: np.ndarray) -> dict:
     return {}
 
 
-def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, carried=()):
+def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, labels=None, carried=()):
     """The step loop: factorize, step, check the drift, renormalize, check
     the eigenvalue floor, record.
 
@@ -218,35 +219,34 @@ def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, carried=()):
     The loop steps one array x: gamma is x[0], and each carried matrix
     rides behind it along the leading axis, stepping under the same
     i x_dot = G(rho) x, so every stage applies G to all of x by one
-    product.  Only x[0] is renormalized.  A _Fixed generator, which reads no
-    state, steps x by x <- R x with the RK4 matrix R of _step_matrix; any
-    other takes G at every stage.  Every state, the t = 0 one as step 0, is
-    checked either way; the checked rho is recorded with its spectrum and
-    feeds stage 1 of the next step.  Returns the final x, the record times
-    (N,), the recorded states (N, ..., d, d), their spectra (N, ..., d) and
-    the worst drift of each window (N, ...).
+    product.  Only x[0] is renormalized.  A _Fixed generator steps x by its
+    RK4 matrix (_step_matrix), any other takes G at every stage, and every
+    state, the t = 0 one as step 0, is checked either way (module doc).  An
+    error names member i as labels[i], if given.  Returns the final x, the
+    record times (N,), the recorded states (N, ..., d, d), their spectra
+    (N, ..., d) and the worst drift of each window (N, ...).
     """
-    x = np.stack((ClippedEig(rho0).power(0.5), *carried))
-    f = _action(g_of_rho)
-    h = -1j * cfg.dt
-    rho, w = _checked_state(x[0], 0)
-    r = _step_matrix(g_of_rho, rho.shape, h) if isinstance(g_of_rho, _Fixed) else None
-    times, states, spectra, drifts = [0.0], [rho], [w], [np.zeros(rho.shape[:-2])]
-    worst = drifts[0]
-    n = cfg.n_steps
-    for step in range(1, n + 1):
-        x = _rk4(x, g_of_rho(rho) @ x, f, h) if r is None else r @ x
-        gamma, drift = _renormalize(x[0], cfg.max_step_drift)
-        x[0] = gamma
-        rho, w = _checked_state(gamma, step)
-        worst = np.maximum(worst, drift)
-        if step % cfg.monitor_stride == 0 or step == n:
-            times.append(step * cfg.dt)
-            states.append(rho)
-            spectra.append(w)
-            drifts.append(worst)
-            worst = drifts[0]
-    return x, np.array(times), np.array(states), np.array(spectra), np.array(drifts)
+    try:
+        x = np.stack((ClippedEig(rho0).power(0.5), *carried))
+        f = _action(g_of_rho)
+        h = -1j * cfg.dt
+        rho, w = _checked_state(x[0], 0)
+        r = _step_matrix(g_of_rho, rho.shape, h) if isinstance(g_of_rho, _Fixed) else None
+        zero = np.zeros(rho.shape[:-2])
+        records, worst = [(0.0, rho, w, zero)], zero
+        n = cfg.n_steps
+        for step in range(1, n + 1):
+            x = _rk4(x, g_of_rho(rho) @ x, f, h) if r is None else r @ x
+            gamma, drift = _renormalize(x[0], cfg.max_step_drift)
+            x[0] = gamma
+            rho, w = _checked_state(gamma, step)
+            worst = np.maximum(worst, drift)
+            if step % cfg.monitor_stride == 0 or step == n:
+                records.append((step * cfg.dt, rho, w, worst))
+                worst = zero
+    except NlqdError as exc:
+        raise _name_member(exc, labels)
+    return (x, *map(np.array, zip(*records)))
 
 
 def _trajectories(times, states, spectra, drifts, monitor: MonitorFn) -> list:
@@ -331,7 +331,7 @@ def accumulate_propagator(
     """
     m = _state(rho0, spec.dim)
     s0 = np.eye(m.shape[0], dtype=complex)
-    x, *records = _integrate(m, _spec_generator(spec), cfg, (s0,))
+    x, *records = _integrate(m, _spec_generator(spec), cfg, carried=(s0,))
     return x[1], _trajectories(*records, default_monitor(spec.H))[0]
 
 
@@ -365,20 +365,19 @@ def evolve_convex_mixture(rho0, mix: MixtureSpec, cfg: IntegratorConfig) -> Traj
     """Each process propagates rho(0) autonomously under its own nonlinear
     law; the output state is the weight-averaged sum of the branches.
 
-    Branches that share their family parameters (T family and q, Gamma
-    family, sigma and r) step as one stack with their H and A stacked; each
-    group of such branches is one batch.
+    Branches whose specs stack (_stack_key) step as one stack with their H
+    and A stacked, one batch per group; an error names the failing branch
+    "branch i", its index in process_specs.
     """
     m = _state(rho0, mix.process_specs[0].dim)
     groups: dict = {}
     for i, spec in enumerate(mix.process_specs):
-        groups.setdefault(_family_key(spec), []).append(i)
+        groups.setdefault(_stack_key(spec), []).append(i)
     states, drifts = [None] * len(mix.process_specs), [None] * len(mix.process_specs)
     for members in groups.values():
         stack = _stack_specs([mix.process_specs[i] for i in members])
-        _, times, batch_states, _, batch_drifts = _integrate(
-            np.array([m] * len(members)), _spec_generator(stack), cfg
-        )
+        rho0s, labels = np.array([m] * len(members)), [f"branch {i}" for i in members]
+        _, times, batch_states, _, batch_drifts = _integrate(rho0s, _spec_generator(stack), cfg, labels)
         for j, i in enumerate(members):
             states[i], drifts[i] = batch_states[:, j], batch_drifts[:, j]
     h_bar = sum(w * s.H for w, s in zip(mix.weights, mix.process_specs))

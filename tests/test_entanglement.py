@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import SX, SY, SZ, bell_state, random_hermitian
-from nlqd import entanglement, generators, linalg, measurement
+from nlqd import entanglement, generators, linalg, measurement, propagation
 from nlqd.errors import DegenerateConstraintError, ValidationError
 from nlqd.generators import GammaFamily, GeneratorSpec, TFamily, random_density_matrix
 from nlqd.entanglement import (
@@ -30,7 +30,7 @@ from nlqd.linalg import (
     tensor_product,
     von_neumann_entropy,
 )
-from nlqd.propagation import IntegratorConfig, evolve
+from nlqd.propagation import IntegratorConfig, MixtureSpec, evolve, evolve_convex_mixture
 from test_propagation import count_generator_calls
 
 
@@ -158,6 +158,22 @@ class TestJointGenerator:
             assert krons(lambda: measurement._evolve_joint(sc, members, 5e-3)) == 0
 
 
+NONE = GammaFamily("none")
+ZERO_MEAN = GammaFamily("zeroMean", sigma=0.5, r=1.5)  # r = 1.5 keeps every q on the spectral kernel
+# case -> (q, Gamma family) of two powerLaw specs, and whether they stack:
+# spectral specs stack whatever their q, product-kernel specs only at one q.
+STACK_CASES = {
+    "spectral-q": ((1.3, NONE), (0.5, NONE), True),
+    "product-one-q": ((2.0, NONE), (2.0, NONE), True),
+    "spectral-q-zeroMean": ((1.0, ZERO_MEAN), (2.0, ZERO_MEAN), True),
+    "spectral-and-product": ((1.3, NONE), (2.0, NONE), False),  # q = 2 takes the product kernel
+    "product-q": ((2.0, NONE), (3.0, NONE), False),
+    "gamma-family": ((1.3, NONE), (1.3, ZERO_MEAN), False),
+    "sigma": ((1.3, ZERO_MEAN), (1.3, replace(ZERO_MEAN, sigma=0.25)), False),
+    "r": ((1.3, ZERO_MEAN), (1.3, replace(ZERO_MEAN, r=2.5)), False),
+}
+
+
 def power_law_sides(q_h, q_k, rng, dims=(2, 2)):
     """powerLaw on both sides, with exponents q_h and q_k."""
     return BipartiteDynamics(
@@ -205,25 +221,23 @@ class TestPairedJointGenerator:
         evolve_bipartite(state, dyn, cfg)
         assert len(seen) == calls * 4 * cfg.n_steps
 
-    def test_sides_stack_by_kernel_and_families(self, rng):
-        # spectral sides stack whatever their q; product-kernel sides only at one q
-        h = random_hermitian(2, rng)
-
-        def spec(q, gamma=GammaFamily("none")):
-            return GeneratorSpec(H=h, t_family=TFamily("powerLaw", q=q), gamma_family=gamma)
-
-        def paired(spec_h, spec_k):
-            return entanglement._joint_generator_fn(BipartiteDynamics(spec_h, spec_k), (2, 2)).func is (
-                entanglement._paired_joint_generator
-            )
-
-        zero_mean = GammaFamily("zeroMean", sigma=0.5, r=1.5)
-        assert paired(spec(1.3), spec(0.5)) and paired(spec(2.0), spec(2.0))
-        assert paired(spec(1.0, zero_mean), spec(2.0, zero_mean))  # r = 1.5 puts both on the spectral kernel
-        assert not paired(spec(1.3), spec(2.0))  # q = 2 takes the product kernel
-        assert not paired(spec(2.0), spec(3.0))
-        assert not paired(spec(1.3), spec(1.3, zero_mean))
-        assert not paired(spec(1.3, zero_mean), spec(1.3, replace(zero_mean, sigma=0.25)))
+    @pytest.mark.parametrize("case", list(STACK_CASES))
+    def test_sides_stack_by_kernel_and_families(self, case):
+        # One rule stacks two specs, as the sides of a joint run and as the
+        # branches of a mixture: stacked sides take the paired stage, and
+        # stacked branches one step loop.
+        *sides, stack = STACK_CASES[case]
+        h = random_hermitian(2, np.random.default_rng(7))
+        a, b = (GeneratorSpec(H=h, t_family=TFamily("powerLaw", q=q), gamma_family=g) for q, g in sides)
+        g_of_rho = entanglement._joint_generator_fn(BipartiteDynamics(a, b), (2, 2))
+        assert (g_of_rho.func is entanglement._paired_joint_generator) == stack
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:  # the mutant table calls this test without fixtures
+            real = propagation._integrate
+            mp.setattr(propagation, "_integrate", lambda *args: runs.append(1) or real(*args))
+            mix = MixtureSpec([0.5, 0.5], [a, b])
+            evolve_convex_mixture(np.eye(2) / 2, mix, IntegratorConfig(dt=1e-3, t_final=2e-3))
+        assert len(runs) == (1 if stack else 2)
 
 
     def test_kernel_error_names_no_side(self):
@@ -238,6 +252,26 @@ class TestPairedJointGenerator:
         state = random_entangled_state(2, 2, np.random.default_rng(3))
         with pytest.raises(DegenerateConstraintError, match=r"^H acts as a scalar on the support of rho; "):
             evolve_bipartite(state, dyn, IntegratorConfig(dt=1e-3, t_final=1e-2))
+
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_a_raising_stage_takes_one_generator_call(self, rng, monkeypatch, stack):
+        # K's H acts as a scalar on the support of a pure K marginal: the
+        # paired call raises, and no side is taken again.  The failing state
+        # is alone, or member 1 of a stack behind an entangled state.
+        fam = GammaFamily("energyConserving", sigma=0.5, r=2.0)
+        dyn = BipartiteDynamics(
+            spec_H=GeneratorSpec(H=SZ + 0.3 * SX, gamma_family=fam),
+            spec_K=GeneratorSpec(H=np.diag([1.0, -0.4]), gamma_family=fam),
+        )
+        g_of_rho = entanglement._joint_generator_fn(dyn, (2, 2))
+        assert g_of_rho.func is entanglement._paired_joint_generator
+        pure_k = tensor_product(np.eye(2) / 2, np.diag([1.0, 0.0]))
+        rho = np.array([random_entangled_state(2, 2, rng).matrix, pure_k]) if stack else pure_k
+        member = r" \(member 1\)" if stack else ""
+        seen = count_generator_calls(monkeypatch)
+        with pytest.raises(DegenerateConstraintError, match=rf"^H acts as a scalar on the support of rho{member}; "):
+            g_of_rho(rho)
+        assert len(seen) == 1
 
     @pytest.mark.parametrize("side", ["H", "K"])
     def test_kernel_error_on_a_route_stack_names_the_route(self, rng, side):

@@ -528,6 +528,27 @@ class TestCliEndToEnd:
         )
         assert main(["run", p]) == 2
 
+    def test_mixture_error_names_the_branch(self, tmp_path, capsys):
+        # the zeroMean branch 1 fails the drift bound at dt = 0.01
+        p = write_scenario(
+            tmp_path / "m.json",
+            "mixture",
+            {
+                "rho0": matrix_to_json(np.diag([0.7, 0.3])),
+                "weights": [0.5, 0.5],
+                "generators": [
+                    generator_spec_to_json(GeneratorSpec(H=SZ)),
+                    generator_spec_to_json(GeneratorSpec(H=50.0 * SX, gamma_family=GammaFamily("zeroMean", sigma=40.0, r=2.0))),
+                ],
+                "integrator": {"dt": 1e-2, "t_final": 0.1},
+            },
+            output_path=tmp_path / "m.csv",
+        )
+        assert main(["run", p]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "StepSizeError", "message": "norm drift 3.080e-04 (branch 1) exceeds 1.0e-06; reduce dt"}
+        assert not (tmp_path / "m.csv").exists()
+
     def test_check_strict_exit_three(self, tmp_path):
         spec = GeneratorSpec(H=SZ, gamma_family=GammaFamily("zeroMean", sigma=1.0, r=2.0))
         report_path = tmp_path / "report.json"

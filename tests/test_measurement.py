@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from conftest import SX, SZ, bell_state, random_hermitian, singlet_state
 from nlqd.errors import StepSizeError, SubspaceInvarianceError, ValidationError
 from nlqd.generators import GammaFamily, GeneratorSpec, TFamily, _eval_T, random_density_matrix
-from nlqd.entanglement import BipartiteDynamics, BipartiteState
+from nlqd.entanglement import BipartiteDynamics, BipartiteState, random_entangled_state
 from nlqd import entanglement, measurement, propagation
 from nlqd.linalg import ClippedEig, dagger, max_abs, partial_trace, tensor_product
 from nlqd.measurement import (
@@ -362,6 +362,44 @@ def full_route_gap(sc, dt):
     sc = replace(sc, cfg=replace(sc.cfg, dt=dt))
     rho1 = measurement._first_phase(sc)
     return abs(measurement._p_joint(sc, rho1, (0,))[0] - full_route_three_propagators(sc, rho1))
+
+
+def coarse_scenario(t1, t2):
+    """powerLaw sides stepped at dt = 0.3, whose norm drift fails the default bound."""
+    return CorrelationScenario(
+        rho0=random_entangled_state(2, 2, np.random.default_rng(3)),
+        dyn=BipartiteDynamics(
+            spec_H=GeneratorSpec(H=SZ, t_family=TFamily("powerLaw", q=1.3)),
+            spec_K=GeneratorSpec(H=SX, t_family=TFamily("powerLaw", q=1.2)),
+        ),
+        t0=0.0,
+        t1=t1,
+        t2=t2,
+        P_H=P0,
+        P_K=P0,
+        cfg=IntegratorConfig(dt=0.3, t_final=0.3),
+    )
+
+
+class TestErrorNames:
+    """A failing step names what failed in the scenario's terms: the first
+    phase steps one state, so it names no member; a route is named."""
+
+    @pytest.mark.parametrize("run", [correlation_report, correlation_full_route, correlation_switch_off_route])
+    def test_first_phase_names_no_member(self, run):
+        with pytest.raises(StepSizeError, match=r"^norm drift [-+.e0-9]+ exceeds 1\.0e-06; reduce dt$"):
+            run(coarse_scenario(0.6, 1.2))
+
+    @pytest.mark.parametrize(
+        "run, route",
+        [(correlation_report, "full route"), (correlation_full_route, "full route"),
+         (correlation_switch_off_route, "switch-off route")],
+    )
+    def test_a_route_names_itself(self, run, route):
+        # at t1 = 0.01 the first phase passes; the full route fails, and the
+        # switch-off route too when it steps alone
+        with pytest.raises(StepSizeError, match=rf"^norm drift [-+.e0-9]+ \({route}\) exceeds"):
+            run(coarse_scenario(0.01, 0.61))
 
 
 class TestRouteAgreement:

@@ -126,6 +126,7 @@ LOOP_STAGES = "x = _rk4(x, g_of_rho(rho) @ x, f, h) if r is None else r @ x"
 LOOP_FLOOR = "rho, w = _checked_state(gamma, step)"
 ROUTE_MEMBERS = "return [(_measure_h(sc, rho1), spec_h), (rho1, replace(spec_h, H=np.zeros_like(spec_h.H)))]"
 LAGRANGE_TRACES = "zeta, xi = _lagrange(tr[..., 0, 0], tr[..., 0, 1], tr[..., 0, 2], tr[..., 1, 0], tr[..., 1, 1])"
+STACK_KEY = "return q, spec.t_family.family, fam.family, fam.sigma, fam.r"
 
 
 def step_matrix_at_half_dt(g_of_rho, shape, h):
@@ -314,6 +315,14 @@ MUTANTS = {
     "batch_shares_member_0_h": (
         propagation, "_stack_specs", stack_member_0_h,
         lambda: test_propagation.TestMixture().test_batched_branches_match_branch_evolves_bitwise(rng()),
+    ),
+    "mixture_stacks_branches_of_other_sigma": (
+        propagation, "_stack_key", edited(generators._stack_key, (STACK_KEY, STACK_KEY.replace(" fam.sigma,", ""))),
+        lambda: test_entanglement.TestPairedJointGenerator().test_sides_stack_by_kernel_and_families("sigma"),
+    ),
+    "pair_stacks_sides_of_other_sigma": (
+        entanglement, "_stack_key", edited(generators._stack_key, (STACK_KEY, STACK_KEY.replace(" fam.sigma,", ""))),
+        lambda: test_entanglement.TestPairedJointGenerator().test_sides_stack_by_kernel_and_families("sigma"),
     ),
     "joint_marginals_swapped": (
         entanglement, "_joint_generator", edited(

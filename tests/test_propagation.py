@@ -698,6 +698,33 @@ class TestMixture:
         assert np.array_equal(np.array(traj.states), want)
         assert np.array_equal(traj.norm_drift, np.max([b.norm_drift for b in branches], axis=0))
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_spectral_branches_of_other_q_step_as_one_batch_bitwise(self, rng, monkeypatch, d):
+        # zeroMean at r = 1.5 keeps every branch on the spectral kernel, which
+        # reads q per member; q = 0.5 is a power numpy takes by sqrt
+        zm, h = GammaFamily("zeroMean", sigma=0.5, r=1.5), random_hermitian(d, rng)
+        specs = [GeneratorSpec(H=h, t_family=TFamily("powerLaw", q=q), gamma_family=zm) for q in (1.3, 0.5, 2.5, 1.3)]
+        weights = [0.1, 0.2, 0.3, 0.4]
+        rho0 = random_density_matrix(d, rng)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.05, monitor_stride=5)
+        branches = [evolve(rho0, spec, cfg) for spec in specs]
+        runs = []
+        real = propagation._integrate
+        monkeypatch.setattr(propagation, "_integrate", lambda *a: runs.append(a[0].shape) or real(*a))
+        traj = evolve_convex_mixture(rho0, MixtureSpec(weights=weights, process_specs=specs), cfg)
+        assert runs == [(4, d, d)]
+        want = sum(w * np.array(b.states) for w, b in zip(weights, branches))
+        assert np.array_equal(np.array(traj.states), want)
+        assert np.array_equal(traj.norm_drift, np.max([b.norm_drift for b in branches], axis=0))
+
+    def test_error_names_the_branch(self):
+        # the zeroMean branch 1 fails the drift bound at dt = 0.01, alone in
+        # its batch as its member 0
+        zero_mean = GeneratorSpec(H=50.0 * SX, gamma_family=GammaFamily("zeroMean", sigma=40.0, r=2.0))
+        mix = MixtureSpec(weights=[0.5, 0.5], process_specs=[GeneratorSpec(H=SZ), zero_mean])
+        with pytest.raises(StepSizeError, match=r"^norm drift 3\.080e-04 \(branch 1\) exceeds 1\.0e-06; reduce dt$"):
+            evolve_convex_mixture(np.diag([0.7, 0.3]), mix, IntegratorConfig(dt=0.01, t_final=0.1))
+
     def test_trace_preserved(self, rng):
         rho0 = random_density_matrix(2, rng)
         mix = MixtureSpec(
