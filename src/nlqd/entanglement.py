@@ -5,21 +5,25 @@ local generators evaluated at the instantaneous marginals,
 G(rho_HK) = G_H(Tr_K rho) (x) I_K [+ I_H (x) G_K(Tr_H rho)].  The
 integration path never forms that D x D matrix: the step loop's generator is
 a ``_JointGenerator`` that applies each local generator to its own axis of
-the reshaped factor.  Its spec_H may be a stack, one spec per member of a
-stacked run (a correlation report's two routes).  Two sides of one
-dimension that stack (``_stack_key``) take one generator_matrix call per
-stage, with the bits and the errors of two.  ``polchinski_generator`` is
-the matrix form, for inspection and as the test oracle.  Alongside it live
-the environment-stationarity check, the deliberately nonphysical
-product-of-marginals extension (the canonical counterexample), local
-equivalence classes, and a sampling audit of the complete-positivity
+the reshaped factor.  Nor does a stage form the D x D joint state: a joint
+generator that reads state is an ``_OfFactor``, taken at the stage's factor
+y, and reads each marginal off y as a Gram product of y reshaped
+(``linalg._factor_marginals``); the step loop forms rho = y y^dag once per
+step, for the eigenvalue floor and the records.  Its spec_H may be a stack,
+one spec per member of a stacked run (a correlation report's two routes).
+Two sides of one dimension that stack (``_stack_key``) take both marginals
+by one Gram product and one generator_matrix call per stage, with the bits
+and the errors of two calls.  ``polchinski_generator`` is the matrix form,
+taken at the partial traces of rho, for inspection and as the test oracle.
+Alongside it live the environment-stationarity check, the deliberately
+nonphysical product-of-marginals extension (the canonical counterexample),
+local equivalence classes, and a sampling audit of the complete-positivity
 conditions that steps all of its samples as one stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,8 +43,8 @@ from .linalg import (
     _eigvalsh,
     _eye,
     _factor_dims,
+    _factor_marginals,
     _is_integer,
-    _marginals,
     _name_member,
     _partial_trace,
     _square,
@@ -56,6 +60,7 @@ from .propagation import (
     Trajectory,
     _Fixed,
     _integrate,
+    _OfFactor,
     default_monitor,
     evolve_many,
     integrate_generator,
@@ -153,40 +158,43 @@ class _JointGenerator:
         return out + (self.g_k[..., None, :, :] @ x.reshape(lead + (self.d_h, self.d_k, n))).reshape(x.shape)
 
 
-def _joint_generator(dyn: BipartiteDynamics, rho: np.ndarray, dims: tuple[int, int]):
-    """The step loop's joint generator at rho, one state or a stack: the local
-    generators at the marginals, one generator_matrix call per side.  spec_H
-    may be a stack, one spec per member.  The unchecked kernel; its callers
-    check the dimensions once, at entry."""
-    g_h = generator_matrix(dyn.spec_H, _partial_trace(rho, dims, "K"))
-    g_k = None if dyn.spec_K is None else generator_matrix(dyn.spec_K, _partial_trace(rho, dims, "H"))
+def _joint_generator(dyn: BipartiteDynamics, y: np.ndarray, dims: tuple[int, int]):
+    """The step loop's joint generator at the factor y of rho = y y^dag, one
+    or a stack: the local generators at the marginals, each read off y by
+    one Gram product (_factor_marginals), one generator_matrix call per
+    side.  spec_H may be a stack, one spec per member.  The unchecked
+    kernel; its callers check the dimensions once, at entry."""
+    g_h = generator_matrix(dyn.spec_H, _factor_marginals(y, dims, "K"))
+    g_k = None if dyn.spec_K is None else generator_matrix(dyn.spec_K, _factor_marginals(y, dims, "H"))
     return _JointGenerator(g_h, g_k, dims)
 
 
-def _paired_joint_generator(pair: _SpecStack, rho: np.ndarray, dims: tuple[int, int]):
+def _paired_joint_generator(pair: _SpecStack, y: np.ndarray, dims: tuple[int, int]):
     """_joint_generator for two sides of one dimension that stack into pair,
     H at index 0 of its axis -3 and K at 1: one generator_matrix call on the
-    marginals stacked the same way, split into G_H and G_K.  Its errors name
-    what per-side calls name: rho's member k // 2 for kernel member k."""
+    marginals stacked the same way, by one Gram product, split into G_H and
+    G_K.  Its errors name what per-side calls name: y's member k // 2 for
+    kernel member k."""
     try:
-        g = generator_matrix(pair, _marginals(rho, dims[0]))
+        g = generator_matrix(pair, _factor_marginals(y, dims, "KH"))
     except NlqdError as exc:
-        raise _name_member(exc, [None] * 2 if rho.ndim == 2 else [f"member {k // 2}" for k in range(2 * len(rho))])
+        raise _name_member(exc, [None] * 2 if y.ndim == 2 else [f"member {k // 2}" for k in range(2 * len(y))])
     return _JointGenerator(g[..., 0, :, :], g[..., 1, :, :], dims)
 
 
 def _joint_generator_fn(dyn: BipartiteDynamics, dims: tuple[int, int]):
-    """rho -> the step loop's joint generator.  When both sides read no state
-    (K may be passive), the joint generator reads none either: a _Fixed of
-    their H.  Else, when K is active on a factor of H's dimension and the
-    sides stack, both take one generator_matrix call per stage."""
+    """The step loop's joint generator.  When both sides read no state (K
+    may be passive), the joint generator reads none either: a _Fixed of
+    their H.  Else it is an _OfFactor, taken at each stage's factor: when K
+    is active on a factor of H's dimension and the sides stack, both sides
+    take one generator_matrix call per stage."""
     g_h = _fixed_generator(dyn.spec_H)
     g_k = None if dyn.spec_K is None else _fixed_generator(dyn.spec_K)
     if g_h is not None and (dyn.spec_K is None or g_k is not None):
         return _Fixed(_JointGenerator(g_h, g_k, dims))
     if dyn.spec_K is not None and dims[0] == dims[1] and _stack_key(dyn.spec_H) == _stack_key(dyn.spec_K):
-        return partial(_paired_joint_generator, _stack_specs([dyn.spec_H, dyn.spec_K]), dims=dims)
-    return partial(_joint_generator, dyn, dims=dims)
+        return _OfFactor(_paired_joint_generator, _stack_specs([dyn.spec_H, dyn.spec_K]), dims=dims)
+    return _OfFactor(_joint_generator, dyn, dims=dims)
 
 
 def bipartite_monitor(dims: tuple[int, int], H_joint: np.ndarray):
@@ -212,7 +220,8 @@ def joint_hamiltonian(dyn: BipartiteDynamics, dims: tuple[int, int]) -> np.ndarr
 
 
 def evolve_bipartite(rho0: BipartiteState, dyn: BipartiteDynamics, cfg: IntegratorConfig) -> Trajectory:
-    """Joint gamma-route integration with marginals recomputed at every stage."""
+    """Joint gamma-route integration with marginals recomputed at every
+    stage, off the stage's square-root factor."""
     dims = rho0.dims
     _check_dims(dyn, dims)
     return integrate_generator(

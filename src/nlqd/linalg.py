@@ -1,7 +1,8 @@
 """Dense complex-matrix primitives.
 
 Hermitian spectral decompositions, fractional powers, tensor products,
-partial traces, support projectors, square-root factorization and the
+partial traces (of a matrix, or read off a square-root factor by Gram
+products), support projectors, square-root factorization and the
 scalar diagnostics (purity, entropy, mutual information) everything else
 is built on.  All functions are pure.  A public function takes a plain
 ndarray or any wrapper that holds one in ``.matrix``; the thin dataclass
@@ -328,13 +329,25 @@ def _partial_trace(w: np.ndarray, dims: tuple[int, int], over: str) -> np.ndarra
     return np.trace(t, axis1=-3, axis2=-1) if over == "K" else np.trace(t, axis1=-4, axis2=-2)
 
 
-def _marginals(w: np.ndarray, d: int) -> np.ndarray:
-    """Tr_K w and Tr_H w of a matrix (or stack) on H (x) K with d_H = d_K = d,
-    stacked along axis -3 in that order, each with _partial_trace's bits: one
-    trace over the K axes of w reshaped (H, K, H', K') and of its copy with
-    H and K swapped."""
-    t = w.reshape(w.shape[:-2] + (1, d, d, d, d))
-    return np.trace(np.concatenate((t, t.swapaxes(-4, -3).swapaxes(-2, -1)), axis=-5), axis1=-3, axis2=-1)
+def _factor_marginals(y: np.ndarray, dims: tuple[int, int], over: str) -> np.ndarray:
+    """The partial trace over the named factor of rho = y y^dag on H (x) K,
+    read off the factor y (..., D, n), one or a stack, by one Gram product
+    without forming rho: Tr_K rho = Y Y^dag for Y = y reshaped
+    (d_H, d_K n), a view; Tr_H rho the same for y reshaped (d_H, d_K, n)
+    with H and K swapped, then (d_K, d_H n), one copy.  over is "K", "H",
+    or "KH" for d_H = d_K: Tr_K and Tr_H stacked along axis -3 in that
+    order, both reshapes in one Gram product.  The per-stage kernel."""
+    d_h, d_k = dims
+    lead, n = y.shape[:-2], y.shape[-1]
+    if over == "K":
+        z = y.reshape(lead + (d_h, d_k * n))
+    else:
+        t = y.reshape(lead + (d_h, d_k, n))
+        if over == "H":
+            z = t.swapaxes(-3, -2).reshape(lead + (d_k, d_h * n))
+        else:
+            z = np.concatenate((t, t.swapaxes(-3, -2)), axis=-3).reshape(lead + (2, d_h, d_k * n))
+    return z @ dagger(z)
 
 
 def support_projector(rho) -> np.ndarray:

@@ -6,13 +6,18 @@ stage; rho = gamma gamma^dag is then positive by construction.  RK4 steps
 x_dot = G x in complex time h = -i dt, so no stage multiplies by -i.  The
 rho-dependent propagator S (i S_dot = G(rho(t)) S) can be accumulated
 alongside gamma: it rides behind gamma as x[1] of one stack x, so each
-stage applies G to both by one product.  A generator that reads no state
-(the vonNeumann T with no Gamma, G = H, and a joint generator whose sides
-are all such) is not re-evaluated: for a linear equation RK4 is exactly
-x -> R x, so the loop forms the RK4 matrix R once per run, from the same
-tableau, and each step is one product.  The direct rho-route integrator is
-kept only as a cross-validation oracle.  Every integrator steps with the
-one RK4 tableau in ``_rk4``, which no other module calls.
+stage applies G to both by one product.  The loop knows three kinds of
+generator, told apart once per run by type.  A generator that reads no
+state, a ``_Fixed`` (the vonNeumann T with no Gamma, G = H, and a joint
+generator whose sides are all such), is not re-evaluated: for a linear
+equation RK4 is exactly x -> R x, so the loop forms the RK4 matrix R once
+per run, from the same tableau, and each step is one product.  An
+``_OfFactor`` (a joint generator that reads its marginals) is taken at each
+stage's factor gamma and reads what it needs off gamma, so no stage forms
+the D x D state.  Any other callable is taken at rho = gamma gamma^dag, one
+product per stage.  The direct rho-route integrator is kept only as a
+cross-validation oracle.  Every integrator steps with the one RK4 tableau in
+``_rk4``, which no other module calls.
 
 The one step loop, ``_integrate``, steps one factor (d, d) or a stack
 (B, d, d) of independent ones: ``evolve_many`` runs B initial states under
@@ -27,7 +32,8 @@ each stepped state rho = gamma gamma^dag takes one values-only
 decomposition, whatever kernel the generator runs and whether or not the
 step is recorded.  That checked rho is the recorded state, its spectrum
 the one the monitors and the CP audit read, so no recorded state is
-decomposed twice; stage 1 of the next step takes its generator at that rho.
+decomposed twice; stage 1 of the next step takes its generator at that rho,
+or, for an ``_OfFactor``, at the gamma that rho was formed from.
 """
 
 from __future__ import annotations
@@ -123,9 +129,20 @@ def _rk4(x: np.ndarray, k1: np.ndarray, f, h) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+class _OfFactor(partial):
+    """A generator that reads the state through its square-root factor: the
+    step loop calls it with gamma itself, never with rho = gamma gamma^dag,
+    so it forms no D x D state per stage.  A partial, built and read as one."""
+
+    __slots__ = ()
+
+
 def _action(g_of_rho: GeneratorFn):
     """x -> G(gamma gamma^dag) @ x for a stack x whose x[0] is gamma: every
-    matrix of x under the generator taken at gamma, by one product."""
+    matrix of x under the generator taken at gamma, by one product.  An
+    _OfFactor takes gamma, any other generator rho."""
+    if isinstance(g_of_rho, _OfFactor):
+        return lambda x: g_of_rho(x[0]) @ x
     return lambda x: g_of_rho(x[0] @ dagger(x[0])) @ x
 
 
@@ -220,8 +237,9 @@ def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, labels=None, 
     rides behind it along the leading axis, stepping under the same
     i x_dot = G(rho) x, so every stage applies G to all of x by one
     product.  Only x[0] is renormalized.  A _Fixed generator steps x by its
-    RK4 matrix (_step_matrix), any other takes G at every stage, and every
-    state, the t = 0 one as step 0, is checked either way (module doc).  An
+    RK4 matrix (_step_matrix), any other takes G at every stage, an
+    _OfFactor at the stage's gamma, and every state, the t = 0 one as step
+    0, is checked either way (module doc).  An
     error names member i as labels[i], if given.  Returns the final x, the
     record times (N,), the recorded states (N, ..., d, d), their spectra
     (N, ..., d) and the worst drift of each window (N, ...).
@@ -232,11 +250,12 @@ def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, labels=None, 
         h = -1j * cfg.dt
         rho, w = _checked_state(x[0], 0)
         r = _step_matrix(g_of_rho, rho.shape, h) if isinstance(g_of_rho, _Fixed) else None
+        of_factor = isinstance(g_of_rho, _OfFactor)
         zero = np.zeros(rho.shape[:-2])
         records, worst = [(0.0, rho, w, zero)], zero
         n = cfg.n_steps
         for step in range(1, n + 1):
-            x = _rk4(x, g_of_rho(rho) @ x, f, h) if r is None else r @ x
+            x = _rk4(x, g_of_rho(x[0] if of_factor else rho) @ x, f, h) if r is None else r @ x
             gamma, drift = _renormalize(x[0], cfg.max_step_drift)
             x[0] = gamma
             rho, w = _checked_state(gamma, step)
@@ -359,6 +378,7 @@ class MixtureSpec:
         if len({spec.dim for spec in specs}) != 1:
             raise ValidationError("mixture process specs differ in dimension")
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "process_specs", tuple(specs))
 
 
 def evolve_convex_mixture(rho0, mix: MixtureSpec, cfg: IntegratorConfig) -> Trajectory:

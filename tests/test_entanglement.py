@@ -90,6 +90,12 @@ def random_factor(d, rng, lead=()):
     return rng.standard_normal(lead + (d, d)) + 1j * rng.standard_normal(lead + (d, d))
 
 
+def root(rho):
+    """The Hermitian square root of a state or a stack: a factor y of rho =
+    y y^dag, as the step loop hands a joint generator."""
+    return linalg.ClippedEig(rho).power(0.5)
+
+
 # Unequal factors catch an action that reshapes along the wrong axis.
 DIMS = [(2, 2), (2, 4), (3, 2), (4, 2)]
 
@@ -103,8 +109,9 @@ class TestJointGenerator:
         dyn = bipartite_dynamics(dims, env, rng)
         w = random_entangled_state(*dims, rng, mixture_terms=2)
         x = random_factor(dims[0] * dims[1], rng)
-        action = entanglement._joint_generator(dyn, w.matrix, dims)
-        assert max_abs(action @ x - polchinski_generator(dyn, w) @ x) < 1e-14
+        y = root(w.matrix)
+        action = entanglement._joint_generator(dyn, y, dims)
+        assert max_abs(action @ x - polchinski_generator(dyn, y @ dagger(y), dims) @ x) < 1e-14
 
     @pytest.mark.parametrize("env", ["passive", "active"])
     @pytest.mark.parametrize("dims", DIMS, ids=lambda d: f"{d[0]}x{d[1]}")
@@ -112,10 +119,11 @@ class TestJointGenerator:
         dyn = bipartite_dynamics(dims, env, rng)
         rhos = np.array([random_entangled_state(*dims, rng).matrix for _ in range(3)])
         xs = random_factor(dims[0] * dims[1], rng, (3,))
-        applied = entanglement._joint_generator(dyn, rhos, dims) @ xs
+        ys = root(rhos)
+        applied = entanglement._joint_generator(dyn, ys, dims) @ xs
         assert applied.shape == xs.shape
-        for rho, x, y in zip(rhos, xs, applied):
-            assert max_abs(y - polchinski_generator(dyn, rho, dims) @ x) < 1e-14
+        for y, x, out in zip(ys, xs, applied):
+            assert max_abs(out - polchinski_generator(dyn, y @ dagger(y), dims) @ x) < 1e-14
 
     @pytest.mark.parametrize("dims", DIMS, ids=lambda d: f"{d[0]}x{d[1]}")
     def test_h_switched_off(self, rng, dims):
@@ -123,10 +131,25 @@ class TestJointGenerator:
         w = random_entangled_state(*dims, rng, mixture_terms=2)
         x = random_factor(dims[0] * dims[1], rng)
         off = replace(dyn.spec_H, H=np.zeros_like(dyn.spec_H.H))  # the switch-off route's H side
-        k_only = entanglement._joint_generator(replace(dyn, spec_H=off), w.matrix, dims)
-        expected = tensor_product(np.eye(dims[0]), generator_matrix(dyn.spec_K, w.marginal_K())) @ x
+        y = root(w.matrix)
+        k_only = entanglement._joint_generator(replace(dyn, spec_H=off), y, dims)
+        marginal_k = partial_trace(y @ dagger(y), dims, "H")
+        expected = tensor_product(np.eye(dims[0]), generator_matrix(dyn.spec_K, marginal_k)) @ x
         assert max_abs(k_only @ x - expected) < 1e-14
-        assert np.all(entanglement._joint_generator(BipartiteDynamics(spec_H=off), w.matrix, dims) @ x == 0)
+        assert np.all(entanglement._joint_generator(BipartiteDynamics(spec_H=off), y, dims) @ x == 0)
+
+    @pytest.mark.parametrize("env", ["passive", "active", "paired"])
+    def test_stages_read_marginals_off_the_factor(self, rng, monkeypatch, env):
+        # no stage traces a formed joint state: over n steps with stride n the
+        # monitor's two calls are the only partial traces
+        dims = (2, 4) if env == "active" else (2, 2)
+        dyn = power_law_sides(1.3, 1.2, rng) if env == "paired" else bipartite_dynamics(dims, env, rng)
+        cfg = IntegratorConfig(dt=1e-3, t_final=5e-3, monitor_stride=5)
+        traces = []
+        real = entanglement._partial_trace
+        monkeypatch.setattr(entanglement, "_partial_trace", lambda *a: traces.append(a[0].shape) or real(*a))
+        evolve_bipartite(random_entangled_state(*dims, rng, mixture_terms=2), dyn, cfg)
+        assert traces == [(2,) + (dims[0] * dims[1],) * 2] * 2
 
     def test_step_loops_form_no_kronecker_product(self, rng, monkeypatch):
         dyn = bipartite_dynamics((2, 2), "active", rng)
@@ -182,6 +205,11 @@ def power_law_sides(q_h, q_k, rng, dims=(2, 2)):
     )
 
 
+def is_paired(g_of_rho) -> bool:
+    """Does the joint generator take both sides by one call per stage?"""
+    return isinstance(g_of_rho, propagation._OfFactor) and g_of_rho.func is entanglement._paired_joint_generator
+
+
 class TestPairedJointGenerator:
     """Two sides of one dimension that stack take one generator_matrix call
     on both marginals, which gives each side's generator bit for bit."""
@@ -201,10 +229,11 @@ class TestPairedJointGenerator:
             other = replace(dyn.spec_H, H=random_hermitian(2, rng))
             dyn = replace(dyn, spec_H=generators._stack_specs([dyn.spec_H, other]))
         g_of_rho = entanglement._joint_generator_fn(dyn, dims)
-        assert g_of_rho.func is entanglement._paired_joint_generator
-        g = g_of_rho(rho)
-        assert np.array_equal(g.g_h, generator_matrix(dyn.spec_H, partial_trace(rho, dims, "K")))
-        assert np.array_equal(g.g_k, generator_matrix(dyn.spec_K, partial_trace(rho, dims, "H")))
+        assert is_paired(g_of_rho)
+        y = root(rho)
+        g = g_of_rho(y)
+        assert np.array_equal(g.g_h, generator_matrix(dyn.spec_H, linalg._factor_marginals(y, dims, "K")))
+        assert np.array_equal(g.g_k, generator_matrix(dyn.spec_K, linalg._factor_marginals(y, dims, "H")))
 
     @pytest.mark.parametrize(
         "h_side, dims, calls",
@@ -230,7 +259,7 @@ class TestPairedJointGenerator:
         h = random_hermitian(2, np.random.default_rng(7))
         a, b = (GeneratorSpec(H=h, t_family=TFamily("powerLaw", q=q), gamma_family=g) for q, g in sides)
         g_of_rho = entanglement._joint_generator_fn(BipartiteDynamics(a, b), (2, 2))
-        assert (g_of_rho.func is entanglement._paired_joint_generator) == stack
+        assert is_paired(g_of_rho) == stack
         runs = []
         with pytest.MonkeyPatch.context() as mp:  # the mutant table calls this test without fixtures
             real = propagation._integrate
@@ -248,7 +277,7 @@ class TestPairedJointGenerator:
             spec_H=GeneratorSpec(H=SZ + 0.3 * SX, gamma_family=fam),
             spec_K=GeneratorSpec(H=0.7 * np.eye(2), gamma_family=fam),
         )
-        assert entanglement._joint_generator_fn(dyn, (2, 2)).func is entanglement._paired_joint_generator
+        assert is_paired(entanglement._joint_generator_fn(dyn, (2, 2)))
         state = random_entangled_state(2, 2, np.random.default_rng(3))
         with pytest.raises(DegenerateConstraintError, match=r"^H acts as a scalar on the support of rho; "):
             evolve_bipartite(state, dyn, IntegratorConfig(dt=1e-3, t_final=1e-2))
@@ -264,28 +293,32 @@ class TestPairedJointGenerator:
             spec_K=GeneratorSpec(H=np.diag([1.0, -0.4]), gamma_family=fam),
         )
         g_of_rho = entanglement._joint_generator_fn(dyn, (2, 2))
-        assert g_of_rho.func is entanglement._paired_joint_generator
+        assert is_paired(g_of_rho)
         pure_k = tensor_product(np.eye(2) / 2, np.diag([1.0, 0.0]))
         rho = np.array([random_entangled_state(2, 2, rng).matrix, pure_k]) if stack else pure_k
         member = r" \(member 1\)" if stack else ""
         seen = count_generator_calls(monkeypatch)
         with pytest.raises(DegenerateConstraintError, match=rf"^H acts as a scalar on the support of rho{member}; "):
-            g_of_rho(rho)
+            g_of_rho(root(rho))
         assert len(seen) == 1
 
     @pytest.mark.parametrize("side", ["H", "K"])
-    def test_kernel_error_on_a_route_stack_names_the_route(self, rng, side):
-        # two routes on the H side, as a correlation report steps them; route 1
-        # has a marginal below the floor on the given side
-        dyn = power_law_sides(1.3, 1.2, rng)
-        switch_off = replace(dyn.spec_H, H=np.zeros((2, 2)))
-        dyn = replace(dyn, spec_H=generators._stack_specs([dyn.spec_H, switch_off]))
+    def test_kernel_error_on_a_route_stack_names_the_route(self, side):
+        # two H-side specs stacked, as a correlation report steps its routes;
+        # route 1 has a pure marginal on the given side, on whose support
+        # that side's diagonal H acts as a scalar.  A marginal read off a
+        # factor is never below the floor, so the kernel error that names
+        # the route is energyConserving's.
+        fam = GammaFamily("energyConserving", sigma=0.5, r=2.0)
+        diagonal = GeneratorSpec(H=np.diag([1.0, -0.4]), gamma_family=fam)
+        routes = [GeneratorSpec(H=SZ + 0.3 * SX, gamma_family=fam), diagonal]
+        dyn = BipartiteDynamics(spec_H=generators._stack_specs(routes), spec_K=diagonal)
         g_of_rho = entanglement._joint_generator_fn(dyn, (2, 2))
-        assert g_of_rho.func is entanglement._paired_joint_generator
-        factors = [np.eye(2) / 2, np.diag([1.1, -0.1])]
+        assert is_paired(g_of_rho)
+        factors = [np.eye(2) / 2, np.diag([1.0, 0.0])]
         bad = tensor_product(*factors[:: 1 if side == "K" else -1])
-        with pytest.raises(ValidationError, match=r"^matrix \(member 1\) has eigenvalue -0.1"):
-            g_of_rho(np.array([np.eye(4) / 4, bad]))
+        with pytest.raises(DegenerateConstraintError, match=r"^H acts as a scalar on the support of rho \(member 1\); "):
+            g_of_rho(root(np.array([np.eye(4) / 4, bad])))
 
     def test_paired_error_stands_when_the_sides_pass(self, rng, monkeypatch):
         dyn = power_law_sides(1.3, 1.2, rng)
@@ -299,7 +332,7 @@ class TestPairedJointGenerator:
 
         monkeypatch.setattr(entanglement, "generator_matrix", fails_paired)
         with pytest.raises(ValidationError, match="^paired$"):
-            g_of_rho(random_entangled_state(2, 2, rng).matrix)
+            g_of_rho(root(random_entangled_state(2, 2, rng).matrix))
 
 
 class TestEvolveBipartite:

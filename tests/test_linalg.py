@@ -15,6 +15,7 @@ from nlqd.linalg import (
     ClippedEig,
     DensityMatrix,
     StateOperator,
+    dagger,
     matrix_power,
     max_abs,
     mutual_information,
@@ -113,6 +114,37 @@ class TestTensorAndPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             partial_trace(np.eye(5), (2, 2), "K")
+
+
+def unit_factor(d, rng, lead=()):
+    """A random square-root factor of unit HS norm: one (d, d), or a stack."""
+    y = rng.standard_normal(lead + (d, d)) + 1j * rng.standard_normal(lead + (d, d))
+    return y / np.sqrt((np.abs(y) ** 2).sum(axis=(-2, -1), keepdims=True))
+
+
+class TestFactorMarginals:
+    """Both marginals of rho = y y^dag read off y by Gram products, against
+    partial traces of the formed rho."""
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "stack"])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (3, 2)], ids=lambda d: f"{d[0]}x{d[1]}")
+    def test_match_partial_traces(self, rng, dims, lead):
+        y = unit_factor(dims[0] * dims[1], rng, lead)
+        rho = y @ dagger(y)
+        for over in ("K", "H"):
+            got, want = linalg._factor_marginals(y, dims, over), partial_trace(rho, dims, over)
+            assert got.shape == want.shape
+            assert max_abs(got - want) < 1e-15
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "stack"])
+    def test_pair_stacks_both_marginals_bitwise(self, rng, lead):
+        # d_H = d_K: Tr_K at index 0 of axis -3, Tr_H at 1, each with the
+        # bits of its own Gram product
+        y = unit_factor(4, rng, lead)
+        both = linalg._factor_marginals(y, (2, 2), "KH")
+        assert both.shape == lead + (2, 2, 2)
+        assert np.array_equal(both[..., 0, :, :], linalg._factor_marginals(y, (2, 2), "K"))
+        assert np.array_equal(both[..., 1, :, :], linalg._factor_marginals(y, (2, 2), "H"))
 
 
 class TestSupportProjector:

@@ -33,7 +33,7 @@ import test_io_cli
 import test_measurement
 import test_propagation
 import test_scripts
-from nlqd import entanglement, generators, io, measurement, propagation
+from nlqd import entanglement, generators, io, linalg, measurement, propagation
 from nlqd.errors import NlqdError, StepSizeError, ValidationError
 from nlqd.linalg import ClippedEig, _eigvalsh, _square, dagger, partial_trace
 
@@ -122,11 +122,13 @@ def edited(fn, *changes):
 
 
 RK4_LAST = "return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)"
-LOOP_STAGES = "x = _rk4(x, g_of_rho(rho) @ x, f, h) if r is None else r @ x"
+LOOP_STAGES = "x = _rk4(x, g_of_rho(x[0] if of_factor else rho) @ x, f, h) if r is None else r @ x"
 LOOP_FLOOR = "rho, w = _checked_state(gamma, step)"
 ROUTE_MEMBERS = "return [(_measure_h(sc, rho1), spec_h), (rho1, replace(spec_h, H=np.zeros_like(spec_h.H)))]"
 LAGRANGE_TRACES = "zeta, xi = _lagrange(tr[..., 0, 0], tr[..., 0, 1], tr[..., 0, 2], tr[..., 1, 0], tr[..., 1, 1])"
 STACK_KEY = "return q, spec.t_family.family, fam.family, fam.sigma, fam.r"
+FACTOR_TR_K = "z = y.reshape(lead + (d_h, d_k * n))"
+FACTOR_PAIR = "z = np.concatenate((t, t.swapaxes(-3, -2)), axis=-3).reshape(lead + (2, d_h, d_k * n))"
 
 
 def step_matrix_at_half_dt(g_of_rho, shape, h):
@@ -266,13 +268,19 @@ MUTANTS = {
         lambda: test_propagation.TestNonlinearRoutes().test_gamma_vs_rho_route(rng()),
     ),
     "stage_1_a_step_behind": (
-        propagation, "_integrate", edited(  # stage 1 reads the state before the last step
+        propagation, "_integrate", edited(  # stage 1 reads the factor or the state before the last step
             propagation._integrate,
-            ("rho, w = _checked_state(x[0], 0)", "before = rho, w = _checked_state(x[0], 0)"),
-            (LOOP_STAGES, LOOP_STAGES.replace("g_of_rho(rho)", "g_of_rho(before[0])")),
-            (LOOP_FLOOR, "before, (rho, w) = (rho, w), _checked_state(gamma, step)"),
+            ("rho, w = _checked_state(x[0], 0)", "rho, w = _checked_state(x[0], 0); last = x[0], rho"),
+            (LOOP_STAGES, "x, last = _rk4(x, g_of_rho(last[0] if of_factor else last[1]) @ x, f, h) "
+             "if r is None else r @ x, (x[0], rho)"),
         ),
         lambda: test_scripts.test_output_baseline(pathlib.Path.cwd()),
+    ),
+    "stage_1_of_a_factor_run_given_rho": (
+        propagation, "_integrate", edited(
+            propagation._integrate, (LOOP_STAGES, LOOP_STAGES.replace("x[0] if of_factor else rho", "rho"))
+        ),
+        lambda: test_entanglement.TestEvolveBipartite().test_product_state_stays_product(rng()),
     ),
     "floor_on_recorded_steps_only": (
         propagation, "_integrate", edited(
@@ -324,15 +332,20 @@ MUTANTS = {
         entanglement, "_stack_key", edited(generators._stack_key, (STACK_KEY, STACK_KEY.replace(" fam.sigma,", ""))),
         lambda: test_entanglement.TestPairedJointGenerator().test_sides_stack_by_kernel_and_families("sigma"),
     ),
-    "joint_marginals_swapped": (
-        entanglement, "_joint_generator", edited(
-            entanglement._joint_generator,
-            ('g_h = generator_matrix(dyn.spec_H, _partial_trace(rho, dims, "K"))',
-             'g_h = generator_matrix(dyn.spec_H, _partial_trace(rho, dims, "H"))'),
+    "joint_marginals_swapped": (  # the H marginal read from the K-major reshape
+        entanglement, "_factor_marginals", edited(
+            linalg._factor_marginals,
+            (FACTOR_TR_K, "z = y.reshape(lead + (d_h, d_k, n)).swapaxes(-3, -2).reshape(lead + (d_k, d_h * n))"),
         ),
         lambda: test_entanglement.TestJointGenerator().test_action_matches_matrix(rng(), (2, 2), "passive"),
     ),
-    "joint_pair_halves_swapped": (
+    "joint_pair_halves_swapped": (  # the pair's marginals stacked K first
+        entanglement, "_factor_marginals", edited(
+            linalg._factor_marginals, (FACTOR_PAIR, FACTOR_PAIR.replace("(t, t.swapaxes(-3, -2))", "(t.swapaxes(-3, -2), t)"))
+        ),
+        lambda: test_entanglement.TestPairedJointGenerator().test_equals_per_side_calls_bitwise(rng(), 1.3, 1.2, "one"),
+    ),
+    "joint_pair_split_swapped": (
         entanglement, "_paired_joint_generator", edited(
             entanglement._paired_joint_generator,
             ("return _JointGenerator(g[..., 0, :, :], g[..., 1, :, :], dims)",

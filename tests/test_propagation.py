@@ -655,6 +655,23 @@ class TestMixture:
         with pytest.raises(ValidationError, match="finite"):
             MixtureSpec(weights=weights, process_specs=[GeneratorSpec(H=SZ)] * 2)
 
+    def test_generator_inputs_run_as_lists(self):
+        # process_specs given as a generator was consumed by validation, and
+        # the run raised an untyped TypeError
+        specs = [GeneratorSpec(H=SZ), GeneratorSpec(H=SX, gamma_family=GammaFamily("zeroMean", sigma=0.4, r=2.0))]
+        lazy = MixtureSpec(weights=(w for w in [0.3, 0.7]), process_specs=(s for s in specs))
+        listed = MixtureSpec(weights=[0.3, 0.7], process_specs=specs)
+        rho0 = np.diag([0.7, 0.3])
+        a, b = (evolve_convex_mixture(rho0, mix, CFG) for mix in (lazy, listed))
+        assert np.array_equal(np.array(a.states), np.array(b.states))
+        assert lazy.process_specs == tuple(specs)
+
+    @pytest.mark.parametrize("field", ["weights", "process_specs"])
+    def test_none_is_rejected(self, field):
+        fields = {"weights": [1.0], "process_specs": [GeneratorSpec(H=SZ)], field: None}
+        with pytest.raises(ValidationError, match="must be sequences"):
+            MixtureSpec(**fields)
+
     def test_single_branch_reduces_to_evolve(self, rng):
         rho0 = random_density_matrix(2, rng)
         spec = GeneratorSpec(H=SX, gamma_family=GammaFamily("zeroMean", sigma=0.4, r=2.0))
