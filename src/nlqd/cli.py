@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -41,6 +42,16 @@ class CriterionFailure(NlqdError):
 def _emit_error(exc: Exception) -> None:
     record = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(record), file=sys.stderr)
+
+
+def _null_non_finite(x):
+    """x with every non-finite float, in any dict or list, as None: strict
+    JSON has no token for NaN or infinity, and writes null."""
+    if isinstance(x, dict):
+        return {k: _null_non_finite(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_null_non_finite(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def _check_report(spec, samples: int, checks: list, dims: tuple, cfg, seed: int) -> dict:
@@ -86,8 +97,9 @@ def _run(sc, args) -> int:
     if isinstance(result, Trajectory):
         trajectory_to_csv(result, out, dump_states=args.dump_states)
         return EXIT_OK
-    io._write_new(out, [json.dumps(result, indent=2)])
-    print(json.dumps(result))
+    report = _null_non_finite(result)
+    io._write_new(out, [json.dumps(report, indent=2, allow_nan=False)])
+    print(json.dumps(report, allow_nan=False))
     if args.strict and not result["passed"]:
         raise CriterionFailure("one or more checks failed")
     return EXIT_OK
@@ -128,7 +140,7 @@ def main(argv=None) -> int:
             return EXIT_OK if result["ok"] else EXIT_VALIDATION
         scenario = load_scenario(args.scenario)
         if args.command == "check" and scenario.kind != "check":
-            raise ValidationError("the check subcommand expects a scenario of kind 'check'")
+            raise ValidationError(f"the check subcommand takes kind 'check' only, not kind {scenario.kind!r}")
         if args.seed is not None and scenario.kind != "check":
             raise ValidationError(f"--seed applies to kind 'check' only, not to kind {scenario.kind!r}")
         if args.dump_states and scenario.kind in ("measure_correlation", "check"):

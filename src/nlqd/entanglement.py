@@ -9,11 +9,12 @@ the reshaped factor.  Nor does a stage form the D x D joint state: a joint
 generator that reads state is an ``_OfFactor``, taken at the stage's factor
 y, and reads each marginal off y as a Gram product of y reshaped
 (``linalg._factor_marginals``); the step loop forms rho = y y^dag once per
-step, for the eigenvalue floor and the records.  Its spec_H may be a stack,
-one spec per member of a stacked run (a correlation report's two routes).
-Two sides of one dimension that stack (``_stack_key``) take both marginals
-by one Gram product and one generator_matrix call per stage, with the bits
-and the errors of two calls.  ``polchinski_generator`` is the matrix form,
+step, for the eigenvalue floor and the records.  Its H side may be a spec
+stack, one spec per member of a stacked run (a correlation report's two
+routes); ``BipartiteDynamics`` itself takes specs only.  Two sides of one
+dimension that stack (``_stack_key``) take both marginals by one Gram
+product and one generator_matrix call per stage, with the bits and the
+errors of two calls.  ``polchinski_generator`` is the matrix form,
 taken at the partial traces of rho, for inspection and as the test oracle.
 Alongside it live the environment-stationarity check, the deliberately
 nonphysical product-of-marginals extension (the canonical counterexample),
@@ -32,16 +33,15 @@ from .errors import NlqdError, ValidationError
 from .generators import (
     GeneratorSpec,
     _fixed_generator,
-    _SpecStack,
     _stack_key,
     _stack_specs,
     eval_Gamma,
     generator_matrix,
+    random_density_matrix,
 )
 from .linalg import (
     EIG_NEG_TOL,
     _eigvalsh,
-    _eye,
     _factor_dims,
     _factor_marginals,
     _is_integer,
@@ -96,17 +96,23 @@ class BipartiteState:
 @dataclass(frozen=True)
 class BipartiteDynamics:
     """Local specs for the two factors; spec_K absent means a passive,
-    noninteracting environment.  Inside the library spec_H may also be a
-    spec stack, the H sides of a stacked run, one spec per member."""
+    noninteracting environment."""
 
     spec_H: GeneratorSpec
     spec_K: Optional[GeneratorSpec] = None
 
     def __post_init__(self):
-        if not isinstance(self.spec_H, (GeneratorSpec, _SpecStack)):
+        if not isinstance(self.spec_H, GeneratorSpec):
             raise ValidationError(f"spec_H must be a GeneratorSpec, got {type(self.spec_H).__name__}")
         if not isinstance(self.spec_K, (GeneratorSpec, type(None))):
             raise ValidationError(f"spec_K must be a GeneratorSpec or None, got {type(self.spec_K).__name__}")
+
+
+def _bipartite(state, what: str) -> BipartiteState:
+    """state, which must be a BipartiteState, the record that carries dims."""
+    if not isinstance(state, BipartiteState):
+        raise ValidationError(f"{what} must be a BipartiteState, got {type(state).__name__}")
+    return state
 
 
 def _check_dims(dyn: BipartiteDynamics, dims: tuple[int, int]) -> None:
@@ -129,11 +135,11 @@ def polchinski_generator(dyn: BipartiteDynamics, rho_hk, dims=None) -> np.ndarra
     m = _square(rho_hk, d_h * d_k)
     _check_dims(dyn, dims)
     g = tensor_product(
-        generator_matrix(dyn.spec_H, partial_trace(m, (d_h, d_k), "K")), _eye(d_k)
+        generator_matrix(dyn.spec_H, partial_trace(m, (d_h, d_k), "K")), np.eye(d_k)
     )
     if dyn.spec_K is not None:
         g = g + tensor_product(
-            _eye(d_h), generator_matrix(dyn.spec_K, partial_trace(m, (d_h, d_k), "H"))
+            np.eye(d_h), generator_matrix(dyn.spec_K, partial_trace(m, (d_h, d_k), "H"))
         )
     return g
 
@@ -158,23 +164,23 @@ class _JointGenerator:
         return out + (self.g_k[..., None, :, :] @ x.reshape(lead + (self.d_h, self.d_k, n))).reshape(x.shape)
 
 
-def _joint_generator(dyn: BipartiteDynamics, y: np.ndarray, dims: tuple[int, int]):
+def _joint_generator(spec_h, spec_k, y: np.ndarray, dims: tuple[int, int]):
     """The step loop's joint generator at the factor y of rho = y y^dag, one
     or a stack: the local generators at the marginals, each read off y by
     one Gram product (_factor_marginals), one generator_matrix call per
-    side.  spec_H may be a stack, one spec per member.  The unchecked
-    kernel; its callers check the dimensions once, at entry."""
-    g_h = generator_matrix(dyn.spec_H, _factor_marginals(y, dims, "K"))
-    g_k = None if dyn.spec_K is None else generator_matrix(dyn.spec_K, _factor_marginals(y, dims, "H"))
+    side.  spec_h is a spec or a spec stack, one spec per member; spec_k a
+    spec or None.  The unchecked kernel; its callers check the dimensions
+    once, at entry."""
+    g_h = generator_matrix(spec_h, _factor_marginals(y, dims, "K"))
+    g_k = None if spec_k is None else generator_matrix(spec_k, _factor_marginals(y, dims, "H"))
     return _JointGenerator(g_h, g_k, dims)
 
 
-def _paired_joint_generator(pair: _SpecStack, y: np.ndarray, dims: tuple[int, int]):
-    """_joint_generator for two sides of one dimension that stack into pair,
-    H at index 0 of its axis -3 and K at 1: one generator_matrix call on the
-    marginals stacked the same way, by one Gram product, split into G_H and
-    G_K.  Its errors name what per-side calls name: y's member k // 2 for
-    kernel member k."""
+def _paired_joint_generator(pair, y: np.ndarray, dims: tuple[int, int]):
+    """_joint_generator for two sides of one dimension stacked into pair, H
+    at index 0 of its axis -3 and K at 1: one generator_matrix call on the
+    "KH" marginals, split into G_H and G_K.  Its errors name what per-side
+    calls name: y's member k // 2 for kernel member k."""
     try:
         g = generator_matrix(pair, _factor_marginals(y, dims, "KH"))
     except NlqdError as exc:
@@ -182,19 +188,19 @@ def _paired_joint_generator(pair: _SpecStack, y: np.ndarray, dims: tuple[int, in
     return _JointGenerator(g[..., 0, :, :], g[..., 1, :, :], dims)
 
 
-def _joint_generator_fn(dyn: BipartiteDynamics, dims: tuple[int, int]):
-    """The step loop's joint generator.  When both sides read no state (K
-    may be passive), the joint generator reads none either: a _Fixed of
-    their H.  Else it is an _OfFactor, taken at each stage's factor: when K
-    is active on a factor of H's dimension and the sides stack, both sides
-    take one generator_matrix call per stage."""
-    g_h = _fixed_generator(dyn.spec_H)
-    g_k = None if dyn.spec_K is None else _fixed_generator(dyn.spec_K)
-    if g_h is not None and (dyn.spec_K is None or g_k is not None):
+def _joint_generator_fn(spec_h, spec_k, dims: tuple[int, int]):
+    """The step loop's joint generator of spec_h (a spec or a spec stack)
+    and spec_k (a spec, or None for a passive K).  When both sides read no
+    state, a _Fixed of their H.  Else an _OfFactor, taken at each stage's
+    factor; when the sides have one dimension and stack, both take one
+    generator_matrix call per stage."""
+    g_h = _fixed_generator(spec_h)
+    g_k = None if spec_k is None else _fixed_generator(spec_k)
+    if g_h is not None and (spec_k is None or g_k is not None):
         return _Fixed(_JointGenerator(g_h, g_k, dims))
-    if dyn.spec_K is not None and dims[0] == dims[1] and _stack_key(dyn.spec_H) == _stack_key(dyn.spec_K):
-        return _OfFactor(_paired_joint_generator, _stack_specs([dyn.spec_H, dyn.spec_K]), dims=dims)
-    return _OfFactor(_joint_generator, dyn, dims=dims)
+    if spec_k is not None and dims[0] == dims[1] and _stack_key(spec_h) == _stack_key(spec_k):
+        return _OfFactor(_paired_joint_generator, _stack_specs([spec_h, spec_k]), dims=dims)
+    return _OfFactor(_joint_generator, spec_h, spec_k, dims=dims)
 
 
 def bipartite_monitor(dims: tuple[int, int], H_joint: np.ndarray):
@@ -222,11 +228,11 @@ def joint_hamiltonian(dyn: BipartiteDynamics, dims: tuple[int, int]) -> np.ndarr
 def evolve_bipartite(rho0: BipartiteState, dyn: BipartiteDynamics, cfg: IntegratorConfig) -> Trajectory:
     """Joint gamma-route integration with marginals recomputed at every
     stage, off the stage's square-root factor."""
-    dims = rho0.dims
+    dims = _bipartite(rho0, "rho0").dims
     _check_dims(dyn, dims)
     return integrate_generator(
         rho0.matrix,
-        _joint_generator_fn(dyn, dims),
+        _joint_generator_fn(dyn.spec_H, dyn.spec_K, dims),
         cfg,
         bipartite_monitor(dims, joint_hamiltonian(dyn, dims)),
     )
@@ -235,7 +241,7 @@ def evolve_bipartite(rho0: BipartiteState, dyn: BipartiteDynamics, cfg: Integrat
 def check_environment_stationarity(dyn: BipartiteDynamics, rho_hk: BipartiteState) -> float:
     """Max-norm of Tr_H[(Gamma_H(rho_H) (x) I_K) rho_HK]; zero means the
     environment marginal cannot move."""
-    gam = eval_Gamma(dyn.spec_H, rho_hk.marginal_H())
+    gam = eval_Gamma(dyn.spec_H, _bipartite(rho_hk, "rho_hk").marginal_H())
     prod = _JointGenerator(gam, None, rho_hk.dims) @ rho_hk.matrix
     return max_abs(partial_trace(prod, rho_hk.dims, "H"))
 
@@ -243,7 +249,7 @@ def check_environment_stationarity(dyn: BipartiteDynamics, rho_hk: BipartiteStat
 def trivial_extension(g_h: Callable[[np.ndarray], np.ndarray], rho_hk: BipartiteState) -> BipartiteState:
     """Product-of-mapped-marginals extension: always yields a product state,
     destroying all correlations in one application."""
-    out = tensor_product(g_h(rho_hk.marginal_H()), rho_hk.marginal_K())
+    out = tensor_product(g_h(_bipartite(rho_hk, "rho_hk").marginal_H()), rho_hk.marginal_K())
     return BipartiteState(d_H=rho_hk.d_H, d_K=rho_hk.d_K, matrix=out)
 
 
@@ -279,19 +285,13 @@ class CpExtensionReport:
 def random_entangled_state(
     d_h: int, d_k: int, rng: np.random.Generator, mixture_terms: int = 1
 ) -> BipartiteState:
-    """Partial trace of a random pure state on an enlarged space, optionally
+    """A Hilbert-Schmidt random state on H (x) K (random_density_matrix: the
+    partial trace of a Gaussian pure state on a doubled space), optionally
     convex-mixed over several draws."""
     if not _is_integer(mixture_terms, 1):
         raise ValidationError(f"mixture_terms must be an integer >= 1, got {mixture_terms}")
     d_h, d_k = _factor_dims((d_h, d_k))
-    d = d_h * d_k
-    m = np.zeros((d, d), dtype=complex)
-    for _ in range(mixture_terms):
-        psi = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
-        psi = psi / np.linalg.norm(psi)
-        full = np.outer(psi, psi.conj())
-        m = m + partial_trace(full, (d, d), "K")
-    m = m / mixture_terms
+    m = sum(random_density_matrix(d_h * d_k, rng) for _ in range(mixture_terms)) / mixture_terms
     m = (m + dagger(m)) / 2
     return BipartiteState(d_H=d_h, d_K=d_k, matrix=m / np.trace(m).real)
 
@@ -307,7 +307,7 @@ def verify_cp_extension(dyn: BipartiteDynamics, rho_hk_samples, cfg: IntegratorC
     """
     if dyn.spec_K is not None:
         raise ValidationError("verify_cp_extension assumes a passive environment")
-    samples = list(rho_hk_samples)
+    samples = [_bipartite(s, "every sample") for s in rho_hk_samples]
     if not samples:
         raise ValidationError("verify_cp_extension needs at least one sample")
     dims = samples[0].dims
@@ -315,7 +315,7 @@ def verify_cp_extension(dyn: BipartiteDynamics, rho_hk_samples, cfg: IntegratorC
         raise ValidationError(f"samples differ in dims; the first has {dims}")
     _check_dims(dyn, dims)
     rho0s = np.array([s.matrix for s in samples])
-    _, _, states, spectra, _ = _integrate(rho0s, _joint_generator_fn(dyn, dims), cfg)
+    _, _, states, spectra, _ = _integrate(rho0s, _joint_generator_fn(dyn.spec_H, dyn.spec_K, dims), cfg)
     # states: (N, B, D, D), spectra: (N, B, D)
     local = [t.states for t in evolve_many([s.marginal_H() for s in samples], dyn.spec_H, cfg)]
     min_eigs = np.min(spectra[-1], axis=-1)

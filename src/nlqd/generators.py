@@ -141,6 +141,8 @@ class _SpecStack:
 
     @property
     def dim(self) -> int:
+        """The members' dimension, as GeneratorSpec.dim; bench/tracer.py
+        tags each generator_matrix call by it."""
         return self.H.shape[-1]
 
 

@@ -277,10 +277,10 @@ def load_scenario(path: str) -> Scenario:
         raise ValidationError(f"unknown scenario kind {kind!r}; expected one of {list(PAYLOADS)}")
     payload = get("payload", default=None)
     if not isinstance(payload, dict):
-        raise ValidationError("scenario payload must be an object")
+        raise ValidationError(f"scenario key 'payload' must be an object, got {payload!r}")
     output_path = get("output_path", default=None)
     if output_path is not None and not isinstance(output_path, str):
-        raise ValidationError(f"scenario output_path must be a string, got {output_path!r}")
+        raise ValidationError(f"scenario key 'output_path' must be a string, got {output_path!r}")
     seed = get("seed", lambda x: _int(x, 0), 0)
     return Scenario(kind=kind, payload=payload, seed=seed, output_path=output_path)
 
@@ -392,19 +392,17 @@ def _write_new(path: str, chunks) -> None:
         raise ValidationError(f"cannot write output file: {exc}") from exc
 
 
-def _cells(n: int, row: list, columns: list, at: list) -> list:
-    """Data row n's cells in the named columns, at those indices, as floats; a
-    missing cell or one that is not a number is a ValidationError naming the
-    row and the first such column."""
-    values = []
+def _cell_error(n: int, row: list, columns: list, at: list) -> ValidationError:
+    """The error of data row n, whose cells in the named columns, at those
+    indices, did not all read as floats: it names the row and the first
+    column whose cell is missing or not a number."""
     for column, i in zip(columns, at):
         if i >= len(row):
-            raise ValidationError(f"row {n} has no cell in column {column!r}")
+            return ValidationError(f"row {n} has no cell in column {column!r}")
         try:
-            values.append(float(row[i]))
+            float(row[i])
         except ValueError:
-            raise ValidationError(f"row {n}, column {column!r}: {row[i]!r} is not a number") from None
-    return values
+            return ValidationError(f"row {n}, column {column!r}: {row[i]!r} is not a number")
 
 
 def verify_csv(path: str) -> dict:
@@ -444,7 +442,7 @@ def verify_csv(path: str) -> dict:
         try:
             table.append(list(map(float, cells(row))))
         except (IndexError, ValueError):
-            table.append(_cells(n, row, columns, at))
+            raise _cell_error(n, row, columns, at) from None
     table = np.array(table)
     t, k = table[:, 0], 2 + len(eig_columns)
     # Each check is written to fail on NaN, which compares False to anything.

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -119,15 +118,15 @@ def _hermitian(a, dim: int | None = None, what: str = "matrix", one: bool = Fals
 
 
 def _positive(x, what: str):
-    """x, a real number, finite and > 0 (so not NaN)."""
-    if not (isinstance(x, numbers.Real) and 0 < x < np.inf):
+    """x, a real number and not a bool, finite and > 0 (so not NaN)."""
+    if not (isinstance(x, numbers.Real) and not isinstance(x, bool) and 0 < x < np.inf):
         raise ValidationError(f"{what} must be finite and > 0, got {x}")
     return x
 
 
 def _finite(x, what: str):
-    """x, a real number, finite (so not NaN)."""
-    if not (isinstance(x, numbers.Real) and abs(x) < np.inf):
+    """x, a real number and not a bool, finite (so not NaN)."""
+    if not (isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) < np.inf):
         raise ValidationError(f"{what} must be finite, got {x}")
     return x
 
@@ -208,14 +207,6 @@ def _name_member(exc: Exception, labels) -> Exception:
         label = labels[int(i)]
         exc.args = (head + ("" if label is None else f" ({label})") + tail,)
     return exc
-
-
-@lru_cache(maxsize=None)
-def _eye(d: int) -> np.ndarray:
-    """The d x d identity, built once per dimension and read-only."""
-    eye = np.eye(d)
-    eye.setflags(write=False)
-    return eye
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -161,7 +161,7 @@ def _evolve_joint(sc: CorrelationScenario, members: list, duration: float, label
     rhos, specs = zip(*members)
     if duration <= sc.cfg.dt * 1e-9:
         return np.array(rhos)
-    g_of_rho = _joint_generator_fn(replace(sc.dyn, spec_H=_stack_specs(specs)), sc.rho0.dims)
+    g_of_rho = _joint_generator_fn(_stack_specs(specs), sc.dyn.spec_K, sc.rho0.dims)
     _, _, states, _, _ = _integrate(np.array(rhos), g_of_rho, _phase_cfg(sc.cfg, duration), labels)
     return states[-1]
 

@@ -149,15 +149,12 @@ def _action(g_of_rho: GeneratorFn):
 class _Fixed:
     """A generator that reads no state: G(rho) = gen at every rho, gen a
     matrix, a stack of them, or anything else that applies by ``gen @ x``.
-    The step loop steps it by one RK4 matrix, formed once per run."""
+    Not a callable: the step loop steps it by one RK4 matrix per run."""
 
     __slots__ = ("gen",)
 
     def __init__(self, gen):
         self.gen = gen
-
-    def __call__(self, rho: np.ndarray):
-        return self.gen
 
 
 def _spec_generator(spec) -> GeneratorFn:
@@ -223,10 +220,6 @@ def default_monitor(H: np.ndarray) -> MonitorFn:
     return monitor
 
 
-def _no_monitor(states: np.ndarray, spectra: np.ndarray) -> dict:
-    return {}
-
-
 def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, labels=None, carried=()):
     """The step loop: factorize, step, check the drift, renormalize, check
     the eigenvalue floor, record.
@@ -246,10 +239,10 @@ def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, labels=None, 
     """
     try:
         x = np.stack((ClippedEig(rho0).power(0.5), *carried))
-        f = _action(g_of_rho)
         h = -1j * cfg.dt
         rho, w = _checked_state(x[0], 0)
         r = _step_matrix(g_of_rho, rho.shape, h) if isinstance(g_of_rho, _Fixed) else None
+        f = _action(g_of_rho) if r is None else None
         of_factor = isinstance(g_of_rho, _OfFactor)
         zero = np.zeros(rho.shape[:-2])
         records, worst = [(0.0, rho, w, zero)], zero
@@ -325,7 +318,7 @@ def consistency_check_rho_route(rho0, spec: GeneratorSpec, cfg: IntegratorConfig
     """
     m = _state(rho0, spec.dim)
     g_of_rho = partial(generator_matrix, spec)
-    gamma_route = integrate_generator(m, g_of_rho, replace(cfg, monitor_stride=1), _no_monitor)
+    _, _, gamma_route, _, _ = _integrate(m, g_of_rho, replace(cfg, monitor_stride=1))  # every step's state
 
     def f(rho):  # i rho_dot = G rho - rho G^dag
         g = g_of_rho(rho)
@@ -333,7 +326,7 @@ def consistency_check_rho_route(rho0, spec: GeneratorSpec, cfg: IntegratorConfig
 
     rho_direct = m.copy()
     dev = 0.0
-    for rho in gamma_route.states[1:]:
+    for rho in gamma_route[1:]:
         rho_direct = _rk4(rho_direct, f(rho_direct), f, -1j * cfg.dt)
         dev = max(dev, max_abs(rho - rho_direct))
     return dev

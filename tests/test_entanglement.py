@@ -31,7 +31,7 @@ from nlqd.linalg import (
     von_neumann_entropy,
 )
 from nlqd.propagation import IntegratorConfig, MixtureSpec, evolve, evolve_convex_mixture
-from test_propagation import count_generator_calls
+from test_propagation import count_calls, count_generator_calls
 
 
 def bell():
@@ -110,7 +110,7 @@ class TestJointGenerator:
         w = random_entangled_state(*dims, rng, mixture_terms=2)
         x = random_factor(dims[0] * dims[1], rng)
         y = root(w.matrix)
-        action = entanglement._joint_generator(dyn, y, dims)
+        action = entanglement._joint_generator(dyn.spec_H, dyn.spec_K, y, dims)
         assert max_abs(action @ x - polchinski_generator(dyn, y @ dagger(y), dims) @ x) < 1e-14
 
     @pytest.mark.parametrize("env", ["passive", "active"])
@@ -120,7 +120,7 @@ class TestJointGenerator:
         rhos = np.array([random_entangled_state(*dims, rng).matrix for _ in range(3)])
         xs = random_factor(dims[0] * dims[1], rng, (3,))
         ys = root(rhos)
-        applied = entanglement._joint_generator(dyn, ys, dims) @ xs
+        applied = entanglement._joint_generator(dyn.spec_H, dyn.spec_K, ys, dims) @ xs
         assert applied.shape == xs.shape
         for y, x, out in zip(ys, xs, applied):
             assert max_abs(out - polchinski_generator(dyn, y @ dagger(y), dims) @ x) < 1e-14
@@ -132,11 +132,11 @@ class TestJointGenerator:
         x = random_factor(dims[0] * dims[1], rng)
         off = replace(dyn.spec_H, H=np.zeros_like(dyn.spec_H.H))  # the switch-off route's H side
         y = root(w.matrix)
-        k_only = entanglement._joint_generator(replace(dyn, spec_H=off), y, dims)
+        k_only = entanglement._joint_generator(off, dyn.spec_K, y, dims)
         marginal_k = partial_trace(y @ dagger(y), dims, "H")
         expected = tensor_product(np.eye(dims[0]), generator_matrix(dyn.spec_K, marginal_k)) @ x
         assert max_abs(k_only @ x - expected) < 1e-14
-        assert np.all(entanglement._joint_generator(BipartiteDynamics(spec_H=off), y, dims) @ x == 0)
+        assert np.all(entanglement._joint_generator(off, None, y, dims) @ x == 0)
 
     @pytest.mark.parametrize("env", ["passive", "active", "paired"])
     def test_stages_read_marginals_off_the_factor(self, rng, monkeypatch, env):
@@ -225,30 +225,33 @@ class TestPairedJointGenerator:
         rho = np.array([random_entangled_state(*dims, rng, mixture_terms=2).matrix for _ in range(2)])
         if members == "one":
             rho = rho[0]
+        spec_h = dyn.spec_H
         if members == "specs":
-            other = replace(dyn.spec_H, H=random_hermitian(2, rng))
-            dyn = replace(dyn, spec_H=generators._stack_specs([dyn.spec_H, other]))
-        g_of_rho = entanglement._joint_generator_fn(dyn, dims)
+            spec_h = generators._stack_specs([spec_h, replace(spec_h, H=random_hermitian(2, rng))])
+        g_of_rho = entanglement._joint_generator_fn(spec_h, dyn.spec_K, dims)
         assert is_paired(g_of_rho)
         y = root(rho)
         g = g_of_rho(y)
-        assert np.array_equal(g.g_h, generator_matrix(dyn.spec_H, linalg._factor_marginals(y, dims, "K")))
+        assert np.array_equal(g.g_h, generator_matrix(spec_h, linalg._factor_marginals(y, dims, "K")))
         assert np.array_equal(g.g_k, generator_matrix(dyn.spec_K, linalg._factor_marginals(y, dims, "H")))
 
+    # Gram products per stage: both marginals by one only in a paired run
     @pytest.mark.parametrize(
-        "h_side, dims, calls",
-        [("powerLaw", (2, 2), 1), ("powerLaw", (2, 4), 2), ("nonEssential", (2, 2), 2)],
+        "h_side, dims, calls, grams",
+        [("powerLaw", (2, 2), 1, 1), ("powerLaw", (2, 4), 2, 2), ("nonEssential", (2, 2), 2, 2)],
         ids=["powerLaw-2x2", "powerLaw-2x4", "nonEssential-2x2"],
     )
-    def test_generator_calls_per_stage(self, rng, monkeypatch, h_side, dims, calls):
+    def test_generator_calls_per_stage(self, rng, monkeypatch, h_side, dims, calls, grams):
         dyn = power_law_sides(0.8, 1.2, rng, dims)
         if h_side == "nonEssential":
             dyn = replace(dyn, spec_H=bipartite_dynamics(dims, "active", rng).spec_H)
         state = random_entangled_state(*dims, rng, mixture_terms=2)
         cfg = IntegratorConfig(dt=1e-3, t_final=0.02)
         seen = count_generator_calls(monkeypatch)
+        products = count_calls(monkeypatch, entanglement, "_factor_marginals")
         evolve_bipartite(state, dyn, cfg)
         assert len(seen) == calls * 4 * cfg.n_steps
+        assert len(products) == grams * 4 * cfg.n_steps
 
     @pytest.mark.parametrize("case", list(STACK_CASES))
     def test_sides_stack_by_kernel_and_families(self, case):
@@ -258,7 +261,7 @@ class TestPairedJointGenerator:
         *sides, stack = STACK_CASES[case]
         h = random_hermitian(2, np.random.default_rng(7))
         a, b = (GeneratorSpec(H=h, t_family=TFamily("powerLaw", q=q), gamma_family=g) for q, g in sides)
-        g_of_rho = entanglement._joint_generator_fn(BipartiteDynamics(a, b), (2, 2))
+        g_of_rho = entanglement._joint_generator_fn(a, b, (2, 2))
         assert is_paired(g_of_rho) == stack
         runs = []
         with pytest.MonkeyPatch.context() as mp:  # the mutant table calls this test without fixtures
@@ -277,7 +280,7 @@ class TestPairedJointGenerator:
             spec_H=GeneratorSpec(H=SZ + 0.3 * SX, gamma_family=fam),
             spec_K=GeneratorSpec(H=0.7 * np.eye(2), gamma_family=fam),
         )
-        assert is_paired(entanglement._joint_generator_fn(dyn, (2, 2)))
+        assert is_paired(entanglement._joint_generator_fn(dyn.spec_H, dyn.spec_K, (2, 2)))
         state = random_entangled_state(2, 2, np.random.default_rng(3))
         with pytest.raises(DegenerateConstraintError, match=r"^H acts as a scalar on the support of rho; "):
             evolve_bipartite(state, dyn, IntegratorConfig(dt=1e-3, t_final=1e-2))
@@ -292,7 +295,7 @@ class TestPairedJointGenerator:
             spec_H=GeneratorSpec(H=SZ + 0.3 * SX, gamma_family=fam),
             spec_K=GeneratorSpec(H=np.diag([1.0, -0.4]), gamma_family=fam),
         )
-        g_of_rho = entanglement._joint_generator_fn(dyn, (2, 2))
+        g_of_rho = entanglement._joint_generator_fn(dyn.spec_H, dyn.spec_K, (2, 2))
         assert is_paired(g_of_rho)
         pure_k = tensor_product(np.eye(2) / 2, np.diag([1.0, 0.0]))
         rho = np.array([random_entangled_state(2, 2, rng).matrix, pure_k]) if stack else pure_k
@@ -312,8 +315,7 @@ class TestPairedJointGenerator:
         fam = GammaFamily("energyConserving", sigma=0.5, r=2.0)
         diagonal = GeneratorSpec(H=np.diag([1.0, -0.4]), gamma_family=fam)
         routes = [GeneratorSpec(H=SZ + 0.3 * SX, gamma_family=fam), diagonal]
-        dyn = BipartiteDynamics(spec_H=generators._stack_specs(routes), spec_K=diagonal)
-        g_of_rho = entanglement._joint_generator_fn(dyn, (2, 2))
+        g_of_rho = entanglement._joint_generator_fn(generators._stack_specs(routes), diagonal, (2, 2))
         assert is_paired(g_of_rho)
         factors = [np.eye(2) / 2, np.diag([1.0, 0.0])]
         bad = tensor_product(*factors[:: 1 if side == "K" else -1])
@@ -322,7 +324,7 @@ class TestPairedJointGenerator:
 
     def test_paired_error_stands_when_the_sides_pass(self, rng, monkeypatch):
         dyn = power_law_sides(1.3, 1.2, rng)
-        g_of_rho = entanglement._joint_generator_fn(dyn, (2, 2))
+        g_of_rho = entanglement._joint_generator_fn(dyn.spec_H, dyn.spec_K, (2, 2))
         pair = g_of_rho.args[0]
 
         def fails_paired(spec, rho):

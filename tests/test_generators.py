@@ -588,6 +588,8 @@ class TestClassifier:
     def test_no_gamma(self):
         rep = classify_dissipative_part(GeneratorSpec(H=SZ), sample_count=20)
         assert not rep.essential
+        empty = classify_dissipative_part(GeneratorSpec(H=SZ), sample_count=0)  # draws and checks nothing
+        assert (empty.essential, empty.witness, empty.n_samples) == (False, None, 0)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("d", [2, 3, 4])

@@ -11,13 +11,23 @@ import numpy as np
 import pytest
 
 from conftest import bell_state
-from nlqd.entanglement import BipartiteDynamics, BipartiteState, polchinski_generator, random_entangled_state
+from nlqd.entanglement import (
+    BipartiteDynamics,
+    BipartiteState,
+    check_environment_stationarity,
+    evolve_bipartite,
+    polchinski_generator,
+    random_entangled_state,
+    trivial_extension,
+    verify_cp_extension,
+)
 from nlqd.errors import ValidationError
 from nlqd.io import matrix_from_json
 from nlqd.generators import (
     GammaFamily,
     GeneratorSpec,
     TFamily,
+    _stack_specs,
     check_polchinski_condition,
     classify_dissipative_part,
     eval_Gamma,
@@ -40,6 +50,7 @@ from nlqd.measurement import CorrelationScenario, MeasurementSetup, evolve_block
 from nlqd.propagation import (
     IntegratorConfig,
     MixtureSpec,
+    Trajectory,
     accumulate_propagator,
     consistency_check_rho_route,
     evolve,
@@ -209,25 +220,32 @@ def test_rejects_bad_dims(case):
         BAD_DIMS[case]()
 
 
-# A step size, drift bound or exponent must be a real number, finite and > 0.
+# A step size, drift bound or exponent must be a real number, finite and > 0,
+# and sigma a real number, finite; a string is not a real, and nor is a bool.
+POSITIVE = "must be finite and > 0"
 NOT_A_NUMBER = {
-    "IntegratorConfig.dt": lambda: IntegratorConfig(dt="x", t_final=1.0),
-    "step_state_operator.dt": lambda: step_state_operator(sqrt_factor(np.eye(2) / 2), spec(2), "x"),
-    "step_state_operator.max_step_drift": lambda: step_state_operator(
-        sqrt_factor(np.eye(2) / 2), spec(2), 1e-3, max_step_drift="x"
+    "IntegratorConfig.dt": (lambda: IntegratorConfig(dt="x", t_final=1.0), POSITIVE),
+    "step_state_operator.dt": (lambda: step_state_operator(sqrt_factor(np.eye(2) / 2), spec(2), "x"), POSITIVE),
+    "step_state_operator.max_step_drift": (
+        lambda: step_state_operator(sqrt_factor(np.eye(2) / 2), spec(2), 1e-3, max_step_drift="x"), POSITIVE
     ),
-    "matrix_power": lambda: matrix_power(np.eye(2) / 2, "2"),
+    "matrix_power": (lambda: matrix_power(np.eye(2) / 2, "2"), POSITIVE),
     # each used to raise an untyped TypeError from the comparison
-    "TFamily.q": lambda: TFamily("powerLaw", q="x"),
-    "GammaFamily.r-zeroMean": lambda: GammaFamily("zeroMean", sigma=0.5, r="x"),
-    "GammaFamily.r-nonEssential": lambda: GammaFamily("nonEssential", r="x", A=np.diag([1.0, -1.0])),
+    "TFamily.q": (lambda: TFamily("powerLaw", q="x"), POSITIVE),
+    "GammaFamily.r-zeroMean": (lambda: GammaFamily("zeroMean", sigma=0.5, r="x"), POSITIVE),
+    "GammaFamily.r-nonEssential": (lambda: GammaFamily("nonEssential", r="x", A=np.diag([1.0, -1.0])), POSITIVE),
+    # each used to construct: a one-step config at dt = 1, q = 1, sigma = 1
+    "IntegratorConfig.dt-bool": (lambda: IntegratorConfig(dt=True, t_final=True), POSITIVE),
+    "TFamily.q-bool": (lambda: TFamily("powerLaw", q=True), POSITIVE),
+    "GammaFamily.sigma-bool": (lambda: GammaFamily("zeroMean", sigma=True, r=2.0), "sigma must be finite"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NOT_A_NUMBER))
 def test_rejects_a_string_for_a_number(case):
-    with pytest.raises(ValidationError, match="must be finite and > 0"):
-        NOT_A_NUMBER[case]()
+    make, message = NOT_A_NUMBER[case]
+    with pytest.raises(ValidationError, match=message):
+        make()
 
 
 # sigma may take any sign, but must be a real number and finite.
@@ -287,7 +305,9 @@ def correlation(**change):
 
 # A composite record checks the type of each field at construction; each
 # used to raise an untyped error, at construction or at first use, or to
-# accept the wrong type.
+# accept the wrong type.  The rows after these hold a record to its own
+# rules, partial_trace to the modes it names, and each bipartite entry
+# point to the BipartiteState it takes.
 BAD_RECORDS = {
     "MixtureSpec.weights-string": lambda: MixtureSpec(weights=["x"], process_specs=[spec(2)]),
     "MixtureSpec.weights-None": lambda: MixtureSpec(weights=None, process_specs=[spec(2)]),
@@ -300,6 +320,26 @@ BAD_RECORDS = {
     "CorrelationScenario.P_H-ndarray": lambda: correlation(P_H=np.diag([1.0, 0.0])),
     "CorrelationScenario.rho0-ndarray": lambda: correlation(rho0=bell_state()),
     "CorrelationScenario.cfg-string": lambda: correlation(cfg="x"),
+    "MixtureSpec.lengths-differ": lambda: MixtureSpec(weights=[0.5, 0.5], process_specs=[spec(2)]),
+    "MixtureSpec.empty": lambda: MixtureSpec(weights=[], process_specs=[]),
+    "TFamily.family-unknown": lambda: TFamily("linear"),
+    "GammaFamily.family-unknown": lambda: GammaFamily("dephasing"),
+    "GammaFamily.A-missing": lambda: GammaFamily("nonEssential", r=2.0),
+    "GeneratorSpec.A-dimension": lambda: GeneratorSpec(
+        H=np.eye(3), gamma_family=GammaFamily("nonEssential", r=2.0, A=np.diag([1.0, -1.0]))
+    ),
+    "Trajectory.validate-non-state": lambda: Trajectory(times=np.zeros(1), states=[NOT_PSD], monitors={}).validate(),
+    "partial_trace.over": lambda: partial_trace(MIXED, (2, 2), "X"),
+    # a bipartite entry point takes a BipartiteState; each used to raise an
+    # untyped AttributeError on a plain array
+    "evolve_bipartite.rho0-ndarray": lambda: evolve_bipartite(MIXED, BipartiteDynamics(spec_H=spec(2)), CFG),
+    "verify_cp_extension.samples-ndarray": lambda: verify_cp_extension(BipartiteDynamics(spec_H=spec(2)), [MIXED], CFG),
+    "trivial_extension.rho_hk-ndarray": lambda: trivial_extension(lambda m: m, MIXED),
+    "check_environment_stationarity.rho_hk-ndarray": lambda: check_environment_stationarity(
+        BipartiteDynamics(spec_H=spec(2)), MIXED
+    ),
+    # BipartiteDynamics takes GeneratorSpecs only: a spec stack is the library's own
+    "BipartiteDynamics.spec_H-spec-stack": lambda: BipartiteDynamics(spec_H=_stack_specs([spec(2), spec(2)])),
 }
 
 

@@ -343,8 +343,9 @@ class TestCsv:
             (lambda table: table[2].__setitem__(1, "abc"), "row 2, column 'trace': 'abc' is not a number"),
             (lambda table: table[3].pop(), "row 3 has no cell in column 'im_1_1'"),
             (lambda table: table[1].append("0"), "row 1 has more cells than the header"),
+            (lambda table: table.__delitem__(slice(1, None)), "empty CSV"),
         ],
-        ids=["missing_column", "non_numeric_cell", "short_row", "long_row"],
+        ids=["missing_column", "non_numeric_cell", "short_row", "long_row", "header_only"],
     )
     def test_malformed_csv_exit_one(self, tmp_path, rng, capsys, edit, message):
         path = self.malformed(tmp_path, rng, edit)
@@ -692,6 +693,37 @@ class TestCliEndToEnd:
         assert report["p_first"] == pytest.approx(0.5, abs=1e-9)
         assert report["p_conditional"] == pytest.approx(1.0, abs=1e-8)
 
+    def test_report_writes_null_for_a_non_finite_value(self, tmp_path, capsys):
+        # the first outcome has probability 0, so p_conditional is NaN; both
+        # outputs used to carry the token NaN, which strict JSON lacks
+        rho0 = np.zeros((4, 4))
+        rho0[2, 2] = 1.0
+        out = tmp_path / "corr.json"
+        p = write_scenario(
+            tmp_path / "corr_s.json",
+            "measure_correlation",
+            {
+                "rho0": matrix_to_json(rho0),
+                "dims": {"d_H": 2, "d_K": 2},
+                "generator_H": generator_spec_to_json(GeneratorSpec(H=SZ)),
+                "t0": 0.0,
+                "t1": 0.1,
+                "t2": 0.2,
+                "P_H": matrix_to_json(np.diag([1.0, 0.0])),
+                "P_K": matrix_to_json(np.diag([1.0, 0.0])),
+                "integrator": {"dt": 0.01},
+            },
+            output_path=out,
+        )
+        assert main(["run", p]) == 0
+
+        def strict(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        for text in (out.read_text(), capsys.readouterr().out):
+            report = json.loads(text, parse_constant=strict)
+            assert report["p_conditional"] is None and report["p_first"] == 0.0
+
     def test_correlation_ignores_the_integrator_t_final(self, tmp_path):
         # each used to exit 1: "t_final 1.0 is not a whole number of dt = 0.003 steps"
         from conftest import singlet_state
@@ -806,19 +838,29 @@ def read_scenario(doc, tmp_path):
     return scenario_inputs(load_scenario(str(path)))
 
 
-def run_rejected(doc, tmp_path, monkeypatch, capsys, flags=()) -> str:
-    """Run doc through the CLI in tmp_path, with flags; it must exit 1 with one
-    JSON ValidationError record on stderr and write no file.  Returns the
-    message."""
+def run_rejected(doc, tmp_path, monkeypatch, capsys, flags=(), command="run") -> str:
+    """Run doc through the CLI subcommand command in tmp_path, with flags; it
+    must exit 1 with one JSON ValidationError record on stderr and write no
+    file.  Returns the message."""
     monkeypatch.chdir(tmp_path)
-    doc.pop("output_path", None)  # an output would land in tmp_path
+    if isinstance(doc.get("output_path"), str):  # an output would land in tmp_path
+        del doc["output_path"]
     (tmp_path / "s.json").write_text(json.dumps(doc))
-    assert main(["run", "s.json", *flags]) == 1
+    assert main([command, "s.json", *flags]) == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
     record = json.loads(line)
     assert record["error"] == "ValidationError"
     assert os.listdir(tmp_path) == ["s.json"]
     return record["message"]
+
+
+# (kind, subcommand, flags) that the kind cannot take; the message names the
+# flag, or the subcommand when there is none
+KIND_REFUSALS = (
+    [(kind, "run", ["--seed", "5"]) for kind in ("evolve", "evolve_bipartite", "mixture", "measure_correlation")]
+    + [(kind, "run", ["--dump-states"]) for kind in ("measure_correlation", "check")]
+    + [("evolve", "check", [])]
+)
 
 
 def rename(record, old, new):
@@ -838,6 +880,9 @@ BAD_SCENARIOS = {
     "weights_not_a_list": ("mixture", lambda d: d["payload"].update(weights=1.0), "weights"),
     "zero_samples": ("check", lambda d: d["payload"].update(samples=0), "samples"),
     "checks_not_a_list": ("check", lambda d: d["payload"].update(checks="polchinski"), "checks"),
+    "integrator_not_an_object": ("evolve", lambda d: d["payload"].update(integrator=[0.01, 0.1]), "integrator"),
+    "payload_not_an_object": ("evolve", lambda d: d.update(payload=[]), "payload"),
+    "output_path_not_a_string": ("evolve", lambda d: d.update(output_path=5), "output_path"),
 }
 
 
@@ -921,15 +966,14 @@ class TestScenarioReader:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "kind, flags",
-        [(kind, ["--seed", "5"]) for kind in ("evolve", "evolve_bipartite", "mixture", "measure_correlation")]
-        + [(kind, ["--dump-states"]) for kind in ("measure_correlation", "check")],
-        ids=lambda x: x if isinstance(x, str) else x[0],
+        "kind, command, flags",
+        KIND_REFUSALS,
+        ids=[f"{kind}-{flags[0] if flags else command}" for kind, command, flags in KIND_REFUSALS],
     )
-    def test_flag_the_kind_cannot_use_exit_one(self, kind, flags, tmp_path, monkeypatch, capsys):
-        # each used to exit 0, ignoring the flag
-        message = run_rejected(full_scenarios(tmp_path)[kind], tmp_path, monkeypatch, capsys, flags)
-        assert flags[0] in message and repr(kind) in message
+    def test_flag_the_kind_cannot_use_exit_one(self, kind, command, flags, tmp_path, monkeypatch, capsys):
+        # each used to exit 0, ignoring the flag or the subcommand
+        message = run_rejected(full_scenarios(tmp_path)[kind], tmp_path, monkeypatch, capsys, flags, command)
+        assert (flags[0] if flags else command) in message and repr(kind) in message
 
     @pytest.mark.parametrize("kind", ["evolve", "evolve_bipartite", "mixture", "measure_correlation"])
     def test_strict_on_a_kind_with_no_verdict_exit_one(self, kind, tmp_path, monkeypatch, capsys):
@@ -981,10 +1025,15 @@ def run_into(doc, tmp_path, output_path, flags=()) -> int:
 
 class TestOutputFiles:
     @pytest.mark.parametrize("kind", ["evolve", "check"])
-    @pytest.mark.parametrize("where", ["missing_directory", "a_directory"])
+    @pytest.mark.parametrize("where", ["missing_directory", "a_directory", "name_too_long"])
     def test_unwritable_output_exit_one(self, kind, where, tmp_path, capsys):
-        # each used to end in a FileNotFoundError or IsADirectoryError traceback after the run
-        out = tmp_path / "absent" / "out" if where == "missing_directory" else tmp_path
+        # each used to end in a FileNotFoundError or IsADirectoryError traceback after the run;
+        # a name the file system refuses passes the check before the run and fails the write
+        out = {
+            "missing_directory": tmp_path / "absent" / "out",
+            "a_directory": tmp_path,
+            "name_too_long": tmp_path / ("x" * 300),
+        }[where]
         assert run_into(full_scenarios(tmp_path)[kind], tmp_path, out) == 1
         (line,) = capsys.readouterr().err.strip().splitlines()
         record = json.loads(line)

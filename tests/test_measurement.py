@@ -251,7 +251,7 @@ class TestFixedJointGenerator:
 
     def test_zero_joint_generator_steps_by_the_identity(self):
         # the singlet's switch-off route: H switched off and K passive
-        g = entanglement._joint_generator_fn(BipartiteDynamics(spec_H=GeneratorSpec(H=0 * SZ)), (2, 2))
+        g = entanglement._joint_generator_fn(GeneratorSpec(H=0 * SZ), None, (2, 2))
         assert isinstance(g, propagation._Fixed)
         assert np.array_equal(propagation._step_matrix(g, (4, 4), -0.3j), np.eye(4))
 

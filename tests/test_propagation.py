@@ -488,7 +488,7 @@ class TestFixedGenerator:
     def test_a_joint_generator_with_one_state_reading_side_steps_by_stages(self, rng, monkeypatch):
         dyn = BipartiteDynamics(spec_H=GeneratorSpec(H=SZ), spec_K=STAGE_SPECS["powerLaw-q1"])
         for spec_h in (dyn.spec_H, GeneratorSpec(H=0 * SZ)):  # K reads its marginal with H on or off
-            assert not isinstance(entanglement._joint_generator_fn(replace(dyn, spec_H=spec_h), (2, 2)), propagation._Fixed)
+            assert not isinstance(entanglement._joint_generator_fn(spec_h, dyn.spec_K, (2, 2)), propagation._Fixed)
         calls = count_generator_calls(monkeypatch)
         evolve_bipartite(BipartiteState(d_H=2, d_K=2, matrix=random_density_matrix(4, rng)), dyn, self.CFG)
         assert len(calls) == 2 * 4 * self.CFG.n_steps  # G_H and G_K at every stage
