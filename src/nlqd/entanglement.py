@@ -47,6 +47,7 @@ from .linalg import (
     _is_integer,
     _name_member,
     _partial_trace,
+    _record,
     _square,
     _state,
     dagger,
@@ -102,21 +103,15 @@ class BipartiteDynamics:
     spec_K: Optional[GeneratorSpec] = None
 
     def __post_init__(self):
-        if not isinstance(self.spec_H, GeneratorSpec):
-            raise ValidationError(f"spec_H must be a GeneratorSpec, got {type(self.spec_H).__name__}")
-        if not isinstance(self.spec_K, (GeneratorSpec, type(None))):
-            raise ValidationError(f"spec_K must be a GeneratorSpec or None, got {type(self.spec_K).__name__}")
-
-
-def _bipartite(state, what: str) -> BipartiteState:
-    """state, which must be a BipartiteState, the record that carries dims."""
-    if not isinstance(state, BipartiteState):
-        raise ValidationError(f"{what} must be a BipartiteState, got {type(state).__name__}")
-    return state
+        _record(self.spec_H, GeneratorSpec, "spec_H")
+        if self.spec_K is not None:
+            _record(self.spec_K, GeneratorSpec, "spec_K")
 
 
 def _check_dims(dyn: BipartiteDynamics, dims: tuple[int, int]) -> None:
-    """The local specs must act on the factors: spec_H on d_H, spec_K on d_K."""
+    """dyn must be a BipartiteDynamics whose local specs act on the factors:
+    spec_H on d_H, spec_K on d_K."""
+    _record(dyn, BipartiteDynamics, "dyn")
     d_h, d_k = dims
     if dyn.spec_H.dim != d_h:
         raise ValidationError(f"spec_H dimension {dyn.spec_H.dim} does not match d_H = {d_h}")
@@ -228,8 +223,9 @@ def joint_hamiltonian(dyn: BipartiteDynamics, dims: tuple[int, int]) -> np.ndarr
 def evolve_bipartite(rho0: BipartiteState, dyn: BipartiteDynamics, cfg: IntegratorConfig) -> Trajectory:
     """Joint gamma-route integration with marginals recomputed at every
     stage, off the stage's square-root factor."""
-    dims = _bipartite(rho0, "rho0").dims
+    dims = _record(rho0, BipartiteState, "rho0").dims
     _check_dims(dyn, dims)
+    _record(cfg, IntegratorConfig, "cfg")
     return integrate_generator(
         rho0.matrix,
         _joint_generator_fn(dyn.spec_H, dyn.spec_K, dims),
@@ -241,7 +237,8 @@ def evolve_bipartite(rho0: BipartiteState, dyn: BipartiteDynamics, cfg: Integrat
 def check_environment_stationarity(dyn: BipartiteDynamics, rho_hk: BipartiteState) -> float:
     """Max-norm of Tr_H[(Gamma_H(rho_H) (x) I_K) rho_HK]; zero means the
     environment marginal cannot move."""
-    gam = eval_Gamma(dyn.spec_H, _bipartite(rho_hk, "rho_hk").marginal_H())
+    _record(dyn, BipartiteDynamics, "dyn")
+    gam = eval_Gamma(dyn.spec_H, _record(rho_hk, BipartiteState, "rho_hk").marginal_H())
     prod = _JointGenerator(gam, None, rho_hk.dims) @ rho_hk.matrix
     return max_abs(partial_trace(prod, rho_hk.dims, "H"))
 
@@ -249,7 +246,7 @@ def check_environment_stationarity(dyn: BipartiteDynamics, rho_hk: BipartiteStat
 def trivial_extension(g_h: Callable[[np.ndarray], np.ndarray], rho_hk: BipartiteState) -> BipartiteState:
     """Product-of-mapped-marginals extension: always yields a product state,
     destroying all correlations in one application."""
-    out = tensor_product(g_h(_bipartite(rho_hk, "rho_hk").marginal_H()), rho_hk.marginal_K())
+    out = tensor_product(g_h(_record(rho_hk, BipartiteState, "rho_hk").marginal_H()), rho_hk.marginal_K())
     return BipartiteState(d_H=rho_hk.d_H, d_K=rho_hk.d_K, matrix=out)
 
 
@@ -305,9 +302,10 @@ def verify_cp_extension(dyn: BipartiteDynamics, rho_hk_samples, cfg: IntegratorC
     CP_RESIDUAL_TOL.  The samples share their dims; all joint states step
     as one stack, and all H marginals as one evolve_many.
     """
-    if dyn.spec_K is not None:
+    if _record(dyn, BipartiteDynamics, "dyn").spec_K is not None:
         raise ValidationError("verify_cp_extension assumes a passive environment")
-    samples = [_bipartite(s, "every sample") for s in rho_hk_samples]
+    _record(cfg, IntegratorConfig, "cfg")
+    samples = [_record(s, BipartiteState, "every sample") for s in rho_hk_samples]
     if not samples:
         raise ValidationError("verify_cp_extension needs at least one sample")
     dims = samples[0].dims

@@ -7,15 +7,17 @@ two Lagrange multipliers solved per state, and the support-avoiding form
 (I - rho^{r-1}) A (I - P_rho) + h.c. whose anticommutator action reduces
 to a commutator (a "non-essential" dissipative part).
 
-Each spec picks its kernel once, at construction.  Where every power of rho
-that G reads has a whole exponent (q, and r for zeroMean and
-energyConserving), the product kernel forms rho^q and rho^r by matrix
-products, with no eigendecomposition; energyConserving reads its traces by
-one matmul of the stack (rho, rho^{r+1}) on rows for I, H and H^2.  Every
-other spec, nonEssential always (its Gamma reads the support of rho), takes
-the spectral kernel, which reads everything from one eigendecomposition of
-rho and stays the oracle.  Neither kernel owns the eigenvalue floor of a
-stepped state: the step loop in ``propagation`` checks each one.
+Each spec picks its kernel once, at construction.  T has one formula in
+both, X + X^dag with X = H rho^q, and takes rho^q by products whenever q is
+whole and at most MAX_PRODUCT_POWER (``_whole``), else from the spectrum.
+Where every power of rho that G reads is so whole (q, and r for zeroMean and
+energyConserving), the product kernel forms them all by matrix products,
+with no eigendecomposition; energyConserving reads its traces by one matmul
+of the stack (rho, rho^{r+1}) on rows for I, H and H^2.  Every other spec,
+nonEssential always (its Gamma reads the support of rho), takes the spectral
+kernel, whose one eigendecomposition of rho serves the fractional powers,
+the support and the spectral Gamma.  Neither kernel owns the eigenvalue
+floor of a stepped state: the step loop in ``propagation`` checks each one.
 
 Also here: the generic zero-mean construction for linear superoperators,
 the zero-mean and support-block checks as executable criteria, and a
@@ -38,6 +40,7 @@ from .linalg import (
     _is_integer,
     _member,
     _positive,
+    _record,
     _square,
     _trace,
     dagger,
@@ -117,7 +120,7 @@ class GeneratorSpec:
         a = self.gamma_family.A
         if a is not None and a.shape != h.shape:
             raise ValidationError("A and H dimensions differ")
-        object.__setattr__(self, "_products", _product_plan(h, self.t_family, self.gamma_family))
+        _plan(self)
 
     @property
     def dim(self) -> int:
@@ -137,7 +140,7 @@ class _SpecStack:
     qs: Optional[tuple] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "_products", _product_plan(self.H, self.t_family, self.gamma_family))
+        _plan(self)
 
     @property
     def dim(self) -> int:
@@ -146,24 +149,24 @@ class _SpecStack:
         return self.H.shape[-1]
 
 
-def _whole(x: float) -> bool:
-    """x is a whole number >= 1, so rho^x is a product of rho's."""
-    return x >= 1 and float(x).is_integer()
-
-
 # rho^n costs n - 1 matrix products.  At n = 8 the product kernel costs
-# about what the spectral kernel does (timeit, d = 2, 4 and 8), so a spec that
-# needs a higher power of rho keeps the spectral kernel.
+# about what the spectral kernel does (timeit, d = 2, 4 and 8), so a higher
+# power of rho comes from the spectrum.
 MAX_PRODUCT_POWER = 8
+
+
+def _whole(x: float) -> bool:
+    """x is a whole number from 1 to MAX_PRODUCT_POWER, so rho^x is taken as
+    a product of rho's: the one rule of both kernels."""
+    return 1 <= x <= MAX_PRODUCT_POWER and float(x).is_integer()
 
 
 @dataclass(frozen=True)
 class _Products:
     """What the product kernel forms for one spec: rho^k for k = 1..n by
-    matrix products, T = H rho^q + rho^q H (q = 0: T = H), Gamma from rho^r
-    (r = 0: Gamma reads no power of rho), and energyConserving's _trace_rows."""
+    matrix products, Gamma from rho^r (r = 0: Gamma reads no power of rho),
+    and energyConserving's _trace_rows."""
 
-    q: int
     r: int
     n: int
     rows: Optional[np.ndarray] = None
@@ -175,40 +178,35 @@ def _trace_rows(h: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(m.reshape(m.shape[:-2] + (-1,)).swapaxes(-1, -2))
 
 
-def _product_plan(h: np.ndarray, t_family: TFamily, gamma_family: GammaFamily) -> Optional[_Products]:
-    """The product kernel's plan when every power of rho that G reads has a
-    whole exponent, else None: the spectral kernel, which nonEssential
-    always takes."""
-    fam = gamma_family.family
-    q = 0.0 if t_family.family == "vonNeumann" else t_family.q
-    reads_r = fam in ("zeroMean", "energyConserving")
-    if fam == "nonEssential" or q and not _whole(q) or reads_r and not _whole(gamma_family.r):
-        return None
-    q, r = int(q), int(gamma_family.r) if reads_r else 0
-    energy = fam == "energyConserving"
-    n = max(q, r + 1 if energy else r)  # energyConserving reads Tr[H rho^{r+1}]
-    if n > MAX_PRODUCT_POWER:
-        return None
-    return _Products(q, r, n, _trace_rows(h) if energy else None)
+def _plan(spec) -> None:
+    """Fix a spec's kernel once, at construction: _tq, the power of rho that
+    T takes by products (0: T = H; None: from the spectrum), and _products,
+    the product kernel's plan when Gamma too reads only such powers, else
+    None: the spectral kernel, which nonEssential always takes."""
+    t, g = spec.t_family, spec.gamma_family
+    tq = 0 if t.family == "vonNeumann" else int(t.q) if _whole(t.q) else None
+    energy = g.family == "energyConserving"  # reads rho^{r+1}
+    r = g.r if g.family in ("zeroMean", "energyConserving") else 0
+    plan = None
+    if not (g.family == "nonEssential" or tq is None or r and not _whole(r + energy)):
+        plan = _Products(int(r), max(tq, int(r) + energy), _trace_rows(spec.H) if energy else None)
+    object.__setattr__(spec, "_tq", tq)
+    object.__setattr__(spec, "_products", plan)
 
 
 def _fixed_generator(spec):
-    """G itself when it reads no state, else None: the product kernel's plan
-    reads no power of rho (q = 0, r = 0) and the family is none, so G = H at
-    every rho (for a _SpecStack, its stack of H)."""
-    plan = spec._products
-    if plan is not None and plan.q == 0 and plan.r == 0 and spec.gamma_family.family == "none":
-        return spec.H
-    return None
+    """G itself when it reads no state, else None: T = H and the family is
+    none, so G = H at every rho (for a _SpecStack, its stack of H)."""
+    return spec.H if spec._tq == 0 and spec.gamma_family.family == "none" else None
 
 
 def _stack_key(spec) -> tuple:
     """The one rule by which specs stack (_stack_specs), as mixture branches
-    or joint sides: one T family, Gamma family, sigma and r, and one q on
-    the product kernel; the spectral kernel reads q per member."""
+    or joint sides: one T family, Gamma family, sigma and r, and one q where
+    T takes rho^q by products (_tq), so each member takes T as it does alone;
+    from the spectrum, the spectral kernel reads q per member."""
     fam = spec.gamma_family
-    q = None if spec._products is None else spec.t_family.q
-    return q, spec.t_family.family, fam.family, fam.sigma, fam.r
+    return spec._tq, spec.t_family.family, fam.family, fam.sigma, fam.r
 
 
 def _stack(ms) -> np.ndarray:
@@ -234,24 +232,37 @@ def _stack_specs(specs) -> _SpecStack:
 # c[..., None, None].
 
 
+def _powers(rho: np.ndarray, n: int) -> list:
+    """[None, rho, rho^2, ..., rho^n], each power the one before times rho."""
+    p = [None, rho]
+    for _ in range(1, n):
+        p.append(p[-1] @ rho)
+    return p
+
+
+def _motion(h: np.ndarray, rq: Optional[np.ndarray]) -> np.ndarray:
+    """T = X + X^dag with X = H rq, rq = rho^q, in both kernels; H for rq None."""
+    if rq is None:
+        return h
+    x = h @ rq
+    return x + dagger(x)
+
+
 def _eval_T(spec: GeneratorSpec, dec: ClippedEig) -> np.ndarray:
-    if spec.t_family.family == "vonNeumann":
-        return spec.H
-    qs = getattr(spec, "qs", None)
-    if qs is None:
-        rq = dec.power(spec.t_family.q)
-    else:  # one scalar power per member: numpy takes q = 0.5 and 2 by sqrt and square, a q array by pow
-        w = dec.eigenvalues
-        wq = w ** qs[0]
-        for i in range(1, len(qs)):
-            wq[..., i, :] = w[..., i, :] ** qs[i]
-        rq = dec.spectral(wq)
-    return spec.H @ rq + rq @ spec.H
+    """T at dec's state, rho^q by products where _tq is set, else from the spectrum."""
+    if spec._tq is not None:
+        return _motion(spec.H, _powers(dec.rho, spec._tq)[spec._tq])
+    qs = getattr(spec, "qs", None) or (spec.t_family.q,)
+    w = dec.eigenvalues
+    wq = w ** qs[0]
+    for i in range(1, len(qs)):  # one scalar power per member, as alone: numpy takes q = 0.5 by sqrt
+        wq[..., i, :] = w[..., i, :] ** qs[i]
+    return _motion(spec.H, dec.spectral(wq))
 
 
 def eval_T(spec: GeneratorSpec, rho) -> np.ndarray:
     """T(rho) for a Hermitian rho of the spec's dimension."""
-    return _eval_T(spec, ClippedEig(_hermitian(rho, spec.dim)))
+    return _eval_T(spec, ClippedEig(_hermitian(rho, _record(spec, GeneratorSpec, "spec").dim)))
 
 
 def solve_lagrange_parameters(
@@ -350,7 +361,7 @@ def _gamma_or_zeros(spec: GeneratorSpec, dec: ClippedEig) -> np.ndarray:
 
 def eval_Gamma(spec: GeneratorSpec, rho) -> np.ndarray:
     """Gamma(rho) for a Hermitian rho of the spec's dimension."""
-    return _gamma_or_zeros(spec, ClippedEig(_hermitian(rho, spec.dim)))
+    return _gamma_or_zeros(spec, ClippedEig(_hermitian(rho, _record(spec, GeneratorSpec, "spec").dim)))
 
 
 def _by_spectrum(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
@@ -366,13 +377,8 @@ def _by_products(spec: GeneratorSpec, plan: _Products, rho: np.ndarray) -> np.nd
     """The product kernel: G from rho^k = rho ... rho, k <= plan.n, with no
     eigendecomposition and so no eigenvalue floor."""
     fam = spec.gamma_family
-    p = [None, rho]  # p[k] = rho^k
-    for _ in range(1, plan.n):
-        p.append(p[-1] @ rho)
-    t = spec.H
-    if plan.q:
-        x = spec.H @ p[plan.q]
-        t = x + dagger(x)
+    p = _powers(rho, plan.n)  # p[k] = rho^k
+    t = _motion(spec.H, p[spec._tq])
     if fam.family == "none":
         return t
     i_sigma = 1j * fam.sigma
@@ -404,7 +410,8 @@ def generator_matrix(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
     eigenvalue floor of the decomposition it takes, if it takes one: the
     spectral kernel (nonEssential always) takes one, the product kernel
     none.  The step loop checks the floor of each stepped state either way.
-    Validate input with eval_T / eval_Gamma, which take the spectral kernel.
+    Validate input with eval_T / eval_Gamma, which decompose rho, as the
+    spectral kernel does.
     rho may be a stack (B, d, d), and spec a stack of B specs; G is then one
     generator per member.  Where Gamma is identically zero, G is T itself, which for
     vonNeumann is the spec's read-only H.
@@ -428,6 +435,7 @@ def check_zero_mean(spec: GeneratorSpec, rho_samples, gamma_fn=None) -> ZeroMean
     control without the mean subtraction; it is called once per sample.
     The samples are checked one by one, then decomposed as one stack.
     """
+    _record(spec, GeneratorSpec, "spec")
     rhos = [_hermitian(rho, spec.dim) for rho in rho_samples]
     if not rhos:
         return ZeroMeanReport(residuals=np.zeros(0), passed=True)
@@ -481,7 +489,7 @@ def check_polchinski_condition(spec: GeneratorSpec, rho: np.ndarray) -> SupportB
     product-propagator extension to entangled systems to stay completely
     positive.
     """
-    residual = float(_support_block_residuals(spec, _hermitian(rho, spec.dim)))
+    residual = float(_support_block_residuals(spec, _hermitian(rho, _record(spec, GeneratorSpec, "spec").dim)))
     return SupportBlockResult(passed=residual <= SUPPORT_BLOCK_TOL, residual=residual)
 
 
@@ -522,7 +530,7 @@ def classify_dissipative_part(
     """
     if not _is_integer(sample_count, 0):
         raise ValidationError(f"sample_count must be an integer >= 0, got {sample_count}")
-    d = spec.dim
+    d = _record(spec, GeneratorSpec, "spec").dim
     rng = np.random.default_rng(0) if rng is None else rng
     start = rng.bit_generator.state
 

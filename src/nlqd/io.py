@@ -29,7 +29,7 @@ import numpy as np
 from .entanglement import BipartiteDynamics, BipartiteState
 from .errors import ValidationError
 from .generators import GammaFamily, GeneratorSpec, TFamily
-from .linalg import EIG_NEG_TOL, _is_integer, _positive, state_violations
+from .linalg import EIG_NEG_TOL, _is_integer, _positive, _record, state_violations
 from .measurement import CorrelationScenario, MeasurementSetup
 from .propagation import RECORD_HERM_TOL, RECORD_TRACE_TOL, IntegratorConfig, MixtureSpec, Trajectory
 
@@ -181,7 +181,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def generator_spec_to_json(spec: GeneratorSpec) -> dict:
-    t = {"family": spec.t_family.family}
+    t = {"family": _record(spec, GeneratorSpec, "spec").t_family.family}
     if spec.t_family.family == "powerLaw":
         t["q"] = spec.t_family.q
     g = {"family": spec.gamma_family.family}

@@ -89,8 +89,9 @@ def state_violation(m: np.ndarray, herm_tol: float, trace_tol: float, eig_tol: f
 # The input rule: every public entry point and constructor takes its matrices
 # through _square, _hermitian or _state, which unwrap .matrix, name the input
 # as what and raise ValidationError, its dims through _factor_dims, its
-# positive reals through _positive, its other reals through _finite and its
-# counts through _is_integer.  The per-stage kernels check nothing.
+# records (a spec, a config, a mixture, ...) through _record, its positive
+# reals through _positive, its other reals through _finite and its counts
+# through _is_integer.  The per-stage kernels check nothing.
 
 
 def _square(a, dim: int | None = None, what: str = "matrix", one: bool = False) -> np.ndarray:
@@ -121,6 +122,14 @@ def _positive(x, what: str):
     """x, a real number and not a bool, finite and > 0 (so not NaN)."""
     if not (isinstance(x, numbers.Real) and not isinstance(x, bool) and 0 < x < np.inf):
         raise ValidationError(f"{what} must be finite and > 0, got {x}")
+    return x
+
+
+def _record(x, kind: type, what: str):
+    """x, which must be an instance of the record type kind."""
+    if not isinstance(x, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValidationError(f"{what} must be {article} {kind.__name__}, got {type(x).__name__}")
     return x
 
 

@@ -25,6 +25,7 @@ from .linalg import (
     DensityMatrix,
     _finite,
     _hermitian,
+    _record,
     _square,
     _state,
     dagger,
@@ -72,7 +73,7 @@ class MeasurementSetup:
 def projective_measure(rho, m: MeasurementSetup) -> tuple[DensityMatrix, float]:
     """Apply P rho P + Q rho Q to a state of the projector's dimension; returns
     the post-state and the probability of the positive outcome."""
-    mat = _state(rho, m.dim)
+    mat = _state(rho, _record(m, MeasurementSetup, "m").dim)
     p, q = m.P, m.Q
     post = p @ mat @ p + q @ mat @ q
     prob = float(np.trace(p @ mat @ p).real)
@@ -81,7 +82,7 @@ def projective_measure(rho, m: MeasurementSetup) -> tuple[DensityMatrix, float]:
 
 def check_subspace_invariance(H, A, m: MeasurementSetup) -> bool:
     """True iff H (and A, when given) are block diagonal with respect to P, Q."""
-    p, q = m.P, m.Q
+    p, q = _record(m, MeasurementSetup, "m").P, m.Q
     ops = [_square(H, m.dim)]
     if A is not None:
         ops.append(_square(A, m.dim))
@@ -97,7 +98,7 @@ def evolve_block_diagonal(
     block's generator sees the unnormalized block and is projected back into
     it.  Returns the full trajectory and the max deviation of the block sum.
     """
-    mat = _state(rho_bd, spec.dim)
+    mat = _state(rho_bd, _record(spec, GeneratorSpec, "spec").dim)
     a = spec.gamma_family.A
     if not check_subspace_invariance(spec.H, a, m):
         raise SubspaceInvarianceError("H (or A) does not leave the P, Q subspaces invariant")
@@ -134,8 +135,7 @@ class CorrelationScenario:
     def __post_init__(self):
         for name, kind in (("rho0", BipartiteState), ("dyn", BipartiteDynamics), ("P_H", MeasurementSetup),
                            ("P_K", MeasurementSetup), ("cfg", IntegratorConfig)):
-            if not isinstance(getattr(self, name), kind):
-                raise ValidationError(f"{name} must be a {kind.__name__}, got {type(getattr(self, name)).__name__}")
+            _record(getattr(self, name), kind, name)
         for name in ("t0", "t1", "t2"):
             _finite(getattr(self, name), name)
         if not (self.t0 <= self.t1 < self.t2):
@@ -167,7 +167,7 @@ def _evolve_joint(sc: CorrelationScenario, members: list, duration: float, label
 
 
 def _require_invariance(sc: CorrelationScenario) -> None:
-    if not check_subspace_invariance(sc.dyn.spec_H.H, None, sc.P_H):
+    if not check_subspace_invariance(_record(sc, CorrelationScenario, "sc").dyn.spec_H.H, None, sc.P_H):
         raise SubspaceInvarianceError(
             "post-measurement H dynamics does not leave the P_H, Q_H subspaces invariant"
         )
@@ -235,7 +235,7 @@ def check_remote_generator_unaffected(sc: CorrelationScenario) -> float:
 
     Structurally zero: Tr_H[P rho P + Q rho Q] = Tr_H[rho] since P + Q = I.
     """
-    return _remote_generator_change(sc, _first_phase(sc))
+    return _remote_generator_change(sc, _first_phase(_record(sc, CorrelationScenario, "sc")))
 
 
 def correlation_report(sc: CorrelationScenario) -> dict:

@@ -56,6 +56,7 @@ from .linalg import (
     _member,
     _name_member,
     _positive,
+    _record,
     _square,
     _state,
     _trace,
@@ -200,7 +201,7 @@ def step_state_operator(gamma, spec: GeneratorSpec, dt: float, max_step_drift: f
     """One RK4 step of a unit-norm square-root factor of the spec's dimension."""
     _positive(dt, "dt")
     _positive(max_step_drift, "max_step_drift")
-    x = StateOperator(matrix=_square(gamma, spec.dim)).matrix[None]
+    x = StateOperator(matrix=_square(gamma, _record(spec, GeneratorSpec, "spec").dim)).matrix[None]
     f = _action(partial(generator_matrix, spec))
     g = _renormalize(_rk4(x, f(x), f, -1j * dt)[0], max_step_drift)[0]
     _checked_state(g, 1)
@@ -297,6 +298,8 @@ def evolve_many(rho0s, spec: GeneratorSpec, cfg: IntegratorConfig) -> list:
     route, all of them as one stack through the step loop; returns one
     Trajectory per state, in order.  An error in a stack of two or more
     names the first failing member."""
+    _record(spec, GeneratorSpec, "spec")
+    _record(cfg, IntegratorConfig, "cfg")
     if len(rho0s) == 0:
         raise ValidationError("evolve_many needs at least one state")
     states = [_state(r, spec.dim) for r in rho0s]
@@ -316,7 +319,8 @@ def consistency_check_rho_route(rho0, spec: GeneratorSpec, cfg: IntegratorConfig
     """Integrate the density-matrix equation directly with the same RK4 scheme
     and report the max entrywise deviation from the gamma route over the grid.
     """
-    m = _state(rho0, spec.dim)
+    m = _state(rho0, _record(spec, GeneratorSpec, "spec").dim)
+    _record(cfg, IntegratorConfig, "cfg")
     g_of_rho = partial(generator_matrix, spec)
     _, _, gamma_route, _, _ = _integrate(m, g_of_rho, replace(cfg, monitor_stride=1))  # every step's state
 
@@ -341,7 +345,8 @@ def accumulate_propagator(
     state reconstructs as S rho(0) S^dag.  When the dissipative part never
     touches the support of rho, S comes out unitary.
     """
-    m = _state(rho0, spec.dim)
+    m = _state(rho0, _record(spec, GeneratorSpec, "spec").dim)
+    _record(cfg, IntegratorConfig, "cfg")
     s0 = np.eye(m.shape[0], dtype=complex)
     x, *records = _integrate(m, _spec_generator(spec), cfg, carried=(s0,))
     return x[1], _trajectories(*records, default_monitor(spec.H))[0]
@@ -363,8 +368,8 @@ class MixtureSpec:
             raise ValidationError("weights and process_specs lengths differ or empty")
         for x in weights:
             _positive(x, "every mixture weight")
-        if not all(isinstance(spec, GeneratorSpec) for spec in specs):
-            raise ValidationError("every mixture process spec must be a GeneratorSpec")
+        for spec in specs:
+            _record(spec, GeneratorSpec, "every mixture process spec")
         w = np.array(weights, dtype=float)
         if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValidationError(f"mixture weights sum to {w.sum()}, not 1")
@@ -382,7 +387,8 @@ def evolve_convex_mixture(rho0, mix: MixtureSpec, cfg: IntegratorConfig) -> Traj
     and A stacked, one batch per group; an error names the failing branch
     "branch i", its index in process_specs.
     """
-    m = _state(rho0, mix.process_specs[0].dim)
+    m = _state(rho0, _record(mix, MixtureSpec, "mix").process_specs[0].dim)
+    _record(cfg, IntegratorConfig, "cfg")
     groups: dict = {}
     for i, spec in enumerate(mix.process_specs):
         groups.setdefault(_stack_key(spec), []).append(i)

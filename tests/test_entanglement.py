@@ -184,11 +184,13 @@ class TestJointGenerator:
 NONE = GammaFamily("none")
 ZERO_MEAN = GammaFamily("zeroMean", sigma=0.5, r=1.5)  # r = 1.5 keeps every q on the spectral kernel
 # case -> (q, Gamma family) of two powerLaw specs, and whether they stack:
-# spectral specs stack whatever their q, product-kernel specs only at one q.
+# specs whose T takes rho^q from the spectrum stack whatever their q; a
+# whole q takes rho^q by products, on either kernel, and stacks only at one q.
 STACK_CASES = {
     "spectral-q": ((1.3, NONE), (0.5, NONE), True),
     "product-one-q": ((2.0, NONE), (2.0, NONE), True),
-    "spectral-q-zeroMean": ((1.0, ZERO_MEAN), (2.0, ZERO_MEAN), True),
+    "spectral-q-zeroMean": ((1.0, ZERO_MEAN), (2.0, ZERO_MEAN), False),  # both T by products, at two q
+    "spectral-one-q-zeroMean": ((2.0, ZERO_MEAN), (2.0, ZERO_MEAN), True),
     "spectral-and-product": ((1.3, NONE), (2.0, NONE), False),  # q = 2 takes the product kernel
     "product-q": ((2.0, NONE), (3.0, NONE), False),
     "gamma-family": ((1.3, NONE), (1.3, ZERO_MEAN), False),

@@ -322,6 +322,22 @@ WHOLE_EXPONENT_SPECS = [
 ]  # energyConserving: q below, at and above r + 1; n = 8 products at most
 
 
+def t_by_spectrum(spec, rho):
+    """T = H rho^q + rho^q H with rho^q from ClippedEig's spectrum, and T = H
+    for vonNeumann: the oracle of both kernels' T, which take a whole q by
+    products."""
+    if spec.t_family.family == "vonNeumann":
+        return spec.H
+    rq = ClippedEig(rho).power(spec.t_family.q)
+    return spec.H @ rq + rq @ spec.H
+
+
+def g_by_spectrum(spec, rho):
+    """G = T + i Gamma from t_by_spectrum and gamma_by_products."""
+    t = t_by_spectrum(spec, rho)
+    return t if spec.gamma_family.family == "none" else t + 1j * gamma_by_products(spec, rho)
+
+
 class TestProductKernel:
     @pytest.mark.parametrize("name", WHOLE_EXPONENT_SPECS)
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
@@ -330,12 +346,27 @@ class TestProductKernel:
         for rank in sorted({1, max(1, d // 2), d - 1, d}):
             spec, rho = whole_exponent_spec(name, d, rng), random_density_matrix(d, rng, rank)
             assert spec._products is not None
-            assert max_abs(generators.generator_matrix(spec, rho) - generators._by_spectrum(spec, rho)) <= 1e-14
+            assert max_abs(generators.generator_matrix(spec, rho) - g_by_spectrum(spec, rho)) <= 1e-14
         stacked = generators._stack_specs([whole_exponent_spec(name, d, rng) for _ in range(3)])
         rhos = np.array([random_density_matrix(d, rng, rank) for rank in (d, 1, max(1, d - 1))])
         got = generators.generator_matrix(stacked, rhos)
         assert got.shape == rhos.shape
-        assert max_abs(got - generators._by_spectrum(stacked, rhos)) <= 1e-14
+        assert max_abs(got - g_by_spectrum(stacked, rhos)) <= 1e-14
+
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_non_essential_takes_a_whole_q_by_products(self, rng, q, d):
+        # the spectral kernel's T equals the product kernel's bit for bit, and
+        # the spectral oracle to roundoff
+        h = random_hermitian(d, rng)
+        spec = power_law_spec(h, q, GammaFamily("nonEssential", r=2.0, A=random_hermitian(d, rng)))
+        alone = power_law_spec(h, q)
+        assert spec._products is None and alone._products is not None
+        for rank in (d, 1):
+            rho = random_density_matrix(d, rng, rank)
+            t = generators._eval_T(spec, ClippedEig(rho))
+            assert same_bits(t, generators.generator_matrix(alone, rho))
+            assert max_abs(t - t_by_spectrum(spec, rho)) <= 1e-14
 
     @pytest.mark.parametrize(
         "t_family, gamma",
@@ -386,7 +417,7 @@ class TestProductKernel:
         spec = whole_exponent_spec("q1/zeroMean", 3, rng)
         stacked = generators._stack_specs([spec, spec])
         calls = []
-        monkeypatch.setattr(generators, "_product_plan", lambda *a: calls.append(1))
+        monkeypatch.setattr(generators, "_plan", lambda *a: calls.append(1))
         monkeypatch.setattr(generators, "_whole", lambda x: calls.append(1))
         rho = random_density_matrix(3, rng)
         generators.generator_matrix(spec, rho)

@@ -22,13 +22,14 @@ from nlqd.entanglement import (
     verify_cp_extension,
 )
 from nlqd.errors import ValidationError
-from nlqd.io import matrix_from_json
+from nlqd.io import generator_spec_to_json, matrix_from_json
 from nlqd.generators import (
     GammaFamily,
     GeneratorSpec,
     TFamily,
     _stack_specs,
     check_polchinski_condition,
+    check_zero_mean,
     classify_dissipative_part,
     eval_Gamma,
     eval_T,
@@ -46,7 +47,17 @@ from nlqd.linalg import (
     support_projector,
     von_neumann_entropy,
 )
-from nlqd.measurement import CorrelationScenario, MeasurementSetup, evolve_block_diagonal, projective_measure
+from nlqd.measurement import (
+    CorrelationScenario,
+    MeasurementSetup,
+    check_remote_generator_unaffected,
+    check_subspace_invariance,
+    correlation_full_route,
+    correlation_report,
+    correlation_switch_off_route,
+    evolve_block_diagonal,
+    projective_measure,
+)
 from nlqd.propagation import (
     IntegratorConfig,
     MixtureSpec,
@@ -55,6 +66,7 @@ from nlqd.propagation import (
     consistency_check_rho_route,
     evolve,
     evolve_convex_mixture,
+    evolve_many,
     step_state_operator,
 )
 
@@ -351,3 +363,52 @@ def test_the_valid_correlation_scenario_constructs():
 def test_rejects_a_wrong_type_in_a_record(case):
     with pytest.raises(ValidationError):
         BAD_RECORDS[case]()
+
+
+# Every public entry point that takes a record (spec, cfg, mix, dyn, m or sc)
+# rejects one of another type; each used to raise an untyped AttributeError.
+HALF = np.eye(2) / 2
+PAIR = BipartiteState(d_H=2, d_K=2, matrix=MIXED)
+DYN = BipartiteDynamics(spec_H=spec(2))
+CFG_DICT = {"dt": 0.1, "t_final": 1.0}
+P0 = MeasurementSetup(P=np.diag([1.0, 0.0]))
+WRONG_RECORD = {
+    "eval_T.spec": lambda: eval_T("x", HALF),
+    "eval_Gamma.spec": lambda: eval_Gamma("x", HALF),
+    "check_zero_mean.spec": lambda: check_zero_mean("x", [HALF]),
+    "check_polchinski_condition.spec": lambda: check_polchinski_condition("x", HALF),
+    "classify_dissipative_part.spec": lambda: classify_dissipative_part("x", 2),
+    "generator_spec_to_json.spec": lambda: generator_spec_to_json("x"),
+    "step_state_operator.spec": lambda: step_state_operator(sqrt_factor(HALF), None, 0.1),
+    "evolve.spec": lambda: evolve(HALF, "x", CFG),
+    "evolve.cfg": lambda: evolve(HALF, spec(2), CFG_DICT),
+    "evolve_many.spec": lambda: evolve_many([HALF], "x", CFG),
+    "evolve_many.cfg": lambda: evolve_many([HALF], spec(2), CFG_DICT),
+    "consistency_check_rho_route.spec": lambda: consistency_check_rho_route(HALF, "x", CFG),
+    "consistency_check_rho_route.cfg": lambda: consistency_check_rho_route(HALF, spec(2), CFG_DICT),
+    "accumulate_propagator.spec": lambda: accumulate_propagator(HALF, "x", CFG),
+    "accumulate_propagator.cfg": lambda: accumulate_propagator(HALF, spec(2), CFG_DICT),
+    "evolve_convex_mixture.mix": lambda: evolve_convex_mixture(HALF, [spec(2)], CFG),
+    "evolve_convex_mixture.cfg": lambda: evolve_convex_mixture(HALF, MixtureSpec([1.0], [spec(2)]), CFG_DICT),
+    "polchinski_generator.dyn": lambda: polchinski_generator("x", PAIR),
+    "evolve_bipartite.dyn": lambda: evolve_bipartite(PAIR, "x", CFG),
+    "evolve_bipartite.cfg": lambda: evolve_bipartite(PAIR, DYN, CFG_DICT),
+    "check_environment_stationarity.dyn": lambda: check_environment_stationarity("x", PAIR),
+    "verify_cp_extension.dyn": lambda: verify_cp_extension("x", [PAIR], CFG),
+    "verify_cp_extension.cfg": lambda: verify_cp_extension(DYN, [PAIR], CFG_DICT),
+    "projective_measure.m": lambda: projective_measure(HALF, "x"),
+    "check_subspace_invariance.m": lambda: check_subspace_invariance(np.eye(2), None, "x"),
+    "evolve_block_diagonal.spec": lambda: evolve_block_diagonal(HALF, "x", P0, CFG),
+    "evolve_block_diagonal.m": lambda: evolve_block_diagonal(HALF, spec(2), "x", CFG),
+    "evolve_block_diagonal.cfg": lambda: evolve_block_diagonal(HALF, spec(2), P0, CFG_DICT),
+    "correlation_full_route.sc": lambda: correlation_full_route("x"),
+    "correlation_switch_off_route.sc": lambda: correlation_switch_off_route("x"),
+    "check_remote_generator_unaffected.sc": lambda: check_remote_generator_unaffected("x"),
+    "correlation_report.sc": lambda: correlation_report("x"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_RECORD))
+def test_rejects_a_record_of_the_wrong_type(case):
+    with pytest.raises(ValidationError, match=r"must be an? [A-Z]\w+, got (str|dict|list|NoneType)$"):
+        WRONG_RECORD[case]()

@@ -99,11 +99,11 @@ def spec_without_hermiticity_check(self):
     a = self.gamma_family.A
     if a is not None and a.shape != h.shape:
         raise ValidationError("A and H dimensions differ")
-    object.__setattr__(self, "_products", generators._product_plan(h, self.t_family, self.gamma_family))
+    generators._plan(self)
 
 
 def whole_if_at_least_one(x):
-    return x >= 1  # was x >= 1 and float(x).is_integer(): the product kernel takes q = 1.3 as 1
+    return 1 <= x <= generators.MAX_PRODUCT_POWER  # was ... and float(x).is_integer(): q = 1.3 taken as 1
 
 
 def edited(fn, *changes):
@@ -126,7 +126,8 @@ LOOP_STAGES = "x = _rk4(x, g_of_rho(x[0] if of_factor else rho) @ x, f, h) if r 
 LOOP_FLOOR = "rho, w = _checked_state(gamma, step)"
 ROUTE_MEMBERS = "return [(_measure_h(sc, rho1), spec_h), (rho1, replace(spec_h, H=np.zeros_like(spec_h.H)))]"
 LAGRANGE_TRACES = "zeta, xi = _lagrange(tr[..., 0, 0], tr[..., 0, 1], tr[..., 0, 2], tr[..., 1, 0], tr[..., 1, 1])"
-STACK_KEY = "return q, spec.t_family.family, fam.family, fam.sigma, fam.r"
+STACK_KEY = "return spec._tq, spec.t_family.family, fam.family, fam.sigma, fam.r"
+MOTION = "return x + dagger(x)"
 FACTOR_TR_K = "z = y.reshape(lead + (d_h, d_k * n))"
 FACTOR_PAIR = "z = np.concatenate((t, t.swapaxes(-3, -2)), axis=-3).reshape(lead + (2, d_h, d_k * n))"
 
@@ -136,8 +137,7 @@ def step_matrix_at_half_dt(g_of_rho, shape, h):
 
 
 def fixed_generator_reads_q_only(spec):
-    plan = spec._products
-    if plan is not None and plan.q == 0:  # was plan.q == 0 and plan.r == 0 and the family none
+    if spec._tq == 0:  # was spec._tq == 0 and the family none
         return spec.H
     return None
 
@@ -327,6 +327,16 @@ MUTANTS = {
     "mixture_stacks_branches_of_other_sigma": (
         propagation, "_stack_key", edited(generators._stack_key, (STACK_KEY, STACK_KEY.replace(" fam.sigma,", ""))),
         lambda: test_entanglement.TestPairedJointGenerator().test_sides_stack_by_kernel_and_families("sigma"),
+    ),
+    "mixture_keys_q_by_the_kernel_plan": (  # a whole q keyed only where the spec takes the product kernel
+        propagation, "_stack_key", edited(
+            generators._stack_key, (STACK_KEY, STACK_KEY.replace("spec._tq", "None if spec._products is None else spec._tq"))
+        ),
+        lambda: test_propagation.TestMixture().test_non_essential_branches_match_branch_evolves_bitwise(rng()),
+    ),
+    "motion_term_x_plus_x": (
+        generators, "_motion", edited(generators._motion, (MOTION, "return x + x")),
+        lambda: test_generators.TestProductKernel().test_matches_the_spectral_kernel(rng(), "q2/zeroMean/r3", 3),
     ),
     "pair_stacks_sides_of_other_sigma": (
         entanglement, "_stack_key", edited(generators._stack_key, (STACK_KEY, STACK_KEY.replace(" fam.sigma,", ""))),

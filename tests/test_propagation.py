@@ -734,6 +734,28 @@ class TestMixture:
         assert np.array_equal(np.array(traj.states), want)
         assert np.array_equal(traj.norm_drift, np.max([b.norm_drift for b in branches], axis=0))
 
+    def test_non_essential_branches_match_branch_evolves_bitwise(self, rng):
+        # nonEssential takes the spectral kernel, but its q = 1 branches take
+        # rho^q by products, alone and batched, so they batch apart from the
+        # q = 1.5 ones, which take it from the spectrum
+        d = 3
+        specs = [
+            GeneratorSpec(
+                H=random_hermitian(d, rng),
+                t_family=TFamily("powerLaw", q=q),
+                gamma_family=GammaFamily("nonEssential", r=2.0, A=random_hermitian(d, rng)),
+            )
+            for q in (1.0, 1.5, 1.0, 1.5)
+        ]
+        assert len({generators._stack_key(s) for s in specs}) == 2
+        weights = [0.1, 0.2, 0.3, 0.4]
+        rho0 = random_density_matrix(d, rng, 2)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.05, monitor_stride=5)
+        traj = evolve_convex_mixture(rho0, MixtureSpec(weights=weights, process_specs=specs), cfg)
+        branches = [evolve(rho0, spec, cfg) for spec in specs]
+        want = sum(w * np.array(b.states) for w, b in zip(weights, branches))
+        assert np.array_equal(np.array(traj.states), want)
+
     def test_error_names_the_branch(self):
         # the zeroMean branch 1 fails the drift bound at dt = 0.01, alone in
         # its batch as its member 0

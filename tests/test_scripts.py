@@ -4,11 +4,14 @@ and the committed output baseline that scripts/output_digest.py writes."""
 import importlib.util
 import json
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
@@ -89,3 +92,17 @@ def test_output_baseline(tmp_path):
     gaps = baseline_gaps(out.values, baseline)
     worst = max(gaps, key=gaps.get)
     assert gaps[worst] <= 1e-12, f"{worst} moved by {gaps[worst]:.3e}"
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]])
+def test_bench_trace_mode(workload):
+    # Trace mode (bench/tracer.py) reads library internals the end-to-end
+    # runs never touch; one short round of each workload holds them to what
+    # the library still has.
+    run = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "7919", "--seconds", "0.01", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
+    record = json.loads(run.stdout.splitlines()[-1])
+    assert record["correct"] and record["failed"] == 0, run.stdout[-2000:]
