@@ -44,6 +44,7 @@ from .linalg import (
     _eigvalsh,
     _factor_dims,
     _factor_marginals,
+    _hermitian,
     _is_integer,
     _name_member,
     _partial_trace,
@@ -62,8 +63,8 @@ from .propagation import (
     _Fixed,
     _integrate,
     _OfFactor,
+    _spec_generator,
     default_monitor,
-    evolve_many,
     integrate_generator,
 )
 
@@ -124,10 +125,11 @@ def polchinski_generator(dyn: BipartiteDynamics, rho_hk, dims=None) -> np.ndarra
     as the D x D matrix G_H (x) I_K + I_H (x) G_K.
 
     The integrators apply the same operator through _JointGenerator and never
-    form this matrix.  A BipartiteState's own dims take precedence.
+    form this matrix.  A BipartiteState's own dims take precedence.  rho_hk
+    must be Hermitian, as eval_T's rho.
     """
     d_h, d_k = dims = _factor_dims(getattr(rho_hk, "dims", dims))
-    m = _square(rho_hk, d_h * d_k)
+    m = _hermitian(rho_hk, d_h * d_k)
     _check_dims(dyn, dims)
     g = tensor_product(
         generator_matrix(dyn.spec_H, partial_trace(m, (d_h, d_k), "K")), np.eye(d_k)
@@ -300,7 +302,7 @@ def verify_cp_extension(dyn: BipartiteDynamics, rho_hk_samples, cfg: IntegratorC
     (a) the output stays positive, (b) the H marginal matches the standalone
     local evolution, and (c) the K marginal never moves, both to
     CP_RESIDUAL_TOL.  The samples share their dims; all joint states step
-    as one stack, and all H marginals as one evolve_many.
+    as one stack through the step loop, and all H marginals as another.
     """
     if _record(dyn, BipartiteDynamics, "dyn").spec_K is not None:
         raise ValidationError("verify_cp_extension assumes a passive environment")
@@ -314,10 +316,10 @@ def verify_cp_extension(dyn: BipartiteDynamics, rho_hk_samples, cfg: IntegratorC
     _check_dims(dyn, dims)
     rho0s = np.array([s.matrix for s in samples])
     _, _, states, spectra, _ = _integrate(rho0s, _joint_generator_fn(dyn.spec_H, dyn.spec_K, dims), cfg)
-    # states: (N, B, D, D), spectra: (N, B, D)
-    local = [t.states for t in evolve_many([s.marginal_H() for s in samples], dyn.spec_H, cfg)]
+    # states: (N, B, D, D), spectra: (N, B, D); local: (N, B, d_H, d_H)
+    _, _, local, _, _ = _integrate(np.array([s.marginal_H() for s in samples]), _spec_generator(dyn.spec_H), cfg)
     min_eigs = np.min(spectra[-1], axis=-1)
-    loc = np.abs(partial_trace(states, dims, "K") - np.swapaxes(local, 0, 1)).max(axis=(0, 2, 3))
+    loc = np.abs(partial_trace(states, dims, "K") - local).max(axis=(0, 2, 3))
     rem = np.abs(partial_trace(states, dims, "H") - [s.marginal_K() for s in samples]).max(axis=(0, 2, 3))
     results = []
     for min_eig, loc_res, rem_res in zip(min_eigs.tolist(), loc.tolist(), rem.tolist()):

@@ -7,17 +7,20 @@ two Lagrange multipliers solved per state, and the support-avoiding form
 (I - rho^{r-1}) A (I - P_rho) + h.c. whose anticommutator action reduces
 to a commutator (a "non-essential" dissipative part).
 
-Each spec picks its kernel once, at construction.  T has one formula in
-both, X + X^dag with X = H rho^q, and takes rho^q by products whenever q is
-whole and at most MAX_PRODUCT_POWER (``_whole``), else from the spectrum.
-Where every power of rho that G reads is so whole (q, and r for zeroMean and
-energyConserving), the product kernel forms them all by matrix products,
-with no eigendecomposition; energyConserving reads its traces by one matmul
-of the stack (rho, rho^{r+1}) on rows for I, H and H^2.  Every other spec,
-nonEssential always (its Gamma reads the support of rho), takes the spectral
-kernel, whose one eigendecomposition of rho serves the fractional powers,
-the support and the spectral Gamma.  Neither kernel owns the eigenvalue
-floor of a stepped state: the step loop in ``propagation`` checks each one.
+Each spec picks its kernel once, at construction.  The kernels differ only
+in where the powers of rho come from.  T has one formula in both,
+X + X^dag with X = H rho^q, and so has each power-law Gamma: zeroMean reads
+rho^r, energyConserving rho^r and rho^{r+1}, whose five traces it takes by
+one matmul of the stack (rho, rho^{r+1}) on rows for I, H and H^2.  A power
+is a product of rho's whenever its exponent is whole and at most
+MAX_PRODUCT_POWER (``_whole``); T takes rho^q so in either kernel.  Where
+every power G reads is so whole, the product kernel forms them all by
+matrix products, with no eigendecomposition.  Every other spec takes the
+spectral kernel, whose one eigendecomposition of rho serves the fractional
+powers (rho^{r+1} as rho^r rho) and the support; nonEssential always takes
+it, as its Gamma reads the support and keeps its spectral formula.  Neither
+kernel owns the eigenvalue floor of a stepped state: the step loop in
+``propagation`` checks each one.
 
 Also here: the generic zero-mean construction for linear superoperators,
 the zero-mean and support-block checks as executable criteria, and a
@@ -161,17 +164,6 @@ def _whole(x: float) -> bool:
     return 1 <= x <= MAX_PRODUCT_POWER and float(x).is_integer()
 
 
-@dataclass(frozen=True)
-class _Products:
-    """What the product kernel forms for one spec: rho^k for k = 1..n by
-    matrix products, Gamma from rho^r (r = 0: Gamma reads no power of rho),
-    and energyConserving's _trace_rows."""
-
-    r: int
-    n: int
-    rows: Optional[np.ndarray] = None
-
-
 def _trace_rows(h: np.ndarray) -> np.ndarray:
     """vec([I, H, H^2]^T) as (..., d^2, 3): s flattened to (..., d^2) times it is Tr[s], Tr[H s], Tr[H^2 s]."""
     m = _stack([np.eye(h.shape[-1]), h, h @ h]).swapaxes(-1, -2)  # (..., 3, d, d), each transposed
@@ -180,18 +172,20 @@ def _trace_rows(h: np.ndarray) -> np.ndarray:
 
 def _plan(spec) -> None:
     """Fix a spec's kernel once, at construction: _tq, the power of rho that
-    T takes by products (0: T = H; None: from the spectrum), and _products,
-    the product kernel's plan when Gamma too reads only such powers, else
-    None: the spectral kernel, which nonEssential always takes."""
+    T takes by products (0: T = H; None: from the spectrum); _products, the
+    highest power of rho the product kernel forms when Gamma too reads only
+    such powers, else None: the spectral kernel, which nonEssential always
+    takes; and _rows, energyConserving's _trace_rows in either kernel."""
     t, g = spec.t_family, spec.gamma_family
     tq = 0 if t.family == "vonNeumann" else int(t.q) if _whole(t.q) else None
     energy = g.family == "energyConserving"  # reads rho^{r+1}
     r = g.r if g.family in ("zeroMean", "energyConserving") else 0
-    plan = None
+    n = None
     if not (g.family == "nonEssential" or tq is None or r and not _whole(r + energy)):
-        plan = _Products(int(r), max(tq, int(r) + energy), _trace_rows(spec.H) if energy else None)
+        n = max(tq, int(r) + energy)
     object.__setattr__(spec, "_tq", tq)
-    object.__setattr__(spec, "_products", plan)
+    object.__setattr__(spec, "_products", n)
+    object.__setattr__(spec, "_rows", _trace_rows(spec.H) if energy else None)
 
 
 def _fixed_generator(spec):
@@ -278,28 +272,18 @@ def solve_lagrange_parameters(
     support of rho (Cauchy-Schwarz equality).
     """
     spec = GeneratorSpec(H, gamma_family=GammaFamily("energyConserving", sigma=sigma, r=r))
-    zeta, xi = _solve_lagrange(spec.H, r, ClippedEig(_hermitian(rho, spec.dim)))
+    dec = ClippedEig(_hermitian(rho, spec.dim))
+    zeta, xi = _lagrange(spec._rows, dec.rho, dec.power(r) @ dec.rho)
     return float(zeta), float(xi)
 
 
-def _solve_lagrange(H: np.ndarray, r: float, dec: ClippedEig) -> tuple:
-    # Every trace is a sum over the spectrum: with h_k = (V^dag H V)_kk and
-    # n_k = ||H v_k||^2 = (V^dag H^2 V)_kk, Tr[H rho] = sum_k lambda_k h_k,
-    # Tr[H^2 rho] = sum_k lambda_k n_k and Tr[H rho^{r+1}] = sum_k lambda_k^{r+1} h_k.
-    w = dec.eigenvalues
-    wp = w ** (r + 1.0)
-    hv = H @ dec.eigenvectors
-    h = (dec.vh.swapaxes(-1, -2) * hv).real.sum(axis=-2)
-    n = (hv.conj() * hv).real.sum(axis=-2)
-    tr_rho = w.sum(axis=-1)
-    tr_h = (w * h).sum(axis=-1)
-    tr_h2 = (w * n).sum(axis=-1)
-    return _lagrange(tr_rho, tr_h, tr_h2, wp.sum(axis=-1), (wp * h).sum(axis=-1))
-
-
-def _lagrange(tr_rho, tr_h, tr_h2, b1, b2) -> tuple:
-    """(zeta, xi) from Tr[rho], Tr[H rho], Tr[H^2 rho], b1 = Tr[rho^{r+1}] and
-    b2 = Tr[H rho^{r+1}], one value per member."""
+def _lagrange(rows: np.ndarray, rho: np.ndarray, rp: np.ndarray) -> tuple:
+    """(zeta, xi), one value per member, from rp = rho^{r+1} and the trace
+    rows of H: Tr[M rho] and Tr[M rho^{r+1}] for M = I, H, H^2 by one matmul
+    of the stack (rho, rp), flattened to (..., 2, d^2)."""
+    s = np.concatenate((rho, rp), axis=-2)
+    tr = (s.reshape(s.shape[:-2] + (2, rho.shape[-1] ** 2)) @ rows).real
+    tr_rho, tr_h, tr_h2, b1, b2 = tr[..., 0, 0], tr[..., 0, 1], tr[..., 0, 2], tr[..., 1, 0], tr[..., 1, 1]
     det = tr_h * tr_h - tr_rho * tr_h2
     bad = np.abs(det) <= 1e-12
     if bad.any():
@@ -312,20 +296,16 @@ def _lagrange(tr_rho, tr_h, tr_h2, b1, b2) -> tuple:
     return zeta, xi
 
 
-def _zero_mean_gamma(fam: GammaFamily, dec: ClippedEig) -> np.ndarray:
-    # sigma (rho^r - c I) with c = Tr[rho^r rho] / Tr[rho], diagonal in rho's eigenbasis.
-    w = dec.eigenvalues
-    wr = w**fam.r
-    c = (wr * w).sum(axis=-1) / w.sum(axis=-1)
-    return dec.spectral(fam.sigma * (wr - c[..., None]))
-
-
-def _energy_conserving_gamma(spec: GeneratorSpec, dec: ClippedEig) -> np.ndarray:
-    # sigma (rho^r - zeta H - xi I): the rho^r - xi I part is diagonal in rho's eigenbasis.
-    fam = spec.gamma_family
-    zeta, xi = _solve_lagrange(spec.H, fam.r, dec)
-    diag = fam.sigma * (dec.eigenvalues**fam.r - xi[..., None])
-    return dec.spectral(diag) - (fam.sigma * zeta)[..., None, None] * spec.H
+def _power_gamma(spec, scale, rho: np.ndarray, rr: np.ndarray, rp: Optional[np.ndarray]) -> np.ndarray:
+    """scale times the zeroMean or the energyConserving Gamma, from rr = rho^r
+    and, for energyConserving, rp = rho^{r+1}: the one formula of each family
+    in both kernels, which differ only in where these powers come from.
+    scale is sigma, or i sigma inside generator_matrix."""
+    if rp is None:  # zeroMean: rho^r - c I, c = Tr[rho^{r+1}] / Tr[rho] as an elementwise sum
+        c = (rr * rho.swapaxes(-1, -2)).sum(axis=(-2, -1)).real / _trace(rho)
+        return _minus_diag(scale * rr, scale * c)
+    zeta, xi = _lagrange(spec._rows, rho, rp)  # rho^r - zeta H - xi I
+    return _minus_diag(scale * rr - scale * zeta[..., None, None] * spec.H, scale * xi)
 
 
 def _non_essential_gamma(fam: GammaFamily, dec: ClippedEig) -> Optional[np.ndarray]:
@@ -341,17 +321,18 @@ def _non_essential_gamma(fam: GammaFamily, dec: ClippedEig) -> Optional[np.ndarr
     return v @ ((vh @ fam.A @ v) * (u + u.swapaxes(-1, -2))) @ vh
 
 
-def _eval_Gamma(spec: GeneratorSpec, dec: ClippedEig) -> Optional[np.ndarray]:
-    """Gamma at dec's state, or None where it is identically zero: the none
-    family, and nonEssential when every member's support is full."""
+def _eval_Gamma(spec: GeneratorSpec, dec: ClippedEig, unit=1.0) -> Optional[np.ndarray]:
+    """unit times Gamma at dec's state, unit = 1j inside generator_matrix, or
+    None where Gamma is identically zero: the none family, and nonEssential
+    when every member's support is full.  rho^r comes from the spectrum."""
     fam = spec.gamma_family
     if fam.family == "none":
         return None
-    if fam.family == "zeroMean":
-        return _zero_mean_gamma(fam, dec)
-    if fam.family == "energyConserving":
-        return _energy_conserving_gamma(spec, dec)
-    return _non_essential_gamma(fam, dec)
+    if fam.family == "nonEssential":
+        gam = _non_essential_gamma(fam, dec)
+        return None if gam is None else unit * gam
+    rr = dec.power(fam.r)
+    return _power_gamma(spec, unit * fam.sigma, dec.rho, rr, None if spec._rows is None else rr @ dec.rho)
 
 
 def _gamma_or_zeros(spec: GeneratorSpec, dec: ClippedEig) -> np.ndarray:
@@ -369,28 +350,20 @@ def _by_spectrum(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
     checks its eigenvalue floor."""
     dec = ClippedEig(rho)
     t = _eval_T(spec, dec)
-    gam = _eval_Gamma(spec, dec)
-    return t if gam is None else t + 1j * gam
+    gam = _eval_Gamma(spec, dec, 1j)
+    return t if gam is None else t + gam
 
 
-def _by_products(spec: GeneratorSpec, plan: _Products, rho: np.ndarray) -> np.ndarray:
-    """The product kernel: G from rho^k = rho ... rho, k <= plan.n, with no
+def _by_products(spec: GeneratorSpec, n: int, rho: np.ndarray) -> np.ndarray:
+    """The product kernel: G from rho^k = rho ... rho, k <= n, with no
     eigendecomposition and so no eigenvalue floor."""
     fam = spec.gamma_family
-    p = _powers(rho, plan.n)  # p[k] = rho^k
+    p = _powers(rho, n)  # p[k] = rho^k
     t = _motion(spec.H, p[spec._tq])
     if fam.family == "none":
         return t
-    i_sigma = 1j * fam.sigma
-    if fam.family == "zeroMean":  # i sigma (rho^r - c I), c = Tr[rho^{r+1}] / Tr[rho], an elementwise sum
-        b1 = (p[plan.r] * rho.swapaxes(-1, -2)).sum(axis=(-2, -1)).real
-        return t + _minus_diag(i_sigma * p[plan.r], i_sigma * (b1 / _trace(rho)))
-    # Tr[M rho] over Tr[M rho^{r+1}], M = I, H, H^2, from the stack (rho, rho^{r+1}) as (..., 2d, d)
-    s = np.concatenate((rho, p[plan.r + 1]), axis=-2)
-    tr = (s.reshape(s.shape[:-2] + (2, rho.shape[-1] ** 2)) @ plan.rows).real
-    zeta, xi = _lagrange(tr[..., 0, 0], tr[..., 0, 1], tr[..., 0, 2], tr[..., 1, 0], tr[..., 1, 1])
-    gam = i_sigma * p[plan.r] - i_sigma * zeta[..., None, None] * spec.H  # i sigma (rho^r - zeta H - xi I)
-    return t + _minus_diag(gam, i_sigma * xi)
+    r = int(fam.r)
+    return t + _power_gamma(spec, 1j * fam.sigma, rho, p[r], None if spec._rows is None else p[r + 1])
 
 
 def _minus_diag(a: np.ndarray, c) -> np.ndarray:
@@ -416,8 +389,8 @@ def generator_matrix(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
     generator per member.  Where Gamma is identically zero, G is T itself, which for
     vonNeumann is the spec's read-only H.
     """
-    plan = spec._products
-    return _by_spectrum(spec, rho) if plan is None else _by_products(spec, plan, rho)
+    n = spec._products
+    return _by_spectrum(spec, rho) if n is None else _by_products(spec, n, rho)
 
 
 @dataclass(frozen=True)

@@ -257,7 +257,7 @@ class ClippedEig:
     Eigenvalues in [-EIG_NEG_TOL, 0) come from integration roundoff and are
     treated as 0; anything more negative, or a non-finite spectrum, is a hard
     error (the eigenvalue floor).  The spectral generator kernel reads every
-    power, projector and scalar it needs from this one decomposition: one
+    fractional power and projector it needs from this one decomposition: one
     eigh per RK4 stage.  rho may be a stack (..., d, d); an error names the
     first failing member.
     """

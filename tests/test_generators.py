@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -403,7 +405,7 @@ class TestProductKernel:
     def test_energy_conserving_at_the_product_power_edge(self, rng, r, n):
         # n = max(q, r + 1): r = 7 forms rho^8 = rho^MAX_PRODUCT_POWER, r = 8 goes spectral
         spec = power_law_spec(SZ + 0.4 * SX, 1.0, GammaFamily("energyConserving", sigma=0.7, r=r))
-        assert (None if spec._products is None else spec._products.n) == n
+        assert spec._products == n
         assert generators.MAX_PRODUCT_POWER == 8
         rho = random_density_matrix(2, rng)
         got, oracle = generators.generator_matrix(spec, rho), generators._by_spectrum(spec, rho)
@@ -431,6 +433,46 @@ class TestProductKernel:
         monkeypatch.setattr(linalg, "_eigvalsh", lambda a: calls.append("eigvalsh") or real_eigvalsh(a))
         generators.generator_matrix(whole_exponent_spec(name, 3, rng), random_density_matrix(3, rng, rank))
         assert calls == []
+
+
+class TestKernelContract:
+    # One seeded draw, four times in every cell of Gamma family x whole or
+    # fractional q x whole or fractional r x d: each kernel against the
+    # oracle, alone at ranks 1, d / 2 and d, and as a stack of three specs of
+    # one _stack_key.
+    CELLS = list(itertools.product(("zeroMean", "energyConserving"), (True, False), (True, False), (2, 3, 4), range(4)))
+
+    @staticmethod
+    def exponent(rng, whole):
+        return float(rng.integers(1, 4)) if whole else float(rng.uniform(0.3, 3.0))
+
+    @staticmethod
+    def tolerance(spec, rho):
+        """1e-14, or 1e-15 times the condition number of energyConserving's
+        2 x 2 system for (zeta, xi) where that is larger: both kernels and the
+        oracle solve it, each with its roundoff so amplified."""
+        if spec.gamma_family.family != "energyConserving":
+            return 1e-14
+        tr_rho, tr_h, tr_h2 = (np.trace(m @ rho).real for m in (np.eye(len(rho)), spec.H, spec.H @ spec.H))
+        return max(1e-14, 1e-15 * (tr_h * tr_h + tr_rho * tr_h2) / abs(tr_h * tr_h - tr_rho * tr_h2))
+
+    def test_kernels_match_the_oracle_over_drawn_cases(self):
+        rng = np.random.default_rng(26)
+        for fam, q_whole, r_whole, d, _ in self.CELLS:
+            gamma = GammaFamily(fam, sigma=float(rng.uniform(-1.0, 1.0)), r=self.exponent(rng, r_whole))
+            q = self.exponent(rng, q_whole)  # a whole q is keyed, so the stack shares it
+            specs = [power_law_spec(random_hermitian(d, rng), q if q_whole else self.exponent(rng, False), gamma)
+                     for _ in range(3)]
+            rhos = np.array([random_density_matrix(d, rng, rank) for rank in (1, max(1, d // 2), d)])
+            assert len({generators._stack_key(s) for s in specs}) == 1
+            stacked = generators._stack_specs(specs)
+            got, gam = generators.generator_matrix(stacked, rhos), generators._eval_Gamma(stacked, ClippedEig(rhos))
+            for i, (spec, rho) in enumerate(zip(specs, rhos)):
+                case, tol = (fam, spec.t_family.q, gamma.r, d, i), self.tolerance(spec, rho)
+                assert max_abs(generators.generator_matrix(spec, rho) - g_by_spectrum(spec, rho)) <= tol, case
+                assert max_abs(eval_Gamma(spec, rho) - gamma_by_products(spec, rho)) <= tol, case
+                assert max_abs(got[i] - g_by_spectrum(spec, rho)) <= tol, case
+                assert max_abs(gam[i] - gamma_by_products(spec, rho)) <= tol, case
 
 
 class TestLagrangeParameters:

@@ -232,6 +232,27 @@ def test_rejects_bad_dims(case):
         BAD_DIMS[case]()
 
 
+def off_triangle(m: np.ndarray, x: complex) -> np.ndarray:
+    """m with its upper-triangle entry (0, 2) moved by x, so not Hermitian."""
+    m = m.astype(complex)
+    m[0, 2] += x
+    return m
+
+
+# polchinski_generator takes rho_hk as eval_T takes rho; each used to return
+# a generator, the product kernel (q = 1) taking the matrix as it came.
+BAD_JOINT_STATES = {
+    "non-hermitian": off_triangle(MIXED, 0.3),
+    "nan": off_triangle(MIXED, np.nan),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_JOINT_STATES))
+def test_polchinski_generator_rejects_a_non_hermitian_state(case):
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        polchinski_generator(BipartiteDynamics(spec_H=spec(2)), BAD_JOINT_STATES[case], (2, 2))
+
+
 # A step size, drift bound or exponent must be a real number, finite and > 0,
 # and sigma a real number, finite; a string is not a real, and nor is a bool.
 POSITIVE = "must be finite and > 0"

@@ -56,18 +56,11 @@ def renormalize_member_0(gamma, max_drift):
     return gamma / np.sqrt(nrm)[..., None, None], drift
 
 
-def gamma_without_mean(spec, dec):
+def gamma_without_mean(spec, dec, unit=1.0):
     fam = spec.gamma_family
     if fam.family == "zeroMean":
-        return fam.sigma * dec.power(fam.r)  # was sigma * (rr - c * eye)
-    return REAL_EVAL_GAMMA(spec, dec)
-
-
-def energy_conserving_without_zeta(spec, dec):
-    fam = spec.gamma_family
-    zeta, xi = generators._solve_lagrange(spec.H, fam.r, dec)
-    diag = fam.sigma * (dec.eigenvalues**fam.r - xi[..., None])
-    return dec.spectral(diag)  # was dec.spectral(diag) - sigma * zeta * H
+        return unit * fam.sigma * dec.power(fam.r)  # was _power_gamma: sigma (rho^r - c I)
+    return REAL_EVAL_GAMMA(spec, dec, unit)
 
 
 def non_essential_without_transpose(fam, dec):
@@ -125,7 +118,9 @@ RK4_LAST = "return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)"
 LOOP_STAGES = "x = _rk4(x, g_of_rho(x[0] if of_factor else rho) @ x, f, h) if r is None else r @ x"
 LOOP_FLOOR = "rho, w = _checked_state(gamma, step)"
 ROUTE_MEMBERS = "return [(_measure_h(sc, rho1), spec_h), (rho1, replace(spec_h, H=np.zeros_like(spec_h.H)))]"
-LAGRANGE_TRACES = "zeta, xi = _lagrange(tr[..., 0, 0], tr[..., 0, 1], tr[..., 0, 2], tr[..., 1, 0], tr[..., 1, 1])"
+LAGRANGE_TRACES = "tr_rho, tr_h, tr_h2, b1, b2 = tr[..., 0, 0], tr[..., 0, 1], tr[..., 0, 2], tr[..., 1, 0], tr[..., 1, 1]"
+ZERO_MEAN_C = "c = (rr * rho.swapaxes(-1, -2)).sum(axis=(-2, -1)).real / _trace(rho)"
+ENERGY_GAMMA = "return _minus_diag(scale * rr - scale * zeta[..., None, None] * spec.H, scale * xi)"
 STACK_KEY = "return spec._tq, spec.t_family.family, fam.family, fam.sigma, fam.r"
 MOTION = "return x + dagger(x)"
 FACTOR_TR_K = "z = y.reshape(lead + (d_h, d_k * n))"
@@ -225,20 +220,29 @@ MUTANTS = {
         lambda: test_generators.TestZeroMeanCheck().test_zero_mean_family_passes(rng()),
     ),
     "energy_conserving_without_zeta": (
-        generators, "_energy_conserving_gamma", energy_conserving_without_zeta,
+        generators, "_power_gamma", edited(generators._power_gamma, (ENERGY_GAMMA, "return _minus_diag(scale * rr, scale * xi)")),
         lambda: test_generators.TestLagrangeParameters().test_anticommutator_energy_neutral(rng()),
     ),
     "energy_conserving_products_read_h2_rho_r_plus_1": (  # Tr[H rho^{r+1}] from the H^2 row
-        generators, "_by_products", edited(
-            generators._by_products, (LAGRANGE_TRACES, LAGRANGE_TRACES.replace("tr[..., 1, 1]", "tr[..., 1, 2]"))
+        generators, "_lagrange", edited(
+            generators._lagrange, (LAGRANGE_TRACES, LAGRANGE_TRACES.replace("tr[..., 1, 1]", "tr[..., 1, 2]"))
         ),
         lambda: test_generators.TestProductKernel().test_matches_the_spectral_kernel(rng(), "q1/energyConserving", 2),
     ),
     "energy_conserving_products_read_h_rho": (  # Tr[H rho^{r+1}] from the power 1
-        generators, "_by_products", edited(
-            generators._by_products, (LAGRANGE_TRACES, LAGRANGE_TRACES.replace("tr[..., 1, 1]", "tr[..., 0, 1]"))
+        generators, "_lagrange", edited(
+            generators._lagrange, (LAGRANGE_TRACES, LAGRANGE_TRACES.replace("tr[..., 1, 1]", "tr[..., 0, 1]"))
         ),
         lambda: test_generators.TestProductKernel().test_matches_the_spectral_kernel(rng(), "q1/energyConserving", 2),
+    ),
+    # one edit of the shared zeroMean formula, c = Tr[rho^r] / Tr[rho], caught in either kernel
+    "zero_mean_c_from_rho_r_spectral": (
+        generators, "_power_gamma", edited(generators._power_gamma, (ZERO_MEAN_C, "c = _trace(rr) / _trace(rho)")),
+        lambda: test_generators.TestSpectralKernels().test_match_the_matrix_product_form(rng(), "zeroMean", 2),
+    ),
+    "zero_mean_c_from_rho_r_products": (
+        generators, "_power_gamma", edited(generators._power_gamma, (ZERO_MEAN_C, "c = _trace(rr) / _trace(rho)")),
+        lambda: test_generators.TestProductKernel().test_matches_the_spectral_kernel(rng(), "q1/zeroMean", 2),
     ),
     "non_essential_without_transpose": (
         generators, "_non_essential_gamma", non_essential_without_transpose,

@@ -7,7 +7,6 @@ import pathlib
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -49,22 +48,6 @@ def load_script(name: str):
     return module
 
 
-def baseline_gaps(values: dict, baseline: dict) -> dict:
-    """(run, part) -> |value - baseline| at its worst, for every kept value;
-    a NaN matches only a NaN, and a length mismatch is an infinite gap."""
-    assert list(values) == list(baseline)
-    gaps = {}
-    for run, parts in baseline.items():
-        assert list(values[run]) == list(parts), run
-        for part, want in parts.items():
-            got, want = np.array(values[run][part]), np.array(want)
-            if got.shape != want.shape or (np.isnan(got) != np.isnan(want)).any():
-                gaps[run, part] = np.inf
-            else:
-                gaps[run, part] = float(np.max(np.abs(np.nan_to_num(got - want)), initial=0.0))
-    return gaps
-
-
 def test_output_baseline(tmp_path):
     # One run of the digest's set: its hash lines keep their structure, and
     # every kept value stays within 1e-12 of tests/data/baseline.json.
@@ -89,9 +72,36 @@ def test_output_baseline(tmp_path):
     assert len({run for run, _, _ in lines if run.startswith("integer/")}) == 3 * 10 * 3 + 2
     baseline = json.loads((DATA / "baseline.json").read_text())
     assert set(out.values) == {run for run, _, _ in lines}
-    gaps = baseline_gaps(out.values, baseline)
+    assert [(run, list(parts)) for run, parts in out.values.items()] == [(run, list(p)) for run, p in baseline.items()]
+    gaps = load_script("value_moves").baseline_gaps(out.values, baseline)
     worst = max(gaps, key=gaps.get)
     assert gaps[worst] <= 1e-12, f"{worst} moved by {gaps[worst]:.3e}"
+
+
+def test_value_moves(tmp_path, monkeypatch, capsys):
+    old = {
+        "evolve/zeroMean/d2/pure/s1": {"final_state": [1.0, 0.0], "max_drift": [1e-9]},
+        "evolve/zeroMean/d4/full/s7": {"final_state": [0.5, float("nan")]},
+        "checks/cp_extension/2x2/B1": {"residuals": [1.0, 2.0]},
+        "report/q0.5": {"report": [0.0]},
+        "integer/q1/d2/full": {"final_state": [0.25]},
+    }
+    new = json.loads(json.dumps(old))
+    new["evolve/zeroMean/d2/pure/s1"]["final_state"][1] = 3e-16
+    new["evolve/zeroMean/d4/full/s7"]["final_state"][0] = 0.5 + 1e-15
+    new["checks/cp_extension/2x2/B1"]["residuals"] = [1.0]  # a shape mismatch
+    new["report/q0.5"]["report"] = [float("nan")]  # a NaN matches only a NaN
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path, values in zip(paths, (old, new)):
+        path.write_text(json.dumps(values))
+    monkeypatch.setattr(sys, "argv", ["value_moves.py", *map(str, paths)])
+    assert load_script("value_moves").main() == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "checks/cp_extension inf checks/cp_extension/2x2/B1 residuals",
+        "report/q0.5 inf report/q0.5 report",
+        "evolve/zeroMean 1e-15 evolve/zeroMean/d4/full/s7 final_state",
+        "integer/q1 0",
+    ]
 
 
 @pytest.mark.parametrize("workload", [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]])
