@@ -163,14 +163,19 @@ class _JointGenerator:
 
 def _joint_generator(spec_h, spec_k, y: np.ndarray, dims: tuple[int, int]):
     """The step loop's joint generator at the factor y of rho = y y^dag, one
-    or a stack: the local generators at the marginals, each read off y by
-    one Gram product (_factor_marginals), one generator_matrix call per
-    side.  spec_h is a spec or a spec stack, one spec per member; spec_k a
-    spec or None.  The unchecked kernel; its callers check the dimensions
-    once, at entry."""
-    g_h = generator_matrix(spec_h, _factor_marginals(y, dims, "K"))
-    g_k = None if spec_k is None else generator_matrix(spec_k, _factor_marginals(y, dims, "H"))
-    return _JointGenerator(g_h, g_k, dims)
+    or a stack: the local generators at the marginals, read off y by one
+    Gram product per side (_factor_marginals), or one for both when
+    d_H = d_K, and one generator_matrix call per side.  spec_h is a spec or
+    a spec stack, one spec per member; spec_k a spec or None.  The
+    unchecked kernel; its callers check the dimensions once, at entry."""
+    if spec_k is None:
+        return _JointGenerator(generator_matrix(spec_h, _factor_marginals(y, dims, "K")), None, dims)
+    if dims[0] == dims[1]:
+        m = _factor_marginals(y, dims, "KH")
+        rho_h, rho_k = m[..., 0, :, :], m[..., 1, :, :]
+    else:
+        rho_h, rho_k = _factor_marginals(y, dims, "K"), _factor_marginals(y, dims, "H")
+    return _JointGenerator(generator_matrix(spec_h, rho_h), generator_matrix(spec_k, rho_k), dims)
 
 
 def _paired_joint_generator(pair, y: np.ndarray, dims: tuple[int, int]):

@@ -38,6 +38,7 @@ from .errors import DegenerateConstraintError, ValidationError
 from .linalg import (
     HS_NORM_TOL,
     ClippedEig,
+    _any,
     _finite,
     _hermitian,
     _is_integer,
@@ -286,7 +287,7 @@ def _lagrange(rows: np.ndarray, rho: np.ndarray, rp: np.ndarray) -> tuple:
     tr_rho, tr_h, tr_h2, b1, b2 = tr[..., 0, 0], tr[..., 0, 1], tr[..., 0, 2], tr[..., 1, 0], tr[..., 1, 1]
     det = tr_h * tr_h - tr_rho * tr_h2
     bad = np.abs(det) <= 1e-12
-    if bad.any():
+    if _any(bad):
         raise DegenerateConstraintError(
             f"H acts as a scalar on the support of rho{_member(bad)}; "
             "the energy-conservation constraints are degenerate"
@@ -313,7 +314,9 @@ def _non_essential_gamma(fam: GammaFamily, dec: ClippedEig) -> Optional[np.ndarr
     # I - rho^{r-1} = diag(a) and I - P_rho = diag(b), so with A~ = V^dag A V,
     # Gamma = V (A~ o (a b^T + b a^T)) V^dag, which vanishes on the support block.
     mask = dec.support_mask()
-    if mask.all():  # every member's support is full: b = 0, so Gamma = 0 exactly
+    # The mask ascends with the spectrum, so its first column is all True only
+    # when every member's support is full: then b = 0, so Gamma = 0 exactly.
+    if not _any(~mask[..., 0]):
         return None
     v, vh = dec.eigenvectors, dec.vh
     a = 1.0 - dec.eigenvalues ** (fam.r - 1.0)
@@ -367,10 +370,11 @@ def _by_products(spec: GeneratorSpec, n: int, rho: np.ndarray) -> np.ndarray:
 
 
 def _minus_diag(a: np.ndarray, c) -> np.ndarray:
-    """a - c I, c one value per member, written into a, which must be a
-    fresh contiguous array."""
+    """a - c I, c one value per member (for one state, a scalar, which
+    subtracts cheaper than an array of one), written into a, which must be
+    a fresh contiguous array."""
     d = a.shape[-1]
-    a.reshape(a.shape[:-2] + (d * d,))[..., :: d + 1] -= np.asarray(c)[..., None]
+    a.reshape(a.shape[:-2] + (d * d,))[..., :: d + 1] -= c[..., None] if isinstance(c, np.ndarray) else c
     return a
 
 

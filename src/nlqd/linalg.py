@@ -207,6 +207,19 @@ def _member(bad: np.ndarray) -> str:
     return f" (member {int(np.flatnonzero(bad)[0])})" if bad.ndim else ""
 
 
+def _any(mask):
+    """mask.any() for a stack; one member's numpy bool goes straight to
+    Python, since a numpy reduction of one scalar costs more than a 4 x 4
+    complex matmul."""
+    return mask.any() if mask.ndim else bool(mask)
+
+
+def _worst(x):
+    """x.max() for a stack, NaN if any member's is; one member's numpy scalar
+    is itself, with no reduction (see _any)."""
+    return x.max() if x.ndim else x
+
+
 def _name_member(exc: Exception, labels) -> Exception:
     """exc, its ' (member i)' re-worded in place as ' (labels[i])', or dropped
     for a None label: a stack's builder names its members so, on error only."""
@@ -289,7 +302,7 @@ class ClippedEig:
         w = self.eigenvalues
         lmax = w[..., -1:]  # the spectrum ascends
         zero = lmax[..., 0] <= 0.0
-        if zero.any():
+        if _any(zero):
             raise ValidationError(f"support projector of a (numerically) zero matrix{_member(zero)}")
         return w > SUPPORT_REL_TOL * lmax
 

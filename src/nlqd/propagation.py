@@ -17,15 +17,19 @@ stage's factor gamma and reads what it needs off gamma, so no stage forms
 the D x D state.  Any other callable is taken at rho = gamma gamma^dag, one
 product per stage.  The direct rho-route integrator is kept only as a
 cross-validation oracle.  Every integrator steps with the one RK4 tableau in
-``_rk4``, which no other module calls.
+``_rk4``, which no other module calls; it sums the tableau into its second
+slope in place, in the tableau's order, and the step loop renormalizes
+gamma in place, as x[0], so neither allocates an array of its own.
 
 The one step loop, ``_integrate``, steps one factor (d, d) or a stack
 (B, d, d) of independent ones: ``evolve_many`` runs B initial states under
 one generator, ``evolve`` is its one-member case, and a convex mixture runs
 its autonomous branches as one stack per group of specs that stack
-(``_stack_key``), an error naming the branch.  The loop only records
-states; a monitor reads every recorded state of every member in one call
-and returns its channels as arrays along the leading axis.
+(``_stack_key``), an error naming the branch.  The per-member checks of
+one state read its numpy scalars in Python, those of a stack reduce by
+numpy (``linalg._any`` and ``_worst``), with the same answer.  The loop
+only records states; a monitor reads every recorded state of every member
+in one call and returns its channels as arrays along the leading axis.
 
 The eigenvalue floor holds at every step, and the step loop alone checks it:
 each stepped state rho = gamma gamma^dag takes one values-only
@@ -60,6 +64,7 @@ from .linalg import (
     _square,
     _state,
     _trace,
+    _worst,
     dagger,
     entropy_of_spectrum,
     max_abs,
@@ -123,11 +128,21 @@ def _rk4(x: np.ndarray, k1: np.ndarray, f, h) -> np.ndarray:
     """One classical RK4 step of x_dot = f(x) from the first slope k1 = f(x),
     which the caller takes.  h may be complex: the step loop steps
     i x_dot = G x as x_dot = G x in complex time h = -i dt, which is exact,
-    since a product with -i only swaps and negates components."""
+    since a product with -i only swaps and negates components.  f must
+    return a fresh array: x + (h / 6) (k1 + 2 k2 + 2 k3 + k4) is summed into
+    k2 in place, in that order and with h / 6 the left factor (a complex
+    product is not commutative bit for bit), so x and k1 are left as they are."""
     k2 = f(x + 0.5 * h * k1)
     k3 = f(x + 0.5 * h * k2)
     k4 = f(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    k2 *= 2
+    k2 += k1
+    k3 *= 2
+    k2 += k3
+    k2 += k4
+    np.multiply(h / 6.0, k2, out=k2)
+    k2 += x
+    return k2
 
 
 class _OfFactor(partial):
@@ -176,15 +191,16 @@ def _step_matrix(g_of_rho: _Fixed, shape: tuple, h: complex) -> np.ndarray:
 
 
 def _renormalize(gamma: np.ndarray, max_drift: float):
-    """gamma, one factor or a stack, projected back onto unit HS norm, and the
-    drift each norm^2 had; a NaN drift fails the check too."""
-    flat = gamma.reshape(gamma.shape[:-2] + (1, -1))
-    nrm = (flat.conj() @ flat.swapaxes(-1, -2)).real[..., 0, 0]  # np.vdot per member, bit for bit
+    """gamma, one factor or a stack, projected back onto unit HS norm in
+    place, and the drift each norm^2 had; a NaN drift fails the check too."""
+    flat = gamma.reshape(gamma.shape[:-2] + (-1,))
+    nrm = np.vecdot(flat, flat).real  # np.vdot per member, bit for bit
     drift = np.abs(nrm - 1.0)
-    if not drift.max() <= max_drift:  # written so that NaN fails it too
+    if not _worst(drift) <= max_drift:  # written so that NaN fails it too
         bad = ~(drift <= max_drift)
         raise StepSizeError(f"norm drift {drift[bad].flat[0]:.3e}{_member(bad)} exceeds {max_drift:.1e}; reduce dt")
-    return gamma / np.sqrt(nrm)[..., None, None], drift
+    gamma /= np.sqrt(nrm)[..., None, None]
+    return gamma, drift
 
 
 def _checked_state(gamma: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
@@ -230,11 +246,11 @@ def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, labels=None, 
     The loop steps one array x: gamma is x[0], and each carried matrix
     rides behind it along the leading axis, stepping under the same
     i x_dot = G(rho) x, so every stage applies G to all of x by one
-    product.  Only x[0] is renormalized.  A _Fixed generator steps x by its
-    RK4 matrix (_step_matrix), any other takes G at every stage, an
-    _OfFactor at the stage's gamma, and every state, the t = 0 one as step
-    0, is checked either way (module doc).  An
-    error names member i as labels[i], if given.  Returns the final x, the
+    product.  Only x[0] is renormalized, in place.  A _Fixed generator
+    steps x by its RK4 matrix (_step_matrix), any other takes G at every
+    stage, an _OfFactor at the stage's gamma, and every state, the t = 0
+    one as step 0, is checked either way (module doc).  An error names
+    member i as labels[i], if given.  Returns the final x, the
     record times (N,), the recorded states (N, ..., d, d), their spectra
     (N, ..., d) and the worst drift of each window (N, ...).
     """
@@ -245,18 +261,16 @@ def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, labels=None, 
         r = _step_matrix(g_of_rho, rho.shape, h) if isinstance(g_of_rho, _Fixed) else None
         f = _action(g_of_rho) if r is None else None
         of_factor = isinstance(g_of_rho, _OfFactor)
-        zero = np.zeros(rho.shape[:-2])
-        records, worst = [(0.0, rho, w, zero)], zero
+        records, worst = [(0.0, rho, w, np.zeros(rho.shape[:-2]))], None
         n = cfg.n_steps
         for step in range(1, n + 1):
             x = _rk4(x, g_of_rho(x[0] if of_factor else rho) @ x, f, h) if r is None else r @ x
             gamma, drift = _renormalize(x[0], cfg.max_step_drift)
-            x[0] = gamma
             rho, w = _checked_state(gamma, step)
-            worst = np.maximum(worst, drift)
+            worst = drift if worst is None else np.maximum(worst, drift)
             if step % cfg.monitor_stride == 0 or step == n:
                 records.append((step * cfg.dt, rho, w, worst))
-                worst = zero
+                worst = None
     except NlqdError as exc:
         raise _name_member(exc, labels)
     return (x, *map(np.array, zip(*records)))

@@ -237,10 +237,25 @@ class TestPairedJointGenerator:
         assert np.array_equal(g.g_h, generator_matrix(spec_h, linalg._factor_marginals(y, dims, "K")))
         assert np.array_equal(g.g_k, generator_matrix(dyn.spec_K, linalg._factor_marginals(y, dims, "H")))
 
-    # Gram products per stage: both marginals by one only in a paired run
+    @pytest.mark.parametrize("members", ["one", "states"])
+    def test_unpaired_sides_of_one_dimension_equal_per_side_products_bitwise(self, rng, members):
+        # nonEssential on H, powerLaw on K: the sides do not stack, yet both
+        # marginals come from one Gram product, with the bits of one per side
+        dims = (2, 2)
+        dyn = bipartite_dynamics(dims, "active", rng)
+        rho = np.array([random_entangled_state(*dims, rng, mixture_terms=2).matrix for _ in range(2)])
+        g_of_rho = entanglement._joint_generator_fn(dyn.spec_H, dyn.spec_K, dims)
+        assert not is_paired(g_of_rho)
+        y = root(rho if members == "states" else rho[0])
+        g = g_of_rho(y)
+        assert np.array_equal(g.g_h, generator_matrix(dyn.spec_H, linalg._factor_marginals(y, dims, "K")))
+        assert np.array_equal(g.g_k, generator_matrix(dyn.spec_K, linalg._factor_marginals(y, dims, "H")))
+
+    # Gram products per stage: both marginals by one whenever d_H = d_K, and
+    # one generator_matrix call for both sides only in a paired run
     @pytest.mark.parametrize(
         "h_side, dims, calls, grams",
-        [("powerLaw", (2, 2), 1, 1), ("powerLaw", (2, 4), 2, 2), ("nonEssential", (2, 2), 2, 2)],
+        [("powerLaw", (2, 2), 1, 1), ("powerLaw", (2, 4), 2, 2), ("nonEssential", (2, 2), 2, 1)],
         ids=["powerLaw-2x2", "powerLaw-2x4", "nonEssential-2x2"],
     )
     def test_generator_calls_per_stage(self, rng, monkeypatch, h_side, dims, calls, grams):

@@ -187,6 +187,19 @@ class TestSupportProjector:
             ClippedEig(stack).support_mask()
 
 
+@pytest.mark.parametrize("x", [[0.5, 2.0, 1.0], [0.5, np.nan, 1.0], [np.nan]], ids=["max", "nan", "only-nan"])
+def test_one_member_reduces_as_a_stack_does(x):
+    # the step loop's per-member checks: a stack reduces by numpy, one
+    # member's numpy scalar goes to Python as it is, with the same answer
+    v = np.array(x)
+    for s in v:  # a numpy scalar, as one member's drift is
+        assert np.array_equal(linalg._worst(s), np.array([s]).max(), equal_nan=True)
+        for mask in (s <= 1.0, ~(s <= 1.0)):
+            assert linalg._any(mask) is bool(np.array([mask]).any())
+    assert np.array_equal(linalg._worst(v), v.max(), equal_nan=True)
+    assert linalg._any(v <= 1.0) == (v <= 1.0).any()
+
+
 def test_eigenvalue_floor_names_the_member():
     stack = np.array([np.eye(2) / 2, np.eye(2) / 2, np.diag([1.5, -0.5])])
     with pytest.raises(ValidationError, match=r"\(member 2\) has eigenvalue -0.5"):

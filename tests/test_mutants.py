@@ -43,17 +43,18 @@ REAL_STEP_MATRIX = propagation._step_matrix
 
 
 def renormalize_dropped(gamma, max_drift):
-    return gamma, REAL_RENORMALIZE(gamma, max_drift)[1]  # was the rescaled gamma
+    return gamma, REAL_RENORMALIZE(gamma.copy(), max_drift)[1]  # was gamma, rescaled in place
 
 
 def renormalize_member_0(gamma, max_drift):
-    flat = gamma.reshape(gamma.shape[:-2] + (1, -1))
-    nrm = (flat.conj() @ flat.swapaxes(-1, -2)).real[..., 0, 0]
+    flat = gamma.reshape(gamma.shape[:-2] + (-1,))
+    nrm = np.vecdot(flat, flat).real
     drift = np.abs(nrm - 1.0)
     bad = ~(drift.flat[0] <= max_drift)  # was drift
     if bad.any():
         raise StepSizeError(f"norm drift {drift[0]:.3e} (member 0) exceeds {max_drift:.1e}; reduce dt")
-    return gamma / np.sqrt(nrm)[..., None, None], drift
+    gamma /= np.sqrt(nrm)[..., None, None]
+    return gamma, drift
 
 
 def gamma_without_mean(spec, dec, unit=1.0):
@@ -114,9 +115,9 @@ def edited(fn, *changes):
     return namespace[fn.__name__]
 
 
-RK4_LAST = "return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)"
 LOOP_STAGES = "x = _rk4(x, g_of_rho(x[0] if of_factor else rho) @ x, f, h) if r is None else r @ x"
 LOOP_FLOOR = "rho, w = _checked_state(gamma, step)"
+LOOP_RENORMALIZE = "gamma, drift = _renormalize(x[0], cfg.max_step_drift)"
 ROUTE_MEMBERS = "return [(_measure_h(sc, rho1), spec_h), (rho1, replace(spec_h, H=np.zeros_like(spec_h.H)))]"
 LAGRANGE_TRACES = "tr_rho, tr_h, tr_h2, b1, b2 = tr[..., 0, 0], tr[..., 0, 1], tr[..., 0, 2], tr[..., 1, 0], tr[..., 1, 1]"
 ZERO_MEAN_C = "c = (rr * rho.swapaxes(-1, -2)).sum(axis=(-2, -1)).real / _trace(rho)"
@@ -204,11 +205,11 @@ def stage_kernel_test(name):
 # defect -> (module, attribute, broken copy, the test that must catch it)
 MUTANTS = {
     "rk4_coefficient": (
-        propagation, "_rk4", edited(propagation._rk4, (RK4_LAST, RK4_LAST.replace("2 * k3 + k4", "k3 + 2 * k4"))),
+        propagation, "_rk4", edited(propagation._rk4, ("k3 *= 2", "k4 *= 2")),  # k1 + 2 k2 + k3 + 2 k4
         lambda: test_propagation.TestLinearLimit().test_von_neumann_matches_expm(rng()),
     ),
     "rk4_weight_relative_error_1e-9": (
-        propagation, "_rk4", edited(propagation._rk4, (RK4_LAST, RK4_LAST.replace("+ k4", "+ (1.0 + 1e-9) * k4"))),
+        propagation, "_rk4", edited(propagation._rk4, ("k2 += k4", "k2 += (1.0 + 1e-9) * k4")),
         lambda: test_scripts.test_output_baseline(pathlib.Path.cwd()),
     ),
     "renormalization_dropped": (
@@ -308,7 +309,7 @@ MUTANTS = {
     "propagator_renormalized_with_gamma": (
         propagation, "_integrate", edited(
             propagation._integrate,
-            ("x[0] = gamma", "x = x / np.sqrt((abs(x) ** 2).sum(axis=(-2, -1), keepdims=True))"),
+            (LOOP_RENORMALIZE, LOOP_RENORMALIZE + "; x /= np.sqrt((abs(x) ** 2).sum(axis=(-2, -1), keepdims=True))"),
         ),
         lambda: test_propagation.TestPropagator().test_reconstructs_final_state(rng()),
     ),

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -274,6 +275,85 @@ class TestEvolveMany:
             evolve_many([np.eye(2) / 2, np.diag([0.5, 0.6])], spec, CFG)
         with pytest.raises(ValidationError):
             evolve_many([], spec, CFG)
+
+
+def stacking_cases() -> list:
+    """One seeded draw of specs built to stack, three per case: one family,
+    sigma, r and whole q per case, and per member its own H, A and spectral
+    q, with initial states of rank 1, d / 2 and d."""
+    rng = np.random.default_rng(29)
+    cases = []
+    for family in ("none", "zeroMean", "energyConserving", "nonEssential"):
+        for t in ("vonNeumann", "whole", "spectral"):
+            for d in (2, 3, 4):
+                sigma, r, q = rng.uniform(0.2, 0.8), rng.choice([1.5, 2.0]), float(rng.integers(1, 3))
+                specs = []
+                for _ in range(3):
+                    if family == "none":
+                        fam = GammaFamily(family)
+                    elif family == "nonEssential":
+                        fam = GammaFamily(family, r=r, A=random_hermitian(d, rng))
+                    else:
+                        fam = GammaFamily(family, sigma=sigma, r=r)
+                    if t == "vonNeumann":
+                        t_family = TFamily(t)
+                    else:
+                        t_family = TFamily("powerLaw", q=q if t == "whole" else rng.uniform(0.5, 2.5))
+                    specs.append(GeneratorSpec(H=random_hermitian(d, rng), t_family=t_family, gamma_family=fam))
+                rho0s = [random_density_matrix(d, rng, rank) for rank in (1, max(1, d // 2), d)]
+                cases.append(pytest.param(specs, rho0s, id=f"{family}/{t}/d{d}"))
+    return cases
+
+
+class TestStackContract:
+    """A stack takes the array branch of every per-member check and reduction
+    in the step loop, one member alone the scalar branch: both give the same
+    bits and name the same failing member."""
+
+    @pytest.mark.parametrize("specs, rho0s", stacking_cases())
+    def test_stack_equals_each_member_alone_bitwise(self, specs, rho0s):
+        assert len({generators._stack_key(s) for s in specs}) == 1
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.02)
+        stack = propagation._spec_generator(generators._stack_specs(specs))
+        x, times, states, spectra, drifts = propagation._integrate(np.array(rho0s), stack, cfg)
+        for i, (spec, rho0) in enumerate(zip(specs, rho0s)):
+            alone = propagation._integrate(rho0, propagation._spec_generator(spec), cfg)
+            assert np.array_equal(alone[0], x[:, i]) and np.array_equal(alone[1], times)
+            for got, want in zip((states, spectra, drifts), alone[2:]):
+                assert np.array_equal(got[:, i], want)
+        # a drift bound between the steps' drifts fails the first member over
+        # it at the first step any member crosses it, in the stack and alone
+        bound = float(np.median(drifts[drifts > 0]))  # a roundoff step can drift by exactly 0
+        step, i = np.argwhere(drifts > bound)[0]
+        bounded = replace(cfg, max_step_drift=bound)
+        message = f"norm drift {drifts[step, i]:.3e} (member {i}) exceeds {bound:.1e}; reduce dt"
+        with pytest.raises(StepSizeError, match=f"^{re.escape(message)}$"):
+            propagation._integrate(np.array(rho0s), stack, bounded)
+        with pytest.raises(StepSizeError, match=f"^{re.escape(message.replace(f' (member {i})', ''))}$"):
+            propagation._integrate(rho0s[i], propagation._spec_generator(specs[i]), bounded)
+
+    def test_rk4_sums_the_tableau_in_place_of_k2(self, rng):
+        a = random_hermitian(3, rng) + 1j * random_hermitian(3, rng)
+        x, h = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3)), complex(*rng.standard_normal(2))
+        f = a.__matmul__
+        k1 = f(x)
+        x0, k10 = x.copy(), k1.copy()
+        got = propagation._rk4(x, k1, f, h)
+        assert np.array_equal(x, x0) and np.array_equal(k1, k10)
+        k2 = f(x + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h * k2)
+        k4 = f(x + h * k3)
+        assert np.array_equal(got, x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "stack"])
+    def test_renormalize_rescales_its_argument_in_place(self, rng, lead):
+        gamma = 0.6 * (rng.standard_normal(lead + (3, 3)) + 1j * rng.standard_normal(lead + (3, 3)))
+        before = gamma.copy()
+        out, drift = propagation._renormalize(gamma, 1e3)
+        assert out is gamma
+        nrm = np.array([np.vdot(g, g).real for g in before.reshape((-1, 3, 3))]).reshape(lead)
+        assert np.array_equal(gamma, before / np.sqrt(nrm)[..., None, None])
+        assert np.array_equal(drift, np.abs(nrm - 1.0))
 
 
 def spoil_call(monkeypatch, module, k: int) -> list:
