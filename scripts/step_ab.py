@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-step A/B timing of ``evolve`` between two source trees, in one process:
+"""Per-step A/B timing of ``evolve_many`` between two source trees, in one process:
 
     python3 scripts/step_ab.py OLD NEW [REPEATS]
 
@@ -8,14 +8,15 @@ unpacked by ``git archive`` and this tree.  Each tree's package is copied
 under its own name (``nlqd_old``, ``nlqd_new``) into a temporary directory
 and both are imported, so the two run side by side on one interpreter, one
 numpy and one machine state.  The cells are the five criterion-1 specs of
-the benchmark (q = 1, sigma = 0.5, r = 2) at d = 2, 4 and 8, from a state of
-rank d, d / 2 and 1.  Each repeat times one ``evolve`` of STEPS steps per
-cell and tree, the two trees interleaved, the first one alternating; a cell
-keeps each tree's best of REPEATS (default 7).  One line per cell gives
-the microseconds per step of each tree, their ratio, and the largest
-|new - old| entry of the final states, which reads 0 when the trees keep
-their bits.  Set one BLAS thread (``OPENBLAS_NUM_THREADS=1``) for steady
-numbers.
+the benchmark (q = 1, sigma = 0.5, r = 2) at d = 2, 4 and 8, from states of
+rank d, d / 2 and 1, each stepped by ``evolve_many`` as one state (B = 1)
+and as a stack of three (B = 3).  Each repeat times one run of
+STEPS steps per cell and tree, the two trees interleaved, the first one
+alternating; a cell keeps each tree's best of REPEATS (default 7).  One line
+per cell gives the microseconds per step (of the whole stack) of each tree,
+their ratio, and the largest |new - old| entry of the final states, which
+reads 0 when the trees keep their bits.  Set one BLAS thread
+(``OPENBLAS_NUM_THREADS=1``) for steady numbers.
 """
 
 import importlib
@@ -52,26 +53,28 @@ def spec(pkg, family: str, h: np.ndarray, a: np.ndarray):
 
 
 def cells(rng) -> list:
-    """(family, d, rank, H, A, rho0) for every cell, drawn once for both trees."""
+    """(family, d, rank, B, H, A, rho0s) for every cell, drawn once for both
+    trees: B = 1 steps the first of the three states alone."""
     out = []
     for d in (2, 4, 8):
         h, a = ((m + m.conj().T) / 2 for m in rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d)))
         for rank in sorted({d, d // 2, 1}, reverse=True):
-            g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-            rho0 = g @ g.conj().T
-            rho0 = (rho0 + rho0.conj().T) / 2
-            out.extend((family, d, rank, h, a, rho0 / np.trace(rho0).real) for family in FAMILIES)
+            g = rng.standard_normal((3, d, rank)) + 1j * rng.standard_normal((3, d, rank))
+            rho0s = g @ g.conj().swapaxes(-1, -2)
+            rho0s = (rho0s + rho0s.conj().swapaxes(-1, -2)) / 2
+            rho0s /= np.trace(rho0s, axis1=-2, axis2=-1).real[:, None, None]
+            out.extend((family, d, rank, b, h, a, rho0s[:b]) for family in FAMILIES for b in (1, 3))
     return out
 
 
 def timed(pkg, cell) -> tuple[float, np.ndarray]:
-    """Seconds of one evolve of the cell under pkg, and its final state."""
-    family, _, _, h, a, rho0 = cell
+    """Seconds of one evolve_many of the cell under pkg, and its final states."""
+    family, _, _, _, h, a, rho0s = cell
     s = spec(pkg, family, h, a)
     cfg = pkg.IntegratorConfig(dt=DT, t_final=STEPS * DT)
     t0 = time.perf_counter()
-    traj = pkg.evolve(rho0, s, cfg)
-    return time.perf_counter() - t0, traj.final_state()
+    trajs = pkg.evolve_many(list(rho0s), s, cfg)
+    return time.perf_counter() - t0, np.array([traj.final_state() for traj in trajs])
 
 
 def main() -> int:
@@ -91,10 +94,10 @@ def main() -> int:
                     sec, finals[i][k] = timed(pkgs[k], cell)
                     best[i, k] = min(best[i, k], sec)
     us = best / STEPS * 1e6
-    print(f"{'family':17s} {'d':>2s} {'rank':>4s} {'old us/step':>11s} {'new us/step':>11s} {'new/old':>7s} {'max |dev|':>9s}")
-    for (family, d, rank, *_), (old, new), (f_old, f_new) in zip(todo, us, finals):
+    print(f"{'family':17s} {'d':>2s} {'rank':>4s} {'B':>1s} {'old us/step':>11s} {'new us/step':>11s} {'new/old':>7s} {'max |dev|':>9s}")
+    for (family, d, rank, b, *_), (old, new), (f_old, f_new) in zip(todo, us, finals):
         dev = float(np.max(np.abs(f_new - f_old)))
-        print(f"{family:17s} {d:2d} {rank:4d} {old:11.1f} {new:11.1f} {new / old:7.3f} {dev:9.2e}")
+        print(f"{family:17s} {d:2d} {rank:4d} {b:1d} {old:11.1f} {new:11.1f} {new / old:7.3f} {dev:9.2e}")
     return 0
 
 

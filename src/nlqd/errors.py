@@ -17,7 +17,17 @@ class DegenerateConstraintError(NlqdError):
 
 
 class StepSizeError(NlqdError):
-    """Single-step norm drift exceeded the configured bound; reduce dt."""
+    """Single-step norm drift exceeded the configured bound; reduce dt.
+
+    ``step`` and ``t`` are the step at which the drift fired and its time,
+    step * dt on the clock of the integration that failed (a measurement
+    phase starts its own at 0).
+    """
+
+    def __init__(self, message: str, step: int, t: float):
+        super().__init__(message)
+        self.step = step
+        self.t = t
 
 
 class SubspaceInvarianceError(NlqdError):

@@ -20,7 +20,9 @@ spectral kernel, whose one eigendecomposition of rho serves the fractional
 powers (rho^{r+1} as rho^r rho) and the support; nonEssential always takes
 it, as its Gamma reads the support and keeps its spectral formula.  Neither
 kernel owns the eigenvalue floor of a stepped state: the step loop in
-``propagation`` checks each one.
+``propagation`` checks each one.  energyConserving solves its multipliers
+(zeta, xi) for one state on Python floats, for a stack on arrays, by one
+formula.
 
 Also here: the generic zero-mean construction for linear superoperators,
 the zero-mean and support-block checks as executable criteria, and a
@@ -43,8 +45,10 @@ from .linalg import (
     _hermitian,
     _is_integer,
     _member,
+    _per_member,
     _positive,
     _record,
+    _scalars,
     _square,
     _trace,
     dagger,
@@ -223,8 +227,9 @@ def _stack_specs(specs) -> _SpecStack:
 
 # The kernels below take one state or a stack (..., d, d) of states, and a
 # spec whose H and A are (d, d) or a stack that broadcasts against them:
-# traces run over the last two axes and per-member scalars broadcast as
-# c[..., None, None].
+# traces run over the last two axes.  Per-member scalars are Python floats
+# for one state and arrays for a stack (linalg._scalars), and broadcast
+# against the members' matrices by _per_member.
 
 
 def _powers(rho: np.ndarray, n: int) -> list:
@@ -281,12 +286,15 @@ def solve_lagrange_parameters(
 def _lagrange(rows: np.ndarray, rho: np.ndarray, rp: np.ndarray) -> tuple:
     """(zeta, xi), one value per member, from rp = rho^{r+1} and the trace
     rows of H: Tr[M rho] and Tr[M rho^{r+1}] for M = I, H, H^2 by one matmul
-    of the stack (rho, rp), flattened to (..., 2, d^2)."""
+    of the stack (rho, rp), flattened to (..., 2, d^2).  The five traces are
+    read once by _scalars, so one state solves the 2 x 2 system on Python
+    floats and a stack on arrays, by one formula."""
     s = np.concatenate((rho, rp), axis=-2)
     tr = (s.reshape(s.shape[:-2] + (2, rho.shape[-1] ** 2)) @ rows).real
-    tr_rho, tr_h, tr_h2, b1, b2 = tr[..., 0, 0], tr[..., 0, 1], tr[..., 0, 2], tr[..., 1, 0], tr[..., 1, 1]
+    t = _scalars(tr, 2)  # t[0][k] = Tr[M_k rho], t[1][k] = Tr[M_k rho^{r+1}]
+    tr_rho, tr_h, tr_h2, b1, b2 = t[0][0], t[0][1], t[0][2], t[1][0], t[1][1]
     det = tr_h * tr_h - tr_rho * tr_h2
-    bad = np.abs(det) <= 1e-12
+    bad = abs(det) <= 1e-12
     if _any(bad):
         raise DegenerateConstraintError(
             f"H acts as a scalar on the support of rho{_member(bad)}; "
@@ -306,7 +314,7 @@ def _power_gamma(spec, scale, rho: np.ndarray, rr: np.ndarray, rp: Optional[np.n
         c = (rr * rho.swapaxes(-1, -2)).sum(axis=(-2, -1)).real / _trace(rho)
         return _minus_diag(scale * rr, scale * c)
     zeta, xi = _lagrange(spec._rows, rho, rp)  # rho^r - zeta H - xi I
-    return _minus_diag(scale * rr - scale * zeta[..., None, None] * spec.H, scale * xi)
+    return _minus_diag(scale * rr - _per_member(scale * zeta, 2) * spec.H, scale * xi)
 
 
 def _non_essential_gamma(fam: GammaFamily, dec: ClippedEig) -> Optional[np.ndarray]:
@@ -371,10 +379,10 @@ def _by_products(spec: GeneratorSpec, n: int, rho: np.ndarray) -> np.ndarray:
 
 def _minus_diag(a: np.ndarray, c) -> np.ndarray:
     """a - c I, c one value per member (for one state, a scalar, which
-    subtracts cheaper than an array of one), written into a, which must be
-    a fresh contiguous array."""
+    subtracts cheaper than an array of one; see _per_member), written into
+    a, which must be a fresh contiguous array."""
     d = a.shape[-1]
-    a.reshape(a.shape[:-2] + (d * d,))[..., :: d + 1] -= c[..., None] if isinstance(c, np.ndarray) else c
+    a.reshape(a.shape[:-2] + (d * d,))[..., :: d + 1] -= _per_member(c, 1)
     return a
 
 

@@ -13,6 +13,9 @@ a stack of matrices with a leading batch axis, so the step loop evaluates a
 stack of states at once.  Every spectrum comes from ``_eigh`` (with vectors)
 or ``_eigvalsh`` (values only); the monitors and the CP audit read the step
 loop's ``_eigvalsh`` of each recorded state instead of decomposing it again.
+On the step path one state's per-member scalars are Python floats and a
+stack's are arrays (``_scalars``); ``_any``, ``_worst``, ``_member`` and
+``_per_member`` take either.
 """
 
 from __future__ import annotations
@@ -202,22 +205,46 @@ class StateOperator:
         return self.matrix @ self.matrix.conj().T
 
 
-def _member(bad: np.ndarray) -> str:
-    """' (member i)' for the first True of a stack's mask; '' for one matrix."""
-    return f" (member {int(np.flatnonzero(bad)[0])})" if bad.ndim else ""
+def _scalars(a: np.ndarray, core: int = 0):
+    """The per-member values of a, whose last core axes index a member's
+    values, read on the step path: one member's as Python floats (a float
+    for core 0, else nested lists by ``tolist``), since Python arithmetic on
+    a float costs tens of nanoseconds where numpy's on one of its scalars
+    costs up to a microsecond; a stack's as arrays over its members, the
+    core axes moved to the front, so that v[i][j] reads value (i, j) of
+    either.  IEEE arithmetic gives both the same bits, so one formula
+    serves a state and a stack."""
+    lead = a.ndim - core
+    if not lead:
+        return a.tolist() if core else float(a)
+    return a.transpose((*range(lead, a.ndim), *range(lead))) if core else a
+
+
+def _per_member(c, k: int):
+    """c, one value per member, against the k <= 2 trailing axes of each
+    member's array: a stack's array gains k unit axes, one member's scalar
+    is itself."""
+    return c[(..., None, None)[: k + 1]] if isinstance(c, np.ndarray) else c
+
+
+def _member(bad) -> str:
+    """' (member i)' for the first True of a stack's mask; '' for one member's
+    bool, numpy's or Python's."""
+    return f" (member {int(np.flatnonzero(bad)[0])})" if np.ndim(bad) else ""
 
 
 def _any(mask):
-    """mask.any() for a stack; one member's numpy bool goes straight to
+    """Whether any member's mask is True: for a stack by np.count_nonzero,
+    a third of the cost of mask.any(); one member's bool goes straight to
     Python, since a numpy reduction of one scalar costs more than a 4 x 4
     complex matmul."""
-    return mask.any() if mask.ndim else bool(mask)
+    return np.count_nonzero(mask) > 0 if isinstance(mask, np.ndarray) else bool(mask)
 
 
 def _worst(x):
-    """x.max() for a stack, NaN if any member's is; one member's numpy scalar
-    is itself, with no reduction (see _any)."""
-    return x.max() if x.ndim else x
+    """x.max() for a stack, NaN if any member's is; one member's scalar is
+    itself, with no reduction (see _any)."""
+    return x.max() if isinstance(x, np.ndarray) else x
 
 
 def _name_member(exc: Exception, labels) -> Exception:

@@ -25,9 +25,11 @@ The one step loop, ``_integrate``, steps one factor (d, d) or a stack
 (B, d, d) of independent ones: ``evolve_many`` runs B initial states under
 one generator, ``evolve`` is its one-member case, and a convex mixture runs
 its autonomous branches as one stack per group of specs that stack
-(``_stack_key``), an error naming the branch.  The per-member checks of
-one state read its numpy scalars in Python, those of a stack reduce by
-numpy (``linalg._any`` and ``_worst``), with the same answer.  The loop
+(``_stack_key``), an error naming the branch.  One state's per-member
+scalars on the step path (its norm, drift and rescale, and energyConserving's
+multipliers) are Python floats, a stack's are arrays (``linalg._scalars``),
+each by one formula with the same bits; the checks of one state test in
+Python, those of a stack reduce by numpy (``_any`` and ``_worst``).  The loop
 only records states; a monitor reads every recorded state of every member
 in one call and returns its channels as arrays along the leading axis.
 
@@ -42,6 +44,7 @@ or, for an ``_OfFactor``, at the gamma that rho was formed from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -61,6 +64,7 @@ from .linalg import (
     _name_member,
     _positive,
     _record,
+    _scalars,
     _square,
     _state,
     _trace,
@@ -190,16 +194,24 @@ def _step_matrix(g_of_rho: _Fixed, shape: tuple, h: complex) -> np.ndarray:
     return _rk4(eye, f(eye), f, h)
 
 
-def _renormalize(gamma: np.ndarray, max_drift: float):
+def _renormalize(gamma: np.ndarray, max_drift: float, step: int, t: float):
     """gamma, one factor or a stack, projected back onto unit HS norm in
-    place, and the drift each norm^2 had; a NaN drift fails the check too."""
+    place, and the drift each norm^2 had: for one factor a Python float
+    (linalg._scalars), whose square root math.sqrt rounds as np.sqrt does.
+    A NaN drift fails the check too; the error names step and t."""
     flat = gamma.reshape(gamma.shape[:-2] + (-1,))
-    nrm = np.vecdot(flat, flat).real  # np.vdot per member, bit for bit
-    drift = np.abs(nrm - 1.0)
+    nrm = _scalars(np.vecdot(flat, flat).real)  # np.vdot per member, bit for bit
+    drift = abs(nrm - 1.0)
     if not _worst(drift) <= max_drift:  # written so that NaN fails it too
+        drift = np.asarray(drift)
         bad = ~(drift <= max_drift)
-        raise StepSizeError(f"norm drift {drift[bad].flat[0]:.3e}{_member(bad)} exceeds {max_drift:.1e}; reduce dt")
-    gamma /= np.sqrt(nrm)[..., None, None]
+        raise StepSizeError(
+            f"norm drift {drift[bad].flat[0]:.3e}{_member(bad)} exceeds {max_drift:.1e} "
+            f"at step {step} (t = {t:g}); reduce dt",
+            step,
+            t,
+        )
+    gamma /= math.sqrt(nrm) if isinstance(nrm, float) else np.sqrt(nrm)[..., None, None]
     return gamma, drift
 
 
@@ -219,7 +231,7 @@ def step_state_operator(gamma, spec: GeneratorSpec, dt: float, max_step_drift: f
     _positive(max_step_drift, "max_step_drift")
     x = StateOperator(matrix=_square(gamma, _record(spec, GeneratorSpec, "spec").dim)).matrix[None]
     f = _action(partial(generator_matrix, spec))
-    g = _renormalize(_rk4(x, f(x), f, -1j * dt)[0], max_step_drift)[0]
+    g = _renormalize(_rk4(x, f(x), f, -1j * dt)[0], max_step_drift, 1, dt)[0]
     _checked_state(g, 1)
     return StateOperator(matrix=g)
 
@@ -265,7 +277,7 @@ def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, labels=None, 
         n = cfg.n_steps
         for step in range(1, n + 1):
             x = _rk4(x, g_of_rho(x[0] if of_factor else rho) @ x, f, h) if r is None else r @ x
-            gamma, drift = _renormalize(x[0], cfg.max_step_drift)
+            gamma, drift = _renormalize(x[0], cfg.max_step_drift, step, step * cfg.dt)
             rho, w = _checked_state(gamma, step)
             worst = drift if worst is None else np.maximum(worst, drift)
             if step % cfg.monitor_stride == 0 or step == n:
@@ -317,8 +329,8 @@ def evolve_many(rho0s, spec: GeneratorSpec, cfg: IntegratorConfig) -> list:
     if len(rho0s) == 0:
         raise ValidationError("evolve_many needs at least one state")
     states = [_state(r, spec.dim) for r in rho0s]
-    # One state steps as one (d, d) matrix, whose per-member scalars stay
-    # numpy scalars: cheaper than arrays of one member, and the same bits.
+    # One state steps as one (d, d) matrix, whose per-member scalars are
+    # Python floats: cheaper than arrays of one member, and the same bits.
     rho0 = states[0] if len(states) == 1 else np.array(states)
     _, *records = _integrate(rho0, _spec_generator(spec), cfg)
     return _trajectories(*records, default_monitor(spec.H))

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -473,6 +474,62 @@ class TestKernelContract:
                 assert max_abs(eval_Gamma(spec, rho) - gamma_by_products(spec, rho)) <= tol, case
                 assert max_abs(got[i] - g_by_spectrum(spec, rho)) <= tol, case
                 assert max_abs(gam[i] - gamma_by_products(spec, rho)) <= tol, case
+
+
+class TestOneStateContract:
+    # One seeded draw, three times in every cell of kernel x whole or
+    # fractional r x d x rank: an energyConserving spec on one state, whose
+    # multipliers are solved on Python floats, against its one-member stack,
+    # solved on arrays by the same formula, bit for bit; and the one state
+    # against the oracle.  The product kernel takes whole q and r, the
+    # spectral one a fractional q or r.
+    CELLS = [("products", True), ("spectral", True), ("spectral", False)]
+
+    @staticmethod
+    def spec(rng, d, kernel, r_whole, h=None):
+        r = float(rng.integers(1, 4)) if r_whole else float(rng.uniform(0.3, 3.0))
+        q = float(rng.integers(1, 3)) if kernel == "products" else float(rng.uniform(0.3, 3.0))
+        gamma = GammaFamily("energyConserving", sigma=float(rng.uniform(-1.0, 1.0)), r=r)
+        spec = power_law_spec(random_hermitian(d, rng) if h is None else h, q, gamma)
+        assert (spec._products is not None) == (kernel == "products")
+        return spec
+
+    def cases(self, kernel):
+        rng = np.random.default_rng(30)
+        for (k, r_whole), d, _ in itertools.product(self.CELLS, (2, 3, 4), range(3)):
+            for rank in sorted({1, max(1, d // 2), d}):
+                spec = self.spec(rng, d, k, r_whole)
+                if k == kernel:
+                    yield spec, random_density_matrix(d, rng, rank)
+
+    @pytest.mark.parametrize("kernel", ["products", "spectral"])
+    def test_one_state_equals_its_one_member_stack_bitwise(self, kernel):
+        for spec, rho in self.cases(kernel):
+            case = (spec.t_family.q, spec.gamma_family.r, len(rho))
+            one = generators.generator_matrix(spec, rho)
+            assert same_bits(one, generators.generator_matrix(spec, rho[None])[0]), case
+            assert max_abs(one - g_by_spectrum(spec, rho)) <= TestKernelContract.tolerance(spec, rho), case
+
+    @pytest.mark.parametrize("kernel", ["products", "spectral"])
+    def test_a_scalar_h_on_the_support_fails_as_its_stack_does(self, kernel):
+        # H = c on the support of rho, anything on the rest: the 2 x 2 system
+        # is singular, and one state and its one-member stack say so alike
+        rng = np.random.default_rng(31)
+        for (k, r_whole), d in itertools.product(self.CELLS, (2, 3, 4)):
+            for rank in sorted({1, max(1, d // 2), d}):
+                v = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+                p = rng.uniform(0.1, 1.0, rank)
+                rho = (v[:, :rank] * (p / p.sum())) @ dagger(v[:, :rank])
+                h = (v * np.append(np.full(rank, rng.standard_normal()), rng.standard_normal(d - rank))) @ dagger(v)
+                spec = self.spec(rng, d, k, r_whole, h)
+                if k != kernel:
+                    continue
+                with pytest.raises(DegenerateConstraintError) as stacked:
+                    generators.generator_matrix(spec, rho[None])
+                message = str(stacked.value)
+                assert " (member 0)" in message
+                with pytest.raises(DegenerateConstraintError, match=f"^{re.escape(message.replace(' (member 0)', ''))}$"):
+                    generators.generator_matrix(spec, rho)
 
 
 class TestLagrangeParameters:

@@ -547,7 +547,7 @@ class TestCliEndToEnd:
         )
         assert main(["run", p]) == 2
         record = json.loads(capsys.readouterr().err)
-        assert record == {"error": "StepSizeError", "message": "norm drift 3.080e-04 (branch 1) exceeds 1.0e-06; reduce dt"}
+        assert record == {"error": "StepSizeError", "message": "norm drift 3.080e-04 (branch 1) exceeds 1.0e-06 at step 1 (t = 0.01); reduce dt"}
         assert not (tmp_path / "m.csv").exists()
 
     def test_check_strict_exit_three(self, tmp_path):

@@ -136,6 +136,25 @@ class TestFactorMarginals:
             assert got.shape == want.shape
             assert max_abs(got - want) < 1e-15
 
+    def test_match_partial_traces_over_drawn_cases(self):
+        # One seeded draw: factors y (D, n) of unit HS norm and every width n
+        # from 1 to D, one or a stack of three, against the partial traces of
+        # the formed y y^dag, both marginals stacked where d_H = d_K.
+        rng = np.random.default_rng(30)
+        for dims in ((2, 2), (2, 3), (3, 2), (2, 4)):
+            D = dims[0] * dims[1]
+            for n in range(1, D + 1):
+                for lead in ((), (3,)):
+                    y = rng.standard_normal(lead + (D, n)) + 1j * rng.standard_normal(lead + (D, n))
+                    y /= np.sqrt((np.abs(y) ** 2).sum(axis=(-2, -1), keepdims=True))
+                    rho = y @ dagger(y)
+                    want = {over: partial_trace(rho, dims, over) for over in ("K", "H")}
+                    if dims[0] == dims[1]:
+                        want["KH"] = np.stack((want["K"], want["H"]), axis=-3)
+                    for over, w in want.items():
+                        got = linalg._factor_marginals(y, dims, over)
+                        assert got.shape == w.shape and max_abs(got - w) <= 1e-15, (dims, n, lead, over)
+
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "stack"])
     def test_pair_stacks_both_marginals_bitwise(self, rng, lead):
         # d_H = d_K: Tr_K at index 0 of axis -3, Tr_H at 1, each with the
@@ -190,12 +209,14 @@ class TestSupportProjector:
 @pytest.mark.parametrize("x", [[0.5, 2.0, 1.0], [0.5, np.nan, 1.0], [np.nan]], ids=["max", "nan", "only-nan"])
 def test_one_member_reduces_as_a_stack_does(x):
     # the step loop's per-member checks: a stack reduces by numpy, one
-    # member's numpy scalar goes to Python as it is, with the same answer
+    # member's scalar, numpy's or a Python float, goes to Python as it is,
+    # with the same answer
     v = np.array(x)
-    for s in v:  # a numpy scalar, as one member's drift is
+    for s in (*v, *v.tolist()):  # one member's drift is a Python float
         assert np.array_equal(linalg._worst(s), np.array([s]).max(), equal_nan=True)
-        for mask in (s <= 1.0, ~(s <= 1.0)):
+        for mask in (s <= 1.0, not s <= 1.0):
             assert linalg._any(mask) is bool(np.array([mask]).any())
+            assert linalg._member(mask) == ""
     assert np.array_equal(linalg._worst(v), v.max(), equal_nan=True)
     assert linalg._any(v <= 1.0) == (v <= 1.0).any()
 

@@ -383,11 +383,12 @@ def coarse_scenario(t1, t2):
 
 class TestErrorNames:
     """A failing step names what failed in the scenario's terms: the first
-    phase steps one state, so it names no member; a route is named."""
+    phase steps one state, so it names no member; a route is named.  The
+    step and its time run on the clock of the phase that failed."""
 
     @pytest.mark.parametrize("run", [correlation_report, correlation_full_route, correlation_switch_off_route])
     def test_first_phase_names_no_member(self, run):
-        with pytest.raises(StepSizeError, match=r"^norm drift [-+.e0-9]+ exceeds 1\.0e-06; reduce dt$"):
+        with pytest.raises(StepSizeError, match=r"^norm drift [-+.e0-9]+ exceeds 1\.0e-06 at step 1 \(t = 0\.3\); reduce dt$"):
             run(coarse_scenario(0.6, 1.2))
 
     @pytest.mark.parametrize(
@@ -398,7 +399,7 @@ class TestErrorNames:
     def test_a_route_names_itself(self, run, route):
         # at t1 = 0.01 the first phase passes; the full route fails, and the
         # switch-off route too when it steps alone
-        with pytest.raises(StepSizeError, match=rf"^norm drift [-+.e0-9]+ \({route}\) exceeds"):
+        with pytest.raises(StepSizeError, match=rf"^norm drift [-+.e0-9]+ \({route}\) exceeds 1\.0e-06 at step 1 \(t = 0\.3\); reduce dt$"):
             run(coarse_scenario(0.01, 0.61))
 
 

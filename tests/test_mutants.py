@@ -42,17 +42,19 @@ REAL_EVAL_GAMMA = generators._eval_Gamma
 REAL_STEP_MATRIX = propagation._step_matrix
 
 
-def renormalize_dropped(gamma, max_drift):
-    return gamma, REAL_RENORMALIZE(gamma.copy(), max_drift)[1]  # was gamma, rescaled in place
+def renormalize_dropped(gamma, max_drift, step, t):
+    return gamma, REAL_RENORMALIZE(gamma.copy(), max_drift, step, t)[1]  # was gamma, rescaled in place
 
 
-def renormalize_member_0(gamma, max_drift):
+def renormalize_member_0(gamma, max_drift, step, t):
     flat = gamma.reshape(gamma.shape[:-2] + (-1,))
     nrm = np.vecdot(flat, flat).real
     drift = np.abs(nrm - 1.0)
     bad = ~(drift.flat[0] <= max_drift)  # was drift
     if bad.any():
-        raise StepSizeError(f"norm drift {drift[0]:.3e} (member 0) exceeds {max_drift:.1e}; reduce dt")
+        raise StepSizeError(
+            f"norm drift {drift[0]:.3e} (member 0) exceeds {max_drift:.1e} at step {step} (t = {t:g}); reduce dt", step, t
+        )
     gamma /= np.sqrt(nrm)[..., None, None]
     return gamma, drift
 
@@ -117,11 +119,11 @@ def edited(fn, *changes):
 
 LOOP_STAGES = "x = _rk4(x, g_of_rho(x[0] if of_factor else rho) @ x, f, h) if r is None else r @ x"
 LOOP_FLOOR = "rho, w = _checked_state(gamma, step)"
-LOOP_RENORMALIZE = "gamma, drift = _renormalize(x[0], cfg.max_step_drift)"
+LOOP_RENORMALIZE = "gamma, drift = _renormalize(x[0], cfg.max_step_drift, step, step * cfg.dt)"
 ROUTE_MEMBERS = "return [(_measure_h(sc, rho1), spec_h), (rho1, replace(spec_h, H=np.zeros_like(spec_h.H)))]"
-LAGRANGE_TRACES = "tr_rho, tr_h, tr_h2, b1, b2 = tr[..., 0, 0], tr[..., 0, 1], tr[..., 0, 2], tr[..., 1, 0], tr[..., 1, 1]"
+LAGRANGE_TRACES = "tr_rho, tr_h, tr_h2, b1, b2 = t[0][0], t[0][1], t[0][2], t[1][0], t[1][1]"
 ZERO_MEAN_C = "c = (rr * rho.swapaxes(-1, -2)).sum(axis=(-2, -1)).real / _trace(rho)"
-ENERGY_GAMMA = "return _minus_diag(scale * rr - scale * zeta[..., None, None] * spec.H, scale * xi)"
+ENERGY_GAMMA = "return _minus_diag(scale * rr - _per_member(scale * zeta, 2) * spec.H, scale * xi)"
 STACK_KEY = "return spec._tq, spec.t_family.family, fam.family, fam.sigma, fam.r"
 MOTION = "return x + dagger(x)"
 FACTOR_TR_K = "z = y.reshape(lead + (d_h, d_k * n))"
@@ -226,15 +228,28 @@ MUTANTS = {
     ),
     "energy_conserving_products_read_h2_rho_r_plus_1": (  # Tr[H rho^{r+1}] from the H^2 row
         generators, "_lagrange", edited(
-            generators._lagrange, (LAGRANGE_TRACES, LAGRANGE_TRACES.replace("tr[..., 1, 1]", "tr[..., 1, 2]"))
+            generators._lagrange, (LAGRANGE_TRACES, LAGRANGE_TRACES.replace("t[1][1]", "t[1][2]"))
         ),
         lambda: test_generators.TestProductKernel().test_matches_the_spectral_kernel(rng(), "q1/energyConserving", 2),
     ),
     "energy_conserving_products_read_h_rho": (  # Tr[H rho^{r+1}] from the power 1
         generators, "_lagrange", edited(
-            generators._lagrange, (LAGRANGE_TRACES, LAGRANGE_TRACES.replace("tr[..., 1, 1]", "tr[..., 0, 1]"))
+            generators._lagrange, (LAGRANGE_TRACES, LAGRANGE_TRACES.replace("t[1][1]", "t[0][1]"))
         ),
         lambda: test_generators.TestProductKernel().test_matches_the_spectral_kernel(rng(), "q1/energyConserving", 2),
+    ),
+    # the three edits above, caught on one state, whose multipliers are solved on Python floats
+    "energy_conserving_without_zeta_on_one_state": (
+        generators, "_power_gamma", edited(generators._power_gamma, (ENERGY_GAMMA, "return _minus_diag(scale * rr, scale * xi)")),
+        lambda: test_generators.TestOneStateContract().test_one_state_equals_its_one_member_stack_bitwise("spectral"),
+    ),
+    "energy_conserving_reads_h2_rho_r_plus_1_on_one_state": (
+        generators, "_lagrange", edited(generators._lagrange, (LAGRANGE_TRACES, LAGRANGE_TRACES.replace("t[1][1]", "t[1][2]"))),
+        lambda: test_generators.TestOneStateContract().test_one_state_equals_its_one_member_stack_bitwise("spectral"),
+    ),
+    "energy_conserving_reads_h_rho_on_one_state": (
+        generators, "_lagrange", edited(generators._lagrange, (LAGRANGE_TRACES, LAGRANGE_TRACES.replace("t[1][1]", "t[0][1]"))),
+        lambda: test_generators.TestOneStateContract().test_one_state_equals_its_one_member_stack_bitwise("products"),
     ),
     # one edit of the shared zeroMean formula, c = Tr[rho^r] / Tr[rho], caught in either kernel
     "zero_mean_c_from_rho_r_spectral": (

@@ -326,11 +326,14 @@ class TestStackContract:
         bound = float(np.median(drifts[drifts > 0]))  # a roundoff step can drift by exactly 0
         step, i = np.argwhere(drifts > bound)[0]
         bounded = replace(cfg, max_step_drift=bound)
-        message = f"norm drift {drifts[step, i]:.3e} (member {i}) exceeds {bound:.1e}; reduce dt"
-        with pytest.raises(StepSizeError, match=f"^{re.escape(message)}$"):
+        message = (f"norm drift {drifts[step, i]:.3e} (member {i}) exceeds {bound:.1e} "
+                   f"at step {step} (t = {times[step]:g}); reduce dt")
+        with pytest.raises(StepSizeError, match=f"^{re.escape(message)}$") as stacked:
             propagation._integrate(np.array(rho0s), stack, bounded)
-        with pytest.raises(StepSizeError, match=f"^{re.escape(message.replace(f' (member {i})', ''))}$"):
+        with pytest.raises(StepSizeError, match=f"^{re.escape(message.replace(f' (member {i})', ''))}$") as alone:
             propagation._integrate(rho0s[i], propagation._spec_generator(specs[i]), bounded)
+        for exc in (stacked.value, alone.value):
+            assert (exc.step, exc.t) == (step, times[step])
 
     def test_rk4_sums_the_tableau_in_place_of_k2(self, rng):
         a = random_hermitian(3, rng) + 1j * random_hermitian(3, rng)
@@ -349,11 +352,33 @@ class TestStackContract:
     def test_renormalize_rescales_its_argument_in_place(self, rng, lead):
         gamma = 0.6 * (rng.standard_normal(lead + (3, 3)) + 1j * rng.standard_normal(lead + (3, 3)))
         before = gamma.copy()
-        out, drift = propagation._renormalize(gamma, 1e3)
+        out, drift = propagation._renormalize(gamma, 1e3, 1, 0.1)
         assert out is gamma
         nrm = np.array([np.vdot(g, g).real for g in before.reshape((-1, 3, 3))]).reshape(lead)
         assert np.array_equal(gamma, before / np.sqrt(nrm)[..., None, None])
         assert np.array_equal(drift, np.abs(nrm - 1.0))
+
+    def test_one_factor_renormalizes_as_its_one_member_stack_bitwise(self):
+        # One seeded draw of factors off unit norm: one factor's norm, drift
+        # and rescale on Python floats against its one-member stack's on
+        # arrays, the same bits; a bound under the drift fails both with one
+        # message, minus the member.
+        rng = np.random.default_rng(30)
+        for d in (2, 3, 4):
+            for off in (1e-12, 1e-9, 1e-6, 1e-3, 0.3):
+                g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                g *= (1.0 + off * rng.uniform(-1.0, 1.0)) / np.linalg.norm(g)
+                one, drift = propagation._renormalize(g.copy(), 1.0, 7, 0.007)
+                stack, drifts = propagation._renormalize(g[None].copy(), 1.0, 7, 0.007)
+                assert type(drift) is float and drifts.shape == (1,) and drift == drifts[0]
+                assert one.tobytes() == stack[0].tobytes()
+                bound = drift / 2
+                with pytest.raises(StepSizeError) as stacked:
+                    propagation._renormalize(g[None].copy(), bound, 7, 0.007)
+                message = str(stacked.value)
+                assert message.endswith(" at step 7 (t = 0.007); reduce dt") and " (member 0)" in message
+                with pytest.raises(StepSizeError, match=f"^{re.escape(message.replace(' (member 0)', ''))}$"):
+                    propagation._renormalize(g.copy(), bound, 7, 0.007)
 
 
 def spoil_call(monkeypatch, module, k: int) -> list:
@@ -587,6 +612,25 @@ class TestFixedGenerator:
         taylor = np.eye(3) + z + z @ z / 2 + z @ z @ z / 6 + z @ z @ z @ z / 24
         r = propagation._step_matrix(propagation._spec_generator(GeneratorSpec(H=h)), (3, 3), -1j * dt)
         assert max_abs(r - taylor) <= 1e-15
+
+    def test_r_equals_stage_by_stage_rk4_over_drawn_cases(self):
+        # One seeded draw: R x against _rk4 of x_dot = G x stage by stage, to
+        # roundoff, for x a factor with a carried matrix behind it (the step
+        # loop's x), its state one (d, d) or a stack of three under one G or a
+        # stack of three, and a complex step h.
+        rng = np.random.default_rng(30)
+        for d in (2, 3, 4):
+            for lead, n_g in (((), 1), ((3,), 1), ((3,), 3)):
+                for _ in range(4):
+                    specs = [GeneratorSpec(H=random_hermitian(d, rng)) for _ in range(n_g)]
+                    fixed = propagation._spec_generator(specs[0] if n_g == 1 else generators._stack_specs(specs))
+                    assert isinstance(fixed, propagation._Fixed)
+                    h = complex(*rng.uniform(-0.2, 0.2, 2))
+                    x = rng.standard_normal((2, *lead, d, d)) + 1j * rng.standard_normal((2, *lead, d, d))
+                    r = propagation._step_matrix(fixed, lead + (d, d), h)
+                    f = fixed.gen.__matmul__
+                    staged = propagation._rk4(x, f(x), f, h)
+                    assert max_abs(r @ x - staged) <= 1e-14 * max_abs(x), (d, lead, n_g)
 
     def test_a_large_step_raises(self):
         # |P(i y)|^2 = 1 - y^6 / 72 + y^8 / 576: at dt ||H|| = 0.5 the norm drifts by 2e-4
@@ -841,8 +885,11 @@ class TestMixture:
         # its batch as its member 0
         zero_mean = GeneratorSpec(H=50.0 * SX, gamma_family=GammaFamily("zeroMean", sigma=40.0, r=2.0))
         mix = MixtureSpec(weights=[0.5, 0.5], process_specs=[GeneratorSpec(H=SZ), zero_mean])
-        with pytest.raises(StepSizeError, match=r"^norm drift 3\.080e-04 \(branch 1\) exceeds 1\.0e-06; reduce dt$"):
+        with pytest.raises(
+            StepSizeError, match=r"^norm drift 3\.080e-04 \(branch 1\) exceeds 1\.0e-06 at step 1 \(t = 0\.01\); reduce dt$"
+        ) as caught:
             evolve_convex_mixture(np.diag([0.7, 0.3]), mix, IntegratorConfig(dt=0.01, t_final=0.1))
+        assert (caught.value.step, caught.value.t) == (1, 0.01)
 
     def test_trace_preserved(self, rng):
         rho0 = random_density_matrix(2, rng)

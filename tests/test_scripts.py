@@ -105,8 +105,9 @@ def test_value_moves(tmp_path, monkeypatch, capsys):
 
 
 def test_step_ab_on_one_tree():
-    # this tree against itself, one repeat: a line per family, d and rank,
-    # each with two timings and a final-state deviation of 0
+    # this tree against itself, one repeat: a line per family, d, rank and
+    # B (one state, a stack of three), 80 in all, each with two timings and
+    # a final-state deviation of 0
     run = subprocess.run(
         [sys.executable, "scripts/step_ab.py", ".", ".", "1"], cwd=ROOT, capture_output=True, text=True, timeout=600
     )
@@ -114,8 +115,10 @@ def test_step_ab_on_one_tree():
     rows = [line.split() for line in run.stdout.splitlines()[1:]]
     families = ("vonNeumann", "powerLaw", "zeroMean", "energyConserving", "nonEssential")
     cells = [(d, rank) for d in (2, 4, 8) for rank in sorted({d, d // 2, 1}, reverse=True)]
-    assert [(row[0], int(row[1]), int(row[2])) for row in rows] == [(f, d, r) for d, r in cells for f in families]
-    assert all(float(row[3]) > 0 and float(row[4]) > 0 and float(row[6]) == 0.0 for row in rows)
+    want = [(f, d, r, b) for d, r in cells for f in families for b in (1, 3)]
+    assert len(want) == 80
+    assert [(row[0], int(row[1]), int(row[2]), int(row[3])) for row in rows] == want
+    assert all(float(row[4]) > 0 and float(row[5]) > 0 and float(row[7]) == 0.0 for row in rows)
 
 
 @pytest.mark.parametrize("workload", [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]])
