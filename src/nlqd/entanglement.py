@@ -64,8 +64,8 @@ from .propagation import (
     _integrate,
     _OfFactor,
     _spec_generator,
+    _trajectories,
     default_monitor,
-    integrate_generator,
 )
 
 LOCAL_EQUIVALENCE_TOL = 1e-9
@@ -233,12 +233,8 @@ def evolve_bipartite(rho0: BipartiteState, dyn: BipartiteDynamics, cfg: Integrat
     dims = _record(rho0, BipartiteState, "rho0").dims
     _check_dims(dyn, dims)
     _record(cfg, IntegratorConfig, "cfg")
-    return integrate_generator(
-        rho0.matrix,
-        _joint_generator_fn(dyn.spec_H, dyn.spec_K, dims),
-        cfg,
-        bipartite_monitor(dims, joint_hamiltonian(dyn, dims)),
-    )
+    run = _integrate(_state(rho0.matrix), _joint_generator_fn(dyn.spec_H, dyn.spec_K, dims), cfg)
+    return _trajectories(run, bipartite_monitor(dims, joint_hamiltonian(dyn, dims)))[0]
 
 
 def check_environment_stationarity(dyn: BipartiteDynamics, rho_hk: BipartiteState) -> float:
@@ -320,12 +316,12 @@ def verify_cp_extension(dyn: BipartiteDynamics, rho_hk_samples, cfg: IntegratorC
         raise ValidationError(f"samples differ in dims; the first has {dims}")
     _check_dims(dyn, dims)
     rho0s = np.array([s.matrix for s in samples])
-    _, _, states, spectra, _ = _integrate(rho0s, _joint_generator_fn(dyn.spec_H, dyn.spec_K, dims), cfg)
-    # states: (N, B, D, D), spectra: (N, B, D); local: (N, B, d_H, d_H)
-    _, _, local, _, _ = _integrate(np.array([s.marginal_H() for s in samples]), _spec_generator(dyn.spec_H), cfg)
-    min_eigs = np.min(spectra[-1], axis=-1)
-    loc = np.abs(partial_trace(states, dims, "K") - local).max(axis=(0, 2, 3))
-    rem = np.abs(partial_trace(states, dims, "H") - [s.marginal_K() for s in samples]).max(axis=(0, 2, 3))
+    run = _integrate(rho0s, _joint_generator_fn(dyn.spec_H, dyn.spec_K, dims), cfg)
+    # run.states: (N, B, D, D), run.spectra: (N, B, D); local: (N, B, d_H, d_H)
+    local = _integrate(np.array([s.marginal_H() for s in samples]), _spec_generator(dyn.spec_H), cfg).states
+    min_eigs = np.min(run.spectra[-1], axis=-1)
+    loc = np.abs(partial_trace(run.states, dims, "K") - local).max(axis=(0, 2, 3))
+    rem = np.abs(partial_trace(run.states, dims, "H") - [s.marginal_K() for s in samples]).max(axis=(0, 2, 3))
     results = []
     for min_eig, loc_res, rem_res in zip(min_eigs.tolist(), loc.tolist(), rem.tolist()):
         positive = min_eig >= -EIG_NEG_TOL

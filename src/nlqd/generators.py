@@ -509,9 +509,9 @@ def classify_dissipative_part(
     is the witness.
 
     All samples are drawn first, in the order a one-at-a-time search draws
-    them, and checked as one stack.  When a witness turns up before the last
-    sample, the generator is rewound and only the samples up to the witness
-    are drawn again, so rng ends where a search that stops there leaves it.
+    them, and checked as one stack.  When a witness turns up, the generator
+    is rewound and only the samples up to the witness are drawn again, so
+    rng ends where a search that stops there leaves it.
     """
     if not _is_integer(sample_count, 0):
         raise ValidationError(f"sample_count must be an integer >= 0, got {sample_count}")
@@ -532,7 +532,6 @@ def classify_dissipative_part(
     if failing.size == 0:
         return EssentialityReport(essential=False, witness=None, n_samples=sample_count)
     i = int(failing[0])
-    if i + 1 < sample_count:
-        rng.bit_generator.state = start
-        draw(i + 1)
+    rng.bit_generator.state = start
+    draw(i + 1)
     return EssentialityReport(essential=True, witness=rhos[i], n_samples=i + 1)

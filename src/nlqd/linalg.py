@@ -193,8 +193,8 @@ class StateOperator:
     def __post_init__(self):
         m = _square(self.matrix, what="state operator", one=True)
         object.__setattr__(self, "matrix", m)
-        norm = np.trace(m.conj().T @ m).real
-        if abs(norm - 1.0) > HS_NORM_TOL:
+        norm = np.vdot(m, m).real  # no RuntimeWarning on a non-finite entry
+        if not abs(norm - 1.0) <= HS_NORM_TOL:  # written so that NaN fails it too
             raise ValidationError(f"state operator HS norm {norm} != 1")
 
     @property

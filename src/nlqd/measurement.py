@@ -112,7 +112,7 @@ def evolve_block_diagonal(
     g_of_rho = _Fixed(projs @ h @ projs) if h is not None else (
         lambda rho: projs @ generator_matrix(spec, w * rho) @ projs
     )
-    _, _, states, _, _ = _integrate(projs @ mat @ projs / w, g_of_rho, cfg)
+    states = _integrate(projs @ mat @ projs / w, g_of_rho, cfg).states
     residual = max_abs((w * states).sum(axis=1)[1:] - np.array(full.states[1:]))
     return full, residual
 
@@ -162,8 +162,7 @@ def _evolve_joint(sc: CorrelationScenario, members: list, duration: float, label
     if duration <= sc.cfg.dt * 1e-9:
         return np.array(rhos)
     g_of_rho = _joint_generator_fn(_stack_specs(specs), sc.dyn.spec_K, sc.rho0.dims)
-    _, _, states, _, _ = _integrate(np.array(rhos), g_of_rho, _phase_cfg(sc.cfg, duration), labels)
-    return states[-1]
+    return _integrate(np.array(rhos), g_of_rho, _phase_cfg(sc.cfg, duration), labels).states[-1]
 
 
 def _require_invariance(sc: CorrelationScenario) -> None:

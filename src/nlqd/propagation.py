@@ -22,7 +22,9 @@ slope in place, in the tableau's order, and the step loop renormalizes
 gamma in place, as x[0], so neither allocates an array of its own.
 
 The one step loop, ``_integrate``, steps one factor (d, d) or a stack
-(B, d, d) of independent ones: ``evolve_many`` runs B initial states under
+(B, d, d) of independent ones and returns a ``_Run``, its callers reading
+the fields they need by name; ``_trajectories`` alone turns a run into
+``Trajectory`` objects.  ``evolve_many`` runs B initial states under
 one generator, ``evolve`` is its one-member case, and a convex mixture runs
 its autonomous branches as one stack per group of specs that stack
 (``_stack_key``), an error naming the branch.  One state's per-member
@@ -47,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -249,6 +251,18 @@ def default_monitor(H: np.ndarray) -> MonitorFn:
     return monitor
 
 
+class _Run(NamedTuple):
+    """What one _integrate run returns: the final x (gamma and what it
+    carried), the record times (N,), the recorded states (N, ..., d, d),
+    their spectra (N, ..., d) and the worst drift of each window (N, ...)."""
+
+    x: np.ndarray
+    times: np.ndarray
+    states: np.ndarray
+    spectra: np.ndarray
+    drifts: np.ndarray
+
+
 def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, labels=None, carried=()):
     """The step loop: factorize, step, check the drift, renormalize, check
     the eigenvalue floor, record.
@@ -262,9 +276,7 @@ def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, labels=None, 
     steps x by its RK4 matrix (_step_matrix), any other takes G at every
     stage, an _OfFactor at the stage's gamma, and every state, the t = 0
     one as step 0, is checked either way (module doc).  An error names
-    member i as labels[i], if given.  Returns the final x, the
-    record times (N,), the recorded states (N, ..., d, d), their spectra
-    (N, ..., d) and the worst drift of each window (N, ...).
+    member i as labels[i], if given.  Returns the run as a _Run.
     """
     try:
         x = np.stack((ClippedEig(rho0).power(0.5), *carried))
@@ -285,38 +297,27 @@ def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, labels=None, 
                 worst = None
     except NlqdError as exc:
         raise _name_member(exc, labels)
-    return (x, *map(np.array, zip(*records)))
+    return _Run(x, *map(np.array, zip(*records)))
 
 
-def _trajectories(times, states, spectra, drifts, monitor: MonitorFn) -> list:
-    """One Trajectory per member of _integrate's records, their channels cut
+def _trajectories(run: _Run, monitor: MonitorFn) -> list:
+    """One Trajectory per member of a _Run's records, their channels cut
     from one monitor call on every member's states and spectra."""
-    n, d = len(times), states.shape[-1]
-    members = np.moveaxis(states, 0, -3).reshape(-1, n, d, d)  # (B, N, d, d)
+    n, d = len(run.times), run.states.shape[-1]
+    members = np.moveaxis(run.states, 0, -3).reshape(-1, n, d, d)  # (B, N, d, d)
     b = len(members)
-    channels = monitor(members.reshape(-1, d, d), np.moveaxis(spectra, 0, -2).reshape(-1, d))
+    channels = monitor(members.reshape(-1, d, d), np.moveaxis(run.spectra, 0, -2).reshape(-1, d))
     channels = {k: v.reshape((b, n) + v.shape[1:]) for k, v in channels.items()}
-    drifts = drifts.reshape(n, b)
+    drifts = run.drifts.reshape(n, b)
     return [
         Trajectory(
-            times=times,
+            times=run.times,
             states=list(members[i]),
             monitors={k: v[i] for k, v in channels.items()},
             norm_drift=drifts[:, i],
         )
         for i in range(b)
     ]
-
-
-def integrate_generator(
-    rho0: np.ndarray,
-    g_of_rho: GeneratorFn,
-    cfg: IntegratorConfig,
-    monitor: MonitorFn,
-) -> Trajectory:
-    """Shared gamma-route engine: factorize, step, renormalize, record."""
-    _, *records = _integrate(_state(rho0), g_of_rho, cfg)
-    return _trajectories(*records, monitor)[0]
 
 
 def evolve_many(rho0s, spec: GeneratorSpec, cfg: IntegratorConfig) -> list:
@@ -332,8 +333,7 @@ def evolve_many(rho0s, spec: GeneratorSpec, cfg: IntegratorConfig) -> list:
     # One state steps as one (d, d) matrix, whose per-member scalars are
     # Python floats: cheaper than arrays of one member, and the same bits.
     rho0 = states[0] if len(states) == 1 else np.array(states)
-    _, *records = _integrate(rho0, _spec_generator(spec), cfg)
-    return _trajectories(*records, default_monitor(spec.H))
+    return _trajectories(_integrate(rho0, _spec_generator(spec), cfg), default_monitor(spec.H))
 
 
 def evolve(rho0, spec: GeneratorSpec, cfg: IntegratorConfig) -> Trajectory:
@@ -348,7 +348,7 @@ def consistency_check_rho_route(rho0, spec: GeneratorSpec, cfg: IntegratorConfig
     m = _state(rho0, _record(spec, GeneratorSpec, "spec").dim)
     _record(cfg, IntegratorConfig, "cfg")
     g_of_rho = partial(generator_matrix, spec)
-    _, _, gamma_route, _, _ = _integrate(m, g_of_rho, replace(cfg, monitor_stride=1))  # every step's state
+    gamma_route = _integrate(m, g_of_rho, replace(cfg, monitor_stride=1)).states  # every step's state
 
     def f(rho):  # i rho_dot = G rho - rho G^dag
         g = g_of_rho(rho)
@@ -374,8 +374,8 @@ def accumulate_propagator(
     m = _state(rho0, _record(spec, GeneratorSpec, "spec").dim)
     _record(cfg, IntegratorConfig, "cfg")
     s0 = np.eye(m.shape[0], dtype=complex)
-    x, *records = _integrate(m, _spec_generator(spec), cfg, carried=(s0,))
-    return x[1], _trajectories(*records, default_monitor(spec.H))[0]
+    run = _integrate(m, _spec_generator(spec), cfg, carried=(s0,))
+    return run.x[1], _trajectories(run, default_monitor(spec.H))[0]
 
 
 @dataclass(frozen=True)
@@ -422,14 +422,10 @@ def evolve_convex_mixture(rho0, mix: MixtureSpec, cfg: IntegratorConfig) -> Traj
     for members in groups.values():
         stack = _stack_specs([mix.process_specs[i] for i in members])
         rho0s, labels = np.array([m] * len(members)), [f"branch {i}" for i in members]
-        _, times, batch_states, _, batch_drifts = _integrate(rho0s, _spec_generator(stack), cfg, labels)
+        run = _integrate(rho0s, _spec_generator(stack), cfg, labels)
         for j, i in enumerate(members):
-            states[i], drifts[i] = batch_states[:, j], batch_drifts[:, j]
+            states[i], drifts[i] = run.states[:, j], run.drifts[:, j]
     h_bar = sum(w * s.H for w, s in zip(mix.weights, mix.process_specs))
     mixed = sum(w * s for w, s in zip(mix.weights, states))  # in the mixture's order
-    return Trajectory(
-        times=times,
-        states=list(mixed),
-        monitors=default_monitor(h_bar)(mixed, _eigvalsh(mixed)),
-        norm_drift=np.max(drifts, axis=0),
-    )
+    run = _Run(None, run.times, mixed, _eigvalsh(mixed), np.max(drifts, axis=0))
+    return _trajectories(run, default_monitor(h_bar))[0]

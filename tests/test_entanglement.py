@@ -399,7 +399,7 @@ class TestEvolveBipartite:
 
     @pytest.mark.parametrize("side", ["H", "K"])
     def test_spec_dimension_checked_at_entry(self, side, rng, monkeypatch):
-        monkeypatch.setattr(entanglement, "integrate_generator", lambda *a: pytest.fail("stepped"))
+        monkeypatch.setattr(entanglement, "_integrate", lambda *a: pytest.fail("stepped"))
         spec2, spec3 = GeneratorSpec(H=SZ), GeneratorSpec(H=random_hermitian(3, rng))
         dyn = BipartiteDynamics(spec_H=spec3, spec_K=spec2) if side == "H" else BipartiteDynamics(spec2, spec3)
         with pytest.raises(ValidationError, match=f"spec_{side} dimension 3 does not match d_{side} = 2"):

@@ -556,6 +556,16 @@ class TestLagrangeParameters:
         assert zeta == pytest.approx(0.25, abs=1e-12)
         assert xi == pytest.approx(0.5, abs=1e-12)
 
+    def test_random_state_satisfies_both_constraints(self, rng):
+        # a non-diagonal rho, where rho^r rho and the elementwise product differ;
+        # called through the module, so that a patched copy is the one run
+        h, rho = random_hermitian(3, rng), random_density_matrix(3, rng)
+        zeta, xi = generators.solve_lagrange_parameters(h, 0.8, 1.5, rho)
+        w, v = np.linalg.eigh(rho)
+        rp = (v * w**2.5) @ dagger(v)  # rho^{r+1}
+        assert abs(np.trace(rp) - zeta * np.trace(h @ rho) - xi) < 1e-12
+        assert abs(np.trace(h @ rp) - zeta * np.trace(h @ h @ rho) - xi * np.trace(h @ rho)) < 1e-12
+
     def test_anticommutator_energy_neutral(self, rng):
         spec = GeneratorSpec(
             H=SZ + 0.3 * SX, gamma_family=GammaFamily("energyConserving", sigma=0.8, r=2.0)
@@ -735,12 +745,13 @@ class TestClassifier:
             GammaFamily("zeroMean", sigma=float(rng.uniform(1e-10, 1e-8)), r=2.0),
         ):
             spec = GeneratorSpec(H=random_hermitian(d, rng), gamma_family=fam)
-            rng_loop, rng_stack = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
-            want = classify_by_loop(spec, 30, rng_loop)
-            got = classify_dissipative_part(spec, sample_count=30, rng=rng_stack)
-            assert (got.essential, got.n_samples) == (want.essential, want.n_samples)
-            assert (got.witness is None and want.witness is None) or same_bits(got.witness, want.witness)
-            assert rng_stack.random() == rng_loop.random()
+            for n in (30, 1):  # one sample: an essential spec's witness is the last sample
+                rng_loop, rng_stack = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+                want = classify_by_loop(spec, n, rng_loop)
+                got = classify_dissipative_part(spec, sample_count=n, rng=rng_stack)
+                assert (got.essential, got.n_samples) == (want.essential, want.n_samples)
+                assert (got.witness is None and want.witness is None) or same_bits(got.witness, want.witness)
+                assert rng_stack.random() == rng_loop.random()
 
 
 def classify_by_loop(spec, sample_count, rng):

@@ -373,6 +373,11 @@ BAD_RECORDS = {
     ),
     # BipartiteDynamics takes GeneratorSpecs only: a spec stack is the library's own
     "BipartiteDynamics.spec_H-spec-stack": lambda: BipartiteDynamics(spec_H=_stack_specs([spec(2), spec(2)])),
+    # a factor with a non-finite entry has no finite HS norm; each used to
+    # construct, and the step to raise StepSizeError ("reduce dt")
+    "StateOperator.matrix-nan": lambda: StateOperator(matrix=np.full((2, 2), np.nan)),
+    "StateOperator.matrix-inf": lambda: StateOperator(matrix=np.diag([np.inf, 0.0])),
+    "step_state_operator.gamma-nan": lambda: step_state_operator(np.full((2, 2), np.nan), spec(2), CFG.dt),
 }
 
 

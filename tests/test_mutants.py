@@ -121,6 +121,7 @@ LOOP_STAGES = "x = _rk4(x, g_of_rho(x[0] if of_factor else rho) @ x, f, h) if r 
 LOOP_FLOOR = "rho, w = _checked_state(gamma, step)"
 LOOP_RENORMALIZE = "gamma, drift = _renormalize(x[0], cfg.max_step_drift, step, step * cfg.dt)"
 ROUTE_MEMBERS = "return [(_measure_h(sc, rho1), spec_h), (rho1, replace(spec_h, H=np.zeros_like(spec_h.H)))]"
+LAGRANGE_SOLVE = "zeta, xi = _lagrange(spec._rows, dec.rho, dec.power(r) @ dec.rho)"
 LAGRANGE_TRACES = "tr_rho, tr_h, tr_h2, b1, b2 = t[0][0], t[0][1], t[0][2], t[1][0], t[1][1]"
 ZERO_MEAN_C = "c = (rr * rho.swapaxes(-1, -2)).sum(axis=(-2, -1)).real / _trace(rho)"
 ENERGY_GAMMA = "return _minus_diag(scale * rr - _per_member(scale * zeta, 2) * spec.H, scale * xi)"
@@ -251,6 +252,12 @@ MUTANTS = {
         generators, "_lagrange", edited(generators._lagrange, (LAGRANGE_TRACES, LAGRANGE_TRACES.replace("t[1][1]", "t[0][1]"))),
         lambda: test_generators.TestOneStateContract().test_one_state_equals_its_one_member_stack_bitwise("products"),
     ),
+    "lagrange_rho_r_plus_1_elementwise": (  # rho^r * rho: equal to rho^r @ rho on diagonal states only
+        generators, "solve_lagrange_parameters", edited(
+            generators.solve_lagrange_parameters, (LAGRANGE_SOLVE, LAGRANGE_SOLVE.replace("dec.power(r) @", "dec.power(r) *"))
+        ),
+        lambda: test_generators.TestLagrangeParameters().test_random_state_satisfies_both_constraints(rng()),
+    ),
     # one edit of the shared zeroMean formula, c = Tr[rho^r] / Tr[rho], caught in either kernel
     "zero_mean_c_from_rho_r_spectral": (
         generators, "_power_gamma", edited(generators._power_gamma, (ZERO_MEAN_C, "c = _trace(rr) / _trace(rho)")),
@@ -296,8 +303,8 @@ MUTANTS = {
         ),
         lambda: test_scripts.test_output_baseline(pathlib.Path.cwd()),
     ),
-    "stage_1_of_a_factor_run_given_rho": (
-        propagation, "_integrate", edited(
+    "stage_1_of_a_factor_run_given_rho": (  # evolve_bipartite looks _integrate up in entanglement
+        entanglement, "_integrate", edited(
             propagation._integrate, (LOOP_STAGES, LOOP_STAGES.replace("x[0] if of_factor else rho", "rho"))
         ),
         lambda: test_entanglement.TestEvolveBipartite().test_product_state_stays_product(rng()),
