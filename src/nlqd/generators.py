@@ -39,6 +39,7 @@ import numpy as np
 from .errors import DegenerateConstraintError, ValidationError
 from .linalg import (
     HS_NORM_TOL,
+    SUPPORT_REL_TOL,
     ClippedEig,
     _any,
     _finite,
@@ -321,10 +322,17 @@ def _non_essential_gamma(fam: GammaFamily, dec: ClippedEig) -> Optional[np.ndarr
     # B + B^dag with B = (I - rho^{r-1}) A (I - P_rho).  In rho's eigenbasis
     # I - rho^{r-1} = diag(a) and I - P_rho = diag(b), so with A~ = V^dag A V,
     # Gamma = V (A~ o (a b^T + b a^T)) V^dag, which vanishes on the support block.
+    # The spectrum ascends, so a support is full when its lowest eigenvalue is
+    # in it: then b = 0, so Gamma = 0 exactly.  One state tests its spectrum's
+    # two ends as Python floats before it builds the mask; a stack, the first
+    # column of its mask, all True only when every member's support is full.
+    w = dec.eigenvalues
+    if w.ndim == 1:
+        s = w.tolist()
+        if s[-1] > 0.0 and s[0] > SUPPORT_REL_TOL * s[-1]:
+            return None
     mask = dec.support_mask()
-    # The mask ascends with the spectrum, so its first column is all True only
-    # when every member's support is full: then b = 0, so Gamma = 0 exactly.
-    if not _any(~mask[..., 0]):
+    if w.ndim > 1 and not _any(~mask[..., 0]):
         return None
     v, vh = dec.eigenvectors, dec.vh
     a = 1.0 - dec.eigenvalues ** (fam.r - 1.0)

@@ -15,7 +15,9 @@ or ``_eigvalsh`` (values only); the monitors and the CP audit read the step
 loop's ``_eigvalsh`` of each recorded state instead of decomposing it again.
 On the step path one state's per-member scalars are Python floats and a
 stack's are arrays (``_scalars``); ``_any``, ``_worst``, ``_member`` and
-``_per_member`` take either.
+``_per_member`` take either.  The eigenvalue floor (``_lowest``) and
+nonEssential's full-support test read one state's spectrum as Python floats
+too, and a stack's by numpy reductions.
 """
 
 from __future__ import annotations
@@ -247,6 +249,18 @@ def _worst(x):
     return x.max() if isinstance(x, np.ndarray) else x
 
 
+def _lowest(w: np.ndarray):
+    """w.min() of spectra w (..., d), NaN if any eigenvalue is: for a stack
+    by numpy; one state's spectrum (d,) on Python floats (see _any), where
+    min alone would drop a NaN that follows a finite value, so a NaN sum
+    (a NaN, or +inf beside -inf, whose min fails anyway) stands in for it."""
+    if w.ndim != 1:
+        return w.min()
+    s = w.tolist()
+    total = sum(s)
+    return min(s) if total == total else total
+
+
 def _name_member(exc: Exception, labels) -> Exception:
     """exc, its ' (member i)' re-worded in place as ' (labels[i])', or dropped
     for a None label: a stack's builder names its members so, on error only."""
@@ -284,7 +298,7 @@ def _floored(w: np.ndarray, what: str = "matrix") -> np.ndarray:
     """The eigenvalue floor: w (..., d) with eigenvalues in [-EIG_NEG_TOL, 0)
     clipped to 0 as integration roundoff (w itself if none is negative); lower
     ones, or a non-finite spectrum, raise naming what and the first failing member."""
-    if not (lo := w.min()) >= -EIG_NEG_TOL:  # written so that NaN fails it too
+    if not (lo := _lowest(w)) >= -EIG_NEG_TOL:  # written so that NaN fails it too
         lo = w.min(axis=-1)
         bad = ~(lo >= -EIG_NEG_TOL)
         raise ValidationError(f"{what}{_member(bad)} has eigenvalue {lo[bad].flat[0]} < -{EIG_NEG_TOL:g}")

@@ -31,9 +31,10 @@ its autonomous branches as one stack per group of specs that stack
 scalars on the step path (its norm, drift and rescale, and energyConserving's
 multipliers) are Python floats, a stack's are arrays (``linalg._scalars``),
 each by one formula with the same bits; the checks of one state test in
-Python, those of a stack reduce by numpy (``_any`` and ``_worst``).  The loop
-only records states; a monitor reads every recorded state of every member
-in one call and returns its channels as arrays along the leading axis.
+Python, those of a stack reduce by numpy (``_any``, ``_worst`` and
+``_lowest``).  The loop only records states; a monitor reads every recorded
+state of every member in one call and returns its channels as arrays along
+the leading axis.
 
 The eigenvalue floor holds at every step, and the step loop alone checks it:
 each stepped state rho = gamma gamma^dag takes one values-only
@@ -62,6 +63,7 @@ from .linalg import (
     _eigvalsh,
     _floored,
     _is_integer,
+    _lowest,
     _member,
     _name_member,
     _positive,
@@ -222,7 +224,7 @@ def _checked_state(gamma: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray
     spectrum, once its eigenvalue floor holds: one values-only decomposition."""
     rho = gamma @ dagger(gamma)
     w = _eigvalsh(rho)
-    if not w.min() >= -EIG_NEG_TOL:  # as in _floored, which names the step and member
+    if not _lowest(w) >= -EIG_NEG_TOL:  # as in _floored, which names the step and member
         _floored(w, f"state at step {step}")
     return rho, w
 
@@ -286,12 +288,13 @@ def _integrate(rho0, g_of_rho: GeneratorFn, cfg: IntegratorConfig, labels=None, 
         f = _action(g_of_rho) if r is None else None
         of_factor = isinstance(g_of_rho, _OfFactor)
         records, worst = [(0.0, rho, w, np.zeros(rho.shape[:-2]))], None
+        fold = max if rho.ndim == 2 else np.maximum  # one state's drifts are Python floats
         n = cfg.n_steps
         for step in range(1, n + 1):
             x = _rk4(x, g_of_rho(x[0] if of_factor else rho) @ x, f, h) if r is None else r @ x
             gamma, drift = _renormalize(x[0], cfg.max_step_drift, step, step * cfg.dt)
             rho, w = _checked_state(gamma, step)
-            worst = drift if worst is None else np.maximum(worst, drift)
+            worst = drift if worst is None else fold(worst, drift)
             if step % cfg.monitor_stride == 0 or step == n:
                 records.append((step * cfg.dt, rho, w, worst))
                 worst = None

@@ -441,6 +441,50 @@ def bipartite_channels(states) -> dict:
     return bipartite_monitor((2, 2), np.eye(4))(states, np.linalg.eigvalsh(states))
 
 
+def joint_stacking_cases() -> list:
+    """One seeded draw of joint dynamics per cell of H side x K x dims:
+    nonEssential (under a q = 1.3 T) or a fractional-q powerLaw on H, K
+    passive or a fractional-q powerLaw, at 2x2 and 2x4; each with four
+    initial states: a pure product, whose pure H marginal keeps nonEssential's
+    Gamma on, and random states of rank 1, 2 and D."""
+    rng = np.random.default_rng(32)
+    cases = []
+    for side in ("nonEssential", "powerLaw"):
+        for env in ("passive", "active"):
+            for d_h, d_k in ((2, 2), (2, 4)):
+                if side == "nonEssential":
+                    t, gamma = TFamily("powerLaw", q=1.3), GammaFamily(side, r=2.0, A=random_hermitian(d_h, rng))
+                else:
+                    t, gamma = TFamily("powerLaw", q=float(rng.uniform(0.5, 2.0))), GammaFamily("none")
+                spec_h = GeneratorSpec(H=random_hermitian(d_h, rng), t_family=t, gamma_family=gamma)
+                spec_k = None
+                if env == "active":
+                    spec_k = GeneratorSpec(H=random_hermitian(d_k, rng), t_family=TFamily("powerLaw", q=float(rng.uniform(0.5, 2.0))))
+                d = d_h * d_k
+                product = tensor_product(random_density_matrix(d_h, rng, 1), random_density_matrix(d_k, rng, 1))
+                rho0s = [product] + [random_density_matrix(d, rng, rank) for rank in (1, 2, d)]
+                cases.append(pytest.param(BipartiteDynamics(spec_h, spec_k), (d_h, d_k), rho0s, id=f"{side}/{env}/{d_h}x{d_k}"))
+    return cases
+
+
+class TestJointStackContract:
+    """A stack of joint states takes the array branch of every per-member
+    check and reduction in the step loop and the kernels; one joint state
+    through evolve_bipartite the scalar branch: both give the same bits."""
+
+    @pytest.mark.parametrize("dyn, dims, rho0s", joint_stacking_cases())
+    def test_stack_equals_evolve_bipartite_of_each_member_bitwise(self, dyn, dims, rho0s):
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.02, monitor_stride=5)
+        g = entanglement._joint_generator_fn(dyn.spec_H, dyn.spec_K, dims)
+        run = propagation._integrate(np.array(rho0s), g, cfg)
+        for i, rho0 in enumerate(rho0s):
+            alone = evolve_bipartite(BipartiteState(*dims, rho0), dyn, cfg)
+            assert np.array_equal(alone.times, run.times)
+            assert np.array_equal(np.array(alone.states), run.states[:, i]), i
+            assert np.array_equal(alone.monitors["eigenvalues"], run.spectra[:, i]), i
+            assert np.array_equal(alone.norm_drift, run.drifts[:, i]), i
+
+
 class TestBipartiteMonitor:
     def test_marginal_entropies_on_the_stack(self, rng):
         # the step loop has checked every state the monitor reads, so the

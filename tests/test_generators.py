@@ -302,6 +302,23 @@ class TestSpectralKernels:
         assert max_abs(got[1] - generators._eval_T(specs[1], ClippedEig(rhos[1]))) > 1e-3
 
 
+    @pytest.mark.parametrize("edge", [-1, 0, 1], ids=["under", "at", "over"])
+    def test_non_essential_one_state_support_edge_matches_its_one_member_stack_bitwise(self, rng, edge):
+        # lambda_min just under, at and just over SUPPORT_REL_TOL lambda_max:
+        # one state reads its spectrum's two ends as Python floats, its
+        # one-member stack the mask; the support is full only over the edge
+        spec = self.spec("nonEssential", 3, rng)
+        lmin = SUPPORT_REL_TOL * 0.5
+        lmin = lmin if edge == 0 else np.nextafter(lmin, edge * np.inf)
+        rho = np.diag([lmin, 0.25, 0.5]).astype(complex)
+        w = ClippedEig(rho).eigenvalues
+        assert (w[0] > SUPPORT_REL_TOL * w[-1]) == (edge > 0) and (w[0] >= SUPPORT_REL_TOL * w[-1]) == (edge >= 0)
+        one = generators.generator_matrix(spec, rho)
+        assert same_bits(one, generators.generator_matrix(spec, rho[None])[0])
+        t = generators._eval_T(spec, ClippedEig(rho))
+        assert same_bits(one, t) if edge > 0 else max_abs(one - t) > 1e-3
+
+
 def whole_exponent_spec(name, d, rng):
     """A spec whose exponents are whole, by name "<T>/<Gamma>[/r<r>]"."""
     t, gamma, *r = name.split("/")

@@ -221,6 +221,43 @@ def test_one_member_reduces_as_a_stack_does(x):
     assert linalg._any(v <= 1.0) == (v <= 1.0).any()
 
 
+@pytest.mark.parametrize(
+    "x", [[0.1, 0.2, np.nan, 0.3], [np.nan, 0.1], [0.3, 0.1, 0.2], [-np.inf, 0.5, np.inf], [0.5, np.inf]],
+    ids=["nan-after-finite", "nan-first", "unsorted", "both-infinities", "inf"],
+)
+def test_one_spectrum_reads_its_lowest_eigenvalue_as_a_stack_does(x):
+    # one state's floor reads its spectrum on Python floats, where min alone
+    # drops a NaN after a finite value; every value that fails the floor in
+    # a stack fails it alone (a NaN stands in for -inf beside +inf)
+    w = np.array(x)
+    lo, want = linalg._lowest(w), linalg._lowest(w[None])
+    assert type(lo) is float and (lo >= -EIG_NEG_TOL) == (want >= -EIG_NEG_TOL)
+    assert lo == want or np.isnan(lo) and (np.isnan(want) or want == -np.inf)
+
+
+@pytest.mark.parametrize("value", [np.nan, -1.5 * EIG_NEG_TOL], ids=["nan", "under-floor"])
+@pytest.mark.parametrize("at", [1, 2])
+def test_one_state_floor_reads_every_eigenvalue_at_a_stage(monkeypatch, value, at):
+    # a stage's decomposition, spoiled at eigenvalue at of member 0: a NaN
+    # after a finite eigenvalue and an eigenvalue in [-2 EIG_NEG_TOL,
+    # -EIG_NEG_TOL) fail the floor of one state as of its one-member stack
+    real = linalg._eigh
+
+    def spoiled(a):
+        w, v = real(a)
+        w[..., at] = value
+        return w, v
+
+    monkeypatch.setattr(linalg, "_eigh", spoiled)
+    spec = GeneratorSpec(H=np.diag([1.0, 0.5, -0.5, -1.0]), t_family=TFamily("powerLaw", q=1.3))
+    rho = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+    message = rf" has eigenvalue {re.escape(str(value))} < -1e-10$"
+    with pytest.raises(ValidationError, match="^matrix" + message):
+        generator_matrix(spec, rho)
+    with pytest.raises(ValidationError, match=r"^matrix \(member 0\)" + message):
+        generator_matrix(spec, rho[None])
+
+
 def test_eigenvalue_floor_names_the_member():
     stack = np.array([np.eye(2) / 2, np.eye(2) / 2, np.diag([1.5, -0.5])])
     with pytest.raises(ValidationError, match=r"\(member 2\) has eigenvalue -0.5"):

@@ -30,12 +30,13 @@ import test_entanglement
 import test_generators
 import test_inputs
 import test_io_cli
+import test_linalg
 import test_measurement
 import test_propagation
 import test_scripts
 from nlqd import entanglement, generators, io, linalg, measurement, propagation
 from nlqd.errors import NlqdError, StepSizeError, ValidationError
-from nlqd.linalg import ClippedEig, _eigvalsh, _square, dagger, partial_trace
+from nlqd.linalg import SUPPORT_REL_TOL, ClippedEig, _eigvalsh, _square, dagger, partial_trace
 
 REAL_RENORMALIZE = propagation._renormalize
 REAL_EVAL_GAMMA = generators._eval_Gamma
@@ -67,8 +68,13 @@ def gamma_without_mean(spec, dec, unit=1.0):
 
 
 def non_essential_without_transpose(fam, dec):
+    w = dec.eigenvalues
+    if w.ndim == 1:
+        s = w.tolist()
+        if s[-1] > 0.0 and s[0] > SUPPORT_REL_TOL * s[-1]:
+            return None
     mask = dec.support_mask()
-    if mask.all():
+    if w.ndim > 1 and not linalg._any(~mask[..., 0]):
         return None
     v, vh = dec.eigenvectors, dec.vh
     a = 1.0 - dec.eigenvalues ** (fam.r - 1.0)
@@ -77,8 +83,13 @@ def non_essential_without_transpose(fam, dec):
 
 
 def non_essential_skip_if_any_full(fam, dec):
+    w = dec.eigenvalues
+    if w.ndim == 1:
+        s = w.tolist()
+        if s[-1] > 0.0 and s[0] > SUPPORT_REL_TOL * s[-1]:
+            return None
     mask = dec.support_mask()
-    if mask.all(axis=-1).any():  # was mask.all(): every member full
+    if w.ndim > 1 and mask.all(axis=-1).any():  # was not _any(~mask[..., 0]): every member full
         return None
     v, vh = dec.eigenvectors, dec.vh
     a = 1.0 - dec.eigenvalues ** (fam.r - 1.0)
@@ -129,6 +140,10 @@ STACK_KEY = "return spec._tq, spec.t_family.family, fam.family, fam.sigma, fam.r
 MOTION = "return x + dagger(x)"
 FACTOR_TR_K = "z = y.reshape(lead + (d_h, d_k * n))"
 FACTOR_PAIR = "z = np.concatenate((t, t.swapaxes(-3, -2)), axis=-3).reshape(lead + (2, d_h, d_k * n))"
+FLOOR_TEST = "if not (lo := _lowest(w)) >= -EIG_NEG_TOL:  # written so that NaN fails it too"
+LOOP_FLOOR_TEST = "if not _lowest(w) >= -EIG_NEG_TOL:  # as in _floored, which names the step and member"
+LOWEST = "return min(s) if total == total else total"
+SUPPORT_TEST = "if s[-1] > 0.0 and s[0] > SUPPORT_REL_TOL * s[-1]:"
 
 
 def step_matrix_at_half_dt(g_of_rho, shape, h):
@@ -198,6 +213,16 @@ def rng():
 def floor_test_spoiled_at_step_7(kernel="spectral"):
     with pytest.MonkeyPatch.context() as mp:  # undoes the spoiled decomposition
         test_propagation.TestEigenvalueFloor().test_fires_at_the_step_whose_state_fails(rng(), mp, kernel, 7)
+
+
+def one_state_floor_test(where, value, at=1):
+    """The one-state floor test of a stage or a step, spoiled at eigenvalue
+    at by value: a NaN after a finite eigenvalue, or one just under the floor."""
+    with pytest.MonkeyPatch.context() as mp:  # undoes the spoiled decomposition
+        if where == "stage":
+            test_linalg.test_one_state_floor_reads_every_eigenvalue_at_a_stage(mp, value, at)
+        else:
+            test_propagation.test_one_joint_state_floor_reads_every_eigenvalue(rng(), mp, value, at)
 
 
 def stage_kernel_test(name):
@@ -275,6 +300,33 @@ MUTANTS = {
         generators, "_non_essential_gamma", non_essential_skip_if_any_full,
         lambda: test_generators.TestSpectralKernels().test_non_essential_mixed_stack_members_match_one_matrix_bitwise(
             rng(), 4
+        ),
+    ),
+    # one state's floor and support tests on Python floats
+    "floor_drops_a_nan_after_a_finite_eigenvalue_at_a_stage": (
+        linalg, "_lowest", edited(linalg._lowest, (LOWEST, "return min(s)")),
+        lambda: one_state_floor_test("stage", np.nan),
+    ),
+    "floor_drops_a_nan_after_a_finite_eigenvalue_at_a_step": (
+        propagation, "_lowest", edited(linalg._lowest, (LOWEST, "return min(s)")),
+        lambda: one_state_floor_test("step", np.nan),
+    ),
+    "floor_at_twice_its_tolerance_at_a_stage": (  # the floor's own test at -2 EIG_NEG_TOL, exclusive
+        linalg, "_floored", edited(linalg._floored, (FLOOR_TEST, FLOOR_TEST.replace(">= -EIG_NEG_TOL", "> -2 * EIG_NEG_TOL"))),
+        lambda: one_state_floor_test("stage", -1.5 * linalg.EIG_NEG_TOL),
+    ),
+    "floor_at_twice_its_tolerance_at_a_step": (
+        propagation, "_checked_state", edited(
+            propagation._checked_state, (LOOP_FLOOR_TEST, LOOP_FLOOR_TEST.replace(">= -EIG_NEG_TOL", "> -2 * EIG_NEG_TOL"))
+        ),
+        lambda: one_state_floor_test("step", -1.5 * linalg.EIG_NEG_TOL),
+    ),
+    "non_essential_one_state_full_at_the_support_threshold": (
+        generators, "_non_essential_gamma", edited(
+            generators._non_essential_gamma, (SUPPORT_TEST, SUPPORT_TEST.replace("s[0] >", "s[0] >="))
+        ),
+        lambda: test_generators.TestSpectralKernels().test_non_essential_one_state_support_edge_matches_its_one_member_stack_bitwise(
+            rng(), 0
         ),
     ),
     "generator_spec_skips_hermiticity": (

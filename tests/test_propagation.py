@@ -381,16 +381,17 @@ class TestStackContract:
                     propagation._renormalize(g.copy(), bound, 7, 0.007)
 
 
-def spoil_call(monkeypatch, module, k: int) -> list:
-    """Swap module._eigvalsh for one whose k-th call returns a smallest
-    eigenvalue of -1e-9 in member 0; returns the list of matrices it saw."""
+def spoil_call(monkeypatch, module, k: int, value: float = -1e-9, at: int = 0) -> list:
+    """Swap module._eigvalsh for one whose k-th call returns value as
+    eigenvalue at of member 0 (by default a smallest eigenvalue of -1e-9);
+    returns the list of matrices it saw."""
     real, seen = module._eigvalsh, []
 
     def spoiled(a):
         seen.append(a.copy())
         w = real(a)
         if len(seen) == k:
-            w[(0,) * (w.ndim - 1) + (0,)] = -1e-9
+            w[(0,) * (w.ndim - 1) + (at,)] = value
         return w
 
     monkeypatch.setattr(module, "_eigvalsh", spoiled)
@@ -471,6 +472,24 @@ class TestEigenvalueFloor:
         spoil_call(monkeypatch, propagation, 1)
         with pytest.raises(ValidationError, match=r"^state at step 1 has eigenvalue"):
             step_state_operator(sqrt_factor(np.eye(2) / 2), self.PRODUCTS, 1e-3)
+
+
+@pytest.mark.parametrize("value", [np.nan, -1.5 * linalg.EIG_NEG_TOL], ids=["nan", "under-floor"])
+@pytest.mark.parametrize("at", [1, 2])
+def test_one_joint_state_floor_reads_every_eigenvalue(rng, monkeypatch, value, at):
+    # One state's floor tests its spectrum on Python floats: a NaN after a
+    # finite eigenvalue, which min alone drops, and an eigenvalue in
+    # [-2 EIG_NEG_TOL, -EIG_NEG_TOL) fail at the step, alone as in a stack.
+    cfg = IntegratorConfig(dt=1e-3, t_final=0.02, monitor_stride=5)
+    dyn = BipartiteDynamics(spec_H=TestEigenvalueFloor.SPECTRAL)
+    rho0 = random_density_matrix(4, rng)
+    message = rf"state at step 7{{}} has eigenvalue {re.escape(str(value))} < -1e-10$"
+    spoil_call(monkeypatch, propagation, 8, value, at)
+    with pytest.raises(ValidationError, match="^" + message.format("")):
+        evolve_bipartite(BipartiteState(d_H=2, d_K=2, matrix=rho0), dyn, cfg)
+    spoil_call(monkeypatch, propagation, 8, value, at)
+    with pytest.raises(ValidationError, match="^" + message.format(r" \(member 0\)")):
+        verify_cp_extension(dyn, [BipartiteState(d_H=2, d_K=2, matrix=rho0)] * 2, cfg)
 
 
 def count_decomposed(monkeypatch, gufunc: str) -> list:

@@ -106,18 +106,21 @@ def test_value_moves(tmp_path, monkeypatch, capsys):
 
 def test_step_ab_on_one_tree():
     # this tree against itself, one repeat: a line per family, d, rank and
-    # B (one state, a stack of three), 80 in all, each with two timings and
-    # a final-state deviation of 0
+    # B (one state, a stack of three), 96 in all, then one per joint cell
+    # (H side, K, dims, rank; one state), 16 in all, each with two timings
+    # and a final-state deviation of 0
     run = subprocess.run(
         [sys.executable, "scripts/step_ab.py", ".", ".", "1"], cwd=ROOT, capture_output=True, text=True, timeout=600
     )
     assert run.returncode == 0, run.stderr
     rows = [line.split() for line in run.stdout.splitlines()[1:]]
-    families = ("vonNeumann", "powerLaw", "zeroMean", "energyConserving", "nonEssential")
-    cells = [(d, rank) for d in (2, 4, 8) for rank in sorted({d, d // 2, 1}, reverse=True)]
+    families = ("vonNeumann", "powerLaw", "powerLaw/q1.3", "zeroMean", "energyConserving", "nonEssential")
+    cells = [(str(d), rank) for d in (2, 4, 8) for rank in sorted({d, d // 2, 1}, reverse=True)]
     want = [(f, d, r, b) for d, r in cells for f in families for b in (1, 3)]
-    assert len(want) == 80
-    assert [(row[0], int(row[1]), int(row[2]), int(row[3])) for row in rows] == want
+    joint = [(f"joint/{side}/{env}", dims, r, 1) for dims in ("2x2", "2x4") for r in (2, 1)
+             for side in ("nonEssential", "powerLaw") for env in ("passive", "active")]
+    assert (len(want), len(joint)) == (96, 16)
+    assert [(row[0], row[1], int(row[2]), int(row[3])) for row in rows] == want + joint
     assert all(float(row[4]) > 0 and float(row[5]) > 0 and float(row[7]) == 0.0 for row in rows)
 
 
