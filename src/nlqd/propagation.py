@@ -31,8 +31,9 @@ its autonomous branches as one stack per group of specs that stack
 scalars on the step path (its norm, drift and rescale, and energyConserving's
 multipliers) are Python floats, a stack's are arrays (``linalg._scalars``),
 each by one formula with the same bits; the checks of one state test in
-Python, those of a stack reduce by numpy (``_any``, ``_worst`` and
-``_lowest``).  The loop only records states; a monitor reads every recorded
+Python, those of a stack reduce by numpy (``_any`` and ``_worst``), except
+the eigenvalue floor of a small stack, which ``_lowest`` also tests in
+Python.  The loop only records states; a monitor reads every recorded
 state of every member in one call and returns its channels as arrays along
 the leading axis.
 

@@ -222,15 +222,19 @@ def test_one_member_reduces_as_a_stack_does(x):
 
 
 @pytest.mark.parametrize(
-    "x", [[0.1, 0.2, np.nan, 0.3], [np.nan, 0.1], [0.3, 0.1, 0.2], [-np.inf, 0.5, np.inf], [0.5, np.inf]],
-    ids=["nan-after-finite", "nan-first", "unsorted", "both-infinities", "inf"],
+    "x",
+    [[0.1, 0.2, np.nan, 0.3], [np.nan, 0.1], [0.3, 0.1, 0.2], [-np.inf, 0.5, np.inf], [0.5, np.inf], [1e308, 1e308]],
+    ids=["nan-after-finite", "nan-first", "unsorted", "both-infinities", "inf", "finite-sum-overflows"],
 )
 def test_one_spectrum_reads_its_lowest_eigenvalue_as_a_stack_does(x):
     # one state's floor reads its spectrum on Python floats, where min alone
     # drops a NaN after a finite value; every value that fails the floor in
-    # a stack fails it alone (a NaN stands in for -inf beside +inf)
+    # a stack too large for Python, read by numpy, fails it alone (a NaN
+    # stands in for +inf, and for -inf beside it), and a finite spectrum
+    # whose sum overflows passes both
     w = np.array(x)
-    lo, want = linalg._lowest(w), linalg._lowest(w[None])
+    stack = np.tile(w, (linalg._PY_LOWEST // len(w) + 1, 1))
+    lo, want = linalg._lowest(w), linalg._lowest(stack)
     assert type(lo) is float and (lo >= -EIG_NEG_TOL) == (want >= -EIG_NEG_TOL)
     assert lo == want or np.isnan(lo) and (np.isnan(want) or want == -np.inf)
 
@@ -281,10 +285,21 @@ def test_eigenvalue_floor_names_the_non_finite_member():
         ClippedEig(stack)
 
 
+OVERFLOWING = np.full((2, 2), 1e308)  # finite and Hermitian, its spectrum [0, +inf]
+
+
+def test_eigenvalue_floor_refuses_an_infinite_eigenvalue():
+    # it used to give a NaN power, entropy 0 and a zero support projector
+    for fn in (lambda m: matrix_power(m, 0.5), von_neumann_entropy, support_projector):
+        with pytest.raises(ValidationError, match="^matrix has eigenvalue inf$"):
+            fn(OVERFLOWING)
+
+
 FLOOR_FAILURES = {
     "nan-entry": np.diag([0.5, np.nan]),
     "inf-entry": np.array([[0.5, 0.1], [0.1, np.inf]]),
     "below-floor": np.diag([1.0, -2 * EIG_NEG_TOL]),
+    "inf-eigenvalue": OVERFLOWING,
 }
 
 
@@ -294,9 +309,9 @@ def test_eigenvalue_floor_fails_past_its_no_negative_return(kind, i):
     # every other member has no negative eigenvalue, the spectrum the floor returns as it is
     bad = FLOOR_FAILURES[kind]
     stack = np.array([bad if j == i else np.diag([0.7, 0.3]) for j in range(3)])
-    with pytest.raises(ValidationError, match=rf"^matrix \(member {i}\) has eigenvalue (nan|-2e-10) <"):
+    with pytest.raises(ValidationError, match=rf"^matrix \(member {i}\) has eigenvalue (nan <|-2e-10 <|inf$)"):
         ClippedEig(stack)
-    with pytest.raises(ValidationError, match="^matrix has eigenvalue (nan|-2e-10) <"):
+    with pytest.raises(ValidationError, match="^matrix has eigenvalue (nan <|-2e-10 <|inf$)"):
         ClippedEig(bad)
 
 

@@ -280,7 +280,11 @@ class TestEvolveMany:
 def stacking_cases() -> list:
     """One seeded draw of specs built to stack, three per case: one family,
     sigma, r and whole q per case, and per member its own H, A and spectral
-    q, with initial states of rank 1, d / 2 and d."""
+    q, with initial states of rank 1, d / 2 and d.  Then two cases of four
+    specs that split into two stacks of two: zeroMean specs that differ only
+    in sigma, and nonEssential ones whose T takes a whole q = 1 by products
+    beside ones that take q = 1.5 from the spectrum.  Each case gives the
+    number of stacks its specs make."""
     rng = np.random.default_rng(29)
     cases = []
     for family in ("none", "zeroMean", "energyConserving", "nonEssential"):
@@ -301,7 +305,16 @@ def stacking_cases() -> list:
                         t_family = TFamily("powerLaw", q=q if t == "whole" else rng.uniform(0.5, 2.5))
                     specs.append(GeneratorSpec(H=random_hermitian(d, rng), t_family=t_family, gamma_family=fam))
                 rho0s = [random_density_matrix(d, rng, rank) for rank in (1, max(1, d // 2), d)]
-                cases.append(pytest.param(specs, rho0s, id=f"{family}/{t}/d{d}"))
+                cases.append(pytest.param(specs, rho0s, 1, id=f"{family}/{t}/d{d}"))
+    apart = {
+        "sigma": [(TFamily("powerLaw", q=1.0), GammaFamily("zeroMean", sigma=s, r=2.0)) for s in (0.3, 0.7, 0.3, 0.7)],
+        "q-kernel": [(TFamily("powerLaw", q=q), GammaFamily("nonEssential", r=2.0, A=random_hermitian(3, rng)))
+                     for q in (1.0, 1.5, 1.0, 1.5)],
+    }
+    for name, families in apart.items():
+        specs = [GeneratorSpec(H=random_hermitian(3, rng), t_family=t, gamma_family=g) for t, g in families]
+        rho0s = [random_density_matrix(3, rng, rank) for rank in (1, 2, 3, 3)]
+        cases.append(pytest.param(specs, rho0s, 2, id=f"apart/{name}/d3"))
     return cases
 
 
@@ -310,9 +323,18 @@ class TestStackContract:
     in the step loop, one member alone the scalar branch: both give the same
     bits and name the same failing member."""
 
-    @pytest.mark.parametrize("specs, rho0s", stacking_cases())
-    def test_stack_equals_each_member_alone_bitwise(self, specs, rho0s):
-        assert len({generators._stack_key(s) for s in specs}) == 1
+    @pytest.mark.parametrize("specs, rho0s, n_stacks", stacking_cases())
+    def test_stack_equals_each_member_alone_bitwise(self, specs, rho0s, n_stacks):
+        # the specs stack by the key a mixture groups its branches by
+        stacks = {}
+        for spec, rho0 in zip(specs, rho0s):
+            stacks.setdefault(propagation._stack_key(spec), []).append((spec, rho0))
+        for members in stacks.values():
+            self.check_stack(*zip(*members))
+        assert len(stacks) == n_stacks
+
+    @staticmethod
+    def check_stack(specs, rho0s):
         cfg = IntegratorConfig(dt=1e-3, t_final=0.02)
         stack = propagation._spec_generator(generators._stack_specs(specs))
         x, times, states, spectra, drifts = propagation._integrate(np.array(rho0s), stack, cfg)
